@@ -138,10 +138,9 @@ pub fn inspect(path: &Path) -> Result<(), String> {
         println!("    {phy:16} {n}");
     }
     println!("  probe sets: {}", ds.probes.len());
-    let ix = DatasetIndex::build(&ds);
     println!(
         "  directed links with reports: {}",
-        ix.link_report_counts().len()
+        ds.link_report_counts().len()
     );
     println!("  client samples: {}", ds.clients.len());
     let clients: std::collections::BTreeSet<_> =

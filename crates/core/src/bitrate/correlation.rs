@@ -37,7 +37,6 @@ impl FoldKernel for CurvesKernel {
     }
 
     fn fold(&self, view: DatasetView<'_>, partial: &mut CurvesPartial) {
-        let ix = view.index();
         let nets = view.network_views(self.phy);
         type Per = (Vec<(BitRate, BinnedStats)>, Vec<f64>, Vec<f64>);
         let partials: Vec<Per> = nets
@@ -52,18 +51,18 @@ impl FoldKernel for CurvesKernel {
                 let mut t = Vec::new();
                 for e in nv.entries_in_order() {
                     let key = e.snr_key;
-                    let obs = ix.obs(e.pos);
-                    for (k, &rate) in obs.rates.iter().enumerate() {
-                        let stats = match rates.iter_mut().find(|(r, _)| *r == rate) {
+                    for o in &e.probe.obs {
+                        let stats = match rates.iter_mut().find(|(r, _)| *r == o.rate) {
                             Some((_, stats)) => stats,
                             None => {
-                                rates.push((rate, BinnedStats::new()));
+                                rates.push((o.rate, BinnedStats::new()));
                                 &mut rates.last_mut().expect("just pushed").1
                             }
                         };
-                        stats.push(key, obs.thr_mbps[k]);
+                        let thr = o.throughput_mbps();
+                        stats.push(key, thr);
                         s.push(key as f64);
-                        t.push(obs.thr_mbps[k]);
+                        t.push(thr);
                     }
                 }
                 (rates, s, t)

@@ -3,17 +3,23 @@
 //! JSON (see [`crate::dataset::Dataset::save_json`]) is the interchange
 //! format; this codec is the fast path for large campaign exports — a probe
 //! set costs ~25 bytes plus 17 per rate observation, roughly 10× smaller
-//! than JSON and with no parsing ambiguity. Built on [`bytes`].
+//! than JSON and with no parsing ambiguity. The writer streams through
+//! [`bytes`]' `BufMut`. The reader parses a borrowed slice, or a file
+//! through a small window, with one length check per fixed-size record,
+//! and rejects records the analyses cannot take (a probe set without
+//! observations, a non-finite loss or SNR).
 //!
-//! Format (little-endian via `bytes`' `_le` accessors):
+//! Format (little-endian):
 //!
 //! ```text
 //! magic  u32  "M11T" (0x4D313154)
 //! ver    u16  1
-//! networks, horizons, probes, clients — length-prefixed records
+//! networks, horizons, probes, clients — count-prefixed records
+//! probe  network u32, phy u8, time f64, sender u32, receiver u32,
+//!        n_obs u8, then n_obs × (rate index u8, loss f64, snr f64)
 //! ```
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use mesh11_phy::Phy;
 use std::io;
 
@@ -149,118 +155,202 @@ pub fn encode(ds: &Dataset) -> Bytes {
     Bytes::from(buf)
 }
 
-/// Ensures `buf` has at least `n` bytes remaining before a fixed-size read.
-fn need(buf: &impl Buf, n: usize) -> io::Result<()> {
-    if buf.remaining() < n {
-        Err(bad(format!(
-            "truncated: need {n} bytes, have {}",
-            buf.remaining()
-        )))
-    } else {
-        Ok(())
+/// The decoder's input: a reader behind a reusable window. Records are
+/// parsed from borrowed slices of the window, and a large file never sits
+/// in memory whole next to the dataset decoded from it.
+struct Input<R> {
+    src: R,
+    buf: Vec<u8>,
+    /// Unread bytes are `buf[pos..end]`.
+    pos: usize,
+    end: usize,
+    /// Unread bytes left in the whole input.
+    left: u64,
+}
+
+impl<R: io::Read> Input<R> {
+    /// Window size: far above the largest record (a network's location
+    /// string, ≤ 64 KiB), small enough to stay in cache.
+    const WINDOW: usize = 256 * 1024;
+
+    fn new(src: R, len: u64) -> Self {
+        Self {
+            src,
+            buf: vec![0; Self::WINDOW],
+            pos: 0,
+            end: 0,
+            left: len,
+        }
+    }
+
+    /// The next `n` unread bytes, fewer only where the input ends first.
+    fn peek(&mut self, n: usize) -> io::Result<&[u8]> {
+        if self.end - self.pos < n {
+            self.buf.copy_within(self.pos..self.end, 0);
+            self.end -= self.pos;
+            self.pos = 0;
+            if self.buf.len() < n {
+                self.buf.resize(n, 0);
+            }
+            while self.end < n {
+                match self.src.read(&mut self.buf[self.end..]) {
+                    Ok(0) => break,
+                    Ok(k) => self.end += k,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
+                }
+            }
+        }
+        Ok(&self.buf[self.pos..self.end.min(self.pos + n)])
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.pos += n;
+        self.left = self.left.saturating_sub(n as u64);
+    }
+
+    /// Takes one fixed-size record: the single length check every field
+    /// read inside the record relies on.
+    fn record<const N: usize>(&mut self) -> io::Result<[u8; N]> {
+        let bytes = self.peek(N)?;
+        let rec: [u8; N] = bytes.try_into().map_err(|_| truncated(N, bytes.len()))?;
+        self.consume(N);
+        Ok(rec)
+    }
+
+    /// Takes a variable-length payload of `n` bytes and parses it with `f`.
+    fn payload<T>(&mut self, n: usize, f: impl FnOnce(&[u8]) -> io::Result<T>) -> io::Result<T> {
+        let bytes = self.peek(n)?;
+        if bytes.len() < n {
+            return Err(truncated(n, bytes.len()));
+        }
+        let out = f(bytes)?;
+        self.consume(n);
+        Ok(out)
+    }
+
+    /// Never trust a count for allocation: a count whose records (each at
+    /// least `min_len` bytes) cannot fit in the unread input is corrupt
+    /// and must not drive `with_capacity` into an abort.
+    fn plausible(&self, count: u64, min_len: u64, what: &str) -> io::Result<usize> {
+        if count > self.left / min_len {
+            return Err(bad(format!("implausible {what} count {count}")));
+        }
+        Ok(count as usize)
     }
 }
 
+fn truncated(need: usize, have: usize) -> io::Error {
+    bad(format!("truncated: need {need} bytes, have {have}"))
+}
+
+fn u32_at(b: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(b[at..at + 4].try_into().expect("field inside its record"))
+}
+
+fn u64_at(b: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(b[at..at + 8].try_into().expect("field inside its record"))
+}
+
+fn f64_at(b: &[u8], at: usize) -> f64 {
+    f64::from_le_bytes(b[at..at + 8].try_into().expect("field inside its record"))
+}
+
 /// Decodes a dataset from bytes.
-pub fn decode(mut buf: Bytes) -> io::Result<Dataset> {
-    need(&buf, 6)?;
-    if buf.get_u32_le() != MAGIC {
+pub fn decode(buf: Bytes) -> io::Result<Dataset> {
+    parse(Input::new(&buf[..], buf.len() as u64))
+}
+
+/// Parses the whole format. Each fixed-size record costs one length check;
+/// every record is validated before it is kept, so a dataset that decodes
+/// cannot panic the analyses: a probe set has at least one observation,
+/// and every loss and SNR is finite.
+fn parse(mut input: Input<impl io::Read>) -> io::Result<Dataset> {
+    let head = input.record::<6>()?;
+    if u32_at(&head, 0) != MAGIC {
         return Err(bad("bad magic".into()));
     }
-    let ver = buf.get_u16_le();
+    let ver = u16::from_le_bytes([head[4], head[5]]);
     if ver != VERSION {
         return Err(bad(format!("unsupported version {ver}")));
     }
 
-    need(&buf, 4)?;
-    let n_networks = buf.get_u32_le() as usize;
-    // Never trust a count for allocation: each record needs ≥10 bytes, so a
-    // count exceeding remaining/10 is corrupt and must not drive
-    // with_capacity into an abort.
-    if n_networks > buf.remaining() / 10 {
-        return Err(bad(format!("implausible network count {n_networks}")));
-    }
+    let count = u32_at(&input.record::<4>()?, 0);
+    let n_networks = input.plausible(u64::from(count), 10, "network")?;
     let mut networks = Vec::with_capacity(n_networks);
     for _ in 0..n_networks {
-        need(&buf, 10)?;
-        let id = NetworkId(buf.get_u32_le());
-        let env = env_from_tag(buf.get_u8())?;
-        let n_aps = buf.get_u32_le() as usize;
-        let n_radios = buf.get_u8() as usize;
-        need(&buf, n_radios + 2)?;
-        let mut radios = Vec::with_capacity(n_radios);
-        for _ in 0..n_radios {
-            radios.push(phy_from_tag(buf.get_u8())?);
-        }
-        let loc_len = buf.get_u16_le() as usize;
-        need(&buf, loc_len)?;
-        let loc_bytes = buf.copy_to_bytes(loc_len);
-        let location = String::from_utf8(loc_bytes.to_vec())
-            .map_err(|e| bad(format!("bad utf8 location: {e}")))?;
+        let r = input.record::<10>()?;
+        let env = env_from_tag(r[4])?;
+        let radios = input.payload(r[9] as usize, |b| {
+            b.iter().map(|&t| phy_from_tag(t)).collect()
+        })?;
+        let loc_len = u16::from_le_bytes(input.record::<2>()?) as usize;
+        let location = input.payload(loc_len, |b| {
+            std::str::from_utf8(b)
+                .map(str::to_owned)
+                .map_err(|e| bad(format!("bad utf8 location: {e}")))
+        })?;
         networks.push(NetworkMeta {
-            id,
+            id: NetworkId(u32_at(&r, 0)),
             env,
-            n_aps,
+            n_aps: u32_at(&r, 5) as usize,
             radios,
             location,
         });
     }
 
-    need(&buf, 16)?;
-    let probe_horizon_s = buf.get_f64_le();
-    let client_horizon_s = buf.get_f64_le();
-
-    need(&buf, 8)?;
-    let n_probes = buf.get_u64_le() as usize;
-    if n_probes > buf.remaining() / 22 {
-        return Err(bad(format!("implausible probe count {n_probes}")));
-    }
+    let r = input.record::<24>()?;
+    let probe_horizon_s = f64_at(&r, 0);
+    let client_horizon_s = f64_at(&r, 8);
+    let n_probes = input.plausible(u64_at(&r, 16), 22, "probe")?;
     let mut probes = Vec::with_capacity(n_probes);
-    for _ in 0..n_probes {
-        need(&buf, 22)?;
-        let network = NetworkId(buf.get_u32_le());
-        let phy = phy_from_tag(buf.get_u8())?;
-        let time_s = buf.get_f64_le();
-        let sender = ApId(buf.get_u32_le());
-        let receiver = ApId(buf.get_u32_le());
-        let n_obs = buf.get_u8() as usize;
-        need(&buf, n_obs * 17)?;
-        let rates = phy.all_rates();
-        let mut obs = Vec::with_capacity(n_obs);
-        for _ in 0..n_obs {
-            let idx = buf.get_u8() as usize;
-            let rate = *rates
-                .get(idx)
-                .ok_or_else(|| bad(format!("rate index {idx} out of range for {phy}")))?;
-            let loss = buf.get_f64_le();
-            let snr_db = buf.get_f64_le();
-            obs.push(RateObs { rate, loss, snr_db });
+    for k in 0..n_probes {
+        let r = input.record::<22>()?;
+        let phy = phy_from_tag(r[4])?;
+        let n_obs = r[21] as usize;
+        if n_obs == 0 {
+            return Err(bad(format!("probe set {k} has no rate observations")));
         }
+        let obs = input.payload(n_obs * 17, |b| {
+            let rates = phy.all_rates();
+            let mut obs = Vec::with_capacity(n_obs);
+            for o in b.chunks_exact(17) {
+                let idx = o[0] as usize;
+                let rate = *rates
+                    .get(idx)
+                    .ok_or_else(|| bad(format!("rate index {idx} out of range for {phy}")))?;
+                let (loss, snr_db) = (f64_at(o, 1), f64_at(o, 9));
+                if !loss.is_finite() || !snr_db.is_finite() {
+                    return Err(bad(format!(
+                        "probe set {k}: non-finite observation (loss {loss}, snr {snr_db})"
+                    )));
+                }
+                obs.push(RateObs { rate, loss, snr_db });
+            }
+            Ok(obs)
+        })?;
         probes.push(ProbeSet {
-            network,
+            network: NetworkId(u32_at(&r, 0)),
             phy,
-            time_s,
-            sender,
-            receiver,
+            time_s: f64_at(&r, 5),
+            sender: ApId(u32_at(&r, 13)),
+            receiver: ApId(u32_at(&r, 17)),
             obs,
         });
     }
 
-    need(&buf, 8)?;
-    let n_clients = buf.get_u64_le() as usize;
-    if n_clients > buf.remaining() / 28 {
-        return Err(bad(format!("implausible client count {n_clients}")));
-    }
+    let count = u64_at(&input.record::<8>()?, 0);
+    let n_clients = input.plausible(count, 28, "client")?;
     let mut clients = Vec::with_capacity(n_clients);
     for _ in 0..n_clients {
-        need(&buf, 28)?;
+        let r = input.record::<28>()?;
         clients.push(ClientSample {
-            network: NetworkId(buf.get_u32_le()),
-            ap: ApId(buf.get_u32_le()),
-            client: ClientId(buf.get_u32_le()),
-            bin_start_s: buf.get_f64_le(),
-            assoc_requests: buf.get_u32_le(),
-            data_pkts: buf.get_u32_le(),
+            network: NetworkId(u32_at(&r, 0)),
+            ap: ApId(u32_at(&r, 4)),
+            client: ClientId(u32_at(&r, 8)),
+            bin_start_s: f64_at(&r, 12),
+            assoc_requests: u32_at(&r, 20),
+            data_pkts: u32_at(&r, 24),
         });
     }
 
@@ -693,10 +783,12 @@ pub fn save(ds: &Dataset, path: &std::path::Path) -> io::Result<()> {
     io::Write::flush(&mut w)
 }
 
-/// Reads the binary form from a file.
+/// Reads the binary form from a file, streaming it through a small window
+/// (same checks as [`decode`]).
 pub fn load(path: &std::path::Path) -> io::Result<Dataset> {
-    let data = std::fs::read(path)?;
-    decode(Bytes::from(data))
+    let file = std::fs::File::open(path)?;
+    let len = file.metadata()?.len();
+    parse(Input::new(file, len))
 }
 
 #[cfg(test)]
@@ -806,6 +898,81 @@ mod tests {
             raw[i] = 0xFF;
             let _ = decode(Bytes::copy_from_slice(&raw)); // must not panic
             raw[i] = orig;
+        }
+    }
+
+    fn assert_invalid(ds: &Dataset, what: &str) {
+        let err = decode(encode(ds)).expect_err(what);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+    }
+
+    #[test]
+    fn rejects_probe_set_without_observations() {
+        let mut ds = sample_dataset();
+        ds.probes[0].obs.clear();
+        assert_invalid(&ds, "zero-observation probe set");
+    }
+
+    #[test]
+    fn rejects_non_finite_loss() {
+        for loss in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut ds = sample_dataset();
+            ds.probes[0].obs[1].loss = loss;
+            assert_invalid(&ds, "non-finite loss");
+        }
+    }
+
+    #[test]
+    fn rejects_non_finite_snr() {
+        for snr_db in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut ds = sample_dataset();
+            ds.probes[0].obs[0].snr_db = snr_db;
+            assert_invalid(&ds, "non-finite snr");
+        }
+    }
+
+    /// A reader that hands out at most 7 bytes per call and interrupts
+    /// every other call: records straddle every refill boundary.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        calls: usize,
+    }
+
+    impl io::Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(2) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let n = out.len().min(7).min(self.data.len());
+            out[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    fn parse_trickled(bytes: &[u8]) -> io::Result<Dataset> {
+        let src = Trickle {
+            data: bytes,
+            calls: 0,
+        };
+        parse(Input::new(src, bytes.len() as u64))
+    }
+
+    #[test]
+    fn windowed_reader_matches_slice_decode() {
+        let mut ds = sample_dataset();
+        ds.probes = (0..50)
+            .map(|i| {
+                let mut p = ds.probes[0].clone();
+                p.time_s += f64::from(i);
+                p
+            })
+            .collect();
+        let full = encode(&ds);
+        assert_eq!(parse_trickled(&full).unwrap(), ds);
+        for cut in (0..full.len()).step_by(5) {
+            assert!(parse_trickled(&full[..cut]).is_err(), "prefix {cut}");
         }
     }
 

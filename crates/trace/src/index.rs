@@ -20,11 +20,13 @@
 //! * **link/network groups** — interned link ids ([`LinkView::link_id`]) and
 //!   per-network link + probe ranges, so per-network analyses touch only
 //!   their own probes.
-//! * **columnar side arrays** — per-probe `time_s`, median SNR (and its
-//!   integer key), the optimal rate observation, plus flattened per-rate
-//!   observation columns (rate, delivery, throughput, SNR). The hottest
-//!   kernels (lookup-table training, penalty scoring, single-pass matrix
-//!   stacks) read these instead of re-deriving medians and optima per call.
+//! * **per-probe side columns** — median SNR (and its integer key) and the
+//!   optimal rate observation, the two derivations that cost a sort or a
+//!   scan per probe. Lookup-table training and penalty scoring read these
+//!   instead of re-deriving medians and optima per call. Everything else a
+//!   kernel needs (report time, the per-rate observations) it reads from
+//!   the probe set itself: copying it into columns would cost more per
+//!   build than the walks it saves.
 //!
 //! The index is a pure function of the probe vector; it holds **positions**,
 //! not copies, and must be rebuilt after any mutation of `Dataset::probes`
@@ -35,6 +37,7 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 
 use mesh11_phy::{BitRate, Phy};
+use rayon::prelude::*;
 
 use crate::dataset::{Dataset, NetworkMeta};
 use crate::ids::{ApId, NetworkId};
@@ -72,7 +75,7 @@ struct NetGroup {
     probes: Range<u32>,
 }
 
-/// Precomputed grouping + columnar side arrays for one [`Dataset`].
+/// Precomputed grouping + per-probe side columns for one [`Dataset`].
 ///
 /// Build with [`DatasetIndex::build`]; pair with the dataset via
 /// [`DatasetView::new`]. The index refers to probes by position, so it is
@@ -101,161 +104,170 @@ pub struct DatasetIndex {
     nets: Vec<NetGroup>,
     /// Per-PHY range into `nets`.
     net_ranges: [Range<u32>; N_PHYS],
-    /// Per-probe report time (dataset position order).
-    time_s: Vec<f64>,
     /// Per-probe median SNR (`ProbeSet::snr_db`), precomputed.
     snr_db: Vec<f64>,
     /// Per-probe integer SNR key (`ProbeSet::snr_key`), precomputed.
     snr_key: Vec<i64>,
     /// Per-probe optimal observation (`ProbeSet::optimal`), precomputed.
     opt: Vec<RateObs>,
-    /// Prefix offsets into the flattened observation columns; length
-    /// `n_probes + 1`.
-    obs_off: Vec<u32>,
-    /// Flattened per-observation rate.
-    obs_rate: Vec<BitRate>,
-    /// Flattened per-observation delivery probability (`1 − loss`, clamped).
-    obs_delivery: Vec<f64>,
-    /// Flattened per-observation throughput (Mbit/s).
-    obs_thr_mbps: Vec<f64>,
-    /// Flattened per-observation SNR (dB).
-    obs_snr_db: Vec<f64>,
 }
 
-/// The flattened observation columns of one probe set, in `obs` order.
-#[derive(Debug, Clone, Copy)]
-pub struct ObsColumns<'a> {
-    /// Rate of each observation.
-    pub rates: &'a [BitRate],
-    /// Delivery probability of each observation.
-    pub deliveries: &'a [f64],
-    /// Throughput (Mbit/s) of each observation.
-    pub thr_mbps: &'a [f64],
-    /// Most-recent SNR (dB) of each observation.
-    pub snr_db: &'a [f64],
+/// A probe's link sort key: `(network, sender, receiver, position)` packed
+/// big-endian into one integer, so integer order is tuple order. The
+/// position makes every key unique, which is why an unstable sort of these
+/// keys equals a stable sort of positions by `(network, sender, receiver)`.
+fn link_key(p: &ProbeSet, pos: usize) -> u128 {
+    (u128::from(p.network.0) << 96)
+        | (u128::from(p.sender.0) << 64)
+        | (u128::from(p.receiver.0) << 32)
+        | pos as u128
+}
+
+/// The position a [`link_key`] was built from.
+fn key_pos(key: u128) -> u32 {
+    key as u32
+}
+
+/// The per-probe columns of one contiguous range of positions, plus the
+/// range's link keys split by PHY (each bucket in dataset order).
+#[derive(Default)]
+struct Derived {
+    snr_db: Vec<f64>,
+    snr_key: Vec<i64>,
+    opt: Vec<RateObs>,
+    keys: [Vec<u128>; N_PHYS],
+}
+
+impl Derived {
+    /// The fused per-probe pass over `probes[span]`.
+    fn over(probes: &[ProbeSet], span: Range<usize>) -> Self {
+        let mut d = Derived {
+            snr_db: Vec::with_capacity(span.len()),
+            snr_key: Vec::with_capacity(span.len()),
+            opt: Vec::with_capacity(span.len()),
+            keys: Default::default(),
+        };
+        for pos in span {
+            let p = &probes[pos];
+            let snr = p.snr_db();
+            d.snr_db.push(snr);
+            d.snr_key.push(snr.round() as i64);
+            d.opt.push(p.optimal());
+            d.keys[phy_slot(p.phy)].push(link_key(p, pos));
+        }
+        d
+    }
+
+    /// Appends the next range's results (ranges arrive in position order).
+    fn append(&mut self, next: Derived) {
+        self.snr_db.extend(next.snr_db);
+        self.snr_key.extend(next.snr_key);
+        self.opt.extend(next.opt);
+        for (keys, more) in self.keys.iter_mut().zip(next.keys) {
+            keys.extend(more);
+        }
+    }
 }
 
 impl DatasetIndex {
-    /// Builds the index over `ds.probes`. `O(n log n)` in the probe count.
+    /// Builds the index over `ds.probes`: one fused per-probe pass
+    /// (parallel over contiguous position ranges), then per PHY one
+    /// unstable sort of unique integer keys. `O(n log n)` in the probe
+    /// count.
     pub fn build(ds: &Dataset) -> Self {
         let n = ds.probes.len();
         assert!(n < u32::MAX as usize, "dataset too large to index");
 
-        let mut time_s = Vec::with_capacity(n);
-        let mut snr_db = Vec::with_capacity(n);
-        let mut snr_key = Vec::with_capacity(n);
-        let mut opt = Vec::with_capacity(n);
-        let mut obs_off = Vec::with_capacity(n + 1);
-        let mut obs_rate = Vec::new();
-        let mut obs_delivery = Vec::new();
-        let mut obs_thr_mbps = Vec::new();
-        let mut obs_snr_db = Vec::new();
-        obs_off.push(0u32);
-        for p in &ds.probes {
-            time_s.push(p.time_s);
-            let snr = p.snr_db();
-            snr_db.push(snr);
-            snr_key.push(snr.round() as i64);
-            opt.push(p.optimal());
-            for o in &p.obs {
-                obs_rate.push(o.rate);
-                obs_delivery.push(o.delivery());
-                obs_thr_mbps.push(o.throughput_mbps());
-                obs_snr_db.push(o.snr_db);
-            }
-            obs_off.push(obs_rate.len() as u32);
-        }
+        let parts = rayon::current_num_threads().clamp(1, n.max(1));
+        let spans: Vec<Range<usize>> = (0..parts)
+            .map(|k| k * n / parts..(k + 1) * n / parts)
+            .collect();
+        let mut derived = spans
+            .par_iter()
+            .map(|span| Derived::over(&ds.probes, span.clone()))
+            .collect::<Vec<_>>()
+            .into_iter()
+            .reduce(|mut acc, next| {
+                acc.append(next);
+                acc
+            })
+            .unwrap_or_default();
 
-        // Stable by-PHY permutation: dataset order within each PHY.
-        let mut phy_order: Vec<u32> = (0..n as u32).collect();
-        phy_order.sort_by_key(|&i| phy_slot(ds.probes[i as usize].phy));
-        let split = phy_order.partition_point(|&i| phy_slot(ds.probes[i as usize].phy) == 0);
-        let phy_ranges = [0..split as u32, split as u32..n as u32];
-
-        // Stable by-(phy, network) permutation: dataset order within each
-        // group. Equal to `phy_order` when the dataset is network-major
-        // (every campaign and window dataset is), which is what makes
-        // per-network parallel folds concatenate back to the global
-        // per-PHY walk byte-identically.
-        let mut net_order = phy_order.clone();
-        net_order.sort_by_key(|&i| {
-            let p = &ds.probes[i as usize];
-            (phy_slot(p.phy), p.network.0)
-        });
-
-        // Stable by-link permutation: dataset order within each directed
-        // link (the ordering invariant every consumer relies on).
-        let key = |i: u32| {
-            let p = &ds.probes[i as usize];
-            (phy_slot(p.phy), p.network.0, p.sender.0, p.receiver.0)
-        };
-        let mut link_order = phy_order.clone();
-        link_order.sort_by_key(|&i| key(i));
-
-        let mut links = Vec::new();
-        let mut i = 0usize;
-        while i < n {
-            let k = key(link_order[i]);
-            let start = i;
-            while i < n && key(link_order[i]) == k {
-                i += 1;
-            }
-            let p = &ds.probes[link_order[start] as usize];
-            links.push(LinkGroup {
-                network: p.network,
-                sender: p.sender,
-                receiver: p.receiver,
-                probes: start as u32..i as u32,
-            });
-        }
-
-        let link_phy = |g: &LinkGroup| {
-            let first = g.probes.start as usize;
-            phy_slot(ds.probes[link_order[first] as usize].phy)
-        };
-        let link_split = links.partition_point(|g| link_phy(g) == 0);
-        let link_ranges = [0..link_split as u32, link_split as u32..links.len() as u32];
-
-        let mut nets = Vec::new();
-        let mut j = 0usize;
-        while j < links.len() {
-            let k = (link_phy(&links[j]), links[j].network);
-            let start = j;
-            while j < links.len() && (link_phy(&links[j]), links[j].network) == k {
-                j += 1;
-            }
-            nets.push(NetGroup {
-                network: k.1,
-                links: start as u32..j as u32,
-                probes: links[start].probes.start..links[j - 1].probes.end,
-            });
-        }
-        let net_split = nets.partition_point(|g| {
-            let first = g.links.start as usize;
-            link_phy(&links[first]) == 0
-        });
-        let net_ranges = [0..net_split as u32, net_split as u32..nets.len() as u32];
-
-        Self {
+        let mut ix = Self {
             n_probes: n,
-            phy_order,
-            phy_ranges,
-            net_order,
-            link_order,
-            links,
-            link_ranges,
-            nets,
-            net_ranges,
-            time_s,
-            snr_db,
-            snr_key,
-            opt,
-            obs_off,
-            obs_rate,
-            obs_delivery,
-            obs_thr_mbps,
-            obs_snr_db,
+            snr_db: derived.snr_db,
+            snr_key: derived.snr_key,
+            opt: derived.opt,
+            ..Self::default()
+        };
+        for (slot, keys) in derived.keys.iter_mut().enumerate() {
+            ix.push_phy(slot, keys);
         }
+        ix
+    }
+
+    /// Appends one PHY's orders and groups, given its link keys in dataset
+    /// order. PHY slots are pushed in ascending order, so every range this
+    /// writes starts where the previous PHY's ended.
+    fn push_phy(&mut self, slot: usize, keys: &mut [u128]) {
+        let base = self.phy_order.len() as u32;
+        let end = base + keys.len() as u32;
+        self.phy_order.extend(keys.iter().map(|&k| key_pos(k)));
+        self.phy_ranges[slot] = base..end;
+
+        // (network, position) keys: dataset order within each network.
+        // Equal to the PHY's slice of `phy_order` when the dataset is
+        // network-major (every campaign and window dataset is), which is
+        // what makes per-network parallel folds concatenate back to the
+        // global per-PHY walk byte-identically.
+        let mut net_keys: Vec<u64> = keys
+            .iter()
+            .map(|&k| ((k >> 96) as u64) << 32 | u64::from(key_pos(k)))
+            .collect();
+        net_keys.sort_unstable();
+        self.net_order.extend(net_keys.iter().map(|&k| k as u32));
+
+        // Links: runs of equal (network, sender, receiver) in key order,
+        // dataset order within each run.
+        keys.sort_unstable();
+        let first_link = self.links.len();
+        for (i, &k) in keys.iter().enumerate() {
+            let at = base + i as u32;
+            self.link_order.push(key_pos(k));
+            let (network, sender, receiver) = (
+                NetworkId((k >> 96) as u32),
+                ApId((k >> 64) as u32),
+                ApId((k >> 32) as u32),
+            );
+            match self.links[first_link..].last_mut() {
+                Some(g) if (g.network, g.sender, g.receiver) == (network, sender, receiver) => {
+                    g.probes.end = at + 1;
+                }
+                _ => self.links.push(LinkGroup {
+                    network,
+                    sender,
+                    receiver,
+                    probes: at..at + 1,
+                }),
+            }
+        }
+        self.link_ranges[slot] = first_link as u32..self.links.len() as u32;
+
+        let first_net = self.nets.len();
+        for (j, g) in self.links.iter().enumerate().skip(first_link) {
+            match self.nets[first_net..].last_mut() {
+                Some(ng) if ng.network == g.network => {
+                    ng.links.end = j as u32 + 1;
+                    ng.probes.end = g.probes.end;
+                }
+                _ => self.nets.push(NetGroup {
+                    network: g.network,
+                    links: j as u32..j as u32 + 1,
+                    probes: g.probes.clone(),
+                }),
+            }
+        }
+        self.net_ranges[slot] = first_net as u32..self.nets.len() as u32;
     }
 
     /// Probe count the index covers.
@@ -266,11 +278,6 @@ impl DatasetIndex {
     /// Number of distinct directed links (across both PHYs).
     pub fn n_links(&self) -> usize {
         self.links.len()
-    }
-
-    /// Per-probe report time, by dataset position.
-    pub fn time_s(&self, pos: usize) -> f64 {
-        self.time_s[pos]
     }
 
     /// Per-probe median SNR (precomputed `ProbeSet::snr_db`).
@@ -286,17 +293,6 @@ impl DatasetIndex {
     /// Per-probe optimal observation (precomputed `ProbeSet::optimal`).
     pub fn optimal(&self, pos: usize) -> RateObs {
         self.opt[pos]
-    }
-
-    /// The flattened observation columns of one probe set.
-    pub fn obs(&self, pos: usize) -> ObsColumns<'_> {
-        let r = self.obs_off[pos] as usize..self.obs_off[pos + 1] as usize;
-        ObsColumns {
-            rates: &self.obs_rate[r.clone()],
-            deliveries: &self.obs_delivery[r.clone()],
-            thr_mbps: &self.obs_thr_mbps[r.clone()],
-            snr_db: &self.obs_snr_db[r],
-        }
     }
 
     /// All directed links that ever produced a probe set, with their report
@@ -468,7 +464,7 @@ impl IndexStitcher {
 }
 
 /// The stitched global range tables of a chunked dataset — the structural
-/// part of a [`DatasetIndex`] (the columnar side arrays stay chunk-local).
+/// part of a [`DatasetIndex`] (the per-probe side columns stay chunk-local).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StitchedIndex {
     /// Per-link ranges, identical to [`DatasetIndex::link_range_table`].
@@ -544,10 +540,11 @@ impl<'a> DatasetView<'a> {
 
     /// The probe entry at a dataset position.
     pub fn entry(&self, pos: usize) -> ProbeEntry<'a> {
+        let probe = &self.ds.probes[pos];
         ProbeEntry {
             pos,
-            probe: &self.ds.probes[pos],
-            time_s: self.ix.time_s[pos],
+            probe,
+            time_s: probe.time_s,
             snr_db: self.ix.snr_db[pos],
             snr_key: self.ix.snr_key[pos],
             opt: self.ix.opt[pos],
@@ -672,17 +669,16 @@ impl<'a> DatasetView<'a> {
             for &pos in positions {
                 let p = &self.ds.probes[pos as usize];
                 let cell = p.sender.idx() * n_aps + p.receiver.idx();
-                let obs = self.ix.obs(pos as usize);
                 let mut seen = 0u128;
-                for (k, r) in obs.rates.iter().enumerate() {
-                    let Some(&slot) = slot_of.get(r) else {
+                for o in &p.obs {
+                    let Some(&slot) = slot_of.get(&o.rate) else {
                         continue;
                     };
                     if seen & (1 << slot) != 0 {
                         continue; // obs_for takes the first observation
                     }
                     seen |= 1 << slot;
-                    sums[slot * n2 + cell] += obs.deliveries[k];
+                    sums[slot * n2 + cell] += o.delivery();
                     cnts[slot * n2 + cell] += 1;
                 }
             }
@@ -714,7 +710,7 @@ pub struct ProbeEntry<'a> {
     pub pos: usize,
     /// The probe set itself.
     pub probe: &'a ProbeSet,
-    /// Report time (seconds), from the time column.
+    /// Report time (seconds), `probe.time_s`.
     pub time_s: f64,
     /// Median SNR (`ProbeSet::snr_db`), precomputed.
     pub snr_db: f64,
@@ -1089,18 +1085,9 @@ mod tests {
         let ds = mixed_dataset();
         let ix = DatasetIndex::build(&ds);
         for (pos, p) in ds.probes.iter().enumerate() {
-            assert_eq!(ix.time_s(pos), p.time_s);
             assert_eq!(ix.snr_db(pos), p.snr_db());
             assert_eq!(ix.snr_key(pos), p.snr_key());
             assert_eq!(ix.optimal(pos), p.optimal());
-            let obs = ix.obs(pos);
-            assert_eq!(obs.rates.len(), p.obs.len());
-            for (k, o) in p.obs.iter().enumerate() {
-                assert_eq!(obs.rates[k], o.rate);
-                assert_eq!(obs.deliveries[k], o.delivery());
-                assert_eq!(obs.thr_mbps[k], o.throughput_mbps());
-                assert_eq!(obs.snr_db[k], o.snr_db);
-            }
         }
     }
 

@@ -24,9 +24,9 @@
 //!   matrix distilled from probe sets; the input to the routing (§5) and
 //!   hidden-triple (§6) analyses.
 //! * [`DatasetIndex`] / [`DatasetView`] — precomputed grouped ranges
-//!   (per PHY, per network, per directed link) plus columnar side arrays,
-//!   so the analyses walk contiguous slices instead of re-filtering the
-//!   probe vector.
+//!   (per PHY, per network, per directed link) plus per-probe SNR and
+//!   optimal-rate columns, so the analyses walk contiguous slices instead
+//!   of re-filtering the probe vector.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,7 +54,7 @@ pub use fold::{fold_windows, run_fold, FoldKernel, Running, WindowFold};
 pub use ids::{ApId, ClientId, EnvLabel, NetworkId};
 pub use index::{
     DatasetIndex, DatasetView, IndexStitcher, LinkRange, LinkView, NetRange, NetworkView,
-    ObsColumns, ProbeEntry, StitchedIndex,
+    ProbeEntry, StitchedIndex,
 };
 pub use matrix::DeliveryMatrix;
 pub use probe::{ProbeSet, RateObs};

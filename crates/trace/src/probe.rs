@@ -60,8 +60,16 @@ impl ProbeSet {
     /// (paper §3.1.1 — robust because the within-set spread is small,
     /// Fig 3.1).
     pub fn snr_db(&self) -> f64 {
-        let snrs: Vec<f64> = self.obs.iter().map(|o| o.snr_db).collect();
-        mesh11_stats::median(&snrs).expect("probe sets always have ≥1 observation")
+        self.with_snrs(|snrs| {
+            // `mesh11_stats::median`'s sort, on a scratch copy that needs
+            // no allocation: same comparator, same stable order, same bits.
+            snrs.sort_by(|a, b| {
+                a.partial_cmp(b)
+                    .expect("non-finite value in quantile input")
+            });
+            mesh11_stats::quantile_sorted(snrs, 0.5)
+        })
+        .expect("probe sets always have ≥1 observation")
     }
 
     /// The probe set's SNR rounded to the integer dB the lookup tables key
@@ -94,8 +102,25 @@ impl ProbeSet {
     /// Population standard deviation of the SNRs within the set — the
     /// per-probe-set statistic of Fig 3.1.
     pub fn snr_stddev(&self) -> f64 {
-        let snrs: Vec<f64> = self.obs.iter().map(|o| o.snr_db).collect();
-        mesh11_stats::stddev_pop(&snrs).expect("probe sets always have ≥1 observation")
+        self.with_snrs(|snrs| mesh11_stats::stddev_pop(snrs))
+            .expect("probe sets always have ≥1 observation")
+    }
+
+    /// Runs `f` over a scratch copy of the per-rate SNRs, in `obs` order.
+    /// The copy lives on the stack for every set a PHY can produce; only an
+    /// oversized hand-built set spills to the heap.
+    fn with_snrs<R>(&self, f: impl FnOnce(&mut [f64]) -> R) -> R {
+        const STACK_OBS: usize = 64;
+        let n = self.obs.len();
+        if n <= STACK_OBS {
+            let mut buf = [0.0f64; STACK_OBS];
+            for (b, o) in buf.iter_mut().zip(&self.obs) {
+                *b = o.snr_db;
+            }
+            f(&mut buf[..n])
+        } else {
+            f(&mut self.obs.iter().map(|o| o.snr_db).collect::<Vec<f64>>())
+        }
     }
 
     /// The directed link this report describes, as `(sender, receiver)`.
@@ -211,6 +236,25 @@ mod tests {
             snr_db: 17.6,
         }]);
         assert_eq!(s.snr_key(), 18);
+    }
+
+    #[test]
+    fn scratch_statistics_match_the_allocating_ones() {
+        // Even counts interpolate; 70 observations overflow the stack copy.
+        for n in [1usize, 2, 5, 12, 64, 70] {
+            let s = set((0..n)
+                .map(|i| RateObs {
+                    rate: rate(1.0),
+                    loss: 0.0,
+                    snr_db: ((i * 37) % 23) as f64 * 0.75 - 4.0,
+                })
+                .collect());
+            let snrs: Vec<f64> = s.obs.iter().map(|o| o.snr_db).collect();
+            let median = mesh11_stats::median(&snrs).unwrap();
+            let sd = mesh11_stats::stddev_pop(&snrs).unwrap();
+            assert_eq!(s.snr_db().to_bits(), median.to_bits(), "median of {n}");
+            assert_eq!(s.snr_stddev().to_bits(), sd.to_bits(), "stddev of {n}");
+        }
     }
 
     #[test]
