@@ -1,11 +1,9 @@
 //! Spill codec v1 vs v2: frame encode and decode throughput on real
-//! simulated probe chunks, and the end-to-end forced-spill window fold
-//! with the window-ahead prefetcher off vs on. Run with
-//! `cargo bench -p mesh11-bench spill`.
+//! simulated probe chunks. Run with `cargo bench -p mesh11-bench spill`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use mesh11_bench::{fused, DataMode, ReproContext, Scale};
-use mesh11_trace::{ChunkConfig, ProbeChunk, SpillCodec};
+use mesh11_bench::{DataMode, ReproContext, Scale};
+use mesh11_trace::{ProbeChunk, SpillCodec};
 use std::hint::black_box;
 
 const SEED: u64 = 42;
@@ -59,30 +57,5 @@ fn codec_throughput(c: &mut Criterion) {
     g.finish();
 }
 
-/// The fused analysis fold over a forced-spill chunked quick dataset,
-/// prefetch off vs on — the wall-clock claim behind the prefetcher.
-fn forced_spill_fold(c: &mut Criterion) {
-    for (label, depth) in [("prefetch-off", 0usize), ("prefetch-on", 2)] {
-        let cfg = ChunkConfig {
-            prefetch_depth: depth,
-            ..ChunkConfig::tiny()
-        };
-        let ctx = ReproContext::build_timed_with_mode(
-            Scale::Quick,
-            SEED,
-            mesh11_sim::FaultPlan::none(),
-            DataMode::Chunked(cfg),
-        )
-        .0;
-        assert!(
-            ctx.chunked().expect("chunked").spilled_bytes() > 0,
-            "tiny budget must force spilling"
-        );
-        c.bench_function(&format!("spill/fold-{label}"), |b| {
-            b.iter(|| black_box(fused::run_fused(&ctx.probe_source())))
-        });
-    }
-}
-
-criterion_group!(benches, codec_throughput, forced_spill_fold);
+criterion_group!(benches, codec_throughput);
 criterion_main!(benches);

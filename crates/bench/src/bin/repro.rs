@@ -3,10 +3,8 @@
 //! ```text
 //! repro [--scale quick|standard|paper|metro] [--seed N] [--seeds N] [--threads N]
 //!       [--faults] [--metro-factor N] [--chunked] [--chunk-capacity N]
-//!       [--chunk-budget N] [--spill-codec v1|v2] [--prefetch-depth N]
-//!       [--spill-dir DIR] [--streaming]
-//!       [--window-major] [--kernel-major] [--out DIR] [--bench-json FILE]
-//!       [--rows N] [--plot] <id>... | --all
+//!       [--chunk-budget N] [--spill-codec v1|v2] [--spill-dir DIR]
+//!       [--out DIR] [--bench-json FILE] [--rows N] [--plot] <id>... | --all
 //! ```
 //!
 //! `--seeds N` runs seeds `--seed .. --seed+N` as **one** fused batched
@@ -16,11 +14,11 @@
 //! `out/figures_ci/`. Per-seed and amortized timings land in the timing
 //! JSONs. In-memory scales only.
 //!
-//! `--streaming` (implies `--chunked`) overlaps analysis with simulation:
-//! sealed dataset parts feed a bounded channel whose consumer folds every
-//! registered kernel over each part while later networks still simulate.
-//! `--window-major` / `--kernel-major` force the analysis schedule
-//! (default: window-major when chunked, kernel-major in-memory); figures
+//! Chunked runs (`--scale metro`, or any chunk flag) overlap analysis with
+//! simulation: sealed dataset parts feed a bounded channel whose consumer
+//! folds every shared analysis over each part while later networks still
+//! simulate, then spills the part into the chunk store. In-memory runs
+//! compute each analysis lazily, the first time a figure needs it. Figures
 //! are byte-identical either way.
 //!
 //! Prints each figure as an aligned text table (with the paper-expected
@@ -37,8 +35,8 @@
 
 use mesh11_bench::figures::{build, ALL_IDS};
 use mesh11_bench::{
-    aggregate_ci, group_by_figure, max_relative_halfwidth, peak_rss_mb, AnalysisMode, DataMode,
-    PhaseTimings, ReproContext, Scale,
+    aggregate_ci, group_by_figure, max_relative_halfwidth, peak_rss_mb, DataMode, PhaseTimings,
+    ReproContext, Scale,
 };
 use mesh11_core::report::FigureData;
 use mesh11_trace::{ChunkConfig, SpillCodec};
@@ -57,10 +55,7 @@ struct Args {
     chunk_capacity: Option<usize>,
     chunk_budget: Option<usize>,
     spill_codec: Option<SpillCodec>,
-    prefetch_depth: Option<usize>,
     spill_dir: Option<PathBuf>,
-    streaming: bool,
-    analysis_mode: Option<AnalysisMode>,
     out: PathBuf,
     bench_json: PathBuf,
     rows: usize,
@@ -73,11 +68,9 @@ impl Args {
     /// overridden to chunked when any chunk flag is given.
     fn data_mode(&self) -> DataMode {
         let chunk_flags = self.chunked
-            || self.streaming
             || self.chunk_capacity.is_some()
             || self.chunk_budget.is_some()
             || self.spill_codec.is_some()
-            || self.prefetch_depth.is_some()
             || self.spill_dir.is_some();
         match (self.scale.data_mode(), chunk_flags) {
             (DataMode::InMemory, false) => DataMode::InMemory,
@@ -94,9 +87,6 @@ impl Args {
                 }
                 if let Some(codec) = self.spill_codec {
                     cfg.spill_codec = codec;
-                }
-                if let Some(depth) = self.prefetch_depth {
-                    cfg.prefetch_depth = depth;
                 }
                 cfg.spill_dir.clone_from(&self.spill_dir);
                 DataMode::Chunked(cfg)
@@ -116,10 +106,7 @@ fn parse_args() -> Result<Args, String> {
         chunk_capacity: None,
         chunk_budget: None,
         spill_codec: None,
-        prefetch_depth: None,
         spill_dir: None,
-        streaming: false,
-        analysis_mode: None,
         out: PathBuf::from("out"),
         bench_json: PathBuf::from("BENCH_repro.json"),
         rows: 16,
@@ -155,19 +142,6 @@ fn parse_args() -> Result<Args, String> {
                 metro_factor = Some(n);
             }
             "--chunked" => args.chunked = true,
-            "--streaming" => args.streaming = true,
-            "--window-major" => {
-                if args.analysis_mode == Some(AnalysisMode::KernelMajor) {
-                    return Err("--window-major conflicts with --kernel-major".into());
-                }
-                args.analysis_mode = Some(AnalysisMode::WindowMajor);
-            }
-            "--kernel-major" => {
-                if args.analysis_mode == Some(AnalysisMode::WindowMajor) {
-                    return Err("--kernel-major conflicts with --window-major".into());
-                }
-                args.analysis_mode = Some(AnalysisMode::KernelMajor);
-            }
             "--chunk-capacity" => {
                 let v = it.next().ok_or("--chunk-capacity needs a value")?;
                 args.chunk_capacity =
@@ -181,11 +155,6 @@ fn parse_args() -> Result<Args, String> {
                 let v = it.next().ok_or("--spill-codec needs a value")?;
                 args.spill_codec =
                     Some(SpillCodec::parse(&v).ok_or(format!("bad spill codec '{v}' (v1|v2)"))?);
-            }
-            "--prefetch-depth" => {
-                let v = it.next().ok_or("--prefetch-depth needs a value")?;
-                args.prefetch_depth =
-                    Some(v.parse().map_err(|e| format!("bad prefetch depth: {e}"))?);
             }
             "--spill-dir" => {
                 args.spill_dir = Some(PathBuf::from(it.next().ok_or("--spill-dir needs a value")?));
@@ -215,8 +184,7 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "usage: repro [--scale quick|standard|paper|metro] [--seed N] [--seeds N] [--threads N] [--faults]\n\
                      \x20            [--metro-factor N] [--chunked] [--chunk-capacity N] [--chunk-budget N]\n\
-                     \x20            [--spill-codec v1|v2] [--prefetch-depth N]\n\
-                     \x20            [--spill-dir DIR] [--streaming] [--window-major] [--kernel-major]\n\
+                     \x20            [--spill-codec v1|v2] [--spill-dir DIR]\n\
                      \x20            [--out DIR] [--bench-json FILE] [--rows N] [--plot] <id>... | --all\n\
                      --threads N  cap the worker pool (default: all cores); results are\n\
                      identical at any value, only wall-clock changes\n\
@@ -226,25 +194,18 @@ fn parse_args() -> Result<Args, String> {
                      --faults     simulate under the built-in demo fault plan (overlapping\n\
                      AP outages + stacked interference bursts), still thread-invariant\n\
                      --metro-factor N  ensemble multiplier for --scale metro (default {})\n\
-                     --chunked    stream probes through the spill-able chunk store at any scale\n\
-                     --streaming  overlap analysis with simulation: fold kernels over sealed\n\
-                     parts while later networks still simulate (implies --chunked)\n\
-                     --window-major  materialize each window once, fold every kernel over it\n\
-                     (default when chunked); byte-identical to kernel-major\n\
-                     --kernel-major  one probe-source walk per kernel (default in-memory)\n\
+                     --chunked    stream probes through the spill-able chunk store at any scale;\n\
+                     analysis folds each sealed part while later networks still simulate\n\
                      --chunk-capacity N  probe sets per chunk (default {})\n\
                      --chunk-budget N    resident chunks before spilling (default {})\n\
                      --spill-codec v1|v2  spill frame encoding: raw columns (v1) or\n\
                      per-column compression + checksum (v2, default)\n\
-                     --prefetch-depth N  windows of read-ahead by the background\n\
-                     prefetch thread (default {}; 0 disables it)\n\
                      --spill-dir DIR     where cold chunks spill (default: system temp dir)\n\
                      --bench-json FILE  where to write the per-phase timing JSON\n\
                      (default: BENCH_repro.json in the working directory)\nids: {}",
                     mesh11_bench::DEFAULT_METRO_FACTOR,
                     ChunkConfig::default().chunk_capacity,
                     ChunkConfig::default().resident_chunks,
-                    ChunkConfig::default().prefetch_depth,
                     ALL_IDS.join(" ")
                 );
                 std::process::exit(0);
@@ -265,12 +226,6 @@ fn parse_args() -> Result<Args, String> {
     if args.seeds > 1 && !matches!(args.data_mode(), DataMode::InMemory) {
         return Err(
             "--seeds runs the ensemble in-memory; drop the chunk flags (or --scale metro)".into(),
-        );
-    }
-    if args.streaming && args.analysis_mode.is_some() {
-        return Err(
-            "--streaming already folds window-major during simulation; drop the schedule flag"
-                .into(),
         );
     }
     Ok(args)
@@ -372,18 +327,7 @@ fn run(args: &Args) -> i32 {
             cfg.chunk_capacity, cfg.resident_chunks
         );
     }
-    let (mut ctx, build_t) = if args.streaming {
-        let DataMode::Chunked(cfg) = mode else {
-            unreachable!("--streaming implies a chunked data mode")
-        };
-        eprintln!("# streaming: analysis consumer folds sealed parts while simulation continues");
-        ReproContext::build_timed_streaming(args.scale, args.seed, faults, cfg)
-    } else {
-        ReproContext::build_timed_with_mode(args.scale, args.seed, faults, mode)
-    };
-    if let Some(schedule) = args.analysis_mode {
-        ctx.set_analysis_mode(schedule);
-    }
+    let (ctx, build_t) = ReproContext::build_timed_with_mode(args.scale, args.seed, faults, mode);
     eprintln!(
         "# simulated {} networks / {} APs ({} pairs): {} probe sets, {} client samples in {:.1}s",
         ctx.networks().len(),
@@ -409,9 +353,9 @@ fn run(args: &Args) -> i32 {
         analyze_s: figure_s,
         ..
     } = analysis;
-    // For streaming runs the figure pass is only the tail of analysis: the
+    // For chunked runs the figure pass is only the tail of analysis: the
     // fold work already ran inside the simulate wall.
-    let analyze_s = figure_s + build_t.stream_analyze_s;
+    let analyze_s = figure_s + build_t.stream_analyze_s.unwrap_or(0.0);
 
     let n_probes = ctx.n_probes();
     // Snapshot after analysis so the counters cover the kernels' traffic.
@@ -451,7 +395,7 @@ fn run(args: &Args) -> i32 {
         } else {
             0.0
         },
-        stream_analyze_s: args.streaming.then_some(build_t.stream_analyze_s),
+        stream_analyze_s: build_t.stream_analyze_s,
         chunk_hits: chunk.as_ref().map(|c| c.chunk_hits),
         chunk_decodes: chunk.as_ref().map(|c| c.chunk_decodes),
         chunk_evictions: chunk.as_ref().map(|c| c.chunk_evictions),

@@ -1,25 +1,19 @@
-//! The window-major fused analysis pass.
+//! The fused analysis pass of a chunked build.
 //!
-//! Kernel-major analysis walks the probe source once *per kernel*: a
-//! chunked run re-materializes every window once per heavy analysis
-//! (~14× at metro scale). This module inverts the loop. **Pass A** drives
-//! every table-independent fold kernel — and the eight lookup-table
-//! builds — through a single [`fold_windows`] walk, so each window is
-//! decoded exactly once (`window_builds == n_windows`). **Pass B** then
+//! A chunked context never walks its store per analysis. **Pass A** folds
+//! every table-independent kernel — and the eight lookup-table builds —
+//! over each sealed part of the streaming simulation as it arrives, so
+//! every probe set is folded while it is still resident. **Pass B** then
 //! scores the finished tables: penalties need completed tables, so they
-//! cannot ride in pass A; on a chunked store they share one raw-chunk walk
-//! ([`ThroughputPenalty::evaluate_batch_chunked`]) that never builds a
-//! window at all.
+//! cannot ride in pass A; on a chunked store all eight share one raw-chunk
+//! walk ([`ThroughputPenalty::evaluate_batch_chunked`]) that never builds
+//! a window.
 //!
-//! Byte identity with the kernel-major oracle follows from the fold
-//! contract (`crates/trace/src/fold.rs`): each kernel's single partial is
-//! threaded sequentially through the windows in network order, which is
-//! exactly the accumulation sequence of its solo `run_fold` walk.
-//!
-//! [`FusedRunner`] exposes the in-flight form of the same pass for the
-//! streaming build: the simulate/analyze overlap consumer folds each
-//! sealed part as it arrives, then finishes against the completed chunk
-//! store.
+//! Byte identity with the in-memory context follows from the fold contract
+//! (`crates/trace/src/fold.rs`): parts arrive in network order and each
+//! kernel's single partial is threaded through them sequentially, which is
+//! exactly the accumulation sequence of its solo `run_fold` walk over the
+//! whole view.
 
 use std::collections::BTreeMap;
 
@@ -44,8 +38,7 @@ use mesh11_core::triples::{HearRule, TripleAnalysis};
 use mesh11_phy::{BitRate, Phy};
 use mesh11_trace::snrstats::{SigmaKernel, SigmaKind};
 use mesh11_trace::{
-    fold_windows, DatasetView, DeliveryMatrix, FoldKernel, NetworkId, ProbeSource, Running,
-    WindowFold,
+    DatasetView, DeliveryMatrix, FoldKernel, NetworkId, ProbeSource, Running, WindowFold,
 };
 
 use crate::setup::{lookup_slot, TRIPLE_THRESHOLD};
@@ -100,12 +93,11 @@ pub struct CapMatrix {
     pub matrix: DeliveryMatrix,
 }
 
-/// Tracks the largest qualifying b/g network across the window walk and
+/// Tracks the largest qualifying b/g network across the folded views and
 /// keeps its delivery matrix. Replacing on `n_aps >= best` replicates
 /// `Iterator::max_by_key`'s last-max-wins over the id-ordered metas, and
-/// computing the matrix from the resident window view avoids the extra
-/// window build `ProbeSource::delivery_matrix` would cost on a chunked
-/// store.
+/// computing the matrix from the resident view avoids the window build
+/// `ProbeSource::delivery_matrix` would cost on a chunked store.
 #[derive(Debug, Clone, Copy)]
 struct CapKernel;
 
@@ -118,10 +110,10 @@ impl FoldKernel for CapKernel {
     }
 
     fn fold(&self, view: DatasetView<'_>, partial: &mut Self::Partial) {
-        // `max_by_key` keeps the *last* maximum, so the window's winner is
+        // `max_by_key` keeps the *last* maximum, so the view's winner is
         // its last network with the maximal qualifying AP count; only that
         // one needs a delivery matrix (the matrix depends only on the
-        // winner's own window, so skipping the losers changes no bytes).
+        // winner's own probes, so skipping the losers changes no bytes).
         let mut winner: Option<&mesh11_trace::NetworkMeta> = None;
         for m in &view.dataset().networks {
             if m.n_aps < ROUTING_MIN_APS || !m.radios.contains(&Phy::Bg) {
@@ -140,15 +132,6 @@ impl FoldKernel for CapKernel {
                 n_aps: m.n_aps,
                 matrix: view.delivery_matrix(Phy::Bg, m.id, one_mbps(), m.n_aps),
             });
-        }
-    }
-
-    fn merge(&self, into: &mut Self::Partial, from: Self::Partial) {
-        // Later windows hold later network ids: `from` wins ties.
-        if let Some(b) = from {
-            if into.as_ref().is_none_or(|a| b.n_aps >= a.n_aps) {
-                *into = Some(b);
-            }
         }
     }
 
@@ -192,7 +175,7 @@ pub struct FusedOutputs {
 }
 
 /// The in-flight state of the fused pass: every pass-A kernel paired with
-/// its partial, ready to fold window views as they become resident.
+/// its partial, ready to fold network-aligned views as they arrive.
 pub struct FusedRunner {
     sig_sets: Running<SigmaKernel>,
     sig_links: Running<SigmaKernel>,
@@ -284,11 +267,9 @@ impl FusedRunner {
         }
     }
 
-    /// Every kernel as an object-safe running fold. The window-major
-    /// schedule drives them all through one window walk
-    /// ([`mesh11_trace::fold_windows`]); a kernel-major harness (see
-    /// `benches/window_major.rs`) can instead walk the source once per
-    /// kernel to measure what the shared walk saves.
+    /// Every kernel as an object-safe running fold, in a fixed order that
+    /// callers may name by position; the eight table builds come last, in
+    /// `lookup_slot` order.
     pub fn kernels(&mut self) -> Vec<&mut dyn WindowFold> {
         let mut ks: Vec<&mut dyn WindowFold> = vec![
             &mut self.sig_sets,
@@ -313,8 +294,8 @@ impl FusedRunner {
         ks
     }
 
-    /// Folds one network-aligned view (a resident chunk window, or one
-    /// sealed streaming part) into every kernel. Views must arrive in
+    /// Folds one network-aligned view (one sealed streaming part) into
+    /// every kernel, fanning out across kernels. Views must arrive in
     /// network-id order — that is the byte-identity contract.
     pub fn fold_view(&mut self, view: DatasetView<'_>) {
         use rayon::prelude::*;
@@ -378,15 +359,4 @@ fn evaluate_penalties(
     };
     out.try_into()
         .unwrap_or_else(|_| unreachable!("eight penalty slots"))
-}
-
-/// Runs the fused pass to completion over a probe source: one window walk
-/// for pass A, then pass B against the finished tables.
-pub fn run_fused(src: &ProbeSource<'_>) -> FusedOutputs {
-    let mut runner = FusedRunner::new();
-    {
-        let mut kernels = runner.kernels();
-        fold_windows(src, &mut kernels);
-    }
-    runner.finish(src)
 }

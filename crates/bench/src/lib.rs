@@ -8,9 +8,9 @@
 //!   [`mesh11_core::report::FigureData`] with the paper-expected values
 //!   recorded as notes. The `repro` binary prints them; `EXPERIMENTS.md`
 //!   records a full run.
-//! * [`fused`] — the window-major fused analysis pass: every heavy kernel
-//!   folds each window while it is resident, so a chunked run decodes
-//!   every window exactly once instead of once per kernel.
+//! * [`fused`] — the fused analysis pass of a chunked run: every heavy
+//!   kernel folds each sealed part of the streaming simulation as it
+//!   arrives, so the figures never walk the chunk store per analysis.
 //! * [`ensemble`] — cross-seed aggregation for multi-seed runs
 //!   (`repro --seeds N`): mean ± 95% t-interval series under
 //!   `out/figures_ci/`.
@@ -31,6 +31,6 @@ pub mod timing;
 pub use ensemble::{aggregate_ci, group_by_figure, max_relative_halfwidth};
 pub use fused::{CapMatrix, FusedOutputs, FusedRunner, SnrSigmas};
 pub use setup::{
-    AnalysisMode, DataMode, DataStore, MultiBuildTimings, ReproContext, Scale, DEFAULT_METRO_FACTOR,
+    DataMode, DataStore, MultiBuildTimings, ReproContext, Scale, DEFAULT_METRO_FACTOR,
 };
 pub use timing::{peak_rss_mb, PhaseTimings};

@@ -54,10 +54,12 @@ pub struct BuildTimings {
     /// Clients the client-probe pass simulated — the unit of its work
     /// list, giving `client_probe_s` a denominator.
     pub clients_simulated: usize,
-    /// Analysis seconds already spent *inside* the simulate wall by the
-    /// streaming build's overlap consumer (part folds + pass finish).
-    /// Zero for the two-phase builds.
-    pub stream_analyze_s: f64,
+    /// Analysis seconds the chunked build spends in its streaming
+    /// consumer: the index build and kernel fold of every sealed part,
+    /// plus the pass-B finish. Chunk encode and spill are store work and
+    /// stay out. `None` for in-memory builds, whose analyses run lazily
+    /// after the build.
+    pub stream_analyze_s: Option<f64>,
 }
 
 /// Wall-clock phases of a batched multi-seed build; see
@@ -213,32 +215,10 @@ pub enum DataStore {
     Chunked(Box<ChunkedDataset>),
 }
 
-/// How the shared heavy analyses are scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AnalysisMode {
-    /// One walk of the probe source per kernel — the legacy oracle path.
-    /// Each analysis stays lazy: only what a figure touches is computed.
-    KernelMajor,
-    /// One fused walk for every kernel: each window is materialized
-    /// exactly once, every kernel folds it while resident. The first
-    /// analysis accessor triggers the whole pass.
-    WindowMajor,
-}
-
-impl AnalysisMode {
-    /// The default for a data mode: chunked stores are window-major (the
-    /// whole point is to not rebuild windows per kernel), resident stores
-    /// stay kernel-major (windows are free and laziness wins).
-    pub fn default_for(mode: &DataStore) -> Self {
-        match mode {
-            DataStore::InMemory(_) => AnalysisMode::KernelMajor,
-            DataStore::Chunked(_) => AnalysisMode::WindowMajor,
-        }
-    }
-}
-
-/// A materialized reproduction run: the dataset plus lazily computed heavy
-/// analyses shared across figures.
+/// A materialized reproduction run: the dataset plus the heavy analyses
+/// shared across figures, one cache cell each. A chunked build fills every
+/// analysis cell from its streaming fused pass; an in-memory context
+/// computes each one on first touch, with one fold over the whole view.
 pub struct ReproContext {
     /// The simulated probe reports — resident or chunked.
     store: DataStore,
@@ -251,12 +231,6 @@ pub struct ReproContext {
     /// experiments that need topology ground truth (e.g. client probing)
     /// use it; the paper figures never do.
     campaign: Option<Campaign>,
-    /// How the heavy analyses below are scheduled; see [`AnalysisMode`].
-    analysis_mode: AnalysisMode,
-    /// The fused pass's outputs: filled by the first accessor in
-    /// window-major mode, pre-seeded by the streaming build, and left
-    /// empty in kernel-major mode (the per-field caches below serve).
-    fused: OnceLock<FusedOutputs>,
     client_probes: OnceLock<Option<ClientProbePass>>,
     index: OnceLock<DatasetIndex>,
     routing_bg: OnceLock<Vec<OpportunisticAnalysis>>,
@@ -266,8 +240,6 @@ pub struct ReproContext {
     triples_bg: OnceLock<TripleAnalysis>,
     ranges_bg: OnceLock<BTreeMap<(NetworkId, BitRate), usize>>,
     mobility: OnceLock<MobilityReport>,
-    // Kernel-major lazy caches for the analyses the fused pass also
-    // produces (fig 3.1, 4.4, 4.5, 5.2, and the ext figures).
     snr_sigmas: OnceLock<SnrSigmas>,
     curves: [OnceLock<SnrThroughputCurves>; 2],
     penalties: [OnceLock<ThroughputPenalty>; 8],
@@ -318,8 +290,10 @@ impl ReproContext {
     }
 
     /// The fully-general build: scale, faults, and an explicit data mode.
-    /// `DataMode::Chunked` streams the simulation network-by-network into
-    /// the chunk store, so at no point is the whole probe table resident.
+    /// `DataMode::Chunked` streams the simulation into the chunk store and
+    /// folds every shared analysis over each sealed part on the way, so at
+    /// no point is the whole probe table resident and the figures never
+    /// walk the store again.
     pub fn build_timed_with_mode(
         scale: Scale,
         seed: u64,
@@ -332,43 +306,22 @@ impl ReproContext {
         let t0 = std::time::Instant::now();
         let campaign = spec.generate();
         let generate_s = t0.elapsed().as_secs_f64();
-        let t1 = std::time::Instant::now();
-        // One success table serves the whole process: the shared registry
-        // builds it on first use (that first build lands in simulate-phase
-        // cost, exactly as the per-run build used to) and every later run —
-        // and every other seed of a multi-seed campaign — reuses it.
-        let table = shared_success_table(PerModel::default());
-        let (store, stats) = match mode {
+        let (this, simulate_s, pairs_simulated, stream_analyze_s) = match mode {
             DataMode::InMemory => {
+                let t1 = std::time::Instant::now();
+                // One success table serves the whole process: the shared
+                // registry builds it on first use (that first build lands
+                // in simulate-phase cost) and every later run — and every
+                // other seed of a multi-seed campaign — reuses it.
+                let table = shared_success_table(PerModel::default());
                 let (dataset, stats) = config.run_campaign_counted_with_table(&campaign, table);
-                (DataStore::InMemory(dataset), stats)
+                let simulate_s = t1.elapsed().as_secs_f64();
+                let store = DataStore::InMemory(dataset);
+                let this = Self::assemble(store, config, seed, Some(campaign));
+                (this, simulate_s, stats.pairs_simulated, None)
             }
-            DataMode::Chunked(cfg) => {
-                let mut builder = ChunkedDatasetBuilder::new(cfg);
-                let mut io_err: Option<std::io::Error> = None;
-                let stats = config.stream_campaign_with_table(
-                    &campaign,
-                    table,
-                    METRO_BATCH_NETWORKS,
-                    |part| {
-                        if io_err.is_none() {
-                            if let Err(e) = builder.add(part) {
-                                io_err = Some(e);
-                            }
-                        }
-                    },
-                );
-                if let Some(e) = io_err {
-                    panic!("chunk store spill failed during simulation: {e}");
-                }
-                let chunked = builder
-                    .finish()
-                    .unwrap_or_else(|e| panic!("chunk store finish failed: {e}"));
-                (DataStore::Chunked(Box::new(chunked)), stats)
-            }
+            DataMode::Chunked(cfg) => Self::build_chunked(config, seed, campaign, cfg),
         };
-        let simulate_s = t1.elapsed().as_secs_f64();
-        let this = Self::assemble(store, config, seed, Some(campaign));
         // Run the client-probe pass eagerly so its cost lands in the
         // simulate phase (it is simulation), not in whichever figure
         // happens to touch the cache first.
@@ -380,47 +333,39 @@ impl ReproContext {
             BuildTimings {
                 generate_s,
                 simulate_s,
-                pairs_simulated: stats.pairs_simulated,
+                pairs_simulated,
                 client_probe_s,
                 clients_simulated,
-                stream_analyze_s: 0.0,
+                stream_analyze_s,
             },
         )
     }
 
-    /// The overlapped build (`repro --streaming`): the simulator streams
-    /// sealed parts through a bounded channel into a consumer thread that
-    /// folds every pass-A kernel over each part *while later networks are
-    /// still simulating*, then seals the chunk store. After the channel
-    /// drains, the main thread finishes the fused pass (pass B scores the
-    /// completed tables against the raw chunks).
+    /// The chunked build: the simulator streams sealed parts through a
+    /// bounded channel into a consumer thread that folds every pass-A
+    /// kernel over each part *while later networks are still simulating*,
+    /// then adds the part to the chunk store. After the channel drains,
+    /// pass B scores the finished tables against the raw chunks, and every
+    /// analysis cell is filled from the result.
     ///
-    /// Parts arrive as consecutive network runs in id order — exactly the
+    /// Parts arrive as consecutive network runs in id order — the
     /// network-aligned partition the fold contract requires — so the
-    /// resulting figures are byte-identical to both two-phase paths. The
-    /// returned context is kernel-major with the fused outputs pre-seeded:
-    /// every analysis accessor serves from the overlap pass, and nothing
-    /// re-walks the store (beyond pass B's raw-chunk walk, zero window
-    /// builds happen at all).
-    pub fn build_timed_streaming(
-        scale: Scale,
+    /// figures are byte-identical to the in-memory context's. Returns the
+    /// context, the simulate wall, the pairs simulated and the analysis
+    /// seconds spent in the consumer and in pass B.
+    fn build_chunked(
+        config: SimConfig,
         seed: u64,
-        faults: mesh11_sim::FaultPlan,
+        campaign: Campaign,
         cfg: ChunkConfig,
-    ) -> (Self, BuildTimings) {
-        let spec = scale.campaign_spec(seed);
-        let mut config = scale.config();
-        config.faults = faults;
-        let t0 = std::time::Instant::now();
-        let campaign = spec.generate();
-        let generate_s = t0.elapsed().as_secs_f64();
-        let table = shared_success_table(PerModel::default());
+    ) -> (Self, f64, usize, Option<f64>) {
         // The consumer runs on a plain thread: it must make progress while
         // the producer occupies this one (a shared work-stealing scope
         // would deadlock at --threads 1). Thread-count overrides are
         // thread-local, so re-install the producer's budget explicitly.
         let threads = rayon::current_num_threads();
         let t1 = std::time::Instant::now();
+        let table = shared_success_table(PerModel::default());
         let (tx, rx) = std::sync::mpsc::sync_channel::<Dataset>(2);
         let ((chunked, runner, fold_s), stats, simulate_s) = std::thread::scope(|s| {
             let consumer = s.spawn(move || {
@@ -438,15 +383,15 @@ impl ReproContext {
                         let ix = DatasetIndex::build(&part);
                         runner.fold_view(DatasetView::new(&part, &ix));
                         drop(ix);
+                        fold_s += tb.elapsed().as_secs_f64();
                         if io_err.is_none() {
                             if let Err(e) = builder.add(part) {
                                 io_err = Some(e);
                             }
                         }
-                        fold_s += tb.elapsed().as_secs_f64();
                     }
                     if let Some(e) = io_err {
-                        panic!("chunk store spill failed during streaming: {e}");
+                        panic!("chunk store spill failed during simulation: {e}");
                     }
                     let chunked = builder
                         .finish()
@@ -472,29 +417,14 @@ impl ReproContext {
         let t2 = std::time::Instant::now();
         let fused = runner.finish(&ProbeSource::Chunked(&chunked));
         let finish_s = t2.elapsed().as_secs_f64();
-        let mut this = Self::assemble(
-            DataStore::Chunked(Box::new(chunked)),
-            config,
-            seed,
-            Some(campaign),
-        );
-        // The overlap pass IS the fused pass: serve accessors from it and
-        // keep the mode kernel-major so nothing re-runs it.
-        this.analysis_mode = AnalysisMode::KernelMajor;
-        let _ = this.fused.set(fused);
-        let t3 = std::time::Instant::now();
-        let clients_simulated = this.client_probes().map_or(0, |p| p.clients_simulated);
-        let client_probe_s = t3.elapsed().as_secs_f64();
+        let store = DataStore::Chunked(Box::new(chunked));
+        let mut this = Self::assemble(store, config, seed, Some(campaign));
+        this.fill(fused);
         (
             this,
-            BuildTimings {
-                generate_s,
-                simulate_s,
-                pairs_simulated: stats.pairs_simulated,
-                client_probe_s,
-                clients_simulated,
-                stream_analyze_s: fold_s + finish_s,
-            },
+            simulate_s,
+            stats.pairs_simulated,
+            Some(fold_s + finish_s),
         )
     }
 
@@ -565,12 +495,10 @@ impl ReproContext {
         campaign: Option<Campaign>,
     ) -> Self {
         Self {
-            analysis_mode: AnalysisMode::default_for(&store),
             store,
             config,
             seed,
             campaign,
-            fused: OnceLock::new(),
             client_probes: OnceLock::new(),
             index: OnceLock::new(),
             routing_bg: OnceLock::new(),
@@ -592,32 +520,40 @@ impl ReproContext {
         }
     }
 
-    /// The analysis scheduling mode in effect.
-    pub fn analysis_mode(&self) -> AnalysisMode {
-        self.analysis_mode
-    }
-
-    /// Overrides the analysis scheduling mode (`repro --window-major` /
-    /// `--kernel-major`). Call before touching any analysis accessor.
-    pub fn set_analysis_mode(&mut self, mode: AnalysisMode) {
-        assert!(
-            self.fused.get().is_none(),
-            "analysis mode must be set before any analysis runs"
-        );
-        self.analysis_mode = mode;
-    }
-
-    /// The fused outputs, when this context runs (or ran) the fused pass:
-    /// window-major contexts compute it on first touch; kernel-major
-    /// contexts only return one pre-seeded by the streaming build.
-    fn fused_outputs(&self) -> Option<&FusedOutputs> {
-        match self.analysis_mode {
-            AnalysisMode::WindowMajor => Some(
-                self.fused
-                    .get_or_init(|| fused::run_fused(&self.probe_source())),
-            ),
-            AnalysisMode::KernelMajor => self.fused.get(),
-        }
+    /// Fills every analysis cell from a finished fused pass.
+    fn fill(&mut self, fused: FusedOutputs) {
+        let FusedOutputs {
+            sigmas,
+            tables,
+            penalties,
+            curves,
+            strategy_bg,
+            routing_bg,
+            asymmetry_bg,
+            triples_bg,
+            ranges_bg,
+            adapters_ext,
+            sweep_ext,
+            stability_bg,
+            diversity_ext,
+            ett_bg,
+            cap_ext,
+        } = fused;
+        self.snr_sigmas = sigmas.into();
+        self.lookup_tables = tables.map(OnceLock::from);
+        self.penalties = penalties.map(OnceLock::from);
+        self.curves = curves.map(OnceLock::from);
+        self.strategy_evals_bg = strategy_bg.into();
+        self.routing_bg = routing_bg.into();
+        self.asymmetry_bg = asymmetry_bg.into();
+        self.triples_bg = triples_bg.into();
+        self.ranges_bg = ranges_bg.into();
+        self.adapters_ext = adapters_ext.into();
+        self.sweep_ext = sweep_ext.into();
+        self.stability_bg = stability_bg.into();
+        self.diversity_ext = diversity_ext.into();
+        self.ett_bg = ett_bg.into();
+        self.cap_ext = cap_ext.into();
     }
 
     /// The campaign this context simulated, when known.
@@ -696,9 +632,10 @@ impl ReproContext {
         self.meta_dataset().client_horizon_s
     }
 
-    /// The probe source every analysis kernel folds over: the whole indexed
-    /// view in memory mode, ordered chunk windows in chunked mode. The two
-    /// produce byte-identical figures (see `crates/trace/src/chunk.rs`).
+    /// The probe source: the whole indexed view in memory mode (what the
+    /// lazy analyses fold over), ordered chunk windows in chunked mode.
+    /// The build of a chunked context fills every analysis, so only direct
+    /// callers walk its windows.
     pub fn probe_source(&self) -> ProbeSource<'_> {
         match &self.store {
             DataStore::InMemory(_) => ProbeSource::Whole(self.view()),
@@ -748,9 +685,6 @@ impl ReproContext {
     /// The §5 per-(network, rate) routing analyses over b/g networks with
     /// ≥5 APs — computed once, shared by Figs 5.1 and 5.3–5.5.
     pub fn routing_bg(&self) -> &[OpportunisticAnalysis] {
-        if let Some(f) = self.fused_outputs() {
-            return &f.routing_bg;
-        }
         self.routing_bg.get_or_init(|| {
             analyze_dataset_from(&self.probe_source(), Phy::Bg, fused::ROUTING_MIN_APS)
         })
@@ -759,9 +693,6 @@ impl ReproContext {
     /// The §4 SNR→rate look-up tables for one (scope, phy) — built once
     /// and shared by Figs 4.1–4.4 (and anything else keying off them).
     pub fn lookup_tables(&self, scope: Scope, phy: Phy) -> &LookupTableSet {
-        if let Some(f) = self.fused_outputs() {
-            return &f.tables[lookup_slot(scope, phy)];
-        }
         self.lookup_tables[lookup_slot(scope, phy)]
             .get_or_init(|| LookupTableSet::build_from(&self.probe_source(), scope, phy))
     }
@@ -769,9 +700,6 @@ impl ReproContext {
     /// The §4.5 online-strategy evaluations over b/g — shared by Fig 4.6
     /// and Table 4.1.
     pub fn strategy_evals_bg(&self) -> &[StrategyEval] {
-        if let Some(f) = self.fused_outputs() {
-            return &f.strategy_bg;
-        }
         self.strategy_evals_bg.get_or_init(|| {
             evaluate_strategies_from(&self.probe_source(), Phy::Bg, &StrategyKind::ALL)
         })
@@ -780,9 +708,6 @@ impl ReproContext {
     /// The §6 hidden-triple analysis over b/g at the paper's 10%
     /// threshold — shared by Fig 6.1 and §6.3.
     pub fn triples_bg(&self) -> &TripleAnalysis {
-        if let Some(f) = self.fused_outputs() {
-            return &f.triples_bg;
-        }
         self.triples_bg.get_or_init(|| {
             TripleAnalysis::run_from(
                 &self.probe_source(),
@@ -796,9 +721,6 @@ impl ReproContext {
     /// The §6 per-(network, rate) interference ranges over b/g — shared by
     /// Fig 6.2 and §6.3.
     pub fn ranges_bg(&self) -> &BTreeMap<(NetworkId, BitRate), usize> {
-        if let Some(f) = self.fused_outputs() {
-            return &f.ranges_bg;
-        }
         self.ranges_bg.get_or_init(|| {
             range_by_rate_from(
                 &self.probe_source(),
@@ -812,9 +734,6 @@ impl ReproContext {
     /// The Fig 3.1 sigma populations (within-set, per-link, recent-k,
     /// per-network).
     pub fn snr_sigmas(&self) -> &SnrSigmas {
-        if let Some(f) = self.fused_outputs() {
-            return &f.sigmas;
-        }
         self.snr_sigmas.get_or_init(|| {
             let src = self.probe_source();
             SnrSigmas {
@@ -832,17 +751,11 @@ impl ReproContext {
             Phy::Bg => 0,
             Phy::Ht => 1,
         };
-        if let Some(f) = self.fused_outputs() {
-            return &f.curves[slot];
-        }
         self.curves[slot].get_or_init(|| SnrThroughputCurves::build_from(&self.probe_source(), phy))
     }
 
     /// The Fig 4.4 penalty of one (scope, phy) table against the dataset.
     pub fn penalty(&self, scope: Scope, phy: Phy) -> &ThroughputPenalty {
-        if let Some(f) = self.fused_outputs() {
-            return &f.penalties[lookup_slot(scope, phy)];
-        }
         self.penalties[lookup_slot(scope, phy)].get_or_init(|| {
             ThroughputPenalty::evaluate_from(&self.probe_source(), self.lookup_tables(scope, phy))
         })
@@ -850,18 +763,12 @@ impl ReproContext {
 
     /// The Fig 5.2 asymmetry pools per rate (b/g).
     pub fn asymmetry_bg(&self) -> &BTreeMap<BitRate, Vec<f64>> {
-        if let Some(f) = self.fused_outputs() {
-            return &f.asymmetry_bg;
-        }
         self.asymmetry_bg
             .get_or_init(|| asymmetry_by_rate_from(&self.probe_source(), Phy::Bg))
     }
 
     /// The `ext-adapt` replay outcomes.
     pub fn adapters_ext(&self) -> &[AdaptationOutcome] {
-        if let Some(f) = self.fused_outputs() {
-            return &f.adapters_ext;
-        }
         self.adapters_ext.get_or_init(|| {
             simulate_adapters_from(
                 &self.probe_source(),
@@ -874,9 +781,6 @@ impl ReproContext {
 
     /// The `ext-sweep` threshold-sweep rows.
     pub fn sweep_ext(&self) -> &[(f64, Option<f64>)] {
-        if let Some(f) = self.fused_outputs() {
-            return &f.sweep_ext;
-        }
         self.sweep_ext.get_or_init(|| {
             threshold_sweep_from(
                 &self.probe_source(),
@@ -890,18 +794,12 @@ impl ReproContext {
 
     /// The `ext-stability` churn/drift report (b/g).
     pub fn stability_bg(&self) -> &LinkStability {
-        if let Some(f) = self.fused_outputs() {
-            return &f.stability_bg;
-        }
         self.stability_bg
             .get_or_init(|| link_stability_from(&self.probe_source(), Phy::Bg))
     }
 
     /// The `ext-diversity` rows.
     pub fn diversity_ext(&self) -> &[(usize, f64, f64, usize)] {
-        if let Some(f) = self.fused_outputs() {
-            return &f.diversity_ext;
-        }
         self.diversity_ext.get_or_init(|| {
             analyze_diversity_from(
                 &self.probe_source(),
@@ -915,9 +813,6 @@ impl ReproContext {
 
     /// The `ext-ett` analyses (b/g, ≥5 APs).
     pub fn ett_bg(&self) -> &[EttAnalysis] {
-        if let Some(f) = self.fused_outputs() {
-            return &f.ett_bg;
-        }
         self.ett_bg
             .get_or_init(|| analyze_ett_from(&self.probe_source(), Phy::Bg, fused::ROUTING_MIN_APS))
     }
@@ -925,9 +820,6 @@ impl ReproContext {
     /// The `ext-cap` delivery matrix: the largest ≥5-AP b/g network at
     /// 1 Mbit/s. `None` when no network qualifies.
     pub fn cap_ext(&self) -> Option<&CapMatrix> {
-        if let Some(f) = self.fused_outputs() {
-            return f.cap_ext.as_ref();
-        }
         self.cap_ext
             .get_or_init(|| {
                 let meta = self
@@ -1008,6 +900,19 @@ mod tests {
             chk.triples_bg().per_network.len(),
             mem.triples_bg().per_network.len()
         );
+    }
+
+    #[test]
+    fn stream_analyze_s_is_reported_for_chunked_builds_only() {
+        let (_, mem) = ReproContext::build_timed(Scale::Quick, 5);
+        assert_eq!(mem.stream_analyze_s, None);
+        let (_, chk) = ReproContext::build_timed_with_mode(
+            Scale::Quick,
+            5,
+            mesh11_sim::FaultPlan::none(),
+            DataMode::Chunked(ChunkConfig::tiny()),
+        );
+        assert!(chk.stream_analyze_s.is_some_and(|s| s > 0.0));
     }
 
     #[test]

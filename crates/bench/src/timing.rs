@@ -66,16 +66,18 @@ pub struct PhaseTimings {
     /// its per-client scheduler, giving `client_probe_s` a denominator.
     pub clients_simulated: usize,
     /// All figure building, wall-clock. Figures run concurrently, so this
-    /// is smaller than the sum of the per-figure entries. For streaming
-    /// runs this also carries the overlap consumer's analysis seconds
+    /// is smaller than the sum of the per-figure entries. For chunked runs
+    /// this also carries the streaming consumer's analysis seconds
     /// (`stream_analyze_s`), so `total_s < simulate_s + analyze_s` is the
     /// machine-checkable signature of phase overlap.
     pub analyze_s: f64,
     /// Analysis throughput: `n_probes / analyze_s` — the analyze-phase
     /// counterpart of `reports_per_sec`.
     pub analyze_probes_per_sec: f64,
-    /// Analysis seconds the streaming build spent folding parts inside the
-    /// simulate wall (plus the fused finish). `None` for two-phase runs.
+    /// Analysis seconds of a chunked run's streaming build: the index
+    /// build and kernel fold of every sealed part (inside the simulate
+    /// wall) plus the pass-B finish. Chunk encode and spill are not in
+    /// it. `None` for in-memory runs.
     pub stream_analyze_s: Option<f64>,
     /// Chunk fetches served from a resident chunk. The chunk-store
     /// counters are `None` (JSON `null`) for in-memory runs, where a zero
@@ -89,9 +91,8 @@ pub struct PhaseTimings {
     pub peak_pinned_bytes: Option<u64>,
     /// Window requests served from the materialized-window memo.
     pub window_hits: Option<u64>,
-    /// Windows materialized (chunk-span decode + index build). Equals
-    /// `n_windows` for a window-major chunked run — the fused pass's
-    /// headline invariant.
+    /// Windows materialized (chunk-span decode + index build). Zero for a
+    /// `repro` run: the chunked build folds the sealed parts instead.
     pub window_builds: Option<u64>,
     /// Materialized windows dropped from the memo.
     pub window_evictions: Option<u64>,

@@ -174,9 +174,7 @@ pub fn simulate_adapters(
 ///
 /// Within a window, parallelism is per adapter kind: each kind replays the
 /// window's links on its own thread, keeping every kind's accumulation a
-/// single continuous sequential sum. `merge` re-associates the float sums
-/// and is therefore only bit-exact for the scheduler's sequential threading
-/// (which never calls it) — documented, not load-bearing.
+/// single continuous sequential sum.
 #[derive(Debug, Clone)]
 pub struct AdaptationKernel {
     /// PHY replayed.
@@ -232,14 +230,6 @@ impl FoldKernel for AdaptationKernel {
                 }
             }
         });
-    }
-
-    fn merge(&self, into: &mut Self::Partial, from: Self::Partial) {
-        for ((d, t, o), (fd, ft, fo)) in into.iter_mut().zip(from) {
-            *d += fd;
-            *t += ft;
-            *o += fo;
-        }
     }
 
     fn finish(&self, partial: Self::Partial) -> Vec<AdaptationOutcome> {

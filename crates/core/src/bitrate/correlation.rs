@@ -77,14 +77,6 @@ impl FoldKernel for CurvesKernel {
         }
     }
 
-    fn merge(&self, into: &mut CurvesPartial, from: CurvesPartial) {
-        for (rate, stats) in from.per_rate {
-            into.per_rate.entry(rate).or_default().merge(stats);
-        }
-        into.snr.extend(from.snr);
-        into.thr.extend(from.thr);
-    }
-
     fn finish(&self, partial: CurvesPartial) -> SnrThroughputCurves {
         SnrThroughputCurves {
             phy: self.phy,

@@ -54,9 +54,7 @@ fn key_of(scope: Scope, probe: &ProbeSet) -> Key {
 type RateCounts = BTreeMap<BitRate, u32>;
 
 /// The fold-style form of [`LookupTableSet::build_from`]. The partial is a
-/// whole table set whose cells are commutative integer counts, so `merge`
-/// is exact here — cross-window parallel training is safe for this kernel
-/// (the window-major scheduler still drives it sequentially).
+/// whole table set whose cells are commutative integer counts.
 #[derive(Debug, Clone, Copy)]
 pub struct TableBuildKernel {
     /// Training scope.
@@ -104,18 +102,6 @@ impl mesh11_trace::FoldKernel for TableBuildKernel {
                     for (rate, c) in counts {
                         *cell.entry(rate).or_insert(0) += c;
                     }
-                }
-            }
-        }
-    }
-
-    fn merge(&self, into: &mut LookupTableSet, from: LookupTableSet) {
-        for (key, snr_map) in from.tables {
-            let dst = into.tables.entry(key).or_default();
-            for (snr, counts) in snr_map {
-                let cell = dst.entry(snr).or_default();
-                for (rate, c) in counts {
-                    *cell.entry(rate).or_insert(0) += c;
                 }
             }
         }

@@ -13,8 +13,8 @@ use rayon::prelude::*;
 use crate::bitrate::lookup::{LookupTableSet, Scope};
 
 /// The fold-style form of [`ThroughputPenalty::evaluate_from`]: needs a
-/// **completed** table set, so in a fused window-major pass it runs in a
-/// second phase after the table-building folds finish.
+/// **completed** table set, so in a fused pass it runs in a second phase
+/// after the table-building folds finish.
 #[derive(Debug, Clone, Copy)]
 pub struct PenaltyKernel<'t> {
     /// The trained tables the kernel scores against.
@@ -52,11 +52,6 @@ impl FoldKernel for PenaltyKernel<'_> {
             partial.0.extend(d);
             partial.1 += unp;
         }
-    }
-
-    fn merge(&self, into: &mut Self::Partial, from: Self::Partial) {
-        into.0.extend(from.0);
-        into.1 += from.1;
     }
 
     fn finish(&self, partial: Self::Partial) -> ThroughputPenalty {

@@ -136,15 +136,6 @@ impl FoldKernel for StabilityKernel {
         }
     }
 
-    fn merge(&self, into: &mut StabilityPartial, from: StabilityPartial) {
-        into.churn_per_link.extend(from.churn_per_link);
-        into.snr_drift_per_link.extend(from.snr_drift_per_link);
-        into.same.0 += from.same.0;
-        into.same.1 += from.same.1;
-        into.diff.0 += from.diff.0;
-        into.diff.1 += from.diff.1;
-    }
-
     fn finish(&self, partial: StabilityPartial) -> LinkStability {
         let StabilityPartial {
             churn_per_link,

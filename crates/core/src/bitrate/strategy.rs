@@ -246,16 +246,6 @@ impl mesh11_trace::FoldKernel for StrategyKernel {
         }
     }
 
-    fn merge(&self, into: &mut Self::Partial, from: Self::Partial) {
-        for (a, l) in into.iter_mut().zip(from) {
-            a.acc.merge(l.acc);
-            a.updates += l.updates;
-            a.stored += l.stored;
-            a.predictions += l.predictions;
-            a.correct += l.correct;
-        }
-    }
-
     fn finish(&self, accs: Self::Partial) -> Vec<StrategyEval> {
         self.kinds
             .iter()

@@ -77,12 +77,6 @@ impl FoldKernel for AsymmetryKernel {
         }
     }
 
-    fn merge(&self, into: &mut Self::Partial, from: Self::Partial) {
-        for (rate, ratios) in from {
-            into.entry(rate).or_default().extend(ratios);
-        }
-    }
-
     fn finish(&self, partial: Self::Partial) -> Self::Output {
         partial
     }

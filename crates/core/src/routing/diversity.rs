@@ -124,10 +124,6 @@ impl mesh11_trace::FoldKernel for DiversityKernel {
         pairs.extend(built);
     }
 
-    fn merge(&self, into: &mut Self::Partial, from: Self::Partial) {
-        into.extend(from);
-    }
-
     fn finish(&self, pairs: Self::Partial) -> Self::Output {
         improvement_by_diversity(&pairs, self.variant)
     }

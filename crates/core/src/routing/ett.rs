@@ -175,10 +175,6 @@ impl FoldKernel for EttKernel {
         out.extend(analyses);
     }
 
-    fn merge(&self, into: &mut Self::Partial, from: Self::Partial) {
-        into.extend(from);
-    }
-
     fn finish(&self, out: Self::Partial) -> Self::Output {
         out
     }

@@ -160,10 +160,6 @@ impl FoldKernel for RoutingKernel {
         out.extend(per_net.into_iter().flatten());
     }
 
-    fn merge(&self, into: &mut Self::Partial, from: Self::Partial) {
-        into.extend(from);
-    }
-
     fn finish(&self, out: Self::Partial) -> Self::Output {
         out
     }

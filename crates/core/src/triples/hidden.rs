@@ -159,10 +159,6 @@ impl FoldKernel for TripleKernel {
         per_network.extend(partials.into_iter().flatten());
     }
 
-    fn merge(&self, into: &mut Self::Partial, from: Self::Partial) {
-        into.extend(from);
-    }
-
     fn finish(&self, per_network: Self::Partial) -> TripleAnalysis {
         TripleAnalysis {
             threshold: self.threshold,

@@ -67,10 +67,6 @@ impl FoldKernel for RangeKernel {
         out.extend(partials.into_iter().flatten());
     }
 
-    fn merge(&self, into: &mut Self::Partial, from: Self::Partial) {
-        into.extend(from);
-    }
-
     fn finish(&self, out: Self::Partial) -> Self::Output {
         out
     }

@@ -71,12 +71,6 @@ impl FoldKernel for SweepKernel {
         });
     }
 
-    fn merge(&self, into: &mut Self::Partial, from: Self::Partial) {
-        for (a, b) in into.iter_mut().zip(from) {
-            a.extend(b);
-        }
-    }
-
     fn finish(&self, partial: Self::Partial) -> Self::Output {
         self.thresholds
             .iter()

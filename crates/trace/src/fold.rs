@@ -1,38 +1,33 @@
-//! The fold-style kernel contract for window-major analysis.
+//! The fold-style kernel contract.
 //!
 //! Every heavy analysis kernel in the workspace has the same shape: an
-//! accumulator is initialized, each window of the probe source is folded
-//! into it (fanning out per network inside the window and merging the
-//! per-network partials back in network order), and a finish step distills
-//! the accumulated state into the kernel's output. [`FoldKernel`] names
-//! that shape so a *window-major* scheduler can drive many kernels over a
-//! single walk of the windows — each spilled window is decoded exactly
-//! once, every registered kernel folds it while it is resident, and then
-//! it is evicted.
+//! accumulator is initialized, each network-aligned view of the probe
+//! source is folded into it (fanning out per network inside the view and
+//! merging the per-network partials back in network order), and a finish
+//! step distills the accumulated state into the kernel's output.
+//! [`FoldKernel`] names that shape. [`run_fold`] drives one kernel over a
+//! probe source; [`Running`] pairs a kernel with its partial so a caller
+//! can drive many kernels over views as they arrive (the streaming build
+//! folds every kernel over each sealed part of the simulation).
 //!
 //! ## Byte-identity contract
 //!
-//! The scheduler threads each kernel's **single** partial sequentially
-//! through the windows in window order (never folding windows into
-//! separate partials and merging after the fact). Because windows are
-//! network-aligned and walked in network order, every kernel sees exactly
-//! the same accumulation sequence as a solo kernel-major walk — including
+//! Each kernel's **single** partial is threaded sequentially through the
+//! views in network order (never folding views into separate partials and
+//! combining them after the fact). Because views are network-aligned and
+//! arrive in network order, every kernel sees exactly the same
+//! accumulation sequence as one walk over the whole dataset — including
 //! kernels whose partials carry order-sensitive float sums (bitrate
 //! adaptation). Parallelism comes from the per-network fan-out *inside*
 //! `fold` and from fanning *across* kernels (each mutates only its own
-//! partial), never from reordering the window sequence.
-//!
-//! [`FoldKernel::merge`] exists for callers that *can* prove their partial
-//! is order-insensitive (e.g. commutative integer counts) and want
-//! cross-window parallelism; the window-major scheduler never calls it.
+//! partial), never from reordering the view sequence.
 
 use crate::chunk::ProbeSource;
 use crate::index::DatasetView;
 
-/// A fold-style analysis kernel: `init → fold(window)* → finish`, with an
-/// explicit `merge` for partials that tolerate re-association.
+/// A fold-style analysis kernel: `init → fold(view)* → finish`.
 pub trait FoldKernel {
-    /// The accumulated state threaded through the windows.
+    /// The accumulated state threaded through the views.
     type Partial: Send;
     /// The finished analysis result.
     type Output;
@@ -40,38 +35,32 @@ pub trait FoldKernel {
     /// A fresh (empty) partial.
     fn init(&self) -> Self::Partial;
 
-    /// Folds one window view into the partial. Windows arrive in network
-    /// order; implementations may fan out per network internally but must
-    /// merge those per-network results back in network order.
+    /// Folds one network-aligned view into the partial. Views arrive in
+    /// network order; implementations may fan out per network internally
+    /// but must merge those per-network results back in network order.
     fn fold(&self, view: DatasetView<'_>, partial: &mut Self::Partial);
-
-    /// Merges a later partial into an earlier one. Only exact for kernels
-    /// whose partials are order-insensitive; kernels with order-sensitive
-    /// accumulation (float sums) document the caveat and are only ever
-    /// driven sequentially by the window-major scheduler.
-    fn merge(&self, into: &mut Self::Partial, from: Self::Partial);
 
     /// Distills the accumulated partial into the kernel's output.
     fn finish(&self, partial: Self::Partial) -> Self::Output;
 }
 
-/// Runs one kernel to completion over a probe source — the kernel-major
-/// oracle path every legacy `*_from` entry point delegates to.
+/// Runs one kernel to completion over a probe source — the path every
+/// `*_from` entry point delegates to.
 pub fn run_fold<K: FoldKernel>(src: &ProbeSource<'_>, kernel: &K) -> K::Output {
     let mut partial = kernel.init();
     src.for_each_view(|view| kernel.fold(view, &mut partial));
     kernel.finish(partial)
 }
 
-/// The object-safe face of a running fold, so a scheduler can drive a
-/// heterogeneous set of kernels over one window walk.
+/// The object-safe face of a running fold, so a caller can drive a
+/// heterogeneous set of kernels over the same views.
 pub trait WindowFold: Send {
-    /// Folds one window into this kernel's partial.
+    /// Folds one view into this kernel's partial.
     fn fold_window(&mut self, view: DatasetView<'_>);
 }
 
 /// A kernel paired with its in-flight partial. Construct one per kernel,
-/// drive them all through [`fold_windows`], then take each output with
+/// fold each view into all of them, then take each output with
 /// [`Running::finish`].
 pub struct Running<K: FoldKernel> {
     kernel: K,
@@ -100,37 +89,19 @@ where
     }
 }
 
-/// The window-major scheduler: one walk over the source's windows, every
-/// kernel folding each window while it is resident. For a chunked source
-/// this materializes each window exactly once (`window_builds ==
-/// n_windows` when no other walk runs); for a resident source there is a
-/// single "window" — the whole view.
-///
-/// Kernels fold each window concurrently (they share the read-only view
-/// and own disjoint partials); the window *sequence* stays strictly
-/// ordered, preserving byte identity at any thread count.
-pub fn fold_windows(src: &ProbeSource<'_>, kernels: &mut [&mut dyn WindowFold]) {
-    use rayon::prelude::*;
-    src.for_each_view(|view| {
-        kernels.par_iter_mut().for_each(|k| k.fold_window(view));
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunk::{ChunkConfig, ChunkedDataset};
     use crate::dataset::{Dataset, NetworkMeta};
     use crate::ids::{ApId, NetworkId};
     use crate::probe::{ProbeSet, RateObs};
     use mesh11_phy::{BitRate, Phy};
 
-    /// Counts probe sets per fold call — enough to show the scheduler
-    /// visits every window exactly once and sums match the whole view.
+    /// Counts probe sets and fold calls.
     struct CountProbes;
 
     impl FoldKernel for CountProbes {
-        type Partial = (usize, usize); // (probes, windows folded)
+        type Partial = (usize, usize); // (probes, views folded)
         type Output = (usize, usize);
         fn init(&self) -> Self::Partial {
             (0, 0)
@@ -138,10 +109,6 @@ mod tests {
         fn fold(&self, view: DatasetView<'_>, partial: &mut Self::Partial) {
             partial.0 += view.dataset().probes.len();
             partial.1 += 1;
-        }
-        fn merge(&self, into: &mut Self::Partial, from: Self::Partial) {
-            into.0 += from.0;
-            into.1 += from.1;
         }
         fn finish(&self, partial: Self::Partial) -> Self::Output {
             partial
@@ -174,36 +141,6 @@ mod tests {
             }
         }
         ds
-    }
-
-    #[test]
-    fn fold_windows_visits_each_window_once() {
-        let ds = toy_dataset(6, 40);
-        let cfg = ChunkConfig {
-            chunk_capacity: 16,
-            resident_chunks: 2,
-            window_probes: 50,
-            ..ChunkConfig::tiny()
-        };
-        let chunked = ChunkedDataset::from_dataset(&ds, cfg).expect("chunk");
-        let n_windows = chunked.n_windows();
-        assert!(n_windows > 1, "test needs several windows");
-        let src = ProbeSource::Chunked(&chunked);
-
-        let mut a = Running::new(CountProbes);
-        let mut b = Running::new(CountProbes);
-        {
-            let mut kernels: Vec<&mut dyn WindowFold> = vec![&mut a, &mut b];
-            fold_windows(&src, &mut kernels);
-        }
-        let (probes_a, folds_a) = a.finish();
-        let (probes_b, folds_b) = b.finish();
-        assert_eq!(probes_a, ds.probes.len());
-        assert_eq!(probes_b, ds.probes.len());
-        assert_eq!(folds_a, n_windows);
-        assert_eq!(folds_b, n_windows);
-        // One walk, two kernels: each window was built exactly once.
-        assert_eq!(chunked.stats().window_builds, n_windows as u64);
     }
 
     #[test]

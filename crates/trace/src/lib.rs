@@ -50,7 +50,7 @@ pub use chunk::{
 };
 pub use client::ClientSample;
 pub use dataset::{Dataset, NetworkMeta};
-pub use fold::{fold_windows, run_fold, FoldKernel, Running, WindowFold};
+pub use fold::{run_fold, FoldKernel, Running, WindowFold};
 pub use ids::{ApId, ClientId, EnvLabel, NetworkId};
 pub use index::{
     DatasetIndex, DatasetView, IndexStitcher, LinkRange, LinkView, NetRange, NetworkView,

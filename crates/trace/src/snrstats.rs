@@ -75,10 +75,6 @@ impl crate::fold::FoldKernel for SigmaKernel {
         });
     }
 
-    fn merge(&self, into: &mut Vec<f64>, from: Vec<f64>) {
-        into.extend(from);
-    }
-
     fn finish(&self, partial: Vec<f64>) -> Vec<f64> {
         partial
     }
