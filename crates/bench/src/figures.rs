@@ -272,7 +272,7 @@ pub fn fig4_5(ctx: &ReproContext) -> Vec<FigureData> {
         // ladder plus the top rate to keep the panel legible (JSON export
         // still carries only the plotted series — the full grid is
         // reconstructible from the dataset).
-        for (rate, stats) in &curves.per_rate {
+        for (rate, medians) in &curves.per_rate {
             let keep = match phy {
                 Phy::Bg => true,
                 Phy::Ht => {
@@ -283,10 +283,9 @@ pub fn fig4_5(ctx: &ReproContext) -> Vec<FigureData> {
             if !keep {
                 continue;
             }
-            let pts: Vec<(f64, f64)> = stats
-                .rows()
-                .into_iter()
-                .map(|(snr, s)| (snr as f64, s.median))
+            let pts: Vec<(f64, f64)> = medians
+                .iter()
+                .map(|&(snr, median)| (snr as f64, median))
                 .collect();
             fig = fig.with_series(Series::new(rate.to_string(), pts));
         }

@@ -2,8 +2,6 @@
 //!
 //! This is the engine behind the paper's "curve with error bars" figures:
 //!
-//! * Fig 4.5 — median throughput vs SNR with quartile bars (x = SNR dB,
-//!   y = throughput);
 //! * Fig 5.4 — median/maximum improvement vs path length;
 //! * Fig 5.5 — mean improvement ± σ vs network size;
 //! * Fig 6.2 — mean range ratio ± σ vs bit rate.

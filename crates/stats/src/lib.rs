@@ -4,7 +4,7 @@
 //!
 //! Every analysis in the paper — CDFs of SNR standard deviations (Fig 3.1),
 //! throughput-penalty CDFs (Fig 4.4), improvement CDFs (Fig 5.1), binned
-//! median/quartile curves (Fig 4.5), mean ± σ bar series (Figs 5.5, 6.2) —
+//! median curves (Fig 4.5), mean ± σ bar series (Figs 5.5, 6.2) —
 //! reduces to a handful of empirical-statistics primitives. This crate
 //! provides those primitives with well-defined semantics, plus the seeded
 //! random distributions the simulator substrate draws from.
@@ -18,7 +18,8 @@
 //! * [`binned`] — binned statistics of `y` grouped by `x` bins (median /
 //!   quartiles / mean ± σ per bin), the engine behind the paper's
 //!   "curve with error bars" figures.
-//! * [`correlation`] — Pearson and Spearman correlation coefficients.
+//! * [`correlation`] — Pearson and Spearman correlation coefficients, over
+//!   slices or over samples coded into small distinct-value tables.
 //! * [`dist`] — deterministic distributions (normal via Box–Muller,
 //!   lognormal, exponential, bounded Pareto, discrete lognormal) layered on
 //!   any [`rand::Rng`], so the simulator does not need `rand_distr`.
@@ -44,7 +45,7 @@ pub mod summary;
 pub use binned::BinnedStats;
 pub use cdf::Cdf;
 pub use ci::{mean_ci95, t_crit_975};
-pub use correlation::{pearson, spearman};
+pub use correlation::{pearson, pearson_coded, spearman, spearman_coded};
 pub use dist::{Dist, DrawExt};
 pub use histogram::Histogram;
 pub use summary::{OnlineSummary, Summary};
@@ -60,18 +61,47 @@ pub use summary::{OnlineSummary, Summary};
 /// assert_eq!(mesh11_stats::quantile_sorted(&xs, 1.0), Some(4.0));
 /// ```
 pub fn quantile_sorted(sorted: &[f64], q: f64) -> Option<f64> {
-    if sorted.is_empty() {
+    type7(sorted.len() as u64, q, |k| sorted[k as usize])
+}
+
+/// [`quantile_sorted`] of a sample held as a histogram: `(value, count)`
+/// cells in ascending value order, each value standing for `count` copies.
+/// Bit-for-bit the quantile of the expanded sorted sample, without
+/// expanding it. Returns `None` when the counts sum to zero.
+///
+/// ```
+/// let cells = [(1.0, 1), (2.0, 2), (4.0, 1)]; // the sample [1, 2, 2, 4]
+/// assert_eq!(mesh11_stats::quantile_counted(&cells, 0.5), Some(2.0));
+/// assert_eq!(mesh11_stats::quantile_counted(&cells, 1.0), Some(4.0));
+/// ```
+pub fn quantile_counted(cells: &[(f64, u64)], q: f64) -> Option<f64> {
+    let n = cells.iter().map(|&(_, c)| c).sum();
+    type7(n, q, |mut k| {
+        for &(v, c) in cells {
+            if k < c {
+                return v;
+            }
+            k -= c;
+        }
+        unreachable!("order statistic within the total count")
+    })
+}
+
+/// The type-7 interpolation over a sample of `n` values whose `k`-th
+/// smallest (0-based) is `at(k)`.
+fn type7(n: u64, q: f64, at: impl Fn(u64) -> f64) -> Option<f64> {
+    if n == 0 {
         return None;
     }
     let q = q.clamp(0.0, 1.0);
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
+    let pos = q * (n - 1) as f64;
+    let lo = pos.floor() as u64;
+    let hi = pos.ceil() as u64;
     if lo == hi {
-        return Some(sorted[lo]);
+        return Some(at(lo));
     }
     let frac = pos - lo as f64;
-    Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
+    Some(at(lo) * (1.0 - frac) + at(hi) * frac)
 }
 
 /// Quantile of an unsorted slice; sorts a copy internally.
@@ -173,6 +203,43 @@ mod tests {
         assert!((stddev_pop(&xs).unwrap() - 2.0).abs() < 1e-12);
         // Sample sigma is sqrt(32/7).
         assert!((stddev(&xs).unwrap() - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn quantile_counted_edges() {
+        assert_eq!(quantile_counted(&[], 0.5), None);
+        assert_eq!(quantile_counted(&[(3.0, 0)], 0.5), None);
+        // zero-count cells are skipped
+        assert_eq!(
+            quantile_counted(&[(1.0, 0), (2.0, 1), (5.0, 0), (6.0, 1)], 0.5),
+            Some(4.0)
+        );
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn quantile_counted_matches_quantile_sorted(
+            pool in proptest::collection::vec(-20i32..20, 1..8),
+            counts in proptest::collection::vec(0u64..6, 1..8),
+            q in 0.0f64..1.0,
+        ) {
+            // distinct ascending values, each with a count (zero allowed)
+            let mut values: Vec<f64> = pool.iter().map(|&v| f64::from(v) * 0.7).collect();
+            values.sort_by(f64::total_cmp);
+            values.dedup();
+            let cells: Vec<(f64, u64)> =
+                values.iter().zip(counts.iter().cycle()).map(|(&v, &c)| (v, c)).collect();
+            let sorted: Vec<f64> = cells
+                .iter()
+                .flat_map(|&(v, c)| std::iter::repeat_n(v, c as usize))
+                .collect();
+            for q in [q, 0.0, 0.25, 0.5, 0.75, 1.0] {
+                proptest::prop_assert_eq!(
+                    quantile_counted(&cells, q).map(f64::to_bits),
+                    quantile_sorted(&sorted, q).map(f64::to_bits)
+                );
+            }
+        }
     }
 
     #[test]

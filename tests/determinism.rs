@@ -97,6 +97,41 @@ fn figure_json_identical_across_thread_counts() {
     }
 }
 
+/// The analyst path: a dataset that went through the M11T codec and into
+/// `ReproContext::from_dataset` (what `mesh11 figures FILE` does) builds
+/// Fig 4.5 byte-identical to the in-memory context that simulated it. The
+/// figure notes print the correlation coefficients to 3 decimals only, so
+/// the full-precision check of the coefficients lives next to the kernel.
+#[test]
+fn file_context_builds_fig4_5_byte_identical() {
+    use mesh11_bench::figures::build;
+    use mesh11_bench::{ReproContext, Scale};
+
+    let ctx = ReproContext::build(Scale::Quick, 42);
+    let back =
+        mesh11::trace::codec::decode(mesh11::trace::codec::encode(ctx.dataset())).expect("decode");
+    let cfg = SimConfig {
+        probe_horizon_s: back.probe_horizon_s,
+        client_horizon_s: back.client_horizon_s,
+        ..SimConfig::quick()
+    };
+    let file_ctx = ReproContext::from_dataset(back, cfg, 0);
+    let json = |c: &ReproContext| -> Vec<(String, String)> {
+        build(c, "fig4-5")
+            .expect("known id")
+            .iter()
+            .map(|f| (f.id.clone(), f.to_json()))
+            .collect()
+    };
+    let (mem, file) = (json(&ctx), json(&file_ctx));
+    let ids: Vec<&str> = file.iter().map(|(id, _)| id.as_str()).collect();
+    assert_eq!(ids, ["fig4-5a", "fig4-5b"]);
+    assert_eq!(
+        mem, file,
+        "fig4-5 JSON must not depend on the dataset's path"
+    );
+}
+
 /// FNV-1a 64-bit, inlined so the golden hashes below need no dependency.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
