@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mesh11_bench::{DataMode, ReproContext, Scale};
 use mesh11_core::bitrate::{LookupTableSet, Scope};
 use mesh11_phy::{BitRate, Phy};
-use mesh11_trace::{ApId, ChunkConfig, ChunkStore, NetworkId, ProbeChunk, ProbeSet, RateObs};
+use mesh11_trace::{ApId, ChunkConfig, ChunkStore, NetworkId, Probe, ProbeChunk, RateObs};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use rayon::prelude::*;
@@ -92,13 +92,13 @@ fn contention_store(n_chunks: usize, budget: usize) -> ChunkStore {
     for k in 0..n_chunks {
         let mut chunk = ProbeChunk::default();
         for i in 0..512u32 {
-            chunk.push(&ProbeSet {
+            chunk.push(Probe {
                 network: NetworkId(k as u32),
                 phy: Phy::Bg,
                 time_s: f64::from(i),
                 sender: ApId(i % 7),
                 receiver: ApId(i % 5 + 7),
-                obs: vec![RateObs {
+                obs: &[RateObs {
                     rate: BitRate::bg_mbps(1.0).unwrap(),
                     loss: 0.25,
                     snr_db: 12.0,

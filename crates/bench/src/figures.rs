@@ -863,7 +863,7 @@ pub fn ext_client(ctx: &ReproContext) -> FigureData {
         Some(p) => p,
         None => return FigureData::new("ext-client", "unavailable", "", ""),
     };
-    let mut probes: Vec<&mesh11_trace::ProbeSet> = Vec::new();
+    let mut probes: Vec<mesh11_trace::Probe<'_>> = Vec::new();
     let mut static_rx = std::collections::BTreeSet::new();
     let mut fast_rx = std::collections::BTreeSet::new();
     for (net, trace) in &pass.traces {
@@ -878,7 +878,7 @@ pub fn ext_client(ctx: &ReproContext) -> FigureData {
     // Online (predict-before-train) evaluation per link, as a real adapter
     // would run — in-sample scoring would let a mobile link "memorize" its
     // one-visit SNR cells and look spuriously accurate.
-    let mut per_link: std::collections::BTreeMap<(u32, u32, u32), Vec<&mesh11_trace::ProbeSet>> =
+    let mut per_link: std::collections::BTreeMap<(u32, u32, u32), Vec<mesh11_trace::Probe<'_>>> =
         Default::default();
     for p in probes {
         per_link

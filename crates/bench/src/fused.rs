@@ -299,6 +299,10 @@ impl FusedRunner {
     /// network-id order — that is the byte-identity contract.
     pub fn fold_view(&mut self, view: DatasetView<'_>) {
         use rayon::prelude::*;
+        // Several kernels read the per-probe columns: build them at full
+        // width here, not inside whichever kernel's worker gets there
+        // first.
+        view.columns();
         let mut kernels = self.kernels();
         kernels.par_iter_mut().for_each(|k| k.fold_window(view));
     }

@@ -119,7 +119,7 @@ impl AdapterState {
                     .or_insert(0) += 1;
             }
             AdapterKind::EwmaProbing { alpha } => {
-                for o in &set.probe.obs {
+                for o in set.probe.obs {
                     let e = self.ewma.entry(o.rate).or_insert(0.0);
                     *e = (1.0 - alpha) * *e + alpha * o.throughput_mbps();
                 }
@@ -282,7 +282,7 @@ pub fn simulate_adapters_from(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mesh11_trace::{ApId, Dataset, DatasetIndex, NetworkId, ProbeSet, RateObs};
+    use mesh11_trace::{ApId, Dataset, DatasetIndex, NetworkId, Probe, RateObs};
 
     fn r(mbps: f64) -> BitRate {
         BitRate::bg_mbps(mbps).unwrap()
@@ -296,25 +296,26 @@ mod tests {
     /// A link where 24 Mbit/s is always clean and 48 always lossy, at a
     /// stable SNR.
     fn stable_link(n_sets: usize) -> Dataset {
+        let obs = [
+            RateObs {
+                rate: r(24.0),
+                loss: 0.0,
+                snr_db: 20.0,
+            },
+            RateObs {
+                rate: r(48.0),
+                loss: 0.9,
+                snr_db: 20.0,
+            },
+        ];
         let probes = (0..n_sets)
-            .map(|k| ProbeSet {
+            .map(|k| Probe {
                 network: NetworkId(0),
                 phy: Phy::Bg,
                 time_s: k as f64 * 300.0,
                 sender: ApId(0),
                 receiver: ApId(1),
-                obs: vec![
-                    RateObs {
-                        rate: r(24.0),
-                        loss: 0.0,
-                        snr_db: 20.0,
-                    },
-                    RateObs {
-                        rate: r(48.0),
-                        loss: 0.9,
-                        snr_db: 20.0,
-                    },
-                ],
+                obs: &obs,
             })
             .collect();
         Dataset {

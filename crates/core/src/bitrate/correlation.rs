@@ -88,6 +88,9 @@ impl FoldKernel for CurvesKernel {
     }
 
     fn fold(&self, view: DatasetView<'_>, partial: &mut CurvesPartial) {
+        // The per-probe SNR columns, built once at full width before
+        // the per-network fan-out reads them.
+        view.columns();
         let nets = view.network_views(self.phy);
         let per_net: Vec<CurvesPartial> = nets
             .par_iter()
@@ -95,7 +98,7 @@ impl FoldKernel for CurvesKernel {
                 let mut p = CurvesPartial::default();
                 for e in nv.entries_in_order() {
                     let s = p.snr.code(e.snr_key);
-                    for o in &e.probe.obs {
+                    for o in e.probe.obs {
                         let c = p.cell(o.rate.index(), s, o.throughput_mbps().to_bits());
                         p.cell_n[c] += 1;
                         p.codes.push((s, p.cell_thr[c]));
@@ -275,7 +278,7 @@ impl SnrThroughputCurves {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mesh11_trace::{ApId, Dataset, DatasetIndex, NetworkId, ProbeSet, RateObs};
+    use mesh11_trace::{ApId, Dataset, DatasetIndex, NetworkId, Probe, ProbeTable, RateObs};
 
     fn r(mbps: f64) -> BitRate {
         BitRate::bg_mbps(mbps).unwrap()
@@ -286,27 +289,30 @@ mod tests {
         SnrThroughputCurves::build(DatasetView::new(ds, &ix), Phy::Bg)
     }
 
-    fn probe(snr: f64, obs: Vec<(f64, f64)>) -> ProbeSet {
-        ProbeSet {
+    fn probe(snr: f64, obs: Vec<(f64, f64)>) -> ProbeTable {
+        let obs: Vec<RateObs> = obs
+            .into_iter()
+            .map(|(mbps, loss)| RateObs {
+                rate: r(mbps),
+                loss,
+                snr_db: snr,
+            })
+            .collect();
+        [Probe {
             network: NetworkId(0),
             phy: Phy::Bg,
             time_s: 0.0,
             sender: ApId(0),
             receiver: ApId(1),
-            obs: obs
-                .into_iter()
-                .map(|(mbps, loss)| RateObs {
-                    rate: r(mbps),
-                    loss,
-                    snr_db: snr,
-                })
-                .collect(),
-        }
+            obs: &obs,
+        }]
+        .into_iter()
+        .collect()
     }
 
-    fn ds(probes: Vec<ProbeSet>) -> Dataset {
+    fn ds(probes: Vec<ProbeTable>) -> Dataset {
         Dataset {
-            probes,
+            probes: probes.iter().flatten().collect(),
             ..Dataset::default()
         }
     }
@@ -387,7 +393,7 @@ mod tests {
             let mut bins: BTreeMap<(BitRate, i64), Vec<f64>> = BTreeMap::new();
             for nv in view.network_views(phy) {
                 for e in nv.entries_in_order() {
-                    for o in &e.probe.obs {
+                    for o in e.probe.obs {
                         snr.push(e.snr_key as f64);
                         thr.push(o.throughput_mbps());
                         bins.entry((o.rate, e.snr_key))

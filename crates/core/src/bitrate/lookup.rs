@@ -4,7 +4,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use mesh11_phy::{BitRate, Phy};
 use mesh11_stats::BinnedStats;
-use mesh11_trace::{DatasetView, ProbeSet, ProbeSource};
+use mesh11_trace::{DatasetView, Probe, ProbeSource};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -41,7 +41,7 @@ impl Scope {
 type Key = (u32, u32, u32);
 
 /// The table key a probe trains/consults under `scope`.
-fn key_of(scope: Scope, probe: &ProbeSet) -> Key {
+fn key_of(scope: Scope, probe: Probe<'_>) -> Key {
     match scope {
         Scope::Global => (u32::MAX, u32::MAX, u32::MAX),
         Scope::Network => (probe.network.0, u32::MAX, u32::MAX),
@@ -77,6 +77,9 @@ impl mesh11_trace::FoldKernel for TableBuildKernel {
     }
 
     fn fold(&self, view: DatasetView<'_>, partial: &mut LookupTableSet) {
+        // The per-probe SNR columns, built once at full width before
+        // the per-network fan-out reads them.
+        view.columns();
         let nets = view.network_views(self.phy);
         let scope = self.scope;
         let partials: Vec<HashMap<Key, BTreeMap<i64, RateCounts>>> = nets
@@ -142,7 +145,7 @@ impl LookupTableSet {
     }
 
     /// Adds one probe set's `P_opt` observation.
-    pub fn train(&mut self, probe: &ProbeSet) {
+    pub fn train(&mut self, probe: Probe<'_>) {
         debug_assert_eq!(probe.phy, self.phy);
         self.winners = None; // counts change ⇒ cached argmaxes are stale
         let key = self.key_for(probe);
@@ -156,18 +159,18 @@ impl LookupTableSet {
             .or_insert(0) += 1;
     }
 
-    fn key_for(&self, probe: &ProbeSet) -> Key {
+    fn key_for(&self, probe: Probe<'_>) -> Key {
         key_of(self.scope, probe)
     }
 
     /// The rate-frequency cell a probe set would consult.
-    pub fn counts_for(&self, probe: &ProbeSet) -> Option<&RateCounts> {
+    pub fn counts_for(&self, probe: Probe<'_>) -> Option<&RateCounts> {
         self.tables.get(&self.key_for(probe))?.get(&probe.snr_key())
     }
 
     /// The table's prediction for a probe set: the most frequently optimal
     /// rate at its (key, SNR); ties break toward the lower rate.
-    pub fn predict(&self, probe: &ProbeSet) -> Option<BitRate> {
+    pub fn predict(&self, probe: Probe<'_>) -> Option<BitRate> {
         self.predict_keyed(self.key_for(probe), probe.snr_key())
     }
 
@@ -215,7 +218,7 @@ impl LookupTableSet {
 
     /// The `k` most frequently optimal rates at a probe set's cell — the
     /// §4.5 "augmented table" that narrows probing.
-    pub fn top_k(&self, probe: &ProbeSet, k: usize) -> Vec<BitRate> {
+    pub fn top_k(&self, probe: Probe<'_>, k: usize) -> Vec<BitRate> {
         let Some(counts) = self.counts_for(probe) else {
             return Vec::new();
         };
@@ -238,6 +241,9 @@ impl LookupTableSet {
         let mut total = 0u64;
         let mut hits = 0u64;
         src.for_each_view(|view| {
+            // The per-probe SNR columns, built once at full width before
+            // the per-network fan-out reads them.
+            view.columns();
             let nets = view.network_views(self.phy);
             let partials: Vec<(u64, u64)> = nets
                 .par_iter()
@@ -332,7 +338,7 @@ impl LookupTableSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mesh11_trace::{ApId, Dataset, DatasetIndex, NetworkId, RateObs};
+    use mesh11_trace::{ApId, Dataset, DatasetIndex, NetworkId, ProbeTable, RateObs};
 
     fn r(mbps: f64) -> BitRate {
         BitRate::bg_mbps(mbps).unwrap()
@@ -350,14 +356,14 @@ mod tests {
     }
 
     /// A probe set whose optimal rate is `opt` at `snr` on the given link.
-    fn probe(net: u32, s: u32, rx: u32, snr: f64, opt: BitRate) -> ProbeSet {
-        ProbeSet {
+    fn probe(net: u32, s: u32, rx: u32, snr: f64, opt: BitRate) -> ProbeTable {
+        [Probe {
             network: NetworkId(net),
             phy: Phy::Bg,
             time_s: 0.0,
             sender: ApId(s),
             receiver: ApId(rx),
-            obs: vec![
+            obs: &[
                 RateObs {
                     rate: opt,
                     loss: 0.0,
@@ -371,13 +377,15 @@ mod tests {
                     snr_db: snr,
                 },
             ],
-        }
+        }]
+        .into_iter()
+        .collect()
     }
 
-    fn dataset(probes: Vec<ProbeSet>) -> Dataset {
+    fn dataset(probes: Vec<ProbeTable>) -> Dataset {
         Dataset {
             networks: vec![],
-            probes,
+            probes: probes.iter().flatten().collect(),
             clients: vec![],
             probe_horizon_s: 0.0,
             client_horizon_s: 0.0,
@@ -437,17 +445,20 @@ mod tests {
             winners: None,
         };
         for _ in 0..3 {
-            t.train(&probe(0, 0, 1, 15.0, r(12.0)));
+            t.train(probe(0, 0, 1, 15.0, r(12.0)).get(0));
         }
-        t.train(&probe(0, 0, 1, 15.0, r(48.0)));
-        assert_eq!(t.predict(&probe(0, 0, 1, 15.0, r(6.0))), Some(r(12.0)));
+        t.train(probe(0, 0, 1, 15.0, r(48.0)).get(0));
+        assert_eq!(
+            t.predict(probe(0, 0, 1, 15.0, r(6.0)).get(0)),
+            Some(r(12.0))
+        );
     }
 
     #[test]
     fn predict_none_without_data() {
         let t = build_over(&dataset(vec![]), Scope::Link, Phy::Bg);
-        assert_eq!(t.predict(&probe(0, 0, 1, 15.0, r(6.0))), None);
-        assert!(t.top_k(&probe(0, 0, 1, 15.0, r(6.0)), 3).is_empty());
+        assert_eq!(t.predict(probe(0, 0, 1, 15.0, r(6.0)).get(0)), None);
+        assert!(t.top_k(probe(0, 0, 1, 15.0, r(6.0)).get(0), 3).is_empty());
     }
 
     #[test]
@@ -489,15 +500,15 @@ mod tests {
             winners: None,
         };
         for _ in 0..5 {
-            t.train(&probe(0, 0, 1, 15.0, r(24.0)));
+            t.train(probe(0, 0, 1, 15.0, r(24.0)).get(0));
         }
         for _ in 0..2 {
-            t.train(&probe(0, 0, 1, 15.0, r(12.0)));
+            t.train(probe(0, 0, 1, 15.0, r(12.0)).get(0));
         }
-        t.train(&probe(0, 0, 1, 15.0, r(48.0)));
+        t.train(probe(0, 0, 1, 15.0, r(48.0)).get(0));
         let q = probe(0, 0, 1, 15.0, r(6.0));
-        assert_eq!(t.top_k(&q, 2), vec![r(24.0), r(12.0)]);
-        assert_eq!(t.top_k(&q, 99).len(), 3);
+        assert_eq!(t.top_k(q.get(0), 2), vec![r(24.0), r(12.0)]);
+        assert_eq!(t.top_k(q.get(0), 99).len(), 3);
     }
 
     #[test]

@@ -30,6 +30,9 @@ impl FoldKernel for PenaltyKernel<'_> {
     }
 
     fn fold(&self, view: DatasetView<'_>, partial: &mut Self::Partial) {
+        // The per-probe SNR columns, built once at full width before
+        // the per-network fan-out reads them.
+        view.columns();
         let nets = view.network_views(self.table.phy());
         let partials: Vec<(Vec<f64>, usize)> = nets
             .par_iter()
@@ -188,7 +191,7 @@ impl ThroughputPenalty {
 mod tests {
     use super::*;
     use mesh11_phy::BitRate;
-    use mesh11_trace::{ApId, Dataset, DatasetIndex, NetworkId, ProbeSet, RateObs};
+    use mesh11_trace::{ApId, Dataset, DatasetIndex, NetworkId, Probe, ProbeTable, RateObs};
 
     fn r(mbps: f64) -> BitRate {
         BitRate::bg_mbps(mbps).unwrap()
@@ -199,27 +202,30 @@ mod tests {
         ThroughputPenalty::for_scope(DatasetView::new(ds, &ix), scope, Phy::Bg)
     }
 
-    fn probe(s: u32, rx: u32, snr: f64, obs: Vec<(f64, f64)>) -> ProbeSet {
-        ProbeSet {
+    fn probe(s: u32, rx: u32, snr: f64, obs: Vec<(f64, f64)>) -> ProbeTable {
+        let obs: Vec<RateObs> = obs
+            .into_iter()
+            .map(|(mbps, loss)| RateObs {
+                rate: r(mbps),
+                loss,
+                snr_db: snr,
+            })
+            .collect();
+        [Probe {
             network: NetworkId(0),
             phy: Phy::Bg,
             time_s: 0.0,
             sender: ApId(s),
             receiver: ApId(rx),
-            obs: obs
-                .into_iter()
-                .map(|(mbps, loss)| RateObs {
-                    rate: r(mbps),
-                    loss,
-                    snr_db: snr,
-                })
-                .collect(),
-        }
+            obs: &obs,
+        }]
+        .into_iter()
+        .collect()
     }
 
-    fn ds(probes: Vec<ProbeSet>) -> Dataset {
+    fn ds(probes: Vec<ProbeTable>) -> Dataset {
         Dataset {
-            probes,
+            probes: probes.iter().flatten().collect(),
             ..Dataset::default()
         }
     }

@@ -89,6 +89,9 @@ impl FoldKernel for StabilityKernel {
     }
 
     fn fold(&self, view: DatasetView<'_>, partial: &mut StabilityPartial) {
+        // The per-probe SNR columns, built once at full width before
+        // the per-network fan-out reads them.
+        view.columns();
         let nets = view.network_views(self.phy);
         type Per = (Vec<f64>, Vec<f64>, (u64, u64), (u64, u64));
         let partials: Vec<Per> = nets
@@ -172,7 +175,7 @@ pub fn link_stability_from(src: &ProbeSource<'_>, phy: Phy) -> LinkStability {
 mod tests {
     use super::*;
     use mesh11_phy::BitRate;
-    use mesh11_trace::{ApId, Dataset, DatasetIndex, NetworkId, ProbeSet, RateObs};
+    use mesh11_trace::{ApId, Dataset, DatasetIndex, NetworkId, Probe, ProbeTable, RateObs};
 
     fn r(mbps: f64) -> BitRate {
         BitRate::bg_mbps(mbps).unwrap()
@@ -183,24 +186,26 @@ mod tests {
         link_stability(DatasetView::new(ds, &ix), Phy::Bg)
     }
 
-    fn probe(t: f64, snr: f64, opt: f64) -> ProbeSet {
-        ProbeSet {
+    fn probe(t: f64, snr: f64, opt: f64) -> ProbeTable {
+        [Probe {
             network: NetworkId(0),
             phy: Phy::Bg,
             time_s: t,
             sender: ApId(0),
             receiver: ApId(1),
-            obs: vec![RateObs {
+            obs: &[RateObs {
                 rate: r(opt),
                 loss: 0.0,
                 snr_db: snr,
             }],
-        }
+        }]
+        .into_iter()
+        .collect()
     }
 
-    fn ds(probes: Vec<ProbeSet>) -> Dataset {
+    fn ds(probes: Vec<ProbeTable>) -> Dataset {
         Dataset {
-            probes,
+            probes: probes.iter().flatten().collect(),
             ..Dataset::default()
         }
     }

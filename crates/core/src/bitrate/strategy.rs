@@ -198,6 +198,9 @@ impl mesh11_trace::FoldKernel for StrategyKernel {
 
     fn fold(&self, view: DatasetView<'_>, accs: &mut Self::Partial) {
         let kinds = &self.kinds;
+        // The per-probe SNR columns, built once at full width before
+        // the per-network fan-out reads them.
+        view.columns();
         let nets = view.network_views(self.phy);
         let partials: Vec<Vec<StrategyAcc>> = nets
             .par_iter()
@@ -281,7 +284,7 @@ pub fn evaluate_strategies_from(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mesh11_trace::{ApId, Dataset, DatasetIndex, NetworkId, ProbeSet, RateObs};
+    use mesh11_trace::{ApId, Dataset, DatasetIndex, NetworkId, Probe, ProbeTable, RateObs};
 
     fn r(mbps: f64) -> BitRate {
         BitRate::bg_mbps(mbps).unwrap()
@@ -292,24 +295,26 @@ mod tests {
         evaluate_strategies(DatasetView::new(ds, &ix), Phy::Bg, kinds)
     }
 
-    fn probe(t: f64, snr: f64, opt: f64) -> ProbeSet {
-        ProbeSet {
+    fn probe(t: f64, snr: f64, opt: f64) -> ProbeTable {
+        [Probe {
             network: NetworkId(0),
             phy: Phy::Bg,
             time_s: t,
             sender: ApId(0),
             receiver: ApId(1),
-            obs: vec![RateObs {
+            obs: &[RateObs {
                 rate: r(opt),
                 loss: 0.0,
                 snr_db: snr,
             }],
-        }
+        }]
+        .into_iter()
+        .collect()
     }
 
-    fn ds(probes: Vec<ProbeSet>) -> Dataset {
+    fn ds(probes: Vec<ProbeTable>) -> Dataset {
         Dataset {
-            probes,
+            probes: probes.iter().flatten().collect(),
             ..Dataset::default()
         }
     }
@@ -360,7 +365,7 @@ mod tests {
     #[test]
     fn most_recent_tracks_changes_first_does_not() {
         // Optimum flips permanently after 10 sets.
-        let mut probes: Vec<ProbeSet> = (0..10).map(|k| probe(k as f64, 20.0, 12.0)).collect();
+        let mut probes: Vec<ProbeTable> = (0..10).map(|k| probe(k as f64, 20.0, 12.0)).collect();
         probes.extend((10..40).map(|k| probe(k as f64, 20.0, 48.0)));
         let d = ds(probes);
         let evals = evaluate_over(&d, &StrategyKind::ALL);

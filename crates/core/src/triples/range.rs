@@ -143,7 +143,7 @@ pub fn normalized_range_by_env(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mesh11_trace::{ApId, DatasetIndex, NetworkMeta, ProbeSet, RateObs};
+    use mesh11_trace::{ApId, DatasetIndex, NetworkMeta, Probe, ProbeTable, RateObs};
 
     fn r(mbps: f64) -> BitRate {
         BitRate::bg_mbps(mbps).unwrap()
@@ -157,23 +157,24 @@ mod tests {
     /// A dataset where AP0–AP1 hear each other at 1 and 11 Mbit/s but only
     /// marginally at 48.
     fn tiny_ds() -> Dataset {
-        let probe = |rate: BitRate, loss: f64| ProbeSet {
-            network: NetworkId(0),
-            phy: Phy::Bg,
-            time_s: 300.0,
-            sender: ApId(0),
-            receiver: ApId(1),
-            obs: vec![RateObs {
-                rate,
-                loss,
-                snr_db: 15.0,
-            }],
+        let link = |s: u32, rx: u32, rate: BitRate, loss: f64| -> ProbeTable {
+            [Probe {
+                network: NetworkId(0),
+                phy: Phy::Bg,
+                time_s: 300.0,
+                sender: ApId(s),
+                receiver: ApId(rx),
+                obs: &[RateObs {
+                    rate,
+                    loss,
+                    snr_db: 15.0,
+                }],
+            }]
+            .into_iter()
+            .collect()
         };
-        let rev = |rate: BitRate, loss: f64| ProbeSet {
-            sender: ApId(1),
-            receiver: ApId(0),
-            ..probe(rate, loss)
-        };
+        let probe = |rate, loss| link(0, 1, rate, loss);
+        let rev = |rate, loss| link(1, 0, rate, loss);
         Dataset {
             networks: vec![NetworkMeta {
                 id: NetworkId(0),
@@ -182,14 +183,17 @@ mod tests {
                 radios: vec![Phy::Bg],
                 location: String::new(),
             }],
-            probes: vec![
+            probes: [
                 probe(r(1.0), 0.0),
                 rev(r(1.0), 0.0),
                 probe(r(11.0), 0.2),
                 rev(r(11.0), 0.2),
                 probe(r(48.0), 0.95),
                 rev(r(48.0), 0.95),
-            ],
+            ]
+            .iter()
+            .flatten()
+            .collect(),
             clients: vec![],
             probe_horizon_s: 600.0,
             client_horizon_s: 0.0,

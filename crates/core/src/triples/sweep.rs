@@ -128,7 +128,7 @@ pub fn rule_comparison(
 mod tests {
     use super::*;
     use mesh11_trace::{
-        ApId, Dataset, DatasetIndex, EnvLabel, NetworkId, NetworkMeta, ProbeSet, RateObs,
+        ApId, Dataset, DatasetIndex, EnvLabel, NetworkId, NetworkMeta, Probe, ProbeTable, RateObs,
     };
 
     fn r1() -> BitRate {
@@ -137,17 +137,21 @@ mod tests {
 
     /// A–B and B–C at 40% delivery, A–C at 15%: hidden only for t > 0.15.
     fn chainish() -> Dataset {
-        let link = |s: u32, rx: u32, loss: f64| ProbeSet {
-            network: NetworkId(0),
-            phy: Phy::Bg,
-            time_s: 300.0,
-            sender: ApId(s),
-            receiver: ApId(rx),
-            obs: vec![RateObs {
-                rate: r1(),
-                loss,
-                snr_db: 8.0,
-            }],
+        let link = |s: u32, rx: u32, loss: f64| -> ProbeTable {
+            [Probe {
+                network: NetworkId(0),
+                phy: Phy::Bg,
+                time_s: 300.0,
+                sender: ApId(s),
+                receiver: ApId(rx),
+                obs: &[RateObs {
+                    rate: r1(),
+                    loss,
+                    snr_db: 8.0,
+                }],
+            }]
+            .into_iter()
+            .collect()
         };
         Dataset {
             networks: vec![NetworkMeta {
@@ -157,14 +161,17 @@ mod tests {
                 radios: vec![Phy::Bg],
                 location: String::new(),
             }],
-            probes: vec![
+            probes: [
                 link(0, 1, 0.6),
                 link(1, 0, 0.6),
                 link(1, 2, 0.6),
                 link(2, 1, 0.6),
                 link(0, 2, 0.85),
                 link(2, 0, 0.85),
-            ],
+            ]
+            .iter()
+            .flatten()
+            .collect(),
             clients: vec![],
             probe_horizon_s: 600.0,
             client_horizon_s: 0.0,

@@ -77,8 +77,10 @@ pub enum RateClass {
 /// A concrete transmit configuration.
 ///
 /// Ordering is by nominal rate (kbps), breaking ties by MCS index so that the
-/// rate list of a PHY is strictly ordered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// rate list of a PHY is strictly ordered. Every value is an entry of
+/// [`BG_ALL`] or [`HT_ALL`]: the constructors look rates up in those tables,
+/// and deserialization refuses anything else.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct BitRate {
     /// Nominal data rate in kbit/s.
     kbps: u32,
@@ -160,6 +162,7 @@ impl BitRate {
     }
 
     /// The PHY this rate belongs to.
+    #[inline]
     pub fn phy(self) -> Phy {
         if self.class == RateClass::Ht {
             Phy::Ht
@@ -168,14 +171,37 @@ impl BitRate {
         }
     }
 
-    /// Dense index of this rate within its PHY's `all_rates()` list.
-    /// Lets analysis code use flat arrays instead of hash maps.
+    /// Dense index of this rate within its PHY's `all_rates()` list, in
+    /// constant time: a table slot looked up by nominal rate (b/g) or by
+    /// MCS and guard interval (HT). Lets analysis code use flat arrays
+    /// instead of hash maps.
+    // Inlined across crates: the codecs and the delivery stacks call it
+    // once per observation.
+    #[inline]
     pub fn index(self) -> usize {
-        self.phy()
-            .all_rates()
-            .iter()
-            .position(|r| *r == self)
-            .expect("every constructed BitRate is in its PHY table")
+        self.slot()
+            .expect("every BitRate is an entry of its PHY table")
+    }
+
+    /// The table slot these field values map to. Exact for every rate the
+    /// constructors and deserialization admit (each is a table entry).
+    #[inline]
+    fn slot(self) -> Option<usize> {
+        let slot = if self.class == RateClass::Ht {
+            *HT_SLOTS
+                .get(usize::from(self.mcs))?
+                .get(usize::from(self.short_gi))?
+        } else {
+            *BG_SLOTS.get((self.kbps / 500) as usize)?
+        };
+        Some(usize::from(slot))
+    }
+
+    /// [`BitRate::index`] when these field values are an entry of their
+    /// PHY's table, `None` otherwise: the slot must hold this exact rate.
+    fn checked_index(self) -> Option<usize> {
+        self.slot()
+            .filter(|&i| self.phy().all_rates().get(i) == Some(&self))
     }
 
     /// Throughput (Mbit/s) at a given delivery probability — the paper's
@@ -183,6 +209,26 @@ impl BitRate {
     pub fn throughput_mbps(self, success: f64) -> f64 {
         debug_assert!((0.0..=1.0 + 1e-9).contains(&success));
         self.mbps() * success.clamp(0.0, 1.0)
+    }
+}
+
+impl Deserialize for BitRate {
+    /// Parses the serialized fields and accepts only a rate of one of the
+    /// two PHY tables: a value in neither would break [`BitRate::index`]
+    /// and every rate-indexed array downstream.
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        use serde::__private::{as_object, field};
+        let f = as_object(v, "BitRate")?;
+        let rate = BitRate {
+            kbps: field(f, "kbps", "BitRate")?,
+            class: field(f, "class", "BitRate")?,
+            mcs: field(f, "mcs", "BitRate")?,
+            short_gi: field(f, "short_gi", "BitRate")?,
+        };
+        match rate.checked_index() {
+            Some(_) => Ok(rate),
+            None => Err(serde::Error::msg(format!("{rate:?} is in no rate table"))),
+        }
     }
 }
 
@@ -219,7 +265,9 @@ impl fmt::Display for BitRate {
 }
 
 /// All 802.11b/g rates, ascending.
-pub static BG_ALL: &[BitRate] = &[
+pub static BG_ALL: &[BitRate] = &BG_TABLE;
+
+const BG_TABLE: [BitRate; 12] = [
     BitRate::legacy(1_000, RateClass::Dsss),
     BitRate::legacy(2_000, RateClass::Dsss),
     BitRate::legacy(5_500, RateClass::Cck),
@@ -248,7 +296,9 @@ pub static BG_PROBED: &[BitRate] = &[
 
 /// All HT (802.11n, 20 MHz) configurations: MCS 0–15 × {long, short} GI,
 /// ascending by nominal rate. 32 configurations.
-pub static HT_ALL: &[BitRate] = &[
+pub static HT_ALL: &[BitRate] = &HT_TABLE;
+
+const HT_TABLE: [BitRate; 32] = [
     BitRate::ht(6_500, 0, false),
     BitRate::ht(7_200, 0, true),
     BitRate::ht(13_000, 1, false),
@@ -282,6 +332,29 @@ pub static HT_ALL: &[BitRate] = &[
     BitRate::ht(130_000, 15, false),
     BitRate::ht(144_400, 15, true),
 ];
+
+/// Position in `BG_TABLE` by `kbps / 500` (every b/g rate is a multiple
+/// of 500 kbit/s); `u8::MAX` where no rate sits.
+const BG_SLOTS: [u8; 109] = {
+    let mut t = [u8::MAX; 109];
+    let mut i = 0;
+    while i < BG_TABLE.len() {
+        t[(BG_TABLE[i].kbps / 500) as usize] = i as u8;
+        i += 1;
+    }
+    t
+};
+
+/// Position in `HT_TABLE` by `[mcs][short_gi]`.
+const HT_SLOTS: [[u8; 2]; 16] = {
+    let mut t = [[u8::MAX; 2]; 16];
+    let mut i = 0;
+    while i < HT_TABLE.len() {
+        t[HT_TABLE[i].mcs as usize][HT_TABLE[i].short_gi as usize] = i as u8;
+        i += 1;
+    }
+    t
+};
 
 #[cfg(test)]
 mod tests {
@@ -334,6 +407,44 @@ mod tests {
     fn index_round_trips() {
         for &r in BG_ALL.iter().chain(HT_ALL) {
             assert_eq!(r.phy().all_rates()[r.index()], r);
+        }
+    }
+
+    #[test]
+    fn index_agrees_with_table_position() {
+        for table in [BG_ALL, HT_ALL] {
+            for (i, &r) in table.iter().enumerate() {
+                assert_eq!(r.index(), i, "{r}");
+                assert_eq!(r.checked_index(), Some(i), "{r}");
+            }
+        }
+    }
+
+    #[test]
+    fn only_table_rates_deserialize() {
+        for &r in BG_ALL.iter().chain(HT_ALL) {
+            assert_eq!(BitRate::from_value(&r.to_value()).unwrap(), r);
+        }
+        let bogus = BitRate::legacy(7_000, RateClass::Ofdm);
+        assert!(BitRate::from_value(&bogus.to_value()).is_err());
+    }
+
+    #[test]
+    fn checked_index_rejects_rates_in_no_table() {
+        let off_table = [
+            BitRate::legacy(7_000, RateClass::Ofdm),
+            BitRate::legacy(7_500, RateClass::Ofdm),
+            BitRate::legacy(1_000, RateClass::Ofdm), // wrong class for 1 Mbit/s
+            BitRate::legacy(1_000_000, RateClass::Dsss),
+            BitRate::ht(6_500, 16, false),
+            BitRate::ht(6_500, 1, false), // MCS1 is 13 Mbit/s
+            BitRate {
+                mcs: 3,
+                ..BitRate::legacy(1_000, RateClass::Dsss)
+            },
+        ];
+        for r in off_table {
+            assert_eq!(r.checked_index(), None, "{r:?}");
         }
     }
 

@@ -40,7 +40,7 @@ use mesh11_channel::PolarNormal;
 use mesh11_phy::{BitRate, CompactRow, Phy, SuccessTable};
 use mesh11_stats::dist::{derive_seed, derive_seed_str, standard_normal};
 use mesh11_topo::NetworkSpec;
-use mesh11_trace::{ApId, ProbeSet, RateObs};
+use mesh11_trace::{ApId, ProbeTable};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use rayon::prelude::*;
@@ -55,7 +55,7 @@ use crate::ring::{probe_slots, PairWindows};
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClientProbeTrace {
     /// Probe sets with `receiver = ApId(n_aps + client)`.
-    pub probes: Vec<ProbeSet>,
+    pub probes: ProbeTable,
     /// Pseudo-receiver ids of *static* clients; everything else is mobile.
     pub static_receivers: BTreeSet<u32>,
     /// Pseudo-receiver ids of fast movers (≥ 5 m/s); the hardest class for
@@ -159,7 +159,7 @@ fn simulate_one_client(
     intf: &[f64],
     bbox: ((f64, f64), (f64, f64)),
     seed: u64,
-) -> Vec<ProbeSet> {
+) -> ProbeTable {
     let phy = Phy::Bg;
     let n_aps = spec.size();
     let ci = client.id.0 as usize;
@@ -191,8 +191,7 @@ fn simulate_one_client(
         );
     }
 
-    let mut out: Vec<ProbeSet> = Vec::new();
-    let mut obs_buf: Vec<RateObs> = Vec::with_capacity(rates.len());
+    let mut out = ProbeTable::new();
     // `t` accumulates additively (it is the reported time and must stay on
     // the same float grid as the sequential engine's); `tick` is the
     // integer slot index keying the ring.
@@ -239,16 +238,8 @@ fn simulate_one_client(
         if t + eps >= next_report {
             if active {
                 for ap in 0..n_aps {
-                    observations_into(&win, ap, rates, &mut obs_buf);
-                    if !obs_buf.is_empty() {
-                        out.push(ProbeSet {
-                            network: spec.id,
-                            phy,
-                            time_s: t,
-                            sender: ApId(ap as u32),
-                            receiver: ApId((n_aps + ci) as u32),
-                            obs: obs_buf.clone(),
-                        });
+                    if observations_into(&win, ap, rates, &mut out) {
+                        out.seal(spec.id, phy, t, ApId(ap as u32), ApId((n_aps + ci) as u32));
                     }
                 }
             }
@@ -319,7 +310,7 @@ pub fn simulate_client_probes_batch(
         .enumerate()
         .flat_map(|(si, p)| (0..p.population.len()).map(move |ci| (si, ci)))
         .collect();
-    let streams: Vec<Vec<ProbeSet>> = items
+    let streams: Vec<ProbeTable> = items
         .par_iter()
         .map(|&(si, ci)| {
             let p = &preps[si];
@@ -347,7 +338,7 @@ pub fn simulate_client_probes_batch(
         .iter()
         .zip(specs)
         .map(|(p, spec)| {
-            let net_streams: Vec<Vec<ProbeSet>> =
+            let net_streams: Vec<ProbeTable> =
                 (&mut stream_iter).take(p.population.len()).collect();
             let (static_receivers, fast_receivers) = classify(&p.population, spec.size());
             ClientProbeTrace {
@@ -367,6 +358,7 @@ pub fn simulate_client_probes_batch(
 pub(crate) mod reference {
     use super::*;
     use crate::window::LossWindow;
+    use mesh11_trace::{Probe, RateObs};
 
     pub(crate) fn simulate_client_probes_with_table(
         spec: &NetworkSpec,
@@ -428,7 +420,7 @@ pub(crate) mod reference {
             .collect();
         let mut last_snr = vec![vec![vec![f64::NAN; rates.len()]; n_aps]; population.len()];
 
-        let mut probes = Vec::new();
+        let mut probes = ProbeTable::new();
         let mut t = cfg.probe_interval_s;
         let mut next_report = cfg.report_interval_s;
         let eps = 1e-9;
@@ -476,13 +468,13 @@ pub(crate) mod reference {
                             })
                             .collect();
                         if !obs.is_empty() {
-                            probes.push(ProbeSet {
+                            probes.push(Probe {
                                 network: spec.id,
                                 phy,
                                 time_s: t,
                                 sender: ApId(ap as u32),
                                 receiver: ApId((n_aps + ci) as u32),
-                                obs,
+                                obs: &obs,
                             });
                         }
                     }
@@ -636,7 +628,7 @@ mod tests {
             };
             out[k].0 += 1;
             out[k].1 += p.snr_db();
-            for o in &p.obs {
+            for o in p.obs {
                 out[k].2 += o.loss;
                 loss_n[k] += 1;
             }
@@ -731,7 +723,7 @@ mod tests {
                 perm.swap(i, j);
             }
 
-            let mut streams: Vec<Vec<ProbeSet>> = vec![Vec::new(); n];
+            let mut streams: Vec<ProbeTable> = vec![ProbeTable::new(); n];
             for &ci in &perm {
                 let client = &prep.population[ci];
                 streams[ci] = simulate_one_client(

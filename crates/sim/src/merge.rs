@@ -22,7 +22,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use mesh11_trace::ProbeSet;
+use mesh11_trace::{ProbeSet, ProbeTable};
 
 /// `f64` report times wrapped with a total order (probe times are always
 /// finite; the old sort paths unwrapped `partial_cmp` the same way).
@@ -38,71 +38,98 @@ impl Ord for TotalF64 {
     }
 }
 
-fn kway_merge<K: Ord>(
-    streams: Vec<Vec<ProbeSet>>,
+/// Appends the merge of `streams` to `out`: each popped set's header and
+/// observation slice are copied over, and each stream is dropped with the
+/// merge.
+fn kway_merge_into<K: Ord>(
+    out: &mut ProbeTable,
+    streams: Vec<ProbeTable>,
     key: impl Fn(&ProbeSet, usize) -> K,
-) -> Vec<ProbeSet> {
-    let total: usize = streams.iter().map(Vec::len).sum();
-    let mut cursors: Vec<std::iter::Peekable<std::vec::IntoIter<ProbeSet>>> = streams
-        .into_iter()
-        .map(|s| s.into_iter().peekable())
-        .collect();
-    let mut heap: BinaryHeap<Reverse<(K, usize)>> = BinaryHeap::with_capacity(cursors.len());
-    for (i, c) in cursors.iter_mut().enumerate() {
-        if let Some(head) = c.peek() {
+) {
+    let sets = streams.iter().map(ProbeTable::len).sum();
+    let obs = streams.iter().map(|s| s.observations().len()).sum();
+    out.reserve(sets, obs);
+    let mut heads = vec![0usize; streams.len()];
+    let mut heap: BinaryHeap<Reverse<(K, usize)>> = BinaryHeap::with_capacity(streams.len());
+    for (i, s) in streams.iter().enumerate() {
+        if let Some(head) = s.rows().first() {
             heap.push(Reverse((key(head, i), i)));
         }
     }
-    let mut out = Vec::with_capacity(total);
     while let Some(Reverse((_, i))) = heap.pop() {
-        let item = cursors[i].next().expect("heap entry implies a head");
-        out.push(item);
-        if let Some(head) = cursors[i].peek() {
+        let s = &streams[i];
+        out.push(s.get(heads[i]));
+        heads[i] += 1;
+        if let Some(head) = s.rows().get(heads[i]) {
             heap.push(Reverse((key(head, i), i)));
         }
     }
-    out
 }
 
 /// Merges time-ordered streams into the order a stable sort by `time_s` of
 /// their concatenation would produce (ties broken by stream index, then
 /// within-stream position).
-pub(crate) fn merge_time_stable(streams: Vec<Vec<ProbeSet>>) -> Vec<ProbeSet> {
-    kway_merge(streams, |p, i| (TotalF64(p.time_s), i))
+pub(crate) fn merge_time_stable(streams: Vec<ProbeTable>) -> ProbeTable {
+    let mut out = ProbeTable::new();
+    kway_merge_into(&mut out, streams, |p, i| (TotalF64(p.time_s), i));
+    out
 }
 
-/// Merges streams that are each ordered by `(time, phy, sender, receiver)`
-/// into the globally ordered probe table — the campaign dataset order.
-pub(crate) fn merge_report_order(streams: Vec<Vec<ProbeSet>>) -> Vec<ProbeSet> {
-    kway_merge(streams, |p, _| {
+/// Appends the merge of streams that are each ordered by `(time, phy,
+/// sender, receiver)` to `out` — one network's slice of the campaign
+/// dataset order.
+pub(crate) fn merge_report_order_into(out: &mut ProbeTable, streams: Vec<ProbeTable>) {
+    kway_merge_into(out, streams, |p, _| {
         (TotalF64(p.time_s), p.phy, p.sender, p.receiver)
-    })
+    });
+}
+
+/// [`merge_report_order_into`] a fresh table.
+pub(crate) fn merge_report_order(streams: Vec<ProbeTable>) -> ProbeTable {
+    let mut out = ProbeTable::new();
+    merge_report_order_into(&mut out, streams);
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mesh11_phy::Phy;
-    use mesh11_trace::{ApId, NetworkId};
-
-    fn probe(t: f64, phy: Phy, s: u32, r: u32) -> ProbeSet {
-        ProbeSet {
-            network: NetworkId(0),
-            phy,
-            time_s: t,
-            sender: ApId(s),
-            receiver: ApId(r),
-            obs: Vec::new(),
-        }
-    }
+    use mesh11_trace::{ApId, NetworkId, Probe, RateObs};
 
     /// A synthetic pair stream: both directions every `step` seconds, like
-    /// the engine's per-pair output.
-    fn pair_stream(a: u32, b: u32, phy: Phy, ticks: &[f64]) -> Vec<ProbeSet> {
-        ticks
-            .iter()
-            .flat_map(|&t| [probe(t, phy, a, b), probe(t, phy, b, a)])
-            .collect()
+    /// the engine's per-pair output. Each set carries one observation whose
+    /// SNR tags its stream and position, so a merge that paired a header
+    /// with the wrong observations would show.
+    fn pair_stream(a: u32, b: u32, phy: Phy, ticks: &[f64]) -> ProbeTable {
+        let mut out = ProbeTable::new();
+        for &t in ticks {
+            for (s, r) in [(a, b), (b, a)] {
+                out.push(Probe {
+                    network: NetworkId(0),
+                    phy,
+                    time_s: t,
+                    sender: ApId(s),
+                    receiver: ApId(r),
+                    obs: &[RateObs {
+                        rate: phy.base_rate(),
+                        loss: 0.0,
+                        snr_db: f64::from(a * 100 + b * 10) + t / 1e4 + f64::from(s),
+                    }],
+                });
+            }
+        }
+        out
+    }
+
+    /// The streams concatenated, then stably sorted by `cmp`.
+    fn sorted_concat(
+        streams: &[ProbeTable],
+        cmp: impl Fn(&Probe<'_>, &Probe<'_>) -> std::cmp::Ordering,
+    ) -> ProbeTable {
+        let mut all: Vec<Probe<'_>> = streams.iter().flatten().collect();
+        all.sort_by(|x, y| cmp(x, y));
+        all.into_iter().collect()
     }
 
     #[test]
@@ -110,11 +137,12 @@ mod tests {
         let streams = vec![
             pair_stream(0, 1, Phy::Bg, &[300.0, 600.0, 900.0]),
             pair_stream(0, 2, Phy::Bg, &[300.0, 900.0]), // a silent round
-            Vec::new(),                                  // a pair that never reported
+            ProbeTable::new(),                           // a pair that never reported
             pair_stream(1, 2, Phy::Bg, &[600.0, 900.0]),
         ];
-        let mut expect: Vec<ProbeSet> = streams.iter().flatten().cloned().collect();
-        expect.sort_by(|x, y| x.time_s.partial_cmp(&y.time_s).expect("finite"));
+        let expect = sorted_concat(&streams, |x, y| {
+            x.time_s.partial_cmp(&y.time_s).expect("finite")
+        });
         assert_eq!(merge_time_stable(streams), expect);
     }
 
@@ -126,8 +154,7 @@ mod tests {
             pair_stream(0, 1, Phy::Bg, &[300.0, 600.0]),
             pair_stream(1, 3, Phy::Bg, &[600.0]),
         ];
-        let mut expect: Vec<ProbeSet> = streams.iter().flatten().cloned().collect();
-        expect.sort_by(|a, b| {
+        let expect = sorted_concat(&streams, |a, b| {
             (a.time_s, a.phy, a.sender, a.receiver)
                 .partial_cmp(&(b.time_s, b.phy, b.sender, b.receiver))
                 .expect("finite")

@@ -30,7 +30,7 @@ use mesh11_channel::{LinkModel, RadioHardware, SnrSample};
 use mesh11_phy::{BitRate, Phy, RateRow, SuccessTable};
 use mesh11_stats::dist::{derive_seed, derive_seed_str};
 use mesh11_topo::NetworkSpec;
-use mesh11_trace::{ApId, NetworkId, ProbeSet, RateObs};
+use mesh11_trace::{ApId, NetworkId, ProbeTable, RateObs};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use rayon::prelude::*;
@@ -111,7 +111,7 @@ pub(crate) fn coin_base(seed: u64, phy: Phy) -> u64 {
 
 /// Simulates the probe pipeline of one network radio and returns its probe
 /// sets in time order.
-pub fn simulate_probes(spec: &NetworkSpec, phy: Phy, cfg: &SimConfig) -> Vec<ProbeSet> {
+pub fn simulate_probes(spec: &NetworkSpec, phy: Phy, cfg: &SimConfig) -> ProbeTable {
     let table = mesh11_phy::shared_success_table(mesh11_phy::PerModel::default());
     simulate_probes_with_table(spec, phy, cfg, table)
 }
@@ -123,14 +123,14 @@ pub fn simulate_probes_with_table(
     phy: Phy,
     cfg: &SimConfig,
     table: &SuccessTable,
-) -> Vec<ProbeSet> {
+) -> ProbeTable {
     let rates = phy.probed_rates();
     let rows: Vec<RateRow<'_>> = rates.iter().map(|&r| table.rate_row(r)).collect();
     let pairs = discover_pairs(spec, phy, cfg);
     let base = coin_base(spec.seed, phy);
     let faults = cfg.faults.compile(spec.id);
 
-    let per_pair: Vec<Vec<ProbeSet>> = pairs
+    let per_pair: Vec<ProbeTable> = pairs
         .par_iter()
         .map(|pair| simulate_pair(spec.id, phy, cfg, &rows, rates, pair, base, &faults))
         .collect();
@@ -157,7 +157,7 @@ pub(crate) fn simulate_pair(
     pair: &PairSim,
     coin_base: u64,
     faults: &CompiledFaults,
-) -> Vec<ProbeSet> {
+) -> ProbeTable {
     let (a, b) = (ApId(pair.a), ApId(pair.b));
     let mut link = pair.link.clone();
     let slots = probe_slots(cfg.window_s, cfg.probe_interval_s);
@@ -172,8 +172,9 @@ pub(crate) fn simulate_pair(
     let mut b_outages = faults.outage_cursor(b);
     let mut bursts = faults.burst_cursor();
 
-    let mut out: Vec<ProbeSet> = Vec::new();
-    let mut obs_buf: Vec<RateObs> = Vec::with_capacity(rates.len());
+    // The pair's own table: each report's observations are written
+    // straight into its arena.
+    let mut out = ProbeTable::new();
     // Per-tick lane slabs, hoisted across the whole timeline: lane
     // `2·ri + dir` carries rate `ri`, forward (0) or reverse (1). The lane
     // order equals the scalar loop's draw order (fwd₀, rev₀, fwd₁, …), so
@@ -266,62 +267,47 @@ pub(crate) fn simulate_pair(
             // Reports are produced by the *receiver*; a dead receiver
             // stays silent this round. Aliveness at the cut is the same
             // `a_up`/`b_up` already evaluated for this tick's records.
-            if b_up {
-                observations_into(&win, FWD, rates, &mut obs_buf);
-                if !obs_buf.is_empty() {
-                    out.push(ProbeSet {
-                        network,
-                        phy,
-                        time_s: t,
-                        sender: a,
-                        receiver: b,
-                        obs: obs_buf.clone(),
-                    });
-                }
+            if b_up && observations_into(&win, FWD, rates, &mut out) {
+                out.seal(network, phy, t, a, b);
             }
-            if a_up {
-                observations_into(&win, REV, rates, &mut obs_buf);
-                if !obs_buf.is_empty() {
-                    out.push(ProbeSet {
-                        network,
-                        phy,
-                        time_s: t,
-                        sender: b,
-                        receiver: a,
-                        obs: obs_buf.clone(),
-                    });
-                }
+            if a_up && observations_into(&win, REV, rates, &mut out) {
+                out.seal(network, phy, t, b, a);
             }
             next_report += cfg.report_interval_s;
         }
         t += cfg.probe_interval_s;
         tick += 1;
     }
+    // The table waits for the whole campaign's pairs before it is merged;
+    // its growth slack goes back to this thread's next pair.
+    out.shrink_to_fit();
     out
 }
 
-/// Fills `buf` with the rate observations of one report lane; leaves
-/// it empty when nothing in the window was received. Taking a scratch
-/// buffer (rather than returning a fresh `Vec`) keeps the per-report cost
-/// allocation-free across the many silent report intervals. Shared with
-/// the client path ([`crate::client_probes`]), whose lanes are APs.
+/// Appends the rate observations of one report lane to `out`'s open set
+/// and returns whether there were any (nothing is appended when nothing
+/// in the window was received); the caller seals the set. Writing into
+/// the table's arena keeps the per-report cost allocation-free. Shared
+/// with the client path ([`crate::client_probes`]), whose lanes are APs.
 pub(crate) fn observations_into(
     win: &PairWindows,
     dir: usize,
     rates: &[BitRate],
-    buf: &mut Vec<RateObs>,
-) {
-    buf.clear();
+    out: &mut ProbeTable,
+) -> bool {
+    let mut any = false;
     for (ri, &rate) in rates.iter().enumerate() {
         if win.received(dir, ri) == 0 {
             continue;
         }
-        buf.push(RateObs {
+        out.push_obs(RateObs {
             rate,
             loss: win.loss(dir, ri).expect("received > 0 implies non-empty"),
             snr_db: win.last_snr(dir, ri),
         });
+        any = true;
     }
+    any
 }
 
 /// The original `VecDeque`-window, naive-fault-scan engine, kept verbatim
@@ -330,6 +316,7 @@ pub(crate) fn observations_into(
 pub(crate) mod reference {
     use super::*;
     use crate::window::LossWindow;
+    use mesh11_trace::Probe;
 
     struct DirState {
         windows: Vec<LossWindow>,
@@ -368,16 +355,23 @@ pub(crate) mod reference {
         phy: Phy,
         cfg: &SimConfig,
         table: &SuccessTable,
-    ) -> Vec<ProbeSet> {
+    ) -> ProbeTable {
         let rates = phy.probed_rates();
         let pairs = discover_pairs(spec, phy, cfg);
         let base = coin_base(spec.seed, phy);
-        let mut out: Vec<ProbeSet> = pairs
-            .iter()
-            .flat_map(|pair| simulate_pair(spec, phy, cfg, table, rates, pair, base))
-            .collect();
-        out.sort_by(|x, y| x.time_s.partial_cmp(&y.time_s).expect("finite times"));
-        out
+        let mut all = ProbeTable::new();
+        for pair in &pairs {
+            all.append(simulate_pair(spec, phy, cfg, table, rates, pair, base));
+        }
+        // Stable sort by time, through a position permutation.
+        let mut order: Vec<usize> = (0..all.len()).collect();
+        order.sort_by(|&x, &y| {
+            all[x]
+                .time_s
+                .partial_cmp(&all[y].time_s)
+                .expect("finite times")
+        });
+        order.into_iter().map(|i| all.get(i)).collect()
     }
 
     fn simulate_pair(
@@ -388,7 +382,7 @@ pub(crate) mod reference {
         rates: &[BitRate],
         pair: &PairSim,
         coin_base: u64,
-    ) -> Vec<ProbeSet> {
+    ) -> ProbeTable {
         let (a, b) = (ApId(pair.a), ApId(pair.b));
         let mut link = pair.link.clone();
         let mut fwd = DirState::new(rates.len(), cfg.window_s);
@@ -398,7 +392,7 @@ pub(crate) mod reference {
             (u64::from(pair.a) << 32) | u64::from(pair.b),
         ));
 
-        let mut out: Vec<ProbeSet> = Vec::new();
+        let mut out = ProbeTable::new();
         let mut obs_buf: Vec<RateObs> = Vec::with_capacity(rates.len());
         let mut t = cfg.probe_interval_s;
         let mut next_report = cfg.report_interval_s;
@@ -445,26 +439,26 @@ pub(crate) mod reference {
                 if cfg.faults.ap_up(spec.id, b, t) {
                     fwd.observations_into(rates, &mut obs_buf);
                     if !obs_buf.is_empty() {
-                        out.push(ProbeSet {
+                        out.push(Probe {
                             network: spec.id,
                             phy,
                             time_s: t,
                             sender: a,
                             receiver: b,
-                            obs: obs_buf.clone(),
+                            obs: &obs_buf,
                         });
                     }
                 }
                 if cfg.faults.ap_up(spec.id, a, t) {
                     rev.observations_into(rates, &mut obs_buf);
                     if !obs_buf.is_empty() {
-                        out.push(ProbeSet {
+                        out.push(Probe {
                             network: spec.id,
                             phy,
                             time_s: t,
                             sender: b,
                             receiver: a,
-                            obs: obs_buf.clone(),
+                            obs: &obs_buf,
                         });
                     }
                 }
@@ -603,7 +597,7 @@ mod tests {
                 end_s: 2_400.0,
                 penalty_db: 15.0,
             });
-        let loss_at = |probes: &[ProbeSet], mbps: f64| {
+        let loss_at = |probes: &ProbeTable, mbps: f64| {
             let r = mesh11_phy::BitRate::bg_mbps(mbps).unwrap();
             let l: Vec<f64> = probes
                 .iter()
@@ -629,7 +623,7 @@ mod tests {
         assert!(probes.iter().all(|p| p.phy == Phy::Ht));
         assert!(probes
             .iter()
-            .flat_map(|p| &p.obs)
+            .flat_map(|p| p.obs)
             .all(|o| o.rate.mcs().is_some()));
     }
 

@@ -13,13 +13,13 @@
 
 use mesh11_phy::{Phy, RateRow, SuccessTable};
 use mesh11_topo::{Campaign, NetworkSpec};
-use mesh11_trace::{Dataset, NetworkMeta, ProbeSet};
+use mesh11_trace::{Dataset, NetworkMeta, ProbeTable};
 use rayon::prelude::*;
 
 use crate::client_engine::simulate_clients;
 use crate::config::SimConfig;
 use crate::fault::CompiledFaults;
-use crate::merge::merge_report_order;
+use crate::merge::{merge_report_order, merge_report_order_into};
 use crate::probe_engine::{coin_base, discover_pairs, simulate_pair, PairSim};
 
 /// Everything needed to simulate any pair of one network radio: the
@@ -51,7 +51,7 @@ impl SimConfig {
     /// As [`SimConfig::run_network`] with a shared success table.
     pub fn run_network_with_table(&self, spec: &NetworkSpec, table: &SuccessTable) -> Dataset {
         let faults = self.faults.compile(spec.id);
-        let mut streams: Vec<Vec<ProbeSet>> = Vec::new();
+        let mut streams: Vec<ProbeTable> = Vec::new();
         for &radio in &spec.radios {
             let rates = radio.probed_rates();
             let rows: Vec<RateRow<'_>> = rates.iter().map(|&r| table.rate_row(r)).collect();
@@ -103,16 +103,12 @@ impl SimConfig {
         campaign: &Campaign,
         table: &SuccessTable,
     ) -> (Dataset, CampaignRunStats) {
-        let (parts, stats) = self.run_specs_with_table(&campaign.networks, table);
-        let mut merged = Dataset {
-            probe_horizon_s: self.probe_horizon_s,
-            client_horizon_s: self.client_horizon_s,
-            ..Dataset::default()
+        let refs: Vec<&NetworkSpec> = campaign.networks.iter().collect();
+        let (mut outs, pair_counts) = self.run_spec_refs_with_table(&refs, table, 1, |_| 0);
+        let stats = CampaignRunStats {
+            pairs_simulated: pair_counts.iter().sum(),
         };
-        for part in parts {
-            merged.merge(part);
-        }
-        (merged, stats)
+        (outs.pop().expect("one output dataset"), stats)
     }
 
     /// Runs several campaigns — in practice one per seed of a multi-seed
@@ -134,24 +130,18 @@ impl SimConfig {
         table: &SuccessTable,
     ) -> Vec<(Dataset, CampaignRunStats)> {
         let refs: Vec<&NetworkSpec> = campaigns.iter().flat_map(|c| c.networks.iter()).collect();
-        let (parts, pair_counts) = self.run_spec_refs_with_table(&refs, table);
-        let mut out = Vec::with_capacity(campaigns.len());
-        let mut parts_iter = parts.into_iter();
-        let mut counts_iter = pair_counts.into_iter();
-        for campaign in campaigns {
-            let mut merged = Dataset {
-                probe_horizon_s: self.probe_horizon_s,
-                client_horizon_s: self.client_horizon_s,
-                ..Dataset::default()
-            };
-            let mut stats = CampaignRunStats::default();
-            for _ in 0..campaign.networks.len() {
-                merged.merge(parts_iter.next().expect("one part per network"));
-                stats.pairs_simulated += counts_iter.next().expect("one count per network");
-            }
-            out.push((merged, stats));
+        let owner: Vec<usize> = campaigns
+            .iter()
+            .enumerate()
+            .flat_map(|(k, c)| std::iter::repeat_n(k, c.networks.len()))
+            .collect();
+        let (outs, pair_counts) =
+            self.run_spec_refs_with_table(&refs, table, campaigns.len(), |ni| owner[ni]);
+        let mut stats = vec![CampaignRunStats::default(); campaigns.len()];
+        for (ni, pairs) in pair_counts.into_iter().enumerate() {
+            stats[owner[ni]].pairs_simulated += pairs;
         }
-        out
+        outs.into_iter().zip(stats).collect()
     }
 
     /// Streams a campaign's per-network datasets into `sink`, in network-id
@@ -188,21 +178,27 @@ impl SimConfig {
         table: &SuccessTable,
     ) -> (Vec<Dataset>, CampaignRunStats) {
         let refs: Vec<&NetworkSpec> = specs.iter().collect();
-        let (parts, pair_counts) = self.run_spec_refs_with_table(&refs, table);
+        let (parts, pair_counts) =
+            self.run_spec_refs_with_table(&refs, table, specs.len(), |ni| ni);
         let stats = CampaignRunStats {
             pairs_simulated: pair_counts.iter().sum(),
         };
         (parts, stats)
     }
 
-    /// [`SimConfig::run_specs_with_table`] by reference — the multi-seed
+    /// The scheduler over network specs by reference — the multi-seed
     /// path concatenates several campaigns' spec lists without cloning
-    /// specs — returning the per-spec candidate-pair counts alongside the
-    /// parts so callers can attribute work per campaign.
+    /// specs. Network `ni` lands in output dataset `out_of(ni)` of
+    /// `n_out`: each network's pair streams merge straight into its
+    /// output's probe table, in spec order, so the observations are copied
+    /// once. Returns the outputs and the per-spec candidate-pair counts,
+    /// so callers can attribute work per campaign.
     fn run_spec_refs_with_table(
         &self,
         specs: &[&NetworkSpec],
         table: &SuccessTable,
+        n_out: usize,
+        out_of: impl Fn(usize) -> usize,
     ) -> (Vec<Dataset>, Vec<usize>) {
         let rows_bg: Vec<RateRow<'_>> = Phy::Bg
             .probed_rates()
@@ -247,7 +243,7 @@ impl SimConfig {
         for plan in &plans {
             pair_counts[plan.network] += plan.pairs.len();
         }
-        let streams: Vec<Vec<ProbeSet>> = items
+        let streams: Vec<ProbeTable> = items
             .par_iter()
             .map(|&(pi, qi)| {
                 let plan = &plans[pi];
@@ -277,11 +273,26 @@ impl SimConfig {
 
         // Assembly: slice the stream list back into per-network groups
         // (contiguous by construction) and merge each in report order.
-        let mut parts = Vec::with_capacity(specs.len());
+        // Each output's table is allocated once, at its exact final size.
+        let mut sizes = vec![(0usize, 0usize); n_out];
+        for (&(pi, _), s) in items.iter().zip(&streams) {
+            let size = &mut sizes[out_of(plans[pi].network)];
+            size.0 += s.len();
+            size.1 += s.observations().len();
+        }
+        let mut outs: Vec<Dataset> = sizes
+            .into_iter()
+            .map(|(sets, obs)| Dataset {
+                probes: ProbeTable::with_capacity(sets, obs),
+                probe_horizon_s: self.probe_horizon_s,
+                client_horizon_s: self.client_horizon_s,
+                ..Dataset::default()
+            })
+            .collect();
         let mut stream_iter = streams.into_iter();
         let mut plan_iter = plans.iter().peekable();
         for (ni, (&spec, clients)) in specs.iter().zip(client_parts).enumerate() {
-            let mut net_streams: Vec<Vec<ProbeSet>> = Vec::new();
+            let mut net_streams: Vec<ProbeTable> = Vec::new();
             while let Some(plan) = plan_iter.peek() {
                 if plan.network != ni {
                     break;
@@ -291,15 +302,14 @@ impl SimConfig {
                 }
                 plan_iter.next();
             }
-            parts.push(Dataset {
-                networks: vec![network_meta(spec)],
-                probes: merge_report_order(net_streams),
-                clients,
-                probe_horizon_s: self.probe_horizon_s,
-                client_horizon_s: self.client_horizon_s,
-            });
+            // Campaign network ids are dense and ascending, so pushing in
+            // spec order keeps `networks` indexable by id.
+            let out = &mut outs[out_of(ni)];
+            out.networks.push(network_meta(spec));
+            out.clients.extend(clients);
+            merge_report_order_into(&mut out.probes, net_streams);
         }
-        (parts, pair_counts)
+        (outs, pair_counts)
     }
 }
 
@@ -334,7 +344,11 @@ mod tests {
         assert_eq!(ds.networks.len(), 1);
         assert_eq!(ds.networks[0].n_aps, spec.size());
         assert!(!ds.probes.is_empty());
-        assert!(ds.probes.windows(2).all(|w| w[0].time_s <= w[1].time_s));
+        assert!(ds
+            .probes
+            .rows()
+            .windows(2)
+            .all(|w| w[0].time_s <= w[1].time_s));
     }
 
     #[test]

@@ -73,7 +73,7 @@ use crate::dataset::{Dataset, NetworkMeta};
 use crate::ids::{ApId, NetworkId};
 use crate::index::{DatasetIndex, DatasetView, IndexStitcher, StitchedIndex};
 use crate::matrix::DeliveryMatrix;
-use crate::probe::{ProbeSet, RateObs};
+use crate::probe::{Probe, ProbeTable, RateObs};
 
 /// Which frame encoding evicted chunks spill under.
 ///
@@ -230,13 +230,13 @@ impl ProbeChunk {
     }
 
     /// Appends one probe set.
-    pub fn push(&mut self, p: &ProbeSet) {
+    pub fn push(&mut self, p: Probe<'_>) {
         self.networks.push(p.network.0);
         self.phys.push(phy_tag(p.phy));
         self.time_s.push(p.time_s);
         self.senders.push(p.sender.0);
         self.receivers.push(p.receiver.0);
-        for o in &p.obs {
+        for o in p.obs {
             self.obs_rate_idx.push(o.rate.index() as u8);
             self.obs_loss.push(o.loss);
             self.obs_snr.push(o.snr_db);
@@ -244,27 +244,31 @@ impl ProbeChunk {
         self.obs_off.push(self.obs_rate_idx.len() as u32);
     }
 
-    /// Reconstructs the probe set at `i` — an exact inverse of
-    /// [`ProbeChunk::push`] (rates round-trip through their PHY table
-    /// index, floats through their bits).
-    pub fn get(&self, i: usize) -> ProbeSet {
-        let phy = phy_from_tag(self.phys[i]).expect("chunk stores valid phy tags");
-        let rates = phy.all_rates();
-        let r = self.obs_off[i] as usize..self.obs_off[i + 1] as usize;
-        let obs = r
-            .map(|k| RateObs {
-                rate: rates[self.obs_rate_idx[k] as usize],
-                loss: self.obs_loss[k],
-                snr_db: self.obs_snr[k],
-            })
-            .collect();
-        ProbeSet {
-            network: NetworkId(self.networks[i]),
-            phy,
-            time_s: self.time_s[i],
-            sender: ApId(self.senders[i]),
-            receiver: ApId(self.receivers[i]),
-            obs,
+    /// Appends the probe sets at positions `sets` to `out` — an exact
+    /// inverse of [`ProbeChunk::push`] (rates round-trip through their PHY
+    /// table index, floats through their bits). The sets' observations
+    /// are one contiguous run of the columns (the `obs_off` prefix table),
+    /// copied into `out`'s arena in one pass.
+    pub fn copy_into(&self, sets: std::ops::Range<usize>, out: &mut ProbeTable) {
+        let obs = self.obs_off[sets.start] as usize..self.obs_off[sets.end] as usize;
+        out.reserve(sets.len(), obs.len());
+        for i in sets {
+            let phy = phy_from_tag(self.phys[i]).expect("chunk stores valid phy tags");
+            let rates = phy.all_rates();
+            for k in self.obs_off[i] as usize..self.obs_off[i + 1] as usize {
+                out.push_obs(RateObs {
+                    rate: rates[self.obs_rate_idx[k] as usize],
+                    loss: self.obs_loss[k],
+                    snr_db: self.obs_snr[k],
+                });
+            }
+            out.seal(
+                NetworkId(self.networks[i]),
+                phy,
+                self.time_s[i],
+                ApId(self.senders[i]),
+                ApId(self.receivers[i]),
+            );
         }
     }
 
@@ -1114,9 +1118,9 @@ impl ChunkedDatasetBuilder {
     /// continuing the stream. Probes enter the chunk sequence; metadata and
     /// clients stay in the in-memory shell.
     pub fn add(&mut self, part: Dataset) -> io::Result<()> {
-        for p in &part.probes {
+        for (p, row) in part.probes.iter().zip(part.probes.rows()) {
             self.current.push(p);
-            self.stitcher.observe(p);
+            self.stitcher.observe(row);
             if self.current.len() >= self.cfg.chunk_capacity {
                 let full = std::mem::replace(
                     &mut self.current,
@@ -1128,7 +1132,7 @@ impl ChunkedDatasetBuilder {
         // Per-network probe offsets: `part.probes` is network-major, so
         // count each network's run.
         let mut counts: Vec<u64> = vec![0; part.networks.len()];
-        for p in &part.probes {
+        for p in part.probes.rows() {
             let k = part
                 .networks
                 .iter()
@@ -1307,7 +1311,7 @@ impl ChunkedDataset {
         for m in &ds.networks {
             let part = Dataset {
                 networks: vec![m.clone()],
-                probes: ds.probes_for_network(m.id).cloned().collect(),
+                probes: ds.probes_for_network(m.id).collect(),
                 clients: ds.clients_for_network(m.id).cloned().collect(),
                 probe_horizon_s: ds.probe_horizon_s,
                 client_horizon_s: ds.client_horizon_s,
@@ -1490,16 +1494,14 @@ impl ChunkedDataset {
     pub fn window_dataset(&self, nets: std::ops::Range<usize>) -> Dataset {
         let p0 = self.net_probe_off[nets.start] as usize;
         let p1 = self.net_probe_off[nets.end] as usize;
-        let mut probes = Vec::with_capacity(p1 - p0);
+        let mut probes = ProbeTable::new();
         if p1 > p0 {
             let cap = self.chunk_capacity;
             for ci in (p0 / cap)..=((p1 - 1) / cap) {
                 let chunk = self.store.chunk(ci);
                 let lo = p0.saturating_sub(ci * cap);
                 let hi = (p1 - ci * cap).min(chunk.len());
-                for i in lo..hi {
-                    probes.push(chunk.get(i));
-                }
+                chunk.copy_into(lo..hi, &mut probes);
             }
         }
         Dataset {
@@ -1517,7 +1519,7 @@ impl ChunkedDataset {
     /// Stream order within a network is `(time, phy, sender, receiver)`-
     /// sorted, so filtering by PHY on the fly reproduces exactly the order
     /// an indexed per-(phy, network) walk yields.
-    pub fn for_each_network_probe(&self, net: usize, mut f: impl FnMut(&ProbeSet)) {
+    pub fn for_each_network_probe(&self, net: usize, mut f: impl FnMut(Probe<'_>)) {
         let p0 = self.net_probe_off[net] as usize;
         let p1 = self.net_probe_off[net + 1] as usize;
         if p1 <= p0 {
@@ -1528,9 +1530,9 @@ impl ChunkedDataset {
             let chunk = self.store.chunk(ci);
             let lo = p0.saturating_sub(ci * cap);
             let hi = (p1 - ci * cap).min(chunk.len());
-            for i in lo..hi {
-                f(&chunk.get(i));
-            }
+            let mut part = ProbeTable::new();
+            chunk.copy_into(lo..hi, &mut part);
+            part.iter().for_each(&mut f);
         }
     }
 }
@@ -1639,14 +1641,15 @@ mod tests {
     use crate::ids::EnvLabel;
     use mesh11_phy::BitRate;
 
-    fn probe(net: u32, s: u32, r: u32, t: f64, loss: f64) -> ProbeSet {
-        ProbeSet {
+    /// Appends one two-rate b/g probe set to `out`.
+    fn push_probe(out: &mut ProbeTable, net: u32, s: u32, r: u32, t: f64, loss: f64) {
+        out.push(Probe {
             network: NetworkId(net),
             phy: Phy::Bg,
             time_s: t,
             sender: ApId(s),
             receiver: ApId(r),
-            obs: vec![
+            obs: &[
                 RateObs {
                     rate: BitRate::bg_mbps(11.0).unwrap(),
                     loss,
@@ -1658,12 +1661,19 @@ mod tests {
                     snr_db: 20.25,
                 },
             ],
-        }
+        });
+    }
+
+    /// Every probe set of a chunk, in order.
+    fn all(c: &ProbeChunk) -> ProbeTable {
+        let mut t = ProbeTable::new();
+        c.copy_into(0..c.len(), &mut t);
+        t
     }
 
     /// A dataset with enough probes to span several tiny chunks.
     fn big_dataset() -> Dataset {
-        let mut probes = Vec::new();
+        let mut probes = ProbeTable::new();
         let mut networks = Vec::new();
         for net in 0..5u32 {
             networks.push(NetworkMeta {
@@ -1679,7 +1689,7 @@ mod tests {
             });
             for t in 0..40 {
                 for (s, r) in [(0u32, 1u32), (1, 0), (0, 2)] {
-                    probes.push(probe(net, s, r, 300.0 * (t + 1) as f64, 0.1));
+                    push_probe(&mut probes, net, s, r, 300.0 * (t + 1) as f64, 0.1);
                 }
             }
         }
@@ -1708,16 +1718,12 @@ mod tests {
             c.push(p);
         }
         assert_eq!(c.len(), ds.probes.len());
-        for (i, p) in ds.probes.iter().enumerate() {
-            assert_eq!(&c.get(i), p);
-        }
+        assert_eq!(all(&c), ds.probes);
         for codec in [SpillCodec::V1, SpillCodec::V2] {
             let mut raw = Vec::new();
             c.encode_with(codec, &mut raw);
             let back = ProbeChunk::decode_any(&raw).unwrap();
-            for (i, p) in ds.probes.iter().enumerate() {
-                assert_eq!(&back.get(i), p, "{codec:?}");
-            }
+            assert_eq!(all(&back), ds.probes, "{codec:?}");
         }
     }
 
@@ -1742,27 +1748,29 @@ mod tests {
 
     #[test]
     fn empty_and_single_probe_chunks_round_trip() {
+        let mut one = ProbeTable::new();
+        push_probe(&mut one, 7, 2, 3, 1234.5, 0.25);
         for codec in [SpillCodec::V1, SpillCodec::V2] {
             for n in [0usize, 1] {
                 let mut c = ProbeChunk::with_capacity(n);
                 if n == 1 {
-                    c.push(&probe(7, 2, 3, 1234.5, 0.25));
+                    c.push(one.get(0));
                 }
                 let mut raw = Vec::new();
                 c.encode_with(codec, &mut raw);
                 let back = ProbeChunk::decode_any(&raw).unwrap();
                 assert_eq!(back.len(), n, "{codec:?}");
-                if n == 1 {
-                    assert_eq!(back.get(0), probe(7, 2, 3, 1234.5, 0.25));
-                }
+                assert_eq!(all(&back), all(&c), "{codec:?}");
             }
         }
     }
 
     #[test]
     fn chunk_decode_rejects_truncation() {
+        let mut one = ProbeTable::new();
+        push_probe(&mut one, 0, 0, 1, 300.0, 0.2);
         let mut c = ProbeChunk::with_capacity(4);
-        c.push(&probe(0, 0, 1, 300.0, 0.2));
+        c.push(one.get(0));
         for codec in [SpillCodec::V1, SpillCodec::V2] {
             let mut raw = Vec::new();
             c.encode_with(codec, &mut raw);
@@ -1821,9 +1829,7 @@ mod tests {
         for ((off, len), orig) in extents.into_iter().zip([&a, &b]) {
             let back = ProbeChunk::decode_any(&stream[off..off + len]).unwrap();
             assert_eq!(back.len(), orig.len());
-            for i in 0..orig.len() {
-                assert_eq!(back.get(i), orig.get(i));
-            }
+            assert_eq!(all(&back), all(orig));
         }
     }
 
@@ -1838,9 +1844,9 @@ mod tests {
         );
         assert!(chunked.resident_chunks() <= 2);
         // Reconstructed windows concatenate back to the exact probe stream.
-        let mut got = Vec::new();
+        let mut got = ProbeTable::new();
         for w in chunked.windows() {
-            got.extend(chunked.window_dataset(w).probes);
+            got.append(chunked.window_dataset(w).probes);
         }
         assert_eq!(got, ds.probes);
         assert!(chunked.resident_chunks() <= 2, "reads stay within budget");
@@ -1856,9 +1862,9 @@ mod tests {
         };
         let chunked = ChunkedDataset::from_dataset(&ds, cfg).unwrap();
         assert_eq!(chunked.spilled_bytes(), 0, "fits in budget: no spill file");
-        let mut got = Vec::new();
+        let mut got = ProbeTable::new();
         for w in chunked.windows() {
-            got.extend(chunked.window_dataset(w).probes);
+            got.append(chunked.window_dataset(w).probes);
         }
         assert_eq!(got, ds.probes);
     }
@@ -1925,8 +1931,10 @@ mod tests {
     fn store_with_chunks(n: usize, budget: usize) -> ChunkStore {
         let store = ChunkStore::new(budget, None);
         for i in 0..n {
+            let mut one = ProbeTable::new();
+            push_probe(&mut one, i as u32, 0, 1, 300.0 * (i + 1) as f64, 0.1);
             let mut c = ProbeChunk::with_capacity(1);
-            c.push(&probe(i as u32, 0, 1, 300.0 * (i + 1) as f64, 0.1));
+            c.push(one.get(0));
             store.insert(c).unwrap();
         }
         store
@@ -1941,11 +1949,11 @@ mod tests {
         // but never of the pinned chunk.
         for id in 1..6 {
             let h = store.chunk(id);
-            assert_eq!(h.get(0).network, NetworkId(id as u32));
+            assert_eq!(all(&h)[0].network, NetworkId(id as u32));
             assert!(store.is_resident(0), "pinned chunk evicted at id {id}");
         }
         assert!(store.resident_chunks() >= 2);
-        assert_eq!(pinned.get(0).network, NetworkId(0));
+        assert_eq!(all(&pinned)[0].network, NetworkId(0));
         drop(pinned);
         // Unpinned now: one more fault can evict it.
         let _h = store.chunk(5);
@@ -1964,7 +1972,7 @@ mod tests {
                     for round in 0..50 {
                         let id = (t * 3 + round * 7) % 8;
                         let h = store.chunk(id);
-                        assert_eq!(h.get(0).network, NetworkId(id as u32));
+                        assert_eq!(all(&h)[0].network, NetworkId(id as u32));
                     }
                 });
             }
@@ -2078,10 +2086,10 @@ mod tests {
         assert!(chunked.prefetch.is_some(), "spilling store must prefetch");
         let n = chunked.n_windows();
         assert!(n > 1);
-        let mut got = Vec::new();
+        let mut got = ProbeTable::new();
         for w in 0..n {
             let win = chunked.window(w);
-            got.extend(win.dataset().probes.clone());
+            got.extend(&win.dataset().probes);
             // Let the read-ahead land before the fold moves on, so the
             // next window's chunk fetches deterministically hit.
             chunked.prefetch_quiesce();

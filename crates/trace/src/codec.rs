@@ -26,7 +26,7 @@ use std::io;
 use crate::client::ClientSample;
 use crate::dataset::{Dataset, NetworkMeta};
 use crate::ids::{ApId, ClientId, EnvLabel, NetworkId};
-use crate::probe::{ProbeSet, RateObs};
+use crate::probe::{Probe, ProbeTable, RateObs};
 
 const MAGIC: u32 = 0x4D31_3154;
 const VERSION: u16 = 1;
@@ -81,16 +81,15 @@ fn put_network(buf: &mut impl BufMut, m: &NetworkMeta) {
     buf.put_slice(loc);
 }
 
-/// Appends one probe-set record to a buffer (shared with the chunk spill
-/// codec, which writes the same record shape in columnar batches).
-pub(crate) fn put_probe(buf: &mut impl BufMut, p: &ProbeSet) {
+/// Appends one probe-set record to a buffer.
+fn put_probe(buf: &mut impl BufMut, p: Probe<'_>) {
     buf.put_u32_le(p.network.0);
     buf.put_u8(phy_tag(p.phy));
     buf.put_f64_le(p.time_s);
     buf.put_u32_le(p.sender.0);
     buf.put_u32_le(p.receiver.0);
     buf.put_u8(p.obs.len() as u8);
-    for o in &p.obs {
+    for o in p.obs {
         buf.put_u8(o.rate.index() as u8);
         buf.put_f64_le(o.loss);
         buf.put_f64_le(o.snr_db);
@@ -303,40 +302,43 @@ fn parse(mut input: Input<impl io::Read>) -> io::Result<Dataset> {
     let probe_horizon_s = f64_at(&r, 0);
     let client_horizon_s = f64_at(&r, 8);
     let n_probes = input.plausible(u64_at(&r, 16), 22, "probe")?;
-    let mut probes = Vec::with_capacity(n_probes);
+    // Observations go straight into the table's one arena. Its capacity
+    // comes from the bytes left, never from the header count: every
+    // observation costs 17 bytes, so a corrupt count cannot reserve more
+    // than the input could fill.
+    let mut probes = ProbeTable::with_capacity(
+        n_probes,
+        (input.left.saturating_sub(n_probes as u64 * 22) / 17) as usize,
+    );
     for k in 0..n_probes {
         let r = input.record::<22>()?;
         let phy = phy_from_tag(r[4])?;
         let n_obs = r[21] as usize;
-        if n_obs == 0 {
-            return Err(bad(format!("probe set {k} has no rate observations")));
-        }
-        let obs = input.payload(n_obs * 17, |b| {
+        input.payload(n_obs * 17, |b| {
             let rates = phy.all_rates();
-            let mut obs = Vec::with_capacity(n_obs);
             for o in b.chunks_exact(17) {
                 let idx = o[0] as usize;
                 let rate = *rates
                     .get(idx)
                     .ok_or_else(|| bad(format!("rate index {idx} out of range for {phy}")))?;
-                let (loss, snr_db) = (f64_at(o, 1), f64_at(o, 9));
-                if !loss.is_finite() || !snr_db.is_finite() {
-                    return Err(bad(format!(
-                        "probe set {k}: non-finite observation (loss {loss}, snr {snr_db})"
-                    )));
-                }
-                obs.push(RateObs { rate, loss, snr_db });
+                probes.push_obs(RateObs {
+                    rate,
+                    loss: f64_at(o, 1),
+                    snr_db: f64_at(o, 9),
+                });
             }
-            Ok(obs)
+            Ok(())
         })?;
-        probes.push(ProbeSet {
-            network: NetworkId(u32_at(&r, 0)),
+        probes.seal(
+            NetworkId(u32_at(&r, 0)),
             phy,
-            time_s: f64_at(&r, 5),
-            sender: ApId(u32_at(&r, 13)),
-            receiver: ApId(u32_at(&r, 17)),
-            obs,
-        });
+            f64_at(&r, 5),
+            ApId(u32_at(&r, 13)),
+            ApId(u32_at(&r, 17)),
+        );
+        if let Some(e) = probes.get(k).record_error() {
+            return Err(bad(format!("probe set {k} {e}")));
+        }
     }
 
     let count = u64_at(&input.record::<8>()?, 0);
@@ -797,6 +799,25 @@ mod tests {
     use mesh11_phy::BitRate;
 
     fn sample_dataset() -> Dataset {
+        sample_with(
+            Phy::Bg,
+            &[
+                RateObs {
+                    rate: BitRate::bg_mbps(1.0).unwrap(),
+                    loss: 0.05,
+                    snr_db: 22.5,
+                },
+                RateObs {
+                    rate: BitRate::bg_mbps(48.0).unwrap(),
+                    loss: 0.9,
+                    snr_db: 21.75,
+                },
+            ],
+        )
+    }
+
+    /// The sample dataset with its one probe set on `phy` holding `obs`.
+    fn sample_with(phy: Phy, obs: &[RateObs]) -> Dataset {
         Dataset {
             networks: vec![NetworkMeta {
                 id: NetworkId(0),
@@ -805,25 +826,16 @@ mod tests {
                 radios: vec![Phy::Bg, Phy::Ht],
                 location: "Nairobi, Kenya".into(),
             }],
-            probes: vec![ProbeSet {
+            probes: [Probe {
                 network: NetworkId(0),
-                phy: Phy::Bg,
+                phy,
                 time_s: 300.0,
                 sender: ApId(0),
                 receiver: ApId(1),
-                obs: vec![
-                    RateObs {
-                        rate: BitRate::bg_mbps(1.0).unwrap(),
-                        loss: 0.05,
-                        snr_db: 22.5,
-                    },
-                    RateObs {
-                        rate: BitRate::bg_mbps(48.0).unwrap(),
-                        loss: 0.9,
-                        snr_db: 21.75,
-                    },
-                ],
-            }],
+                obs,
+            }]
+            .into_iter()
+            .collect(),
             clients: vec![ClientSample {
                 network: NetworkId(0),
                 ap: ApId(1),
@@ -847,13 +859,14 @@ mod tests {
 
     #[test]
     fn round_trip_ht_rates() {
-        let mut ds = sample_dataset();
-        ds.probes[0].phy = Phy::Ht;
-        ds.probes[0].obs = vec![RateObs {
-            rate: BitRate::ht_mcs(15, true).unwrap(),
-            loss: 0.3,
-            snr_db: 28.0,
-        }];
+        let ds = sample_with(
+            Phy::Ht,
+            &[RateObs {
+                rate: BitRate::ht_mcs(15, true).unwrap(),
+                loss: 0.3,
+                snr_db: 28.0,
+            }],
+        );
         let back = decode(encode(&ds)).unwrap();
         assert_eq!(ds, back);
     }
@@ -886,8 +899,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_rate_index() {
-        let mut ds = sample_dataset();
-        ds.probes[0].obs.truncate(1);
+        let ds = sample_with(Phy::Bg, &sample_dataset().probes.get(0).obs[..1]);
         let mut raw = BytesMut::from(&encode(&ds)[..]);
         // Find the rate-index byte and corrupt it. It sits right after the
         // probe header; rather than hand-computing, corrupt every byte and
@@ -908,8 +920,7 @@ mod tests {
 
     #[test]
     fn rejects_probe_set_without_observations() {
-        let mut ds = sample_dataset();
-        ds.probes[0].obs.clear();
+        let ds = sample_with(Phy::Bg, &[]);
         assert_invalid(&ds, "zero-observation probe set");
     }
 
@@ -917,7 +928,7 @@ mod tests {
     fn rejects_non_finite_loss() {
         for loss in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let mut ds = sample_dataset();
-            ds.probes[0].obs[1].loss = loss;
+            ds.probes.obs_mut(0)[1].loss = loss;
             assert_invalid(&ds, "non-finite loss");
         }
     }
@@ -926,9 +937,35 @@ mod tests {
     fn rejects_non_finite_snr() {
         for snr_db in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let mut ds = sample_dataset();
-            ds.probes[0].obs[0].snr_db = snr_db;
+            ds.probes.obs_mut(0)[0].snr_db = snr_db;
             assert_invalid(&ds, "non-finite snr");
         }
+    }
+
+    #[test]
+    fn rejects_rate_outside_the_sets_phy() {
+        // Index 20 exists in the HT table only.
+        let mut raw = encode(&sample_dataset()).to_vec();
+        let probe_obs = raw.len() - 8 - 28 - 2 * 17;
+        raw[probe_obs] = 20;
+        let err = decode(Bytes::from(raw)).expect_err("b/g set with an HT rate index");
+        assert!(err.to_string().contains("out of range"), "{err}");
+    }
+
+    #[test]
+    fn implausible_probe_count_is_an_error_not_an_abort() {
+        // A header claiming 2^40 probe sets must be refused before any
+        // allocation is sized from it.
+        let mut b = BytesMut::new();
+        b.put_u32_le(MAGIC);
+        b.put_u16_le(VERSION);
+        b.put_u32_le(0); // no networks
+        b.put_f64_le(86_400.0);
+        b.put_f64_le(39_600.0);
+        b.put_u64_le(1 << 40);
+        b.put_slice(&[0u8; 64]);
+        let err = decode(b.freeze()).expect_err("2^40 probe sets in 64 bytes");
+        assert!(err.to_string().contains("implausible probe count"), "{err}");
     }
 
     /// A reader that hands out at most 7 bytes per call and interrupts
@@ -962,11 +999,11 @@ mod tests {
     #[test]
     fn windowed_reader_matches_slice_decode() {
         let mut ds = sample_dataset();
+        let (head, obs) = (ds.probes[0].clone(), ds.probes.get(0).obs.to_vec());
         ds.probes = (0..50)
-            .map(|i| {
-                let mut p = ds.probes[0].clone();
-                p.time_s += f64::from(i);
-                p
+            .map(|i| Probe {
+                time_s: head.time_s + f64::from(i),
+                ..head.with_obs(&obs)
             })
             .collect();
         let full = encode(&ds);

@@ -8,7 +8,7 @@ use std::path::Path;
 
 use crate::client::ClientSample;
 use crate::ids::{ApId, EnvLabel, NetworkId};
-use crate::probe::ProbeSet;
+use crate::probe::{Probe, ProbeTable};
 
 /// Metadata of one network as carried in the dataset (a strict subset of
 /// the topology spec — the analysis layer must not see simulator ground
@@ -32,8 +32,9 @@ pub struct NetworkMeta {
 pub struct Dataset {
     /// Per-network metadata, indexed by `NetworkId.0`.
     pub networks: Vec<NetworkMeta>,
-    /// Probe-set reports, in (network, time) order.
-    pub probes: Vec<ProbeSet>,
+    /// Probe-set reports, in (network, time) order, with every set's
+    /// observations in the table's one arena.
+    pub probes: ProbeTable,
     /// Client aggregate records, in (network, time) order.
     pub clients: Vec<ClientSample>,
     /// Length of the probe trace (seconds); 24 h in the paper.
@@ -54,12 +55,12 @@ impl Dataset {
     }
 
     /// Probe sets of one PHY family (most analyses split b/g from n).
-    pub fn probes_for_phy(&self, phy: Phy) -> impl Iterator<Item = &ProbeSet> {
+    pub fn probes_for_phy(&self, phy: Phy) -> impl Iterator<Item = Probe<'_>> {
         self.probes.iter().filter(move |p| p.phy == phy)
     }
 
     /// Probe sets of one network (all PHYs).
-    pub fn probes_for_network(&self, id: NetworkId) -> impl Iterator<Item = &ProbeSet> {
+    pub fn probes_for_network(&self, id: NetworkId) -> impl Iterator<Item = Probe<'_>> {
         self.probes.iter().filter(move |p| p.network == id)
     }
 
@@ -82,7 +83,7 @@ impl Dataset {
     /// probe set, with their report counts — a cheap structural summary.
     pub fn link_report_counts(&self) -> BTreeMap<(NetworkId, ApId, ApId), usize> {
         let mut map = BTreeMap::new();
-        for p in &self.probes {
+        for p in self.probes.rows() {
             *map.entry((p.network, p.sender, p.receiver)).or_insert(0) += 1;
         }
         map
@@ -118,7 +119,7 @@ impl Dataset {
         for m in &mut self.networks {
             m.id = NetworkId(m.id.0 + by);
         }
-        for p in &mut self.probes {
+        for p in self.probes.rows_mut() {
             p.network = NetworkId(p.network.0 + by);
         }
         for c in &mut self.clients {
@@ -154,7 +155,7 @@ impl Dataset {
             }
             self.networks[idx] = meta;
         }
-        self.probes.extend(other.probes);
+        self.probes.append(other.probes);
         self.clients.extend(other.clients);
         self.probe_horizon_s = self.probe_horizon_s.max(other.probe_horizon_s);
         self.client_horizon_s = self.client_horizon_s.max(other.client_horizon_s);
@@ -175,25 +176,28 @@ mod tests {
             radios: vec![Phy::Bg],
             location: "Testville".into(),
         };
-        let probe = |net: u32, s: u32, r: u32, t: f64| ProbeSet {
+        let obs = [RateObs {
+            rate: BitRate::bg_mbps(1.0).unwrap(),
+            loss: 0.1,
+            snr_db: 20.0,
+        }];
+        let probe = |net: u32, s: u32, r: u32, t: f64| Probe {
             network: NetworkId(net),
             phy: Phy::Bg,
             time_s: t,
             sender: ApId(s),
             receiver: ApId(r),
-            obs: vec![RateObs {
-                rate: BitRate::bg_mbps(1.0).unwrap(),
-                loss: 0.1,
-                snr_db: 20.0,
-            }],
+            obs: &obs,
         };
         Dataset {
             networks: vec![meta(0, EnvLabel::Indoor, 3), meta(1, EnvLabel::Outdoor, 7)],
-            probes: vec![
+            probes: [
                 probe(0, 0, 1, 300.0),
                 probe(0, 0, 1, 600.0),
                 probe(1, 2, 3, 300.0),
-            ],
+            ]
+            .into_iter()
+            .collect(),
             clients: vec![ClientSample {
                 network: NetworkId(0),
                 ap: ApId(0),
@@ -276,7 +280,7 @@ mod tests {
         for m in &mut back.networks {
             m.id = NetworkId(m.id.0 - 5);
         }
-        for p in &mut back.probes {
+        for p in back.probes.rows_mut() {
             p.network = NetworkId(p.network.0 - 5);
         }
         for c in &mut back.clients {
@@ -295,7 +299,7 @@ mod tests {
         for m in &mut b.networks {
             m.id = NetworkId(m.id.0 + 2);
         }
-        for p in &mut b.probes {
+        for p in b.probes.rows_mut() {
             p.network = NetworkId(p.network.0 + 2);
         }
         for c in &mut b.clients {
@@ -308,7 +312,7 @@ mod tests {
         let rebuilt = crate::DatasetIndex::build(&a);
         let mut oneshot = tiny_dataset();
         oneshot.networks.extend(b.networks);
-        oneshot.probes.extend(b.probes);
+        oneshot.probes.extend(&b.probes);
         oneshot.clients.extend(b.clients);
         assert_eq!(rebuilt, crate::DatasetIndex::build(&oneshot));
         assert_eq!(

@@ -94,7 +94,7 @@ mod tests {
     use super::*;
     use crate::dataset::{Dataset, NetworkMeta};
     use crate::ids::{ApId, NetworkId};
-    use crate::probe::{ProbeSet, RateObs};
+    use crate::probe::{Probe, RateObs};
     use mesh11_phy::{BitRate, Phy};
 
     /// Counts probe sets and fold calls.
@@ -126,13 +126,13 @@ mod tests {
                 location: "toy".into(),
             });
             for i in 0..probes_per_net {
-                ds.probes.push(ProbeSet {
+                ds.probes.push(Probe {
                     network: NetworkId(n),
                     phy: Phy::Bg,
                     time_s: f64::from(i),
                     sender: ApId(i % 2),
                     receiver: ApId(2 + i % 2),
-                    obs: vec![RateObs {
+                    obs: &[RateObs {
                         rate: BitRate::bg_mbps(1.0).unwrap(),
                         loss: 0.25,
                         snr_db: 12.0,

@@ -20,21 +20,25 @@
 //! * **link/network groups** — interned link ids ([`LinkView::link_id`]) and
 //!   per-network link + probe ranges, so per-network analyses touch only
 //!   their own probes.
-//! * **per-probe side columns** — median SNR (and its integer key) and the
-//!   optimal rate observation, the two derivations that cost a sort or a
-//!   scan per probe. Lookup-table training and penalty scoring read these
-//!   instead of re-deriving medians and optima per call. Everything else a
-//!   kernel needs (report time, the per-rate observations) it reads from
-//!   the probe set itself: copying it into columns would cost more per
-//!   build than the walks it saves.
+//! * **per-probe side columns** ([`ProbeColumns`]) — median SNR (and its
+//!   integer key) and the optimal rate observation, the two derivations
+//!   that cost a sort or a scan per probe. Lookup-table training, penalty
+//!   scoring and the other SNR-keyed kernels read these instead of
+//!   re-deriving medians and optima per call. They are built **on demand**:
+//!   once, in parallel, the first time anything reads them. A request that
+//!   only walks delivery matrices (routing, hidden triples) never pays for
+//!   them. Everything else a kernel needs (report time, the per-rate
+//!   observations) it reads from the probe set itself: copying it into
+//!   columns would cost more per build than the walks it saves.
 //!
-//! The index is a pure function of the probe vector; it holds **positions**,
+//! The index is a pure function of the probe table; it holds **positions**,
 //! not copies, and must be rebuilt after any mutation of `Dataset::probes`
 //! (see [`Dataset::merge`]). [`DatasetView`] bundles a dataset with its
 //! index; analyses take a view by value (it is `Copy`).
 
 use std::collections::BTreeMap;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use mesh11_phy::{BitRate, Phy};
 use rayon::prelude::*;
@@ -42,10 +46,13 @@ use rayon::prelude::*;
 use crate::dataset::{Dataset, NetworkMeta};
 use crate::ids::{ApId, NetworkId};
 use crate::matrix::DeliveryMatrix;
-use crate::probe::{ProbeSet, RateObs};
+use crate::probe::{Probe, ProbeSet, ProbeTable, RateObs};
 
 /// Number of PHY families ([`Phy::Bg`], [`Phy::Ht`]).
 const N_PHYS: usize = 2;
+
+/// The longest per-PHY rate table (`Phy::Ht.all_rates()`).
+const MAX_PHY_RATES: usize = 32;
 
 /// Dense slot of a PHY in the index's per-PHY range tables.
 fn phy_slot(phy: Phy) -> usize {
@@ -75,14 +82,16 @@ struct NetGroup {
     probes: Range<u32>,
 }
 
-/// Precomputed grouping + per-probe side columns for one [`Dataset`].
+/// Precomputed grouping of one [`Dataset`]'s probe sets, plus its
+/// per-probe side columns once something has read them.
 ///
 /// Build with [`DatasetIndex::build`]; pair with the dataset via
 /// [`DatasetView::new`]. The index refers to probes by position, so it is
 /// invalidated by any mutation of `Dataset::probes` and must then be
 /// rebuilt (building after mutation gives exactly the index of the mutated
-/// dataset — there is no incremental state).
-#[derive(Debug, Clone, Default, PartialEq)]
+/// dataset — there is no incremental state). Two indexes are equal when
+/// their grouping is; the columns are a function of the dataset.
+#[derive(Debug, Clone, Default)]
 pub struct DatasetIndex {
     /// Probe count the index was built over (consistency check).
     n_probes: usize,
@@ -104,12 +113,22 @@ pub struct DatasetIndex {
     nets: Vec<NetGroup>,
     /// Per-PHY range into `nets`.
     net_ranges: [Range<u32>; N_PHYS],
-    /// Per-probe median SNR (`ProbeSet::snr_db`), precomputed.
-    snr_db: Vec<f64>,
-    /// Per-probe integer SNR key (`ProbeSet::snr_key`), precomputed.
-    snr_key: Vec<i64>,
-    /// Per-probe optimal observation (`ProbeSet::optimal`), precomputed.
-    opt: Vec<RateObs>,
+    /// The per-probe columns, built on first read.
+    cols: OnceLock<ProbeColumns>,
+}
+
+impl PartialEq for DatasetIndex {
+    fn eq(&self, other: &Self) -> bool {
+        self.n_probes == other.n_probes
+            && self.phy_order == other.phy_order
+            && self.phy_ranges == other.phy_ranges
+            && self.net_order == other.net_order
+            && self.link_order == other.link_order
+            && self.links == other.links
+            && self.link_ranges == other.link_ranges
+            && self.nets == other.nets
+            && self.net_ranges == other.net_ranges
+    }
 }
 
 /// A probe's link sort key: `(network, sender, receiver, position)` packed
@@ -128,79 +147,103 @@ fn key_pos(key: u128) -> u32 {
     key as u32
 }
 
-/// The per-probe columns of one contiguous range of positions, plus the
-/// range's link keys split by PHY (each bucket in dataset order).
-#[derive(Default)]
-struct Derived {
+/// The per-probe side columns of a [`DatasetIndex`], by dataset position:
+/// each probe set's median SNR, its integer key and its optimal
+/// observation. Read them through [`DatasetView::columns`] or the
+/// [`ProbeEntry`] iterators, which build them on first use.
+#[derive(Debug, Clone)]
+pub struct ProbeColumns {
     snr_db: Vec<f64>,
     snr_key: Vec<i64>,
     opt: Vec<RateObs>,
-    keys: [Vec<u128>; N_PHYS],
 }
 
-impl Derived {
-    /// The fused per-probe pass over `probes[span]`.
-    fn over(probes: &[ProbeSet], span: Range<usize>) -> Self {
-        let mut d = Derived {
-            snr_db: Vec::with_capacity(span.len()),
-            snr_key: Vec::with_capacity(span.len()),
-            opt: Vec::with_capacity(span.len()),
-            keys: Default::default(),
+impl ProbeColumns {
+    /// One pass over every probe set, parallel over contiguous position
+    /// ranges whose results concatenate in position order.
+    fn build(probes: &ProbeTable) -> Self {
+        let n = probes.len();
+        let parts = rayon::current_num_threads().clamp(1, n.max(1));
+        let spans: Vec<Range<usize>> = (0..parts)
+            .map(|k| k * n / parts..(k + 1) * n / parts)
+            .collect();
+        let mut cols = ProbeColumns {
+            snr_db: Vec::with_capacity(n),
+            snr_key: Vec::with_capacity(n),
+            opt: Vec::with_capacity(n),
         };
-        for pos in span {
-            let p = &probes[pos];
-            let snr = p.snr_db();
-            d.snr_db.push(snr);
-            d.snr_key.push(snr.round() as i64);
-            d.opt.push(p.optimal());
-            d.keys[phy_slot(p.phy)].push(link_key(p, pos));
+        let done: Vec<ProbeColumns> = spans
+            .par_iter()
+            .map(|span| {
+                let mut c = ProbeColumns {
+                    snr_db: Vec::with_capacity(span.len()),
+                    snr_key: Vec::with_capacity(span.len()),
+                    opt: Vec::with_capacity(span.len()),
+                };
+                for pos in span.clone() {
+                    let p = probes.get(pos);
+                    let snr = p.snr_db();
+                    c.snr_db.push(snr);
+                    c.snr_key.push(snr.round() as i64);
+                    c.opt.push(p.optimal());
+                }
+                c
+            })
+            .collect();
+        for c in done {
+            cols.snr_db.extend(c.snr_db);
+            cols.snr_key.extend(c.snr_key);
+            cols.opt.extend(c.opt);
         }
-        d
+        cols
     }
 
-    /// Appends the next range's results (ranges arrive in position order).
-    fn append(&mut self, next: Derived) {
-        self.snr_db.extend(next.snr_db);
-        self.snr_key.extend(next.snr_key);
-        self.opt.extend(next.opt);
-        for (keys, more) in self.keys.iter_mut().zip(next.keys) {
-            keys.extend(more);
+    /// Median SNR of the probe set at `pos` ([`Probe::snr_db`]).
+    pub fn snr_db(&self, pos: usize) -> f64 {
+        self.snr_db[pos]
+    }
+
+    /// Integer SNR key of the probe set at `pos` ([`Probe::snr_key`]).
+    pub fn snr_key(&self, pos: usize) -> i64 {
+        self.snr_key[pos]
+    }
+
+    /// Optimal observation of the probe set at `pos` ([`Probe::optimal`]).
+    pub fn optimal(&self, pos: usize) -> RateObs {
+        self.opt[pos]
+    }
+
+    /// The entry at `pos` of `probes`, the table these columns cover.
+    fn entry<'a>(&self, probes: &'a ProbeTable, pos: usize) -> ProbeEntry<'a> {
+        let probe = probes.get(pos);
+        ProbeEntry {
+            pos,
+            probe,
+            time_s: probe.time_s,
+            snr_db: self.snr_db[pos],
+            snr_key: self.snr_key[pos],
+            opt: self.opt[pos],
         }
     }
 }
 
 impl DatasetIndex {
-    /// Builds the index over `ds.probes`: one fused per-probe pass
-    /// (parallel over contiguous position ranges), then per PHY one
-    /// unstable sort of unique integer keys. `O(n log n)` in the probe
-    /// count.
+    /// Builds the grouping over `ds.probes`: one pass collecting each
+    /// probe's link key, then per PHY one unstable sort of unique integer
+    /// keys. `O(n log n)` in the probe count. The per-probe columns are
+    /// left for their first reader.
     pub fn build(ds: &Dataset) -> Self {
         let n = ds.probes.len();
         assert!(n < u32::MAX as usize, "dataset too large to index");
-
-        let parts = rayon::current_num_threads().clamp(1, n.max(1));
-        let spans: Vec<Range<usize>> = (0..parts)
-            .map(|k| k * n / parts..(k + 1) * n / parts)
-            .collect();
-        let mut derived = spans
-            .par_iter()
-            .map(|span| Derived::over(&ds.probes, span.clone()))
-            .collect::<Vec<_>>()
-            .into_iter()
-            .reduce(|mut acc, next| {
-                acc.append(next);
-                acc
-            })
-            .unwrap_or_default();
-
+        let mut keys: [Vec<u128>; N_PHYS] = Default::default();
+        for (pos, p) in ds.probes.rows().iter().enumerate() {
+            keys[phy_slot(p.phy)].push(link_key(p, pos));
+        }
         let mut ix = Self {
             n_probes: n,
-            snr_db: derived.snr_db,
-            snr_key: derived.snr_key,
-            opt: derived.opt,
             ..Self::default()
         };
-        for (slot, keys) in derived.keys.iter_mut().enumerate() {
+        for (slot, keys) in keys.iter_mut().enumerate() {
             ix.push_phy(slot, keys);
         }
         ix
@@ -278,21 +321,6 @@ impl DatasetIndex {
     /// Number of distinct directed links (across both PHYs).
     pub fn n_links(&self) -> usize {
         self.links.len()
-    }
-
-    /// Per-probe median SNR (precomputed `ProbeSet::snr_db`).
-    pub fn snr_db(&self, pos: usize) -> f64 {
-        self.snr_db[pos]
-    }
-
-    /// Per-probe integer SNR key (precomputed `ProbeSet::snr_key`).
-    pub fn snr_key(&self, pos: usize) -> i64 {
-        self.snr_key[pos]
-    }
-
-    /// Per-probe optimal observation (precomputed `ProbeSet::optimal`).
-    pub fn optimal(&self, pos: usize) -> RateObs {
-        self.opt[pos]
     }
 
     /// All directed links that ever produced a probe set, with their report
@@ -538,35 +566,45 @@ impl<'a> DatasetView<'a> {
         self.ds.networks_with_at_least(n)
     }
 
-    /// The probe entry at a dataset position.
+    /// The per-probe side columns, built on the first call: once, in
+    /// parallel over the current thread budget. Kernels that read
+    /// [`ProbeEntry`]s call this before fanning out per network, so the
+    /// build runs at full width rather than inside one worker.
+    pub fn columns(&self) -> &'a ProbeColumns {
+        let probes = &self.ds.probes;
+        self.ix.cols.get_or_init(|| ProbeColumns::build(probes))
+    }
+
+    /// The probe entry at a dataset position (builds the columns on first
+    /// use).
     pub fn entry(&self, pos: usize) -> ProbeEntry<'a> {
-        let probe = &self.ds.probes[pos];
-        ProbeEntry {
-            pos,
-            probe,
-            time_s: probe.time_s,
-            snr_db: self.ix.snr_db[pos],
-            snr_key: self.ix.snr_key[pos],
-            opt: self.ix.opt[pos],
-        }
+        self.columns().entry(&self.ds.probes, pos)
+    }
+
+    /// Maps positions to entries, reading the columns once.
+    fn entries_at(&self, positions: &'a [u32]) -> impl Iterator<Item = ProbeEntry<'a>> + 'a {
+        let (cols, probes) = (self.columns(), &self.ds.probes);
+        positions
+            .iter()
+            .map(move |&i| cols.entry(probes, i as usize))
+    }
+
+    /// Maps positions to probe sets.
+    fn probes_at(&self, positions: &'a [u32]) -> impl Iterator<Item = Probe<'a>> + 'a {
+        let probes = &self.ds.probes;
+        positions.iter().map(move |&i| probes.get(i as usize))
     }
 
     /// Probe sets of one PHY, in dataset order — same sequence as
-    /// [`Dataset::probes_for_phy`], without the full-vector filter walk.
-    pub fn probes_for_phy(&self, phy: Phy) -> impl Iterator<Item = &'a ProbeSet> + 'a {
-        let ds = self.ds;
-        self.phy_positions(phy)
-            .iter()
-            .map(move |&i| &ds.probes[i as usize])
+    /// [`Dataset::probes_for_phy`], without the full-table filter walk.
+    pub fn probes_for_phy(&self, phy: Phy) -> impl Iterator<Item = Probe<'a>> + 'a {
+        self.probes_at(self.phy_positions(phy))
     }
 
     /// Probe entries (probe + precomputed columns) of one PHY, in dataset
     /// order.
     pub fn entries_for_phy(&self, phy: Phy) -> impl Iterator<Item = ProbeEntry<'a>> + 'a {
-        let v = *self;
-        self.phy_positions(phy)
-            .iter()
-            .map(move |&i| v.entry(i as usize))
+        self.entries_at(self.phy_positions(phy))
     }
 
     fn phy_positions(&self, phy: Phy) -> &'a [u32] {
@@ -658,22 +696,28 @@ impl<'a> DatasetView<'a> {
         let n2 = n_aps * n_aps;
         let mut sums = vec![0.0f64; rates.len() * n2];
         let mut cnts = vec![0u32; rates.len() * n2];
-        // First slot of each distinct rate; duplicate rates in `rates`
-        // share the first slot's accumulation (copied below).
-        let mut slot_of: BTreeMap<BitRate, usize> = BTreeMap::new();
-        for (j, &r) in rates.iter().enumerate() {
-            slot_of.entry(r).or_insert(j);
+        // First slot of each distinct rate, by (PHY, rate index); duplicate
+        // rates in `rates` share the first slot's accumulation (copied
+        // below). `NO_SLOT` marks rates that were not requested.
+        const NO_SLOT: u8 = u8::MAX;
+        let mut slot_of = [[NO_SLOT; MAX_PHY_RATES]; N_PHYS];
+        let slot_cell = |r: BitRate| (phy_slot(r.phy()), r.index());
+        for (j, &r) in rates.iter().enumerate().rev() {
+            let (ps, ri) = slot_cell(r);
+            slot_of[ps][ri] = j as u8;
         }
         if let Some(g) = self.ix.net_group(phy, network) {
             let positions = &self.ix.link_order[g.probes.start as usize..g.probes.end as usize];
-            for &pos in positions {
-                let p = &self.ds.probes[pos as usize];
+            for p in self.probes_at(positions) {
                 let cell = p.sender.idx() * n_aps + p.receiver.idx();
                 let mut seen = 0u128;
-                for o in &p.obs {
-                    let Some(&slot) = slot_of.get(&o.rate) else {
+                for o in p.obs {
+                    let (ps, ri) = slot_cell(o.rate);
+                    let slot = slot_of[ps][ri];
+                    if slot == NO_SLOT {
                         continue;
-                    };
+                    }
+                    let slot = usize::from(slot);
                     if seen & (1 << slot) != 0 {
                         continue; // obs_for takes the first observation
                     }
@@ -686,7 +730,8 @@ impl<'a> DatasetView<'a> {
         rates
             .iter()
             .map(|&rate| {
-                let src = slot_of[&rate];
+                let (ps, ri) = slot_cell(rate);
+                let src = slot_of[ps][ri] as usize;
                 let p = sums[src * n2..(src + 1) * n2]
                     .iter()
                     .zip(&cnts[src * n2..(src + 1) * n2])
@@ -709,14 +754,14 @@ pub struct ProbeEntry<'a> {
     /// Position in `Dataset::probes`.
     pub pos: usize,
     /// The probe set itself.
-    pub probe: &'a ProbeSet,
+    pub probe: Probe<'a>,
     /// Report time (seconds), `probe.time_s`.
     pub time_s: f64,
-    /// Median SNR (`ProbeSet::snr_db`), precomputed.
+    /// Median SNR (`Probe::snr_db`), precomputed.
     pub snr_db: f64,
-    /// Integer SNR key (`ProbeSet::snr_key`), precomputed.
+    /// Integer SNR key (`Probe::snr_key`), precomputed.
     pub snr_key: i64,
-    /// Optimal observation (`ProbeSet::optimal`), precomputed.
+    /// Optimal observation (`Probe::optimal`), precomputed.
     pub opt: RateObs,
 }
 
@@ -769,17 +814,13 @@ impl<'a> LinkView<'a> {
     }
 
     /// The link's probe sets, in dataset order (time order for trace data).
-    pub fn probes(&self) -> impl Iterator<Item = &'a ProbeSet> + 'a {
-        let ds = self.view.ds;
-        self.positions()
-            .iter()
-            .map(move |&i| &ds.probes[i as usize])
+    pub fn probes(&self) -> impl Iterator<Item = Probe<'a>> + 'a {
+        self.view.probes_at(self.positions())
     }
 
     /// The link's probe entries, in dataset order.
     pub fn entries(&self) -> impl Iterator<Item = ProbeEntry<'a>> + 'a {
-        let v = self.view;
-        self.positions().iter().map(move |&i| v.entry(i as usize))
+        self.view.entries_at(self.positions())
     }
 }
 
@@ -819,23 +860,21 @@ impl<'a> NetworkView<'a> {
         })
     }
 
+    /// The network's positions, grouped by link.
+    fn link_run(&self) -> &'a [u32] {
+        let g = self.group;
+        &self.view.ix.link_order[g.probes.start as usize..g.probes.end as usize]
+    }
+
     /// The network's probe sets, grouped by link, dataset order within
     /// each link.
-    pub fn probes(&self) -> impl Iterator<Item = &'a ProbeSet> + 'a {
-        let ds = self.view.ds;
-        let g = self.group;
-        self.view.ix.link_order[g.probes.start as usize..g.probes.end as usize]
-            .iter()
-            .map(move |&i| &ds.probes[i as usize])
+    pub fn probes(&self) -> impl Iterator<Item = Probe<'a>> + 'a {
+        self.view.probes_at(self.link_run())
     }
 
     /// The network's probe entries, grouped by link.
     pub fn entries(&self) -> impl Iterator<Item = ProbeEntry<'a>> + 'a {
-        let v = self.view;
-        let g = self.group;
-        self.view.ix.link_order[g.probes.start as usize..g.probes.end as usize]
-            .iter()
-            .map(move |&i| v.entry(i as usize))
+        self.view.entries_at(self.link_run())
     }
 
     /// This network's contiguous run of dataset-order probe positions:
@@ -852,15 +891,13 @@ impl<'a> NetworkView<'a> {
     /// the subsequence [`DatasetView::entries_for_phy`] yields for this
     /// network, unlike [`NetworkView::entries`] which groups by link.
     pub fn entries_in_order(&self) -> impl Iterator<Item = ProbeEntry<'a>> + 'a {
-        let v = self.view;
-        self.phy_run().iter().map(move |&i| v.entry(i as usize))
+        self.view.entries_at(self.phy_run())
     }
 
     /// The network's probe sets in dataset (stream) order (see
     /// [`NetworkView::entries_in_order`]).
-    pub fn probes_in_order(&self) -> impl Iterator<Item = &'a ProbeSet> + 'a {
-        let ds = self.view.ds;
-        self.phy_run().iter().map(move |&i| &ds.probes[i as usize])
+    pub fn probes_in_order(&self) -> impl Iterator<Item = Probe<'a>> + 'a {
+        self.view.probes_at(self.phy_run())
     }
 }
 
@@ -874,36 +911,55 @@ mod tests {
         BitRate::bg_mbps(mbps).unwrap()
     }
 
-    fn probe(net: u32, phy: Phy, s: u32, r: u32, t: f64, loss: f64) -> ProbeSet {
+    /// Appends a two-rate probe set (the PHY's mid rate at `loss`, its
+    /// base rate lossless), plus any `extra` observations.
+    #[allow(clippy::too_many_arguments)]
+    fn push_probe(
+        out: &mut ProbeTable,
+        net: u32,
+        phy: Phy,
+        s: u32,
+        r: u32,
+        t: f64,
+        loss: f64,
+        extra: &[RateObs],
+    ) {
         let rt = match phy {
             Phy::Bg => rate(11.0),
             Phy::Ht => BitRate::ht_mcs(3, false).unwrap(),
         };
-        ProbeSet {
+        let mut obs = vec![
+            RateObs {
+                rate: rt,
+                loss,
+                snr_db: 18.0,
+            },
+            RateObs {
+                rate: match phy {
+                    Phy::Bg => rate(1.0),
+                    Phy::Ht => BitRate::ht_mcs(0, false).unwrap(),
+                },
+                loss: 0.0,
+                snr_db: 20.0,
+            },
+        ];
+        obs.extend_from_slice(extra);
+        out.push(Probe {
             network: NetworkId(net),
             phy,
             time_s: t,
             sender: ApId(s),
             receiver: ApId(r),
-            obs: vec![
-                RateObs {
-                    rate: rt,
-                    loss,
-                    snr_db: 18.0,
-                },
-                RateObs {
-                    rate: match phy {
-                        Phy::Bg => rate(1.0),
-                        Phy::Ht => BitRate::ht_mcs(0, false).unwrap(),
-                    },
-                    loss: 0.0,
-                    snr_db: 20.0,
-                },
-            ],
-        }
+            obs: &obs,
+        });
     }
 
     fn mixed_dataset() -> Dataset {
+        mixed_dataset_with(&[])
+    }
+
+    /// The mixed dataset with `extra` observations on its second set.
+    fn mixed_dataset_with(extra: &[RateObs]) -> Dataset {
         let meta = |i: u32, n: usize, radios: Vec<Phy>| NetworkMeta {
             id: NetworkId(i),
             env: EnvLabel::Indoor,
@@ -917,15 +973,25 @@ mod tests {
                 meta(1, 2, vec![Phy::Ht]),
                 meta(2, 2, vec![Phy::Bg]),
             ],
-            probes: vec![
-                probe(2, Phy::Bg, 0, 1, 300.0, 0.1),
-                probe(0, Phy::Bg, 0, 1, 300.0, 0.2),
-                probe(1, Phy::Ht, 1, 0, 300.0, 0.3),
-                probe(0, Phy::Bg, 1, 0, 300.0, 0.4),
-                probe(0, Phy::Bg, 0, 1, 600.0, 0.5),
-                probe(1, Phy::Ht, 0, 1, 600.0, 0.6),
-                probe(0, Phy::Bg, 0, 2, 600.0, 0.7),
-            ],
+            probes: {
+                let mut t = ProbeTable::new();
+                for (k, (net, phy, s, r, time, loss)) in [
+                    (2, Phy::Bg, 0, 1, 300.0, 0.1),
+                    (0, Phy::Bg, 0, 1, 300.0, 0.2),
+                    (1, Phy::Ht, 1, 0, 300.0, 0.3),
+                    (0, Phy::Bg, 1, 0, 300.0, 0.4),
+                    (0, Phy::Bg, 0, 1, 600.0, 0.5),
+                    (1, Phy::Ht, 0, 1, 600.0, 0.6),
+                    (0, Phy::Bg, 0, 2, 600.0, 0.7),
+                ]
+                .into_iter()
+                .enumerate()
+                {
+                    let extra = if k == 1 { extra } else { &[] };
+                    push_probe(&mut t, net, phy, s, r, time, loss, extra);
+                }
+                t
+            },
             clients: Vec::new(),
             probe_horizon_s: 900.0,
             client_horizon_s: 0.0,
@@ -945,8 +1011,8 @@ mod tests {
         let ix = DatasetIndex::build(&ds);
         let v = DatasetView::new(&ds, &ix);
         for phy in [Phy::Bg, Phy::Ht] {
-            let linear: Vec<&ProbeSet> = ds.probes_for_phy(phy).collect();
-            let indexed: Vec<&ProbeSet> = v.probes_for_phy(phy).collect();
+            let linear: Vec<Probe> = ds.probes_for_phy(phy).collect();
+            let indexed: Vec<Probe> = v.probes_for_phy(phy).collect();
             assert_eq!(linear, indexed, "{phy}: order must be dataset order");
         }
         let _ = view_over(&ds, &ix);
@@ -1044,7 +1110,7 @@ mod tests {
         let ix = DatasetIndex::build(&ds);
         let v = DatasetView::new(&ds, &ix);
         for m in &ds.networks {
-            let probes: Vec<&ProbeSet> = ds
+            let probes: Vec<Probe> = ds
                 .probes_for_network(m.id)
                 .filter(|p| p.phy == Phy::Bg)
                 .collect();
@@ -1064,17 +1130,16 @@ mod tests {
         // A probe set with a duplicate rate entry: obs_for takes the first,
         // so the stack must too; a duplicated rate in the request list gets
         // a copy of the same matrix.
-        let mut ds = mixed_dataset();
-        ds.probes[1].obs.push(RateObs {
+        let ds = mixed_dataset_with(&[RateObs {
             rate: rate(11.0),
             loss: 0.9,
             snr_db: 5.0,
-        });
+        }]);
         let ix = DatasetIndex::build(&ds);
         let v = DatasetView::new(&ds, &ix);
         let rates = [rate(11.0), rate(1.0), rate(11.0)];
         let stack = v.delivery_stack(Phy::Bg, NetworkId(0), &rates, 3);
-        let probes: Vec<&ProbeSet> = ds.probes_for_network(NetworkId(0)).collect();
+        let probes: Vec<Probe> = ds.probes_for_network(NetworkId(0)).collect();
         let lin = DeliveryMatrix::from_probes(NetworkId(0), rate(11.0), 3, probes);
         assert_eq!(stack[0], lin);
         assert_eq!(stack[0], stack[2]);
@@ -1084,11 +1149,34 @@ mod tests {
     fn columns_match_probe_methods() {
         let ds = mixed_dataset();
         let ix = DatasetIndex::build(&ds);
+        assert!(
+            ix.cols.get().is_none(),
+            "columns wait for their first reader"
+        );
+        let cols = DatasetView::new(&ds, &ix).columns();
         for (pos, p) in ds.probes.iter().enumerate() {
-            assert_eq!(ix.snr_db(pos), p.snr_db());
-            assert_eq!(ix.snr_key(pos), p.snr_key());
-            assert_eq!(ix.optimal(pos), p.optimal());
+            assert_eq!(cols.snr_db(pos), p.snr_db());
+            assert_eq!(cols.snr_key(pos), p.snr_key());
+            assert_eq!(cols.optimal(pos), p.optimal());
         }
+        // Built once: later readers share the same columns, and an index
+        // with columns still equals one without.
+        assert!(std::ptr::eq(cols, DatasetView::new(&ds, &ix).columns()));
+        assert_eq!(ix, DatasetIndex::build(&ds));
+    }
+
+    #[test]
+    fn delivery_walks_leave_the_columns_unbuilt() {
+        let ds = mixed_dataset();
+        let ix = DatasetIndex::build(&ds);
+        let v = DatasetView::new(&ds, &ix);
+        for m in &ds.networks {
+            let _ = v.delivery_stack(Phy::Bg, m.id, BG_PROBED, m.n_aps);
+            let _ = v.network(Phy::Bg, m.id).map(|nv| nv.probes().count());
+        }
+        assert!(ix.cols.get().is_none());
+        let _ = v.entries_for_phy(Phy::Bg).count();
+        assert!(ix.cols.get().is_some());
     }
 
     #[test]
@@ -1107,7 +1195,7 @@ mod tests {
         let ds = mixed_dataset();
         let ix = DatasetIndex::build(&ds);
         let mut st = IndexStitcher::new();
-        for p in &ds.probes {
+        for p in ds.probes.rows() {
             st.observe(p);
         }
         assert_eq!(st.n_probes(), ds.probes.len() as u64);
@@ -1123,7 +1211,7 @@ mod tests {
     fn stale_index_is_rejected() {
         let mut ds = mixed_dataset();
         let ix = DatasetIndex::build(&ds);
-        ds.probes.push(probe(0, Phy::Bg, 2, 0, 900.0, 0.1));
+        push_probe(&mut ds.probes, 0, Phy::Bg, 2, 0, 900.0, 0.1, &[]);
         let _ = DatasetView::new(&ds, &ix);
     }
 }

@@ -11,10 +11,12 @@
 //!
 //! ## Data shapes (paper §3)
 //!
-//! * [`ProbeSet`] — one report of inter-AP broadcast-probe statistics: for a
+//! * [`Probe`] — one report of inter-AP broadcast-probe statistics: for a
 //!   (receiver, sender) pair, the mean loss rate over the past 800 s and the
 //!   most recent SNR, per probed bit rate. Reports arrive every 300 s; each
-//!   rate's loss aggregates ≈20 probes (40 s cadence).
+//!   rate's loss aggregates ≈20 probes (40 s cadence). A [`ProbeTable`]
+//!   stores many flat: one [`ProbeSet`] header row per report and every
+//!   report's observations in one shared arena.
 //! * [`ClientSample`] — one 5-minute bin of per-client counters at an AP:
 //!   association requests and data packets. Driven by real user behaviour,
 //!   not controlled probes.
@@ -25,8 +27,8 @@
 //!   hidden-triple (§6) analyses.
 //! * [`DatasetIndex`] / [`DatasetView`] — precomputed grouped ranges
 //!   (per PHY, per network, per directed link) plus per-probe SNR and
-//!   optimal-rate columns, so the analyses walk contiguous slices instead
-//!   of re-filtering the probe vector.
+//!   optimal-rate columns built on first read, so the analyses walk
+//!   contiguous slices instead of re-filtering the probe table.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,7 +56,7 @@ pub use fold::{run_fold, FoldKernel, Running, WindowFold};
 pub use ids::{ApId, ClientId, EnvLabel, NetworkId};
 pub use index::{
     DatasetIndex, DatasetView, IndexStitcher, LinkRange, LinkView, NetRange, NetworkView,
-    ProbeEntry, StitchedIndex,
+    ProbeColumns, ProbeEntry, StitchedIndex,
 };
 pub use matrix::DeliveryMatrix;
-pub use probe::{ProbeSet, RateObs};
+pub use probe::{Probe, ProbeSet, ProbeTable, Probes, RateObs};

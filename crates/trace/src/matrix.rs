@@ -11,7 +11,7 @@ use mesh11_phy::BitRate;
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{ApId, NetworkId};
-use crate::probe::ProbeSet;
+use crate::probe::Probe;
 
 /// Directed delivery probabilities for one (network, rate).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -44,7 +44,7 @@ impl DeliveryMatrix {
         network: NetworkId,
         rate: BitRate,
         n_aps: usize,
-        probes: impl IntoIterator<Item = &'a ProbeSet>,
+        probes: impl IntoIterator<Item = Probe<'a>>,
     ) -> Self {
         let mut sum = vec![0.0f64; n_aps * n_aps];
         let mut cnt = vec![0u32; n_aps * n_aps];
@@ -137,35 +137,41 @@ impl DeliveryMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::RateObs;
+    use crate::probe::{ProbeTable, RateObs};
     use mesh11_phy::Phy;
 
     fn r(mbps: f64) -> BitRate {
         BitRate::bg_mbps(mbps).unwrap()
     }
 
-    fn ps(net: u32, s: u32, rx: u32, rate: BitRate, loss: f64) -> ProbeSet {
-        ProbeSet {
-            network: NetworkId(net),
-            phy: Phy::Bg,
-            time_s: 0.0,
-            sender: ApId(s),
-            receiver: ApId(rx),
-            obs: vec![RateObs {
-                rate,
-                loss,
-                snr_db: 15.0,
-            }],
+    /// One single-observation probe set per `(net, sender, receiver,
+    /// rate, loss)` row.
+    fn table(rows: &[(u32, u32, u32, BitRate, f64)]) -> ProbeTable {
+        let mut t = ProbeTable::new();
+        for &(net, s, rx, rate, loss) in rows {
+            t.push(Probe {
+                network: NetworkId(net),
+                phy: Phy::Bg,
+                time_s: 0.0,
+                sender: ApId(s),
+                receiver: ApId(rx),
+                obs: &[RateObs {
+                    rate,
+                    loss,
+                    snr_db: 15.0,
+                }],
+            });
         }
+        t
     }
 
     #[test]
     fn averages_reports() {
-        let probes = vec![
-            ps(0, 0, 1, r(1.0), 0.2),
-            ps(0, 0, 1, r(1.0), 0.4),
-            ps(0, 1, 0, r(1.0), 0.5),
-        ];
+        let probes = table(&[
+            (0, 0, 1, r(1.0), 0.2),
+            (0, 0, 1, r(1.0), 0.4),
+            (0, 1, 0, r(1.0), 0.5),
+        ]);
         let m = DeliveryMatrix::from_probes(NetworkId(0), r(1.0), 2, &probes);
         assert!((m.get(ApId(0), ApId(1)) - 0.7).abs() < 1e-12);
         assert!((m.get(ApId(1), ApId(0)) - 0.5).abs() < 1e-12);
@@ -173,17 +179,17 @@ mod tests {
 
     #[test]
     fn filters_other_networks_and_rates() {
-        let probes = vec![
-            ps(1, 0, 1, r(1.0), 0.0), // wrong network
-            ps(0, 0, 1, r(6.0), 0.0), // wrong rate
-        ];
+        let probes = table(&[
+            (1, 0, 1, r(1.0), 0.0), // wrong network
+            (0, 0, 1, r(6.0), 0.0), // wrong rate
+        ]);
         let m = DeliveryMatrix::from_probes(NetworkId(0), r(1.0), 2, &probes);
         assert_eq!(m.get(ApId(0), ApId(1)), 0.0);
     }
 
     #[test]
     fn unheard_pairs_are_zero() {
-        let m = DeliveryMatrix::from_probes(NetworkId(0), r(1.0), 3, &[]);
+        let m = DeliveryMatrix::from_probes(NetworkId(0), r(1.0), 3, &ProbeTable::new());
         for (_, _, p) in m.directed_pairs() {
             assert_eq!(p, 0.0);
         }

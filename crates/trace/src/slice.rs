@@ -22,7 +22,6 @@ impl Dataset {
                 .probes
                 .iter()
                 .filter(|p| (t0_s..t1_s).contains(&p.time_s))
-                .cloned()
                 .collect(),
             clients: self
                 .clients
@@ -57,7 +56,6 @@ impl Dataset {
                 .probes
                 .iter()
                 .filter(|p| kept.contains(&p.network))
-                .cloned()
                 .collect(),
             clients: self
                 .clients
@@ -86,7 +84,7 @@ mod tests {
     use super::*;
     use crate::dataset::NetworkMeta;
     use crate::ids::{ApId, ClientId};
-    use crate::probe::{ProbeSet, RateObs};
+    use crate::probe::{Probe, RateObs};
     use crate::ClientSample;
     use mesh11_phy::BitRate;
 
@@ -98,21 +96,23 @@ mod tests {
             radios: vec![if i == 0 { Phy::Bg } else { Phy::Ht }],
             location: String::new(),
         };
-        let probe = |net: u32, t: f64| ProbeSet {
+        let obs = |net: u32| RateObs {
+            rate: if net == 0 {
+                BitRate::bg_mbps(1.0).unwrap()
+            } else {
+                BitRate::ht_mcs(0, false).unwrap()
+            },
+            loss: 0.0,
+            snr_db: 20.0,
+        };
+        let (bg, ht) = ([obs(0)], [obs(1)]);
+        let probe = |net: u32, t: f64| Probe {
             network: NetworkId(net),
             phy: if net == 0 { Phy::Bg } else { Phy::Ht },
             time_s: t,
             sender: ApId(0),
             receiver: ApId(1),
-            obs: vec![RateObs {
-                rate: if net == 0 {
-                    BitRate::bg_mbps(1.0).unwrap()
-                } else {
-                    BitRate::ht_mcs(0, false).unwrap()
-                },
-                loss: 0.0,
-                snr_db: 20.0,
-            }],
+            obs: if net == 0 { &bg } else { &ht },
         };
         let client = |net: u32, bin: f64| ClientSample {
             network: NetworkId(net),
@@ -124,12 +124,14 @@ mod tests {
         };
         Dataset {
             networks: vec![meta(0, EnvLabel::Indoor), meta(1, EnvLabel::Outdoor)],
-            probes: vec![
+            probes: [
                 probe(0, 300.0),
                 probe(0, 600.0),
                 probe(1, 300.0),
                 probe(1, 900.0),
-            ],
+            ]
+            .into_iter()
+            .collect(),
             clients: vec![client(0, 0.0), client(0, 600.0), client(1, 300.0)],
             probe_horizon_s: 1_200.0,
             client_horizon_s: 900.0,

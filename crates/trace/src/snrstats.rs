@@ -17,6 +17,9 @@ use crate::chunk::ProbeSource;
 use crate::dataset::Dataset;
 use crate::ids::{ApId, NetworkId};
 
+/// The probe-set SNR (`Probe::snr_db`) of the set at a dataset position.
+type SnrAt<'a> = dyn Fn(usize) -> f64 + Sync + 'a;
+
 /// Splits `0..n` into contiguous ranges for parallel walks whose outputs
 /// concatenate back in index order.
 fn split_ranges(n: usize) -> Vec<std::ops::Range<usize>> {
@@ -30,7 +33,7 @@ fn split_ranges(n: usize) -> Vec<std::ops::Range<usize>> {
 /// would flatten to.
 fn probes_by_network(ds: &Dataset) -> Vec<Vec<u32>> {
     let mut m: BTreeMap<NetworkId, Vec<u32>> = BTreeMap::new();
-    for (i, p) in ds.probes.iter().enumerate() {
+    for (i, p) in ds.probes.rows().iter().enumerate() {
         m.entry(p.network).or_default().push(i as u32);
     }
     m.into_values().collect()
@@ -67,11 +70,16 @@ impl crate::fold::FoldKernel for SigmaKernel {
 
     fn fold(&self, view: crate::index::DatasetView<'_>, partial: &mut Vec<f64>) {
         let ds = view.dataset();
+        // The per-set medians come from the view's shared SNR column.
+        let medians = || {
+            let cols = view.columns();
+            move |i: usize| cols.snr_db(i)
+        };
         partial.extend(match self.0 {
             SigmaKind::ProbeSet => probe_set_sigmas(ds),
-            SigmaKind::Link => link_sigmas(ds),
-            SigmaKind::RecentK(k) => recent_k_sigmas(ds, k),
-            SigmaKind::Network => network_sigmas(ds),
+            SigmaKind::Link => link_sigmas_by(ds, &medians()),
+            SigmaKind::RecentK(k) => recent_k_sigmas_by(ds, k, &medians()),
+            SigmaKind::Network => network_sigmas_by(ds, &medians()),
         });
     }
 
@@ -104,12 +112,7 @@ pub fn network_sigmas_from(src: &ProbeSource<'_>) -> Vec<f64> {
 pub fn probe_set_sigmas(ds: &Dataset) -> Vec<f64> {
     let parts: Vec<Vec<f64>> = split_ranges(ds.probes.len())
         .par_iter()
-        .map(|r| {
-            ds.probes[r.clone()]
-                .iter()
-                .map(|p| p.snr_stddev())
-                .collect()
-        })
+        .map(|r| r.clone().map(|i| ds.probes.get(i).snr_stddev()).collect())
         .collect();
     parts.into_iter().flatten().collect()
 }
@@ -117,6 +120,10 @@ pub fn probe_set_sigmas(ds: &Dataset) -> Vec<f64> {
 /// σ of probe-set SNR over time, per directed link (links with at least two
 /// reports).
 pub fn link_sigmas(ds: &Dataset) -> Vec<f64> {
+    link_sigmas_by(ds, &|i| ds.probes.get(i).snr_db())
+}
+
+fn link_sigmas_by(ds: &Dataset, snr: &SnrAt<'_>) -> Vec<f64> {
     let parts: Vec<Vec<f64>> = probes_by_network(ds)
         .par_iter()
         .map(|idxs| {
@@ -126,7 +133,7 @@ pub fn link_sigmas(ds: &Dataset) -> Vec<f64> {
                 per_link
                     .entry((p.sender, p.receiver))
                     .or_default()
-                    .push(p.snr_db());
+                    .push(snr(i as usize));
             }
             per_link
                 .values()
@@ -146,6 +153,10 @@ pub fn link_sigmas(ds: &Dataset) -> Vec<f64> {
 /// One value per (link, window position): every length-`k` run of a link's
 /// time-ordered reports contributes its σ.
 pub fn recent_k_sigmas(ds: &Dataset, k: usize) -> Vec<f64> {
+    recent_k_sigmas_by(ds, k, &|i| ds.probes.get(i).snr_db())
+}
+
+fn recent_k_sigmas_by(ds: &Dataset, k: usize, snr: &SnrAt<'_>) -> Vec<f64> {
     assert!(k >= 2, "a spread needs at least two values");
     let parts: Vec<Vec<f64>> = probes_by_network(ds)
         .par_iter()
@@ -156,7 +167,7 @@ pub fn recent_k_sigmas(ds: &Dataset, k: usize) -> Vec<f64> {
                 per_link
                     .entry((p.sender, p.receiver))
                     .or_default()
-                    .push((p.time_s, p.snr_db()));
+                    .push((p.time_s, snr(i as usize)));
             }
             let mut out = Vec::new();
             for series in per_link.values_mut() {
@@ -177,13 +188,14 @@ pub fn recent_k_sigmas(ds: &Dataset, k: usize) -> Vec<f64> {
 /// σ over all probe-set SNRs within each network (networks with at least two
 /// probe sets).
 pub fn network_sigmas(ds: &Dataset) -> Vec<f64> {
+    network_sigmas_by(ds, &|i| ds.probes.get(i).snr_db())
+}
+
+fn network_sigmas_by(ds: &Dataset, snr: &SnrAt<'_>) -> Vec<f64> {
     let parts: Vec<Option<f64>> = probes_by_network(ds)
         .par_iter()
         .map(|idxs| {
-            let snrs: Vec<f64> = idxs
-                .iter()
-                .map(|&i| ds.probes[i as usize].snr_db())
-                .collect();
+            let snrs: Vec<f64> = idxs.iter().map(|&i| snr(i as usize)).collect();
             mesh11_stats::stddev(&snrs)
         })
         .collect();
@@ -194,28 +206,31 @@ pub fn network_sigmas(ds: &Dataset) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::ids::{ApId, EnvLabel, NetworkId};
-    use crate::probe::{ProbeSet, RateObs};
+    use crate::probe::{Probe, ProbeTable, RateObs};
     use mesh11_phy::{BitRate, Phy};
 
-    fn ps(net: u32, s: u32, r: u32, snrs: &[f64]) -> ProbeSet {
-        ProbeSet {
-            network: NetworkId(net),
-            phy: Phy::Bg,
-            time_s: 0.0,
-            sender: ApId(s),
-            receiver: ApId(r),
-            obs: snrs
+    /// A network-0 dataset with one probe set per `(sender, receiver,
+    /// per-rate SNRs)` row.
+    fn ds(sets: &[(u32, u32, &[f64])]) -> Dataset {
+        let mut probes = ProbeTable::new();
+        for &(s, r, snrs) in sets {
+            let obs: Vec<RateObs> = snrs
                 .iter()
                 .map(|&snr| RateObs {
                     rate: BitRate::bg_mbps(1.0).unwrap(),
                     loss: 0.0,
                     snr_db: snr,
                 })
-                .collect(),
+                .collect();
+            probes.push(Probe {
+                network: NetworkId(0),
+                phy: Phy::Bg,
+                time_s: 0.0,
+                sender: ApId(s),
+                receiver: ApId(r),
+                obs: &obs,
+            });
         }
-    }
-
-    fn ds(probes: Vec<ProbeSet>) -> Dataset {
         Dataset {
             networks: vec![crate::dataset::NetworkMeta {
                 id: NetworkId(0),
@@ -233,7 +248,7 @@ mod tests {
 
     #[test]
     fn probe_set_sigma_values() {
-        let d = ds(vec![ps(0, 0, 1, &[10.0, 14.0]), ps(0, 0, 1, &[20.0])]);
+        let d = ds(&[(0, 1, &[10.0, 14.0]), (0, 1, &[20.0])]);
         let sigmas = probe_set_sigmas(&d);
         assert_eq!(sigmas, vec![2.0, 0.0]);
     }
@@ -241,11 +256,7 @@ mod tests {
     #[test]
     fn link_sigma_needs_two_reports() {
         // Link (0→1) has two reports at SNR 10 and 14; link (0→2) only one.
-        let d = ds(vec![
-            ps(0, 0, 1, &[10.0]),
-            ps(0, 0, 1, &[14.0]),
-            ps(0, 0, 2, &[30.0]),
-        ]);
+        let d = ds(&[(0, 1, &[10.0]), (0, 1, &[14.0]), (0, 2, &[30.0])]);
         let sigmas = link_sigmas(&d);
         assert_eq!(sigmas.len(), 1);
         assert!((sigmas[0] - (2.0f64 * 2.0f64 * 2.0).sqrt()).abs() < 1e-9); // sample σ of {10,14} = √8
@@ -253,7 +264,7 @@ mod tests {
 
     #[test]
     fn network_sigma_spans_links() {
-        let d = ds(vec![ps(0, 0, 1, &[10.0]), ps(0, 2, 3, &[30.0])]);
+        let d = ds(&[(0, 1, &[10.0]), (2, 3, &[30.0])]);
         let sigmas = network_sigmas(&d);
         assert_eq!(sigmas.len(), 1);
         // Sample σ of {10, 30} = √200 ≈ 14.14.
@@ -264,11 +275,7 @@ mod tests {
     fn recent_k_windows() {
         // One link with SNRs 10, 14, 10 over three reports: two length-2
         // windows, each σ = √8.
-        let d = ds(vec![
-            ps(0, 0, 1, &[10.0]),
-            ps(0, 0, 1, &[14.0]),
-            ps(0, 0, 1, &[10.0]),
-        ]);
+        let d = ds(&[(0, 1, &[10.0]), (0, 1, &[14.0]), (0, 1, &[10.0])]);
         let sig = recent_k_sigmas(&d, 2);
         assert_eq!(sig.len(), 2);
         for s in sig {
@@ -281,18 +288,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least two")]
     fn recent_k_rejects_k1() {
-        recent_k_sigmas(&ds(vec![]), 1);
+        recent_k_sigmas(&ds(&[]), 1);
     }
 
     #[test]
     fn network_spread_exceeds_link_spread() {
         // The qualitative ordering Fig 3.1 shows: networks vary more than
         // links, which vary more than single probe sets.
-        let d = ds(vec![
-            ps(0, 0, 1, &[10.0, 10.5]),
-            ps(0, 0, 1, &[11.0, 11.5]),
-            ps(0, 2, 3, &[38.0, 38.2]),
-            ps(0, 2, 3, &[39.0, 38.8]),
+        let d = ds(&[
+            (0, 1, &[10.0, 10.5]),
+            (0, 1, &[11.0, 11.5]),
+            (2, 3, &[38.0, 38.2]),
+            (2, 3, &[39.0, 38.8]),
         ]);
         let set_max = probe_set_sigmas(&d).into_iter().fold(0.0, f64::max);
         let link_max = link_sigmas(&d).into_iter().fold(0.0, f64::max);

@@ -81,7 +81,7 @@ impl Dataset {
             if p.obs.is_empty() {
                 push(&mut out, format!("probe[{i}]: no observations"));
             }
-            for o in &p.obs {
+            for o in p.obs {
                 if !(0.0..=1.0).contains(&o.loss) || !o.loss.is_finite() {
                     push(
                         &mut out,
@@ -148,7 +148,7 @@ mod tests {
     use super::*;
     use crate::dataset::NetworkMeta;
     use crate::ids::{ApId, ClientId, EnvLabel, NetworkId};
-    use crate::probe::{ProbeSet, RateObs};
+    use crate::probe::{Probe, RateObs};
     use crate::ClientSample;
     use mesh11_phy::BitRate;
 
@@ -161,18 +161,20 @@ mod tests {
                 radios: vec![Phy::Bg],
                 location: String::new(),
             }],
-            probes: vec![ProbeSet {
+            probes: [Probe {
                 network: NetworkId(0),
                 phy: Phy::Bg,
                 time_s: 300.0,
                 sender: ApId(0),
                 receiver: ApId(1),
-                obs: vec![RateObs {
+                obs: &[RateObs {
                     rate: BitRate::bg_mbps(1.0).unwrap(),
                     loss: 0.25,
                     snr_db: 18.0,
                 }],
-            }],
+            }]
+            .into_iter()
+            .collect(),
             clients: vec![ClientSample {
                 network: NetworkId(0),
                 ap: ApId(2),
@@ -196,7 +198,7 @@ mod tests {
     #[test]
     fn catches_bad_loss() {
         let mut ds = valid_dataset();
-        ds.probes[0].obs[0].loss = 1.5;
+        ds.probes.obs_mut(0)[0].loss = 1.5;
         let v = ds.validate(100);
         assert!(
             v.iter().any(|v| v.message.contains("not a probability")),
@@ -208,7 +210,7 @@ mod tests {
     #[test]
     fn catches_out_of_range_ids() {
         let mut ds = valid_dataset();
-        ds.probes[0].receiver = ApId(9);
+        ds.probes.rows_mut()[0].receiver = ApId(9);
         assert!(ds
             .validate(100)
             .iter()
@@ -225,14 +227,14 @@ mod tests {
     #[test]
     fn catches_unknown_network_and_self_link() {
         let mut ds = valid_dataset();
-        ds.probes[0].network = NetworkId(7);
+        ds.probes.rows_mut()[0].network = NetworkId(7);
         assert!(ds
             .validate(100)
             .iter()
             .any(|v| v.message.contains("unknown network")));
 
         let mut ds2 = valid_dataset();
-        ds2.probes[0].receiver = ds2.probes[0].sender;
+        ds2.probes.rows_mut()[0].receiver = ds2.probes[0].sender;
         assert!(ds2
             .validate(100)
             .iter()
@@ -243,7 +245,7 @@ mod tests {
     fn catches_phy_mismatches() {
         // Rate family differs from the probe's PHY.
         let mut ds = valid_dataset();
-        ds.probes[0].obs[0].rate = BitRate::ht_mcs(0, false).unwrap();
+        ds.probes.obs_mut(0)[0].rate = BitRate::ht_mcs(0, false).unwrap();
         assert!(ds
             .validate(100)
             .iter()
@@ -251,7 +253,7 @@ mod tests {
 
         // Probe claims a radio the network doesn't have.
         let mut ds2 = valid_dataset();
-        ds2.probes[0].phy = Phy::Ht;
+        ds2.probes.rows_mut()[0].phy = Phy::Ht;
         let v = ds2.validate(100);
         assert!(
             v.iter().any(|v| v.message.contains("has no 802.11n radio")),
@@ -262,7 +264,7 @@ mod tests {
     #[test]
     fn catches_horizon_and_alignment() {
         let mut ds = valid_dataset();
-        ds.probes[0].time_s = 999_999.0;
+        ds.probes.rows_mut()[0].time_s = 999_999.0;
         assert!(ds
             .validate(100)
             .iter()
@@ -280,10 +282,13 @@ mod tests {
     fn limit_bounds_output() {
         let mut ds = valid_dataset();
         // Make many violations.
+        let bad = [RateObs {
+            loss: 2.0,
+            ..ds.probes.get(0).obs[0]
+        }];
+        let h = ds.probes[0].clone();
         for _ in 0..50 {
-            let mut p = ds.probes[0].clone();
-            p.obs[0].loss = 2.0;
-            ds.probes.push(p);
+            ds.probes.push(h.with_obs(&bad));
         }
         assert_eq!(ds.validate(5).len(), 5);
     }

@@ -52,7 +52,7 @@ fn main() {
     );
     let mut t = cfg.report_interval_s;
     while t <= cfg.probe_horizon_s {
-        let round: Vec<&ProbeSet> = ds
+        let round: Vec<Probe> = ds
             .probes
             .iter()
             .filter(|p| (p.time_s - t).abs() < cfg.probe_interval_s)

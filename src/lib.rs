@@ -45,5 +45,7 @@ pub mod prelude {
     pub use mesh11_sim::{FaultPlan, SimConfig};
     pub use mesh11_stats::{Cdf, Summary};
     pub use mesh11_topo::{CampaignSpec, NetworkSpec};
-    pub use mesh11_trace::{Dataset, DatasetIndex, DatasetView, DeliveryMatrix, ProbeSet};
+    pub use mesh11_trace::{
+        Dataset, DatasetIndex, DatasetView, DeliveryMatrix, Probe, ProbeSet, ProbeTable,
+    };
 }

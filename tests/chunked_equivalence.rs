@@ -134,13 +134,13 @@ fn simulate(seed: u64) -> Dataset {
 fn tagged_chunk(k: usize) -> ProbeChunk {
     let mut chunk = ProbeChunk::default();
     for i in 0..=(k as u32) {
-        chunk.push(&ProbeSet {
+        chunk.push(Probe {
             network: NetworkId(k as u32),
             phy: Phy::Bg,
             time_s: f64::from(i),
             sender: ApId(i % 3),
             receiver: ApId(3 + i % 3),
-            obs: vec![RateObs {
+            obs: &[RateObs {
                 rate: BitRate::bg_mbps(1.0).unwrap(),
                 loss: 0.5,
                 snr_db: 10.0,
@@ -148,6 +148,13 @@ fn tagged_chunk(k: usize) -> ProbeChunk {
         });
     }
     chunk
+}
+
+/// The network tag of a chunk's first probe set.
+fn first_network(chunk: &ProbeChunk) -> NetworkId {
+    let mut first = ProbeTable::new();
+    chunk.copy_into(0..1, &mut first);
+    first[0].network
 }
 
 proptest! {
@@ -176,13 +183,13 @@ proptest! {
             let id = g % n_chunks;
             let h = store.chunk(id);
             prop_assert_eq!(h.len(), id + 1);
-            prop_assert_eq!(h.get(0).network, NetworkId(id as u32));
+            prop_assert_eq!(first_network(&h), NetworkId(id as u32));
             drop(h);
             store.evict_past_budget().expect("evict");
             for (k, h) in &pinned {
                 prop_assert!(store.is_resident(*k), "pinned chunk {} was evicted", k);
                 prop_assert_eq!(h.len(), *k + 1);
-                prop_assert_eq!(h.get(0).network, NetworkId(*k as u32));
+                prop_assert_eq!(first_network(h), NetworkId(*k as u32));
             }
             // Only pinned chunks may hold the store over budget.
             prop_assert!(store.resident_chunks() <= budget.max(pinned.len()));
@@ -193,7 +200,7 @@ proptest! {
         for k in 0..n_chunks {
             let h = store.chunk(k);
             prop_assert_eq!(h.len(), k + 1);
-            prop_assert_eq!(h.get(0).network, NetworkId(k as u32));
+            prop_assert_eq!(first_network(&h), NetworkId(k as u32));
         }
     }
 

@@ -41,6 +41,27 @@ fn json_round_trips_simulated_data() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A quick-scale dataset (what `mesh11 simulate --scale quick` writes)
+/// survives a JSON round trip. Parsing is linear in the document, so the
+/// full campaign takes well under a second.
+#[test]
+fn json_round_trips_a_quick_scale_dataset() {
+    let scale = mesh11_bench::Scale::Quick;
+    let ds = scale
+        .config()
+        .run_campaign(&scale.campaign_spec(42).generate());
+    let dir = std::env::temp_dir().join("mesh11-integration");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("quick.json");
+    ds.save_json(&path).unwrap();
+    let t = std::time::Instant::now();
+    let back = Dataset::load_json(&path).unwrap();
+    let load_s = t.elapsed().as_secs_f64();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(ds, back);
+    assert!(load_s < 30.0, "loading quick JSON took {load_s:.1} s");
+}
+
 #[test]
 fn binary_is_compact() {
     let ds = small_dataset(7);

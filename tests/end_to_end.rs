@@ -29,7 +29,7 @@ fn dataset_has_both_record_streams() {
     for p in &ds.probes {
         assert!(!p.obs.is_empty());
         assert!(p.time_s > 0.0 && p.time_s <= ds.probe_horizon_s);
-        for o in &p.obs {
+        for o in p.obs {
             assert!((0.0..=1.0).contains(&o.loss), "loss {}", o.loss);
             assert!(o.snr_db.is_finite());
             assert_eq!(o.rate.phy(), p.phy);

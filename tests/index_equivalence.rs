@@ -16,7 +16,8 @@ use std::ops::Range;
 
 use mesh11::phy::Phy;
 use mesh11::trace::{
-    ApId, Dataset, DatasetIndex, DatasetView, LinkRange, NetRange, NetworkId, ProbeSet, RateObs,
+    ApId, Dataset, DatasetIndex, DatasetView, LinkRange, NetRange, NetworkId, Probe, ProbeTable,
+    RateObs,
 };
 use proptest::prelude::*;
 
@@ -52,7 +53,7 @@ impl Reference {
             })
             .collect();
         let snr_key = snr_db.iter().map(|s| s.round() as i64).collect();
-        let opt = ds.probes.iter().map(ProbeSet::optimal).collect();
+        let opt = ds.probes.iter().map(|p| p.optimal()).collect();
 
         let mut phy_order: Vec<u32> = (0..n as u32).collect();
         phy_order.sort_by_key(|&i| phy_slot(ds.probes[i as usize].phy));
@@ -121,6 +122,12 @@ impl Reference {
     }
 }
 
+/// The same probe set of the same table: equal headers and the very same
+/// observation slice of the arena.
+fn same_set(a: Probe<'_>, b: Probe<'_>) -> bool {
+    a == b && std::ptr::eq(a.obs, b.obs)
+}
+
 fn positions(r: &[u32]) -> Vec<usize> {
     r.iter().map(|&p| p as usize).collect()
 }
@@ -142,7 +149,7 @@ fn check(ds: &Dataset, ix: &DatasetIndex, want: &Reference) -> Result<(), TestCa
         let same_probes = v
             .probes_for_phy(phy)
             .zip(&order)
-            .all(|(p, &pos)| std::ptr::eq(p, &ds.probes[pos]));
+            .all(|(p, &pos)| same_set(p, ds.probes.get(pos)));
         prop_assert!(same_probes, "{} probes_for_phy", phy);
 
         let want_links: Vec<&LinkRange> = want.links.iter().filter(|l| l.phy == phy).collect();
@@ -183,15 +190,15 @@ fn check(ds: &Dataset, ix: &DatasetIndex, want: &Reference) -> Result<(), TestCa
             let same = nv
                 .probes_in_order()
                 .zip(&run)
-                .all(|(p, &pos)| std::ptr::eq(p, &ds.probes[pos]));
+                .all(|(p, &pos)| same_set(p, ds.probes.get(pos)));
             prop_assert!(same, "net {} probes_in_order", w.network.0);
         }
     }
 
     for pos in 0..ds.probes.len() {
         let e = v.entry(pos);
-        let p = &ds.probes[pos];
-        prop_assert!(std::ptr::eq(e.probe, p));
+        let p = ds.probes.get(pos);
+        prop_assert!(same_set(e.probe, p));
         prop_assert_eq!(e.time_s.to_bits(), p.time_s.to_bits());
         prop_assert_eq!(
             e.snr_db.to_bits(),
@@ -223,31 +230,30 @@ type ObsSpec = (usize, u8, usize);
 type ProbeSpec = (usize, bool, (usize, usize), u32, Vec<ObsSpec>);
 
 fn dataset(specs: &[ProbeSpec]) -> Dataset {
-    let probes = specs
-        .iter()
-        .map(|(net, ht, (s, r), t, obs)| {
-            let phy = if *ht { Phy::Ht } else { Phy::Bg };
-            let rates = phy.all_rates();
-            ProbeSet {
-                network: NetworkId(NET_IDS[*net]),
-                phy,
-                // Few distinct times: duplicate timestamps are legal.
-                time_s: f64::from(*t) * 300.0,
-                sender: ApId(AP_IDS[*s]),
-                receiver: ApId(AP_IDS[*r]),
-                obs: obs
-                    .iter()
-                    .map(|&(rate, loss_q, snr)| RateObs {
-                        rate: rates[rate % rates.len()],
-                        // Quarter-step losses: 12 Mb/s at 0.5 ties 6 Mb/s
-                        // at 0, and full loss ties every rate at zero.
-                        loss: f64::from(loss_q) / 4.0,
-                        snr_db: SNRS[snr],
-                    })
-                    .collect(),
-            }
-        })
-        .collect();
+    let mut probes = ProbeTable::new();
+    for (net, ht, (s, r), t, obs) in specs {
+        let phy = if *ht { Phy::Ht } else { Phy::Bg };
+        let rates = phy.all_rates();
+        let obs: Vec<RateObs> = obs
+            .iter()
+            .map(|&(rate, loss_q, snr)| RateObs {
+                rate: rates[rate % rates.len()],
+                // Quarter-step losses: 12 Mb/s at 0.5 ties 6 Mb/s at 0,
+                // and full loss ties every rate at zero.
+                loss: f64::from(loss_q) / 4.0,
+                snr_db: SNRS[snr],
+            })
+            .collect();
+        probes.push(Probe {
+            network: NetworkId(NET_IDS[*net]),
+            phy,
+            // Few distinct times: duplicate timestamps are legal.
+            time_s: f64::from(*t) * 300.0,
+            sender: ApId(AP_IDS[*s]),
+            receiver: ApId(AP_IDS[*r]),
+            obs: &obs,
+        });
+    }
     Dataset {
         probes,
         ..Dataset::default()

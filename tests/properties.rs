@@ -28,7 +28,7 @@ proptest! {
             prop_assert!(p.snr_db().is_finite());
             prop_assert!(p.snr_stddev() >= 0.0);
             let best = p.optimal();
-            for o in &p.obs {
+            for o in p.obs {
                 prop_assert!((0.0..=1.0).contains(&o.loss));
                 prop_assert!(o.throughput_mbps() <= best.throughput_mbps() + 1e-9);
             }
@@ -125,5 +125,54 @@ proptest! {
         let ds = simulate(seed);
         let back = mesh11::trace::codec::decode(mesh11::trace::codec::encode(&ds)).unwrap();
         prop_assert_eq!(ds, back);
+    }
+}
+
+/// A small encoded dataset for the decoder fuzz: the first probe sets and
+/// client samples of a simulated one, so a random byte hits a header or a
+/// count as often as a payload float.
+fn fuzz_sample() -> &'static [u8] {
+    static SAMPLE: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+    SAMPLE.get_or_init(|| {
+        let ds = simulate(3);
+        let small = Dataset {
+            probes: ds.probes.iter().take(24).collect(),
+            clients: ds.clients.iter().take(6).copied().collect(),
+            ..ds
+        };
+        mesh11::trace::codec::encode(&small).to_vec()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Whatever a file's bytes, the M11T decoder returns: truncations and
+    /// byte flips anywhere (biased toward the header and counts at the
+    /// front) decode or fail with an error, and never panic or abort on
+    /// an allocation sized from a corrupt count.
+    #[test]
+    fn codec_decode_never_panics_on_damaged_input(
+        cut in 0usize..1 << 16,
+        flips in proptest::collection::vec((proptest::bool::ANY, 0usize..1 << 16, 1u8..=255), 0..6),
+    ) {
+        let full = fuzz_sample();
+        let mut bytes = full[..cut % (full.len() + 1)].to_vec();
+        for (front, at, x) in flips {
+            if bytes.is_empty() {
+                break;
+            }
+            let span = if front { bytes.len().min(64) } else { bytes.len() };
+            bytes[at % span] ^= x;
+        }
+        let decoded = mesh11::trace::codec::decode(bytes.into());
+        if let Ok(ds) = decoded {
+            // Anything that decodes is analyzable: every set passed the
+            // record check.
+            for p in &ds.probes {
+                prop_assert!(!p.obs.is_empty());
+                prop_assert!(p.snr_db().is_finite());
+            }
+        }
     }
 }
