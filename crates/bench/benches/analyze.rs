@@ -1,15 +1,14 @@
 //! Analyze-phase benchmarks: the fig4-2 family's kernels sequential (one
-//! worker) versus parallel (default pool), over the in-memory quick
-//! dataset, the same dataset forced through the spill-able chunk store,
-//! and a metro-2 chunked ensemble — plus a chunk-store contention
-//! micro-bench (N threads hammering random chunk gets through one store).
-//! Run with `cargo bench -p mesh11-bench analyze`.
+//! worker) versus parallel (default pool) over the in-memory quick
+//! dataset, plus a chunk-store contention micro-bench (N threads hammering
+//! random chunk gets through one store). Run with
+//! `cargo bench -p mesh11-bench analyze`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mesh11_bench::{DataMode, ReproContext, Scale};
+use mesh11_bench::{ReproContext, Scale};
 use mesh11_core::bitrate::{LookupTableSet, Scope};
 use mesh11_phy::{BitRate, Phy};
-use mesh11_trace::{ApId, ChunkConfig, ChunkStore, NetworkId, Probe, ProbeChunk, RateObs};
+use mesh11_trace::{ApId, ChunkStore, NetworkId, Probe, ProbeChunk, RateObs};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use rayon::prelude::*;
@@ -20,13 +19,10 @@ const SEED: u64 = 42;
 /// The fig4-2 family's dominant kernel: one lookup-table build plus the
 /// exact-accuracy walk, per scope.
 fn fig4_2_kernel(ctx: &ReproContext, scopes: &[Scope]) -> f64 {
-    let src = ctx.probe_source();
+    let view = ctx.view();
     scopes
         .iter()
-        .map(|&scope| {
-            let table = LookupTableSet::build_from(&src, scope, Phy::Bg);
-            table.exact_accuracy_from(&src)
-        })
+        .map(|&scope| LookupTableSet::build(view, scope, Phy::Bg).exact_accuracy(view))
         .sum()
 }
 
@@ -39,49 +35,14 @@ fn with_threads<R: Send>(n: usize, f: impl FnOnce() -> R + Send) -> R {
         .install(f)
 }
 
-fn build_ctx(scale: Scale, mode: DataMode) -> ReproContext {
-    ReproContext::build_timed_with_mode(scale, SEED, mesh11_sim::FaultPlan::none(), mode).0
-}
-
 /// Sequential vs parallel kernel, fully resident quick dataset.
 fn fig4_2_quick(c: &mut Criterion) {
-    let ctx = build_ctx(Scale::Quick, DataMode::InMemory);
+    let ctx = ReproContext::build(Scale::Quick, SEED);
     c.bench_function("analyze/fig4-2-quick-seq-1t", |b| {
         b.iter(|| with_threads(1, || black_box(fig4_2_kernel(&ctx, &Scope::ALL))))
     });
     c.bench_function("analyze/fig4-2-quick-par", |b| {
         b.iter(|| black_box(fig4_2_kernel(&ctx, &Scope::ALL)))
-    });
-}
-
-/// The same kernels with the dataset forced through tiny spilled chunks —
-/// measures the concurrent store under kernel-driven window traffic.
-fn fig4_2_spill(c: &mut Criterion) {
-    let ctx = build_ctx(Scale::Quick, DataMode::Chunked(ChunkConfig::tiny()));
-    assert!(
-        ctx.chunked().expect("chunked").spilled_bytes() > 0,
-        "tiny budget must force spilling"
-    );
-    c.bench_function("analyze/fig4-2-spill-seq-1t", |b| {
-        b.iter(|| with_threads(1, || black_box(fig4_2_kernel(&ctx, &Scope::ALL))))
-    });
-    c.bench_function("analyze/fig4-2-spill-par", |b| {
-        b.iter(|| black_box(fig4_2_kernel(&ctx, &Scope::ALL)))
-    });
-}
-
-/// The headline scaling case: a metro-2 chunked ensemble (220 networks,
-/// default chunk config), Global scope only to keep the bench bounded.
-fn fig4_2_metro(c: &mut Criterion) {
-    let ctx = build_ctx(
-        Scale::Metro { factor: 2 },
-        DataMode::Chunked(ChunkConfig::default()),
-    );
-    c.bench_function("analyze/fig4-2-metro2-seq-1t", |b| {
-        b.iter(|| with_threads(1, || black_box(fig4_2_kernel(&ctx, &[Scope::Global]))))
-    });
-    c.bench_function("analyze/fig4-2-metro2-par", |b| {
-        b.iter(|| black_box(fig4_2_kernel(&ctx, &[Scope::Global])))
     });
 }
 
@@ -144,6 +105,6 @@ fn chunkstore_contention(c: &mut Criterion) {
 criterion_group! {
     name = analyze;
     config = Criterion::default().sample_size(10);
-    targets = fig4_2_quick, fig4_2_spill, fig4_2_metro, chunkstore_contention
+    targets = fig4_2_quick, chunkstore_contention
 }
 criterion_main!(analyze);

@@ -1,9 +1,10 @@
-//! Spill codec v1 vs v2: frame encode and decode throughput on real
-//! simulated probe chunks. Run with `cargo bench -p mesh11-bench spill`.
+//! Spill codec: v2 frame encode and decode throughput on real simulated
+//! probe chunks, against the chunk's raw column bytes. Run with
+//! `cargo bench -p mesh11-bench spill`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mesh11_bench::{DataMode, ReproContext, Scale};
-use mesh11_trace::{ProbeChunk, SpillCodec};
+use mesh11_trace::ProbeChunk;
 use std::hint::black_box;
 
 const SEED: u64 = 42;
@@ -29,31 +30,28 @@ fn quick_chunk() -> ProbeChunk {
 
 fn codec_throughput(c: &mut Criterion) {
     let chunk = quick_chunk();
-    let raw_bytes = chunk.v1_encoded_len();
+    let raw_bytes = chunk.raw_len();
     let mut g = c.benchmark_group("spill/codec");
     g.throughput(Throughput::Bytes(raw_bytes));
-    for codec in [SpillCodec::V1, SpillCodec::V2] {
-        let label = format!("{codec:?}").to_lowercase();
-        g.bench_function(&format!("encode-{label}"), |b| {
-            let mut buf = Vec::new();
-            b.iter(|| {
-                buf.clear();
-                chunk.encode_with(codec, &mut buf);
-                black_box(buf.len())
-            })
-        });
-        let mut frame = Vec::new();
-        chunk.encode_with(codec, &mut frame);
-        eprintln!(
-            "# spill/codec {label}: {} -> {} bytes ({:.3}x)",
-            raw_bytes,
-            frame.len(),
-            frame.len() as f64 / raw_bytes as f64
-        );
-        g.bench_function(&format!("decode-{label}"), |b| {
-            b.iter(|| black_box(ProbeChunk::decode_any(&frame).expect("frame decodes")))
-        });
-    }
+    g.bench_function("encode-v2", |b| {
+        let mut buf = Vec::new();
+        b.iter(|| {
+            buf.clear();
+            chunk.encode(&mut buf);
+            black_box(buf.len())
+        })
+    });
+    let mut frame = Vec::new();
+    chunk.encode(&mut frame);
+    eprintln!(
+        "# spill/codec v2: {} raw -> {} bytes ({:.3}x)",
+        raw_bytes,
+        frame.len(),
+        frame.len() as f64 / raw_bytes as f64
+    );
+    g.bench_function("decode-v2", |b| {
+        b.iter(|| black_box(ProbeChunk::decode(&frame).expect("frame decodes")))
+    });
     g.finish();
 }
 

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! repro [--scale quick|standard|paper|metro] [--seed N] [--seeds N] [--threads N]
-//!       [--faults] [--metro-factor N] [--chunked] [--chunk-capacity N]
-//!       [--chunk-budget N] [--spill-codec v1|v2] [--spill-dir DIR]
+//!       [--faults] [--metro-factor N] [--chunk-budget N] [--spill-dir DIR]
 //!       [--out DIR] [--bench-json FILE] [--rows N] [--plot] <id>... | --all
 //! ```
 //!
@@ -14,12 +13,15 @@
 //! `out/figures_ci/`. Per-seed and amortized timings land in the timing
 //! JSONs. In-memory scales only.
 //!
-//! Chunked runs (`--scale metro`, or any chunk flag) overlap analysis with
-//! simulation: sealed dataset parts feed a bounded channel whose consumer
-//! folds every shared analysis over each part while later networks still
-//! simulate, then spills the part into the chunk store. In-memory runs
-//! compute each analysis lazily, the first time a figure needs it. Figures
-//! are byte-identical either way.
+//! The scale decides where the probes live. `--scale metro` streams them
+//! through the chunk store and overlaps analysis with simulation: sealed
+//! dataset parts feed a bounded channel whose consumer folds every shared
+//! analysis over each part while later networks still simulate, then
+//! spills the part into the store. `--metro-factor`, `--chunk-budget` and
+//! `--spill-dir` tune a metro run and are errors at any other scale. The
+//! other scales keep everything in memory and compute each analysis
+//! lazily, the first time a figure needs it. Figures are byte-identical
+//! either way.
 //!
 //! Prints each figure as an aligned text table (with the paper-expected
 //! values as `#` notes; add `--plot` for ASCII curve renderings) and writes
@@ -39,7 +41,7 @@ use mesh11_bench::{
     ReproContext, Scale,
 };
 use mesh11_core::report::FigureData;
-use mesh11_trace::{ChunkConfig, SpillCodec};
+use mesh11_trace::ChunkConfig;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -51,10 +53,7 @@ struct Args {
     seeds: usize,
     threads: Option<usize>,
     faults: bool,
-    chunked: bool,
-    chunk_capacity: Option<usize>,
     chunk_budget: Option<usize>,
-    spill_codec: Option<SpillCodec>,
     spill_dir: Option<PathBuf>,
     out: PathBuf,
     bench_json: PathBuf,
@@ -64,34 +63,18 @@ struct Args {
 }
 
 impl Args {
-    /// The data mode this invocation runs under: the scale's default,
-    /// overridden to chunked when any chunk flag is given.
+    /// The data mode this invocation runs under: the scale's default, with
+    /// the chunk-store knobs applied when that default is chunked (only
+    /// metro is; `parse_args` rejects the knobs anywhere else).
     fn data_mode(&self) -> DataMode {
-        let chunk_flags = self.chunked
-            || self.chunk_capacity.is_some()
-            || self.chunk_budget.is_some()
-            || self.spill_codec.is_some()
-            || self.spill_dir.is_some();
-        match (self.scale.data_mode(), chunk_flags) {
-            (DataMode::InMemory, false) => DataMode::InMemory,
-            (mode, _) => {
-                let mut cfg = match mode {
-                    DataMode::Chunked(cfg) => cfg,
-                    DataMode::InMemory => ChunkConfig::default(),
-                };
-                if let Some(cap) = self.chunk_capacity {
-                    cfg.chunk_capacity = cap.max(1);
-                }
-                if let Some(budget) = self.chunk_budget {
-                    cfg.resident_chunks = budget;
-                }
-                if let Some(codec) = self.spill_codec {
-                    cfg.spill_codec = codec;
-                }
-                cfg.spill_dir.clone_from(&self.spill_dir);
-                DataMode::Chunked(cfg)
+        let mut mode = self.scale.data_mode();
+        if let DataMode::Chunked(cfg) = &mut mode {
+            if let Some(budget) = self.chunk_budget {
+                cfg.resident_chunks = budget;
             }
+            cfg.spill_dir.clone_from(&self.spill_dir);
         }
+        mode
     }
 }
 
@@ -102,10 +85,7 @@ fn parse_args() -> Result<Args, String> {
         seeds: 1,
         threads: None,
         faults: false,
-        chunked: false,
-        chunk_capacity: None,
         chunk_budget: None,
-        spill_codec: None,
         spill_dir: None,
         out: PathBuf::from("out"),
         bench_json: PathBuf::from("BENCH_repro.json"),
@@ -141,20 +121,9 @@ fn parse_args() -> Result<Args, String> {
                 }
                 metro_factor = Some(n);
             }
-            "--chunked" => args.chunked = true,
-            "--chunk-capacity" => {
-                let v = it.next().ok_or("--chunk-capacity needs a value")?;
-                args.chunk_capacity =
-                    Some(v.parse().map_err(|e| format!("bad chunk capacity: {e}"))?);
-            }
             "--chunk-budget" => {
                 let v = it.next().ok_or("--chunk-budget needs a value")?;
                 args.chunk_budget = Some(v.parse().map_err(|e| format!("bad chunk budget: {e}"))?);
-            }
-            "--spill-codec" => {
-                let v = it.next().ok_or("--spill-codec needs a value")?;
-                args.spill_codec =
-                    Some(SpillCodec::parse(&v).ok_or(format!("bad spill codec '{v}' (v1|v2)"))?);
             }
             "--spill-dir" => {
                 args.spill_dir = Some(PathBuf::from(it.next().ok_or("--spill-dir needs a value")?));
@@ -183,8 +152,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: repro [--scale quick|standard|paper|metro] [--seed N] [--seeds N] [--threads N] [--faults]\n\
-                     \x20            [--metro-factor N] [--chunked] [--chunk-capacity N] [--chunk-budget N]\n\
-                     \x20            [--spill-codec v1|v2] [--spill-dir DIR]\n\
+                     \x20            [--metro-factor N] [--chunk-budget N] [--spill-dir DIR]\n\
                      \x20            [--out DIR] [--bench-json FILE] [--rows N] [--plot] <id>... | --all\n\
                      --threads N  cap the worker pool (default: all cores); results are\n\
                      identical at any value, only wall-clock changes\n\
@@ -193,18 +161,14 @@ fn parse_args() -> Result<Args, String> {
                      figures under out/figures_ci/ (in-memory scales only)\n\
                      --faults     simulate under the built-in demo fault plan (overlapping\n\
                      AP outages + stacked interference bursts), still thread-invariant\n\
-                     --metro-factor N  ensemble multiplier for --scale metro (default {})\n\
-                     --chunked    stream probes through the spill-able chunk store at any scale;\n\
-                     analysis folds each sealed part while later networks still simulate\n\
-                     --chunk-capacity N  probe sets per chunk (default {})\n\
-                     --chunk-budget N    resident chunks before spilling (default {})\n\
-                     --spill-codec v1|v2  spill frame encoding: raw columns (v1) or\n\
-                     per-column compression + checksum (v2, default)\n\
-                     --spill-dir DIR     where cold chunks spill (default: system temp dir)\n\
+                     --scale metro streams probes through the spill-able chunk store; analysis\n\
+                     folds each sealed part while later networks still simulate. Metro only:\n\
+                     --metro-factor N  ensemble multiplier (default {})\n\
+                     --chunk-budget N  resident chunks before spilling (default {})\n\
+                     --spill-dir DIR   where cold chunks spill (default: system temp dir)\n\
                      --bench-json FILE  where to write the per-phase timing JSON\n\
                      (default: BENCH_repro.json in the working directory)\nids: {}",
                     mesh11_bench::DEFAULT_METRO_FACTOR,
-                    ChunkConfig::default().chunk_capacity,
                     ChunkConfig::default().resident_chunks,
                     ALL_IDS.join(" ")
                 );
@@ -214,18 +178,26 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
-    if let Some(factor) = metro_factor {
-        match &mut args.scale {
-            Scale::Metro { factor: f } => *f = factor,
-            _ => return Err("--metro-factor requires --scale metro".into()),
+    match &mut args.scale {
+        Scale::Metro { factor } => *factor = metro_factor.unwrap_or(*factor),
+        _ => {
+            for (flag, given) in [
+                ("--metro-factor", metro_factor.is_some()),
+                ("--chunk-budget", args.chunk_budget.is_some()),
+                ("--spill-dir", args.spill_dir.is_some()),
+            ] {
+                if given {
+                    return Err(format!("{flag} requires --scale metro"));
+                }
+            }
         }
     }
     if args.ids.is_empty() {
         return Err("no experiment ids given (try --all or --help)".into());
     }
-    if args.seeds > 1 && !matches!(args.data_mode(), DataMode::InMemory) {
+    if args.seeds > 1 && matches!(args.scale, Scale::Metro { .. }) {
         return Err(
-            "--seeds runs the ensemble in-memory; drop the chunk flags (or --scale metro)".into(),
+            "--seeds runs the ensemble in memory; it does not combine with --scale metro".into(),
         );
     }
     Ok(args)

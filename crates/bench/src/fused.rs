@@ -1,4 +1,10 @@
-//! The fused analysis pass of a chunked build.
+//! The shared heavy analyses, declared once, and the fused pass of a
+//! chunked build.
+//!
+//! Each analysis the figures share has one constructor here (`routing()`,
+//! `table(scope, phy)`, …) that fixes its parameters. An in-memory `ReproContext`
+//! runs it lazily as one `run_fold` over the whole view; a chunked build
+//! folds the same kernel, inside [`FusedRunner`], over every streamed part.
 //!
 //! A chunked context never walks its store per analysis. **Pass A** folds
 //! every table-independent kernel — and the eight lookup-table builds —
@@ -44,28 +50,125 @@ use mesh11_trace::{
 use crate::setup::{lookup_slot, TRIPLE_THRESHOLD};
 
 /// Minimum APs for a network to join the §5 routing population.
-pub(crate) const ROUTING_MIN_APS: usize = 5;
-/// Probing-airtime charge of the `ext-adapt` replay.
-pub(crate) const EXT_ADAPT_OVERHEAD: f64 = 0.10;
-/// Hearing thresholds swept by `ext-sweep`.
-pub(crate) const EXT_SWEEP_THRESHOLDS: [f64; 5] = [0.05, 0.10, 0.20, 0.30, 0.50];
-/// The recent-SNR run length of Fig 3.1's robustness note.
-pub(crate) const SIGMA_RECENT_K: usize = 3;
+const ROUTING_MIN_APS: usize = 5;
 
 /// The 1 Mbit/s b/g rate shared by the §5/§6 extension figures.
-pub(crate) fn one_mbps() -> BitRate {
+fn one_mbps() -> BitRate {
     BitRate::bg_mbps(1.0).expect("1 Mbit/s exists")
 }
 
-/// The adapter roster of the `ext-adapt` replay, in output order.
-pub(crate) fn ext_adapt_kinds() -> Vec<AdapterKind> {
-    vec![
-        AdapterKind::Oracle,
-        AdapterKind::SnrTable { top_k: 1 },
-        AdapterKind::SnrTable { top_k: 2 },
-        AdapterKind::EwmaProbing { alpha: 0.3 },
-        AdapterKind::Fixed(BitRate::bg_mbps(11.0).expect("11 Mbit/s exists")),
+/// The Fig 3.1 sigma kernels, in [`SnrSigmas`] field order: within-set,
+/// per-link, recent-3 (the robustness note's run length), per-network.
+pub(crate) fn sigmas() -> [SigmaKernel; 4] {
+    [
+        SigmaKernel(SigmaKind::ProbeSet),
+        SigmaKernel(SigmaKind::Link),
+        SigmaKernel(SigmaKind::RecentK(3)),
+        SigmaKernel(SigmaKind::Network),
     ]
+}
+
+/// The §4 look-up table build of one (scope, phy).
+pub(crate) fn table(scope: Scope, phy: Phy) -> TableBuildKernel {
+    TableBuildKernel { scope, phy }
+}
+
+/// The Fig 4.5 SNR↔throughput curves of one PHY.
+pub(crate) fn curves(phy: Phy) -> CurvesKernel {
+    CurvesKernel { phy }
+}
+
+/// The Fig 4.6 / Table 4.1 online-strategy replay (b/g, every strategy).
+pub(crate) fn strategy() -> StrategyKernel {
+    StrategyKernel {
+        phy: Phy::Bg,
+        kinds: StrategyKind::ALL.to_vec(),
+    }
+}
+
+/// The §5 routing analyses (b/g, ≥5 APs).
+pub(crate) fn routing() -> RoutingKernel {
+    RoutingKernel {
+        phy: Phy::Bg,
+        min_aps: ROUTING_MIN_APS,
+    }
+}
+
+/// The Fig 5.2 asymmetry pools (b/g).
+pub(crate) fn asymmetry() -> AsymmetryKernel {
+    AsymmetryKernel { phy: Phy::Bg }
+}
+
+/// The §6 hidden-triple analysis (b/g, 10% threshold, mean rule).
+pub(crate) fn triples() -> TripleKernel {
+    TripleKernel {
+        phy: Phy::Bg,
+        threshold: TRIPLE_THRESHOLD,
+        rule: HearRule::Mean,
+    }
+}
+
+/// The §6 per-(network, rate) interference ranges (b/g, 10% threshold).
+pub(crate) fn ranges() -> RangeKernel {
+    RangeKernel {
+        phy: Phy::Bg,
+        threshold: TRIPLE_THRESHOLD,
+        rule: HearRule::Mean,
+    }
+}
+
+/// The `ext-adapt` replay: five adapters, in output order, charged a 10%
+/// probing-airtime overhead.
+pub(crate) fn adapters() -> AdaptationKernel {
+    AdaptationKernel {
+        phy: Phy::Bg,
+        kinds: vec![
+            AdapterKind::Oracle,
+            AdapterKind::SnrTable { top_k: 1 },
+            AdapterKind::SnrTable { top_k: 2 },
+            AdapterKind::EwmaProbing { alpha: 0.3 },
+            AdapterKind::Fixed(BitRate::bg_mbps(11.0).expect("11 Mbit/s exists")),
+        ],
+        overhead: 0.10,
+    }
+}
+
+/// The `ext-sweep` hearing-threshold sweep at 1 Mbit/s.
+pub(crate) fn sweep() -> SweepKernel {
+    SweepKernel {
+        phy: Phy::Bg,
+        rate: one_mbps(),
+        thresholds: vec![0.05, 0.10, 0.20, 0.30, 0.50],
+        rule: HearRule::Mean,
+    }
+}
+
+/// The `ext-stability` churn/drift report (b/g).
+pub(crate) fn stability() -> StabilityKernel {
+    StabilityKernel { phy: Phy::Bg }
+}
+
+/// The `ext-diversity` rows (b/g, 1 Mbit/s, ≥5 APs, ETX1).
+pub(crate) fn diversity() -> DiversityKernel {
+    DiversityKernel {
+        phy: Phy::Bg,
+        rate: one_mbps(),
+        min_aps: ROUTING_MIN_APS,
+        variant: EtxVariant::Etx1,
+    }
+}
+
+/// The `ext-ett` analyses (b/g, ≥5 APs).
+pub(crate) fn ett() -> EttKernel {
+    EttKernel {
+        phy: Phy::Bg,
+        min_aps: ROUTING_MIN_APS,
+    }
+}
+
+/// The `ext-cap` input: the largest ≥5-AP b/g network's 1 Mbit/s matrix.
+pub(crate) fn cap() -> CapKernel {
+    CapKernel
 }
 
 /// The Fig 3.1 sigma populations, bundled so one accessor serves all four.
@@ -75,7 +178,7 @@ pub struct SnrSigmas {
     pub sets: Vec<f64>,
     /// σ of each link's probe-set SNRs over time.
     pub links: Vec<f64>,
-    /// σ of each length-`SIGMA_RECENT_K` run of a link's recent SNRs.
+    /// σ of each length-3 run of a link's recent SNRs.
     pub recent: Vec<f64>,
     /// σ over every probe-set SNR of a network.
     pub nets: Vec<f64>,
@@ -96,10 +199,9 @@ pub struct CapMatrix {
 /// Tracks the largest qualifying b/g network across the folded views and
 /// keeps its delivery matrix. Replacing on `n_aps >= best` replicates
 /// `Iterator::max_by_key`'s last-max-wins over the id-ordered metas, and
-/// computing the matrix from the resident view avoids the window build
-/// `ProbeSource::delivery_matrix` would cost on a chunked store.
+/// the matrix comes from the view holding that network.
 #[derive(Debug, Clone, Copy)]
-struct CapKernel;
+pub(crate) struct CapKernel;
 
 impl FoldKernel for CapKernel {
     type Partial = Option<CapMatrix>;
@@ -211,59 +313,29 @@ impl FusedRunner {
         for scope in Scope::ALL {
             for phy in [Phy::Bg, Phy::Ht] {
                 debug_assert_eq!(tables.len(), lookup_slot(scope, phy));
-                tables.push(Running::new(TableBuildKernel { scope, phy }));
+                tables.push(Running::new(table(scope, phy)));
             }
         }
+        let [sig_sets, sig_links, sig_recent, sig_nets] = sigmas().map(Running::new);
         Self {
-            sig_sets: Running::new(SigmaKernel(SigmaKind::ProbeSet)),
-            sig_links: Running::new(SigmaKernel(SigmaKind::Link)),
-            sig_recent: Running::new(SigmaKernel(SigmaKind::RecentK(SIGMA_RECENT_K))),
-            sig_nets: Running::new(SigmaKernel(SigmaKind::Network)),
+            sig_sets,
+            sig_links,
+            sig_recent,
+            sig_nets,
             tables,
-            curves_bg: Running::new(CurvesKernel { phy: Phy::Bg }),
-            curves_ht: Running::new(CurvesKernel { phy: Phy::Ht }),
-            strategy_bg: Running::new(StrategyKernel {
-                phy: Phy::Bg,
-                kinds: StrategyKind::ALL.to_vec(),
-            }),
-            routing_bg: Running::new(RoutingKernel {
-                phy: Phy::Bg,
-                min_aps: ROUTING_MIN_APS,
-            }),
-            asymmetry_bg: Running::new(AsymmetryKernel { phy: Phy::Bg }),
-            triples_bg: Running::new(TripleKernel {
-                phy: Phy::Bg,
-                threshold: TRIPLE_THRESHOLD,
-                rule: HearRule::Mean,
-            }),
-            ranges_bg: Running::new(RangeKernel {
-                phy: Phy::Bg,
-                threshold: TRIPLE_THRESHOLD,
-                rule: HearRule::Mean,
-            }),
-            adapters: Running::new(AdaptationKernel {
-                phy: Phy::Bg,
-                kinds: ext_adapt_kinds(),
-                overhead: EXT_ADAPT_OVERHEAD,
-            }),
-            sweep: Running::new(SweepKernel {
-                phy: Phy::Bg,
-                rate: one_mbps(),
-                thresholds: EXT_SWEEP_THRESHOLDS.to_vec(),
-                rule: HearRule::Mean,
-            }),
-            stability_bg: Running::new(StabilityKernel { phy: Phy::Bg }),
-            diversity: Running::new(DiversityKernel {
-                phy: Phy::Bg,
-                rate: one_mbps(),
-                min_aps: ROUTING_MIN_APS,
-                variant: EtxVariant::Etx1,
-            }),
-            ett_bg: Running::new(EttKernel {
-                phy: Phy::Bg,
-                min_aps: ROUTING_MIN_APS,
-            }),
-            cap: Running::new(CapKernel),
+            curves_bg: Running::new(curves(Phy::Bg)),
+            curves_ht: Running::new(curves(Phy::Ht)),
+            strategy_bg: Running::new(strategy()),
+            routing_bg: Running::new(routing()),
+            asymmetry_bg: Running::new(asymmetry()),
+            triples_bg: Running::new(triples()),
+            ranges_bg: Running::new(ranges()),
+            adapters: Running::new(adapters()),
+            sweep: Running::new(sweep()),
+            stability_bg: Running::new(stability()),
+            diversity: Running::new(diversity()),
+            ett_bg: Running::new(ett()),
+            cap: Running::new(cap()),
         }
     }
 
@@ -356,11 +428,64 @@ fn evaluate_penalties(
             let refs: Vec<&LookupTableSet> = tables.iter().collect();
             ThroughputPenalty::evaluate_batch_chunked(c, &refs)
         }
-        ProbeSource::Whole(_) => tables
+        ProbeSource::Whole(view) => tables
             .iter()
-            .map(|t| ThroughputPenalty::evaluate_from(src, t))
+            .map(|t| ThroughputPenalty::evaluate(*view, t))
             .collect(),
     };
     out.try_into()
         .unwrap_or_else(|_| unreachable!("eight penalty slots"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::setup::{ReproContext, Scale};
+
+    fn dbg(x: &dyn std::fmt::Debug) -> String {
+        format!("{x:?}")
+    }
+
+    /// The resident arm of `finish`: a runner folded over a quick
+    /// dataset's whole view yields, field for field, what the in-memory
+    /// context's lazy cells compute. Lookup tables hold hash maps, so they
+    /// are compared through their ordered accessors and their penalties.
+    #[test]
+    fn resident_finish_matches_lazy_cells() {
+        let ctx = ReproContext::build(Scale::Quick, 7);
+        let view = ctx.view();
+        let mut runner = FusedRunner::new();
+        assert_eq!(runner.kernels().len(), 25);
+        runner.fold_view(view);
+        let out = runner.finish(&ProbeSource::Whole(view));
+
+        assert_eq!(dbg(&out.sigmas), dbg(ctx.snr_sigmas()));
+        for scope in Scope::ALL {
+            for phy in [Phy::Bg, Phy::Ht] {
+                let slot = lookup_slot(scope, phy);
+                let (got, want) = (&out.tables[slot], ctx.lookup_tables(scope, phy));
+                assert_eq!(got.n_keys(), want.n_keys(), "{scope:?} {phy:?}");
+                assert_eq!(got.optimal_rates_per_snr(), want.optimal_rates_per_snr());
+                assert_eq!(got.exact_accuracy(view), want.exact_accuracy(view));
+                assert_eq!(dbg(&out.penalties[slot]), dbg(ctx.penalty(scope, phy)));
+            }
+        }
+        assert_eq!(dbg(&out.curves[0]), dbg(ctx.snr_curves(Phy::Bg)));
+        assert_eq!(dbg(&out.curves[1]), dbg(ctx.snr_curves(Phy::Ht)));
+        assert_eq!(dbg(&out.strategy_bg), dbg(&ctx.strategy_evals_bg()));
+        assert_eq!(dbg(&out.routing_bg), dbg(&ctx.routing_bg()));
+        assert_eq!(dbg(&out.asymmetry_bg), dbg(ctx.asymmetry_bg()));
+        assert_eq!(dbg(&out.triples_bg), dbg(ctx.triples_bg()));
+        assert_eq!(dbg(&out.ranges_bg), dbg(ctx.ranges_bg()));
+        assert_eq!(dbg(&out.adapters_ext), dbg(&ctx.adapters_ext()));
+        assert_eq!(dbg(&out.sweep_ext), dbg(&ctx.sweep_ext()));
+        assert_eq!(dbg(&out.stability_bg), dbg(ctx.stability_bg()));
+        assert_eq!(dbg(&out.diversity_ext), dbg(&ctx.diversity_ext()));
+        assert_eq!(dbg(&out.ett_bg), dbg(&ctx.ett_bg()));
+        assert!(
+            out.cap_ext.is_some(),
+            "quick campaign has a ≥5-AP b/g network"
+        );
+        assert_eq!(dbg(&out.cap_ext.as_ref()), dbg(&ctx.cap_ext()));
+    }
 }

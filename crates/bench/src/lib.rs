@@ -8,8 +8,9 @@
 //!   [`mesh11_core::report::FigureData`] with the paper-expected values
 //!   recorded as notes. The `repro` binary prints them; `EXPERIMENTS.md`
 //!   records a full run.
-//! * [`fused`] — the fused analysis pass of a chunked run: every heavy
-//!   kernel folds each sealed part of the streaming simulation as it
+//! * [`fused`] — one constructor per shared heavy analysis, used by the
+//!   lazy in-memory cells and by the fused pass of a chunked run, where
+//!   every kernel folds each sealed part of the streaming simulation as it
 //!   arrives, so the figures never walk the chunk store per analysis.
 //! * [`ensemble`] — cross-seed aggregation for multi-seed runs
 //!   (`repro --seeds N`): mean ± 95% t-interval series under

@@ -3,25 +3,20 @@
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
-use mesh11_core::bitrate::strategy::evaluate_strategies_from;
 use mesh11_core::bitrate::{
-    link_stability_from, simulate_adapters_from, AdaptationOutcome, LinkStability, LookupTableSet,
-    Scope, SnrThroughputCurves, StrategyEval, StrategyKind, ThroughputPenalty,
+    AdaptationOutcome, LinkStability, LookupTableSet, Scope, SnrThroughputCurves, StrategyEval,
+    ThroughputPenalty,
 };
 use mesh11_core::mobility::MobilityReport;
-use mesh11_core::routing::diversity::analyze_diversity_from;
-use mesh11_core::routing::ett::{analyze_ett_from, EttAnalysis};
-use mesh11_core::routing::improvement::{analyze_dataset_from, OpportunisticAnalysis};
-use mesh11_core::routing::{asymmetry::asymmetry_by_rate_from, EtxVariant};
-use mesh11_core::triples::{
-    hidden::TripleAnalysis, range::range_by_rate_from, sweep::threshold_sweep_from, HearRule,
-};
+use mesh11_core::routing::ett::EttAnalysis;
+use mesh11_core::routing::improvement::OpportunisticAnalysis;
+use mesh11_core::triples::hidden::TripleAnalysis;
 use mesh11_phy::{shared_success_table, BitRate, PerModel, Phy, SuccessTable};
 use mesh11_sim::{ClientProbeTrace, SimConfig};
 use mesh11_topo::{Campaign, CampaignSpec, NetworkSpec};
 use mesh11_trace::{
-    ChunkConfig, ChunkStoreStats, ChunkedDataset, ChunkedDatasetBuilder, ClientSample, Dataset,
-    DatasetIndex, DatasetView, NetworkId, NetworkMeta, ProbeSource,
+    run_fold, ChunkConfig, ChunkStoreStats, ChunkedDataset, ChunkedDatasetBuilder, ClientSample,
+    Dataset, DatasetIndex, DatasetView, NetworkId, NetworkMeta, ProbeSource,
 };
 
 use crate::fused::{self, CapMatrix, FusedOutputs, FusedRunner, SnrSigmas};
@@ -561,15 +556,14 @@ impl ReproContext {
         self.campaign.as_ref()
     }
 
-    /// The resident dataset. Panics for chunked contexts — consumers that
-    /// can fold over windows should use [`ReproContext::probe_source`];
-    /// consumers that only read metadata or client traces should use
-    /// [`ReproContext::meta_dataset`].
+    /// The resident dataset. Panics for chunked contexts, whose shared
+    /// analyses are all filled by the build; consumers that only read
+    /// metadata or client traces should use [`ReproContext::meta_dataset`].
     pub fn dataset(&self) -> &Dataset {
         match &self.store {
             DataStore::InMemory(ds) => ds,
             DataStore::Chunked(_) => {
-                panic!("chunked context has no resident dataset; use probe_source()")
+                panic!("chunked context has no resident dataset; use meta_dataset()")
             }
         }
     }
@@ -632,17 +626,6 @@ impl ReproContext {
         self.meta_dataset().client_horizon_s
     }
 
-    /// The probe source: the whole indexed view in memory mode (what the
-    /// lazy analyses fold over), ordered chunk windows in chunked mode.
-    /// The build of a chunked context fills every analysis, so only direct
-    /// callers walk its windows.
-    pub fn probe_source(&self) -> ProbeSource<'_> {
-        match &self.store {
-            DataStore::InMemory(_) => ProbeSource::Whole(self.view()),
-            DataStore::Chunked(c) => ProbeSource::Chunked(c),
-        }
-    }
-
     /// The downlink client-probe pass — computed once (eagerly by
     /// [`ReproContext::build_timed_with_faults`], so simulation cost is
     /// attributed to the simulate phase) and shared by `ext-client` and
@@ -669,15 +652,16 @@ impl ReproContext {
     /// The dataset index — built once on first use and shared by every
     /// analysis below (and by figures reading the columnar views directly).
     /// Panics for chunked contexts: there is no monolithic probe table to
-    /// index (each window carries its own).
+    /// index (each streamed part is indexed on its own).
     pub fn index(&self) -> &DatasetIndex {
         self.index
             .get_or_init(|| DatasetIndex::build(self.dataset()))
     }
 
     /// An indexed view of the dataset, pairing [`ReproContext::dataset`]
-    /// with [`ReproContext::index`]. Panics for chunked contexts; use
-    /// [`ReproContext::probe_source`] there.
+    /// with [`ReproContext::index`]. Panics for chunked contexts. Each
+    /// shared analysis below is one `run_fold` of its [`fused`] kernel
+    /// over this view, computed on first touch.
     pub fn view(&self) -> DatasetView<'_> {
         DatasetView::new(self.dataset(), self.index())
     }
@@ -685,62 +669,48 @@ impl ReproContext {
     /// The §5 per-(network, rate) routing analyses over b/g networks with
     /// ≥5 APs — computed once, shared by Figs 5.1 and 5.3–5.5.
     pub fn routing_bg(&self) -> &[OpportunisticAnalysis] {
-        self.routing_bg.get_or_init(|| {
-            analyze_dataset_from(&self.probe_source(), Phy::Bg, fused::ROUTING_MIN_APS)
-        })
+        self.routing_bg
+            .get_or_init(|| run_fold(self.view(), &fused::routing()))
     }
 
     /// The §4 SNR→rate look-up tables for one (scope, phy) — built once
     /// and shared by Figs 4.1–4.4 (and anything else keying off them).
     pub fn lookup_tables(&self, scope: Scope, phy: Phy) -> &LookupTableSet {
         self.lookup_tables[lookup_slot(scope, phy)]
-            .get_or_init(|| LookupTableSet::build_from(&self.probe_source(), scope, phy))
+            .get_or_init(|| run_fold(self.view(), &fused::table(scope, phy)))
     }
 
     /// The §4.5 online-strategy evaluations over b/g — shared by Fig 4.6
     /// and Table 4.1.
     pub fn strategy_evals_bg(&self) -> &[StrategyEval] {
-        self.strategy_evals_bg.get_or_init(|| {
-            evaluate_strategies_from(&self.probe_source(), Phy::Bg, &StrategyKind::ALL)
-        })
+        self.strategy_evals_bg
+            .get_or_init(|| run_fold(self.view(), &fused::strategy()))
     }
 
     /// The §6 hidden-triple analysis over b/g at the paper's 10%
     /// threshold — shared by Fig 6.1 and §6.3.
     pub fn triples_bg(&self) -> &TripleAnalysis {
-        self.triples_bg.get_or_init(|| {
-            TripleAnalysis::run_from(
-                &self.probe_source(),
-                Phy::Bg,
-                TRIPLE_THRESHOLD,
-                HearRule::Mean,
-            )
-        })
+        self.triples_bg
+            .get_or_init(|| run_fold(self.view(), &fused::triples()))
     }
 
     /// The §6 per-(network, rate) interference ranges over b/g — shared by
     /// Fig 6.2 and §6.3.
     pub fn ranges_bg(&self) -> &BTreeMap<(NetworkId, BitRate), usize> {
-        self.ranges_bg.get_or_init(|| {
-            range_by_rate_from(
-                &self.probe_source(),
-                Phy::Bg,
-                TRIPLE_THRESHOLD,
-                HearRule::Mean,
-            )
-        })
+        self.ranges_bg
+            .get_or_init(|| run_fold(self.view(), &fused::ranges()))
     }
 
     /// The Fig 3.1 sigma populations (within-set, per-link, recent-k,
     /// per-network).
     pub fn snr_sigmas(&self) -> &SnrSigmas {
         self.snr_sigmas.get_or_init(|| {
-            let src = self.probe_source();
+            let [sets, links, recent, nets] = fused::sigmas().map(|k| run_fold(self.view(), &k));
             SnrSigmas {
-                sets: mesh11_trace::snrstats::probe_set_sigmas_from(&src),
-                links: mesh11_trace::snrstats::link_sigmas_from(&src),
-                recent: mesh11_trace::snrstats::recent_k_sigmas_from(&src, fused::SIGMA_RECENT_K),
-                nets: mesh11_trace::snrstats::network_sigmas_from(&src),
+                sets,
+                links,
+                recent,
+                nets,
             }
         })
     }
@@ -751,93 +721,57 @@ impl ReproContext {
             Phy::Bg => 0,
             Phy::Ht => 1,
         };
-        self.curves[slot].get_or_init(|| SnrThroughputCurves::build_from(&self.probe_source(), phy))
+        self.curves[slot].get_or_init(|| run_fold(self.view(), &fused::curves(phy)))
     }
 
     /// The Fig 4.4 penalty of one (scope, phy) table against the dataset.
     pub fn penalty(&self, scope: Scope, phy: Phy) -> &ThroughputPenalty {
         self.penalties[lookup_slot(scope, phy)].get_or_init(|| {
-            ThroughputPenalty::evaluate_from(&self.probe_source(), self.lookup_tables(scope, phy))
+            ThroughputPenalty::evaluate(self.view(), self.lookup_tables(scope, phy))
         })
     }
 
     /// The Fig 5.2 asymmetry pools per rate (b/g).
     pub fn asymmetry_bg(&self) -> &BTreeMap<BitRate, Vec<f64>> {
         self.asymmetry_bg
-            .get_or_init(|| asymmetry_by_rate_from(&self.probe_source(), Phy::Bg))
+            .get_or_init(|| run_fold(self.view(), &fused::asymmetry()))
     }
 
     /// The `ext-adapt` replay outcomes.
     pub fn adapters_ext(&self) -> &[AdaptationOutcome] {
-        self.adapters_ext.get_or_init(|| {
-            simulate_adapters_from(
-                &self.probe_source(),
-                Phy::Bg,
-                &fused::ext_adapt_kinds(),
-                fused::EXT_ADAPT_OVERHEAD,
-            )
-        })
+        self.adapters_ext
+            .get_or_init(|| run_fold(self.view(), &fused::adapters()))
     }
 
     /// The `ext-sweep` threshold-sweep rows.
     pub fn sweep_ext(&self) -> &[(f64, Option<f64>)] {
-        self.sweep_ext.get_or_init(|| {
-            threshold_sweep_from(
-                &self.probe_source(),
-                Phy::Bg,
-                fused::one_mbps(),
-                &fused::EXT_SWEEP_THRESHOLDS,
-                HearRule::Mean,
-            )
-        })
+        self.sweep_ext
+            .get_or_init(|| run_fold(self.view(), &fused::sweep()))
     }
 
     /// The `ext-stability` churn/drift report (b/g).
     pub fn stability_bg(&self) -> &LinkStability {
         self.stability_bg
-            .get_or_init(|| link_stability_from(&self.probe_source(), Phy::Bg))
+            .get_or_init(|| run_fold(self.view(), &fused::stability()))
     }
 
     /// The `ext-diversity` rows.
     pub fn diversity_ext(&self) -> &[(usize, f64, f64, usize)] {
-        self.diversity_ext.get_or_init(|| {
-            analyze_diversity_from(
-                &self.probe_source(),
-                Phy::Bg,
-                fused::one_mbps(),
-                fused::ROUTING_MIN_APS,
-                EtxVariant::Etx1,
-            )
-        })
+        self.diversity_ext
+            .get_or_init(|| run_fold(self.view(), &fused::diversity()))
     }
 
     /// The `ext-ett` analyses (b/g, ≥5 APs).
     pub fn ett_bg(&self) -> &[EttAnalysis] {
         self.ett_bg
-            .get_or_init(|| analyze_ett_from(&self.probe_source(), Phy::Bg, fused::ROUTING_MIN_APS))
+            .get_or_init(|| run_fold(self.view(), &fused::ett()))
     }
 
     /// The `ext-cap` delivery matrix: the largest ≥5-AP b/g network at
     /// 1 Mbit/s. `None` when no network qualifies.
     pub fn cap_ext(&self) -> Option<&CapMatrix> {
         self.cap_ext
-            .get_or_init(|| {
-                let meta = self
-                    .meta_dataset()
-                    .networks_with_at_least(fused::ROUTING_MIN_APS)
-                    .filter(|m| m.radios.contains(&Phy::Bg))
-                    .max_by_key(|m| m.n_aps)?;
-                Some(CapMatrix {
-                    network: meta.id,
-                    n_aps: meta.n_aps,
-                    matrix: self.probe_source().delivery_matrix(
-                        Phy::Bg,
-                        meta.id,
-                        fused::one_mbps(),
-                        meta.n_aps,
-                    ),
-                })
-            })
+            .get_or_init(|| run_fold(self.view(), &fused::cap()))
             .as_ref()
     }
 

@@ -108,7 +108,7 @@ pub struct PhaseTimings {
     pub over_budget_events: Option<u64>,
     /// Seconds spent decoding spill frames, summed across all threads.
     pub decode_s: Option<f64>,
-    /// Uncompressed (v1-equivalent) bytes of every chunk ever spilled.
+    /// Uncompressed column bytes of every chunk ever spilled.
     pub spill_raw_bytes: Option<u64>,
     /// Bytes actually written to the spill file;
     /// `spill_encoded_bytes / spill_raw_bytes` is the codec-v2 ratio.

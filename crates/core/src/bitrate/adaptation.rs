@@ -16,7 +16,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use mesh11_phy::{BitRate, Phy};
-use mesh11_trace::{DatasetView, FoldKernel, ProbeEntry, ProbeSource};
+use mesh11_trace::{DatasetView, FoldKernel, ProbeEntry};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -163,18 +163,28 @@ pub fn simulate_adapters(
     kinds: &[AdapterKind],
     overhead: f64,
 ) -> Vec<AdaptationOutcome> {
-    simulate_adapters_from(&ProbeSource::Whole(view), phy, kinds, overhead)
+    mesh11_trace::run_fold(
+        view,
+        &AdaptationKernel {
+            phy,
+            kinds: kinds.to_vec(),
+            overhead,
+        },
+    )
 }
 
-/// The fold-style form of [`simulate_adapters_from`]. The per-kind
-/// throughput sums are floating-point and order-sensitive; links live whole
-/// inside windows and windows preserve the sorted link order, so threading
-/// one partial through the windows in order accumulates each sum in exactly
-/// the monolithic sequence.
+/// The fold-style form of [`simulate_adapters`]. The per-kind throughput
+/// sums are floating-point and order-sensitive; links live whole inside
+/// network-aligned views and views preserve the sorted link order, so
+/// threading one partial through the views in order accumulates each sum
+/// in exactly the whole-dataset sequence.
 ///
-/// Within a window, parallelism is per adapter kind: each kind replays the
-/// window's links on its own thread, keeping every kind's accumulation a
+/// Within a view, parallelism is per adapter kind: each kind replays the
+/// view's links on its own thread, keeping every kind's accumulation a
 /// single continuous sequential sum.
+///
+/// # Panics
+/// `init` panics unless `overhead` lies in `[0, 1)`.
 #[derive(Debug, Clone)]
 pub struct AdaptationKernel {
     /// PHY replayed.
@@ -190,6 +200,10 @@ impl FoldKernel for AdaptationKernel {
     type Output = Vec<AdaptationOutcome>;
 
     fn init(&self) -> Self::Partial {
+        assert!(
+            (0.0..1.0).contains(&self.overhead),
+            "overhead is a fraction"
+        );
         self.kinds.iter().map(|_| (0u64, 0.0f64, 0.0f64)).collect()
     }
 
@@ -210,8 +224,8 @@ impl FoldKernel for AdaptationKernel {
             })
             .collect();
         // Pair each kind with its running accumulator so the per-kind sums
-        // keep accumulating *in place* across windows (re-associating them
-        // through per-window temporaries would perturb the float results).
+        // keep accumulating *in place* across views (re-associating them
+        // through per-view temporaries would perturb the float results).
         let mut work: Vec<(&AdapterKind, &mut (u64, f64, f64))> =
             self.kinds.iter().zip(partial.iter_mut()).collect();
         work.par_iter_mut().for_each(|(kind, acc)| {
@@ -258,25 +272,6 @@ impl FoldKernel for AdaptationKernel {
             })
             .collect()
     }
-}
-
-/// [`simulate_adapters`] over a whole or chunked source; see
-/// [`AdaptationKernel`] for the ordering argument.
-pub fn simulate_adapters_from(
-    src: &ProbeSource<'_>,
-    phy: Phy,
-    kinds: &[AdapterKind],
-    overhead: f64,
-) -> Vec<AdaptationOutcome> {
-    assert!((0.0..1.0).contains(&overhead), "overhead is a fraction");
-    mesh11_trace::run_fold(
-        src,
-        &AdaptationKernel {
-            phy,
-            kinds: kinds.to_vec(),
-            overhead,
-        },
-    )
 }
 
 #[cfg(test)]
@@ -404,5 +399,20 @@ mod tests {
         let out = adapters_over(&ds, &[AdapterKind::Oracle], 0.1);
         assert_eq!(out[0].decisions, 0);
         assert_eq!(out[0].mean_throughput_mbps, 0.0);
+    }
+
+    /// The kernel itself rejects an overhead outside `[0, 1)`, so a fused
+    /// pass that builds it directly is checked too.
+    #[test]
+    #[should_panic(expected = "overhead is a fraction")]
+    fn kernel_rejects_overhead_outside_unit_interval() {
+        let ds = stable_link(5);
+        let ix = DatasetIndex::build(&ds);
+        let kernel = AdaptationKernel {
+            phy: Phy::Bg,
+            kinds: vec![AdapterKind::Oracle],
+            overhead: 1.5,
+        };
+        mesh11_trace::run_fold(DatasetView::new(&ds, &ix), &kernel);
     }
 }

@@ -19,10 +19,14 @@ use std::hash::Hash;
 
 use mesh11_phy::{BitRate, Phy};
 use mesh11_stats::{pearson_coded, quantile_counted, spearman_coded};
-use mesh11_trace::{DatasetView, FoldKernel, ProbeSource};
+use mesh11_trace::{DatasetView, FoldKernel};
 use rayon::prelude::*;
 
-/// The fold-style form of [`SnrThroughputCurves::build_from`].
+/// The fold-style form of [`SnrThroughputCurves::build`]. Sample coding
+/// fans out per network; appending the per-network coded samples in
+/// network order rebuilds the sequential sample sequence exactly
+/// (datasets are network-major), which the order-sensitive correlation
+/// sums need.
 #[derive(Debug, Clone, Copy)]
 pub struct CurvesKernel {
     /// PHY analyzed.
@@ -225,17 +229,7 @@ impl SnrThroughputCurves {
     /// per-PHY range in dataset order — the correlation sums are
     /// order-sensitive, and this is the order the linear filter produced.
     pub fn build(view: DatasetView<'_>, phy: Phy) -> Self {
-        Self::build_from(&ProbeSource::Whole(view), phy)
-    }
-
-    /// [`SnrThroughputCurves::build`] over a whole or chunked source; the
-    /// order-sensitive correlation sums see the same sample sequence either
-    /// way (windowed per-PHY walks concatenate to the whole walk). Sample
-    /// coding fans out per network; appending the per-network coded
-    /// samples in network order rebuilds the sequential sequence exactly
-    /// (datasets are network-major).
-    pub fn build_from(src: &ProbeSource<'_>, phy: Phy) -> Self {
-        mesh11_trace::run_fold(src, &CurvesKernel { phy })
+        mesh11_trace::run_fold(view, &CurvesKernel { phy })
     }
 
     /// The envelope the paper's Fig 4.5 eye traces: per SNR bin, the best

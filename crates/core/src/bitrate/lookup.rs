@@ -4,7 +4,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use mesh11_phy::{BitRate, Phy};
 use mesh11_stats::BinnedStats;
-use mesh11_trace::{DatasetView, Probe, ProbeSource};
+use mesh11_trace::{DatasetView, Probe};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -53,8 +53,9 @@ fn key_of(scope: Scope, probe: Probe<'_>) -> Key {
 /// How often each rate was optimal at one (key, SNR) cell.
 type RateCounts = BTreeMap<BitRate, u32>;
 
-/// The fold-style form of [`LookupTableSet::build_from`]. The partial is a
-/// whole table set whose cells are commutative integer counts.
+/// The fold-style form of [`LookupTableSet::build`]. The partial is a
+/// whole table set whose cells are commutative integer counts, so the
+/// per-network fan-out and its merge cannot change any cell.
 #[derive(Debug, Clone, Copy)]
 pub struct TableBuildKernel {
     /// Training scope.
@@ -132,16 +133,7 @@ impl LookupTableSet {
     /// the view's precomputed SNR keys and optima (dataset order, same
     /// accumulation as calling [`LookupTableSet::train`] per probe).
     pub fn build(view: DatasetView<'_>, scope: Scope, phy: Phy) -> Self {
-        Self::build_from(&ProbeSource::Whole(view), scope, phy)
-    }
-
-    /// [`LookupTableSet::build`] over a whole or chunked source. The tables
-    /// are pure frequency counts, and a chunked walk feeds the same probes,
-    /// so the result is identical either way. Training fans out over a
-    /// flat per-network work list: counts are integers and addition
-    /// commutes, so the parallel merge cannot change any cell.
-    pub fn build_from(src: &ProbeSource<'_>, scope: Scope, phy: Phy) -> Self {
-        mesh11_trace::run_fold(src, &TableBuildKernel { scope, phy })
+        mesh11_trace::run_fold(view, &TableBuildKernel { scope, phy })
     }
 
     /// Adds one probe set's `P_opt` observation.
@@ -230,41 +222,31 @@ impl LookupTableSet {
     /// Fraction of the dataset's probe sets whose predicted rate equals the
     /// actually optimal one (trained-on-self accuracy, as in §4.3's "chooses
     /// the correct answer about 90% of the time").
+    ///
+    /// Hit/total counters are integers, so the per-network fan-out sums to
+    /// exactly the sequential result.
     pub fn exact_accuracy(&self, view: DatasetView<'_>) -> f64 {
-        self.exact_accuracy_from(&ProbeSource::Whole(view))
-    }
-
-    /// [`LookupTableSet::exact_accuracy`] over a whole or chunked source.
-    /// Hit/total counters are integers, so the per-network fan-out sums
-    /// to exactly the sequential result.
-    pub fn exact_accuracy_from(&self, src: &ProbeSource<'_>) -> f64 {
-        let mut total = 0u64;
-        let mut hits = 0u64;
-        src.for_each_view(|view| {
-            // The per-probe SNR columns, built once at full width before
-            // the per-network fan-out reads them.
-            view.columns();
-            let nets = view.network_views(self.phy);
-            let partials: Vec<(u64, u64)> = nets
-                .par_iter()
-                .map(|nv| {
-                    let (mut h, mut t) = (0u64, 0u64);
-                    for e in nv.entries_in_order() {
-                        t += 1;
-                        if self.predict_keyed(key_of(self.scope, e.probe), e.snr_key)
-                            == Some(e.opt.rate)
-                        {
-                            h += 1;
-                        }
+        // The per-probe SNR columns, built once at full width before the
+        // per-network fan-out reads them.
+        view.columns();
+        let (hits, total) = view
+            .network_views(self.phy)
+            .par_iter()
+            .map(|nv| {
+                let (mut h, mut t) = (0u64, 0u64);
+                for e in nv.entries_in_order() {
+                    t += 1;
+                    if self.predict_keyed(key_of(self.scope, e.probe), e.snr_key)
+                        == Some(e.opt.rate)
+                    {
+                        h += 1;
                     }
-                    (h, t)
-                })
-                .collect();
-            for (h, t) in partials {
-                hits += h;
-                total += t;
-            }
-        });
+                }
+                (h, t)
+            })
+            .collect::<Vec<(u64, u64)>>()
+            .into_iter()
+            .fold((0u64, 0u64), |(h, t), (dh, dt)| (h + dh, t + dt));
         if total == 0 {
             0.0
         } else {

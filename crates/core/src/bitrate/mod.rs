@@ -17,9 +17,9 @@ pub mod penalty;
 pub mod stability;
 pub mod strategy;
 
-pub use adaptation::{simulate_adapters, simulate_adapters_from, AdaptationOutcome, AdapterKind};
+pub use adaptation::{simulate_adapters, AdaptationOutcome, AdapterKind};
 pub use correlation::SnrThroughputCurves;
 pub use lookup::{LookupTableSet, Scope};
 pub use penalty::ThroughputPenalty;
-pub use stability::{link_stability, link_stability_from, LinkStability};
+pub use stability::{link_stability, LinkStability};
 pub use strategy::{StrategyEval, StrategyKind};

@@ -7,14 +7,17 @@
 
 use mesh11_phy::Phy;
 use mesh11_stats::Cdf;
-use mesh11_trace::{ChunkedDataset, DatasetView, FoldKernel, ProbeSource};
+use mesh11_trace::{ChunkedDataset, DatasetView, FoldKernel};
 use rayon::prelude::*;
 
 use crate::bitrate::lookup::{LookupTableSet, Scope};
 
-/// The fold-style form of [`ThroughputPenalty::evaluate_from`]: needs a
+/// The fold-style form of [`ThroughputPenalty::evaluate`]: needs a
 /// **completed** table set, so in a fused pass it runs in a second phase
-/// after the table-building folds finish.
+/// after the table-building folds finish. The evaluation fans out over a
+/// flat per-network work list; concatenating per-network diff vectors in
+/// network order rebuilds the sequential vector element for element
+/// (datasets are network-major).
 #[derive(Debug, Clone, Copy)]
 pub struct PenaltyKernel<'t> {
     /// The trained tables the kernel scores against.
@@ -85,17 +88,7 @@ impl ThroughputPenalty {
     /// (dataset order per PHY, so the diff vector matches the pre-index
     /// pipeline element for element).
     pub fn evaluate(view: DatasetView<'_>, table: &LookupTableSet) -> Self {
-        Self::evaluate_from(&ProbeSource::Whole(view), table)
-    }
-
-    /// [`ThroughputPenalty::evaluate`] over a whole or chunked source: the
-    /// diff vector is filled in per-PHY dataset order, and windowed walks
-    /// concatenate to exactly that order. The evaluation fans out over a
-    /// flat per-network work list; concatenating per-network diff vectors
-    /// in network order rebuilds the sequential vector element for
-    /// element (datasets are network-major).
-    pub fn evaluate_from(src: &ProbeSource<'_>, table: &LookupTableSet) -> Self {
-        mesh11_trace::run_fold(src, &PenaltyKernel { table })
+        mesh11_trace::run_fold(view, &PenaltyKernel { table })
     }
 
     /// Evaluates several trained table sets in **one** walk over the raw
@@ -103,11 +96,11 @@ impl ThroughputPenalty {
     /// `window_builds` traffic): per network, in id order, each probe set
     /// is scored against every table whose PHY matches.
     ///
-    /// Byte-identical to per-table [`ThroughputPenalty::evaluate_from`]:
-    /// a window walk visits each (phy, network)'s entries in stream order
-    /// filtered by PHY (the index permutations are stable sorts over
-    /// network-major, time-sorted data), which is exactly the order the raw
-    /// chunk walk yields; and [`LookupTableSet::predict`] re-derives the
+    /// Byte-identical to per-table [`ThroughputPenalty::evaluate`] over the
+    /// whole view: an indexed walk visits each (phy, network)'s entries in
+    /// stream order filtered by PHY (the index permutations are stable
+    /// sorts over network-major, time-sorted data), which is exactly the
+    /// order the raw chunk walk yields; and [`LookupTableSet::predict`] re-derives the
     /// same `snr_key`/`optimal` the index precomputes.
     pub fn evaluate_batch_chunked(
         chunked: &ChunkedDataset,

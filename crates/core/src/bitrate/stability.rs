@@ -14,7 +14,7 @@
 //!   report-to-report wander.
 
 use mesh11_phy::Phy;
-use mesh11_trace::{DatasetView, FoldKernel, ProbeEntry, ProbeSource};
+use mesh11_trace::{DatasetView, FoldKernel, ProbeEntry};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -54,11 +54,11 @@ impl LinkStability {
 /// the per-link vectors deterministic; the pooled churn ratios and the
 /// median/CDF consumers are insensitive to that order.
 pub fn link_stability(view: DatasetView<'_>, phy: Phy) -> LinkStability {
-    link_stability_from(&ProbeSource::Whole(view), phy)
+    mesh11_trace::run_fold(view, &StabilityKernel { phy })
 }
 
-/// The fold-style form of [`link_stability_from`]: the per-link vectors
-/// fill in the same sorted link order either way. The link walk fans out
+/// The fold-style form of [`link_stability`]: the per-link vectors fill in
+/// the same sorted link order across the folded views. The link walk fans out
 /// per network; each link's drift sum stays a single sequential
 /// accumulation, the pooled pair counts are integers, and concatenating
 /// per-network link vectors in network order rebuilds the sorted global
@@ -163,12 +163,6 @@ impl FoldKernel for StabilityKernel {
             pairs: (same.1, diff.1),
         }
     }
-}
-
-/// [`link_stability`] over a whole or chunked source; see
-/// [`StabilityKernel`] for the ordering argument.
-pub fn link_stability_from(src: &ProbeSource<'_>, phy: Phy) -> LinkStability {
-    mesh11_trace::run_fold(src, &StabilityKernel { phy })
 }
 
 #[cfg(test)]

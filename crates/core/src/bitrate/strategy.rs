@@ -20,7 +20,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use mesh11_phy::{BitRate, Phy};
 use mesh11_stats::BinnedStats;
-use mesh11_trace::{DatasetView, ProbeEntry, ProbeSource};
+use mesh11_trace::{DatasetView, ProbeEntry};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -159,11 +159,17 @@ pub fn evaluate_strategies(
     phy: Phy,
     kinds: &[StrategyKind],
 ) -> Vec<StrategyEval> {
-    evaluate_strategies_from(&ProbeSource::Whole(view), phy, kinds)
+    mesh11_trace::run_fold(
+        view,
+        &StrategyKernel {
+            phy,
+            kinds: kinds.to_vec(),
+        },
+    )
 }
 
-/// Per-kind accumulator of [`evaluate_strategies_from`], fed one window at
-/// a time.
+/// Per-kind accumulator of [`evaluate_strategies`], fed one view at a
+/// time.
 #[derive(Debug, Default)]
 pub struct StrategyAcc {
     acc: BinnedStats,
@@ -173,9 +179,9 @@ pub struct StrategyAcc {
     correct: u64,
 }
 
-/// The fold-style form of [`evaluate_strategies_from`]. Each link lives
-/// entirely inside one window (windows are whole networks) and windows walk
-/// links in the same sorted order as the monolithic pass, so every per-kind
+/// The fold-style form of [`evaluate_strategies`]. Each link lives
+/// entirely inside one view (views are whole networks) and views walk
+/// links in the same sorted order as the whole-dataset pass, so every per-kind
 /// accumulator sees an identical push sequence. The replay fans out over a
 /// flat per-network work list; per-network accumulators merge back in
 /// network order, which reproduces the sequential per-bin push order
@@ -263,22 +269,6 @@ impl mesh11_trace::FoldKernel for StrategyKernel {
             })
             .collect()
     }
-}
-
-/// [`evaluate_strategies`] over a whole or chunked source; see
-/// [`StrategyKernel`] for the ordering argument.
-pub fn evaluate_strategies_from(
-    src: &ProbeSource<'_>,
-    phy: Phy,
-    kinds: &[StrategyKind],
-) -> Vec<StrategyEval> {
-    mesh11_trace::run_fold(
-        src,
-        &StrategyKernel {
-            phy,
-            kinds: kinds.to_vec(),
-        },
-    )
 }
 
 #[cfg(test)]

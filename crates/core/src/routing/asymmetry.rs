@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 
 use mesh11_phy::{BitRate, Phy};
-use mesh11_trace::{ApId, DatasetView, DeliveryMatrix, FoldKernel, ProbeSource};
+use mesh11_trace::{ApId, DatasetView, DeliveryMatrix, FoldKernel};
 use rayon::prelude::*;
 
 use crate::routing::etx::MIN_DELIVERY;
@@ -33,11 +33,11 @@ pub fn asymmetry_ratios(m: &DeliveryMatrix) -> Vec<f64> {
 
 /// Fig 5.2's per-rate pooled ratios across every network of a PHY.
 pub fn asymmetry_by_rate(view: DatasetView<'_>, phy: Phy) -> BTreeMap<BitRate, Vec<f64>> {
-    asymmetry_by_rate_from(&ProbeSource::Whole(view), phy)
+    mesh11_trace::run_fold(view, &AsymmetryKernel { phy })
 }
 
-/// The fold-style form of [`asymmetry_by_rate_from`]: each rate's pool
-/// extends in network-id order either way. Networks are analyzed in
+/// The fold-style form of [`asymmetry_by_rate`]: each rate's pool
+/// extends in network-id order across the folded views. Networks are analyzed in
 /// parallel; extending each rate's pool from the per-network partials in
 /// network order rebuilds the sequential pools exactly.
 #[derive(Debug, Clone, Copy)]
@@ -80,12 +80,6 @@ impl FoldKernel for AsymmetryKernel {
     fn finish(&self, partial: Self::Partial) -> Self::Output {
         partial
     }
-}
-
-/// [`asymmetry_by_rate`] over a whole or chunked source; see
-/// [`AsymmetryKernel`] for the ordering argument.
-pub fn asymmetry_by_rate_from(src: &ProbeSource<'_>, phy: Phy) -> BTreeMap<BitRate, Vec<f64>> {
-    mesh11_trace::run_fold(src, &AsymmetryKernel { phy })
 }
 
 #[cfg(test)]

@@ -76,18 +76,20 @@ pub fn analyze_diversity(
     min_aps: usize,
     variant: EtxVariant,
 ) -> Vec<(usize, f64, f64, usize)> {
-    analyze_diversity_from(
-        &mesh11_trace::ProbeSource::Whole(view),
-        phy,
-        rate,
-        min_aps,
-        variant,
+    mesh11_trace::run_fold(
+        view,
+        &DiversityKernel {
+            phy,
+            rate,
+            min_aps,
+            variant,
+        },
     )
 }
 
-/// The fold-style form of [`analyze_diversity_from`]: the pooled
-/// `(matrix, analysis)` list builds in network-id order either way before
-/// the single reduction in `finish`.
+/// The fold-style form of [`analyze_diversity`]: the pooled
+/// `(matrix, analysis)` list builds in network-id order across the folded
+/// views before the single reduction in `finish`.
 #[derive(Debug, Clone, Copy)]
 pub struct DiversityKernel {
     /// PHY analyzed.
@@ -127,26 +129,6 @@ impl mesh11_trace::FoldKernel for DiversityKernel {
     fn finish(&self, pairs: Self::Partial) -> Self::Output {
         improvement_by_diversity(&pairs, self.variant)
     }
-}
-
-/// [`analyze_diversity`] over a whole or chunked source; see
-/// [`DiversityKernel`] for the ordering argument.
-pub fn analyze_diversity_from(
-    src: &mesh11_trace::ProbeSource<'_>,
-    phy: mesh11_phy::Phy,
-    rate: mesh11_phy::BitRate,
-    min_aps: usize,
-    variant: EtxVariant,
-) -> Vec<(usize, f64, f64, usize)> {
-    mesh11_trace::run_fold(
-        src,
-        &DiversityKernel {
-            phy,
-            rate,
-            min_aps,
-            variant,
-        },
-    )
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //! in time, per source–destination pair.
 
 use mesh11_phy::{airtime::frame_time_us, BitRate, Phy};
-use mesh11_trace::{ApId, DatasetView, DeliveryMatrix, FoldKernel, NetworkId, ProbeSource};
+use mesh11_trace::{ApId, DatasetView, DeliveryMatrix, FoldKernel, NetworkId};
 use rayon::prelude::*;
 
 use crate::routing::etx::MIN_DELIVERY;
@@ -137,11 +137,11 @@ impl EttAnalysis {
 
 /// Runs the ETT analysis on every b/g network with at least `min_aps` APs.
 pub fn analyze_ett(view: DatasetView<'_>, phy: Phy, min_aps: usize) -> Vec<EttAnalysis> {
-    analyze_ett_from(&ProbeSource::Whole(view), phy, min_aps)
+    mesh11_trace::run_fold(view, &EttKernel { phy, min_aps })
 }
 
-/// The fold-style form of [`analyze_ett_from`]: one entry per network in
-/// id order, identical either way. Networks are analyzed in parallel; the
+/// The fold-style form of [`analyze_ett`]: one entry per network in id
+/// order across the folded views. Networks are analyzed in parallel; the
 /// order-preserving collect keeps the id-ordered output.
 #[derive(Debug, Clone, Copy)]
 pub struct EttKernel {
@@ -178,12 +178,6 @@ impl FoldKernel for EttKernel {
     fn finish(&self, out: Self::Partial) -> Self::Output {
         out
     }
-}
-
-/// [`analyze_ett`] over a whole or chunked source; see [`EttKernel`] for
-/// the ordering argument.
-pub fn analyze_ett_from(src: &ProbeSource<'_>, phy: Phy, min_aps: usize) -> Vec<EttAnalysis> {
-    mesh11_trace::run_fold(src, &EttKernel { phy, min_aps })
 }
 
 #[cfg(test)]

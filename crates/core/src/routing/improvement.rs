@@ -7,7 +7,7 @@
 
 use mesh11_phy::{BitRate, Phy};
 use mesh11_stats::BinnedStats;
-use mesh11_trace::{ApId, DatasetView, DeliveryMatrix, FoldKernel, NetworkId, ProbeSource};
+use mesh11_trace::{ApId, DatasetView, DeliveryMatrix, FoldKernel, NetworkId};
 use rayon::prelude::*;
 
 use crate::routing::etx::EtxVariant;
@@ -118,11 +118,11 @@ pub fn analyze_dataset(
     phy: Phy,
     min_aps: usize,
 ) -> Vec<OpportunisticAnalysis> {
-    analyze_dataset_from(&ProbeSource::Whole(view), phy, min_aps)
+    mesh11_trace::run_fold(view, &RoutingKernel { phy, min_aps })
 }
 
-/// The fold-style form of [`analyze_dataset_from`]: one entry per
-/// (network, rate) in network-id order, identical either way. Networks
+/// The fold-style form of [`analyze_dataset`]: one entry per
+/// (network, rate) in network-id order across the folded views. Networks
 /// are analyzed in parallel; the order-preserving collect plus in-order
 /// flatten keeps the (network, rate) output order.
 #[derive(Debug, Clone, Copy)]
@@ -163,16 +163,6 @@ impl FoldKernel for RoutingKernel {
     fn finish(&self, out: Self::Partial) -> Self::Output {
         out
     }
-}
-
-/// [`analyze_dataset`] over a whole or chunked source; see
-/// [`RoutingKernel`] for the ordering argument.
-pub fn analyze_dataset_from(
-    src: &ProbeSource<'_>,
-    phy: Phy,
-    min_aps: usize,
-) -> Vec<OpportunisticAnalysis> {
-    mesh11_trace::run_fold(src, &RoutingKernel { phy, min_aps })
 }
 
 /// Fig 5.4: median and maximum improvement by ETX1 path length, pooled over

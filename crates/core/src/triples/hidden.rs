@@ -5,7 +5,7 @@
 //! `N(B) ∧ ¬N(A) ∧ {C > A}` — one AND-NOT-MASK-POPCOUNT sweep per (B, A).
 
 use mesh11_phy::{BitRate, Phy};
-use mesh11_trace::{DatasetView, EnvLabel, FoldKernel, NetworkId, ProbeSource};
+use mesh11_trace::{DatasetView, EnvLabel, FoldKernel, NetworkId};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -79,14 +79,8 @@ pub struct TripleAnalysis {
 impl TripleAnalysis {
     /// Runs the analysis on every network running `phy` in the dataset.
     pub fn run(view: DatasetView<'_>, phy: Phy, threshold: f64, rule: HearRule) -> Self {
-        Self::run_from(&ProbeSource::Whole(view), phy, threshold, rule)
-    }
-
-    /// [`TripleAnalysis::run`] over a whole or chunked source; see
-    /// [`TripleKernel`] for the ordering argument.
-    pub fn run_from(src: &ProbeSource<'_>, phy: Phy, threshold: f64, rule: HearRule) -> Self {
         mesh11_trace::run_fold(
-            src,
+            view,
             &TripleKernel {
                 phy,
                 threshold,
@@ -113,9 +107,9 @@ impl TripleAnalysis {
     }
 }
 
-/// The fold-style form of [`TripleAnalysis::run_from`]: the per-network
-/// map keys are disjoint across windows, so the merged map is identical
-/// either way. Networks are counted in parallel; the keys are disjoint
+/// The fold-style form of [`TripleAnalysis::run`]: the per-network map
+/// keys are disjoint across the folded views, so the merged map does not
+/// depend on how the networks are split into views. Networks are counted in parallel; the keys are disjoint
 /// across networks too, and the `BTreeMap` orders itself, so the merged
 /// map is insertion-order independent.
 #[derive(Debug, Clone, Copy)]

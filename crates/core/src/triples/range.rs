@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 
 use mesh11_phy::{BitRate, Phy};
-use mesh11_trace::{Dataset, DatasetView, EnvLabel, FoldKernel, NetworkId, ProbeSource};
+use mesh11_trace::{Dataset, DatasetView, EnvLabel, FoldKernel, NetworkId};
 use rayon::prelude::*;
 
 use crate::triples::hearing::{HearRule, HearingGraph};
@@ -20,11 +20,18 @@ pub fn range_by_rate(
     threshold: f64,
     rule: HearRule,
 ) -> BTreeMap<(NetworkId, BitRate), usize> {
-    range_by_rate_from(&ProbeSource::Whole(view), phy, threshold, rule)
+    mesh11_trace::run_fold(
+        view,
+        &RangeKernel {
+            phy,
+            threshold,
+            rule,
+        },
+    )
 }
 
-/// The fold-style form of [`range_by_rate_from`]: per-(network, rate)
-/// keys are disjoint across windows. Networks are measured in parallel;
+/// The fold-style form of [`range_by_rate`]: per-(network, rate) keys are
+/// disjoint across the folded views. Networks are measured in parallel;
 /// the keys are disjoint across networks too, so the self-ordering map is
 /// insertion-order independent.
 #[derive(Debug, Clone, Copy)]
@@ -70,24 +77,6 @@ impl FoldKernel for RangeKernel {
     fn finish(&self, out: Self::Partial) -> Self::Output {
         out
     }
-}
-
-/// [`range_by_rate`] over a whole or chunked source; see [`RangeKernel`]
-/// for the ordering argument.
-pub fn range_by_rate_from(
-    src: &ProbeSource<'_>,
-    phy: Phy,
-    threshold: f64,
-    rule: HearRule,
-) -> BTreeMap<(NetworkId, BitRate), usize> {
-    mesh11_trace::run_fold(
-        src,
-        &RangeKernel {
-            phy,
-            threshold,
-            rule,
-        },
-    )
 }
 
 /// Fig 6.2's sample: per rate, each network's `range(rate) / range(base)`,

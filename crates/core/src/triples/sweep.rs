@@ -7,13 +7,13 @@
 use std::collections::BTreeMap;
 
 use mesh11_phy::{BitRate, Phy};
-use mesh11_trace::{DatasetView, EnvLabel, FoldKernel, NetworkId, ProbeSource};
+use mesh11_trace::{DatasetView, EnvLabel, FoldKernel, NetworkId};
 use rayon::prelude::*;
 
 use crate::triples::hearing::HearRule;
 use crate::triples::hidden::{TripleAnalysis, TripleCounts, TripleKernel};
 
-/// One threshold's per-(network, rate) triple tallies — the per-window
+/// One threshold's per-(network, rate) triple tallies — the per-view
 /// partial a [`TripleKernel`] folds into.
 type TripleTallies = BTreeMap<(NetworkId, BitRate), (EnvLabel, TripleCounts)>;
 
@@ -25,15 +25,23 @@ pub fn threshold_sweep(
     thresholds: &[f64],
     rule: HearRule,
 ) -> Vec<(f64, Option<f64>)> {
-    threshold_sweep_from(&ProbeSource::Whole(view), phy, rate, thresholds, rule)
+    mesh11_trace::run_fold(
+        view,
+        &SweepKernel {
+            phy,
+            rate,
+            thresholds: thresholds.to_vec(),
+            rule,
+        },
+    )
 }
 
-/// The fold-style form of [`threshold_sweep_from`]: **all** thresholds fold
-/// per resident window (the sweep is threshold-major only within a window),
-/// so a chunked walk materializes each window once instead of once per
-/// threshold. Per-threshold partials are per-(network, rate) maps with
-/// disjoint keys across windows, so the merged maps are identical to the
-/// per-threshold independent walks.
+/// The fold-style form of [`threshold_sweep`]: **all** thresholds fold
+/// per view (the sweep is threshold-major only within a view), so each
+/// view is walked once instead of once per threshold. Per-threshold
+/// partials are per-(network, rate) maps with disjoint keys across views,
+/// so the merged maps are identical to the per-threshold independent
+/// walks.
 #[derive(Debug, Clone)]
 pub struct SweepKernel {
     /// PHY analyzed.
@@ -86,26 +94,6 @@ impl FoldKernel for SweepKernel {
             })
             .collect()
     }
-}
-
-/// [`threshold_sweep`] over a whole or chunked source; see [`SweepKernel`]
-/// for the ordering argument.
-pub fn threshold_sweep_from(
-    src: &ProbeSource<'_>,
-    phy: Phy,
-    rate: BitRate,
-    thresholds: &[f64],
-    rule: HearRule,
-) -> Vec<(f64, Option<f64>)> {
-    mesh11_trace::run_fold(
-        src,
-        &SweepKernel {
-            phy,
-            rate,
-            thresholds: thresholds.to_vec(),
-            rule,
-        },
-    )
 }
 
 /// Median hidden-triple fraction at `rate` under each hearing rule.

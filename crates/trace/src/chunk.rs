@@ -22,9 +22,9 @@
 //! A *window* — a run of consecutive networks materialized as a mini
 //! dataset with its own index — therefore reproduces the corresponding
 //! segment of every global traversal exactly, including float-accumulation
-//! order. [`ProbeSource::for_each_view`] walks the windows in order, which
-//! is why the chunked analysis path is byte-identical to the in-memory one
-//! (pinned by the `chunked_equivalence` integration test).
+//! order. Walking [`ChunkedDataset::window`] in index order therefore
+//! concatenates to the whole-dataset walk (pinned by this module's
+//! `source_views_are_equivalent` test).
 //!
 //! ## Concurrency
 //!
@@ -61,9 +61,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::time::Instant;
 
-use bytes::{Buf, BufMut};
-use mesh11_phy::Phy;
-
 use crate::client::ClientSample;
 use crate::codec::{
     fnv1a64, get_f64_col, get_u32_col, get_u8_col, get_varint, phy_from_tag, phy_tag, put_f64_col,
@@ -72,35 +69,7 @@ use crate::codec::{
 use crate::dataset::{Dataset, NetworkMeta};
 use crate::ids::{ApId, NetworkId};
 use crate::index::{DatasetIndex, DatasetView, IndexStitcher, StitchedIndex};
-use crate::matrix::DeliveryMatrix;
 use crate::probe::{Probe, ProbeTable, RateObs};
-
-/// Which frame encoding evicted chunks spill under.
-///
-/// Both decode transparently on read-back (frames are self-describing), so
-/// a store can in principle hold a mix; the codec choice only steers what
-/// *new* spills write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpillCodec {
-    /// Raw little-endian columns — the original frame layout.
-    V1,
-    /// Per-column compression (delta+varint, bit-packing, loss-value
-    /// dictionaries) behind per-column tags, with an FNV-1a 64 frame
-    /// checksum. Typically ~0.5–0.6× the v1 byte count on probe data.
-    #[default]
-    V2,
-}
-
-impl SpillCodec {
-    /// Parses the `--spill-codec` CLI spelling (`"v1"` / `"v2"`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "v1" => Some(SpillCodec::V1),
-            "v2" => Some(SpillCodec::V2),
-            _ => None,
-        }
-    }
-}
 
 /// Sizing of a [`ChunkStore`] and its analysis windows.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,8 +89,6 @@ pub struct ChunkConfig {
     /// Off in [`ChunkConfig::tiny`] so spill-forcing tests keep spilling
     /// at any thread count.
     pub scale_budget_with_threads: bool,
-    /// Frame encoding for spilled chunks ([`SpillCodec::V2`] by default).
-    pub spill_codec: SpillCodec,
     /// How many windows ahead of the fold the background prefetcher keeps
     /// warm (pinned + decoded). 0 disables the prefetch thread entirely.
     /// Only bites when the chunk sequence outgrows the resident budget —
@@ -137,7 +104,6 @@ impl Default for ChunkConfig {
             spill_dir: None,
             window_probes: 262_144,
             scale_budget_with_threads: true,
-            spill_codec: SpillCodec::V2,
             prefetch_depth: 1,
         }
     }
@@ -154,7 +120,6 @@ impl ChunkConfig {
             spill_dir: None,
             window_probes: 2_048,
             scale_budget_with_threads: false,
-            spill_codec: SpillCodec::V2,
             prefetch_depth: 0,
         }
     }
@@ -170,10 +135,8 @@ impl ChunkConfig {
     }
 }
 
-/// Leading magic of a v2 spill frame. A v1 frame starts with its probe
-/// count instead, and no real chunk holds ~3.26 billion probes — so the
-/// dispatch in [`ProbeChunk::decode_any`] is unambiguous, and a v2 frame
-/// fed to the v1 parser fails its size check instead of mis-decoding.
+/// Leading magic of a (v2) spill frame; [`ProbeChunk::decode`] rejects a
+/// frame that does not open with it.
 const MAGIC_V2: u32 = 0xC211_4D31;
 
 /// One fixed-capacity structure-of-arrays batch of probe sets, in stream
@@ -282,64 +245,14 @@ impl ProbeChunk {
         n * (4 + 4 + 4 + 1 + 8) + (n + 1) * 4 + m * (1 + 8 + 8)
     }
 
-    /// The exact byte count a v1 frame of this chunk occupies — the
-    /// uncompressed reference the codec-v2 spill ratio is measured
-    /// against (`spill_encoded_bytes / spill_raw_bytes`).
-    pub fn v1_encoded_len(&self) -> u64 {
+    /// The byte count of this chunk's columns stored raw (fixed-width
+    /// little-endian, plus an 8-byte count header) — the uncompressed
+    /// reference the spill ratio is measured against
+    /// (`spill_encoded_bytes / spill_raw_bytes`).
+    pub fn raw_len(&self) -> u64 {
         let n = self.len() as u64;
         let m = self.obs_rate_idx.len() as u64;
         8 + n * 21 + (n + 1) * 4 + m * 17
-    }
-
-    /// Encodes the chunk into `buf` under the chosen spill codec. Both
-    /// frame formats decode via [`ProbeChunk::decode_any`].
-    pub fn encode_with(&self, codec: SpillCodec, buf: &mut Vec<u8>) {
-        match codec {
-            SpillCodec::V1 => self.encode_v1(buf),
-            SpillCodec::V2 => self.encode_v2(buf),
-        }
-    }
-
-    /// Decodes either frame format, dispatching on the leading magic: v2
-    /// frames open with `MAGIC_V2` (a value no v1 probe count can
-    /// plausibly reach), anything else parses as v1.
-    pub fn decode_any(buf: &[u8]) -> io::Result<Self> {
-        if buf.len() >= 4 && buf[..4] == MAGIC_V2.to_le_bytes() {
-            Self::decode_v2(buf)
-        } else {
-            Self::decode_v1(buf)
-        }
-    }
-
-    /// Encodes the chunk into `buf` (columnar, little-endian).
-    fn encode_v1(&self, buf: &mut Vec<u8>) {
-        let n = self.len();
-        let m = self.obs_rate_idx.len();
-        buf.put_u32_le(n as u32);
-        buf.put_u32_le(m as u32);
-        for &v in &self.networks {
-            buf.put_u32_le(v);
-        }
-        buf.put_slice(&self.phys);
-        for &v in &self.time_s {
-            buf.put_f64_le(v);
-        }
-        for &v in &self.senders {
-            buf.put_u32_le(v);
-        }
-        for &v in &self.receivers {
-            buf.put_u32_le(v);
-        }
-        for &v in &self.obs_off {
-            buf.put_u32_le(v);
-        }
-        buf.put_slice(&self.obs_rate_idx);
-        for &v in &self.obs_loss {
-            buf.put_f64_le(v);
-        }
-        for &v in &self.obs_snr {
-            buf.put_f64_le(v);
-        }
     }
 
     /// Encodes the chunk as a v2 frame:
@@ -357,7 +270,7 @@ impl ProbeChunk {
     /// encodings (see `crate::codec`), so the frame adapts to the data:
     /// monotone times delta, id columns bit-pack, quantized loss values
     /// dictionary-encode, continuous SNR stays raw.
-    fn encode_v2(&self, buf: &mut Vec<u8>) {
+    pub fn encode(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&MAGIC_V2.to_le_bytes());
         let cksum_at = buf.len();
         buf.extend_from_slice(&0u64.to_le_bytes());
@@ -377,9 +290,10 @@ impl ProbeChunk {
         buf[cksum_at..body_at].copy_from_slice(&cksum.to_le_bytes());
     }
 
-    /// Decodes a v2 frame, rejecting truncation, trailing bytes, and any
-    /// corruption the frame checksum catches.
-    fn decode_v2(buf: &[u8]) -> io::Result<Self> {
+    /// Decodes a frame [`ProbeChunk::encode`] wrote, rejecting a missing
+    /// magic, truncation, trailing bytes, and any corruption the frame
+    /// checksum catches (all as [`io::ErrorKind::InvalidData`]).
+    pub fn decode(buf: &[u8]) -> io::Result<Self> {
         let err =
             |msg: &str| io::Error::new(io::ErrorKind::InvalidData, format!("v2 frame: {msg}"));
         if buf.len() < 12 {
@@ -411,55 +325,6 @@ impl ProbeChunk {
         }
         if c.obs_off.first() != Some(&0) || c.obs_off.last() != Some(&(m as u32)) {
             return Err(err("obs_off prefix table malformed"));
-        }
-        Ok(c)
-    }
-
-    /// Decodes a chunk from the bytes [`ProbeChunk::encode_v1`] wrote.
-    fn decode_v1(mut buf: &[u8]) -> io::Result<Self> {
-        fn need(buf: &[u8], n: usize) -> io::Result<()> {
-            if buf.remaining() < n {
-                Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("truncated chunk: need {n} bytes, have {}", buf.remaining()),
-                ))
-            } else {
-                Ok(())
-            }
-        }
-        need(buf, 8)?;
-        let n = buf.get_u32_le() as usize;
-        let m = buf.get_u32_le() as usize;
-        let want = n * 21 + (n + 1) * 4 + m * 17;
-        need(buf, want)?;
-        let mut c = Self::with_capacity(n);
-        c.obs_off.clear();
-        for _ in 0..n {
-            c.networks.push(buf.get_u32_le());
-        }
-        for _ in 0..n {
-            c.phys.push(buf.get_u8());
-        }
-        for _ in 0..n {
-            c.time_s.push(buf.get_f64_le());
-        }
-        for _ in 0..n {
-            c.senders.push(buf.get_u32_le());
-        }
-        for _ in 0..n {
-            c.receivers.push(buf.get_u32_le());
-        }
-        for _ in 0..=n {
-            c.obs_off.push(buf.get_u32_le());
-        }
-        for _ in 0..m {
-            c.obs_rate_idx.push(buf.get_u8());
-        }
-        for _ in 0..m {
-            c.obs_loss.push(buf.get_f64_le());
-        }
-        for _ in 0..m {
-            c.obs_snr.push(buf.get_f64_le());
         }
         Ok(c)
     }
@@ -563,11 +428,11 @@ pub struct ChunkStoreStats {
     /// Nanoseconds spent decoding spill frames, summed across all threads
     /// (consumer faults and the prefetch thread alike).
     pub decode_ns: u64,
-    /// Uncompressed (v1-equivalent) bytes of every chunk ever spilled.
+    /// Uncompressed column bytes ([`ProbeChunk::raw_len`]) of every chunk
+    /// ever spilled.
     pub spill_raw_bytes: u64,
-    /// Bytes actually written to the spill file; the codec-v2 win is
-    /// `spill_encoded_bytes / spill_raw_bytes` (1.0 under
-    /// [`SpillCodec::V1`]).
+    /// Bytes actually written to the spill file; the compression win is
+    /// `spill_encoded_bytes / spill_raw_bytes`.
     pub spill_encoded_bytes: u64,
 }
 
@@ -612,7 +477,6 @@ static SPILL_SERIAL: AtomicU64 = AtomicU64::new(0);
 #[derive(Debug)]
 pub struct ChunkStore {
     budget: usize,
-    codec: SpillCodec,
     spill_dir: Option<PathBuf>,
     slots: RwLock<Vec<Arc<Slot>>>,
     file: Mutex<SpillFile>,
@@ -624,21 +488,10 @@ pub struct ChunkStore {
 
 impl ChunkStore {
     /// An empty store keeping at most `resident_chunks` chunks in memory
-    /// (floor 2: one being filled, one being read), spilling under the
-    /// default codec.
+    /// (floor 2: one being filled, one being read).
     pub fn new(resident_chunks: usize, spill_dir: Option<PathBuf>) -> Self {
-        Self::with_codec(resident_chunks, spill_dir, SpillCodec::default())
-    }
-
-    /// As [`ChunkStore::new`], with an explicit spill codec.
-    pub fn with_codec(
-        resident_chunks: usize,
-        spill_dir: Option<PathBuf>,
-        codec: SpillCodec,
-    ) -> Self {
         Self {
             budget: resident_chunks.max(2),
-            codec,
             spill_dir,
             slots: RwLock::new(Vec::new()),
             file: Mutex::new(SpillFile::default()),
@@ -722,7 +575,7 @@ impl ChunkStore {
         let (off, len) = st.disk.expect("chunk neither resident nor spilled");
         let raw = self.read_spill(off, len)?;
         let t = Instant::now();
-        let chunk = Arc::new(ProbeChunk::decode_any(&raw)?);
+        let chunk = Arc::new(ProbeChunk::decode(&raw)?);
         self.counters
             .decode_ns
             .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -860,7 +713,7 @@ impl ChunkStore {
                     }
                     let mut scratch = std::mem::take(&mut f.scratch);
                     scratch.clear();
-                    victim_chunk.encode_with(self.codec, &mut scratch);
+                    victim_chunk.encode(&mut scratch);
                     let off = f.end_offset;
                     write_spill(f.file.as_ref().expect("opened above"), &scratch, off)?;
                     f.end_offset += scratch.len() as u64;
@@ -871,7 +724,7 @@ impl ChunkStore {
                 self.spilled_bytes.fetch_add(encoded.1, Ordering::Relaxed);
                 self.counters
                     .spill_raw_bytes
-                    .fetch_add(victim_chunk.v1_encoded_len(), Ordering::Relaxed);
+                    .fetch_add(victim_chunk.raw_len(), Ordering::Relaxed);
                 self.counters
                     .spill_encoded_bytes
                     .fetch_add(encoded.1, Ordering::Relaxed);
@@ -1098,11 +951,7 @@ impl ChunkedDatasetBuilder {
     /// An empty builder. The store's resident budget is fixed here, from
     /// the configuration and (when enabled) the effective thread count.
     pub fn new(cfg: ChunkConfig) -> Self {
-        let store = ChunkStore::with_codec(
-            cfg.effective_resident_chunks(),
-            cfg.spill_dir.clone(),
-            cfg.spill_codec,
-        );
+        let store = ChunkStore::new(cfg.effective_resident_chunks(), cfg.spill_dir.clone());
         let current = ProbeChunk::with_capacity(cfg.chunk_capacity);
         Self {
             cfg,
@@ -1549,97 +1398,21 @@ impl std::fmt::Debug for ChunkedDataset {
     }
 }
 
-/// Where a kernel's probes come from: one whole indexed view (the
-/// in-memory path, untouched) or a chunked dataset walked window by
-/// window. Kernels written as fold-over-views compute byte-identical
-/// results either way (see the module docs for the ordering argument).
+/// The probes a finished fused pass scores its penalties against (pass B
+/// of `FusedRunner::finish` in `mesh11-bench`): one whole indexed view, or
+/// a chunked dataset walked straight off its raw chunks.
 pub enum ProbeSource<'a> {
-    /// The classic fully-resident path: the callback runs once with the
-    /// whole view, so existing kernels behave exactly as before.
+    /// Every probe resident, as one indexed view.
     Whole(DatasetView<'a>),
-    /// The out-of-core path: one view per consecutive-network window, in
-    /// network-id order.
+    /// The out-of-core store.
     Chunked(&'a ChunkedDataset),
-}
-
-impl<'a> ProbeSource<'a> {
-    /// Per-network metadata, in id order.
-    pub fn networks(&self) -> &'a [NetworkMeta] {
-        match self {
-            ProbeSource::Whole(v) => v.networks(),
-            ProbeSource::Chunked(c) => &c.shell.networks,
-        }
-    }
-
-    /// Total probe sets.
-    pub fn n_probes(&self) -> u64 {
-        match self {
-            ProbeSource::Whole(v) => v.dataset().probes.len() as u64,
-            ProbeSource::Chunked(c) => c.n_probes,
-        }
-    }
-
-    /// Runs `f` over the source's views in stream order: once with the
-    /// whole view, or once per window. Chunked windows come from the
-    /// shared decode memo, so concurrent kernels walking the same source
-    /// share one materialization per window.
-    pub fn for_each_view<F: for<'b> FnMut(DatasetView<'b>)>(&self, mut f: F) {
-        match self {
-            ProbeSource::Whole(v) => f(*v),
-            ProbeSource::Chunked(c) => {
-                for w in 0..c.n_windows() {
-                    let win = c.window(w);
-                    f(win.view());
-                }
-            }
-        }
-    }
-
-    /// The delivery matrix of one (network, rate) — windowed or whole,
-    /// identical to [`DatasetView::delivery_matrix`].
-    pub fn delivery_matrix(
-        &self,
-        phy: Phy,
-        network: NetworkId,
-        rate: mesh11_phy::BitRate,
-        n_aps: usize,
-    ) -> DeliveryMatrix {
-        match self {
-            ProbeSource::Whole(v) => v.delivery_matrix(phy, network, rate, n_aps),
-            ProbeSource::Chunked(c) => {
-                let k = c
-                    .shell
-                    .networks
-                    .iter()
-                    .position(|m| m.id == network)
-                    .expect("delivery matrix of an absorbed network");
-                // The window containing network `k`: windows are the
-                // consecutive partition of 0..n, so binary search on end.
-                let w = c.windows.partition_point(|r| r.end <= k);
-                // Per-network matrices read only the network's own index
-                // group, so the containing window yields the same bytes
-                // as a single-network mini dataset.
-                c.window(w)
-                    .view()
-                    .delivery_matrix(phy, network, rate, n_aps)
-            }
-        }
-    }
-
-    /// Directed-link report counts across the whole source.
-    pub fn link_report_counts(&self) -> BTreeMap<(NetworkId, ApId, ApId), usize> {
-        match self {
-            ProbeSource::Whole(v) => v.link_report_counts(),
-            ProbeSource::Chunked(c) => c.stitched.link_report_counts(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::EnvLabel;
-    use mesh11_phy::BitRate;
+    use mesh11_phy::{BitRate, Phy};
 
     /// Appends one two-rate b/g probe set to `out`.
     fn push_probe(out: &mut ProbeTable, net: u32, s: u32, r: u32, t: f64, loss: f64) {
@@ -1719,30 +1492,26 @@ mod tests {
         }
         assert_eq!(c.len(), ds.probes.len());
         assert_eq!(all(&c), ds.probes);
-        for codec in [SpillCodec::V1, SpillCodec::V2] {
-            let mut raw = Vec::new();
-            c.encode_with(codec, &mut raw);
-            let back = ProbeChunk::decode_any(&raw).unwrap();
-            assert_eq!(all(&back), ds.probes, "{codec:?}");
-        }
+        let mut raw = Vec::new();
+        c.encode(&mut raw);
+        let back = ProbeChunk::decode(&raw).unwrap();
+        assert_eq!(all(&back), ds.probes);
     }
 
     #[test]
-    fn v2_frame_is_smaller_than_v1() {
+    fn v2_frame_is_smaller_than_raw_columns() {
         let ds = big_dataset();
         let mut c = ProbeChunk::with_capacity(ds.probes.len());
         for p in &ds.probes {
             c.push(p);
         }
-        let (mut v1, mut v2) = (Vec::new(), Vec::new());
-        c.encode_with(SpillCodec::V1, &mut v1);
-        c.encode_with(SpillCodec::V2, &mut v2);
-        assert_eq!(v1.len() as u64, c.v1_encoded_len());
+        let mut v2 = Vec::new();
+        c.encode(&mut v2);
         assert!(
-            (v2.len() as f64) <= 0.7 * v1.len() as f64,
-            "v2 {} vs v1 {} bytes",
+            (v2.len() as f64) <= 0.7 * c.raw_len() as f64,
+            "v2 {} vs raw {} bytes",
             v2.len(),
-            v1.len()
+            c.raw_len()
         );
     }
 
@@ -1750,18 +1519,16 @@ mod tests {
     fn empty_and_single_probe_chunks_round_trip() {
         let mut one = ProbeTable::new();
         push_probe(&mut one, 7, 2, 3, 1234.5, 0.25);
-        for codec in [SpillCodec::V1, SpillCodec::V2] {
-            for n in [0usize, 1] {
-                let mut c = ProbeChunk::with_capacity(n);
-                if n == 1 {
-                    c.push(one.get(0));
-                }
-                let mut raw = Vec::new();
-                c.encode_with(codec, &mut raw);
-                let back = ProbeChunk::decode_any(&raw).unwrap();
-                assert_eq!(back.len(), n, "{codec:?}");
-                assert_eq!(all(&back), all(&c), "{codec:?}");
+        for n in [0usize, 1] {
+            let mut c = ProbeChunk::with_capacity(n);
+            if n == 1 {
+                c.push(one.get(0));
             }
+            let mut raw = Vec::new();
+            c.encode(&mut raw);
+            let back = ProbeChunk::decode(&raw).unwrap();
+            assert_eq!(back.len(), n);
+            assert_eq!(all(&back), all(&c));
         }
     }
 
@@ -1771,15 +1538,10 @@ mod tests {
         push_probe(&mut one, 0, 0, 1, 300.0, 0.2);
         let mut c = ProbeChunk::with_capacity(4);
         c.push(one.get(0));
-        for codec in [SpillCodec::V1, SpillCodec::V2] {
-            let mut raw = Vec::new();
-            c.encode_with(codec, &mut raw);
-            for cut in 0..raw.len() {
-                assert!(
-                    ProbeChunk::decode_any(&raw[..cut]).is_err(),
-                    "{codec:?} prefix {cut}"
-                );
-            }
+        let mut raw = Vec::new();
+        c.encode(&mut raw);
+        for cut in 0..raw.len() {
+            assert!(ProbeChunk::decode(&raw[..cut]).is_err(), "prefix {cut}");
         }
     }
 
@@ -1791,45 +1553,15 @@ mod tests {
             c.push(p);
         }
         let mut raw = Vec::new();
-        c.encode_with(SpillCodec::V2, &mut raw);
-        assert!(ProbeChunk::decode_any(&raw).is_ok());
+        c.encode(&mut raw);
+        assert!(ProbeChunk::decode(&raw).is_ok());
         for i in 0..raw.len() {
             let mut bad = raw.clone();
             bad[i] ^= 0x01;
-            // A flip in the magic falls through to the v1 parser, which
-            // must also reject; a flip anywhere else fails the checksum.
-            assert!(
-                ProbeChunk::decode_any(&bad).is_err(),
-                "flip at byte {i} accepted"
-            );
-        }
-    }
-
-    #[test]
-    fn mixed_v1_v2_frames_decode_from_one_stream() {
-        let ds = big_dataset();
-        let mut a = ProbeChunk::with_capacity(32);
-        let mut b = ProbeChunk::with_capacity(32);
-        for p in ds.probes.iter().take(32) {
-            a.push(p);
-        }
-        for p in ds.probes.iter().skip(32).take(32) {
-            b.push(p);
-        }
-        // One spill stream, two codecs — exactly what a store sees when a
-        // run resumes over an old file with a different codec setting.
-        let mut stream = Vec::new();
-        let mut extents = Vec::new();
-        for (c, codec) in [(&a, SpillCodec::V1), (&b, SpillCodec::V2)] {
-            let mut raw = Vec::new();
-            c.encode_with(codec, &mut raw);
-            extents.push((stream.len(), raw.len()));
-            stream.extend_from_slice(&raw);
-        }
-        for ((off, len), orig) in extents.into_iter().zip([&a, &b]) {
-            let back = ProbeChunk::decode_any(&stream[off..off + len]).unwrap();
-            assert_eq!(back.len(), orig.len());
-            assert_eq!(all(&back), all(orig));
+            // A flip in the magic fails the magic check; a flip anywhere
+            // else fails the checksum.
+            let err = ProbeChunk::decode(&bad).expect_err("flipped frame accepted");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "flip at byte {i}");
         }
     }
 
@@ -1899,32 +1631,30 @@ mod tests {
     fn source_views_are_equivalent() {
         let ds = big_dataset();
         let ix = DatasetIndex::build(&ds);
-        let whole = ProbeSource::Whole(DatasetView::new(&ds, &ix));
-        let chunked_ds = ChunkedDataset::from_dataset(&ds, tiny_cfg()).unwrap();
-        let chunked = ProbeSource::Chunked(&chunked_ds);
+        let whole = DatasetView::new(&ds, &ix);
+        let chunked = ChunkedDataset::from_dataset(&ds, tiny_cfg()).unwrap();
+        assert!(chunked.n_windows() > 1);
 
-        assert_eq!(whole.n_probes(), chunked.n_probes());
-        assert_eq!(whole.networks(), chunked.networks());
-        assert_eq!(whole.link_report_counts(), chunked.link_report_counts());
-
-        // The windowed per-PHY walk concatenates to the whole walk.
-        let collect = |src: &ProbeSource| {
-            let mut times = Vec::new();
-            src.for_each_view(|v| {
-                times.extend(v.probes_for_phy(Phy::Bg).map(|p| (p.network.0, p.time_s)));
-            });
-            times
-        };
-        assert_eq!(collect(&whole), collect(&chunked));
-
-        // Delivery matrices agree per network.
+        // The windowed per-PHY walk concatenates to the whole walk, and
+        // each window's delivery matrices equal the whole view's.
         let rate = BitRate::bg_mbps(11.0).unwrap();
-        for m in &ds.networks {
-            assert_eq!(
-                whole.delivery_matrix(Phy::Bg, m.id, rate, m.n_aps),
-                chunked.delivery_matrix(Phy::Bg, m.id, rate, m.n_aps),
-            );
+        let mut windowed = Vec::new();
+        for (w, nets) in chunked.windows().into_iter().enumerate() {
+            let win = chunked.window(w);
+            let v = win.view();
+            windowed.extend(v.probes_for_phy(Phy::Bg).map(|p| (p.network.0, p.time_s)));
+            for m in &ds.networks[nets] {
+                assert_eq!(
+                    v.delivery_matrix(Phy::Bg, m.id, rate, m.n_aps),
+                    whole.delivery_matrix(Phy::Bg, m.id, rate, m.n_aps),
+                );
+            }
         }
+        let walk: Vec<(u32, f64)> = whole
+            .probes_for_phy(Phy::Bg)
+            .map(|p| (p.network.0, p.time_s))
+            .collect();
+        assert_eq!(windowed, walk);
     }
 
     /// A store of `n` single-probe chunks with the given budget.
@@ -1990,9 +1720,9 @@ mod tests {
         let n = chunked.n_windows();
         assert!(n > 1);
         let walk = |expect_probes: usize| {
-            let mut total = 0;
-            let src = ProbeSource::Chunked(&chunked);
-            src.for_each_view(|v| total += v.dataset().probes.len());
+            let total: usize = (0..n)
+                .map(|w| chunked.window(w).dataset().probes.len())
+                .sum();
             assert_eq!(total, expect_probes);
         };
         walk(ds.probes.len());
@@ -2042,24 +1772,15 @@ mod tests {
     #[test]
     fn spill_accounts_raw_and_encoded_bytes() {
         let ds = big_dataset();
-        for (codec, bound) in [(SpillCodec::V1, 1.0), (SpillCodec::V2, 0.7)] {
-            let cfg = ChunkConfig {
-                spill_codec: codec,
-                ..tiny_cfg()
-            };
-            let chunked = ChunkedDataset::from_dataset(&ds, cfg).unwrap();
-            let s = chunked.stats();
-            assert!(s.spill_raw_bytes > 0, "{codec:?} must spill");
-            assert!(
-                s.spill_encoded_bytes as f64 <= bound * s.spill_raw_bytes as f64,
-                "{codec:?}: {} encoded vs {} raw",
-                s.spill_encoded_bytes,
-                s.spill_raw_bytes
-            );
-            if codec == SpillCodec::V1 {
-                assert_eq!(s.spill_encoded_bytes, s.spill_raw_bytes);
-            }
-        }
+        let chunked = ChunkedDataset::from_dataset(&ds, tiny_cfg()).unwrap();
+        let s = chunked.stats();
+        assert!(s.spill_raw_bytes > 0, "tiny budget must spill");
+        assert!(
+            s.spill_encoded_bytes as f64 <= 0.7 * s.spill_raw_bytes as f64,
+            "{} encoded vs {} raw",
+            s.spill_encoded_bytes,
+            s.spill_raw_bytes
+        );
     }
 
     #[test]

@@ -373,7 +373,7 @@ fn parse(mut input: Input<impl io::Read>) -> io::Result<Dataset> {
 // Each column is written as `[tag u8][payload]`, so the decoder needs no
 // out-of-band schema and one frame can mix encodings as the data dictates:
 //
-//   COL_RAW    little-endian values — exactly the v1 layout
+//   COL_RAW    fixed-width little-endian values
 //   COL_DELTA  first value as a varint, then zigzag varints of successive
 //              deltas (f64 columns delta their IEEE bit patterns) — wins on
 //              monotone columns: report times, `obs_off` prefix tables

@@ -1,14 +1,15 @@
 //! The fold-style kernel contract.
 //!
 //! Every heavy analysis kernel in the workspace has the same shape: an
-//! accumulator is initialized, each network-aligned view of the probe
-//! source is folded into it (fanning out per network inside the view and
-//! merging the per-network partials back in network order), and a finish
-//! step distills the accumulated state into the kernel's output.
-//! [`FoldKernel`] names that shape. [`run_fold`] drives one kernel over a
-//! probe source; [`Running`] pairs a kernel with its partial so a caller
-//! can drive many kernels over views as they arrive (the streaming build
-//! folds every kernel over each sealed part of the simulation).
+//! accumulator is initialized, each network-aligned view of the probes is
+//! folded into it (fanning out per network inside the view and merging the
+//! per-network partials back in network order), and a finish step distills
+//! the accumulated state into the kernel's output. [`FoldKernel`] names
+//! that shape. [`run_fold`] drives one kernel over one whole view — the
+//! body of every analysis's view function; [`Running`] pairs a kernel with
+//! its partial so a caller can drive many kernels over views as they
+//! arrive (the streaming build folds every kernel over each sealed part of
+//! the simulation).
 //!
 //! ## Byte-identity contract
 //!
@@ -22,7 +23,6 @@
 //! `fold` and from fanning *across* kernels (each mutates only its own
 //! partial), never from reordering the view sequence.
 
-use crate::chunk::ProbeSource;
 use crate::index::DatasetView;
 
 /// A fold-style analysis kernel: `init → fold(view)* → finish`.
@@ -44,11 +44,11 @@ pub trait FoldKernel {
     fn finish(&self, partial: Self::Partial) -> Self::Output;
 }
 
-/// Runs one kernel to completion over a probe source — the path every
-/// `*_from` entry point delegates to.
-pub fn run_fold<K: FoldKernel>(src: &ProbeSource<'_>, kernel: &K) -> K::Output {
+/// Runs one kernel to completion over one whole view: `init`, a single
+/// `fold`, `finish`.
+pub fn run_fold<K: FoldKernel>(view: DatasetView<'_>, kernel: &K) -> K::Output {
     let mut partial = kernel.init();
-    src.for_each_view(|view| kernel.fold(view, &mut partial));
+    kernel.fold(view, &mut partial);
     kernel.finish(partial)
 }
 
@@ -148,7 +148,7 @@ mod tests {
         let ds = toy_dataset(3, 25);
         let ix = crate::index::DatasetIndex::build(&ds);
         let view = DatasetView::new(&ds, &ix);
-        let whole = run_fold(&ProbeSource::Whole(view), &CountProbes);
+        let whole = run_fold(view, &CountProbes);
         assert_eq!(whole, (ds.probes.len(), 1));
     }
 }

@@ -48,7 +48,7 @@ pub mod validate;
 
 pub use chunk::{
     ChunkConfig, ChunkHandle, ChunkStore, ChunkStoreStats, ChunkedDataset, ChunkedDatasetBuilder,
-    ProbeChunk, ProbeSource, SpillCodec, WindowData,
+    ProbeChunk, ProbeSource, WindowData,
 };
 pub use client::ClientSample;
 pub use dataset::{Dataset, NetworkMeta};

@@ -13,7 +13,6 @@ use std::collections::BTreeMap;
 
 use rayon::prelude::*;
 
-use crate::chunk::ProbeSource;
 use crate::dataset::Dataset;
 use crate::ids::{ApId, NetworkId};
 
@@ -53,10 +52,9 @@ pub enum SigmaKind {
 }
 
 /// The fold-style form of the Fig 3.1 sigma extraction: every spread here
-/// flattens a `BTreeMap` keyed with `NetworkId` leading, and windows are
-/// consecutive network runs, so per-window outputs concatenate to exactly
-/// the whole-dataset output (the partial is order-insensitive up to the
-/// window order the scheduler already guarantees).
+/// flattens a `BTreeMap` keyed with `NetworkId` leading, and folded views
+/// are consecutive network runs, so per-view outputs concatenate to
+/// exactly the whole-dataset output.
 #[derive(Debug, Clone, Copy)]
 pub struct SigmaKernel(pub SigmaKind);
 
@@ -86,26 +84,6 @@ impl crate::fold::FoldKernel for SigmaKernel {
     fn finish(&self, partial: Vec<f64>) -> Vec<f64> {
         partial
     }
-}
-
-/// [`probe_set_sigmas`] over a whole or chunked source.
-pub fn probe_set_sigmas_from(src: &ProbeSource<'_>) -> Vec<f64> {
-    crate::fold::run_fold(src, &SigmaKernel(SigmaKind::ProbeSet))
-}
-
-/// [`link_sigmas`] over a whole or chunked source.
-pub fn link_sigmas_from(src: &ProbeSource<'_>) -> Vec<f64> {
-    crate::fold::run_fold(src, &SigmaKernel(SigmaKind::Link))
-}
-
-/// [`recent_k_sigmas`] over a whole or chunked source.
-pub fn recent_k_sigmas_from(src: &ProbeSource<'_>, k: usize) -> Vec<f64> {
-    crate::fold::run_fold(src, &SigmaKernel(SigmaKind::RecentK(k)))
-}
-
-/// [`network_sigmas`] over a whole or chunked source.
-pub fn network_sigmas_from(src: &ProbeSource<'_>) -> Vec<f64> {
-    crate::fold::run_fold(src, &SigmaKernel(SigmaKind::Network))
 }
 
 /// σ of SNR within each probe set (one value per probe set).

@@ -8,7 +8,6 @@ use std::collections::BTreeMap;
 use mesh11::prelude::*;
 use mesh11::trace::{
     ApId, ChunkConfig, ChunkHandle, ChunkStore, ChunkedDataset, NetworkId, ProbeChunk, RateObs,
-    SpillCodec,
 };
 use mesh11_bench::figures::{build, ALL_IDS};
 use mesh11_bench::{DataMode, ReproContext, Scale};
@@ -17,22 +16,12 @@ use proptest::prelude::*;
 const SEED: u64 = 13;
 
 /// A chunk config small enough that a quick-scale run fills many chunks
-/// and is forced to spill (budget 2), with the v2 spill codec and the
-/// window-ahead prefetch thread both live — the production shape.
+/// and is forced to spill (budget 2), so pass B reads spilled frames back.
+/// The prefetch thread is configured but stays idle: a chunked build folds
+/// its parts as they stream and never walks the store's windows.
 fn tiny_chunks() -> ChunkConfig {
     ChunkConfig {
-        spill_codec: SpillCodec::V2,
         prefetch_depth: 2,
-        ..ChunkConfig::tiny()
-    }
-}
-
-/// The same forced-spill config under the v1 (raw-column) codec with
-/// prefetch off — pins that the legacy frame path stays byte-identical.
-fn tiny_chunks_v1() -> ChunkConfig {
-    ChunkConfig {
-        spill_codec: SpillCodec::V1,
-        prefetch_depth: 0,
         ..ChunkConfig::tiny()
     }
 }
@@ -101,9 +90,6 @@ fn chunked_figures_byte_identical_to_in_memory() {
         let chunked = build_figures(DataMode::Chunked(tiny_chunks()), threads, FaultPlan::none());
         assert_same_figures(&reference, &chunked, &format!("{threads} threads"));
     }
-    // The v1 codec (prefetch off) must yield the same bytes too.
-    let v1 = build_figures(DataMode::Chunked(tiny_chunks_v1()), 4, FaultPlan::none());
-    assert_same_figures(&reference, &v1, "v1 codec, 4 threads");
 }
 
 /// The same contract under an active fault plan: outages and interference
