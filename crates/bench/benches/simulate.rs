@@ -9,7 +9,9 @@
 //! * `simulate/faults-*` — compiled interval timelines with monotone
 //!   cursors vs naive per-query linear scans over a sizeable fault plan.
 //! * `simulate/probes-*` — one network radio end to end through
-//!   `simulate_probes`, clean and under the demo fault plan.
+//!   `simulate_probes`: b/g clean and under the demo fault plan, and an HT
+//!   radio clean (32 MCS lanes per direction, most of them past the
+//!   delivery cliff, so it times the slab fill's zero-floor skip).
 //!
 //! Run with `cargo bench -p mesh11-bench simulate` (add `-- --quick` in
 //! CI smoke).
@@ -179,6 +181,15 @@ fn probes_faulted(c: &mut Criterion) {
     });
 }
 
+fn probes_ht(c: &mut Criterion) {
+    let mut spec = bench_spec();
+    spec.radios = vec![Phy::Ht];
+    let cfg = SimConfig::quick();
+    c.bench_function("simulate/probes-ht", |b| {
+        b.iter(|| black_box(simulate_probes(&spec, Phy::Ht, &cfg)))
+    });
+}
+
 criterion_group!(
     benches,
     window_ring,
@@ -186,6 +197,7 @@ criterion_group!(
     faults_compiled,
     faults_naive,
     probes_clean,
-    probes_faulted
+    probes_faulted,
+    probes_ht
 );
 criterion_main!(benches);

@@ -7,7 +7,11 @@
 //! pair are sampled through the same object so reciprocity is preserved by
 //! construction.
 
-use mesh11_stats::dist::{derive_seed, derive_seed_str, standard_normal};
+use std::sync::LazyLock;
+
+use mesh11_stats::dist::{
+    box_muller, derive_seed, derive_seed_str, normal_uniforms, standard_normal,
+};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -177,28 +181,65 @@ impl LinkModel {
 
     /// Batch form of [`LinkModel::sample_advanced`]: fills `out[k]` with a
     /// fresh sample for direction `forward[k]`, drawing one fade per lane
-    /// in lane order.
+    /// in lane order, and skipping the fade transform of lanes that cannot
+    /// be received.
     ///
-    /// RNG consumption and per-lane arithmetic are exactly those of the
-    /// equivalent scalar call sequence, so the filled samples are
-    /// bit-identical to calling [`LinkModel::sample_advanced`] once per
-    /// lane (pinned by a test): the scalar sum associates as
-    /// `(mean + temporal) + fade`, so the per-direction base hoisted here
-    /// preserves the op order. The tick loops of the probe engine use this
-    /// to turn 2·R scalar channel calls per tick into one slab fill whose
-    /// downstream success lookups then run over a contiguous slice.
-    pub fn sample_advanced_slab(&mut self, forward: &[bool], out: &mut [SnrSample]) {
+    /// `zero_floor_db[k]` is the highest effective SNR at which lane `k`'s
+    /// success is exactly 0 (`RateRow::zero_floor_db`, `−∞` for none), and
+    /// `burst_db` is the penalty the caller subtracts from every lane's
+    /// `effective_db` before its success lookup. Every lane draws both of
+    /// its uniforms ([`normal_uniforms`]), so RNG consumption is exactly
+    /// that of the scalar call sequence. A lane whose `u1` alone proves
+    /// `effective_db − burst_db ≤ zero_floor_db[k]` skips the
+    /// `ln`/`sqrt`/`cos` of [`box_muller`] and gets `effective_db = −∞`
+    /// and `reported_db = NaN`: its success lookup returns the row's exact
+    /// `0.0` either way, so its coin fails and its SNR is never read. The
+    /// proof needs no transcendental: `|z| ≤ sqrt(−2 ln u1)`, so
+    /// `u1 ≥ exp(−R²/2)` (a static table over `R = k/2`) bounds the fade by
+    /// `R` fade σ.
+    ///
+    /// Every other lane is bit-identical to calling
+    /// [`LinkModel::sample_advanced`] once per lane (pinned by tests): the
+    /// scalar sum associates as `(mean + temporal) + fade`, so the
+    /// per-direction base hoisted here preserves the op order. The probe
+    /// engine's tick loop turns its 2·R scalar channel calls per tick into
+    /// this one slab fill.
+    pub fn sample_advanced_slab(
+        &mut self,
+        forward: &[bool],
+        zero_floor_db: &[f64],
+        burst_db: f64,
+        out: &mut [SnrSample],
+    ) {
         assert_eq!(forward.len(), out.len());
+        assert_eq!(zero_floor_db.len(), out.len());
+        let bound_u1 = &*FADE_BOUND_U1;
         let base_fwd = self.mean_fwd_db + self.temporal_db;
         let base_rev = self.mean_rev_db + self.temporal_db;
-        for (o, &fwd) in out.iter_mut().zip(forward) {
-            let fade = self.fade_scale_db * standard_normal(&mut self.rng);
-            let (base, intf) = if fwd {
-                (base_fwd, self.intf_fwd_db)
+        // Fade-free effective SNR after the burst, and the fade σ inverted
+        // once: a lane's headroom to its floor is `(floor − centre) / σ`.
+        let centre_fwd = base_fwd - self.intf_fwd_db - burst_db;
+        let centre_rev = base_rev - self.intf_rev_db - burst_db;
+        let inv_scale = 1.0 / self.fade_scale_db;
+        for ((o, &fwd), &floor) in out.iter_mut().zip(forward).zip(zero_floor_db) {
+            let (u1, u2) = normal_uniforms(&mut self.rng);
+            let (base, intf, centre) = if fwd {
+                (base_fwd, self.intf_fwd_db, centre_fwd)
             } else {
-                (base_rev, self.intf_rev_db)
+                (base_rev, self.intf_rev_db, centre_rev)
             };
-            let reported = base + fade;
+            // Largest tabulated R = k/2 within the headroom; a negative,
+            // NaN or sub-½ headroom casts to k = 0, whose bound no u1
+            // reaches.
+            let k = ((2.0 * (floor - centre) * inv_scale) as usize).min(FADE_BOUND_STEPS);
+            if u1 >= bound_u1[k] {
+                *o = SnrSample {
+                    reported_db: f64::NAN,
+                    effective_db: f64::NEG_INFINITY,
+                };
+                continue;
+            }
+            let reported = base + self.fade_scale_db * box_muller(u1, u2);
             *o = SnrSample {
                 reported_db: reported,
                 effective_db: reported - intf,
@@ -229,6 +270,22 @@ impl LinkModel {
         self.epoch = target;
     }
 }
+
+/// Last index of [`FADE_BOUND_U1`]: R = 9, where `exp(−R²/2) ≈ 2.6e-18` is
+/// already below the smallest non-zero uniform (2⁻⁵³), so a larger R would
+/// admit no further draw.
+const FADE_BOUND_STEPS: usize = 18;
+
+/// `FADE_BOUND_U1[k] ≥ exp(−R²/2)` for `R = k/2`, nudged up by a relative
+/// 1e-12 to cover the rounding of `exp`: any `u1 ≥ FADE_BOUND_U1[k]` has
+/// `sqrt(−2 ln u1) ≤ R`, so its Box–Muller draw has `|z| ≤ R`. Entry 0 is
+/// above 1, which no uniform reaches.
+static FADE_BOUND_U1: LazyLock<[f64; FADE_BOUND_STEPS + 1]> = LazyLock::new(|| {
+    std::array::from_fn(|k| {
+        let r = k as f64 / 2.0;
+        (-0.5 * r * r).exp() * (1.0 + 1e-12)
+    })
+});
 
 /// An exact N(0, 1) sampler tuned for bulk fade draws — the hottest RNG
 /// call of the client kernel (seven per (tick, AP)). Marsaglia's polar
@@ -424,11 +481,13 @@ mod tests {
                 };
                 dirs.len()
             ];
+            // With no zero floor no lane may be skipped, whatever the burst.
+            let floors = vec![f64::NEG_INFINITY; dirs.len()];
             for tick in 0..50 {
                 let t = tick as f64 * 40.0;
                 scalar.advance_to(t);
                 slab.advance_to(t);
-                slab.sample_advanced_slab(&dirs, &mut out);
+                slab.sample_advanced_slab(&dirs, &floors, 9.0, &mut out);
                 for (&fwd, &got) in dirs.iter().zip(&out) {
                     let want = scalar.sample_advanced(fwd);
                     assert_eq!(
@@ -439,6 +498,77 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn zero_floor_slab_matches_scalar_or_skips_dead_lanes() {
+        // With the real per-rate zero floors of both PHYs and live bursts,
+        // every lane is either bit-identical to the scalar sample, or was
+        // skipped and the scalar sample proves it unreceivable: effective
+        // SNR after the burst at or below the floor, success exactly 0.0.
+        use mesh11_phy::{shared_success_table, PerModel, Phy};
+        use rand::RngExt;
+        let table = shared_success_table(PerModel::default());
+        let params = ChannelParams::indoor();
+        let (mut skipped, mut kept, mut fluttering) = (0usize, 0usize, 0usize);
+        for phy in [Phy::Bg, Phy::Ht] {
+            let rows: Vec<_> = phy
+                .probed_rates()
+                .iter()
+                .map(|&r| table.rate_row(r))
+                .collect();
+            let dirs: Vec<bool> = (0..2 * rows.len()).map(|k| k % 2 == 0).collect();
+            let floors: Vec<f64> = (0..dirs.len())
+                .map(|k| rows[k / 2].zero_floor_db())
+                .collect();
+            let mut out = vec![
+                SnrSample {
+                    reported_db: 0.0,
+                    effective_db: 0.0
+                };
+                dirs.len()
+            ];
+            for seed in 0..60u64 {
+                let d_m = 8.0 + (seed % 12) as f64 * 6.0;
+                let hw_a = RadioHardware::draw(&params, seed, 1);
+                let hw_b = RadioHardware::draw(&params, seed, 2);
+                let mut scalar =
+                    LinkModel::new(params, seed, 1, 2, (0.0, 0.0), (d_m, 0.0), hw_a, hw_b);
+                let mut slab = scalar.clone();
+                fluttering += usize::from(scalar.fade_scale_db > params.fade_sigma_db);
+                for tick in 0..40 {
+                    let t = tick as f64 * 40.0;
+                    let burst = [0.0, 2.5, 11.0][tick % 3];
+                    scalar.advance_to(t);
+                    slab.advance_to(t);
+                    slab.sample_advanced_slab(&dirs, &floors, burst, &mut out);
+                    for (k, (&fwd, &got)) in dirs.iter().zip(&out).enumerate() {
+                        let want = scalar.sample_advanced(fwd);
+                        if got.effective_db == f64::NEG_INFINITY {
+                            assert!(got.reported_db.is_nan());
+                            let eff = want.effective_db - burst;
+                            assert!(eff <= floors[k], "seed {seed} t {t} lane {k}: {eff}");
+                            assert_eq!(rows[k / 2].success(eff), 0.0);
+                            skipped += 1;
+                        } else {
+                            assert_eq!(
+                                (got.reported_db.to_bits(), got.effective_db.to_bits()),
+                                (want.reported_db.to_bits(), want.effective_db.to_bits()),
+                                "seed {seed} t {t} lane {k}"
+                            );
+                            kept += 1;
+                        }
+                    }
+                    assert_eq!(
+                        slab.rng.clone().random::<u64>(),
+                        scalar.rng.clone().random::<u64>(),
+                        "seed {seed} t {t}: RNG streams diverged"
+                    );
+                }
+            }
+        }
+        assert!(skipped > 0 && kept > 0, "skipped {skipped}, kept {kept}");
+        assert!(fluttering > 0, "no fluttering link among the seeds");
     }
 
     #[test]

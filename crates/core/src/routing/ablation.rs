@@ -20,42 +20,60 @@ use crate::routing::shortest::PathTable;
 /// Idealized opportunistic cost with the candidate set capped at the `cap`
 /// ETX-closest usable neighbours (`None` = uncapped, the §5 analysis).
 pub fn exor_capped(m: &DeliveryMatrix, ordering: &PathTable, cap: Option<usize>) -> Vec<f64> {
+    exor_capped_many(m, ordering, &[cap])
+        .pop()
+        .expect("one cost table per cap")
+}
+
+/// [`exor_capped`] for several caps at once: one `n × n` cost table per
+/// cap, in `caps` order.
+///
+/// A cap only truncates the ETX-sorted candidate list, so each
+/// destination's source order and each source's sorted candidates are
+/// built once and every cap's recurrence runs over a prefix of them. Each
+/// table is the same computation, in the same order, as a lone call.
+fn exor_capped_many(
+    m: &DeliveryMatrix,
+    ordering: &PathTable,
+    caps: &[Option<usize>],
+) -> Vec<Vec<f64>> {
     let n = m.n_aps();
-    let mut cost = vec![f64::INFINITY; n * n];
+    let mut costs = vec![vec![f64::INFINITY; n * n]; caps.len()];
+    let mut cands: Vec<(usize, f64)> = Vec::with_capacity(n);
     for d in 0..n {
         let dist = |s: usize| ordering.cost(ApId(s as u32), ApId(d as u32));
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by(|&a, &b| dist(a).partial_cmp(&dist(b)).expect("no NaN costs"));
-        cost[d * n + d] = 0.0;
+        for cost in &mut costs {
+            cost[d * n + d] = 0.0;
+        }
         for &s in &order {
             if s == d || !dist(s).is_finite() {
                 continue;
             }
-            let mut cands: Vec<(usize, f64)> = (0..n)
-                .filter(|&v| v != s)
-                .filter_map(|v| {
-                    let p = m.get(ApId(s as u32), ApId(v as u32));
-                    (p >= MIN_DELIVERY && dist(v) < dist(s)).then_some((v, p))
-                })
-                .collect();
+            cands.clear();
+            cands.extend((0..n).filter(|&v| v != s).filter_map(|v| {
+                let p = m.get(ApId(s as u32), ApId(v as u32));
+                (p >= MIN_DELIVERY && dist(v) < dist(s)).then_some((v, p))
+            }));
             cands.sort_by(|a, b| dist(a.0).partial_cmp(&dist(b.0)).expect("no NaN costs"));
-            if let Some(cap) = cap {
-                cands.truncate(cap);
+            for (cost, &cap) in costs.iter_mut().zip(caps) {
+                let used = &cands[..cap.map_or(cands.len(), |c| c.min(cands.len()))];
+                if used.is_empty() {
+                    cost[s * n + d] = dist(s);
+                    continue;
+                }
+                let mut numer = 0.0;
+                let mut none_heard = 1.0;
+                for &(v, p) in used {
+                    numer += p * none_heard * cost[v * n + d];
+                    none_heard *= 1.0 - p;
+                }
+                cost[s * n + d] = (1.0 + numer) / (1.0 - none_heard);
             }
-            if cands.is_empty() {
-                cost[s * n + d] = dist(s);
-                continue;
-            }
-            let mut numer = 0.0;
-            let mut none_heard = 1.0;
-            for &(v, p) in &cands {
-                numer += p * none_heard * cost[v * n + d];
-                none_heard *= 1.0 - p;
-            }
-            cost[s * n + d] = (1.0 + numer) / (1.0 - none_heard);
         }
     }
-    cost
+    costs
 }
 
 /// Mean ETX1 improvement as a function of the candidate cap: the ablation's
@@ -64,10 +82,14 @@ pub fn exor_capped(m: &DeliveryMatrix, ordering: &PathTable, cap: Option<usize>)
 pub fn improvement_vs_cap(m: &DeliveryMatrix, caps: &[usize]) -> Vec<(usize, f64)> {
     let etx1 = PathTable::compute(m, EtxVariant::Etx1);
     let n = m.n_aps();
+    let cap_opts: Vec<Option<usize>> = caps
+        .iter()
+        .map(|&cap| (cap != usize::MAX).then_some(cap))
+        .collect();
+    let tables = exor_capped_many(m, &etx1, &cap_opts);
     caps.iter()
-        .map(|&cap| {
-            let cap_opt = (cap != usize::MAX).then_some(cap);
-            let exor = exor_capped(m, &etx1, cap_opt);
+        .zip(&tables)
+        .map(|(&cap, exor)| {
             let mut imps = Vec::new();
             for (s, d) in etx1.reachable_pairs() {
                 let e = etx1.cost(s, d);
@@ -156,6 +178,21 @@ mod tests {
                     "{s}→{d}: {a} vs {b}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn shared_sort_tables_match_lone_calls() {
+        // Every cap's table from one shared-sort pass must be bit for bit
+        // the table of a lone call, whatever the other caps are.
+        let m = fan();
+        let etx1 = PathTable::compute(&m, EtxVariant::Etx1);
+        let caps = [Some(2), None, Some(0), Some(1), Some(9)];
+        let tables = exor_capped_many(&m, &etx1, &caps);
+        for (&cap, table) in caps.iter().zip(&tables) {
+            let lone = exor_capped(&m, &etx1, cap);
+            let bits = |t: &[f64]| t.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(table), bits(&lone), "cap {cap:?}");
         }
     }
 

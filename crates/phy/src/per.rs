@@ -240,6 +240,10 @@ pub struct SuccessTable {
     /// `grid[phy][rate_index][snr_bin]`.
     bg: Vec<Vec<f64>>,
     ht: Vec<Vec<f64>>,
+    /// [`RateRow::zero_floor_db`] of every row, `floor[phy][rate_index]`,
+    /// resolved once here so hoisting a row stays O(1).
+    bg_floor: Vec<f64>,
+    ht_floor: Vec<f64>,
 }
 
 impl SuccessTable {
@@ -288,11 +292,21 @@ impl SuccessTable {
                 })
                 .collect()
         };
+        let bg = tabulate(Phy::Bg, Phy::Bg.all_rates());
+        let ht = tabulate(Phy::Ht, Phy::Ht.all_rates());
+        let floors = |grids: &[Vec<f64>]| -> Vec<f64> {
+            grids
+                .iter()
+                .map(|g| zero_floor_db(g, Self::LO_DB, Self::STEP_DB))
+                .collect()
+        };
         Self {
             lo_db: Self::LO_DB,
             step_db: Self::STEP_DB,
-            bg: tabulate(Phy::Bg, Phy::Bg.all_rates()),
-            ht: tabulate(Phy::Ht, Phy::Ht.all_rates()),
+            bg_floor: floors(&bg),
+            ht_floor: floors(&ht),
+            bg,
+            ht,
         }
     }
 
@@ -307,15 +321,35 @@ impl SuccessTable {
     /// tick) hoist the row lookup out of the loop and call
     /// [`RateRow::success`] on the slice directly.
     pub fn rate_row(&self, rate: BitRate) -> RateRow<'_> {
-        let grid = match rate.phy() {
-            Phy::Bg => &self.bg[rate.index()],
-            Phy::Ht => &self.ht[rate.index()],
+        let (grid, zero_floor_db) = match rate.phy() {
+            Phy::Bg => (&self.bg[rate.index()], self.bg_floor[rate.index()]),
+            Phy::Ht => (&self.ht[rate.index()], self.ht_floor[rate.index()]),
         };
         RateRow {
             grid,
             lo_db: self.lo_db,
             step_db: self.step_db,
+            zero_floor_db,
         }
+    }
+}
+
+/// How far below the last exactly-zero head cell a row's zero floor sits
+/// (dB). It absorbs the rounding of the lookup's position arithmetic and of
+/// any caller's SNR sum: those errors are ~1e-13 dB on this grid's range,
+/// seven orders of magnitude below the margin.
+const ZERO_FLOOR_MARGIN_DB: f64 = 1e-6;
+
+/// Length of `grid`'s leading run of exactly-0.0 cells.
+fn zero_head_len(grid: &[f64]) -> usize {
+    grid.iter().take_while(|&&p| p == 0.0).count()
+}
+
+/// See [`RateRow::zero_floor_db`].
+fn zero_floor_db(grid: &[f64], lo_db: f64, step_db: f64) -> f64 {
+    match zero_head_len(grid) {
+        0 => f64::NEG_INFINITY,
+        head => lo_db + (head - 1) as f64 * step_db - ZERO_FLOOR_MARGIN_DB,
     }
 }
 
@@ -333,9 +367,29 @@ pub struct RateRow<'a> {
     grid: &'a [f64],
     lo_db: f64,
     step_db: f64,
+    zero_floor_db: f64,
 }
 
 impl RateRow<'_> {
+    /// The highest SNR (dB) at which this row's success is known to be
+    /// exactly `0.0`: the grid point of the last cell of the leading
+    /// exactly-zero run, minus a 1e-6 dB margin; `−∞` when `grid[0] != 0`.
+    ///
+    /// Exactness: at any `snr ≤ zero_floor_db` the lookup position
+    /// `(snr − lo_db) / step_db` is at most `lo − 1e-5` (plus rounding far
+    /// below that), where `lo` is the last zero cell. [`RateRow::success`]
+    /// then either returns `grid[0] = 0.0` (position ≤ 0) or lerps two
+    /// cells at or below `lo`, both `0.0`, so `0·(1−f) + 0·f = 0.0`;
+    /// [`RateRow::success_slab`] computes the same lerp per lane and clamps
+    /// the position of `snr = −∞` to `0`, where `grid[0]·1 + grid[1]·0` is
+    /// again `0.0`.
+    /// The probe engine relies on this to skip the fade of a lane that
+    /// cannot be received.
+    #[inline]
+    pub fn zero_floor_db(&self) -> f64 {
+        self.zero_floor_db
+    }
+
     /// Interpolated frame success at `snr_db`.
     #[inline]
     pub fn success(&self, snr_db: f64) -> f64 {
@@ -396,11 +450,7 @@ impl RateRow<'_> {
         let n = grid.len();
         // Last index of the leading exactly-0.0 run (0 when the first cell
         // is already non-zero, so the head shortcut below never fires).
-        let lo = grid
-            .iter()
-            .take_while(|&&p| p == 0.0)
-            .count()
-            .saturating_sub(1);
+        let lo = zero_head_len(grid).saturating_sub(1);
         // First index of the trailing exactly-1.0 run (n-1 when the last
         // cell is not 1.0, so the tail shortcut never fires).
         let ones = grid.iter().rev().take_while(|&&p| p == 1.0).count();
@@ -721,6 +771,29 @@ mod tests {
                 let snr = snr10 as f64 / 10.0 + 0.037;
                 assert_eq!(row.success(snr), table.success(r, snr), "{r} @ {snr}");
             }
+        }
+    }
+
+    #[test]
+    fn zero_floor_is_exact_and_tight() {
+        // The probe engine skips the fade of any lane whose effective SNR
+        // stays at or below its row's zero floor, so success there must be
+        // exactly 0.0 — and the floor must not waste lanes: one grid step
+        // above it the row is already non-zero.
+        let table = shared_success_table(PerModel::default());
+        for &r in BG_ALL.iter().chain(HT_ALL) {
+            let row = table.rate_row(r);
+            let floor = row.zero_floor_db();
+            if floor == f64::NEG_INFINITY {
+                assert!(row.success(SuccessTable::LO_DB) > 0.0, "{r}: -inf floor");
+                continue;
+            }
+            let mut out = [1.0; 3];
+            row.success_slab(&[floor, floor - 3.7, f64::NEG_INFINITY], &mut out);
+            assert_eq!(row.success(floor).to_bits(), 0.0f64.to_bits(), "{r}");
+            assert_eq!(out.map(f64::to_bits), [0.0f64.to_bits(); 3], "{r}");
+            let above = floor + SuccessTable::STEP_DB;
+            assert!(row.success(above) > 0.0, "{r}: floor {floor} not tight");
         }
     }
 

@@ -19,7 +19,12 @@
 //!   with the clock — and an empty plan costs nothing per tick;
 //! * per-rate success-curve rows ([`RateRow`]) are hoisted out of the
 //!   loop, so a probe costs one interpolation, not a PHY dispatch plus
-//!   table indexing.
+//!   table indexing;
+//! * each lane's zero floor ([`RateRow::zero_floor_db`]) is hoisted per
+//!   pair, and the channel slab fill skips the Box–Muller transform of any
+//!   lane whose first uniform proves it cannot be received — most high-rate
+//!   lanes, since the delivery curve is a cliff. The skipped lane still
+//!   draws both uniforms and still looks up an exact 0.0 success.
 //!
 //! All of it is observable-for-observable identical to the reference
 //! implementation kept under `#[cfg(test)]` below (the original
@@ -185,6 +190,9 @@ pub(crate) fn simulate_pair(
     // success lookups run branchless over contiguous memory.
     let lanes = 2 * rows.len();
     let dirs: Vec<bool> = (0..lanes).map(|k| k % 2 == 0).collect();
+    // Each lane's zero floor: at or below it (after the burst) the lane's
+    // success is exactly 0, so the slab fill may skip its fade transform.
+    let floors: Vec<f64> = (0..lanes).map(|k| rows[k / 2].zero_floor_db()).collect();
     let mut snr_slab = vec![
         SnrSample {
             reported_db: 0.0,
@@ -227,8 +235,10 @@ pub(crate) fn simulate_pair(
             // Slab pass over the tick's 2·R frames: all fades, then all
             // success lookups, then all coins, then the records — each
             // stage in lane order, so both RNG streams see the scalar
-            // draw sequence (see the slab comment above).
-            link.sample_advanced_slab(&dirs, &mut snr_slab);
+            // draw sequence (see the slab comment above). A lane the fill
+            // skips carries effective −∞, which looks up its row's exact
+            // 0.0, so its coin fails and its NaN SNR is never recorded.
+            link.sample_advanced_slab(&dirs, &floors, burst, &mut snr_slab);
             for (e, s) in eff_slab.iter_mut().zip(&snr_slab) {
                 *e = s.effective_db - burst;
             }
@@ -698,6 +708,36 @@ mod tests {
             b(0.0, 3_600.0, 0.5),     // always on
         ];
         assert_matches_reference(&small_spec(23), Phy::Bg, &cfg);
+    }
+
+    #[test]
+    fn flat_engine_matches_reference_ht_under_bursts() {
+        // HT is most of the engine's lanes and the one PHY whose high MCS
+        // rows sit far above typical SNRs, so the zero-floor skip fires
+        // hardest here. Stacked bursts move every lane's headroom, and an
+        // outage straddling a report cut exercises the catch-up draws.
+        let mut cfg = SimConfig::quick();
+        cfg.probe_horizon_s = 3_000.0;
+        cfg.faults.outages = vec![crate::fault::ApOutage {
+            network: NetworkId(0),
+            ap: ApId(2),
+            start_s: 1_150.0,
+            end_s: 1_700.0, // spans the 1 200 s and 1 500 s cuts
+        }];
+        let b = |s, e, db| crate::fault::InterferenceBurst {
+            network: NetworkId(0),
+            start_s: s,
+            end_s: e,
+            penalty_db: db,
+        };
+        cfg.faults.bursts = vec![
+            b(300.0, 2_100.0, 6.0),
+            b(900.0, 1_400.0, 9.5), // stacks
+            b(0.0, 3_000.0, 1.25),  // always on
+        ];
+        let mut spec = small_spec(25);
+        spec.radios = vec![Phy::Ht];
+        assert_matches_reference(&spec, Phy::Ht, &cfg);
     }
 
     #[test]

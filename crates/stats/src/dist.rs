@@ -146,15 +146,37 @@ impl Dist {
     }
 }
 
-/// One standard-normal draw via the Box–Muller transform.
+/// One standard-normal draw via the basic (trigonometric) Box–Muller
+/// transform: [`normal_uniforms`] then [`box_muller`].
 ///
-/// Uses the polar coordinates form directly; only one of the pair is kept —
-/// the simulator draws rarely enough that caching the spare is not worth the
-/// statefulness.
+/// This is the simulator's hottest RNG call (every per-frame fade of the
+/// pair engine, ~10⁸ draws per standard-scale run). Only the cosine half of
+/// the pair is kept: the spare would change which uniforms feed each draw,
+/// and with it every seeded dataset.
+#[inline]
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    let (u1, u2) = normal_uniforms(rng);
+    box_muller(u1, u2)
+}
+
+/// The two uniforms one [`standard_normal`] draw consumes, in draw order:
+/// `u1 ∈ [f64::MIN_POSITIVE, 1)` (clamped so `ln u1` is finite) and
+/// `u2 ∈ [0, 1)`.
+///
+/// Split out so a caller can look at `u1` before paying for the
+/// transform: `|box_muller(u1, u2)| ≤ sqrt(−2 ln u1)` whatever `u2` is, so
+/// a large `u1` bounds the draw without any transcendental call.
+#[inline]
+pub fn normal_uniforms<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
     let u1: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
     let u2: f64 = rng.random::<f64>();
-    // The expression below is fully f64 thanks to the annotations above.
+    (u1, u2)
+}
+
+/// The Box–Muller transform of [`normal_uniforms`]' pair:
+/// `sqrt(−2 ln u1) · cos(2π u2)`.
+#[inline]
+pub fn box_muller(u1: f64, u2: f64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
