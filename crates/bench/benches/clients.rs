@@ -11,7 +11,9 @@
 //!   campaign runner does); `-cold` includes the per-call success-table
 //!   build the old engine paid.
 //! * `clients/sessions-network` — the association/session tracker
-//!   (`simulate_clients`), the other per-client simulate-phase pass.
+//!   (`simulate_clients`), the other per-client simulate-phase pass;
+//!   `-dense` runs it on a 6×6 indoor grid, where each step ranks 36 APs
+//!   and most of them are ruled out by bounds before their SNR is drawn.
 //!
 //! Run with `cargo bench -p mesh11-bench clients` (add `-- --quick` in
 //! CI smoke).
@@ -108,8 +110,13 @@ fn window_vecdeque_lanes(c: &mut Criterion) {
 
 /// A 9-AP indoor grid, the same deployment the probe-engine benches use.
 fn bench_spec() -> NetworkSpec {
-    let positions = (0..9)
-        .map(|i| (f64::from(i % 3) * 16.0, f64::from(i / 3) * 16.0))
+    grid_spec(3)
+}
+
+/// A `side`×`side` indoor grid at 16 m spacing.
+fn grid_spec(side: u32) -> NetworkSpec {
+    let positions = (0..side * side)
+        .map(|i| (f64::from(i % side) * 16.0, f64::from(i / side) * 16.0))
         .collect();
     NetworkSpec {
         id: NetworkId(0),
@@ -153,12 +160,23 @@ fn sessions_network(c: &mut Criterion) {
     });
 }
 
+/// The tracker on a dense 36-AP indoor grid: the per-step AP ranking
+/// dominates.
+fn sessions_dense(c: &mut Criterion) {
+    let spec = grid_spec(6);
+    let cfg = SimConfig::quick();
+    c.bench_function("clients/sessions-dense", |b| {
+        b.iter(|| black_box(simulate_clients(&spec, &cfg)))
+    });
+}
+
 criterion_group!(
     benches,
     window_ring_lanes,
     window_vecdeque_lanes,
     probes_network,
     probes_network_cold,
-    sessions_network
+    sessions_network,
+    sessions_dense
 );
 criterion_main!(benches);

@@ -11,7 +11,8 @@
 //! * `simulate/probes-*` — one network radio end to end through
 //!   `simulate_probes`: b/g clean and under the demo fault plan, and an HT
 //!   radio clean (32 MCS lanes per direction, most of them past the
-//!   delivery cliff, so it times the slab fill's zero-floor skip).
+//!   delivery cliff, so it times the lanes that bounds on the fade
+//!   uniforms settle without a Box–Muller transform).
 //!
 //! Run with `cargo bench -p mesh11-bench simulate` (add `-- --quick` in
 //! CI smoke).

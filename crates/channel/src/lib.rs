@@ -49,5 +49,5 @@ pub mod params;
 pub mod pathloss;
 
 pub use hardware::RadioHardware;
-pub use link::{LinkModel, PolarNormal, SnrSample};
+pub use link::{FadeLatch, LinkModel, PolarNormal, SnrSample};
 pub use params::{ChannelParams, Environment};

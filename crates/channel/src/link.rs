@@ -7,10 +7,10 @@
 //! pair are sampled through the same object so reciprocity is preserved by
 //! construction.
 
-use std::sync::LazyLock;
-
+use mesh11_phy::RateRow;
 use mesh11_stats::dist::{
-    box_muller, derive_seed, derive_seed_str, normal_uniforms, standard_normal,
+    box_muller, box_muller_bounds, derive_seed, derive_seed_str, normal_uniforms, radius_hi,
+    standard_normal,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -28,6 +28,16 @@ pub struct SnrSample {
     /// What the decoder actually experiences: reported minus the hidden
     /// interference floor. Feed this to `CalibratedPhy::success`.
     pub effective_db: f64,
+}
+
+/// The fade of one received probe lane, kept so its reported SNR can be
+/// computed when it is read: the direction's `mean + temporal` SNR at the
+/// draw and the draw's two uniforms ([`normal_uniforms`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FadeLatch {
+    base_db: f64,
+    u1: f64,
+    u2: f64,
 }
 
 /// Time-evolving channel between two radios.
@@ -167,9 +177,11 @@ impl LinkModel {
     /// As [`LinkModel::sample`] with the temporal advance factored out:
     /// draws fast fading against the *current* temporal state. Tick loops
     /// that sample many frames at one instant call [`LinkModel::advance_to`]
-    /// once and this per frame, skipping the redundant epoch checks. The
-    /// advance must only happen on instants that actually sample — the
-    /// AR(1) catch-up path makes draw order depend on when the clock moves.
+    /// once and this (or its bound-first form for probe lanes,
+    /// [`LinkModel::probe_lane`]) per frame, skipping the redundant epoch
+    /// checks. The advance must only happen on instants that actually
+    /// sample — the AR(1) catch-up path makes draw order depend on when the
+    /// clock moves.
     pub fn sample_advanced(&mut self, forward: bool) -> SnrSample {
         let fade = self.fade_scale_db * standard_normal(&mut self.rng);
         let reported = self.mean_snr_db(forward) + self.temporal_db + fade;
@@ -179,72 +191,69 @@ impl LinkModel {
         }
     }
 
-    /// Batch form of [`LinkModel::sample_advanced`]: fills `out[k]` with a
-    /// fresh sample for direction `forward[k]`, drawing one fade per lane
-    /// in lane order, and skipping the fade transform of lanes that cannot
-    /// be received.
+    /// One probe lane at the current temporal state: draws the lane's
+    /// fade uniforms and decides whether a frame in direction `forward`,
+    /// looked up in `row` after a `burst_db` penalty, passes the success
+    /// coin `coin`. Returns the fade's latch when it does.
     ///
-    /// `zero_floor_db[k]` is the highest effective SNR at which lane `k`'s
-    /// success is exactly 0 (`RateRow::zero_floor_db`, `−∞` for none), and
-    /// `burst_db` is the penalty the caller subtracts from every lane's
-    /// `effective_db` before its success lookup. Every lane draws both of
-    /// its uniforms ([`normal_uniforms`]), so RNG consumption is exactly
-    /// that of the scalar call sequence. A lane whose `u1` alone proves
-    /// `effective_db − burst_db ≤ zero_floor_db[k]` skips the
-    /// `ln`/`sqrt`/`cos` of [`box_muller`] and gets `effective_db = −∞`
-    /// and `reported_db = NaN`: its success lookup returns the row's exact
-    /// `0.0` either way, so its coin fails and its SNR is never read. The
-    /// proof needs no transcendental: `|z| ≤ sqrt(−2 ln u1)`, so
-    /// `u1 ≥ exp(−R²/2)` (a static table over `R = k/2`) bounds the fade by
-    /// `R` fade σ.
+    /// The outcome equals `coin < row.success(s.effective_db − burst_db)`
+    /// for `s = self.sample_advanced(forward)`, and the RNG consumption is
+    /// the same, but the Box–Muller transform runs only when bounds cannot
+    /// settle the coin (pinned by tests):
     ///
-    /// Every other lane is bit-identical to calling
-    /// [`LinkModel::sample_advanced`] once per lane (pinned by tests): the
-    /// scalar sum associates as `(mean + temporal) + fade`, so the
-    /// per-direction base hoisted here preserves the op order. The probe
-    /// engine's tick loop turns its 2·R scalar channel calls per tick into
-    /// this one slab fill.
-    pub fn sample_advanced_slab(
+    /// * **dead** — if even the largest fade, [`radius_hi`] of `u1` or the
+    ///   top of the [`box_muller_bounds`] bracket, leaves the effective SNR
+    ///   at or below the row's zero floor, success is exactly `0.0` and no
+    ///   coin passes;
+    /// * **bounded** — otherwise the bracket of the effective SNR (widened
+    ///   by 1e-9 dB for the rounding of the sums) decides a coin below the
+    ///   success at its low end, or at or above the success at its high
+    ///   end, with a margin of `1e-12 + row.max_dip()` for lerp rounding
+    ///   and non-monotone rows;
+    /// * **exact** — the rest pay the transform and the scalar lookup.
+    ///
+    /// A received lane's reported SNR is read only at a report cut, so the
+    /// latch defers that transform too: see [`LinkModel::latched_db`].
+    #[inline]
+    pub fn probe_lane(
         &mut self,
-        forward: &[bool],
-        zero_floor_db: &[f64],
+        forward: bool,
+        row: &RateRow<'_>,
         burst_db: f64,
-        out: &mut [SnrSample],
-    ) {
-        assert_eq!(forward.len(), out.len());
-        assert_eq!(zero_floor_db.len(), out.len());
-        let bound_u1 = &*FADE_BOUND_U1;
-        let base_fwd = self.mean_fwd_db + self.temporal_db;
-        let base_rev = self.mean_rev_db + self.temporal_db;
-        // Fade-free effective SNR after the burst, and the fade σ inverted
-        // once: a lane's headroom to its floor is `(floor − centre) / σ`.
-        let centre_fwd = base_fwd - self.intf_fwd_db - burst_db;
-        let centre_rev = base_rev - self.intf_rev_db - burst_db;
-        let inv_scale = 1.0 / self.fade_scale_db;
-        for ((o, &fwd), &floor) in out.iter_mut().zip(forward).zip(zero_floor_db) {
-            let (u1, u2) = normal_uniforms(&mut self.rng);
-            let (base, intf, centre) = if fwd {
-                (base_fwd, self.intf_fwd_db, centre_fwd)
-            } else {
-                (base_rev, self.intf_rev_db, centre_rev)
-            };
-            // Largest tabulated R = k/2 within the headroom; a negative,
-            // NaN or sub-½ headroom casts to k = 0, whose bound no u1
-            // reaches.
-            let k = ((2.0 * (floor - centre) * inv_scale) as usize).min(FADE_BOUND_STEPS);
-            if u1 >= bound_u1[k] {
-                *o = SnrSample {
-                    reported_db: f64::NAN,
-                    effective_db: f64::NEG_INFINITY,
-                };
-                continue;
-            }
-            let reported = base + self.fade_scale_db * box_muller(u1, u2);
-            *o = SnrSample {
-                reported_db: reported,
-                effective_db: reported - intf,
-            };
+        coin: f64,
+    ) -> Option<FadeLatch> {
+        let (u1, u2) = normal_uniforms(&mut self.rng);
+        let base_db = self.mean_snr_db(forward) + self.temporal_db;
+        let intf = self.interference_db(forward);
+        let latch = FadeLatch { base_db, u1, u2 };
+        let sigma = self.fade_scale_db;
+        // Fade-free effective SNR after the burst.
+        let centre = base_db - intf - burst_db;
+        if centre + sigma * radius_hi(u1) <= row.zero_floor_db() {
+            return None;
         }
+        let (lo, hi) = box_muller_bounds(u1, u2);
+        let eff_hi = centre + sigma * hi + 1e-9;
+        if eff_hi <= row.zero_floor_db() {
+            return None;
+        }
+        let margin = 1e-12 + row.max_dip();
+        if coin < row.success(centre + sigma * lo - 1e-9) - margin {
+            return Some(latch);
+        }
+        if coin >= row.success(eff_hi) + margin {
+            return None;
+        }
+        let effective = self.latched_db(latch) - intf;
+        (coin < row.success(effective - burst_db)).then_some(latch)
+    }
+
+    /// The reported SNR of a latched fade: bit-identical to the
+    /// `reported_db` [`LinkModel::sample_advanced`] would have returned for
+    /// that draw, the same `(mean + temporal) + σ·z` sum.
+    #[inline]
+    pub fn latched_db(&self, latch: FadeLatch) -> f64 {
+        latch.base_db + self.fade_scale_db * box_muller(latch.u1, latch.u2)
     }
 
     /// Advances the AR(1) temporal shadowing process to `t_s`. Idempotent
@@ -270,22 +279,6 @@ impl LinkModel {
         self.epoch = target;
     }
 }
-
-/// Last index of [`FADE_BOUND_U1`]: R = 9, where `exp(−R²/2) ≈ 2.6e-18` is
-/// already below the smallest non-zero uniform (2⁻⁵³), so a larger R would
-/// admit no further draw.
-const FADE_BOUND_STEPS: usize = 18;
-
-/// `FADE_BOUND_U1[k] ≥ exp(−R²/2)` for `R = k/2`, nudged up by a relative
-/// 1e-12 to cover the rounding of `exp`: any `u1 ≥ FADE_BOUND_U1[k]` has
-/// `sqrt(−2 ln u1) ≤ R`, so its Box–Muller draw has `|z| ≤ R`. Entry 0 is
-/// above 1, which no uniform reaches.
-static FADE_BOUND_U1: LazyLock<[f64; FADE_BOUND_STEPS + 1]> = LazyLock::new(|| {
-    std::array::from_fn(|k| {
-        let r = k as f64 / 2.0;
-        (-0.5 * r * r).exp() * (1.0 + 1e-12)
-    })
-});
 
 /// An exact N(0, 1) sampler tuned for bulk fade draws — the hottest RNG
 /// call of the client kernel (seven per (tick, AP)). Marsaglia's polar
@@ -463,112 +456,106 @@ mod tests {
         }
     }
 
-    #[test]
-    fn slab_sampling_is_bit_identical_to_scalar() {
-        // The probe engine swaps its per-(rate, direction) scalar channel
-        // calls for one slab fill per tick; both the RNG stream and every
-        // reported/effective value must match bit for bit or datasets move.
-        for seed in [3u64, 42, 1009] {
-            let mut scalar = nominal_link(seed, 22.0);
-            let mut slab = nominal_link(seed, 22.0);
-            // Alternate directions like the engine's per-rate fwd/rev walk,
-            // across several ticks and temporal epochs.
-            let dirs: Vec<bool> = (0..14).map(|k| k % 2 == 0).collect();
-            let mut out = vec![
-                SnrSample {
-                    reported_db: 0.0,
-                    effective_db: 0.0
-                };
-                dirs.len()
-            ];
-            // With no zero floor no lane may be skipped, whatever the burst.
-            let floors = vec![f64::NEG_INFINITY; dirs.len()];
-            for tick in 0..50 {
-                let t = tick as f64 * 40.0;
-                scalar.advance_to(t);
-                slab.advance_to(t);
-                slab.sample_advanced_slab(&dirs, &floors, 9.0, &mut out);
-                for (&fwd, &got) in dirs.iter().zip(&out) {
-                    let want = scalar.sample_advanced(fwd);
-                    assert_eq!(
-                        (got.reported_db.to_bits(), got.effective_db.to_bits()),
-                        (want.reported_db.to_bits(), want.effective_db.to_bits()),
-                        "seed {seed} t {t} fwd {fwd}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn zero_floor_slab_matches_scalar_or_skips_dead_lanes() {
-        // With the real per-rate zero floors of both PHYs and live bursts,
-        // every lane is either bit-identical to the scalar sample, or was
-        // skipped and the scalar sample proves it unreceivable: effective
-        // SNR after the burst at or below the floor, success exactly 0.0.
+    /// Runs `check` on every probe lane of 60 seeded links (b/g and HT
+    /// rows, every probed rate, both directions, bursts of 0, 2.5 and
+    /// 11 dB, near and far links, fluttering ones among them) with a lane
+    /// link and a scalar twin advanced in step. `check(lane, scalar, row,
+    /// forward, burst)` must leave both links' RNGs at the same point;
+    /// that is asserted after every tick.
+    fn for_each_probe_lane(
+        mut check: impl FnMut(&mut LinkModel, &mut LinkModel, &RateRow, bool, f64),
+    ) {
         use mesh11_phy::{shared_success_table, PerModel, Phy};
         use rand::RngExt;
         let table = shared_success_table(PerModel::default());
         let params = ChannelParams::indoor();
-        let (mut skipped, mut kept, mut fluttering) = (0usize, 0usize, 0usize);
+        let mut fluttering = 0usize;
         for phy in [Phy::Bg, Phy::Ht] {
             let rows: Vec<_> = phy
                 .probed_rates()
                 .iter()
                 .map(|&r| table.rate_row(r))
                 .collect();
-            let dirs: Vec<bool> = (0..2 * rows.len()).map(|k| k % 2 == 0).collect();
-            let floors: Vec<f64> = (0..dirs.len())
-                .map(|k| rows[k / 2].zero_floor_db())
-                .collect();
-            let mut out = vec![
-                SnrSample {
-                    reported_db: 0.0,
-                    effective_db: 0.0
-                };
-                dirs.len()
-            ];
             for seed in 0..60u64 {
                 let d_m = 8.0 + (seed % 12) as f64 * 6.0;
                 let hw_a = RadioHardware::draw(&params, seed, 1);
                 let hw_b = RadioHardware::draw(&params, seed, 2);
                 let mut scalar =
                     LinkModel::new(params, seed, 1, 2, (0.0, 0.0), (d_m, 0.0), hw_a, hw_b);
-                let mut slab = scalar.clone();
+                let mut lane = scalar.clone();
                 fluttering += usize::from(scalar.fade_scale_db > params.fade_sigma_db);
                 for tick in 0..40 {
                     let t = tick as f64 * 40.0;
                     let burst = [0.0, 2.5, 11.0][tick % 3];
                     scalar.advance_to(t);
-                    slab.advance_to(t);
-                    slab.sample_advanced_slab(&dirs, &floors, burst, &mut out);
-                    for (k, (&fwd, &got)) in dirs.iter().zip(&out).enumerate() {
-                        let want = scalar.sample_advanced(fwd);
-                        if got.effective_db == f64::NEG_INFINITY {
-                            assert!(got.reported_db.is_nan());
-                            let eff = want.effective_db - burst;
-                            assert!(eff <= floors[k], "seed {seed} t {t} lane {k}: {eff}");
-                            assert_eq!(rows[k / 2].success(eff), 0.0);
-                            skipped += 1;
-                        } else {
-                            assert_eq!(
-                                (got.reported_db.to_bits(), got.effective_db.to_bits()),
-                                (want.reported_db.to_bits(), want.effective_db.to_bits()),
-                                "seed {seed} t {t} lane {k}"
-                            );
-                            kept += 1;
+                    lane.advance_to(t);
+                    for row in &rows {
+                        for fwd in [true, false] {
+                            check(&mut lane, &mut scalar, row, fwd, burst);
                         }
                     }
                     assert_eq!(
-                        slab.rng.clone().random::<u64>(),
+                        lane.rng.clone().random::<u64>(),
                         scalar.rng.clone().random::<u64>(),
                         "seed {seed} t {t}: RNG streams diverged"
                     );
                 }
             }
         }
-        assert!(skipped > 0 && kept > 0, "skipped {skipped}, kept {kept}");
         assert!(fluttering > 0, "no fluttering link among the seeds");
+    }
+
+    #[test]
+    fn probe_lane_matches_scalar_coin_and_snr() {
+        // The probe engine decides each lane through `probe_lane`; its
+        // outcome must be the scalar `coin < success(effective − burst)`,
+        // a reception's latched SNR must be the scalar reported SNR bit
+        // for bit, and the RNG stream must not move.
+        use rand::rngs::SmallRng;
+        use rand::{RngExt, SeedableRng};
+        let mut coins = SmallRng::seed_from_u64(7);
+        let (mut received, mut lost) = (0usize, 0usize);
+        for_each_probe_lane(|lane, scalar, row, fwd, burst| {
+            let coin = coins.random::<f64>();
+            let got = lane.probe_lane(fwd, row, burst, coin);
+            let want = scalar.sample_advanced(fwd);
+            let p = row.success(want.effective_db - burst);
+            assert_eq!(got.is_some(), coin < p, "coin {coin} p {p} burst {burst}");
+            if let Some(latch) = got {
+                assert_eq!(lane.latched_db(latch).to_bits(), want.reported_db.to_bits());
+                received += 1;
+            } else {
+                lost += 1;
+            }
+        });
+        assert!(received > 0 && lost > 0, "received {received}, lost {lost}");
+    }
+
+    #[test]
+    fn probe_lane_is_exact_at_the_coin_boundary() {
+        // Coins placed on the scalar success itself and one ulp either
+        // side: no bound may decide these, so the lane must fall through
+        // to the exact path and still agree with the scalar comparison.
+        let mut step = 0usize;
+        let mut decided_by_exact = 0usize;
+        for_each_probe_lane(|lane, scalar, row, fwd, burst| {
+            let want = scalar.clone().sample_advanced(fwd);
+            let p = row.success(want.effective_db - burst);
+            let coin = match step % 3 {
+                0 => p,
+                1 => p.next_down().max(0.0),
+                _ => p.next_up().min(1.0 - f64::EPSILON / 2.0),
+            };
+            step += 1;
+            decided_by_exact += usize::from(p > 0.0 && p < 1.0);
+            let got = lane.probe_lane(fwd, row, burst, coin);
+            assert_eq!(got.is_some(), coin < p, "coin {coin} p {p} burst {burst}");
+            if let Some(latch) = got {
+                assert_eq!(lane.latched_db(latch).to_bits(), want.reported_db.to_bits());
+            }
+            scalar.sample_advanced(fwd);
+        });
+        assert!(decided_by_exact > 0, "no lane on the delivery slope");
     }
 
     #[test]

@@ -240,10 +240,11 @@ pub struct SuccessTable {
     /// `grid[phy][rate_index][snr_bin]`.
     bg: Vec<Vec<f64>>,
     ht: Vec<Vec<f64>>,
-    /// [`RateRow::zero_floor_db`] of every row, `floor[phy][rate_index]`,
-    /// resolved once here so hoisting a row stays O(1).
-    bg_floor: Vec<f64>,
-    ht_floor: Vec<f64>,
+    /// [`RateRow::zero_floor_db`] and [`RateRow::max_dip`] of every row,
+    /// `(floor, dip)[phy][rate_index]`, resolved once here so hoisting a
+    /// row stays O(1).
+    bg_floor: Vec<(f64, f64)>,
+    ht_floor: Vec<(f64, f64)>,
 }
 
 impl SuccessTable {
@@ -294,10 +295,10 @@ impl SuccessTable {
         };
         let bg = tabulate(Phy::Bg, Phy::Bg.all_rates());
         let ht = tabulate(Phy::Ht, Phy::Ht.all_rates());
-        let floors = |grids: &[Vec<f64>]| -> Vec<f64> {
+        let floors = |grids: &[Vec<f64>]| -> Vec<(f64, f64)> {
             grids
                 .iter()
-                .map(|g| zero_floor_db(g, Self::LO_DB, Self::STEP_DB))
+                .map(|g| (zero_floor_db(g, Self::LO_DB, Self::STEP_DB), max_dip(g)))
                 .collect()
         };
         Self {
@@ -321,7 +322,7 @@ impl SuccessTable {
     /// tick) hoist the row lookup out of the loop and call
     /// [`RateRow::success`] on the slice directly.
     pub fn rate_row(&self, rate: BitRate) -> RateRow<'_> {
-        let (grid, zero_floor_db) = match rate.phy() {
+        let (grid, (zero_floor_db, max_dip)) = match rate.phy() {
             Phy::Bg => (&self.bg[rate.index()], self.bg_floor[rate.index()]),
             Phy::Ht => (&self.ht[rate.index()], self.ht_floor[rate.index()]),
         };
@@ -330,6 +331,7 @@ impl SuccessTable {
             lo_db: self.lo_db,
             step_db: self.step_db,
             zero_floor_db,
+            max_dip,
         }
     }
 }
@@ -353,10 +355,16 @@ fn zero_floor_db(grid: &[f64], lo_db: f64, step_db: f64) -> f64 {
     }
 }
 
-/// Lanes per inner chunk of the batch success kernels: one 512-byte
-/// position buffer, L1-resident, long enough to amortize the loop overhead
-/// and keep the vectorized position pass's stores streaming.
-const SLAB_CHUNK: usize = 64;
+/// See [`RateRow::max_dip`].
+fn max_dip(grid: &[f64]) -> f64 {
+    let mut peak = f64::NEG_INFINITY;
+    let mut dip = 0.0f64;
+    for &p in grid {
+        peak = peak.max(p);
+        dip = dip.max(peak - p);
+    }
+    dip
+}
 
 /// One rate's slice of a [`SuccessTable`]: the success grid plus the bin
 /// parameters, resolved once so the per-frame query is a pure array walk.
@@ -368,6 +376,7 @@ pub struct RateRow<'a> {
     lo_db: f64,
     step_db: f64,
     zero_floor_db: f64,
+    max_dip: f64,
 }
 
 impl RateRow<'_> {
@@ -379,15 +388,25 @@ impl RateRow<'_> {
     /// `(snr − lo_db) / step_db` is at most `lo − 1e-5` (plus rounding far
     /// below that), where `lo` is the last zero cell. [`RateRow::success`]
     /// then either returns `grid[0] = 0.0` (position ≤ 0) or lerps two
-    /// cells at or below `lo`, both `0.0`, so `0·(1−f) + 0·f = 0.0`;
-    /// [`RateRow::success_slab`] computes the same lerp per lane and clamps
-    /// the position of `snr = −∞` to `0`, where `grid[0]·1 + grid[1]·0` is
-    /// again `0.0`.
+    /// cells at or below `lo`, both `0.0`, so `0·(1−f) + 0·f = 0.0`.
     /// The probe engine relies on this to skip the fade of a lane that
     /// cannot be received.
     #[inline]
     pub fn zero_floor_db(&self) -> f64 {
         self.zero_floor_db
+    }
+
+    /// The largest fall of this row's grid from any cell to a later one:
+    /// `0.0` for a non-decreasing row (every default-calibrated row is).
+    ///
+    /// [`RateRow::success`] lerps adjacent cells, so for `x ≥ y` it
+    /// guarantees `success(x) ≥ success(y) − max_dip` up to lerp rounding
+    /// (~1e-16). The probe engine widens its bound-first coin decision by
+    /// this much, so a non-monotone row only sends more lanes down the
+    /// exact path.
+    #[inline]
+    pub fn max_dip(&self) -> f64 {
+        self.max_dip
     }
 
     /// Interpolated frame success at `snr_db`.
@@ -402,46 +421,9 @@ impl RateRow<'_> {
         if pos >= max {
             return grid[grid.len() - 1];
         }
-        let i = pos.floor() as usize;
+        let i = pos as usize; // pos > 0, so the cast is the floor
         let frac = pos - i as f64;
         grid[i] * (1.0 - frac) + grid[i + 1] * frac
-    }
-
-    /// Batch form of [`RateRow::success`]: fills `out[k]` with
-    /// `success(snrs[k])` for a whole lane slab.
-    ///
-    /// The inner loop is branchless — the out-of-range early returns of the
-    /// scalar path become a `clamp` on the grid position plus an index
-    /// `min` — so the compiler can unroll and vectorize it, and mixed
-    /// saturated/transition lanes pay no mispredict. Bit-identical to the
-    /// scalar path (pinned by tests): a clamped position of exactly `0.0`
-    /// lerps to `grid[0]·1.0 + grid[1]·0.0 = grid[0]`, and a position of
-    /// exactly `max` lands on `i = len−2, frac = 1.0`, which lerps to
-    /// `grid[len−2]·0.0 + grid[len−1]·1.0 = grid[len−1]` — both exact
-    /// because the grid cells are non-negative finite probabilities. No
-    /// `mul_add` in the lerp: FMA rounds differently than the scalar
-    /// `a·(1−f) + b·f`.
-    #[inline]
-    pub fn success_slab(&self, snrs: &[f64], out: &mut [f64]) {
-        assert_eq!(snrs.len(), out.len());
-        let grid = self.grid;
-        let max = (grid.len() - 1) as f64;
-        let top = grid.len() - 2;
-        // Two passes over cache-sized chunks: the position pass is pure
-        // lane arithmetic (sub / div / clamp) the compiler vectorizes; the
-        // gather pass does the data-dependent grid loads. Per-element math
-        // and order are unchanged, so the split keeps the bit-identity.
-        let mut pos_buf = [0.0f64; SLAB_CHUNK];
-        for (snr_c, out_c) in snrs.chunks(SLAB_CHUNK).zip(out.chunks_mut(SLAB_CHUNK)) {
-            for (p, &snr) in pos_buf.iter_mut().zip(snr_c) {
-                *p = ((snr - self.lo_db) / self.step_db).clamp(0.0, max);
-            }
-            for (o, &pos) in out_c.iter_mut().zip(&pos_buf) {
-                let i = (pos as usize).min(top);
-                let frac = pos - i as f64;
-                *o = grid[i] * (1.0 - frac) + grid[i + 1] * frac;
-            }
-        }
     }
 
     /// An owned, cache-compact copy of this row: see [`CompactRow`].
@@ -515,39 +497,6 @@ impl CompactRow {
         }
         let frac = pos - i as f64;
         self.band[i - self.lo] * (1.0 - frac) + self.band[i - self.lo + 1] * frac
-    }
-
-    /// Batch form of [`CompactRow::success`], branchless like
-    /// [`RateRow::success_slab`] and bit-identical to the scalar path
-    /// (pinned by tests).
-    ///
-    /// The saturated-head/tail early returns collapse into a clamp of the
-    /// grid position onto `[lo, hi]`: a query in the flat-0 head clamps to
-    /// `pos = lo`, whose lerp is exactly `band[0] = 0.0`; one in the flat-1
-    /// tail clamps to `pos = hi`, which lands on `i = hi−1, frac = 1.0` and
-    /// lerps to exactly `band[hi−lo] = 1.0`. When a run is empty (`lo = 0`
-    /// or `hi = max_pos`) the clamp degenerates to the scalar edge clamp
-    /// and returns `edge0`/`edge1` the same way.
-    #[inline]
-    pub fn success_slab(&self, snrs: &[f64], out: &mut [f64]) {
-        assert_eq!(snrs.len(), out.len());
-        let band = &self.band[..];
-        let lo_f = self.lo as f64;
-        let hi_f = self.hi as f64;
-        let top = self.hi - 1;
-        // Chunked two-pass like [`RateRow::success_slab`]: vectorizable
-        // position arithmetic first, data-dependent band loads second.
-        let mut pos_buf = [0.0f64; SLAB_CHUNK];
-        for (snr_c, out_c) in snrs.chunks(SLAB_CHUNK).zip(out.chunks_mut(SLAB_CHUNK)) {
-            for (p, &snr) in pos_buf.iter_mut().zip(snr_c) {
-                *p = ((snr - self.lo_db) / self.step_db).clamp(lo_f, hi_f);
-            }
-            for (o, &pos) in out_c.iter_mut().zip(&pos_buf) {
-                let i = (pos as usize).min(top);
-                let frac = pos - i as f64;
-                *o = band[i - self.lo] * (1.0 - frac) + band[i - self.lo + 1] * frac;
-            }
-        }
     }
 }
 
@@ -788,13 +737,27 @@ mod tests {
                 assert!(row.success(SuccessTable::LO_DB) > 0.0, "{r}: -inf floor");
                 continue;
             }
-            let mut out = [1.0; 3];
-            row.success_slab(&[floor, floor - 3.7, f64::NEG_INFINITY], &mut out);
-            assert_eq!(row.success(floor).to_bits(), 0.0f64.to_bits(), "{r}");
-            assert_eq!(out.map(f64::to_bits), [0.0f64.to_bits(); 3], "{r}");
+            for snr in [floor, floor - 3.7, f64::NEG_INFINITY] {
+                assert_eq!(row.success(snr).to_bits(), 0.0f64.to_bits(), "{r} @ {snr}");
+            }
             let above = floor + SuccessTable::STEP_DB;
             assert!(row.success(above) > 0.0, "{r}: floor {floor} not tight");
         }
+    }
+
+    #[test]
+    fn max_dip_is_zero_on_default_rows_and_sees_a_dip() {
+        // The probe engine's coin margin adds `max_dip`; on the default
+        // table it must cost nothing.
+        let table = shared_success_table(PerModel::default());
+        for &r in BG_ALL.iter().chain(HT_ALL) {
+            assert_eq!(table.rate_row(r).max_dip(), 0.0, "{r}");
+        }
+        assert_eq!(max_dip(&[0.0, 0.2, 0.2, 1.0]), 0.0);
+        // Two dips in a row: the margin must cover their sum, the fall
+        // from the peak to the trough.
+        let dip = max_dip(&[0.0, 0.5, 0.45, 0.4, 0.9, 0.85, 1.0]);
+        assert!((dip - 0.1).abs() < 1e-12, "dip {dip}");
     }
 
     #[test]
@@ -815,39 +778,6 @@ mod tests {
                     row.success(snr).to_bits(),
                     "{r} @ {snr}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn success_slab_is_bit_identical_to_scalar() {
-        // The batch kernel feeds the same RNG coin comparisons as the
-        // scalar path; a single ULP of drift anywhere — saturated head,
-        // transition band, saturated tail, clamped out-of-range — changes
-        // datasets. Sweep off-grid points spanning all of those regions,
-        // at several slab widths including ragged tails.
-        let phy = CalibratedPhy::new();
-        let table = SuccessTable::new(&phy);
-        for &r in BG_PROBED.iter().chain(HT_ALL) {
-            let row = table.rate_row(r);
-            let compact = row.compact();
-            let snrs: Vec<f64> = (-720..=1520).map(|s| s as f64 / 20.0 + 0.0173).collect();
-            for width in [1usize, 7, 8, 64, 512] {
-                for chunk in snrs.chunks(width) {
-                    let mut out = vec![0.0; chunk.len()];
-                    row.success_slab(chunk, &mut out);
-                    for (&snr, &got) in chunk.iter().zip(&out) {
-                        assert_eq!(got.to_bits(), row.success(snr).to_bits(), "{r} @ {snr}");
-                    }
-                    compact.success_slab(chunk, &mut out);
-                    for (&snr, &got) in chunk.iter().zip(&out) {
-                        assert_eq!(
-                            got.to_bits(),
-                            compact.success(snr).to_bits(),
-                            "compact {r} @ {snr}"
-                        );
-                    }
-                }
             }
         }
     }

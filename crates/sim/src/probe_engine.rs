@@ -20,18 +20,22 @@
 //! * per-rate success-curve rows ([`RateRow`]) are hoisted out of the
 //!   loop, so a probe costs one interpolation, not a PHY dispatch plus
 //!   table indexing;
-//! * each lane's zero floor ([`RateRow::zero_floor_db`]) is hoisted per
-//!   pair, and the channel slab fill skips the Box–Muller transform of any
-//!   lane whose first uniform proves it cannot be received — most high-rate
-//!   lanes, since the delivery curve is a cliff. The skipped lane still
-//!   draws both uniforms and still looks up an exact 0.0 success.
+//! * each lane is decided bound-first ([`LinkModel::probe_lane`]): it
+//!   draws its fade uniforms and its coin, and table bounds on the
+//!   uniforms settle the coin against the delivery curve without the
+//!   Box–Muller `ln`/`sqrt`/`cos` — for all but ~0.1% of lanes, since the
+//!   curve is a cliff and most lanes sit far from `coin = p`;
+//! * a received lane latches its fade ([`FadeLatch`]) instead of its SNR,
+//!   and only the last reception before a report cut pays the transform,
+//!   when the cut writes the window's last SNR. At standard scale the
+//!   pair engine runs ~3.6M transforms for ~100M lanes.
 //!
 //! All of it is observable-for-observable identical to the reference
 //! implementation kept under `#[cfg(test)]` below (the original
 //! `LossWindow` + naive-fault-scan engine), which the equivalence tests
 //! pin — including the RNG draw order, so outputs are byte-identical.
 
-use mesh11_channel::{LinkModel, RadioHardware, SnrSample};
+use mesh11_channel::{FadeLatch, LinkModel, RadioHardware};
 use mesh11_phy::{BitRate, Phy, RateRow, SuccessTable};
 use mesh11_stats::dist::{derive_seed, derive_seed_str};
 use mesh11_topo::NetworkSpec;
@@ -180,29 +184,15 @@ pub(crate) fn simulate_pair(
     // The pair's own table: each report's observations are written
     // straight into its arena.
     let mut out = ProbeTable::new();
-    // Per-tick lane slabs, hoisted across the whole timeline: lane
-    // `2·ri + dir` carries rate `ri`, forward (0) or reverse (1). The lane
-    // order equals the scalar loop's draw order (fwd₀, rev₀, fwd₁, …), so
-    // filling a slab consumes each RNG stream in exactly the scalar
-    // sequence; fades (link RNG) and coins (pair RNG) are independent
-    // streams, so draining one fully before the other cannot change either
-    // stream's values — the per-lane outputs stay bit-identical while the
-    // success lookups run branchless over contiguous memory.
-    let lanes = 2 * rows.len();
-    let dirs: Vec<bool> = (0..lanes).map(|k| k % 2 == 0).collect();
-    // Each lane's zero floor: at or below it (after the burst) the lane's
-    // success is exactly 0, so the slab fill may skip its fade transform.
-    let floors: Vec<f64> = (0..lanes).map(|k| rows[k / 2].zero_floor_db()).collect();
-    let mut snr_slab = vec![
-        SnrSample {
-            reported_db: 0.0,
-            effective_db: 0.0,
-        };
-        lanes
-    ];
-    let mut eff_slab = vec![0.0f64; lanes];
-    let mut p_slab = vec![0.0f64; lanes];
-    let mut coin_slab = vec![0.0f64; lanes];
+    // Each probe lane (rate `ri`, direction `dir`) draws its fade uniforms
+    // from the link RNG and its coin from the pair RNG in the scalar order
+    // fwd₀, rev₀, fwd₁, …; the two streams are independent, so drawing
+    // each lane's pair together leaves both streams' values unchanged.
+    // A received lane's reported SNR is only read at a report cut, so the
+    // lane keeps its fade latched (`pending[dir·R + ri]`) and the cut
+    // computes the SNR of the last reception only.
+    let n_rates = rows.len();
+    let mut pending: Vec<Option<FadeLatch>> = vec![None; 2 * n_rates];
     // `t` accumulates additively (it is the reported time and must stay
     // bit-identical across refactors); `tick` is the integer slot index
     // keying the ring windows.
@@ -232,43 +222,26 @@ pub(crate) fn simulate_pair(
         // would change the AR(1) catch-up draws across long outages).
         if a_up && b_up {
             link.advance_to(t);
-            // Slab pass over the tick's 2·R frames: all fades, then all
-            // success lookups, then all coins, then the records — each
-            // stage in lane order, so both RNG streams see the scalar
-            // draw sequence (see the slab comment above). A lane the fill
-            // skips carries effective −∞, which looks up its row's exact
-            // 0.0, so its coin fails and its NaN SNR is never recorded.
-            link.sample_advanced_slab(&dirs, &floors, burst, &mut snr_slab);
-            for (e, s) in eff_slab.iter_mut().zip(&snr_slab) {
-                *e = s.effective_db - burst;
-            }
             for (ri, row) in rows.iter().enumerate() {
-                let k = 2 * ri;
-                row.success_slab(&eff_slab[k..k + 2], &mut p_slab[k..k + 2]);
-            }
-            for c in coin_slab.iter_mut() {
-                *c = rng.random::<f64>();
-            }
-            for ri in 0..rows.len() {
-                let k = 2 * ri;
-                win.record(FWD, ri, coin_slab[k] < p_slab[k], snr_slab[k].reported_db);
-                win.record(
-                    REV,
-                    ri,
-                    coin_slab[k + 1] < p_slab[k + 1],
-                    snr_slab[k + 1].reported_db,
-                );
+                for (dir, forward) in [(FWD, true), (REV, false)] {
+                    let coin = rng.random::<f64>();
+                    let lane = link.probe_lane(forward, row, burst, coin);
+                    win.record_outcome(dir, ri, lane.is_some());
+                    if lane.is_some() {
+                        pending[dir * n_rates + ri] = lane;
+                    }
+                }
             }
         } else {
             // One end down: nothing is sampled (the sender or the whole
             // channel is dead), but a live receiver still records the
             // scheduled miss so its loss window advances.
-            for ri in 0..rows.len() {
+            for ri in 0..n_rates {
                 if b_up {
-                    win.record(FWD, ri, false, 0.0);
+                    win.record_outcome(FWD, ri, false);
                 }
                 if a_up {
-                    win.record(REV, ri, false, 0.0);
+                    win.record_outcome(REV, ri, false);
                 }
             }
         }
@@ -277,11 +250,19 @@ pub(crate) fn simulate_pair(
             // Reports are produced by the *receiver*; a dead receiver
             // stays silent this round. Aliveness at the cut is the same
             // `a_up`/`b_up` already evaluated for this tick's records.
-            if b_up && observations_into(&win, FWD, rates, &mut out) {
-                out.seal(network, phy, t, a, b);
-            }
-            if a_up && observations_into(&win, REV, rates, &mut out) {
-                out.seal(network, phy, t, b, a);
+            for (dir, up, sender, receiver) in [(FWD, b_up, a, b), (REV, a_up, b, a)] {
+                if !up {
+                    continue;
+                }
+                let lanes = &mut pending[dir * n_rates..(dir + 1) * n_rates];
+                for (ri, latch) in lanes.iter_mut().enumerate() {
+                    if let Some(latch) = latch.take() {
+                        win.set_last_snr(dir, ri, link.latched_db(latch));
+                    }
+                }
+                if observations_into(&win, dir, rates, &mut out) {
+                    out.seal(network, phy, t, sender, receiver);
+                }
             }
             next_report += cfg.report_interval_s;
         }
@@ -659,6 +640,36 @@ mod tests {
         let oracle = reference::simulate_probes_with_table(spec, phy, cfg, &table);
         assert!(!oracle.is_empty(), "oracle produced nothing — vacuous test");
         assert_eq!(flat, oracle);
+    }
+
+    #[test]
+    fn flat_engine_matches_reference_on_other_frame_models() {
+        // The lane bounds lean on each row's zero floor and dip; a table
+        // of another frame model moves every curve, so the decision must
+        // stay exact there too, with and without the preamble stage.
+        let mut cfg = SimConfig::quick();
+        cfg.probe_horizon_s = 2_400.0;
+        cfg.faults = crate::fault::FaultPlan::demo(cfg.probe_horizon_s);
+        for model in [
+            mesh11_phy::PerModel {
+                frame_bytes: 200,
+                with_preamble: false,
+            },
+            mesh11_phy::PerModel {
+                frame_bytes: 4_000,
+                with_preamble: true,
+            },
+        ] {
+            let table = mesh11_phy::shared_success_table(model);
+            let mut ht = small_spec(27);
+            ht.radios = vec![Phy::Ht];
+            for (spec, phy) in [(small_spec(26), Phy::Bg), (ht, Phy::Ht)] {
+                let flat = simulate_probes_with_table(&spec, phy, &cfg, table);
+                let oracle = reference::simulate_probes_with_table(&spec, phy, &cfg, table);
+                assert!(!oracle.is_empty(), "{model:?} {phy}: vacuous test");
+                assert_eq!(flat, oracle, "{model:?} {phy}");
+            }
+        }
     }
 
     #[test]

@@ -119,15 +119,30 @@ impl PairWindows {
     /// rate's most recent SNR.
     #[inline]
     pub fn record(&mut self, dir: usize, rate: usize, received: bool, reported_db: f64) {
+        self.record_outcome(dir, rate, received);
+        if received {
+            self.set_last_snr(dir, rate, reported_db);
+        }
+    }
+
+    /// [`PairWindows::record`] without the SNR latch, for callers that
+    /// compute a reception's SNR only when a report reads it and then set
+    /// it with [`PairWindows::set_last_snr`].
+    #[inline]
+    pub fn record_outcome(&mut self, dir: usize, rate: usize, received: bool) {
         let slot = self.cur_slot[dir];
-        let w = dir * self.n_rates + rate;
-        let idx = w * self.words + slot / 64;
+        let idx = (dir * self.n_rates + rate) * self.words + slot / 64;
         let bit = 1u64 << (slot % 64);
         self.occ[idx] |= bit;
         if received {
             self.rcv[idx] |= bit;
-            self.last_snr[w] = reported_db;
         }
+    }
+
+    /// Sets one window's most recent reported SNR.
+    #[inline]
+    pub fn set_last_snr(&mut self, dir: usize, rate: usize, reported_db: f64) {
+        self.last_snr[dir * self.n_rates + rate] = reported_db;
     }
 
     /// Scheduled probes currently in one window.

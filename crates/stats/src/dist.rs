@@ -149,10 +149,11 @@ impl Dist {
 /// One standard-normal draw via the basic (trigonometric) Box–Muller
 /// transform: [`normal_uniforms`] then [`box_muller`].
 ///
-/// This is the simulator's hottest RNG call (every per-frame fade of the
-/// pair engine, ~10⁸ draws per standard-scale run). Only the cosine half of
-/// the pair is kept: the spare would change which uniforms feed each draw,
-/// and with it every seeded dataset.
+/// The simulator draws ~10⁸ of these per standard-scale run (every
+/// per-frame fade of the pair engine), most of them split into
+/// [`normal_uniforms`] and bounds so the transform runs only when its value
+/// is read. Only the cosine half of the pair is kept: the spare would
+/// change which uniforms feed each draw, and with it every seeded dataset.
 #[inline]
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let (u1, u2) = normal_uniforms(rng);
@@ -163,9 +164,9 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// `u1 ∈ [f64::MIN_POSITIVE, 1)` (clamped so `ln u1` is finite) and
 /// `u2 ∈ [0, 1)`.
 ///
-/// Split out so a caller can look at `u1` before paying for the
-/// transform: `|box_muller(u1, u2)| ≤ sqrt(−2 ln u1)` whatever `u2` is, so
-/// a large `u1` bounds the draw without any transcendental call.
+/// Split out so a caller can bound the draw before paying for the
+/// transform ([`radius_hi`], [`box_muller_bounds`]) and run [`box_muller`]
+/// only if the bound does not settle what the draw decides.
 #[inline]
 pub fn normal_uniforms<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
     let u1: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
@@ -178,6 +179,77 @@ pub fn normal_uniforms<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
 #[inline]
 pub fn box_muller(u1: f64, u2: f64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+/// Bins per axis of the Box–Muller bound table. Even, so `u2 = ½` is a bin
+/// edge and every `u2` bin lies inside one monotone half of `cos(2π u2)`.
+const BM_BINS: usize = 1024;
+
+/// Per-bin brackets of the two Box–Muller factors: `r[i] = (lo, hi)`
+/// brackets `sqrt(−2 ln u1)` over `u1 ∈ [i/N, (i+1)/N)`, and `c[j]`
+/// brackets `cos(2π u2)` over `u2 ∈ [j/N, (j+1)/N)`.
+struct BoxMullerTable {
+    r: [(f64, f64); BM_BINS],
+    c: [(f64, f64); BM_BINS],
+}
+
+/// Built once per process. Each factor is evaluated at its bin edges with
+/// the same library calls as [`box_muller`], then nudged outward — `r` by a
+/// relative 1e-12, `cos` by an absolute 1e-12 — which covers the few-ulp
+/// rounding of `ln`, `sqrt`, `cos` and `2π·u2` in both the table and the
+/// transform by three orders of magnitude. `r` is decreasing in `u1`, so a
+/// bin's upper bound sits at its lower edge; the first bin's is `+∞`
+/// because `u1` reaches down to `f64::MIN_POSITIVE`.
+static BM_TABLE: std::sync::LazyLock<BoxMullerTable> = std::sync::LazyLock::new(|| {
+    let radius = |u1: f64| (-2.0 * u1.ln()).sqrt();
+    let cos = |u2: f64| (2.0 * std::f64::consts::PI * u2).cos();
+    let edge = |i: usize| i as f64 / BM_BINS as f64;
+    BoxMullerTable {
+        r: std::array::from_fn(|i| {
+            let hi = if i == 0 {
+                f64::INFINITY
+            } else {
+                radius(edge(i)) * (1.0 + 1e-12)
+            };
+            (radius(edge(i + 1)) * (1.0 - 1e-12), hi)
+        }),
+        c: std::array::from_fn(|j| {
+            let (a, b) = (cos(edge(j)), cos(edge(j + 1)));
+            (a.min(b) - 1e-12, a.max(b) + 1e-12)
+        }),
+    }
+});
+
+/// Bin of a uniform in `[0, 1)`; the scaling by a power of two is exact.
+#[inline]
+fn bm_bin(u: f64) -> usize {
+    ((u * BM_BINS as f64) as usize).min(BM_BINS - 1)
+}
+
+/// An upper bound on `|box_muller(u1, u2)|` for any `u2`: at least
+/// `sqrt(−2 ln u1)`, from a table lookup instead of `ln`/`sqrt`. `+∞` for
+/// `u1 < 1/1024`.
+#[inline]
+pub fn radius_hi(u1: f64) -> f64 {
+    BM_TABLE.r[bm_bin(u1)].1
+}
+
+/// A bracket `(lo, hi)` of `box_muller(u1, u2)`, from table lookups
+/// instead of `ln`/`sqrt`/`cos`: `lo ≤ box_muller(u1, u2) ≤ hi`, pinned by
+/// a property test. The bracket spans one 1/1024-wide bin of each uniform,
+/// so a caller whose decision is a threshold on the draw settles nearly
+/// every draw without the transform and pays [`box_muller`] only for the
+/// rest.
+#[inline]
+pub fn box_muller_bounds(u1: f64, u2: f64) -> (f64, f64) {
+    let (r_lo, r_hi) = BM_TABLE.r[bm_bin(u1)];
+    let (c_lo, c_hi) = BM_TABLE.c[bm_bin(u2)];
+    // `r ≥ 0`: each end of the product takes the radius that pushes it
+    // outward given the sign of its cosine bound. The nudged cosine bounds
+    // are never exactly 0, so `r_hi = ∞` never meets a zero.
+    let lo = c_lo * if c_lo < 0.0 { r_hi } else { r_lo };
+    let hi = c_hi * if c_hi < 0.0 { r_lo } else { r_hi };
+    (lo, hi)
 }
 
 /// One Poisson draw with mean `lambda`.
@@ -381,6 +453,54 @@ mod tests {
         let n = 100_000;
         let frac_pos = (0..n).filter(|_| standard_normal(&mut r) > 0.0).count() as f64 / n as f64;
         assert!((frac_pos - 0.5).abs() < 0.01);
+    }
+
+    /// Asserts both Box–Muller bounds hold at one uniform pair.
+    fn assert_brackets(u1: f64, u2: f64) {
+        let z = box_muller(u1, u2);
+        let (lo, hi) = box_muller_bounds(u1, u2);
+        assert!(lo <= z && z <= hi, "u1 {u1:e} u2 {u2}: {lo} ≤ {z} ≤ {hi}");
+        assert!(
+            z.abs() <= radius_hi(u1),
+            "u1 {u1:e}: |{z}| > {}",
+            radius_hi(u1)
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(20_000))]
+        #[test]
+        fn box_muller_bounds_bracket_the_transform(
+            u1 in f64::MIN_POSITIVE..1.0,
+            u2 in 0.0f64..1.0,
+        ) {
+            assert_brackets(u1, u2);
+        }
+    }
+
+    #[test]
+    fn box_muller_bounds_hold_at_bin_edges() {
+        // Every bin edge of u1 and the ulps either side of it, the extreme
+        // uniforms, and the u2 values where cos hits ±1 or 0.
+        let mut u1s = vec![f64::MIN_POSITIVE, 1.0 - f64::EPSILON / 2.0];
+        for k in 1..BM_BINS {
+            let e = k as f64 / BM_BINS as f64;
+            u1s.extend([
+                f64::from_bits(e.to_bits() - 1),
+                e,
+                f64::from_bits(e.to_bits() + 1),
+            ]);
+        }
+        let u2s = [0.0, 0.25, 0.5, 0.75, 1.0 - f64::EPSILON / 2.0];
+        for &u1 in &u1s {
+            for &u2 in &u2s {
+                assert_brackets(u1, u2);
+            }
+        }
+        assert_eq!(radius_hi(f64::MIN_POSITIVE), f64::INFINITY);
+        // The bracket is tight enough to settle draws: one bin wide.
+        let (lo, hi) = box_muller_bounds(0.3, 0.1);
+        assert!(hi - lo < 0.01, "loose bracket {lo}..{hi}");
     }
 
     #[test]
