@@ -13,6 +13,7 @@ use mesh11_core::routing::EtxVariant;
 use mesh11_core::triples::{range::normalized_range_by_env, range_change_by_rate};
 use mesh11_phy::{BitRate, Phy};
 use mesh11_stats::Cdf;
+use mesh11_trace::codec::Sections;
 use mesh11_trace::{EnvLabel, NetworkId};
 
 use crate::setup::ReproContext;
@@ -83,6 +84,32 @@ pub fn build(ctx: &ReproContext, id: &str) -> Option<Vec<FigureData>> {
         "ext-diversity" => vec![ext_diversity(ctx)],
         "ext-ett" => vec![ext_ett(ctx)],
         "ext-client" => vec![ext_client(ctx)],
+        _ => return None,
+    })
+}
+
+/// The dataset-file sections one experiment reads, beside the meta
+/// section every load reads; `None` for an unknown id. `mesh11 figures`
+/// loads the union over its ids, and a figure built from that load is
+/// byte-identical to one built from the whole file.
+pub fn sections(id: &str) -> Option<Sections> {
+    let probes = |phys: &[Phy]| Sections {
+        clients: false,
+        phys: phys.to_vec(),
+    };
+    Some(match id {
+        // Network metadata only; `ext-client` needs the simulated campaign
+        // and reports itself unavailable on a file.
+        "fig1-1" | "ext-client" => Sections::default(),
+        "fig3-1" | "fig4-1" | "fig4-4" | "fig4-5" => probes(&[Phy::Bg, Phy::Ht]),
+        "fig4-3" => probes(&[Phy::Ht]),
+        "fig4-2" | "fig4-6" | "tab4-1" | "fig5-1" | "fig5-2" | "fig5-3" | "fig5-4" | "fig5-5"
+        | "fig6-1" | "fig6-2" | "sec6-3" | "ext-adapt" | "ext-cap" | "ext-sweep"
+        | "ext-stability" | "ext-diversity" | "ext-ett" => probes(&[Phy::Bg]),
+        "fig7-1" | "fig7-2" | "fig7-3" | "fig7-4" | "fig7-5" => Sections {
+            clients: true,
+            phys: Vec::new(),
+        },
         _ => return None,
     })
 }
@@ -969,6 +996,14 @@ mod tests {
             }
         }
         assert!(build(ctx(), "fig9-9").is_none());
+    }
+
+    #[test]
+    fn every_id_declares_its_sections() {
+        for id in ALL_IDS {
+            assert!(sections(id).is_some(), "{id}");
+        }
+        assert!(sections("fig9-9").is_none());
     }
 
     #[test]

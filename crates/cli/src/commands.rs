@@ -11,9 +11,10 @@ use mesh11_core::triples::{HearRule, TripleAnalysis};
 use mesh11_phy::Phy;
 use mesh11_sim::SimConfig;
 use mesh11_topo::CampaignSpec;
+use mesh11_trace::codec::{self, Sections};
 use mesh11_trace::{Dataset, DatasetIndex, DatasetView, EnvLabel};
 
-use crate::{load_dataset, SimulateArgs};
+use crate::{is_json, load_dataset, SimulateArgs};
 
 /// `mesh11 simulate …`
 pub fn simulate(args: &[String]) -> Result<(), String> {
@@ -107,8 +108,33 @@ fn simulate_ensemble(base: &CampaignSpec, cfg: &SimConfig, n_seeds: usize) -> Da
 
 /// `mesh11 inspect FILE`
 pub fn inspect(path: &Path) -> Result<(), String> {
-    let ds = load_dataset(path)?;
+    // A full load reads every section and checks every checksum.
+    let ds = load_dataset(path, Sections::all())?;
     println!("dataset: {}", path.display());
+    if !is_json(path) {
+        let toc = codec::load_toc(path).map_err(|e| format!("{}: {e}", path.display()))?;
+        println!("  sections: {} (every checksum verified)", toc.len());
+        println!(
+            "    {:>4}  {:8} {:9} {:>9} {:>10} {:>10} {:>8}",
+            "#", "kind", "phy", "networks", "offset", "bytes", "records"
+        );
+        for (i, e) in toc.iter().enumerate() {
+            let phy = e.phy.map_or("-".to_owned(), |p| p.to_string());
+            let (lo, hi) = (e.networks.0 .0, e.networks.1 .0);
+            let nets = match (e.records, lo == hi) {
+                (0, _) => "-".to_owned(),
+                (_, true) => lo.to_string(),
+                (_, false) => format!("{lo}-{hi}"),
+            };
+            println!(
+                "    {i:>4}  {:8} {phy:9} {nets:>9} {:>10} {:>10} {:>8}",
+                e.kind.name(),
+                e.offset,
+                e.len,
+                e.records
+            );
+        }
+    }
     println!(
         "  horizons: probes {:.1} h, clients {:.1} h",
         ds.probe_horizon_s / 3600.0,
@@ -160,7 +186,7 @@ pub fn inspect(path: &Path) -> Result<(), String> {
 
 /// `mesh11 analyze FILE [section]`
 pub fn analyze(path: &Path, what: &str) -> Result<(), String> {
-    let ds = load_dataset(path)?;
+    let ds = load_dataset(path, Sections::all())?;
     let ix = DatasetIndex::build(&ds);
     let view = DatasetView::new(&ds, &ix);
     let all = what == "all";
@@ -190,16 +216,10 @@ pub fn analyze(path: &Path, what: &str) -> Result<(), String> {
 }
 
 /// `mesh11 figures FILE <id>...` — runs the repro figure builders against a
-/// dataset file. Figures needing topology ground truth (`ext-client`)
-/// report themselves unavailable; everything else works on any dataset.
+/// dataset file, reading only the sections the ids declare. Figures
+/// needing topology ground truth (`ext-client`) report themselves
+/// unavailable; everything else works on any dataset.
 pub fn figures(path: &Path, ids: &[String]) -> Result<(), String> {
-    let ds = load_dataset(path)?;
-    let cfg = SimConfig {
-        probe_horizon_s: ds.probe_horizon_s,
-        client_horizon_s: ds.client_horizon_s,
-        ..SimConfig::quick()
-    };
-    let ctx = mesh11_bench::ReproContext::from_dataset(ds, cfg, 0);
     let ids: Vec<String> = if ids.iter().any(|a| a == "--all") {
         mesh11_bench::figures::ALL_IDS
             .iter()
@@ -210,6 +230,20 @@ pub fn figures(path: &Path, ids: &[String]) -> Result<(), String> {
     } else {
         ids.to_vec()
     };
+    let mut sections = Sections::default();
+    for id in &ids {
+        let Some(s) = mesh11_bench::figures::sections(id) else {
+            return Err(format!("unknown experiment id '{id}'"));
+        };
+        sections = sections.union(&s);
+    }
+    let ds = load_dataset(path, sections)?;
+    let cfg = SimConfig {
+        probe_horizon_s: ds.probe_horizon_s,
+        client_horizon_s: ds.client_horizon_s,
+        ..SimConfig::quick()
+    };
+    let ctx = mesh11_bench::ReproContext::from_dataset(ds, cfg, 0);
     for id in &ids {
         let Some(figs) = mesh11_bench::figures::build(&ctx, id) else {
             return Err(format!("unknown experiment id '{id}'"));

@@ -16,6 +16,8 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use mesh11_trace::codec::Sections;
+
 mod commands;
 
 fn usage() -> ! {
@@ -60,13 +62,19 @@ fn main() -> ExitCode {
     }
 }
 
-/// Loads a dataset by extension: `.json` via serde, anything else via the
-/// binary codec.
-pub fn load_dataset(path: &Path) -> Result<mesh11_trace::Dataset, String> {
-    if path.extension().is_some_and(|e| e == "json") {
+/// Whether `path` names a JSON dataset; anything else is M11T.
+pub fn is_json(path: &Path) -> bool {
+    path.extension().is_some_and(|e| e == "json")
+}
+
+/// Loads a dataset by extension: `.json` via serde (always whole),
+/// anything else via the binary codec, reading only `sections`.
+pub fn load_dataset(path: &Path, sections: Sections) -> Result<mesh11_trace::Dataset, String> {
+    if is_json(path) {
         mesh11_trace::Dataset::load_json(path).map_err(|e| format!("{}: {e}", path.display()))
     } else {
-        mesh11_trace::codec::load(path).map_err(|e| format!("{}: {e}", path.display()))
+        mesh11_trace::codec::load_sections(path, sections)
+            .map_err(|e| format!("{}: {e}", path.display()))
     }
 }
 
@@ -200,13 +208,13 @@ mod tests {
 
         let json_path = dir.join("ds.json");
         ds.save_json(&json_path).unwrap();
-        assert_eq!(load_dataset(&json_path).unwrap(), ds);
+        assert_eq!(load_dataset(&json_path, Sections::all()).unwrap(), ds);
 
         let bin_path = dir.join("ds.m11t");
         mesh11_trace::codec::save(&ds, &bin_path).unwrap();
-        assert_eq!(load_dataset(&bin_path).unwrap(), ds);
+        assert_eq!(load_dataset(&bin_path, Sections::all()).unwrap(), ds);
 
-        assert!(load_dataset(Path::new("/nonexistent.m11t")).is_err());
+        assert!(load_dataset(Path::new("/nonexistent.m11t"), Sections::all()).is_err());
         std::fs::remove_file(&json_path).ok();
         std::fs::remove_file(&bin_path).ok();
     }
@@ -226,7 +234,7 @@ mod tests {
             out.to_str().unwrap(),
         ]))
         .unwrap();
-        let ds = load_dataset(&out).unwrap();
+        let ds = load_dataset(&out, Sections::all()).unwrap();
         assert_eq!(ds.networks.len(), 4);
         std::fs::remove_file(&out).ok();
         std::fs::remove_file(&spec_path).ok();
@@ -251,7 +259,7 @@ mod tests {
             ens_path.to_str().unwrap(),
         ]))
         .unwrap();
-        let merged = load_dataset(&ens_path).unwrap();
+        let merged = load_dataset(&ens_path, Sections::all()).unwrap();
         assert_eq!(merged.networks.len(), 6);
 
         let mut expect = mesh11_trace::Dataset::default();
@@ -266,7 +274,7 @@ mod tests {
                 single_path.to_str().unwrap(),
             ]))
             .unwrap();
-            let mut single = load_dataset(&single_path).unwrap();
+            let mut single = load_dataset(&single_path, Sections::all()).unwrap();
             expect.probe_horizon_s = single.probe_horizon_s;
             expect.client_horizon_s = single.client_horizon_s;
             single.offset_network_ids(k * 3);

@@ -63,8 +63,8 @@ use std::time::Instant;
 
 use crate::client::ClientSample;
 use crate::codec::{
-    fnv1a64, get_f64_col, get_u32_col, get_u8_col, get_varint, phy_from_tag, phy_tag, put_f64_col,
-    put_u32_col, put_u8_col, put_varint,
+    checksum64, get_f64_col, get_u32_col, get_u8_col, get_varint, phy_from_tag, phy_tag,
+    put_f64_col, put_u32_col, put_u8_col, put_varint,
 };
 use crate::dataset::{Dataset, NetworkMeta};
 use crate::ids::{ApId, NetworkId};
@@ -259,7 +259,7 @@ impl ProbeChunk {
     ///
     /// ```text
     /// magic     u32 le   MAGIC_V2
-    /// checksum  u64 le   FNV-1a 64 over everything after this field
+    /// checksum  u64 le   `codec::checksum64` over everything after this field
     /// n, m      varint   probe / observation counts
     /// 9 columns [tag u8][payload]   networks, phys, time_s, senders,
     ///                               receivers, obs_off, obs_rate_idx,
@@ -286,7 +286,7 @@ impl ProbeChunk {
         put_u8_col(buf, &self.obs_rate_idx);
         put_f64_col(buf, &self.obs_loss);
         put_f64_col(buf, &self.obs_snr);
-        let cksum = fnv1a64(&buf[body_at..]);
+        let cksum = checksum64(&buf[body_at..]);
         buf[cksum_at..body_at].copy_from_slice(&cksum.to_le_bytes());
     }
 
@@ -304,7 +304,7 @@ impl ProbeChunk {
         }
         let stored = u64::from_le_bytes(buf[4..12].try_into().expect("12-byte header"));
         let body = &buf[12..];
-        if fnv1a64(body) != stored {
+        if checksum64(body) != stored {
             return Err(err("checksum mismatch (corrupt or torn frame)"));
         }
         let mut r = body;

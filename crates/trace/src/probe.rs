@@ -57,7 +57,7 @@ pub struct ProbeSet {
     /// The AP that received (and reports) the measurements.
     pub receiver: ApId,
     /// This set's observations: a range of the table's arena.
-    obs: Range<u32>,
+    pub(crate) obs: Range<u32>,
 }
 
 impl ProbeSet {
@@ -219,6 +219,17 @@ impl ProbeTable {
             rows: Vec::with_capacity(sets),
             obs: Vec::with_capacity(obs),
         }
+    }
+
+    /// A table over rows a decoder filled in place: every row's `obs`
+    /// range must follow the previous one's, and the last must end the
+    /// arena.
+    pub(crate) fn from_parts(rows: Vec<ProbeSet>, obs: Vec<RateObs>) -> Self {
+        debug_assert!(rows
+            .iter()
+            .try_fold(0, |end, r| (r.obs.start == end).then_some(r.obs.end))
+            .is_some_and(|end| end as usize == obs.len()));
+        Self { rows, obs }
     }
 
     /// Number of probe sets.

@@ -153,6 +153,77 @@ fn file_context_builds_fig4_5_byte_identical() {
     );
 }
 
+/// `mesh11 figures FILE <id>` reads only the file sections
+/// `figures::sections(id)` declares. Every figure built from that load is
+/// byte-identical, as JSON and as the printed table, to the figure built
+/// from the whole file; and a b/g-only load is the full dataset without
+/// its HT rows.
+#[test]
+fn declared_sections_build_what_a_full_load_builds() {
+    use mesh11::trace::codec::{self, Sections};
+    use mesh11_bench::figures::{build, sections, ALL_IDS};
+    use mesh11_bench::{ReproContext, Scale};
+
+    let context = |ds: Dataset| {
+        let cfg = SimConfig {
+            probe_horizon_s: ds.probe_horizon_s,
+            client_horizon_s: ds.client_horizon_s,
+            ..SimConfig::quick()
+        };
+        ReproContext::from_dataset(ds, cfg, 0)
+    };
+    let render = |ctx: &ReproContext, id: &str| -> Vec<(String, String)> {
+        build(ctx, id)
+            .expect("known id")
+            .iter()
+            .map(|f| (f.to_json(), f.render_table(16)))
+            .collect()
+    };
+    // Ids declaring the same sections share one load of them.
+    let mut groups: Vec<(Sections, Vec<&str>)> = Vec::new();
+    for &id in ALL_IDS {
+        let sel = sections(id).expect("every id declares its sections");
+        match groups.iter_mut().find(|(s, _)| *s == sel) {
+            Some((_, ids)) => ids.push(id),
+            None => groups.push((sel, vec![id])),
+        }
+    }
+    let dir = std::env::temp_dir().join("mesh11-integration");
+    std::fs::create_dir_all(&dir).unwrap();
+    for seed in [42, 7] {
+        let scale = Scale::Quick;
+        let ds = scale
+            .config()
+            .run_campaign(&scale.campaign_spec(seed).generate());
+        let path = dir.join(format!("sections-{seed}-{}.m11t", std::process::id()));
+        codec::save(&ds, &path).unwrap();
+        let full = context(codec::load(&path).unwrap());
+        for (sel, ids) in &groups {
+            let part = context(codec::load_sections(&path, sel.clone()).unwrap());
+            for &id in ids {
+                assert!(
+                    render(&part, id) == render(&full, id),
+                    "seed {seed}: {id} built from {sel:?} differs from a full load"
+                );
+            }
+        }
+        let bg = codec::load_sections(
+            &path,
+            Sections {
+                clients: true,
+                phys: vec![Phy::Bg],
+            },
+        )
+        .unwrap();
+        std::fs::remove_file(&path).ok();
+        let want = Dataset {
+            probes: ds.probes_for_phy(Phy::Bg).collect(),
+            ..ds.clone()
+        };
+        assert!(bg == want, "seed {seed}: b/g-only load");
+    }
+}
+
 /// FNV-1a 64-bit, inlined so the golden hashes below need no dependency.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

@@ -128,15 +128,30 @@ proptest! {
     }
 }
 
-/// A small encoded dataset for the decoder fuzz: the first probe sets and
-/// client samples of a simulated one, so a random byte hits a header or a
-/// count as often as a payload float.
+/// A small encoded dataset for the decoder fuzz: the first probe sets of
+/// each (network, PHY) run and the first client samples of a simulated
+/// one, so the file has several probe sections and a random byte hits the
+/// header, an entry or a count as often as a payload float.
 fn fuzz_sample() -> &'static [u8] {
     static SAMPLE: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
     SAMPLE.get_or_init(|| {
         let ds = simulate(3);
+        let mut run = (None, 0);
+        let probes = ds
+            .probes
+            .iter()
+            .filter(|p| {
+                let key = Some((p.network, p.phy));
+                run = if run.0 == key {
+                    (key, run.1 + 1)
+                } else {
+                    (key, 0)
+                };
+                run.1 < 4
+            })
+            .collect();
         let small = Dataset {
-            probes: ds.probes.iter().take(24).collect(),
+            probes,
             clients: ds.clients.iter().take(6).copied().collect(),
             ..ds
         };
@@ -144,34 +159,98 @@ fn fuzz_sample() -> &'static [u8] {
     })
 }
 
+/// How the M11T decoder names where byte `at` of `file` lies.
+fn place_of(file: &[u8], at: usize) -> String {
+    if at < 6 {
+        return "header: ".into();
+    }
+    mesh11::trace::codec::toc(file)
+        .expect("the sample decodes")
+        .iter()
+        .enumerate()
+        .find(|(_, e)| (e.offset..e.offset + e.len).contains(&(at as u64)))
+        .map_or("table of contents: ".into(), |(i, e)| {
+            format!("section {i} ({}): ", e.label())
+        })
+}
+
+#[test]
+fn codec_fuzz_sample_has_several_probe_sections() {
+    let toc = mesh11::trace::codec::toc(fuzz_sample()).unwrap();
+    let probes = toc
+        .iter()
+        .filter(|e| e.kind == mesh11::trace::codec::SectionKind::Probes)
+        .count();
+    assert!(probes >= 2, "{probes} probe sections");
+}
+
+#[test]
+fn codec_rejects_a_version_1_file() {
+    // A v1 file: header, then count-prefixed networks, horizons, probes and
+    // clients, with no table of contents.
+    let mut v1 = 0x4D31_3154u32.to_le_bytes().to_vec();
+    v1.extend_from_slice(&1u16.to_le_bytes());
+    v1.extend_from_slice(&0u32.to_le_bytes());
+    v1.extend_from_slice(&[0; 32]);
+    let err = mesh11::trace::codec::decode(v1.into()).expect_err("v1 file");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    let msg = err.to_string();
+    assert!(msg.starts_with("header: M11T version 1"), "{msg}");
+    assert!(msg.contains("re-run `mesh11 simulate`"), "{msg}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Whatever a file's bytes, the M11T decoder returns: truncations and
-    /// byte flips anywhere (biased toward the header and counts at the
-    /// front) decode or fail with an error, and never panic or abort on
-    /// an allocation sized from a corrupt count.
+    /// Whatever a file's bytes, the M11T decoder returns, and every
+    /// damaged file is an error naming where the damage is: a flipped byte
+    /// names its section (or the header, or the table of contents), and a
+    /// truncated file names the table of contents it lost. Half the cases
+    /// keep the whole file, so flips meet every section, not only a
+    /// truncated file's lost table. Flips are biased toward the front
+    /// (header, meta section) and the back (table of contents), where one
+    /// byte steers the most.
     #[test]
     fn codec_decode_never_panics_on_damaged_input(
+        truncate in proptest::bool::ANY,
         cut in 0usize..1 << 16,
-        flips in proptest::collection::vec((proptest::bool::ANY, 0usize..1 << 16, 1u8..=255), 0..6),
+        flips in proptest::collection::vec((0u8..3, 0usize..1 << 16, 1u8..=255), 0..6),
     ) {
         let full = fuzz_sample();
-        let mut bytes = full[..cut % (full.len() + 1)].to_vec();
-        for (front, at, x) in flips {
+        let len = if truncate { cut % full.len() } else { full.len() };
+        let mut bytes = full[..len].to_vec();
+        for (region, at, x) in flips {
             if bytes.is_empty() {
                 break;
             }
-            let span = if front { bytes.len().min(64) } else { bytes.len() };
-            bytes[at % span] ^= x;
+            let n = bytes.len();
+            let i = match region {
+                0 => at % n.min(64),
+                1 => n - 1 - at % n.min(128),
+                _ => at % n,
+            };
+            bytes[i] ^= x;
         }
-        let decoded = mesh11::trace::codec::decode(bytes.into());
-        if let Ok(ds) = decoded {
-            // Anything that decodes is analyzable: every set passed the
-            // record check.
-            for p in &ds.probes {
-                prop_assert!(!p.obs.is_empty());
-                prop_assert!(p.snr_db().is_finite());
+        let mut places: Vec<String> = (0..len)
+            .filter(|&i| bytes[i] != full[i])
+            .map(|i| place_of(full, i))
+            .collect();
+        if len < full.len() {
+            places.push(if len < 6 { "header: " } else { "table of contents: " }.into());
+        }
+        match mesh11::trace::codec::decode(bytes.into()) {
+            Ok(ds) => {
+                prop_assert!(places.is_empty(), "damage at {:?} decoded", places);
+                let want = mesh11::trace::codec::decode(full.to_vec().into()).unwrap();
+                prop_assert_eq!(ds, want);
+            }
+            Err(e) => {
+                prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+                let msg = e.to_string();
+                prop_assert!(
+                    places.iter().any(|p| msg.starts_with(p.as_str())),
+                    "{} names none of {:?}", msg, places
+                );
             }
         }
     }
