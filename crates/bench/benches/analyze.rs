@@ -1,6 +1,7 @@
 //! Analyze-phase benchmarks: the fig4-2 family's kernels sequential (one
 //! worker) versus parallel (default pool) over the in-memory quick
-//! dataset, plus a chunk-store contention micro-bench (N threads hammering
+//! dataset, the dataset index build and the Fig 3.1 sigma kernels that
+//! walk it, plus a chunk-store contention micro-bench (N threads hammering
 //! random chunk gets through one store). Run with
 //! `cargo bench -p mesh11-bench analyze`.
 
@@ -8,7 +9,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mesh11_bench::{ReproContext, Scale};
 use mesh11_core::bitrate::{LookupTableSet, Scope};
 use mesh11_phy::{BitRate, Phy};
-use mesh11_trace::{ApId, ChunkStore, NetworkId, Probe, ProbeChunk, RateObs};
+use mesh11_trace::snrstats::{self, SigmaKind};
+use mesh11_trace::{ApId, ChunkStore, DatasetIndex, NetworkId, Probe, ProbeChunk, RateObs};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use rayon::prelude::*;
@@ -43,6 +45,32 @@ fn fig4_2_quick(c: &mut Criterion) {
     });
     c.bench_function("analyze/fig4-2-quick-par", |b| {
         b.iter(|| black_box(fig4_2_kernel(&ctx, &Scope::ALL)))
+    });
+}
+
+/// The grouping every request computes once, and the Fig 3.1 kernels
+/// that walk it (columns prebuilt, as a request's first reader leaves
+/// them).
+fn index_quick(c: &mut Criterion) {
+    let ctx = ReproContext::build(Scale::Quick, SEED);
+    let ds = ctx.view().dataset();
+    c.bench_function("analyze/index-build-quick", |b| {
+        b.iter(|| black_box(DatasetIndex::build(ds)))
+    });
+    let kinds = [
+        SigmaKind::ProbeSet,
+        SigmaKind::Link,
+        SigmaKind::RecentK(3),
+        SigmaKind::Network,
+    ];
+    let view = ctx.view();
+    view.columns();
+    c.bench_function("analyze/fig3-1-sigmas-quick", |b| {
+        b.iter(|| {
+            for kind in kinds {
+                black_box(snrstats::sigmas(view, kind));
+            }
+        })
     });
 }
 
@@ -105,6 +133,6 @@ fn chunkstore_contention(c: &mut Criterion) {
 criterion_group! {
     name = analyze;
     config = Criterion::default().sample_size(10);
-    targets = fig4_2_quick, chunkstore_contention
+    targets = fig4_2_quick, index_quick, chunkstore_contention
 }
 criterion_main!(analyze);

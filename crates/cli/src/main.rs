@@ -286,6 +286,29 @@ mod tests {
     }
 
     #[test]
+    fn figures_refuse_a_non_finite_report_time() {
+        // A NaN report time must stop the load, not reach the per-link
+        // time orders and panic there.
+        let dir = std::env::temp_dir().join("mesh11-cli-nan-time");
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = dir.join(format!("tiny-{}.m11t", std::process::id()));
+        let path = out.to_str().unwrap();
+        crate::commands::simulate(&args(&["--seed", "3", "--networks", "2", "--out", path]))
+            .unwrap();
+        let mut ds = load_dataset(&out, Sections::all()).unwrap();
+        let mut probes = mesh11_trace::ProbeTable::new();
+        for (k, p) in ds.probes.iter().enumerate() {
+            let time_s = if k == 1 { f64::NAN } else { p.time_s };
+            probes.push(mesh11_trace::Probe { time_s, ..p });
+        }
+        ds.probes = probes;
+        mesh11_trace::codec::save(&ds, &out).unwrap();
+        let err = crate::commands::figures(&out, &args(&["fig3-1", "ext-adapt"])).unwrap_err();
+        assert!(err.contains("non-finite report time"), "{err}");
+        std::fs::remove_file(&out).ok();
+    }
+
+    #[test]
     fn simulate_analyze_round_trip() {
         let dir = std::env::temp_dir().join("mesh11-cli-e2e");
         std::fs::create_dir_all(&dir).unwrap();

@@ -20,6 +20,8 @@ use mesh11_trace::{DatasetView, FoldKernel, ProbeEntry};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
+use super::LinkRuns;
+
 /// A rate-adaptation policy.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum AdapterKind {
@@ -179,9 +181,10 @@ pub fn simulate_adapters(
 /// threading one partial through the views in order accumulates each sum
 /// in exactly the whole-dataset sequence.
 ///
-/// Within a view, parallelism is per adapter kind: each kind replays the
-/// view's links on its own thread, keeping every kind's accumulation a
-/// single continuous sequential sum.
+/// Within a view, parallelism is per network: each network replays every
+/// kind and records its decisions' throughputs, which are then summed in
+/// network order, so every kind's accumulation stays one continuous
+/// sequential sum.
 ///
 /// # Panics
 /// `init` panics unless `overhead` lies in `[0, 1)`.
@@ -209,41 +212,61 @@ impl FoldKernel for AdaptationKernel {
 
     fn fold(&self, view: DatasetView<'_>, partial: &mut Self::Partial) {
         let phy = self.phy;
-        // Per-link time-ordered streams, extracted once and shared by every
-        // kind. The per-kind scores are floating-point sums over links, so
-        // the iteration order must be fixed for the outcome to be
-        // byte-reproducible: the view's link groups come sorted by
-        // (network, sender, receiver), the same ascending order the
-        // pre-index BTreeMap grouping produced.
-        let per_link: Vec<Vec<ProbeEntry<'_>>> = view
-            .links_for_phy(phy)
-            .map(|link| {
-                let mut sets: Vec<ProbeEntry<'_>> = link.entries().collect();
-                sets.sort_by(|a, b| a.time_s.partial_cmp(&b.time_s).expect("finite times"));
-                sets
+        // The per-probe columns, built once at full width before the
+        // per-network fan-out reads them.
+        view.columns();
+        // Each network gathers its links once and replays every kind over
+        // them, recording each decision's achieved throughput per kind and
+        // the oracle's (the same for every kind), in replay order.
+        let replays: Vec<(Vec<f64>, Vec<Vec<f64>>)> = view
+            .network_views(phy)
+            .par_iter()
+            .map(|nv| {
+                let runs = LinkRuns::gather(nv.links());
+                let oracle: Vec<f64> = runs
+                    .iter()
+                    .flat_map(|sets| sets.iter().skip(1).map(|s| s.opt.throughput_mbps()))
+                    .collect();
+                let achieved = self
+                    .kinds
+                    .iter()
+                    .map(|kind| {
+                        let mut got = Vec::with_capacity(oracle.len());
+                        for sets in runs.iter() {
+                            let mut state = AdapterState::default();
+                            for (i, set) in sets.iter().enumerate() {
+                                if i > 0 {
+                                    let pick = state.decide(kind, phy, set);
+                                    got.push(
+                                        set.probe
+                                            .obs_for(pick)
+                                            .map_or(0.0, |o| o.throughput_mbps()),
+                                    );
+                                }
+                                state.learn(kind, set);
+                            }
+                        }
+                        got
+                    })
+                    .collect();
+                (oracle, achieved)
             })
             .collect();
-        // Pair each kind with its running accumulator so the per-kind sums
-        // keep accumulating *in place* across views (re-associating them
-        // through per-view temporaries would perturb the float results).
-        let mut work: Vec<(&AdapterKind, &mut (u64, f64, f64))> =
-            self.kinds.iter().zip(partial.iter_mut()).collect();
-        work.par_iter_mut().for_each(|(kind, acc)| {
-            let (decisions, sum_thr, sum_oracle) = &mut **acc;
-            for sets in &per_link {
-                let mut state = AdapterState::default();
-                for (i, set) in sets.iter().enumerate() {
-                    if i > 0 {
-                        let pick = state.decide(kind, phy, set);
-                        let got = set.probe.obs_for(pick).map_or(0.0, |o| o.throughput_mbps());
-                        *sum_thr += got;
-                        *sum_oracle += set.opt.throughput_mbps();
-                        *decisions += 1;
-                    }
-                    state.learn(kind, set);
+        // The scores are floating-point sums, so their order is fixed:
+        // networks in id order, links in (sender, receiver) order (the
+        // order the pre-index BTreeMap grouping produced), decisions in
+        // time order. Each kind's sums keep accumulating *in place* across
+        // networks and views; re-associating them through per-network
+        // subtotals would perturb the float results.
+        for (oracle, achieved) in replays {
+            for ((decisions, sum_thr, sum_oracle), got) in partial.iter_mut().zip(achieved) {
+                *decisions += got.len() as u64;
+                for (g, o) in got.iter().zip(&oracle) {
+                    *sum_thr += g;
+                    *sum_oracle += o;
                 }
             }
-        });
+        }
     }
 
     fn finish(&self, partial: Self::Partial) -> Vec<AdaptationOutcome> {

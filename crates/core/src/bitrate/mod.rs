@@ -23,3 +23,39 @@ pub use lookup::{LookupTableSet, Scope};
 pub use penalty::ThroughputPenalty;
 pub use stability::{link_stability, LinkStability};
 pub use strategy::{StrategyEval, StrategyKind};
+
+use mesh11_trace::{LinkView, ProbeEntry};
+
+/// Links' probe entries in report-time order, gathered into one flat
+/// buffer. A kernel that replays every link once per policy scans the
+/// buffer front to back per policy, instead of re-reading the index's
+/// columns at each link's scattered positions per policy.
+struct LinkRuns<'a> {
+    sets: Vec<ProbeEntry<'a>>,
+    /// Where each link's run ends in `sets`, in link order.
+    ends: Vec<usize>,
+}
+
+impl<'a> LinkRuns<'a> {
+    fn gather(links: impl Iterator<Item = LinkView<'a>>) -> Self {
+        let mut runs = LinkRuns {
+            sets: Vec::new(),
+            ends: Vec::new(),
+        };
+        for link in links {
+            runs.sets.extend(link.entries_by_time());
+            runs.ends.push(runs.sets.len());
+        }
+        runs
+    }
+
+    /// Each link's run, in link order.
+    fn iter(&self) -> impl Iterator<Item = &[ProbeEntry<'a>]> {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let run = &self.sets[start..end];
+            start = end;
+            run
+        })
+    }
+}

@@ -14,7 +14,7 @@
 //!   report-to-report wander.
 
 use mesh11_phy::Phy;
-use mesh11_trace::{DatasetView, FoldKernel, ProbeEntry};
+use mesh11_trace::{DatasetView, FoldKernel};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -105,12 +105,11 @@ impl FoldKernel for StabilityKernel {
                     if link.len() < 2 {
                         continue;
                     }
-                    let mut sets: Vec<ProbeEntry> = link.entries().collect();
-                    sets.sort_by(|a, b| a.time_s.partial_cmp(&b.time_s).expect("finite times"));
                     let mut changed = 0usize;
                     let mut drift = 0.0;
-                    for w in sets.windows(2) {
-                        let (prev, next) = (&w[0], &w[1]);
+                    let mut sets = link.entries_by_time();
+                    let mut prev = sets.next().expect("a link has reports");
+                    for next in sets {
                         let flipped = prev.opt.rate != next.opt.rate;
                         changed += usize::from(flipped);
                         drift += (next.snr_db - prev.snr_db).abs();
@@ -121,8 +120,9 @@ impl FoldKernel for StabilityKernel {
                         };
                         bucket.0 += u64::from(flipped);
                         bucket.1 += 1;
+                        prev = next;
                     }
-                    let n_pairs = (sets.len() - 1) as f64;
+                    let n_pairs = (link.len() - 1) as f64;
                     churn.push(changed as f64 / n_pairs);
                     drift_v.push(drift / n_pairs);
                 }

@@ -20,9 +20,11 @@ use std::collections::{BTreeMap, HashMap};
 
 use mesh11_phy::{BitRate, Phy};
 use mesh11_stats::BinnedStats;
-use mesh11_trace::{DatasetView, ProbeEntry};
+use mesh11_trace::DatasetView;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+
+use super::LinkRuns;
 
 /// Table-maintenance policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -211,20 +213,11 @@ impl mesh11_trace::FoldKernel for StrategyKernel {
         let partials: Vec<Vec<StrategyAcc>> = nets
             .par_iter()
             .map(|nv| {
-                // Per-link time-ordered streams (dataset order is
-                // time-sorted per network already; sort defensively).
-                let per_link: Vec<Vec<ProbeEntry>> = nv
-                    .links()
-                    .map(|link| {
-                        let mut sets: Vec<ProbeEntry> = link.entries().collect();
-                        sets.sort_by(|a, b| a.time_s.partial_cmp(&b.time_s).expect("finite times"));
-                        sets
-                    })
-                    .collect();
                 let mut local: Vec<StrategyAcc> =
                     kinds.iter().map(|_| StrategyAcc::default()).collect();
+                let runs = LinkRuns::gather(nv.links());
                 for (&kind, a) in kinds.iter().zip(local.iter_mut()) {
-                    for sets in &per_link {
+                    for sets in runs.iter() {
                         let mut table = OnlineTable::default();
                         for (i, e) in sets.iter().enumerate() {
                             let snr = e.snr_key;

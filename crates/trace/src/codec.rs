@@ -1849,6 +1849,25 @@ mod tests {
     }
 
     #[test]
+    fn rejects_non_finite_report_time() {
+        // Plant the time in an otherwise valid file and reseal it, so the
+        // record check, not a checksum, is what refuses it.
+        for time_s in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut raw = encode(&sample_dataset()).to_vec();
+            let probes = toc(&raw).unwrap()[1].clone();
+            let at = probes.offset as usize + 5;
+            raw[at..at + 8].copy_from_slice(&time_s.to_le_bytes());
+            reseal(&mut raw);
+            let err = invalid(raw, Sections::all());
+            let want = format!(
+                "section 1 ({}): probe set 0 has a non-finite report time",
+                probes.label()
+            );
+            assert!(err.starts_with(&want), "{err}");
+        }
+    }
+
+    #[test]
     fn rejects_rate_outside_the_sets_phy() {
         // Index 20 exists in the HT table only.
         let mut raw = encode(&sample_dataset()).to_vec();

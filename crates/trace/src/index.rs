@@ -36,7 +36,8 @@
 //! (see [`Dataset::merge`]). [`DatasetView`] bundles a dataset with its
 //! index; analyses take a view by value (it is `Copy`).
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -131,20 +132,64 @@ impl PartialEq for DatasetIndex {
     }
 }
 
-/// A probe's link sort key: `(network, sender, receiver, position)` packed
-/// big-endian into one integer, so integer order is tuple order. The
-/// position makes every key unique, which is why an unstable sort of these
-/// keys equals a stable sort of positions by `(network, sender, receiver)`.
-fn link_key(p: &ProbeSet, pos: usize) -> u128 {
-    (u128::from(p.network.0) << 96)
-        | (u128::from(p.sender.0) << 64)
-        | (u128::from(p.receiver.0) << 32)
-        | pos as u128
+/// A directed link's grouping key, `(phy slot, network, sender, receiver)`;
+/// tuple order is the index's link order.
+type LinkKey = (u32, u32, u32, u32);
+
+fn link_key(p: &ProbeSet) -> LinkKey {
+    (
+        phy_slot(p.phy) as u32,
+        p.network.0,
+        p.sender.0,
+        p.receiver.0,
+    )
 }
 
-/// The position a [`link_key`] was built from.
-fn key_pos(key: u128) -> u32 {
-    key as u32
+/// Dense ids for the directed links of a probe stream, in first-seen
+/// order, with each link's report count.
+///
+/// Most lookups never hash. Within a network a dataset lists each report
+/// tick's links in the same ascending order, so the link that followed a
+/// link last time usually follows it again: the guess is right for 91% of
+/// the probe sets of a standard-scale file. A wrong guess falls back to
+/// the map, which keeps the standard library's keyed hasher because the
+/// keys come from dataset files.
+#[derive(Default)]
+struct LinkIds {
+    ids: HashMap<LinkKey, u32>,
+    keys: Vec<LinkKey>,
+    counts: Vec<u32>,
+    /// Per link id, the id of the link seen right after it last time
+    /// (`u32::MAX` before there is one).
+    next: Vec<u32>,
+    /// The id of the link seen last.
+    last: Option<u32>,
+}
+
+impl LinkIds {
+    /// The id of `key`, counting one more report on it.
+    fn observe(&mut self, key: LinkKey) -> u32 {
+        let guess = self
+            .last
+            .map(|x| self.next[x as usize])
+            .filter(|&g| self.keys.get(g as usize) == Some(&key));
+        let id = guess.unwrap_or_else(|| {
+            let fresh = self.keys.len() as u32;
+            let id = *self.ids.entry(key).or_insert(fresh);
+            if id == fresh {
+                self.keys.push(key);
+                self.counts.push(0);
+                self.next.push(u32::MAX);
+            }
+            if let Some(x) = self.last {
+                self.next[x as usize] = id;
+            }
+            id
+        });
+        self.counts[id as usize] += 1;
+        self.last = Some(id);
+        id
+    }
 }
 
 /// The per-probe side columns of a [`DatasetIndex`], by dataset position:
@@ -160,41 +205,46 @@ pub struct ProbeColumns {
 
 impl ProbeColumns {
     /// One pass over every probe set, parallel over contiguous position
-    /// ranges whose results concatenate in position order.
+    /// spans, each span writing its slice of the final columns.
     fn build(probes: &ProbeTable) -> Self {
         let n = probes.len();
         let parts = rayon::current_num_threads().clamp(1, n.max(1));
-        let spans: Vec<Range<usize>> = (0..parts)
-            .map(|k| k * n / parts..(k + 1) * n / parts)
-            .collect();
-        let mut cols = ProbeColumns {
-            snr_db: Vec::with_capacity(n),
-            snr_key: Vec::with_capacity(n),
-            opt: Vec::with_capacity(n),
+        let span_len = n.div_ceil(parts).max(1);
+        // Every slot is overwritten below; the placeholder only makes the
+        // column a plain initialized vector the spans can borrow.
+        let unset = RateObs {
+            rate: BitRate::bg_mbps(1.0).expect("1 Mbit/s exists"),
+            loss: 0.0,
+            snr_db: 0.0,
         };
-        let done: Vec<ProbeColumns> = spans
-            .par_iter()
-            .map(|span| {
-                let mut c = ProbeColumns {
-                    snr_db: Vec::with_capacity(span.len()),
-                    snr_key: Vec::with_capacity(span.len()),
-                    opt: Vec::with_capacity(span.len()),
-                };
-                for pos in span.clone() {
-                    let p = probes.get(pos);
-                    let snr = p.snr_db();
-                    c.snr_db.push(snr);
-                    c.snr_key.push(snr.round() as i64);
-                    c.opt.push(p.optimal());
-                }
-                c
-            })
+        let mut cols = ProbeColumns {
+            snr_db: vec![0.0; n],
+            snr_key: vec![0; n],
+            opt: vec![unset; n],
+        };
+        let mut spans: Vec<_> = cols
+            .snr_db
+            .chunks_mut(span_len)
+            .zip(cols.snr_key.chunks_mut(span_len))
+            .zip(cols.opt.chunks_mut(span_len))
+            .enumerate()
             .collect();
-        for c in done {
-            cols.snr_db.extend(c.snr_db);
-            cols.snr_key.extend(c.snr_key);
-            cols.opt.extend(c.opt);
-        }
+        spans
+            .par_iter_mut()
+            .for_each(|(k, ((snr_db, snr_key), opt))| {
+                let first = *k * span_len;
+                for (i, ((s, key), o)) in snr_db
+                    .iter_mut()
+                    .zip(snr_key.iter_mut())
+                    .zip(opt.iter_mut())
+                    .enumerate()
+                {
+                    let p = probes.get(first + i);
+                    *s = p.snr_db();
+                    *key = s.round() as i64;
+                    *o = p.optimal();
+                }
+            });
         cols
     }
 
@@ -228,89 +278,98 @@ impl ProbeColumns {
 }
 
 impl DatasetIndex {
-    /// Builds the grouping over `ds.probes`: one pass collecting each
-    /// probe's link key, then per PHY one unstable sort of unique integer
-    /// keys. `O(n log n)` in the probe count. The per-probe columns are
-    /// left for their first reader.
+    /// Builds the grouping over `ds.probes` by counting, not sorting. One
+    /// pass interns each probe set's directed link to a dense id in
+    /// first-seen order and counts its reports (`LinkIds`). Ranking the
+    /// distinct links (far fewer than the probe sets) in `(phy, network,
+    /// sender, receiver)` order lays out `links` and `nets` with their
+    /// final ranges. One scatter pass in dataset order then drops each position
+    /// into the next free slot of its PHY, its network and its link in
+    /// `phy_order`, `net_order` and `link_order`, which keeps dataset order
+    /// within every group: a stable counting sort. `O(n)` in the probe
+    /// count plus a sort of the links, exact for any `u32` ids. The
+    /// per-probe columns are left for their first reader.
     pub fn build(ds: &Dataset) -> Self {
-        let n = ds.probes.len();
+        let rows = ds.probes.rows();
+        let n = rows.len();
         assert!(n < u32::MAX as usize, "dataset too large to index");
-        let mut keys: [Vec<u128>; N_PHYS] = Default::default();
-        for (pos, p) in ds.probes.rows().iter().enumerate() {
-            keys[phy_slot(p.phy)].push(link_key(p, pos));
-        }
+
+        // Each probe's link id, every link's key and report count.
+        let mut links = LinkIds::default();
+        let id_of: Vec<u32> = rows.iter().map(|p| links.observe(link_key(p))).collect();
+        let LinkIds { keys, counts, .. } = links;
+
+        // Links in key order, each range starting where the previous
+        // link's ended; a network group is a run of links sharing
+        // (phy, network). Per link id: its link's and its group's next
+        // free slot.
+        let mut by_key: Vec<u32> = (0..keys.len() as u32).collect();
+        by_key.sort_unstable_by_key(|&id| keys[id as usize]);
         let mut ix = Self {
             n_probes: n,
+            links: Vec::with_capacity(keys.len()),
             ..Self::default()
         };
-        for (slot, keys) in keys.iter_mut().enumerate() {
-            ix.push_phy(slot, keys);
-        }
-        ix
-    }
-
-    /// Appends one PHY's orders and groups, given its link keys in dataset
-    /// order. PHY slots are pushed in ascending order, so every range this
-    /// writes starts where the previous PHY's ended.
-    fn push_phy(&mut self, slot: usize, keys: &mut [u128]) {
-        let base = self.phy_order.len() as u32;
-        let end = base + keys.len() as u32;
-        self.phy_order.extend(keys.iter().map(|&k| key_pos(k)));
-        self.phy_ranges[slot] = base..end;
-
-        // (network, position) keys: dataset order within each network.
-        // Equal to the PHY's slice of `phy_order` when the dataset is
-        // network-major (every campaign and window dataset is), which is
-        // what makes per-network parallel folds concatenate back to the
-        // global per-PHY walk byte-identically.
-        let mut net_keys: Vec<u64> = keys
-            .iter()
-            .map(|&k| ((k >> 96) as u64) << 32 | u64::from(key_pos(k)))
-            .collect();
-        net_keys.sort_unstable();
-        self.net_order.extend(net_keys.iter().map(|&k| k as u32));
-
-        // Links: runs of equal (network, sender, receiver) in key order,
-        // dataset order within each run.
-        keys.sort_unstable();
-        let first_link = self.links.len();
-        for (i, &k) in keys.iter().enumerate() {
-            let at = base + i as u32;
-            self.link_order.push(key_pos(k));
-            let (network, sender, receiver) = (
-                NetworkId((k >> 96) as u32),
-                ApId((k >> 64) as u32),
-                ApId((k >> 32) as u32),
-            );
-            match self.links[first_link..].last_mut() {
-                Some(g) if (g.network, g.sender, g.receiver) == (network, sender, receiver) => {
-                    g.probes.end = at + 1;
-                }
-                _ => self.links.push(LinkGroup {
+        let mut link_next = vec![0u32; keys.len()];
+        let mut net_of = vec![0u32; keys.len()];
+        let mut group = None;
+        for (rank, &id) in by_key.iter().enumerate() {
+            let (slot, network, sender, receiver) = keys[id as usize];
+            let start = ix.links.last().map_or(0, |g| g.probes.end);
+            let probes = start..start + counts[id as usize];
+            let (rank, network) = (rank as u32, NetworkId(network));
+            if group != Some((slot, network)) {
+                group = Some((slot, network));
+                ix.nets.push(NetGroup {
                     network,
-                    sender,
-                    receiver,
-                    probes: at..at + 1,
-                }),
+                    links: rank..rank,
+                    probes: start..start,
+                });
             }
+            let g = ix.nets.last_mut().expect("a group was pushed");
+            g.links.end = rank + 1;
+            g.probes.end = probes.end;
+            net_of[id as usize] = ix.nets.len() as u32 - 1;
+            link_next[id as usize] = start;
+            ix.links.push(LinkGroup {
+                network,
+                sender: ApId(sender),
+                receiver: ApId(receiver),
+                probes,
+            });
         }
-        self.link_ranges[slot] = first_link as u32..self.links.len() as u32;
+        // b/g sorts first: each per-PHY range table splits where it ends.
+        let bg_links = by_key.partition_point(|&id| keys[id as usize].0 == 0);
+        let bg_nets = ix
+            .nets
+            .partition_point(|g| (g.links.start as usize) < bg_links);
+        let bg_probes = bg_links
+            .checked_sub(1)
+            .map_or(0, |k| ix.links[k].probes.end);
+        let split = |at: usize, len: usize| [0..at as u32, at as u32..len as u32];
+        ix.phy_ranges = split(bg_probes as usize, n);
+        ix.link_ranges = split(bg_links, ix.links.len());
+        ix.net_ranges = split(bg_nets, ix.nets.len());
 
-        let first_net = self.nets.len();
-        for (j, g) in self.links.iter().enumerate().skip(first_link) {
-            match self.nets[first_net..].last_mut() {
-                Some(ng) if ng.network == g.network => {
-                    ng.links.end = j as u32 + 1;
-                    ng.probes.end = g.probes.end;
-                }
-                _ => self.nets.push(NetGroup {
-                    network: g.network,
-                    links: j as u32..j as u32 + 1,
-                    probes: g.probes.clone(),
-                }),
-            }
+        // A network group's probes take the same range of `net_order` as
+        // of `link_order`, and a PHY's the same range of `phy_order`.
+        let mut phy_next = [0, bg_probes];
+        let mut net_next: Vec<u32> = ix.nets.iter().map(|g| g.probes.start).collect();
+        let take = |next: &mut u32| {
+            let at = *next;
+            *next += 1;
+            at as usize
+        };
+        let mut orders = [vec![0u32; n], vec![0u32; n], vec![0u32; n]];
+        let [phy_order, net_order, link_order] = &mut orders;
+        for (pos, &id) in id_of.iter().enumerate() {
+            let id = id as usize;
+            phy_order[take(&mut phy_next[keys[id].0 as usize])] = pos as u32;
+            net_order[take(&mut net_next[net_of[id] as usize])] = pos as u32;
+            link_order[take(&mut link_next[id])] = pos as u32;
         }
-        self.net_ranges[slot] = first_net as u32..self.nets.len() as u32;
+        [ix.phy_order, ix.net_order, ix.link_order] = orders;
+        ix
     }
 
     /// Probe count the index covers.
@@ -808,7 +867,7 @@ impl<'a> LinkView<'a> {
         self.len() == 0
     }
 
-    fn positions(&self) -> &'a [u32] {
+    pub(crate) fn positions(&self) -> &'a [u32] {
         let g = self.group();
         &self.view.ix.link_order[g.probes.start as usize..g.probes.end as usize]
     }
@@ -821,6 +880,28 @@ impl<'a> LinkView<'a> {
     /// The link's probe entries, in dataset order.
     pub fn entries(&self) -> impl Iterator<Item = ProbeEntry<'a>> + 'a {
         self.view.entries_at(self.positions())
+    }
+
+    /// The link's probe entries in report-time order. When dataset order
+    /// is already time order, as in every simulated or decoded trace, this
+    /// walks the indexed range in place; otherwise it walks a copy stably
+    /// sorted by time, so reports with equal times keep dataset order.
+    ///
+    /// # Panics
+    /// If the link needs sorting and holds a NaN report time.
+    pub fn entries_by_time(&self) -> impl Iterator<Item = ProbeEntry<'a>> + 'a {
+        let rows = self.view.ds.probes.rows();
+        let time = move |pos: &u32| rows[*pos as usize].time_s;
+        let positions = self.positions();
+        let order = if positions.windows(2).all(|w| time(&w[0]) <= time(&w[1])) {
+            Cow::Borrowed(positions)
+        } else {
+            let mut sorted = positions.to_vec();
+            sorted.sort_by(|a, b| time(a).partial_cmp(&time(b)).expect("finite times"));
+            Cow::Owned(sorted)
+        };
+        let (cols, probes) = (self.view.columns(), &self.view.ds.probes);
+        (0..order.len()).map(move |i| cols.entry(probes, order[i] as usize))
     }
 }
 
@@ -880,7 +961,7 @@ impl<'a> NetworkView<'a> {
     /// This network's contiguous run of dataset-order probe positions:
     /// its segment of the (phy, network)-stable permutation, located by
     /// the prefix-sum offset of the preceding groups.
-    fn phy_run(&self) -> &'a [u32] {
+    pub(crate) fn phy_run(&self) -> &'a [u32] {
         let ix = self.view.ix;
         let r = ix.phy_ranges[phy_slot(self.phy)].clone();
         let seg = &ix.net_order[r.start as usize..r.end as usize];
@@ -1016,6 +1097,35 @@ mod tests {
             assert_eq!(linear, indexed, "{phy}: order must be dataset order");
         }
         let _ = view_over(&ds, &ix);
+    }
+
+    #[test]
+    fn entries_by_time_sorts_stably_when_needed() {
+        // Link 0→1 reports at 600, 300, 600, 300 with distinct losses;
+        // link 1→0 is already in time order.
+        let mut probes = ProbeTable::new();
+        for (s, r, t, loss) in [
+            (0, 1, 600.0, 0.1),
+            (0, 1, 300.0, 0.2),
+            (1, 0, 300.0, 0.3),
+            (0, 1, 600.0, 0.4),
+            (1, 0, 600.0, 0.5),
+            (0, 1, 300.0, 0.6),
+        ] {
+            push_probe(&mut probes, 0, Phy::Bg, s, r, t, loss, &[]);
+        }
+        let ds = Dataset {
+            probes,
+            ..Dataset::default()
+        };
+        let ix = DatasetIndex::build(&ds);
+        let v = DatasetView::new(&ds, &ix);
+        let links: Vec<LinkView> = v.links_for_phy(Phy::Bg).collect();
+        let by_time = |l: &LinkView| l.entries_by_time().map(|e| e.pos).collect::<Vec<_>>();
+        // Equal times keep dataset order.
+        assert_eq!(by_time(&links[0]), [1, 5, 0, 3]);
+        let in_place: Vec<usize> = links[1].entries().map(|e| e.pos).collect();
+        assert_eq!(by_time(&links[1]), in_place);
     }
 
     #[test]

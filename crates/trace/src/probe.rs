@@ -166,11 +166,15 @@ impl<'a> Probe<'a> {
     }
 
     /// Why a decoder must refuse this record, if it must: every analysis
-    /// takes the set's median SNR and optimal rate, so a set needs at
-    /// least one observation, every loss and SNR finite, and every rate
-    /// from its own PHY. The M11T and JSON decoders both apply this one
-    /// check (a rate in no PHY table never decodes at all).
+    /// takes the set's median SNR and optimal rate, and the per-link
+    /// replays order a link's sets by report time, so a set needs a finite
+    /// time, at least one observation, every loss and SNR finite, and
+    /// every rate from its own PHY. The M11T and JSON decoders both apply
+    /// this one check (a rate in no PHY table never decodes at all).
     pub(crate) fn record_error(&self) -> Option<String> {
+        if !self.time_s.is_finite() {
+            return Some(format!("has a non-finite report time ({})", self.time_s));
+        }
         if self.obs.is_empty() {
             return Some("has no rate observations".into());
         }

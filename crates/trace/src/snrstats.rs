@@ -8,34 +8,26 @@
 //! * **per link** — the σ of a directed link's probe-set SNRs over time;
 //! * **per network** — the σ over every probe-set SNR in a network (large:
 //!   each network spans a diverse range of link qualities).
+//!
+//! A link here is `(network, sender, receiver)` across both PHYs, and a
+//! network spans both PHYs. The index groups each PHY on its own, so the
+//! kernels pair a network's (and a link's) b/g and HT groups by id and
+//! merge their position runs, which restores dataset order across the
+//! two.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 
+use mesh11_phy::Phy;
 use rayon::prelude::*;
 
 use crate::dataset::Dataset;
-use crate::ids::{ApId, NetworkId};
-
-/// The probe-set SNR (`Probe::snr_db`) of the set at a dataset position.
-type SnrAt<'a> = dyn Fn(usize) -> f64 + Sync + 'a;
+use crate::index::{DatasetView, NetworkView};
 
 /// Splits `0..n` into contiguous ranges for parallel walks whose outputs
 /// concatenate back in index order.
 fn split_ranges(n: usize) -> Vec<std::ops::Range<usize>> {
     let step = n.div_ceil(rayon::current_num_threads().max(1) * 4).max(1);
     (0..n).step_by(step).map(|s| s..(s + step).min(n)).collect()
-}
-
-/// Groups probe indices by network, in `NetworkId` order; indices within a
-/// group stay in dataset order. Per-network outputs concatenated in this
-/// order rebuild exactly what a `BTreeMap` keyed with `NetworkId` leading
-/// would flatten to.
-fn probes_by_network(ds: &Dataset) -> Vec<Vec<u32>> {
-    let mut m: BTreeMap<NetworkId, Vec<u32>> = BTreeMap::new();
-    for (i, p) in ds.probes.rows().iter().enumerate() {
-        m.entry(p.network).or_default().push(i as u32);
-    }
-    m.into_values().collect()
 }
 
 /// Which of the Fig 3.1 spreads a [`SigmaKernel`] extracts.
@@ -51,10 +43,19 @@ pub enum SigmaKind {
     Network,
 }
 
-/// The fold-style form of the Fig 3.1 sigma extraction: every spread here
-/// flattens a `BTreeMap` keyed with `NetworkId` leading, and folded views
-/// are consecutive network runs, so per-view outputs concatenate to
-/// exactly the whole-dataset output.
+/// The fold-style form of the Fig 3.1 sigma extraction. The within-set
+/// spread lists probe sets in dataset order; the others list networks in
+/// id order and, within a network, links in `(sender, receiver)` order.
+/// Folded views are consecutive network runs, so per-view outputs
+/// concatenate to exactly the whole-dataset output.
+///
+/// * `Link`: one σ per link with at least two reports, over its SNRs in
+///   dataset order.
+/// * `RecentK(k)`: one σ per length-`k` window of each link's SNRs in
+///   report-time order (a stable sort, so equal times keep dataset
+///   order). Panics unless `k >= 2`, and on a NaN report time.
+/// * `Network`: one σ per network with at least two probe sets, over its
+///   SNRs in dataset order.
 #[derive(Debug, Clone, Copy)]
 pub struct SigmaKernel(pub SigmaKind);
 
@@ -63,21 +64,51 @@ impl crate::fold::FoldKernel for SigmaKernel {
     type Output = Vec<f64>;
 
     fn init(&self) -> Vec<f64> {
+        if let SigmaKind::RecentK(k) = self.0 {
+            assert!(k >= 2, "a spread needs at least two values");
+        }
         Vec::new()
     }
 
-    fn fold(&self, view: crate::index::DatasetView<'_>, partial: &mut Vec<f64>) {
+    fn fold(&self, view: DatasetView<'_>, partial: &mut Vec<f64>) {
         let ds = view.dataset();
-        // The per-set medians come from the view's shared SNR column.
-        let medians = || {
-            let cols = view.columns();
-            move |i: usize| cols.snr_db(i)
+        let cols = view.columns();
+        let snrs_at = |run: &[u32], out: &mut Vec<f64>| {
+            out.clear();
+            out.extend(run.iter().map(|&i| cols.snr_db(i as usize)));
         };
         partial.extend(match self.0 {
             SigmaKind::ProbeSet => probe_set_sigmas(ds),
-            SigmaKind::Link => link_sigmas_by(ds, &medians()),
-            SigmaKind::RecentK(k) => recent_k_sigmas_by(ds, k, &medians()),
-            SigmaKind::Network => network_sigmas_by(ds, &medians()),
+            SigmaKind::Link => per_network(view, |net| {
+                let (mut out, mut snrs) = (Vec::new(), Vec::new());
+                for_each_link(net, |run| {
+                    snrs_at(run, &mut snrs);
+                    out.extend(mesh11_stats::stddev(&snrs));
+                });
+                out
+            }),
+            SigmaKind::RecentK(k) => per_network(view, |net| {
+                let (mut out, mut snrs) = (Vec::new(), Vec::new());
+                let mut series: Vec<(f64, f64)> = Vec::new();
+                for_each_link(net, |run| {
+                    series.clear();
+                    series.extend(
+                        run.iter()
+                            .map(|&i| (ds.probes.get(i as usize).time_s, cols.snr_db(i as usize))),
+                    );
+                    series.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
+                    snrs.clear();
+                    snrs.extend(series.iter().map(|p| p.1));
+                    out.extend(snrs.windows(k).filter_map(mesh11_stats::stddev));
+                });
+                out
+            }),
+            SigmaKind::Network => per_network(view, |net| {
+                let runs = net.map(|nv| nv.map_or(&[][..], |nv| nv.phy_run()));
+                let (mut buf, mut snrs) = (Vec::new(), Vec::new());
+                snrs_at(merged(runs, &mut buf), &mut snrs);
+                mesh11_stats::stddev(&snrs).into_iter().collect()
+            }),
         });
     }
 
@@ -86,8 +117,13 @@ impl crate::fold::FoldKernel for SigmaKernel {
     }
 }
 
+/// One Fig 3.1 spread over a whole view ([`SigmaKernel`] in one fold).
+pub fn sigmas(view: DatasetView<'_>, kind: SigmaKind) -> Vec<f64> {
+    crate::fold::run_fold(view, &SigmaKernel(kind))
+}
+
 /// σ of SNR within each probe set (one value per probe set).
-pub fn probe_set_sigmas(ds: &Dataset) -> Vec<f64> {
+fn probe_set_sigmas(ds: &Dataset) -> Vec<f64> {
     let parts: Vec<Vec<f64>> = split_ranges(ds.probes.len())
         .par_iter()
         .map(|r| r.clone().map(|i| ds.probes.get(i).snr_stddev()).collect())
@@ -95,95 +131,85 @@ pub fn probe_set_sigmas(ds: &Dataset) -> Vec<f64> {
     parts.into_iter().flatten().collect()
 }
 
-/// σ of probe-set SNR over time, per directed link (links with at least two
-/// reports).
-pub fn link_sigmas(ds: &Dataset) -> Vec<f64> {
-    link_sigmas_by(ds, &|i| ds.probes.get(i).snr_db())
-}
+/// One network's b/g and HT groups; either is `None` when the network has
+/// no probe sets of that PHY.
+type NetPair<'a> = [Option<NetworkView<'a>>; 2];
 
-fn link_sigmas_by(ds: &Dataset, snr: &SnrAt<'_>) -> Vec<f64> {
-    let parts: Vec<Vec<f64>> = probes_by_network(ds)
-        .par_iter()
-        .map(|idxs| {
-            let mut per_link: BTreeMap<(ApId, ApId), Vec<f64>> = BTreeMap::new();
-            for &i in idxs {
-                let p = &ds.probes[i as usize];
-                per_link
-                    .entry((p.sender, p.receiver))
-                    .or_default()
-                    .push(snr(i as usize));
-            }
-            per_link
-                .values()
-                .filter_map(|snrs| mesh11_stats::stddev(snrs))
-                .collect()
-        })
-        .collect();
+/// Runs `f` on every network of the view, in parallel, and concatenates
+/// the outputs in network-id order.
+fn per_network<F>(view: DatasetView<'_>, f: F) -> Vec<f64>
+where
+    F: Fn(NetPair<'_>) -> Vec<f64> + Sync,
+{
+    let [bg, ht] = [Phy::Bg, Phy::Ht].map(|phy| view.network_views(phy));
+    let nets: Vec<NetPair<'_>> = pair_up(bg, ht, |nv| nv.network()).collect();
+    let parts: Vec<Vec<f64>> = nets.par_iter().map(|&net| f(net)).collect();
     parts.into_iter().flatten().collect()
 }
 
-/// σ of the `k` most recent probe-set SNRs per directed link — the paper's
-/// unpictured §3.1.1 robustness note: "the standard deviation of the k most
-/// recent SNR values on a link … comparable to the standard deviation
-/// within a probe set for small values of k", which justifies using the
-/// most recent SNR instead of an average.
-///
-/// One value per (link, window position): every length-`k` run of a link's
-/// time-ordered reports contributes its σ.
-pub fn recent_k_sigmas(ds: &Dataset, k: usize) -> Vec<f64> {
-    recent_k_sigmas_by(ds, k, &|i| ds.probes.get(i).snr_db())
+/// Calls `f` with each directed link of a network, in `(sender,
+/// receiver)` order, as its probe positions across both PHYs in dataset
+/// order.
+fn for_each_link(net: NetPair<'_>, mut f: impl FnMut(&[u32])) {
+    let [bg, ht] = net.map(|nv| nv.into_iter().flat_map(|nv| nv.links()));
+    let mut buf = Vec::new();
+    for link in pair_up(bg, ht, |l| (l.sender(), l.receiver())) {
+        let runs = link.map(|l| l.map_or(&[][..], |l| l.positions()));
+        f(merged(runs, &mut buf));
+    }
 }
 
-fn recent_k_sigmas_by(ds: &Dataset, k: usize, snr: &SnrAt<'_>) -> Vec<f64> {
-    assert!(k >= 2, "a spread needs at least two values");
-    let parts: Vec<Vec<f64>> = probes_by_network(ds)
-        .par_iter()
-        .map(|idxs| {
-            let mut per_link: BTreeMap<(ApId, ApId), Vec<(f64, f64)>> = BTreeMap::new();
-            for &i in idxs {
-                let p = &ds.probes[i as usize];
-                per_link
-                    .entry((p.sender, p.receiver))
-                    .or_default()
-                    .push((p.time_s, snr(i as usize)));
-            }
-            let mut out = Vec::new();
-            for series in per_link.values_mut() {
-                series.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
-                let snrs: Vec<f64> = series.iter().map(|p| p.1).collect();
-                for w in snrs.windows(k) {
-                    if let Some(sd) = mesh11_stats::stddev(w) {
-                        out.push(sd);
-                    }
+/// Pairs up the items of two sequences ascending in `key`: one pair per
+/// distinct key, in key order, each side `None` where its sequence lacks
+/// the key.
+fn pair_up<T, K: Ord>(
+    a: impl IntoIterator<Item = T>,
+    b: impl IntoIterator<Item = T>,
+    key: impl Fn(&T) -> K,
+) -> impl Iterator<Item = [Option<T>; 2]> {
+    let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
+    std::iter::from_fn(move || {
+        let order = match (a.peek(), b.peek()) {
+            (None, None) => return None,
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some(x), Some(y)) => key(x).cmp(&key(y)),
+        };
+        let a = if order.is_le() { a.next() } else { None };
+        let b = if order.is_ge() { b.next() } else { None };
+        Some([a, b])
+    })
+}
+
+/// The union of two ascending runs of distinct positions, ascending. It
+/// borrows the non-empty run when the other is empty, else merges into
+/// `buf`.
+fn merged<'a>(runs: [&'a [u32]; 2], buf: &'a mut Vec<u32>) -> &'a [u32] {
+    match runs {
+        [run, []] | [[], run] => run,
+        [mut a, mut b] => {
+            buf.clear();
+            while let (Some(&x), Some(&y)) = (a.first(), b.first()) {
+                if x < y {
+                    buf.push(x);
+                    a = &a[1..];
+                } else {
+                    buf.push(y);
+                    b = &b[1..];
                 }
             }
-            out
-        })
-        .collect();
-    parts.into_iter().flatten().collect()
-}
-
-/// σ over all probe-set SNRs within each network (networks with at least two
-/// probe sets).
-pub fn network_sigmas(ds: &Dataset) -> Vec<f64> {
-    network_sigmas_by(ds, &|i| ds.probes.get(i).snr_db())
-}
-
-fn network_sigmas_by(ds: &Dataset, snr: &SnrAt<'_>) -> Vec<f64> {
-    let parts: Vec<Option<f64>> = probes_by_network(ds)
-        .par_iter()
-        .map(|idxs| {
-            let snrs: Vec<f64> = idxs.iter().map(|&i| snr(i as usize)).collect();
-            mesh11_stats::stddev(&snrs)
-        })
-        .collect();
-    parts.into_iter().flatten().collect()
+            buf.extend_from_slice(a);
+            buf.extend_from_slice(b);
+            buf
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::{ApId, EnvLabel, NetworkId};
+    use crate::index::DatasetIndex;
     use crate::probe::{Probe, ProbeTable, RateObs};
     use mesh11_phy::{BitRate, Phy};
 
@@ -224,10 +250,15 @@ mod tests {
         }
     }
 
+    fn spread(d: &Dataset, kind: SigmaKind) -> Vec<f64> {
+        let ix = DatasetIndex::build(d);
+        sigmas(DatasetView::new(d, &ix), kind)
+    }
+
     #[test]
     fn probe_set_sigma_values() {
         let d = ds(&[(0, 1, &[10.0, 14.0]), (0, 1, &[20.0])]);
-        let sigmas = probe_set_sigmas(&d);
+        let sigmas = spread(&d, SigmaKind::ProbeSet);
         assert_eq!(sigmas, vec![2.0, 0.0]);
     }
 
@@ -235,7 +266,7 @@ mod tests {
     fn link_sigma_needs_two_reports() {
         // Link (0→1) has two reports at SNR 10 and 14; link (0→2) only one.
         let d = ds(&[(0, 1, &[10.0]), (0, 1, &[14.0]), (0, 2, &[30.0])]);
-        let sigmas = link_sigmas(&d);
+        let sigmas = spread(&d, SigmaKind::Link);
         assert_eq!(sigmas.len(), 1);
         assert!((sigmas[0] - (2.0f64 * 2.0f64 * 2.0).sqrt()).abs() < 1e-9); // sample σ of {10,14} = √8
     }
@@ -243,7 +274,7 @@ mod tests {
     #[test]
     fn network_sigma_spans_links() {
         let d = ds(&[(0, 1, &[10.0]), (2, 3, &[30.0])]);
-        let sigmas = network_sigmas(&d);
+        let sigmas = spread(&d, SigmaKind::Network);
         assert_eq!(sigmas.len(), 1);
         // Sample σ of {10, 30} = √200 ≈ 14.14.
         assert!((sigmas[0] - 200f64.sqrt()).abs() < 1e-9);
@@ -254,19 +285,19 @@ mod tests {
         // One link with SNRs 10, 14, 10 over three reports: two length-2
         // windows, each σ = √8.
         let d = ds(&[(0, 1, &[10.0]), (0, 1, &[14.0]), (0, 1, &[10.0])]);
-        let sig = recent_k_sigmas(&d, 2);
+        let sig = spread(&d, SigmaKind::RecentK(2));
         assert_eq!(sig.len(), 2);
         for s in sig {
             assert!((s - 8.0f64.sqrt()).abs() < 1e-9);
         }
         // k longer than the series yields nothing.
-        assert!(recent_k_sigmas(&d, 5).is_empty());
+        assert!(spread(&d, SigmaKind::RecentK(5)).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "at least two")]
     fn recent_k_rejects_k1() {
-        recent_k_sigmas(&ds(&[]), 1);
+        spread(&ds(&[]), SigmaKind::RecentK(1));
     }
 
     #[test]
@@ -279,9 +310,13 @@ mod tests {
             (2, 3, &[38.0, 38.2]),
             (2, 3, &[39.0, 38.8]),
         ]);
-        let set_max = probe_set_sigmas(&d).into_iter().fold(0.0, f64::max);
-        let link_max = link_sigmas(&d).into_iter().fold(0.0, f64::max);
-        let net_max = network_sigmas(&d).into_iter().fold(0.0, f64::max);
+        let set_max = spread(&d, SigmaKind::ProbeSet)
+            .into_iter()
+            .fold(0.0, f64::max);
+        let link_max = spread(&d, SigmaKind::Link).into_iter().fold(0.0, f64::max);
+        let net_max = spread(&d, SigmaKind::Network)
+            .into_iter()
+            .fold(0.0, f64::max);
         assert!(set_max < link_max && link_max < net_max);
     }
 }

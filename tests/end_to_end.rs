@@ -3,6 +3,7 @@
 
 use mesh11::core::routing::improvement::analyze_dataset;
 use mesh11::prelude::*;
+use mesh11::trace::snrstats::{self, SigmaKind};
 use mesh11::trace::EnvLabel;
 use std::sync::OnceLock;
 
@@ -39,14 +40,14 @@ fn dataset_has_both_record_streams() {
 
 #[test]
 fn fig3_1_shape_probe_set_sigma_small() {
-    let sigmas = mesh11::trace::snrstats::probe_set_sigmas(dataset());
+    let sigmas = snrstats::sigmas(view(), SigmaKind::ProbeSet);
     let under5 = sigmas.iter().filter(|&&s| s < 5.0).count() as f64 / sigmas.len() as f64;
     assert!(
         under5 > 0.9,
         "probe-set SNR σ should be < 5 dB the vast majority of the time: {under5}"
     );
     // And the network-level spread must dominate the probe-set spread.
-    let net = mesh11::trace::snrstats::network_sigmas(dataset());
+    let net = snrstats::sigmas(view(), SigmaKind::Network);
     let med_set = mesh11::stats::median(&sigmas).unwrap();
     let med_net = mesh11::stats::median(&net).unwrap();
     assert!(

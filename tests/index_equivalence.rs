@@ -1,7 +1,8 @@
 //! `DatasetIndex::build` against a reference implementation.
 //!
 //! The reference below is the straightforward construction the index's
-//! contract is written in: stable sorts of dataset positions by PHY, by
+//! contract is written in, and the one the index was built with before it
+//! counted instead of sorting: stable sorts of dataset positions by PHY, by
 //! (phy, network) and by (phy, network, sender, receiver), runs of equal
 //! keys as groups, and per-probe SNR median / SNR key / optimal rate
 //! derived the allocating way (`mesh11_stats::median` over a collected
@@ -16,10 +17,12 @@ use std::ops::Range;
 
 use mesh11::phy::Phy;
 use mesh11::trace::{
-    ApId, Dataset, DatasetIndex, DatasetView, LinkRange, NetRange, NetworkId, Probe, ProbeTable,
-    RateObs,
+    ApId, Dataset, DatasetIndex, DatasetView, LinkRange, NetRange, NetworkId, Probe, RateObs,
 };
 use proptest::prelude::*;
+
+mod common;
+use common::{dataset, specs, with_threads, ProbeSpec, NET_IDS};
 
 fn phy_slot(phy: Phy) -> usize {
     match phy {
@@ -218,78 +221,87 @@ fn check(ds: &Dataset, ix: &DatasetIndex, want: &Reference) -> Result<(), TestCa
     Ok(())
 }
 
-/// Network and AP ids drawn from small pools (so links repeat), with
-/// members at the top of the id space.
-const NET_IDS: [u32; 5] = [0, 3, 7, u32::MAX - 1, u32::MAX];
-const AP_IDS: [u32; 4] = [0, 1, u32::MAX - 1, u32::MAX];
-/// SNRs with both zeros and half-dB steps, so medians interpolate, tie and
-/// carry a sign bit.
-const SNRS: [f64; 7] = [0.0, -0.0, 10.0, 10.5, 11.0, -3.25, 40.0];
-
-type ObsSpec = (usize, u8, usize);
-type ProbeSpec = (usize, bool, (usize, usize), u32, Vec<ObsSpec>);
-
-fn dataset(specs: &[ProbeSpec]) -> Dataset {
-    let mut probes = ProbeTable::new();
-    for (net, ht, (s, r), t, obs) in specs {
-        let phy = if *ht { Phy::Ht } else { Phy::Bg };
-        let rates = phy.all_rates();
-        let obs: Vec<RateObs> = obs
-            .iter()
-            .map(|&(rate, loss_q, snr)| RateObs {
-                rate: rates[rate % rates.len()],
-                // Quarter-step losses: 12 Mb/s at 0.5 ties 6 Mb/s at 0,
-                // and full loss ties every rate at zero.
-                loss: f64::from(loss_q) / 4.0,
-                snr_db: SNRS[snr],
-            })
-            .collect();
-        probes.push(Probe {
-            network: NetworkId(NET_IDS[*net]),
-            phy,
-            // Few distinct times: duplicate timestamps are legal.
-            time_s: f64::from(*t) * 300.0,
-            sender: ApId(AP_IDS[*s]),
-            receiver: ApId(AP_IDS[*r]),
-            obs: &obs,
-        });
-    }
-    Dataset {
-        probes,
-        ..Dataset::default()
-    }
+fn build_at(threads: usize, ds: &Dataset) -> DatasetIndex {
+    with_threads(threads, || DatasetIndex::build(ds))
 }
 
-fn build_at(threads: usize, ds: &Dataset) -> DatasetIndex {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("build pool")
-        .install(|| DatasetIndex::build(ds))
+/// Checks the build at one thread and fanned out against the reference.
+fn check_all(ds: &Dataset) -> Result<(), TestCaseError> {
+    let want = Reference::build(ds);
+    for threads in [1, 3] {
+        check(ds, &build_at(threads, ds), &want)?;
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn slim_build_matches_stable_sort_reference(
-        specs in proptest::collection::vec(
-            (
-                0usize..NET_IDS.len(),
-                proptest::bool::ANY,
-                (0usize..AP_IDS.len(), 0usize..AP_IDS.len()),
-                0u32..4,
-                proptest::collection::vec((0usize..64, 0u8..=4, 0usize..SNRS.len()), 1..7),
-            ),
-            0..160,
-        ),
-    ) {
-        let ds = dataset(&specs);
-        let want = Reference::build(&ds);
-        for threads in [1, 3] {
-            check(&ds, &build_at(threads, &ds), &want)?;
+    fn slim_build_matches_stable_sort_reference(specs in specs(160)) {
+        check_all(&dataset(&specs))?;
+    }
+}
+
+/// One b/g probe set on `link` of network `net` at time step `t` (indexes
+/// into the id pools).
+fn bg(net: usize, link: (usize, usize), t: u32) -> ProbeSpec {
+    (net, false, link, t, vec![(0, 0, 2)])
+}
+
+#[test]
+fn empty_and_single_set_datasets() {
+    check_all(&Dataset::default()).unwrap();
+    check_all(&dataset(&[bg(0, (0, 1), 0)])).unwrap();
+    check_all(&dataset(&[(4, true, (3, 3), 3, vec![(9, 1, 5)])])).unwrap();
+}
+
+#[test]
+fn one_phy_without_probes() {
+    let specs: Vec<ProbeSpec> = vec![bg(1, (0, 1), 0), bg(0, (1, 0), 1), bg(1, (0, 1), 2)];
+    check_all(&dataset(&specs)).unwrap();
+    let ht: Vec<ProbeSpec> = specs
+        .into_iter()
+        .map(|(n, _, l, t, o)| (n, true, l, t, o))
+        .collect();
+    check_all(&dataset(&ht)).unwrap();
+}
+
+#[test]
+fn one_network_spanning_the_ap_id_space() {
+    // AP ids 0 and u32::MAX in both roles, on both PHYs.
+    let specs: Vec<ProbeSpec> = vec![
+        bg(2, (3, 0), 0),
+        bg(2, (0, 3), 0),
+        (2, true, (3, 0), 1, vec![(1, 2, 3)]),
+        bg(2, (3, 3), 1),
+        bg(2, (0, 0), 2),
+        bg(2, (3, 0), 2),
+    ];
+    let ds = dataset(&specs);
+    check_all(&ds).unwrap();
+    let ix = DatasetIndex::build(&ds);
+    let senders: Vec<u32> = ix.link_range_table().iter().map(|l| l.sender.0).collect();
+    assert_eq!(senders, [0, 0, u32::MAX, u32::MAX, u32::MAX]);
+}
+
+#[test]
+fn descending_networks_in_split_runs() {
+    // Networks u32::MAX, u32::MAX - 1, 7, 3, 0 in descending runs, each
+    // network split into runs that are not adjacent.
+    let mut specs = Vec::new();
+    for round in 0..2 {
+        for net in (0..NET_IDS.len()).rev() {
+            for t in 0..2 {
+                specs.push(bg(net, (t as usize, 1 - t as usize), round * 2 + t));
+            }
         }
     }
+    let ds = dataset(&specs);
+    check_all(&ds).unwrap();
+    let ix = DatasetIndex::build(&ds);
+    let nets: Vec<u32> = ix.net_range_table().iter().map(|g| g.network.0).collect();
+    assert_eq!(nets, [0, 3, 7, u32::MAX - 1, u32::MAX]);
 }
 
 #[test]
