@@ -78,7 +78,8 @@ impl Args {
     }
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parses `repro`'s arguments (without the program name).
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         scale: Scale::Standard,
         seed: 42,
@@ -94,7 +95,6 @@ fn parse_args() -> Result<Args, String> {
         ids: Vec::new(),
     };
     let mut metro_factor: Option<usize> = None;
-    let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--scale" => {
@@ -123,7 +123,12 @@ fn parse_args() -> Result<Args, String> {
             }
             "--chunk-budget" => {
                 let v = it.next().ok_or("--chunk-budget needs a value")?;
-                args.chunk_budget = Some(v.parse().map_err(|e| format!("bad chunk budget: {e}"))?);
+                let n: usize = v.parse().map_err(|e| format!("bad chunk budget: {e}"))?;
+                // One chunk being filled plus one being read.
+                if n < 2 {
+                    return Err("--chunk-budget must be >= 2".into());
+                }
+                args.chunk_budget = Some(n);
             }
             "--spill-dir" => {
                 args.spill_dir = Some(PathBuf::from(it.next().ok_or("--spill-dir needs a value")?));
@@ -164,7 +169,8 @@ fn parse_args() -> Result<Args, String> {
                      --scale metro streams probes through the spill-able chunk store; analysis\n\
                      folds each sealed part while later networks still simulate. Metro only:\n\
                      --metro-factor N  ensemble multiplier (default {})\n\
-                     --chunk-budget N  resident chunks before spilling (default {})\n\
+                     --chunk-budget N  resident chunks before spilling, at least 2 and raised to\n\
+                     \x20                 threads + 1 (default {})\n\
                      --spill-dir DIR   where cold chunks spill (default: system temp dir)\n\
                      --bench-json FILE  where to write the per-phase timing JSON\n\
                      (default: BENCH_repro.json in the working directory)\nids: {}",
@@ -275,6 +281,17 @@ fn analyze_and_emit(
     }
 }
 
+/// The `# chunked store:` stderr line. It reports the budget the store
+/// runs with, which is the configured one raised to threads + 1 (see
+/// `ChunkConfig::effective_resident_chunks`).
+fn chunked_store_line(cfg: &ChunkConfig) -> String {
+    format!(
+        "# chunked store: {} probe sets/chunk, {} resident chunks",
+        cfg.chunk_capacity,
+        cfg.effective_resident_chunks()
+    )
+}
+
 fn run(args: &Args) -> i32 {
     eprintln!(
         "# building {:?}-scale campaign (seed {}, {} threads) …",
@@ -294,10 +311,7 @@ fn run(args: &Args) -> i32 {
     }
     let mode = args.data_mode();
     if let DataMode::Chunked(cfg) = &mode {
-        eprintln!(
-            "# chunked store: {} probe sets/chunk, {} resident chunks",
-            cfg.chunk_capacity, cfg.resident_chunks
-        );
+        eprintln!("{}", chunked_store_line(cfg));
     }
     let (ctx, build_t) = ReproContext::build_timed_with_mode(args.scale, args.seed, faults, mode);
     eprintln!(
@@ -311,10 +325,9 @@ fn run(args: &Args) -> i32 {
     );
     if let Some(c) = ctx.chunked() {
         eprintln!(
-            "# chunk store: {} resident chunks, {} bytes spilled, {} stitched links",
+            "# chunk store: {} resident chunks, {} bytes spilled",
             c.resident_chunks(),
-            c.spilled_bytes(),
-            c.stitched_index().n_links()
+            c.spilled_bytes()
         );
     }
 
@@ -372,12 +385,8 @@ fn run(args: &Args) -> i32 {
         chunk_decodes: chunk.as_ref().map(|c| c.chunk_decodes),
         chunk_evictions: chunk.as_ref().map(|c| c.chunk_evictions),
         peak_pinned_bytes: chunk.as_ref().map(|c| c.peak_pinned_bytes),
-        window_hits: chunk.as_ref().map(|c| c.window_hits),
         window_builds: chunk.as_ref().map(|c| c.window_builds),
-        window_evictions: chunk.as_ref().map(|c| c.window_evictions),
         n_windows: ctx.chunked().map(|c| c.n_windows() as u64),
-        prefetch_hits: chunk.as_ref().map(|c| c.prefetch_hits),
-        prefetch_wasted: chunk.as_ref().map(|c| c.prefetch_wasted),
         over_budget_events: chunk.as_ref().map(|c| c.over_budget_events),
         decode_s: chunk.as_ref().map(|c| c.decode_ns as f64 / 1e9),
         spill_raw_bytes: chunk.as_ref().map(|c| c.spill_raw_bytes),
@@ -498,12 +507,8 @@ fn run_multi(args: &Args, faults: mesh11_sim::FaultPlan, t_total: Instant) -> i3
         chunk_decodes: None,
         chunk_evictions: None,
         peak_pinned_bytes: None,
-        window_hits: None,
         window_builds: None,
-        window_evictions: None,
         n_windows: None,
-        prefetch_hits: None,
-        prefetch_wasted: None,
         over_budget_events: None,
         decode_s: None,
         spill_raw_bytes: None,
@@ -521,7 +526,7 @@ fn run_multi(args: &Args, faults: mesh11_sim::FaultPlan, t_total: Instant) -> i3
 }
 
 fn main() {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("repro: {e}");
@@ -541,5 +546,51 @@ fn main() {
     };
     if failures > 0 {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &str) -> Result<Args, String> {
+        parse_args(argv.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn chunk_budget_below_two_is_rejected() {
+        for n in [0, 1] {
+            let err = parse(&format!("--scale metro --chunk-budget {n} --all"))
+                .err()
+                .expect("budget below 2 accepted");
+            assert_eq!(err, "--chunk-budget must be >= 2");
+        }
+        let args = parse("--scale metro --chunk-budget 2 --all").expect("budget 2");
+        assert_eq!(args.chunk_budget, Some(2));
+        assert!(parse("--scale metro --chunk-budget x --all").is_err());
+        assert!(parse("--scale quick --chunk-budget 4 --all").is_err());
+    }
+
+    #[test]
+    fn chunked_store_line_reports_the_effective_budget() {
+        let args = parse("--scale metro --chunk-budget 4 --all").expect("parses");
+        let DataMode::Chunked(cfg) = args.data_mode() else {
+            panic!("metro is chunked");
+        };
+        let line = |threads| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool")
+                .install(|| chunked_store_line(&cfg))
+        };
+        assert_eq!(
+            line(8),
+            "# chunked store: 65536 probe sets/chunk, 9 resident chunks"
+        );
+        assert_eq!(
+            line(2),
+            "# chunked store: 65536 probe sets/chunk, 4 resident chunks"
+        );
     }
 }

@@ -587,8 +587,8 @@ impl ReproContext {
     }
 
     /// A snapshot of the chunk store's observability counters (decode,
-    /// hit, eviction, pinned high-water mark, window memo traffic). All
-    /// zeros for fully resident contexts.
+    /// hit, eviction, pinned high-water mark, window builds). All zeros
+    /// for fully resident contexts.
     pub fn chunk_stats(&self) -> ChunkStoreStats {
         self.chunked().map(|c| c.stats()).unwrap_or_default()
     }

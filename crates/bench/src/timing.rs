@@ -89,20 +89,11 @@ pub struct PhaseTimings {
     pub chunk_evictions: Option<u64>,
     /// High-water mark of bytes pinned live by chunk handles.
     pub peak_pinned_bytes: Option<u64>,
-    /// Window requests served from the materialized-window memo.
-    pub window_hits: Option<u64>,
     /// Windows materialized (chunk-span decode + index build). Zero for a
     /// `repro` run: the chunked build folds the sealed parts instead.
     pub window_builds: Option<u64>,
-    /// Materialized windows dropped from the memo.
-    pub window_evictions: Option<u64>,
     /// Windows the chunk store partitions the ensemble into.
     pub n_windows: Option<u64>,
-    /// Consumer chunk fetches that found the chunk already warm from the
-    /// window-ahead prefetch thread.
-    pub prefetch_hits: Option<u64>,
-    /// Chunks prefetched but never consumed (wasted read-ahead I/O).
-    pub prefetch_wasted: Option<u64>,
     /// Times eviction ran over budget with every chunk pinned or
     /// contended (sustained growth = budget too small).
     pub over_budget_events: Option<u64>,
@@ -186,25 +177,21 @@ impl PhaseTimings {
         }
         if self.data_mode == "chunked" {
             s.push_str(&format!(
-                "\n# chunk store: {} hits / {} decodes / {} evictions, {} peak pinned bytes, windows {} hits / {} builds / {} evictions ({} windows)",
+                "\n# chunk store: {} hits / {} decodes / {} evictions, {} peak pinned bytes, {} window builds ({} windows)",
                 self.chunk_hits.unwrap_or(0),
                 self.chunk_decodes.unwrap_or(0),
                 self.chunk_evictions.unwrap_or(0),
                 self.peak_pinned_bytes.unwrap_or(0),
-                self.window_hits.unwrap_or(0),
                 self.window_builds.unwrap_or(0),
-                self.window_evictions.unwrap_or(0),
                 self.n_windows.unwrap_or(0)
             ));
             if self.spill_raw_bytes.unwrap_or(0) > 0 {
                 let raw = self.spill_raw_bytes.unwrap_or(0);
                 let enc = self.spill_encoded_bytes.unwrap_or(0);
                 s.push_str(&format!(
-                    "\n# spill codec: {enc} / {raw} bytes ({:.2}x), decode {:.2}s, prefetch {} hits / {} wasted, {} over-budget events",
+                    "\n# spill codec: {enc} / {raw} bytes ({:.2}x), decode {:.2}s, {} over-budget events",
                     enc as f64 / raw as f64,
                     self.decode_s.unwrap_or(0.0),
-                    self.prefetch_hits.unwrap_or(0),
-                    self.prefetch_wasted.unwrap_or(0),
                     self.over_budget_events.unwrap_or(0)
                 ));
             }
@@ -252,12 +239,8 @@ mod tests {
             chunk_decodes: Some(40),
             chunk_evictions: Some(30),
             peak_pinned_bytes: Some(1 << 20),
-            window_hits: Some(9),
             window_builds: Some(7),
-            window_evictions: Some(2),
             n_windows: Some(7),
-            prefetch_hits: Some(25),
-            prefetch_wasted: Some(3),
             over_budget_events: Some(1),
             decode_s: Some(0.08),
             spill_raw_bytes: Some(10_000),
@@ -291,12 +274,8 @@ mod tests {
             "chunk_decodes",
             "chunk_evictions",
             "peak_pinned_bytes",
-            "window_hits",
             "window_builds",
-            "window_evictions",
             "n_windows",
-            "prefetch_hits",
-            "prefetch_wasted",
             "over_budget_events",
             "decode_s",
             "spill_raw_bytes",
@@ -319,7 +298,12 @@ mod tests {
         assert!(t.render().contains("peak RSS 256 MiB"));
         assert!(t.render().contains("120 hits / 40 decodes / 30 evictions"));
         assert!(t.render().contains("5500 / 10000 bytes (0.55x)"));
-        assert!(t.render().contains("prefetch 25 hits / 3 wasted"));
+        assert!(t.render().contains("7 window builds (7 windows)"));
+        assert!(t.render().contains("decode 0.08s, 1 over-budget events"));
+        for gone in ["window_hits", "window_evictions", "prefetch"] {
+            assert!(!json.contains(gone), "{gone} still in {json}");
+            assert!(!t.render().contains(gone), "{gone} still rendered");
+        }
         assert!(t.render().contains("0.90s of analysis overlapped"));
     }
 
@@ -353,12 +337,8 @@ mod tests {
             chunk_decodes: None,
             chunk_evictions: None,
             peak_pinned_bytes: None,
-            window_hits: None,
             window_builds: None,
-            window_evictions: None,
             n_windows: None,
-            prefetch_hits: None,
-            prefetch_wasted: None,
             over_budget_events: None,
             decode_s: None,
             spill_raw_bytes: None,

@@ -35,30 +35,22 @@
 //! decode memo). [`ChunkStore::chunk`] returns a pinned [`ChunkHandle`];
 //! eviction only ever considers chunks with no live handles, so a reader
 //! can never have its working set pulled out from under it — the store
-//! runs transiently over budget instead. The same protocol governs
-//! materialized windows: [`ChunkedDataset::window`] memoizes the
-//! `Dataset + DatasetIndex` of each window in an LRU cache sized to the
-//! effective thread count, so parallel figure builders walking the windows
-//! in the same order drain one resident window together instead of each
-//! re-decoding it (chunk-major scheduling).
+//! runs transiently over budget instead.
 //!
-//! Lock order is strictly `window slot → chunk slot → spill file`; LRU
-//! victim scans use `try_lock` only, so the hierarchy is deadlock-free.
-//! Spill-file *reads* take the file mutex only long enough to clone the
-//! file handle, then `pread` outside it — concurrent faults on distinct
-//! chunks never serialize on each other's I/O. The background prefetch
-//! thread (see [`ChunkConfig::prefetch_depth`]) uses exactly the same
-//! `chunk slot → spill file` order as any consumer, so it adds no new
-//! edges to the lock hierarchy.
+//! Lock order is strictly `slot table → chunk slot → spill file`; the
+//! table lock is held only to clone a slot's `Arc` or to push a new slot,
+//! and LRU victim scans use `try_lock` only, so the hierarchy is
+//! deadlock-free. Spill-file *reads* take the file mutex only long enough
+//! to clone the file handle, then `pread` outside it — concurrent faults
+//! on distinct chunks never serialize on each other's I/O.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 #[cfg(not(unix))]
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::ops::Deref;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use crate::client::ClientSample;
@@ -68,7 +60,7 @@ use crate::codec::{
 };
 use crate::dataset::{Dataset, NetworkMeta};
 use crate::ids::{ApId, NetworkId};
-use crate::index::{DatasetIndex, DatasetView, IndexStitcher, StitchedIndex};
+use crate::index::{DatasetIndex, DatasetView};
 use crate::probe::{Probe, ProbeTable, RateObs};
 
 /// Sizing of a [`ChunkStore`] and its analysis windows.
@@ -89,11 +81,6 @@ pub struct ChunkConfig {
     /// Off in [`ChunkConfig::tiny`] so spill-forcing tests keep spilling
     /// at any thread count.
     pub scale_budget_with_threads: bool,
-    /// How many windows ahead of the fold the background prefetcher keeps
-    /// warm (pinned + decoded). 0 disables the prefetch thread entirely.
-    /// Only bites when the chunk sequence outgrows the resident budget —
-    /// a fully resident store has nothing to read ahead.
-    pub prefetch_depth: usize,
 }
 
 impl Default for ChunkConfig {
@@ -104,15 +91,13 @@ impl Default for ChunkConfig {
             spill_dir: None,
             window_probes: 262_144,
             scale_budget_with_threads: true,
-            prefetch_depth: 1,
         }
     }
 }
 
 impl ChunkConfig {
     /// A deliberately tiny configuration that forces many chunks and disk
-    /// spill even on quick-scale data — for equivalence tests. Prefetch is
-    /// off so eviction-pressure tests see exactly the traffic they drive.
+    /// spill even on quick-scale data — for equivalence tests.
     pub fn tiny() -> Self {
         Self {
             chunk_capacity: 512,
@@ -120,7 +105,6 @@ impl ChunkConfig {
             spill_dir: None,
             window_probes: 2_048,
             scale_budget_with_threads: false,
-            prefetch_depth: 0,
         }
     }
 
@@ -345,10 +329,6 @@ struct Slot {
     state: Mutex<SlotState>,
     /// LRU tick of the last access (monotone store clock).
     last_use: AtomicU64,
-    /// Set while the prefetch thread holds a read-ahead pin on this chunk;
-    /// the first consumer fetch that finds it set counts a prefetch hit,
-    /// a prefetcher release that finds it still set counts a waste.
-    prefetched: AtomicBool,
 }
 
 /// The single spill file, shared by all slots. The mutex is held while
@@ -379,11 +359,7 @@ struct Counters {
     evictions: AtomicU64,
     pinned_bytes: AtomicU64,
     peak_pinned_bytes: AtomicU64,
-    window_hits: AtomicU64,
     window_builds: AtomicU64,
-    window_evictions: AtomicU64,
-    prefetch_hits: AtomicU64,
-    prefetch_wasted: AtomicU64,
     over_budget_events: AtomicU64,
     decode_ns: AtomicU64,
     spill_raw_bytes: AtomicU64,
@@ -409,24 +385,20 @@ pub struct ChunkStoreStats {
     pub chunk_evictions: u64,
     /// High-water mark of bytes held live by [`ChunkHandle`]s.
     pub peak_pinned_bytes: u64,
-    /// Window requests served from the materialized-window cache.
+    /// Always 0: windows are not memoized. `perfbench/layers` still reads
+    /// it; it goes when the chunk store does.
     pub window_hits: u64,
     /// Windows materialized (chunk-span decode + index build).
     pub window_builds: u64,
-    /// Materialized windows dropped from the cache (each later re-request
-    /// is a fresh `window_builds`).
-    pub window_evictions: u64,
-    /// Consumer chunk fetches that found the chunk already pinned warm by
-    /// the window-ahead prefetcher.
+    /// Always 0: the store reads no chunk ahead. `perfbench/layers` still
+    /// reads it; it goes when the chunk store does.
     pub prefetch_hits: u64,
-    /// Chunks the prefetcher read ahead that were released without any
-    /// consumer ever fetching them (wasted read-ahead I/O).
+    /// Always 0, as [`ChunkStoreStats::prefetch_hits`].
     pub prefetch_wasted: u64,
     /// Times eviction ran while over budget but found every resident chunk
     /// pinned or contended — the store stayed transiently over budget.
     pub over_budget_events: u64,
-    /// Nanoseconds spent decoding spill frames, summed across all threads
-    /// (consumer faults and the prefetch thread alike).
+    /// Nanoseconds spent decoding spill frames, summed across all threads.
     pub decode_ns: u64,
     /// Uncompressed column bytes ([`ProbeChunk::raw_len`]) of every chunk
     /// ever spilled.
@@ -522,7 +494,6 @@ impl ChunkStore {
                 disk: None,
             }),
             last_use: AtomicU64::new(self.tick()),
-            prefetched: AtomicBool::new(false),
         });
         let id = {
             let mut table = self.slots.write().expect("slot table poisoned");
@@ -546,24 +517,12 @@ impl ChunkStore {
 
     /// As [`ChunkStore::chunk`], surfacing I/O errors.
     pub fn try_chunk(&self, id: usize) -> io::Result<ChunkHandle> {
-        self.fetch(id, false)
-    }
-
-    /// The shared fetch path. `prefetch` marks the pin as read-ahead (set
-    /// by the prefetch thread); consumer fetches clear the mark and count
-    /// a prefetch hit when they find it.
-    fn fetch(&self, id: usize, prefetch: bool) -> io::Result<ChunkHandle> {
         let slot = self.slot(id);
         slot.last_use.store(self.tick(), Ordering::Relaxed);
         let mut st = slot.state.lock().expect("chunk slot poisoned");
         if let Some(c) = &st.chunk {
             let handle = self.pin(Arc::clone(c));
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
-            if prefetch {
-                slot.prefetched.store(true, Ordering::Relaxed);
-            } else if slot.prefetched.swap(false, Ordering::Relaxed) {
-                self.counters.prefetch_hits.fetch_add(1, Ordering::Relaxed);
-            }
             return Ok(handle);
         }
         // Miss: look up the frame's extent under the slot lock, clone the
@@ -582,9 +541,6 @@ impl ChunkStore {
         st.chunk = Some(Arc::clone(&chunk));
         let handle = self.pin(chunk);
         self.counters.decodes.fetch_add(1, Ordering::Relaxed);
-        if prefetch {
-            slot.prefetched.store(true, Ordering::Relaxed);
-        }
         self.resident.fetch_add(1, Ordering::Relaxed);
         drop(st);
         self.evict_past_budget()?;
@@ -616,16 +572,6 @@ impl ChunkStore {
             file.read_exact(&mut raw)?;
         }
         Ok(raw)
-    }
-
-    /// Marks chunk `id` as prefetched-released: if no consumer consumed
-    /// the read-ahead pin, it counts as wasted prefetch I/O.
-    fn prefetch_release(&self, id: usize) {
-        if self.slot(id).prefetched.swap(false, Ordering::Relaxed) {
-            self.counters
-                .prefetch_wasted
-                .fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Wraps a resident chunk's `Arc` in a pinned handle. Must be called
@@ -760,8 +706,7 @@ impl ChunkStore {
         self.spilled_bytes.load(Ordering::Relaxed)
     }
 
-    /// A snapshot of the observability counters (window counters are
-    /// folded in by [`ChunkedDataset::stats`]).
+    /// A snapshot of the observability counters.
     pub fn stats(&self) -> ChunkStoreStats {
         let c = &self.counters;
         ChunkStoreStats {
@@ -769,11 +714,10 @@ impl ChunkStore {
             chunk_decodes: c.decodes.load(Ordering::Relaxed),
             chunk_evictions: c.evictions.load(Ordering::Relaxed),
             peak_pinned_bytes: c.peak_pinned_bytes.load(Ordering::Relaxed),
-            window_hits: c.window_hits.load(Ordering::Relaxed),
+            window_hits: 0,
             window_builds: c.window_builds.load(Ordering::Relaxed),
-            window_evictions: c.window_evictions.load(Ordering::Relaxed),
-            prefetch_hits: c.prefetch_hits.load(Ordering::Relaxed),
-            prefetch_wasted: c.prefetch_wasted.load(Ordering::Relaxed),
+            prefetch_hits: 0,
+            prefetch_wasted: 0,
             over_budget_events: c.over_budget_events.load(Ordering::Relaxed),
             decode_ns: c.decode_ns.load(Ordering::Relaxed),
             spill_raw_bytes: c.spill_raw_bytes.load(Ordering::Relaxed),
@@ -799,152 +743,14 @@ fn write_spill(file: &std::fs::File, bytes: &[u8], off: u64) -> io::Result<()> {
     }
 }
 
-/// A message to the window-ahead prefetch thread.
-enum PrefetchMsg {
-    /// The fold reached window `w`: warm the chunks of the next windows.
-    Window(usize),
-    /// Reply on the enclosed channel once every message queued before this
-    /// one has been fully acted on (deterministic-test hook).
-    Sync(mpsc::Sender<()>),
-}
-
-/// Handle to the background window-ahead prefetch thread (see
-/// [`ChunkConfig::prefetch_depth`]). Dropping it closes the channel and
-/// joins the thread, which releases any outstanding read-ahead pins.
-struct Prefetcher {
-    tx: Option<mpsc::Sender<PrefetchMsg>>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Prefetcher {
-    /// Spawns the prefetch thread over `store`, handed the window →
-    /// chunk-span plan. It keeps the chunks of the `depth` windows past
-    /// the fold position warm, but never pins more than `budget - 1`
-    /// chunks at once, so read-ahead cannot force the chunk a consumer is
-    /// materializing from out of the resident set.
-    fn spawn(store: Arc<ChunkStore>, spans: Vec<std::ops::Range<usize>>, depth: usize) -> Self {
-        let (tx, rx) = mpsc::channel();
-        let max_pinned = store.budget.saturating_sub(1).max(1);
-        let thread = std::thread::Builder::new()
-            .name("mesh11-prefetch".into())
-            .spawn(move || prefetch_loop(&store, &spans, depth, max_pinned, &rx))
-            .expect("spawn prefetch thread");
-        Self {
-            tx: Some(tx),
-            thread: Some(thread),
-        }
-    }
-
-    /// Tells the thread the fold reached window `w`. Non-blocking: the
-    /// thread drains its queue to the newest position before acting, so a
-    /// fast fold never waits on a slow prefetcher.
-    fn notify(&self, w: usize) {
-        if let Some(tx) = &self.tx {
-            let _ = tx.send(PrefetchMsg::Window(w));
-        }
-    }
-
-    /// Blocks until the thread has acted on everything sent so far.
-    fn quiesce(&self) {
-        let (ack_tx, ack_rx) = mpsc::channel();
-        if let Some(tx) = &self.tx {
-            if tx.send(PrefetchMsg::Sync(ack_tx)).is_ok() {
-                let _ = ack_rx.recv();
-            }
-        }
-    }
-}
-
-impl Drop for Prefetcher {
-    fn drop(&mut self) {
-        self.tx = None; // close the channel so the loop's recv errors out
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-/// The prefetch thread body: tracks the fold position, keeps the chunks
-/// of the next `depth` windows pinned (at most `max_pinned` at once), and
-/// accounts hits/wastes through the store's counters. Uses the same
-/// `chunk slot → spill file` lock order as any consumer.
-fn prefetch_loop(
-    store: &ChunkStore,
-    spans: &[std::ops::Range<usize>],
-    depth: usize,
-    max_pinned: usize,
-    rx: &mpsc::Receiver<PrefetchMsg>,
-) {
-    let mut pinned: BTreeMap<usize, ChunkHandle> = BTreeMap::new();
-    let mut acks: Vec<mpsc::Sender<()>> = Vec::new();
-    loop {
-        let mut pos = None;
-        match rx.recv() {
-            Ok(PrefetchMsg::Window(w)) => pos = Some(w),
-            Ok(PrefetchMsg::Sync(tx)) => acks.push(tx),
-            Err(_) => break, // dataset dropped; pins release on return
-        }
-        // Drain to the newest fold position: read-ahead for windows the
-        // fold has already passed is pure waste.
-        loop {
-            match rx.try_recv() {
-                Ok(PrefetchMsg::Window(w)) => pos = Some(w),
-                Ok(PrefetchMsg::Sync(tx)) => acks.push(tx),
-                Err(_) => break,
-            }
-        }
-        if let Some(w) = pos {
-            // Target: the chunk spans of the next `depth` windows, in
-            // fold order, truncated to the pin cap.
-            let mut target: BTreeSet<usize> = BTreeSet::new();
-            let ahead = spans.len().min(w + 1 + depth);
-            'fill: for span in spans.iter().take(ahead).skip(w + 1) {
-                for ci in span.clone() {
-                    if target.len() >= max_pinned {
-                        break 'fill;
-                    }
-                    target.insert(ci);
-                }
-            }
-            // Release stale pins first (behind the fold or past the cap)
-            // so their budget headroom is free before new reads.
-            let stale: Vec<usize> = pinned
-                .keys()
-                .copied()
-                .filter(|id| !target.contains(id))
-                .collect();
-            for id in stale {
-                pinned.remove(&id);
-                store.prefetch_release(id);
-            }
-            for ci in target {
-                if let std::collections::btree_map::Entry::Vacant(e) = pinned.entry(ci) {
-                    match store.fetch(ci, true) {
-                        Ok(h) => {
-                            e.insert(h);
-                        }
-                        // I/O trouble: stop reading ahead; the consumer
-                        // fault path will surface the error.
-                        Err(_) => break,
-                    }
-                }
-            }
-        }
-        for tx in acks.drain(..) {
-            let _ = tx.send(());
-        }
-    }
-}
-
 /// Streams per-network datasets (in network-id order) into a
-/// [`ChunkedDataset`], building the stitched index as probes pass through.
+/// [`ChunkedDataset`].
 pub struct ChunkedDatasetBuilder {
     cfg: ChunkConfig,
     shell: Dataset,
     net_probe_off: Vec<u64>,
     store: ChunkStore,
     current: ProbeChunk,
-    stitcher: IndexStitcher,
 }
 
 impl ChunkedDatasetBuilder {
@@ -959,7 +765,6 @@ impl ChunkedDatasetBuilder {
             net_probe_off: vec![0],
             store,
             current,
-            stitcher: IndexStitcher::new(),
         }
     }
 
@@ -967,9 +772,8 @@ impl ChunkedDatasetBuilder {
     /// continuing the stream. Probes enter the chunk sequence; metadata and
     /// clients stay in the in-memory shell.
     pub fn add(&mut self, part: Dataset) -> io::Result<()> {
-        for (p, row) in part.probes.iter().zip(part.probes.rows()) {
+        for p in &part.probes {
             self.current.push(p);
-            self.stitcher.observe(row);
             if self.current.len() >= self.cfg.chunk_capacity {
                 let full = std::mem::replace(
                     &mut self.current,
@@ -1007,61 +811,21 @@ impl ChunkedDatasetBuilder {
         Ok(())
     }
 
-    /// Seals the final chunk and finishes the stitched index.
+    /// Seals the final chunk.
     pub fn finish(mut self) -> io::Result<ChunkedDataset> {
         if !self.current.is_empty() {
             let last = std::mem::take(&mut self.current);
             self.store.insert(last)?;
         }
-        let n_probes = self.stitcher.n_probes();
         let windows = compute_windows(&self.net_probe_off, self.cfg.window_probes.max(1));
-        let wcache = WindowCache::new(windows.len());
-        let store = Arc::new(self.store);
-        let prefetch = if self.cfg.prefetch_depth > 0
-            && windows.len() > 1
-            && store.n_chunks() > store.budget
-        {
-            Some(Prefetcher::spawn(
-                Arc::clone(&store),
-                chunk_spans(&self.net_probe_off, &windows, self.cfg.chunk_capacity),
-                self.cfg.prefetch_depth,
-            ))
-        } else {
-            None
-        };
         Ok(ChunkedDataset {
             shell: self.shell,
-            n_probes,
             chunk_capacity: self.cfg.chunk_capacity,
             net_probe_off: self.net_probe_off,
-            store,
-            stitched: self.stitcher.finish(),
+            store: self.store,
             windows,
-            wcache,
-            prefetch,
         })
     }
-}
-
-/// Maps each analysis window to the chunk-id range its probes span —
-/// the plan handed to the prefetch thread at build time.
-fn chunk_spans(
-    net_probe_off: &[u64],
-    windows: &[std::ops::Range<usize>],
-    cap: usize,
-) -> Vec<std::ops::Range<usize>> {
-    windows
-        .iter()
-        .map(|nets| {
-            let p0 = net_probe_off[nets.start] as usize;
-            let p1 = net_probe_off[nets.end] as usize;
-            if p1 > p0 {
-                (p0 / cap)..((p1 - 1) / cap + 1)
-            } else {
-                0..0
-            }
-        })
-        .collect()
 }
 
 /// Splits the network sequence into consecutive runs of ≈`window_probes`
@@ -1082,8 +846,7 @@ fn compute_windows(net_probe_off: &[u64], window_probes: usize) -> Vec<std::ops:
 }
 
 /// One materialized analysis window: a mini dataset of consecutive
-/// networks plus its index. Handed out as `Arc` pins from the window
-/// cache; holding one keeps it from being dropped by eviction.
+/// networks plus its index.
 pub struct WindowData {
     ds: Dataset,
     ix: DatasetIndex,
@@ -1101,55 +864,17 @@ impl WindowData {
     }
 }
 
-/// The per-window decode memo: each slot caches its window's materialized
-/// `Dataset + DatasetIndex` under its own lock (two threads racing for
-/// the same window serialize on the slot; the second gets the first's
-/// build). LRU eviction skips pinned windows (`Arc` count > 1).
-struct WindowCache {
-    slots: Vec<(Mutex<Option<Arc<WindowData>>>, AtomicU64)>,
-    budget: usize,
-    clock: AtomicU64,
-    resident: AtomicUsize,
-}
-
-impl WindowCache {
-    /// One slot per window; budget scales with effective threads (capped
-    /// so windows — the big objects — cannot blow up peak RSS) and is 1
-    /// in a single-threaded run, matching the old transient-window
-    /// footprint.
-    fn new(n_windows: usize) -> Self {
-        let budget = rayon::current_num_threads().clamp(1, 4);
-        Self {
-            slots: (0..n_windows)
-                .map(|_| (Mutex::new(None), AtomicU64::new(0)))
-                .collect(),
-            budget,
-            clock: AtomicU64::new(0),
-            resident: AtomicUsize::new(0),
-        }
-    }
-}
-
-/// An out-of-core dataset: in-memory metadata/clients, chunked probes, and
-/// the stitched global index.
+/// An out-of-core dataset: in-memory metadata and clients, chunked probes.
 pub struct ChunkedDataset {
     /// Metadata + clients + horizons; `probes` is empty.
     shell: Dataset,
-    n_probes: u64,
     chunk_capacity: usize,
     /// Per-network prefix offsets into the global probe stream; length
     /// `networks + 1`.
     net_probe_off: Vec<u64>,
-    store: Arc<ChunkStore>,
-    stitched: StitchedIndex,
+    store: ChunkStore,
     /// The analysis windows (consecutive-network ranges), fixed at build.
     windows: Vec<std::ops::Range<usize>>,
-    /// Memo of materialized windows, shared by all kernels.
-    wcache: WindowCache,
-    /// The window-ahead prefetch thread, when the configuration enables
-    /// it *and* the chunk sequence outgrew the resident budget (a fully
-    /// resident store has nothing to read ahead).
-    prefetch: Option<Prefetcher>,
 }
 
 impl ChunkedDataset {
@@ -1189,7 +914,7 @@ impl ChunkedDataset {
 
     /// Total probe sets across all chunks.
     pub fn n_probes(&self) -> u64 {
-        self.n_probes
+        *self.net_probe_off.last().expect("seeded with 0")
     }
 
     /// Probe-trace horizon (seconds).
@@ -1205,11 +930,6 @@ impl ChunkedDataset {
     /// Total AP count across networks.
     pub fn total_aps(&self) -> usize {
         self.shell.total_aps()
-    }
-
-    /// The stitched global range tables.
-    pub fn stitched_index(&self) -> &StitchedIndex {
-        &self.stitched
     }
 
     /// Bytes written to the spill file (0 = everything stayed resident).
@@ -1234,107 +954,22 @@ impl ChunkedDataset {
         self.windows.len()
     }
 
-    /// The materialized window `w`, from the shared decode memo: built at
-    /// most once per residency, pinned while the returned `Arc` is live.
-    /// All kernels walk windows in index order, so concurrent figure
-    /// builders drain the same resident windows together instead of each
-    /// re-decoding the chunk sequence (chunk-major scheduling).
-    pub fn window(&self, w: usize) -> Arc<WindowData> {
-        // Tell the prefetcher where the fold is *before* materializing,
-        // so the next windows' reads overlap this window's build.
-        if let Some(p) = &self.prefetch {
-            p.notify(w);
-        }
-        let (slot, last_use) = &self.wcache.slots[w];
-        last_use.store(
-            self.wcache.clock.fetch_add(1, Ordering::Relaxed) + 1,
-            Ordering::Relaxed,
-        );
-        let mut g = slot.lock().expect("window slot poisoned");
-        if let Some(d) = &*g {
-            let d = Arc::clone(d);
-            drop(g);
-            self.store
-                .counters
-                .window_hits
-                .fetch_add(1, Ordering::Relaxed);
-            return d;
-        }
-        // Make room *before* materializing: windows are the big objects,
-        // and building the new one while the outgoing one is still cached
-        // would double the peak (the old single-thread path never held
-        // two at once). Our own slot stays locked, so the scan skips it.
-        self.evict_windows_to(self.wcache.budget.saturating_sub(1));
+    /// Materializes window `w` with its own index. Each call builds it
+    /// afresh (counted in `window_builds`). Walking the windows in index
+    /// order concatenates to the whole-dataset walk (see the module doc).
+    pub fn window(&self, w: usize) -> WindowData {
         let ds = self.window_dataset(self.windows[w].clone());
         let ix = DatasetIndex::build(&ds);
-        let d = Arc::new(WindowData { ds, ix });
-        *g = Some(Arc::clone(&d));
-        drop(g);
         self.store
             .counters
             .window_builds
             .fetch_add(1, Ordering::Relaxed);
-        self.wcache.resident.fetch_add(1, Ordering::Relaxed);
-        // Concurrent builders can each reserve headroom and overshoot
-        // together; sweep back down to the budget.
-        self.evict_windows_to(self.wcache.budget);
-        d
+        WindowData { ds, ix }
     }
 
-    /// Drops least-recently-used unpinned cached windows until at most
-    /// `target` remain resident. Pinned windows (live `Arc`s outside the
-    /// cache) are never dropped; new pins are only minted under the slot
-    /// lock, so the `Arc`-count check cannot race a pin into eviction.
-    fn evict_windows_to(&self, target: usize) {
-        while self.wcache.resident.load(Ordering::Relaxed) > target {
-            let mut victim: Option<(u64, usize)> = None;
-            for (i, (slot, last_use)) in self.wcache.slots.iter().enumerate() {
-                let Ok(g) = slot.try_lock() else {
-                    continue;
-                };
-                if let Some(d) = &*g {
-                    if Arc::strong_count(d) == 1 {
-                        let lu = last_use.load(Ordering::Relaxed);
-                        if victim.is_none_or(|(best, _)| lu < best) {
-                            victim = Some((lu, i));
-                        }
-                    }
-                }
-            }
-            let Some((lu, vi)) = victim else {
-                return; // everything pinned or contended
-            };
-            let (slot, last_use) = &self.wcache.slots[vi];
-            let Ok(mut g) = slot.try_lock() else {
-                continue;
-            };
-            let still_evictable = g.as_ref().is_some_and(|d| Arc::strong_count(d) == 1)
-                && last_use.load(Ordering::Relaxed) == lu;
-            if !still_evictable {
-                continue;
-            }
-            *g = None;
-            self.wcache.resident.fetch_sub(1, Ordering::Relaxed);
-            self.store
-                .counters
-                .window_evictions
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Observability counters: chunk-level from the store, window-level
-    /// from the decode memo.
+    /// The store's observability counters.
     pub fn stats(&self) -> ChunkStoreStats {
         self.store.stats()
-    }
-
-    /// Blocks until the window-ahead prefetch thread (if any) has acted
-    /// on every notification sent so far. A test hook for deterministic
-    /// prefetch-counter assertions; harmless elsewhere.
-    pub fn prefetch_quiesce(&self) {
-        if let Some(p) = &self.prefetch {
-            p.quiesce();
-        }
     }
 
     /// Materializes one window of consecutive networks as a mini dataset:
@@ -1390,7 +1025,7 @@ impl std::fmt::Debug for ChunkedDataset {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChunkedDataset")
             .field("networks", &self.shell.networks.len())
-            .field("n_probes", &self.n_probes)
+            .field("n_probes", &self.n_probes())
             .field("chunks", &self.store.n_chunks())
             .field("resident", &self.store.resident_chunks())
             .field("spilled_bytes", &self.store.spilled_bytes())
@@ -1446,9 +1081,20 @@ mod tests {
 
     /// A dataset with enough probes to span several tiny chunks.
     fn big_dataset() -> Dataset {
+        dataset(false)
+    }
+
+    /// `big_dataset` plus one HT probe set per report time in the odd
+    /// networks, so windows carry both PHYs.
+    fn two_phy_dataset() -> Dataset {
+        dataset(true)
+    }
+
+    fn dataset(with_ht: bool) -> Dataset {
         let mut probes = ProbeTable::new();
         let mut networks = Vec::new();
         for net in 0..5u32 {
+            let ht = with_ht && net % 2 == 1;
             networks.push(NetworkMeta {
                 id: NetworkId(net),
                 env: if net % 2 == 0 {
@@ -1457,12 +1103,31 @@ mod tests {
                     EnvLabel::Outdoor
                 },
                 n_aps: 3,
-                radios: vec![Phy::Bg],
+                radios: if ht {
+                    vec![Phy::Bg, Phy::Ht]
+                } else {
+                    vec![Phy::Bg]
+                },
                 location: format!("Net {net}"),
             });
             for t in 0..40 {
+                let time_s = 300.0 * (t + 1) as f64;
                 for (s, r) in [(0u32, 1u32), (1, 0), (0, 2)] {
-                    push_probe(&mut probes, net, s, r, 300.0 * (t + 1) as f64, 0.1);
+                    push_probe(&mut probes, net, s, r, time_s, 0.1);
+                }
+                if ht {
+                    probes.push(Probe {
+                        network: NetworkId(net),
+                        phy: Phy::Ht,
+                        time_s,
+                        sender: ApId(1),
+                        receiver: ApId(2),
+                        obs: &[RateObs {
+                            rate: BitRate::ht_mcs(3, false).unwrap(),
+                            loss: 0.3,
+                            snr_db: 21.75,
+                        }],
+                    });
                 }
             }
         }
@@ -1615,19 +1280,6 @@ mod tests {
     }
 
     #[test]
-    fn stitched_index_matches_monolithic() {
-        let ds = big_dataset();
-        let chunked = ChunkedDataset::from_dataset(&ds, tiny_cfg()).unwrap();
-        let ix = DatasetIndex::build(&ds);
-        assert_eq!(chunked.stitched_index().links, ix.link_range_table());
-        assert_eq!(chunked.stitched_index().nets, ix.net_range_table());
-        assert_eq!(
-            chunked.stitched_index().link_report_counts(),
-            ds.link_report_counts()
-        );
-    }
-
-    #[test]
     fn source_views_are_equivalent() {
         let ds = big_dataset();
         let ix = DatasetIndex::build(&ds);
@@ -1714,34 +1366,35 @@ mod tests {
     }
 
     #[test]
-    fn window_memo_counts_builds_and_hits() {
-        let ds = big_dataset();
+    fn window_walk_concatenates_to_the_dataset() {
+        let ds = two_phy_dataset();
+        let ix = DatasetIndex::build(&ds);
+        let whole = DatasetView::new(&ds, &ix);
         let chunked = ChunkedDataset::from_dataset(&ds, tiny_cfg()).unwrap();
         let n = chunked.n_windows();
         assert!(n > 1);
-        let walk = |expect_probes: usize| {
-            let total: usize = (0..n)
-                .map(|w| chunked.window(w).dataset().probes.len())
-                .sum();
-            assert_eq!(total, expect_probes);
-        };
-        walk(ds.probes.len());
-        walk(ds.probes.len());
-        let s = chunked.stats();
-        assert_eq!(
-            s.window_builds + s.window_hits,
-            2 * n as u64,
-            "two full walks over {n} windows"
-        );
-        // A pinned window is a guaranteed memo hit: re-requesting it must
-        // return the same materialization, not rebuild it.
-        let a = chunked.window(0);
-        let before = chunked.stats();
-        let b = chunked.window(0);
-        let after = chunked.stats();
-        assert!(Arc::ptr_eq(&a, &b), "second request shares the build");
-        assert_eq!(after.window_hits, before.window_hits + 1);
-        assert_eq!(after.window_builds, before.window_builds);
+        for walk in 1..=2u64 {
+            let mut got = ProbeTable::new();
+            let mut by_phy = [ProbeTable::new(), ProbeTable::new()];
+            for w in 0..n {
+                let win = chunked.window(w);
+                got.extend(&win.dataset().probes);
+                for (k, phy) in [Phy::Bg, Phy::Ht].into_iter().enumerate() {
+                    win.view()
+                        .probes_for_phy(phy)
+                        .for_each(|p| by_phy[k].push(p));
+                }
+            }
+            assert_eq!(got, ds.probes, "windows concatenate to the dataset");
+            for (k, phy) in [Phy::Bg, Phy::Ht].into_iter().enumerate() {
+                let want: ProbeTable = whole.probes_for_phy(phy).collect();
+                assert!(!want.is_empty(), "{phy:?} has probes");
+                assert_eq!(by_phy[k], want, "{phy:?} walk");
+            }
+            // No memo: every request is a fresh build.
+            assert_eq!(chunked.stats().window_builds, walk * n as u64);
+            assert_eq!(chunked.stats().window_hits, 0);
+        }
     }
 
     #[test]
@@ -1794,46 +1447,5 @@ mod tests {
         assert!(store.resident_chunks() > 2);
         assert!(store.stats().over_budget_events > 0);
         drop(handles);
-    }
-
-    #[test]
-    fn prefetcher_warms_next_windows_deterministically() {
-        let ds = big_dataset();
-        let cfg = ChunkConfig {
-            prefetch_depth: 2,
-            ..tiny_cfg()
-        };
-        let chunked = ChunkedDataset::from_dataset(&ds, cfg).unwrap();
-        assert!(chunked.prefetch.is_some(), "spilling store must prefetch");
-        let n = chunked.n_windows();
-        assert!(n > 1);
-        let mut got = ProbeTable::new();
-        for w in 0..n {
-            let win = chunked.window(w);
-            got.extend(&win.dataset().probes);
-            // Let the read-ahead land before the fold moves on, so the
-            // next window's chunk fetches deterministically hit.
-            chunked.prefetch_quiesce();
-        }
-        assert_eq!(got, ds.probes, "prefetched walk is byte-identical");
-        let s = chunked.stats();
-        assert!(s.prefetch_hits > 0, "quiesced walk must score hits: {s:?}");
-        // Dropping the dataset joins the prefetch thread and releases its
-        // pins; nothing stays pinned.
-        drop(chunked);
-    }
-
-    #[test]
-    fn fully_resident_store_spawns_no_prefetcher() {
-        let ds = big_dataset();
-        let cfg = ChunkConfig {
-            prefetch_depth: 2,
-            ..ChunkConfig::default()
-        };
-        let chunked = ChunkedDataset::from_dataset(&ds, cfg).unwrap();
-        assert!(
-            chunked.prefetch.is_none(),
-            "nothing spills, nothing to read ahead"
-        );
     }
 }

@@ -404,8 +404,7 @@ impl DatasetIndex {
 
     /// The directed-link range table: one row per link, in
     /// (phy, network, sender, receiver) order, with each link's contiguous
-    /// range of `link_order`. This is the introspection surface the
-    /// incremental [`IndexStitcher`] is validated against.
+    /// range of `link_order`. An introspection surface for tests.
     pub fn link_range_table(&self) -> Vec<LinkRange> {
         [Phy::Bg, Phy::Ht]
             .into_iter()
@@ -473,109 +472,6 @@ pub struct NetRange {
     pub links: Range<u32>,
     /// Range into the link-sorted probe permutation.
     pub probes: Range<u32>,
-}
-
-/// Incremental construction of the [`DatasetIndex`] range tables from a
-/// probe *stream*, without holding the probes.
-///
-/// Feed every probe in dataset order (chunk by chunk — boundaries are
-/// irrelevant), then [`IndexStitcher::finish`]. Because the monolithic
-/// index's permutations are **stable** sorts of dataset order, each link's
-/// range start is exactly the number of probes whose sort key precedes it
-/// and its length is its probe count — both pure functions of the per-key
-/// counts, which is all the stitcher keeps. `finish` therefore reproduces
-/// [`DatasetIndex::link_range_table`] / [`DatasetIndex::net_range_table`]
-/// bit for bit (property-tested over arbitrary chunk placements).
-#[derive(Debug, Clone, Default)]
-pub struct IndexStitcher {
-    /// Probe count per (phy_slot, network, sender, receiver).
-    counts: BTreeMap<(usize, u32, u32, u32), u32>,
-    n_probes: u64,
-}
-
-impl IndexStitcher {
-    /// A stitcher with no observed probes.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Observes one probe of the stream.
-    pub fn observe(&mut self, p: &ProbeSet) {
-        *self
-            .counts
-            .entry((phy_slot(p.phy), p.network.0, p.sender.0, p.receiver.0))
-            .or_insert(0) += 1;
-        self.n_probes += 1;
-    }
-
-    /// Probes observed so far.
-    pub fn n_probes(&self) -> u64 {
-        self.n_probes
-    }
-
-    /// Assigns the stable global ranges.
-    pub fn finish(self) -> StitchedIndex {
-        assert!(
-            self.n_probes < u32::MAX as u64,
-            "dataset too large to index"
-        );
-        let mut links = Vec::with_capacity(self.counts.len());
-        let mut off = 0u32;
-        for (&(slot, net, s, r), &n) in &self.counts {
-            links.push(LinkRange {
-                phy: if slot == 0 { Phy::Bg } else { Phy::Ht },
-                network: NetworkId(net),
-                sender: ApId(s),
-                receiver: ApId(r),
-                probes: off..off + n,
-            });
-            off += n;
-        }
-        let mut nets = Vec::new();
-        let mut i = 0usize;
-        while i < links.len() {
-            let k = (links[i].phy, links[i].network);
-            let start = i;
-            while i < links.len() && (links[i].phy, links[i].network) == k {
-                i += 1;
-            }
-            nets.push(NetRange {
-                phy: k.0,
-                network: k.1,
-                links: start as u32..i as u32,
-                probes: links[start].probes.start..links[i - 1].probes.end,
-            });
-        }
-        StitchedIndex { links, nets }
-    }
-}
-
-/// The stitched global range tables of a chunked dataset — the structural
-/// part of a [`DatasetIndex`] (the per-probe side columns stay chunk-local).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StitchedIndex {
-    /// Per-link ranges, identical to [`DatasetIndex::link_range_table`].
-    pub links: Vec<LinkRange>,
-    /// Per-(phy, network) ranges, identical to
-    /// [`DatasetIndex::net_range_table`].
-    pub nets: Vec<NetRange>,
-}
-
-impl StitchedIndex {
-    /// Number of distinct directed links (across both PHYs).
-    pub fn n_links(&self) -> usize {
-        self.links.len()
-    }
-
-    /// Directed-link report counts, identical to
-    /// [`DatasetIndex::link_report_counts`].
-    pub fn link_report_counts(&self) -> BTreeMap<(NetworkId, ApId, ApId), usize> {
-        let mut map = BTreeMap::new();
-        for g in &self.links {
-            *map.entry((g.network, g.sender, g.receiver)).or_insert(0) += g.probes.len();
-        }
-        map
-    }
 }
 
 /// A [`Dataset`] paired with its [`DatasetIndex`]. `Copy` — analyses take
@@ -1298,22 +1194,6 @@ mod tests {
         assert_eq!(v.links_for_phy(Phy::Ht).count(), 0);
         assert!(v.network(Phy::Bg, NetworkId(0)).is_none());
         assert!(ix.link_report_counts().is_empty());
-    }
-
-    #[test]
-    fn stitcher_matches_monolithic_tables() {
-        let ds = mixed_dataset();
-        let ix = DatasetIndex::build(&ds);
-        let mut st = IndexStitcher::new();
-        for p in ds.probes.rows() {
-            st.observe(p);
-        }
-        assert_eq!(st.n_probes(), ds.probes.len() as u64);
-        let stitched = st.finish();
-        assert_eq!(stitched.links, ix.link_range_table());
-        assert_eq!(stitched.nets, ix.net_range_table());
-        assert_eq!(stitched.link_report_counts(), ix.link_report_counts());
-        assert_eq!(stitched.n_links(), ix.n_links());
     }
 
     #[test]

@@ -55,8 +55,7 @@ pub use dataset::{Dataset, NetworkMeta};
 pub use fold::{run_fold, FoldKernel, Running, WindowFold};
 pub use ids::{ApId, ClientId, EnvLabel, NetworkId};
 pub use index::{
-    DatasetIndex, DatasetView, IndexStitcher, LinkRange, LinkView, NetRange, NetworkView,
-    ProbeColumns, ProbeEntry, StitchedIndex,
+    DatasetIndex, DatasetView, LinkRange, LinkView, NetRange, NetworkView, ProbeColumns, ProbeEntry,
 };
 pub use matrix::DeliveryMatrix;
 pub use probe::{Probe, ProbeSet, ProbeTable, Probes, RateObs};

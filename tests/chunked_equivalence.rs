@@ -1,7 +1,8 @@
 //! The out-of-core contract: a chunked, spill-to-disk context must produce
 //! figure JSON byte-identical to the fully resident path, at any thread
-//! count — and the incrementally stitched index must equal the monolithic
-//! one no matter where chunk boundaries fall.
+//! count — and pass B's per-network walk of the raw chunks must yield each
+//! network's probe sets in dataset order no matter where chunk boundaries
+//! fall.
 
 use std::collections::BTreeMap;
 
@@ -14,17 +15,6 @@ use mesh11_bench::{DataMode, ReproContext, Scale};
 use proptest::prelude::*;
 
 const SEED: u64 = 13;
-
-/// A chunk config small enough that a quick-scale run fills many chunks
-/// and is forced to spill (budget 2), so pass B reads spilled frames back.
-/// The prefetch thread is configured but stays idle: a chunked build folds
-/// its parts as they stream and never walks the store's windows.
-fn tiny_chunks() -> ChunkConfig {
-    ChunkConfig {
-        prefetch_depth: 2,
-        ..ChunkConfig::tiny()
-    }
-}
 
 /// Renders every figure of every experiment id to JSON, keyed by figure id.
 fn all_figure_json(ctx: &ReproContext) -> BTreeMap<String, String> {
@@ -75,7 +65,9 @@ fn assert_same_figures(
 }
 
 /// Every figure JSON — all experiments, all panels — is byte-identical
-/// between the in-memory and the forced-spill chunked path, on one
+/// between the in-memory and the forced-spill chunked path
+/// (`ChunkConfig::tiny()`: many chunks, budget 2, so pass B reads
+/// spilled frames back), on one
 /// thread, four, and eight (the parallelized kernels fan out per
 /// network, so this exercises every reduction order).
 #[test]
@@ -87,7 +79,11 @@ fn chunked_figures_byte_identical_to_in_memory() {
         reference.len()
     );
     for threads in [1, 4, 8] {
-        let chunked = build_figures(DataMode::Chunked(tiny_chunks()), threads, FaultPlan::none());
+        let chunked = build_figures(
+            DataMode::Chunked(ChunkConfig::tiny()),
+            threads,
+            FaultPlan::none(),
+        );
         assert_same_figures(&reference, &chunked, &format!("{threads} threads"));
     }
 }
@@ -100,7 +96,7 @@ fn faulted_chunked_figures_byte_identical_to_in_memory() {
     let demo = || FaultPlan::demo(Scale::Quick.config().probe_horizon_s);
     let reference = build_figures(DataMode::InMemory, 1, demo());
     for threads in [1, 8] {
-        let chunked = build_figures(DataMode::Chunked(tiny_chunks()), threads, demo());
+        let chunked = build_figures(DataMode::Chunked(ChunkConfig::tiny()), threads, demo());
         assert_same_figures(&reference, &chunked, &format!("faulted, {threads} threads"));
     }
 }
@@ -191,27 +187,27 @@ proptest! {
     }
 
     /// Wherever the chunk boundaries land — capacity 1 (every probe its own
-    /// chunk) through capacities far larger than the dataset — the stitched
-    /// per-(phy, network, link) ranges equal the monolithic index's.
+    /// chunk) through capacities far larger than the dataset — pass B's
+    /// per-network walk of the raw chunks yields exactly that network's
+    /// rows of the probe table, in order.
     #[test]
-    fn stitched_index_invariant_to_chunk_boundaries(
+    fn network_walk_invariant_to_chunk_boundaries(
         seed in 0u64..200,
         capacity in 1usize..4_000,
-        window in 1usize..5_000,
     ) {
         let ds = simulate(seed);
-        let ix = DatasetIndex::build(&ds);
         let cfg = ChunkConfig {
             chunk_capacity: capacity,
             resident_chunks: 2,
-            window_probes: window,
             ..ChunkConfig::tiny()
         };
         let chunked = ChunkedDataset::from_dataset(&ds, cfg).expect("chunking succeeds");
         prop_assert_eq!(chunked.n_probes() as usize, ds.probes.len());
-        let stitched = chunked.stitched_index();
-        prop_assert_eq!(&stitched.links, &ix.link_range_table());
-        prop_assert_eq!(&stitched.nets, &ix.net_range_table());
-        prop_assert_eq!(stitched.link_report_counts(), ix.link_report_counts());
+        for (net, m) in ds.networks.iter().enumerate() {
+            let mut walked = ProbeTable::new();
+            chunked.for_each_network_probe(net, |p| walked.push(p));
+            let want: ProbeTable = ds.probes_for_network(m.id).collect();
+            prop_assert_eq!(walked, want, "network {:?}", m.id);
+        }
     }
 }
