@@ -381,6 +381,8 @@ fn run(args: &Args) -> i32 {
             0.0
         },
         stream_analyze_s: build_t.stream_analyze_s,
+        stream_send_wait_s: build_t.stream_send_wait_s,
+        stream_recv_wait_s: build_t.stream_recv_wait_s,
         chunk_hits: chunk.as_ref().map(|c| c.chunk_hits),
         chunk_decodes: chunk.as_ref().map(|c| c.chunk_decodes),
         chunk_evictions: chunk.as_ref().map(|c| c.chunk_evictions),
@@ -503,6 +505,8 @@ fn run_multi(args: &Args, faults: mesh11_sim::FaultPlan, t_total: Instant) -> i3
             0.0
         },
         stream_analyze_s: None,
+        stream_send_wait_s: None,
+        stream_recv_wait_s: None,
         chunk_hits: None,
         chunk_decodes: None,
         chunk_evictions: None,

@@ -13,7 +13,8 @@
 //! scores the finished tables: penalties need completed tables, so they
 //! cannot ride in pass A; on a chunked store all eight share one raw-chunk
 //! walk ([`ThroughputPenalty::evaluate_batch_chunked`]) that never builds
-//! a window.
+//! a window and derives each probe set's SNR key and optimum once for the
+//! four tables of its PHY.
 //!
 //! Byte identity with the in-memory context follows from the fold contract
 //! (`crates/trace/src/fold.rs`): parts arrive in network order and each
@@ -417,8 +418,10 @@ impl FusedRunner {
 }
 
 /// Pass B: one penalty per table, in `lookup_slot` order. On a chunked
-/// store all eight share a single raw-chunk walk (zero window builds); on
-/// a resident view each table scores the whole view directly.
+/// store all eight share a single raw-chunk walk (zero window builds) that
+/// derives each probe set's SNR key and optimum once; on a resident view
+/// each table scores the whole view directly, reading both from the
+/// index's columns.
 fn evaluate_penalties(
     src: &ProbeSource<'_>,
     tables: &[LookupTableSet; 8],

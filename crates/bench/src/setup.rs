@@ -55,6 +55,23 @@ pub struct BuildTimings {
     /// stay out. `None` for in-memory builds, whose analyses run lazily
     /// after the build.
     pub stream_analyze_s: Option<f64>,
+    /// Seconds the chunked build's simulator spent blocked handing parts
+    /// to the fold: waiting for it to catch up to the allowed lead, or,
+    /// when the two must share cores, for each part's fold. `None` for
+    /// in-memory builds.
+    pub stream_send_wait_s: Option<f64>,
+    /// Seconds the chunked build's fold consumer spent blocked in `recv`,
+    /// idle until the simulator sealed its next part. `None` for
+    /// in-memory builds.
+    pub stream_recv_wait_s: Option<f64>,
+}
+
+/// What a chunked build's streaming pipeline measured: its analysis
+/// seconds and how long each side of the channel waited on the other.
+struct StreamTimings {
+    analyze_s: f64,
+    send_wait_s: f64,
+    recv_wait_s: f64,
 }
 
 /// Wall-clock phases of a batched multi-seed build; see
@@ -117,6 +134,15 @@ pub const DEFAULT_METRO_FACTOR: usize = 10;
 /// to keep the pair scheduler busy, small enough that at most a handful of
 /// network datasets are resident before they drain into the chunk store.
 const METRO_BATCH_NETWORKS: usize = 8;
+
+/// Parts the simulator of a chunked build may run ahead of the fold when
+/// each side has cores of its own: sixteen batches. Network sizes are
+/// skewed (at metro-2 the largest network has ~118k probe sets, ~60× the
+/// mean), and while the fold works through one large network the
+/// simulator seals a dozen batches of small ones. Two batches blocked it
+/// there for 1.2–1.4 s of a 4.3 s simulate wall; sixteen leave it 0.00 s.
+/// At ~1.8k probe sets per mean part this is a few tens of MB.
+const STREAM_AHEAD_PARTS: usize = 16 * METRO_BATCH_NETWORKS;
 
 /// How big a reproduction run to perform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -301,7 +327,7 @@ impl ReproContext {
         let t0 = std::time::Instant::now();
         let campaign = spec.generate();
         let generate_s = t0.elapsed().as_secs_f64();
-        let (this, simulate_s, pairs_simulated, stream_analyze_s) = match mode {
+        let (this, simulate_s, pairs_simulated, stream) = match mode {
             DataMode::InMemory => {
                 let t1 = std::time::Instant::now();
                 // One success table serves the whole process: the shared
@@ -331,81 +357,127 @@ impl ReproContext {
                 pairs_simulated,
                 client_probe_s,
                 clients_simulated,
-                stream_analyze_s,
+                stream_analyze_s: stream.as_ref().map(|t| t.analyze_s),
+                stream_send_wait_s: stream.as_ref().map(|t| t.send_wait_s),
+                stream_recv_wait_s: stream.as_ref().map(|t| t.recv_wait_s),
             },
         )
     }
 
     /// The chunked build: the simulator streams sealed parts through a
-    /// bounded channel into a consumer thread that folds every pass-A
-    /// kernel over each part *while later networks are still simulating*,
-    /// then adds the part to the chunk store. After the channel drains,
-    /// pass B scores the finished tables against the raw chunks, and every
-    /// analysis cell is filled from the result.
+    /// channel into a consumer thread that folds every pass-A kernel over
+    /// each part, then adds the part to the chunk store. After the channel
+    /// drains, pass B scores the finished tables against the raw chunks,
+    /// and every analysis cell is filled from the result.
+    ///
+    /// When the simulator's and the fold's pools fit the machine's cores
+    /// side by side, the simulator runs up to [`STREAM_AHEAD_PARTS`] parts
+    /// ahead, so the fold works *while later networks are still
+    /// simulating*. When they do not, overlap would only make each side
+    /// slow the other, and the fold would lose its parallel speed-up; the
+    /// simulator then waits for each part to be folded, and the two sides
+    /// alternate, each with every core.
     ///
     /// Parts arrive as consecutive network runs in id order — the
     /// network-aligned partition the fold contract requires — so the
     /// figures are byte-identical to the in-memory context's. Returns the
-    /// context, the simulate wall, the pairs simulated and the analysis
-    /// seconds spent in the consumer and in pass B.
+    /// context, the simulate wall, the pairs simulated and the pipeline's
+    /// timings: analysis seconds in the consumer and in pass B, and the
+    /// seconds each side spent waiting for the other.
     fn build_chunked(
         config: SimConfig,
         seed: u64,
         campaign: Campaign,
         cfg: ChunkConfig,
-    ) -> (Self, f64, usize, Option<f64>) {
+    ) -> (Self, f64, usize, Option<StreamTimings>) {
         // The consumer runs on a plain thread: it must make progress while
         // the producer occupies this one (a shared work-stealing scope
         // would deadlock at --threads 1). Thread-count overrides are
         // thread-local, so re-install the producer's budget explicitly.
         let threads = rayon::current_num_threads();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let ahead = if 2 * threads <= cores {
+            STREAM_AHEAD_PARTS
+        } else {
+            0
+        };
         let t1 = std::time::Instant::now();
         let table = shared_success_table(PerModel::default());
-        let (tx, rx) = std::sync::mpsc::sync_channel::<Dataset>(2);
-        let ((chunked, runner, fold_s), stats, simulate_s) = std::thread::scope(|s| {
-            let consumer = s.spawn(move || {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .expect("build analysis pool");
-                pool.install(move || {
-                    let mut builder = ChunkedDatasetBuilder::new(cfg);
-                    let mut runner = FusedRunner::new();
-                    let mut fold_s = 0.0f64;
-                    let mut io_err: Option<std::io::Error> = None;
-                    while let Ok(part) = rx.recv() {
-                        let tb = std::time::Instant::now();
-                        let ix = DatasetIndex::build(&part);
-                        runner.fold_view(DatasetView::new(&part, &ix));
-                        drop(ix);
-                        fold_s += tb.elapsed().as_secs_f64();
-                        if io_err.is_none() {
-                            if let Err(e) = builder.add(part) {
-                                io_err = Some(e);
+        // Parts go one way; one acknowledgement per folded part comes back,
+        // and the simulator blocks while more than `ahead` are unfolded.
+        let (tx, rx) = std::sync::mpsc::channel::<Dataset>();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let ((chunked, runner, fold_s, recv_wait_s), stats, simulate_s, send_wait_s) =
+            std::thread::scope(|s| {
+                // Owned by this closure, so a panicking simulator drops it
+                // while unwinding and the consumer's `recv` ends; otherwise
+                // the scope would wait on the consumer forever.
+                let tx = tx;
+                let consumer = s.spawn(move || {
+                    let pool = rayon::ThreadPoolBuilder::new()
+                        .num_threads(threads)
+                        .build()
+                        .expect("build analysis pool");
+                    pool.install(move || {
+                        let mut builder = ChunkedDatasetBuilder::new(cfg);
+                        let mut runner = FusedRunner::new();
+                        let mut fold_s = 0.0f64;
+                        let mut recv_wait_s = 0.0f64;
+                        let mut io_err: Option<std::io::Error> = None;
+                        loop {
+                            let tw = std::time::Instant::now();
+                            let next = rx.recv();
+                            recv_wait_s += tw.elapsed().as_secs_f64();
+                            let Ok(part) = next else { break };
+                            let tb = std::time::Instant::now();
+                            let ix = DatasetIndex::build(&part);
+                            runner.fold_view(DatasetView::new(&part, &ix));
+                            drop(ix);
+                            fold_s += tb.elapsed().as_secs_f64();
+                            if io_err.is_none() {
+                                if let Err(e) = builder.add(part) {
+                                    io_err = Some(e);
+                                }
                             }
+                            // Fails only once the producer is gone, and
+                            // then nobody is waiting for the acknowledgement.
+                            let _ = done_tx.send(());
                         }
-                    }
-                    if let Some(e) = io_err {
-                        panic!("chunk store spill failed during simulation: {e}");
-                    }
-                    let chunked = builder
-                        .finish()
-                        .unwrap_or_else(|e| panic!("chunk store finish failed: {e}"));
-                    (chunked, runner, fold_s)
-                })
-            });
-            let stats =
-                config.stream_campaign_with_table(&campaign, table, METRO_BATCH_NETWORKS, |part| {
-                    tx.send(part).expect("analysis consumer hung up")
+                        if let Some(e) = io_err {
+                            panic!("chunk store add failed during simulation: {e}");
+                        }
+                        let chunked = builder
+                            .finish()
+                            .unwrap_or_else(|e| panic!("chunk store finish failed: {e}"));
+                        (chunked, runner, fold_s, recv_wait_s)
+                    })
                 });
-            let simulate_s = t1.elapsed().as_secs_f64();
-            drop(tx);
-            (
-                consumer.join().expect("analysis consumer panicked"),
-                stats,
-                simulate_s,
-            )
-        });
+                let mut send_wait_s = 0.0f64;
+                let mut unfolded = 0usize;
+                let stats = config.stream_campaign_with_table(
+                    &campaign,
+                    table,
+                    METRO_BATCH_NETWORKS,
+                    |part| {
+                        tx.send(part).expect("analysis consumer hung up");
+                        unfolded += 1;
+                        let tw = std::time::Instant::now();
+                        while unfolded > ahead {
+                            done_rx.recv().expect("analysis consumer hung up");
+                            unfolded -= 1;
+                        }
+                        send_wait_s += tw.elapsed().as_secs_f64();
+                    },
+                );
+                let simulate_s = t1.elapsed().as_secs_f64();
+                drop(tx);
+                (
+                    consumer.join().expect("analysis consumer panicked"),
+                    stats,
+                    simulate_s,
+                    send_wait_s,
+                )
+            });
         // Finish the fused pass: pass-A finish plus pass B (penalties over
         // the raw chunks). This is the only analysis left outside the
         // simulate wall.
@@ -415,12 +487,12 @@ impl ReproContext {
         let store = DataStore::Chunked(Box::new(chunked));
         let mut this = Self::assemble(store, config, seed, Some(campaign));
         this.fill(fused);
-        (
-            this,
-            simulate_s,
-            stats.pairs_simulated,
-            Some(fold_s + finish_s),
-        )
+        let timings = StreamTimings {
+            analyze_s: fold_s + finish_s,
+            send_wait_s,
+            recv_wait_s,
+        };
+        (this, simulate_s, stats.pairs_simulated, Some(timings))
     }
 
     /// Builds one context per seed `base_seed .. base_seed + n_seeds` by
@@ -837,9 +909,11 @@ mod tests {
     }
 
     #[test]
-    fn stream_analyze_s_is_reported_for_chunked_builds_only() {
+    fn stream_timings_are_reported_for_chunked_builds_only() {
         let (_, mem) = ReproContext::build_timed(Scale::Quick, 5);
         assert_eq!(mem.stream_analyze_s, None);
+        assert_eq!(mem.stream_send_wait_s, None);
+        assert_eq!(mem.stream_recv_wait_s, None);
         let (_, chk) = ReproContext::build_timed_with_mode(
             Scale::Quick,
             5,
@@ -847,6 +921,14 @@ mod tests {
             DataMode::Chunked(ChunkConfig::tiny()),
         );
         assert!(chk.stream_analyze_s.is_some_and(|s| s > 0.0));
+        // Either side's wait happens inside the simulate wall.
+        for wait in [chk.stream_send_wait_s, chk.stream_recv_wait_s] {
+            assert!(
+                wait.is_some_and(|w| (0.0..=chk.simulate_s).contains(&w)),
+                "wait {wait:?} outside 0..={}",
+                chk.simulate_s
+            );
+        }
     }
 
     #[test]

@@ -68,8 +68,8 @@ pub struct PhaseTimings {
     /// All figure building, wall-clock. Figures run concurrently, so this
     /// is smaller than the sum of the per-figure entries. For chunked runs
     /// this also carries the streaming consumer's analysis seconds
-    /// (`stream_analyze_s`), so `total_s < simulate_s + analyze_s` is the
-    /// machine-checkable signature of phase overlap.
+    /// (`stream_analyze_s`), most of which ran inside the simulate wall;
+    /// how much of it overlapped is read off the two stream waits.
     pub analyze_s: f64,
     /// Analysis throughput: `n_probes / analyze_s` — the analyze-phase
     /// counterpart of `reports_per_sec`.
@@ -79,6 +79,15 @@ pub struct PhaseTimings {
     /// wall) plus the pass-B finish. Chunk encode and spill are not in
     /// it. `None` for in-memory runs.
     pub stream_analyze_s: Option<f64>,
+    /// Seconds a chunked run's simulator spent blocked handing sealed
+    /// parts to the fold. Near 0 when simulation and analysis overlap;
+    /// the fold's whole share of `simulate_s` when they alternate (the
+    /// two pools do not fit the cores side by side). `None` for
+    /// in-memory runs.
+    pub stream_send_wait_s: Option<f64>,
+    /// Seconds a chunked run's fold consumer spent idle, waiting for the
+    /// simulator's next part. `None` for in-memory runs.
+    pub stream_recv_wait_s: Option<f64>,
     /// Chunk fetches served from a resident chunk. The chunk-store
     /// counters are `None` (JSON `null`) for in-memory runs, where a zero
     /// would be misleading rather than measured.
@@ -164,9 +173,11 @@ impl PhaseTimings {
                     .unwrap_or_default()
             ));
         }
-        if let Some(overlap) = self.stream_analyze_s {
+        if let Some(fold) = self.stream_analyze_s {
             s.push_str(&format!(
-                "\n# streaming: {overlap:.2}s of analysis overlapped with simulation"
+                "\n# streaming: analysis {fold:.2}s (part folds + pass B), simulator blocked on the fold {:.2}s, fold idle waiting for parts {:.2}s",
+                self.stream_send_wait_s.unwrap_or(0.0),
+                self.stream_recv_wait_s.unwrap_or(0.0)
             ));
         }
         if let Some(rss) = self.peak_rss_mb {
@@ -235,6 +246,8 @@ mod tests {
             analyze_s: 1.5,
             analyze_probes_per_sec: 33_333.3,
             stream_analyze_s: Some(0.9),
+            stream_send_wait_s: Some(0.05),
+            stream_recv_wait_s: Some(0.61),
             chunk_hits: Some(120),
             chunk_decodes: Some(40),
             chunk_evictions: Some(30),
@@ -283,6 +296,8 @@ mod tests {
             "analyze_s_per_seed",
             "analyze_s_per_seed_ci95",
             "stream_analyze_s",
+            "stream_send_wait_s",
+            "stream_recv_wait_s",
             "total_s",
             "figures",
             "fig4-1",
@@ -304,7 +319,9 @@ mod tests {
             assert!(!json.contains(gone), "{gone} still in {json}");
             assert!(!t.render().contains(gone), "{gone} still rendered");
         }
-        assert!(t.render().contains("0.90s of analysis overlapped"));
+        assert!(t.render().contains(
+            "# streaming: analysis 0.90s (part folds + pass B), simulator blocked on the fold 0.05s, fold idle waiting for parts 0.61s"
+        ));
     }
 
     #[test]
@@ -333,6 +350,8 @@ mod tests {
             analyze_s: 0.5,
             analyze_probes_per_sec: 2.0,
             stream_analyze_s: None,
+            stream_send_wait_s: None,
+            stream_recv_wait_s: None,
             chunk_hits: None,
             chunk_decodes: None,
             chunk_evictions: None,
@@ -356,7 +375,14 @@ mod tests {
             json.contains("\"window_builds\": null") || json.contains("\"window_builds\":null"),
             "window_builds should be null, got {json}"
         );
+        for key in ["stream_send_wait_s", "stream_recv_wait_s"] {
+            assert!(
+                json.contains(&format!("\"{key}\": null")),
+                "{key} should be null, got {json}"
+            );
+        }
         assert!(!t.render().contains("chunk store"));
+        assert!(!t.render().contains("# streaming"));
     }
 
     #[test]

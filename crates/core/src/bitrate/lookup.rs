@@ -166,10 +166,11 @@ impl LookupTableSet {
         self.predict_keyed(self.key_for(probe), probe.snr_key())
     }
 
-    /// `predict` for an indexed probe entry: same lookup, but the SNR key
-    /// comes from the precomputed column instead of a median re-derivation.
-    pub(crate) fn predict_entry(&self, e: &mesh11_trace::ProbeEntry<'_>) -> Option<BitRate> {
-        self.predict_keyed(self.key_for(e.probe), e.snr_key)
+    /// `predict` with the probe set's SNR key already derived (an index
+    /// column, or a key computed once and shared by several tables):
+    /// same lookup, no median re-derivation.
+    pub(crate) fn predict_at(&self, probe: Probe<'_>, snr_key: i64) -> Option<BitRate> {
+        self.predict_keyed(self.key_for(probe), snr_key)
     }
 
     /// `predict` with the SNR key already known (the indexed scans pass the

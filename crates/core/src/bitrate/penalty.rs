@@ -43,7 +43,7 @@ impl FoldKernel for PenaltyKernel<'_> {
                 let mut d = Vec::new();
                 let mut unp = 0usize;
                 for e in nv.entries_in_order() {
-                    let Some(pick) = self.table.predict_entry(&e) else {
+                    let Some(pick) = self.table.predict_at(e.probe, e.snr_key) else {
                         unp += 1;
                         continue;
                     };
@@ -94,14 +94,19 @@ impl ThroughputPenalty {
     /// Evaluates several trained table sets in **one** walk over the raw
     /// chunk store, never materializing a window (no index build, no
     /// `window_builds` traffic): per network, in id order, each probe set
-    /// is scored against every table whose PHY matches.
+    /// is scored against every table whose PHY matches. The set's SNR key
+    /// (a median, so a sort) and its optimum are derived once per set and
+    /// shared by those tables.
     ///
     /// Byte-identical to per-table [`ThroughputPenalty::evaluate`] over the
     /// whole view: an indexed walk visits each (phy, network)'s entries in
     /// stream order filtered by PHY (the index permutations are stable
     /// sorts over network-major, time-sorted data), which is exactly the
-    /// order the raw chunk walk yields; and [`LookupTableSet::predict`] re-derives the
-    /// same `snr_key`/`optimal` the index precomputes.
+    /// order the raw chunk walk yields; and [`Probe::snr_key`] and
+    /// [`Probe::optimal`] derive the same values the index precomputes.
+    ///
+    /// [`Probe::snr_key`]: mesh11_trace::Probe::snr_key
+    /// [`Probe::optimal`]: mesh11_trace::Probe::optimal
     pub fn evaluate_batch_chunked(
         chunked: &ChunkedDataset,
         tables: &[&LookupTableSet],
@@ -117,16 +122,20 @@ impl ThroughputPenalty {
                 let mut partials: Vec<(Vec<f64>, usize)> =
                     tables.iter().map(|_| (Vec::new(), 0)).collect();
                 chunked.for_each_network_probe(net, |p| {
+                    if tables.iter().all(|t| t.phy() != p.phy) {
+                        return;
+                    }
+                    let snr_key = p.snr_key();
+                    let best = p.optimal().throughput_mbps();
                     for (k, table) in tables.iter().enumerate() {
                         if table.phy() != p.phy {
                             continue;
                         }
                         let (d, unp) = &mut partials[k];
-                        let Some(pick) = table.predict(p) else {
+                        let Some(pick) = table.predict_at(p, snr_key) else {
                             *unp += 1;
                             continue;
                         };
-                        let best = p.optimal().throughput_mbps();
                         let got = p.obs_for(pick).map_or(0.0, |o| o.throughput_mbps());
                         d.push((best - got).max(0.0));
                     }

@@ -771,7 +771,20 @@ impl ChunkedDatasetBuilder {
     /// Absorbs one or more networks' worth of dataset, in network-id order
     /// continuing the stream. Probes enter the chunk sequence; metadata and
     /// clients stay in the in-memory shell.
+    ///
+    /// `part.probes` must be network-major: one contiguous run per network,
+    /// runs in `part.networks` order. A part that breaks this (interleaved
+    /// networks, or a probe of a network the part does not list) is
+    /// rejected with [`io::ErrorKind::InvalidInput`] before anything is
+    /// absorbed, because its per-network offsets would point pass B at the
+    /// wrong rows.
     pub fn add(&mut self, part: Dataset) -> io::Result<()> {
+        let counts = network_runs(&part).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "part's probe sets are not contiguous runs of its networks, in order",
+            )
+        })?;
         for p in &part.probes {
             self.current.push(p);
             if self.current.len() >= self.cfg.chunk_capacity {
@@ -782,25 +795,13 @@ impl ChunkedDatasetBuilder {
                 self.store.insert(full)?;
             }
         }
-        // Per-network probe offsets: `part.probes` is network-major, so
-        // count each network's run.
-        let mut counts: Vec<u64> = vec![0; part.networks.len()];
-        for p in part.probes.rows() {
-            let k = part
-                .networks
-                .iter()
-                .position(|m| m.id == p.network)
-                .expect("probe references an absorbed network");
-            counts[k] += 1;
-        }
+        let mut prev = self.shell.networks.last().map(|m| m.id);
         for (m, n) in part.networks.iter().zip(&counts) {
             assert!(
-                self.shell
-                    .networks
-                    .last()
-                    .is_none_or(|prev| prev.id.0 < m.id.0),
+                prev.is_none_or(|prev| prev.0 < m.id.0),
                 "networks must stream in ascending id order"
             );
+            prev = Some(m.id);
             let last = *self.net_probe_off.last().expect("seeded with 0");
             self.net_probe_off.push(last + n);
         }
@@ -826,6 +827,22 @@ impl ChunkedDatasetBuilder {
             windows,
         })
     }
+}
+
+/// Each listed network's probe count, walking `part.probes` as one run per
+/// network in `part.networks` order (a network may have an empty run).
+/// `None` when a probe set falls outside that order: its network comes
+/// later than a run already closed, or the part does not list it.
+fn network_runs(part: &Dataset) -> Option<Vec<u64>> {
+    let mut counts = vec![0u64; part.networks.len()];
+    let mut k = 0;
+    for p in part.probes.rows() {
+        while part.networks.get(k)?.id != p.network {
+            k += 1;
+        }
+        counts[k] += 1;
+    }
+    Some(counts)
 }
 
 /// Splits the network sequence into consecutive runs of ≈`window_probes`
@@ -1277,6 +1294,54 @@ mod tests {
             covered.extend(w.clone());
         }
         assert_eq!(covered, (0..ds.networks.len()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn builder_counts_network_runs_and_rejects_interleaved_parts() {
+        let ds = big_dataset();
+        let part = |nets: std::ops::Range<usize>, probes: ProbeTable| Dataset {
+            networks: ds.networks[nets].to_vec(),
+            probes,
+            ..Dataset::default()
+        };
+        let rows = |ids: &[u32]| -> ProbeTable {
+            ds.probes
+                .iter()
+                .filter(|p| ids.contains(&p.network.0))
+                .collect()
+        };
+        let mut b = ChunkedDatasetBuilder::new(tiny_cfg());
+        // Networks 0 and 1 in one part, network 1 listed with a probe of
+        // network 0 after it: the run of network 0 was already closed.
+        let mut interleaved = rows(&[0, 1]);
+        interleaved.push(ds.probes.iter().next().expect("probes"));
+        let err = b.add(part(0..2, interleaved)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        // A probe of a network the part does not list.
+        let err = b.add(part(0..1, rows(&[0, 1]))).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        // The rejected parts left nothing behind: the network-major parts
+        // below (network 3 listed with an empty run) build exactly the
+        // dataset's per-network walk.
+        b.add(part(0..2, rows(&[0, 1]))).unwrap();
+        b.add(part(2..4, rows(&[2]))).unwrap();
+        b.add(part(4..5, rows(&[4]))).unwrap();
+        let chunked = b.finish().unwrap();
+        assert_eq!(
+            chunked.n_probes() as usize,
+            ds.probes.len() - rows(&[3]).len()
+        );
+        // Network 3's empty run walks as nothing.
+        for net in 0..5u32 {
+            let mut walked = ProbeTable::new();
+            chunked.for_each_network_probe(net as usize, |p| walked.push(p));
+            let want = if net == 3 {
+                ProbeTable::new()
+            } else {
+                rows(&[net])
+            };
+            assert_eq!(walked, want, "network {net}");
+        }
     }
 
     #[test]

@@ -203,13 +203,19 @@ pub struct ProbeColumns {
     opt: Vec<RateObs>,
 }
 
+/// Probe sets per span of [`ProbeColumns::build`]. A set's cost grows
+/// with its observation count (a median sort and an argmax), and a real
+/// dataset mixes one-observation sets with 32-observation ones in long
+/// runs, so one span per thread leaves a thread idle behind the costliest
+/// span. Fixed spans this small cut a standard-scale table (~620k sets)
+/// into ~150 spans for the pool to balance.
+const COLUMN_SPAN: usize = 4096;
+
 impl ProbeColumns {
-    /// One pass over every probe set, parallel over contiguous position
-    /// spans, each span writing its slice of the final columns.
+    /// One pass over every probe set, parallel over fixed-size contiguous
+    /// position spans, each span writing its slice of the final columns.
     fn build(probes: &ProbeTable) -> Self {
         let n = probes.len();
-        let parts = rayon::current_num_threads().clamp(1, n.max(1));
-        let span_len = n.div_ceil(parts).max(1);
         // Every slot is overwritten below; the placeholder only makes the
         // column a plain initialized vector the spans can borrow.
         let unset = RateObs {
@@ -224,15 +230,15 @@ impl ProbeColumns {
         };
         let mut spans: Vec<_> = cols
             .snr_db
-            .chunks_mut(span_len)
-            .zip(cols.snr_key.chunks_mut(span_len))
-            .zip(cols.opt.chunks_mut(span_len))
+            .chunks_mut(COLUMN_SPAN)
+            .zip(cols.snr_key.chunks_mut(COLUMN_SPAN))
+            .zip(cols.opt.chunks_mut(COLUMN_SPAN))
             .enumerate()
             .collect();
         spans
             .par_iter_mut()
             .for_each(|(k, ((snr_db, snr_key), opt))| {
-                let first = *k * span_len;
+                let first = *k * COLUMN_SPAN;
                 for (i, ((s, key), o)) in snr_db
                     .iter_mut()
                     .zip(snr_key.iter_mut())

@@ -2,17 +2,21 @@
 //! figure JSON byte-identical to the fully resident path, at any thread
 //! count — and pass B's per-network walk of the raw chunks must yield each
 //! network's probe sets in dataset order no matter where chunk boundaries
-//! fall.
+//! fall, and score them exactly as the indexed penalty evaluation does.
 
 use std::collections::BTreeMap;
 
 use mesh11::prelude::*;
 use mesh11::trace::{
-    ApId, ChunkConfig, ChunkHandle, ChunkStore, ChunkedDataset, NetworkId, ProbeChunk, RateObs,
+    ApId, ChunkConfig, ChunkHandle, ChunkStore, ChunkedDataset, EnvLabel, NetworkId, NetworkMeta,
+    ProbeChunk, RateObs,
 };
 use mesh11_bench::figures::{build, ALL_IDS};
 use mesh11_bench::{DataMode, ReproContext, Scale};
 use proptest::prelude::*;
+
+mod common;
+use common::{dataset, specs, with_threads, ProbeSpec, NET_IDS};
 
 const SEED: u64 = 13;
 
@@ -139,8 +143,138 @@ fn first_network(chunk: &ProbeChunk) -> NetworkId {
     first[0].network
 }
 
+/// The generator's dataset for `specs`, with one metadata row per id in
+/// its network pool (ascending, as a chunked store needs them).
+fn pooled_dataset(specs: &[ProbeSpec]) -> Dataset {
+    Dataset {
+        networks: NET_IDS
+            .iter()
+            .map(|&id| NetworkMeta {
+                id: NetworkId(id),
+                env: EnvLabel::Indoor,
+                n_aps: 4,
+                radios: vec![Phy::Bg, Phy::Ht],
+                location: format!("pool {id}"),
+            })
+            .collect(),
+        ..dataset(specs)
+    }
+}
+
+/// Trains all eight (scope, phy) tables on `train`, then scores them
+/// against `eval` twice: per table over the indexed view
+/// (`ThroughputPenalty::evaluate`, the in-memory path), and in pass B's
+/// one batched walk over `eval` chunked at `capacity` probe sets per
+/// chunk. The two must agree bit for bit, diffs and unpredicted counts.
+/// Returns the unpredicted counts, table by table.
+fn assert_pass_b_matches(train: &Dataset, eval: &Dataset, capacity: usize) -> Vec<usize> {
+    let train_ix = DatasetIndex::build(train);
+    let train_view = DatasetView::new(train, &train_ix);
+    let tables: Vec<LookupTableSet> = [Scope::Global, Scope::Network, Scope::Ap, Scope::Link]
+        .into_iter()
+        .flat_map(|scope| [Phy::Bg, Phy::Ht].map(|phy| (scope, phy)))
+        .map(|(scope, phy)| LookupTableSet::build(train_view, scope, phy))
+        .collect();
+    let refs: Vec<&LookupTableSet> = tables.iter().collect();
+    let cfg = ChunkConfig {
+        chunk_capacity: capacity,
+        resident_chunks: 2,
+        ..ChunkConfig::tiny()
+    };
+    let chunked = ChunkedDataset::from_dataset(eval, cfg).expect("chunking succeeds");
+    let batch = ThroughputPenalty::evaluate_batch_chunked(&chunked, &refs);
+    let eval_ix = DatasetIndex::build(eval);
+    let eval_view = DatasetView::new(eval, &eval_ix);
+    assert_eq!(batch.len(), tables.len());
+    let bits = |p: &ThroughputPenalty| p.diffs_mbps.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+    for (got, table) in batch.iter().zip(&tables) {
+        let want = ThroughputPenalty::evaluate(eval_view, table);
+        let label = format!(
+            "{:?}/{:?} at capacity {capacity}",
+            table.scope(),
+            table.phy()
+        );
+        assert_eq!((got.scope, got.phy), (want.scope, want.phy), "{label}");
+        assert_eq!(bits(got), bits(&want), "diffs differ: {label}");
+        assert_eq!(
+            got.unpredicted, want.unpredicted,
+            "unpredicted differ: {label}"
+        );
+    }
+    batch.iter().map(|p| p.unpredicted).collect()
+}
+
+/// A median that is `±0.0`: sets whose SNRs are `0.0` and `-0.0` (alone,
+/// and interpolated between the two) share SNR key 0 with the sets around
+/// them, and pass B must key them exactly as the index does.
+#[test]
+fn pass_b_matches_indexed_on_signed_zero_medians() {
+    let ds = pooled_dataset(&[
+        (0, false, (0, 1), 0, vec![(0, 0, 0), (1, 0, 1)]),
+        (0, false, (0, 1), 1, vec![(0, 0, 1)]),
+        (0, false, (0, 1), 2, vec![(2, 1, 1), (3, 0, 0), (1, 2, 1)]),
+        (0, false, (1, 0), 0, vec![(4, 0, 0)]),
+        (3, true, (2, 3), 0, vec![(0, 0, 1), (5, 1, 0)]),
+    ]);
+    for capacity in [1, 2, 64] {
+        assert_pass_b_matches(&ds, &ds, capacity);
+    }
+}
+
+/// Equal-throughput optima: full loss ties every rate at zero and the
+/// optimum breaks toward the lower rate, so pass B's once-per-set optimum
+/// must be the index's.
+#[test]
+fn pass_b_matches_indexed_on_equal_throughput_optima() {
+    let ds = pooled_dataset(&[
+        (1, false, (0, 1), 0, vec![(3, 4, 2), (0, 4, 2), (6, 4, 2)]),
+        (1, false, (0, 1), 1, vec![(6, 0, 2), (3, 2, 2)]),
+        (1, false, (0, 2), 0, vec![(2, 4, 3), (7, 4, 4)]),
+        (2, true, (1, 0), 0, vec![(1, 4, 2), (9, 4, 2)]),
+        (2, true, (1, 0), 1, vec![(9, 0, 2)]),
+    ]);
+    for capacity in [1, 3, 64] {
+        assert_pass_b_matches(&ds, &ds, capacity);
+    }
+}
+
+/// A (key, SNR) cell the tables never saw: every scope's table, trained
+/// on one network at one SNR, must report the other network's sets as
+/// unpredicted, on both paths alike.
+#[test]
+fn pass_b_matches_indexed_on_missing_cells() {
+    let train = pooled_dataset(&[
+        (0, false, (0, 1), 0, vec![(2, 0, 2)]),
+        (0, true, (0, 1), 0, vec![(2, 0, 2)]),
+    ]);
+    let eval = pooled_dataset(&[
+        (0, false, (0, 1), 1, vec![(2, 0, 2)]),
+        (4, false, (0, 1), 0, vec![(3, 1, 6)]),
+        (4, true, (1, 2), 0, vec![(3, 1, 6), (4, 0, 5)]),
+    ]);
+    let unpredicted = assert_pass_b_matches(&train, &eval, 2);
+    // Every table misses exactly network 4's set of its PHY; network 0's
+    // b/g set finds its cell at every scope.
+    assert_eq!(unpredicted, [1, 1, 1, 1, 1, 1, 1, 1]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Pass B's batched raw-chunk walk scores every probe set exactly as
+    /// the per-table indexed evaluation does, on the hostile generator's
+    /// datasets (any network order, both PHYs, ties, `±0.0` SNRs),
+    /// wherever chunk boundaries fall and at one thread or four.
+    #[test]
+    fn pass_b_matches_indexed_evaluation(
+        specs in specs(120),
+        capacity in 1usize..4_000,
+    ) {
+        let ds = pooled_dataset(&specs);
+        for threads in [1, 4] {
+            with_threads(threads, || assert_pass_b_matches(&ds, &ds, capacity));
+        }
+    }
 
     /// Live handles pin their chunks: however hard the eviction pressure,
     /// a pinned chunk stays resident with its contents intact; once the
