@@ -1,12 +1,12 @@
 //! End-to-end pipeline benchmark: the whole `repro --all` path at quick
-//! scale — campaign generation, simulation, and every figure builder over
-//! the shared analysis cache — plus the two phases in isolation, so a
+//! scale — campaign generation, simulation, the fused analysis pass and
+//! every figure builder — plus the two phases in isolation, so a
 //! regression can be attributed to the simulator or the analyses without
 //! re-profiling. Run with `cargo bench -p mesh11-bench pipeline`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mesh11_bench::figures::{self, ALL_IDS};
-use mesh11_bench::{ReproContext, Scale};
+use mesh11_bench::{DataMode, ReproContext, Scale};
 use rayon::prelude::*;
 use std::hint::black_box;
 
@@ -46,15 +46,23 @@ fn end_to_end(c: &mut Criterion) {
     });
 }
 
-/// Generate + simulate only (the pre-analysis phases).
+/// Generate + simulate only: a build that folds no kernel.
 fn simulate(c: &mut Criterion) {
     c.bench_function("pipeline/quick-simulate", |b| {
-        b.iter(|| black_box(ReproContext::build(Scale::Quick, SEED)))
+        b.iter(|| {
+            black_box(ReproContext::build_timed_with_kernels(
+                Scale::Quick,
+                SEED,
+                mesh11_sim::FaultPlan::none(),
+                DataMode::InMemory,
+                &[],
+            ))
+        })
     });
 }
 
-/// All figure builders against a fresh (cold-cache) context; the dataset
-/// clone is timed but cheap next to the analyses.
+/// The fused analysis pass over a fresh context, then all figure
+/// builders; the dataset clone is timed but cheap next to the analyses.
 fn analyze_cold(c: &mut Criterion) {
     let base = ReproContext::build(Scale::Quick, SEED);
     let ids = cacheable_ids();
@@ -67,8 +75,8 @@ fn analyze_cold(c: &mut Criterion) {
     });
 }
 
-/// All figure builders with every shared analysis already cached — the
-/// floor the cache buys on repeat builds.
+/// All figure builders with every shared analysis already folded — the
+/// figures' own share of the analyze phase.
 fn analyze_warm(c: &mut Criterion) {
     let ctx = ReproContext::build(Scale::Quick, SEED);
     let ids = cacheable_ids();

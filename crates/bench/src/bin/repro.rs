@@ -19,9 +19,9 @@
 //! analysis over each part while later networks still simulate, then
 //! spills the part into the store. `--metro-factor`, `--chunk-budget` and
 //! `--spill-dir` tune a metro run and are errors at any other scale. The
-//! other scales keep everything in memory and compute each analysis
-//! lazily, the first time a figure needs it. Figures are byte-identical
-//! either way.
+//! other scales fold over the whole in-memory dataset in one pass. Either
+//! way only the analyses the requested figures read are folded, and
+//! figures are byte-identical.
 //!
 //! Prints each figure as an aligned text table (with the paper-expected
 //! values as `#` notes; add `--plot` for ASCII curve renderings) and writes
@@ -35,10 +35,10 @@
 //! Output is bit-for-bit identical at any `--threads` value (including 1):
 //! parallelism only reorders who computes what, never what is computed.
 
-use mesh11_bench::figures::{build, ALL_IDS};
+use mesh11_bench::figures::{build, kernels, ALL_IDS};
 use mesh11_bench::{
-    aggregate_ci, group_by_figure, max_relative_halfwidth, peak_rss_mb, DataMode, PhaseTimings,
-    ReproContext, Scale,
+    aggregate_ci, group_by_figure, max_relative_halfwidth, peak_rss_mb, DataMode, Kernel,
+    PhaseTimings, ReproContext, Scale,
 };
 use mesh11_core::report::FigureData;
 use mesh11_trace::ChunkConfig;
@@ -75,6 +75,13 @@ impl Args {
             cfg.spill_dir.clone_from(&self.spill_dir);
         }
         mode
+    }
+
+    /// The kernels the requested figures read. Unknown ids read none; the
+    /// figure pass reports them.
+    fn kernels(&self) -> Vec<Kernel> {
+        let per_id = self.ids.iter().filter_map(|id| kernels(id));
+        per_id.flatten().collect()
     }
 }
 
@@ -233,9 +240,8 @@ fn analyze_and_emit(
     print_tables: bool,
 ) -> SeedAnalysis {
     // Build every requested figure in parallel. The shared heavy analyses
-    // (lookup tables, triple analysis, mobility report, …) live in
-    // OnceLocks on the context, so concurrent builders compute each one
-    // exactly once and the results carry no thread-count dependence.
+    // (lookup tables, triple analysis, …) were folded by the build; the
+    // builders only read them.
     let t_analyze = Instant::now();
     let built: Vec<(&String, BuildOutcome)> = args
         .ids
@@ -313,7 +319,9 @@ fn run(args: &Args) -> i32 {
     if let DataMode::Chunked(cfg) = &mode {
         eprintln!("{}", chunked_store_line(cfg));
     }
-    let (ctx, build_t) = ReproContext::build_timed_with_mode(args.scale, args.seed, faults, mode);
+    let kernels = args.kernels();
+    let (ctx, build_t) =
+        ReproContext::build_timed_with_kernels(args.scale, args.seed, faults, mode, &kernels);
     eprintln!(
         "# simulated {} networks / {} APs ({} pairs): {} probe sets, {} client samples in {:.1}s",
         ctx.networks().len(),
@@ -338,9 +346,9 @@ fn run(args: &Args) -> i32 {
         analyze_s: figure_s,
         ..
     } = analysis;
-    // For chunked runs the figure pass is only the tail of analysis: the
-    // fold work already ran inside the simulate wall.
-    let analyze_s = figure_s + build_t.stream_analyze_s.unwrap_or(0.0);
+    // The figure pass is only the tail of analysis: the build folded the
+    // shared analyses (inside the simulate wall, for chunked runs).
+    let analyze_s = figure_s + build_t.analyze_s;
 
     let n_probes = ctx.n_probes();
     // Snapshot after analysis so the counters cover the kernels' traffic.
@@ -380,7 +388,7 @@ fn run(args: &Args) -> i32 {
         } else {
             0.0
         },
-        stream_analyze_s: build_t.stream_analyze_s,
+        stream_analyze_s: ctx.chunked().map(|_| build_t.analyze_s),
         stream_send_wait_s: build_t.stream_send_wait_s,
         stream_recv_wait_s: build_t.stream_recv_wait_s,
         chunk_hits: chunk.as_ref().map(|c| c.chunk_hits),
@@ -413,7 +421,8 @@ fn run(args: &Args) -> i32 {
 /// figure pass into `out/seed-<s>/`, and a cross-seed mean ± 95% CI
 /// aggregation into `out/figures_ci/`.
 fn run_multi(args: &Args, faults: mesh11_sim::FaultPlan, t_total: Instant) -> i32 {
-    let (ctxs, build_t) = ReproContext::build_many_timed(args.scale, args.seed, args.seeds, faults);
+    let (ctxs, build_t) =
+        ReproContext::build_many_timed(args.scale, args.seed, args.seeds, faults, &args.kernels());
     let n_probes: usize = ctxs.iter().map(|c| c.n_probes()).sum();
     eprintln!(
         "# simulated {} seeds × {} networks ({} pairs fused): {} probe sets in {:.1}s ({:.2}s/seed amortized)",
@@ -439,7 +448,7 @@ fn run_multi(args: &Args, faults: mesh11_sim::FaultPlan, t_total: Instant) -> i3
             base_fig_times = a.fig_times;
         }
         failures += a.failures;
-        per_seed_analyze_s.push(a.analyze_s);
+        per_seed_analyze_s.push(build_t.per_seed_analyze_s[k] + a.analyze_s);
         per_seed_figs.push(a.figs);
     }
     let analyze_s: f64 = per_seed_analyze_s.iter().sum();

@@ -14,8 +14,10 @@ use mesh11_core::triples::{range::normalized_range_by_env, range_change_by_rate}
 use mesh11_phy::{BitRate, Phy};
 use mesh11_stats::Cdf;
 use mesh11_trace::codec::Sections;
+use mesh11_trace::snrstats::SigmaKind;
 use mesh11_trace::{EnvLabel, NetworkId};
 
+use crate::fused::Kernel;
 use crate::setup::ReproContext;
 
 /// Every experiment id, in paper order, followed by the extension
@@ -52,65 +54,76 @@ pub const ALL_IDS: &[&str] = &[
     "ext-client",
 ];
 
-/// Builds one experiment's figure(s); `None` for an unknown id.
-pub fn build(ctx: &ReproContext, id: &str) -> Option<Vec<FigureData>> {
-    Some(match id {
-        "fig1-1" => vec![fig1_1(ctx)],
-        "fig3-1" => vec![fig3_1(ctx)],
-        "fig4-1" => fig4_1(ctx),
-        "fig4-2" => fig4_2_or_3(ctx, Phy::Bg),
-        "fig4-3" => fig4_2_or_3(ctx, Phy::Ht),
-        "fig4-4" => fig4_4(ctx),
-        "fig4-5" => fig4_5(ctx),
-        "fig4-6" => vec![fig4_6(ctx)],
-        "tab4-1" => vec![tab4_1(ctx)],
-        "fig5-1" => fig5_1(ctx),
-        "fig5-2" => vec![fig5_2(ctx)],
-        "fig5-3" => vec![fig5_3(ctx)],
-        "fig5-4" => vec![fig5_4(ctx)],
-        "fig5-5" => vec![fig5_5(ctx)],
-        "fig6-1" => vec![fig6_1(ctx)],
-        "fig6-2" => vec![fig6_2(ctx)],
-        "sec6-3" => vec![sec6_3(ctx)],
-        "fig7-1" => vec![fig7_1(ctx)],
-        "fig7-2" => vec![fig7_2(ctx)],
-        "fig7-3" => vec![fig7_3(ctx)],
-        "fig7-4" => vec![fig7_4(ctx)],
-        "fig7-5" => vec![fig7_5(ctx)],
-        "ext-adapt" => vec![ext_adapt(ctx)],
-        "ext-cap" => vec![ext_cap(ctx)],
-        "ext-sweep" => vec![ext_sweep(ctx)],
-        "ext-stability" => vec![ext_stability(ctx)],
-        "ext-diversity" => vec![ext_diversity(ctx)],
-        "ext-ett" => vec![ext_ett(ctx)],
-        "ext-client" => vec![ext_client(ctx)],
+/// An experiment's figure builder, and the shared analyses it reads.
+type Experiment = (fn(&ReproContext) -> Vec<FigureData>, Vec<Kernel>);
+
+fn experiment(id: &str) -> Option<Experiment> {
+    use Kernel::*;
+    let registered = |keep: fn(&Kernel) -> bool| Kernel::all().into_iter().filter(keep).collect();
+    let tables = |phy| Scope::ALL.map(|scope| Table(scope, phy)).to_vec();
+    let experiment: Experiment = match id {
+        "fig1-1" => (|c| vec![fig1_1(c)], vec![]),
+        "fig3-1" => (|c| vec![fig3_1(c)], registered(|k| matches!(k, Sigma(_)))),
+        "fig4-1" => (
+            fig4_1,
+            vec![Table(Scope::Global, Phy::Bg), Table(Scope::Global, Phy::Ht)],
+        ),
+        "fig4-2" => (|c| fig4_2_or_3(c, Phy::Bg), tables(Phy::Bg)),
+        "fig4-3" => (|c| fig4_2_or_3(c, Phy::Ht), tables(Phy::Ht)),
+        "fig4-4" => (fig4_4, registered(|k| matches!(k, Penalty(..)))),
+        "fig4-5" => (fig4_5, vec![Curves(Phy::Bg), Curves(Phy::Ht)]),
+        "fig4-6" => (|c| vec![fig4_6(c)], vec![Strategy]),
+        "tab4-1" => (|c| vec![tab4_1(c)], vec![Strategy]),
+        "fig5-1" => (fig5_1, vec![Routing]),
+        "fig5-2" => (|c| vec![fig5_2(c)], vec![Asymmetry]),
+        "fig5-3" => (|c| vec![fig5_3(c)], vec![Routing]),
+        "fig5-4" => (|c| vec![fig5_4(c)], vec![Routing]),
+        "fig5-5" => (|c| vec![fig5_5(c)], vec![Routing]),
+        "fig6-1" => (|c| vec![fig6_1(c)], vec![Triples]),
+        "fig6-2" => (|c| vec![fig6_2(c)], vec![Ranges]),
+        "sec6-3" => (|c| vec![sec6_3(c)], vec![Triples, Ranges]),
+        "fig7-1" => (|c| vec![fig7_1(c)], vec![]),
+        "fig7-2" => (|c| vec![fig7_2(c)], vec![]),
+        "fig7-3" => (|c| vec![fig7_3(c)], vec![]),
+        "fig7-4" => (|c| vec![fig7_4(c)], vec![]),
+        "fig7-5" => (|c| vec![fig7_5(c)], vec![]),
+        "ext-adapt" => (|c| vec![ext_adapt(c)], vec![Adapters]),
+        "ext-cap" => (|c| vec![ext_cap(c)], vec![Cap]),
+        "ext-sweep" => (|c| vec![ext_sweep(c)], vec![Sweep]),
+        "ext-stability" => (|c| vec![ext_stability(c)], vec![Stability]),
+        "ext-diversity" => (|c| vec![ext_diversity(c)], vec![Diversity]),
+        "ext-ett" => (|c| vec![ext_ett(c)], vec![Ett]),
+        "ext-client" => (|c| vec![ext_client(c)], vec![]),
         _ => return None,
-    })
+    };
+    Some(experiment)
 }
 
-/// The dataset-file sections one experiment reads, beside the meta
-/// section every load reads; `None` for an unknown id. `mesh11 figures`
-/// loads the union over its ids, and a figure built from that load is
-/// byte-identical to one built from the whole file.
+/// Builds one experiment's figure(s); `None` for an unknown id. The
+/// context must have folded the experiment's [`kernels`].
+pub fn build(ctx: &ReproContext, id: &str) -> Option<Vec<FigureData>> {
+    experiment(id).map(|(build, _)| build(ctx))
+}
+
+/// The shared analyses one experiment reads; `None` for an unknown id. A
+/// context that folds only these builds the experiment's figures
+/// byte-identical to one that folds every kernel.
+pub fn kernels(id: &str) -> Option<Vec<Kernel>> {
+    experiment(id).map(|(_, kernels)| kernels)
+}
+
+/// The dataset-file sections one experiment reads beside the meta section:
+/// its kernels' PHYs, and the clients for §7; `None` for an unknown id.
+/// `mesh11 figures` loads the union over its ids, and a figure built from
+/// that load is byte-identical to one built from the whole file.
 pub fn sections(id: &str) -> Option<Sections> {
-    let probes = |phys: &[Phy]| Sections {
-        clients: false,
-        phys: phys.to_vec(),
-    };
-    Some(match id {
-        // Network metadata only; `ext-client` needs the simulated campaign
-        // and reports itself unavailable on a file.
-        "fig1-1" | "ext-client" => Sections::default(),
-        "fig3-1" | "fig4-1" | "fig4-4" | "fig4-5" => probes(&[Phy::Bg, Phy::Ht]),
-        "fig4-3" => probes(&[Phy::Ht]),
-        "fig4-2" | "fig4-6" | "tab4-1" | "fig5-1" | "fig5-2" | "fig5-3" | "fig5-4" | "fig5-5"
-        | "fig6-1" | "fig6-2" | "sec6-3" | "ext-adapt" | "ext-cap" | "ext-sweep"
-        | "ext-stability" | "ext-diversity" | "ext-ett" => probes(&[Phy::Bg]),
-        "fig7-1" | "fig7-2" | "fig7-3" | "fig7-4" | "fig7-5" => Sections {
-            clients: true,
-            phys: Vec::new(),
-        },
-        _ => return None,
+    let kernels = kernels(id)?;
+    Some(Sections {
+        clients: id.starts_with("fig7-"),
+        phys: [Phy::Bg, Phy::Ht]
+            .into_iter()
+            .filter(|phy| kernels.iter().any(|k| k.phys().contains(phy)))
+            .collect(),
     })
 }
 
@@ -123,8 +136,11 @@ fn cdf_series(label: &str, values: &[f64]) -> Option<Series> {
 /// Fig 3.1 — CDFs of SNR standard deviation within probe sets, per link,
 /// and per network.
 pub fn fig3_1(ctx: &ReproContext) -> FigureData {
-    let sigmas = ctx.snr_sigmas();
-    let (sets, links, nets) = (&sigmas.sets, &sigmas.links, &sigmas.nets);
+    let (sets, links, nets) = (
+        ctx.snr_sigmas(SigmaKind::ProbeSet),
+        ctx.snr_sigmas(SigmaKind::Link),
+        ctx.snr_sigmas(SigmaKind::Network),
+    );
     let under5 = sets.iter().filter(|&&s| s < 5.0).count() as f64 / sets.len().max(1) as f64;
     let mut fig = FigureData::new(
         "fig3-1",
@@ -139,7 +155,7 @@ pub fn fig3_1(ctx: &ReproContext) -> FigureData {
     ));
     // The paper's unpictured robustness note: σ of the k most recent SNRs
     // on a link is comparable to the within-set σ for small k.
-    let recent3 = &sigmas.recent;
+    let recent3 = ctx.snr_sigmas(SigmaKind::RecentK(3));
     if let (Some(set_med), Some(recent_med)) =
         (mesh11_stats::median(sets), mesh11_stats::median(recent3))
     {
@@ -996,14 +1012,6 @@ mod tests {
             }
         }
         assert!(build(ctx(), "fig9-9").is_none());
-    }
-
-    #[test]
-    fn every_id_declares_its_sections() {
-        for id in ALL_IDS {
-            assert!(sections(id).is_some(), "{id}");
-        }
-        assert!(sections("fig9-9").is_none());
     }
 
     #[test]

@@ -1,54 +1,52 @@
-//! The shared heavy analyses, declared once, and the fused pass of a
-//! chunked build.
+//! The shared heavy analyses behind the figures: a registry that declares
+//! each kernel once, and the fused pass that folds any set of them.
 //!
-//! Each analysis the figures share has one constructor here (`routing()`,
-//! `table(scope, phy)`, …) that fixes its parameters. An in-memory `ReproContext`
-//! runs it lazily as one `run_fold` over the whole view; a chunked build
-//! folds the same kernel, inside [`FusedRunner`], over every streamed part.
+//! [`Kernel`] names every shared analysis, and the registry fixes each
+//! one's parameters, name and the PHYs it reads. Every context fills its
+//! analyses one way: a [`FusedRunner`] folds the kernels its figures read
+//! (`figures::kernels`) over the parts, and the context keeps the
+//! [`FusedOutputs`]. A resident dataset is one part, its whole indexed
+//! view; a chunked build folds every sealed part of the streaming
+//! simulation as it arrives, so the figures never walk the chunk store.
 //!
-//! A chunked context never walks its store per analysis. **Pass A** folds
-//! every table-independent kernel — and the eight lookup-table builds —
-//! over each sealed part of the streaming simulation as it arrives, so
-//! every probe set is folded while it is still resident. **Pass B** then
-//! scores the finished tables: penalties need completed tables, so they
-//! cannot ride in pass A; on a chunked store all eight share one raw-chunk
-//! walk ([`ThroughputPenalty::evaluate_batch_chunked`]) that never builds
-//! a window and derives each probe set's SNR key and optimum once for the
-//! four tables of its PHY.
+//! **Pass A** folds the table-independent kernels and the eight
+//! lookup-table builds. **Pass B** then scores the finished tables:
+//! penalties need completed tables, so they cannot ride in pass A, and
+//! requesting one requests its table. On a chunked store they share one
+//! raw-chunk walk ([`ThroughputPenalty::evaluate_batch_chunked`]).
 //!
-//! Byte identity with the in-memory context follows from the fold contract
+//! Byte identity follows from the fold contract
 //! (`crates/trace/src/fold.rs`): parts arrive in network order and each
 //! kernel's single partial is threaded through them sequentially, which is
 //! exactly the accumulation sequence of its solo `run_fold` walk over the
-//! whole view.
+//! whole view. Kernels own their partials, so which others are requested
+//! alongside one changes none of its bytes.
 
-use std::collections::BTreeMap;
+use std::any::Any;
+use std::fmt::Debug;
 
 use mesh11_core::bitrate::adaptation::AdaptationKernel;
 use mesh11_core::bitrate::correlation::CurvesKernel;
 use mesh11_core::bitrate::lookup::TableBuildKernel;
 use mesh11_core::bitrate::stability::StabilityKernel;
 use mesh11_core::bitrate::strategy::StrategyKernel;
-use mesh11_core::bitrate::{
-    AdaptationOutcome, AdapterKind, LinkStability, LookupTableSet, Scope, SnrThroughputCurves,
-    StrategyEval, StrategyKind, ThroughputPenalty,
-};
+use mesh11_core::bitrate::{AdapterKind, LookupTableSet, Scope, StrategyKind, ThroughputPenalty};
 use mesh11_core::routing::asymmetry::AsymmetryKernel;
 use mesh11_core::routing::diversity::DiversityKernel;
-use mesh11_core::routing::ett::{EttAnalysis, EttKernel};
-use mesh11_core::routing::improvement::{OpportunisticAnalysis, RoutingKernel};
+use mesh11_core::routing::ett::EttKernel;
+use mesh11_core::routing::improvement::RoutingKernel;
 use mesh11_core::routing::EtxVariant;
 use mesh11_core::triples::hidden::TripleKernel;
 use mesh11_core::triples::range::RangeKernel;
 use mesh11_core::triples::sweep::SweepKernel;
-use mesh11_core::triples::{HearRule, TripleAnalysis};
+use mesh11_core::triples::HearRule;
 use mesh11_phy::{BitRate, Phy};
 use mesh11_trace::snrstats::{SigmaKernel, SigmaKind};
 use mesh11_trace::{
     DatasetView, DeliveryMatrix, FoldKernel, NetworkId, ProbeSource, Running, WindowFold,
 };
 
-use crate::setup::{lookup_slot, TRIPLE_THRESHOLD};
+use crate::setup::TRIPLE_THRESHOLD;
 
 /// Minimum APs for a network to join the §5 routing population.
 const ROUTING_MIN_APS: usize = 5;
@@ -56,133 +54,6 @@ const ROUTING_MIN_APS: usize = 5;
 /// The 1 Mbit/s b/g rate shared by the §5/§6 extension figures.
 fn one_mbps() -> BitRate {
     BitRate::bg_mbps(1.0).expect("1 Mbit/s exists")
-}
-
-/// The Fig 3.1 sigma kernels, in [`SnrSigmas`] field order: within-set,
-/// per-link, recent-3 (the robustness note's run length), per-network.
-pub(crate) fn sigmas() -> [SigmaKernel; 4] {
-    [
-        SigmaKernel(SigmaKind::ProbeSet),
-        SigmaKernel(SigmaKind::Link),
-        SigmaKernel(SigmaKind::RecentK(3)),
-        SigmaKernel(SigmaKind::Network),
-    ]
-}
-
-/// The §4 look-up table build of one (scope, phy).
-pub(crate) fn table(scope: Scope, phy: Phy) -> TableBuildKernel {
-    TableBuildKernel { scope, phy }
-}
-
-/// The Fig 4.5 SNR↔throughput curves of one PHY.
-pub(crate) fn curves(phy: Phy) -> CurvesKernel {
-    CurvesKernel { phy }
-}
-
-/// The Fig 4.6 / Table 4.1 online-strategy replay (b/g, every strategy).
-pub(crate) fn strategy() -> StrategyKernel {
-    StrategyKernel {
-        phy: Phy::Bg,
-        kinds: StrategyKind::ALL.to_vec(),
-    }
-}
-
-/// The §5 routing analyses (b/g, ≥5 APs).
-pub(crate) fn routing() -> RoutingKernel {
-    RoutingKernel {
-        phy: Phy::Bg,
-        min_aps: ROUTING_MIN_APS,
-    }
-}
-
-/// The Fig 5.2 asymmetry pools (b/g).
-pub(crate) fn asymmetry() -> AsymmetryKernel {
-    AsymmetryKernel { phy: Phy::Bg }
-}
-
-/// The §6 hidden-triple analysis (b/g, 10% threshold, mean rule).
-pub(crate) fn triples() -> TripleKernel {
-    TripleKernel {
-        phy: Phy::Bg,
-        threshold: TRIPLE_THRESHOLD,
-        rule: HearRule::Mean,
-    }
-}
-
-/// The §6 per-(network, rate) interference ranges (b/g, 10% threshold).
-pub(crate) fn ranges() -> RangeKernel {
-    RangeKernel {
-        phy: Phy::Bg,
-        threshold: TRIPLE_THRESHOLD,
-        rule: HearRule::Mean,
-    }
-}
-
-/// The `ext-adapt` replay: five adapters, in output order, charged a 10%
-/// probing-airtime overhead.
-pub(crate) fn adapters() -> AdaptationKernel {
-    AdaptationKernel {
-        phy: Phy::Bg,
-        kinds: vec![
-            AdapterKind::Oracle,
-            AdapterKind::SnrTable { top_k: 1 },
-            AdapterKind::SnrTable { top_k: 2 },
-            AdapterKind::EwmaProbing { alpha: 0.3 },
-            AdapterKind::Fixed(BitRate::bg_mbps(11.0).expect("11 Mbit/s exists")),
-        ],
-        overhead: 0.10,
-    }
-}
-
-/// The `ext-sweep` hearing-threshold sweep at 1 Mbit/s.
-pub(crate) fn sweep() -> SweepKernel {
-    SweepKernel {
-        phy: Phy::Bg,
-        rate: one_mbps(),
-        thresholds: vec![0.05, 0.10, 0.20, 0.30, 0.50],
-        rule: HearRule::Mean,
-    }
-}
-
-/// The `ext-stability` churn/drift report (b/g).
-pub(crate) fn stability() -> StabilityKernel {
-    StabilityKernel { phy: Phy::Bg }
-}
-
-/// The `ext-diversity` rows (b/g, 1 Mbit/s, ≥5 APs, ETX1).
-pub(crate) fn diversity() -> DiversityKernel {
-    DiversityKernel {
-        phy: Phy::Bg,
-        rate: one_mbps(),
-        min_aps: ROUTING_MIN_APS,
-        variant: EtxVariant::Etx1,
-    }
-}
-
-/// The `ext-ett` analyses (b/g, ≥5 APs).
-pub(crate) fn ett() -> EttKernel {
-    EttKernel {
-        phy: Phy::Bg,
-        min_aps: ROUTING_MIN_APS,
-    }
-}
-
-/// The `ext-cap` input: the largest ≥5-AP b/g network's 1 Mbit/s matrix.
-pub(crate) fn cap() -> CapKernel {
-    CapKernel
-}
-
-/// The Fig 3.1 sigma populations, bundled so one accessor serves all four.
-#[derive(Debug, Clone, Default)]
-pub struct SnrSigmas {
-    /// σ within each probe set.
-    pub sets: Vec<f64>,
-    /// σ of each link's probe-set SNRs over time.
-    pub links: Vec<f64>,
-    /// σ of each length-3 run of a link's recent SNRs.
-    pub recent: Vec<f64>,
-    /// σ over every probe-set SNR of a network.
-    pub nets: Vec<f64>,
 }
 
 /// The `ext-cap` input: the delivery matrix of the largest ≥5-AP b/g
@@ -243,61 +114,251 @@ impl FoldKernel for CapKernel {
     }
 }
 
-/// Every shared heavy analysis, produced by one fused pass.
-pub struct FusedOutputs {
-    /// Fig 3.1 sigma populations.
-    pub sigmas: SnrSigmas,
-    /// §4 lookup tables, indexed by `lookup_slot(scope, phy)`.
-    pub tables: [LookupTableSet; 8],
-    /// Fig 4.4 penalties, indexed by `lookup_slot(scope, phy)`.
-    pub penalties: [ThroughputPenalty; 8],
-    /// Fig 4.5 SNR↔throughput curves, `[Bg, Ht]`.
-    pub curves: [SnrThroughputCurves; 2],
-    /// Fig 4.6 / Table 4.1 online-strategy evaluations (b/g).
-    pub strategy_bg: Vec<StrategyEval>,
-    /// §5 routing analyses (b/g, ≥5 APs).
-    pub routing_bg: Vec<OpportunisticAnalysis>,
-    /// Fig 5.2 asymmetry pools per rate (b/g).
-    pub asymmetry_bg: BTreeMap<BitRate, Vec<f64>>,
-    /// §6 hidden-triple analysis (b/g, 10% threshold).
-    pub triples_bg: TripleAnalysis,
-    /// §6 per-(network, rate) ranges (b/g).
-    pub ranges_bg: BTreeMap<(NetworkId, BitRate), usize>,
-    /// `ext-adapt` outcomes.
-    pub adapters_ext: Vec<AdaptationOutcome>,
-    /// `ext-sweep` rows.
-    pub sweep_ext: Vec<(f64, Option<f64>)>,
-    /// `ext-stability` churn/drift report (b/g).
-    pub stability_bg: LinkStability,
-    /// `ext-diversity` rows.
-    pub diversity_ext: Vec<(usize, f64, f64, usize)>,
-    /// `ext-ett` analyses (b/g, ≥5 APs).
-    pub ett_bg: Vec<EttAnalysis>,
-    /// `ext-cap` delivery matrix, when a qualifying network exists.
-    pub cap_ext: Option<CapMatrix>,
+/// One shared analysis behind the figures: a pass-A fold kernel, or a
+/// pass-B penalty. The registry ([`Kernel::all`]) declares each one once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kernel {
+    /// A Fig 3.1 sigma population.
+    Sigma(SigmaKind),
+    /// The Fig 4.5 SNR↔throughput curves of one PHY.
+    Curves(Phy),
+    /// The Fig 4.6 / Table 4.1 online-strategy replay.
+    Strategy,
+    /// The §5 routing analyses.
+    Routing,
+    /// The Fig 5.2 asymmetry pools.
+    Asymmetry,
+    /// The §6 hidden-triple analysis.
+    Triples,
+    /// The §6 per-(network, rate) interference ranges.
+    Ranges,
+    /// The `ext-adapt` replay.
+    Adapters,
+    /// The `ext-sweep` threshold sweep.
+    Sweep,
+    /// The `ext-stability` churn/drift report.
+    Stability,
+    /// The `ext-diversity` rows.
+    Diversity,
+    /// The `ext-ett` analyses.
+    Ett,
+    /// The `ext-cap` delivery matrix.
+    Cap,
+    /// The §4 look-up table build of one (scope, phy).
+    Table(Scope, Phy),
+    /// The Fig 4.4 penalty of one (scope, phy) table: pass B, so it
+    /// implies [`Kernel::Table`] of the same (scope, phy).
+    Penalty(Scope, Phy),
 }
 
-/// The in-flight state of the fused pass: every pass-A kernel paired with
-/// its partial, ready to fold network-aligned views as they arrive.
+/// A registry row: a kernel, its name in traces and benchmarks
+/// (`core.fold.<name>`), the PHYs whose probe sections it reads, and
+/// whether it reads the index's per-probe columns (median SNR, SNR key,
+/// optimum), which a fused fold builds once, up front. Its fold, with its
+/// parameters, is [`Kernel::start`].
+struct Entry(Kernel, &'static str, &'static [Phy], bool);
+
+/// The registry. The 25 pass-A folds come first, in the order
+/// [`FusedRunner::kernels`] yields them; the eight pass-B penalties
+/// follow, in the tables' (scope, phy) order.
+const REGISTRY: [Entry; 33] = {
+    use Kernel::*;
+    use Phy::{Bg, Ht};
+    use Scope::{Ap, Global, Link, Network};
+    const BG: &[Phy] = &[Bg];
+    const HT: &[Phy] = &[Ht];
+    const BOTH: &[Phy] = &[Bg, Ht];
+    [
+        Entry(Sigma(SigmaKind::ProbeSet), "sigmas.sets", BOTH, true),
+        Entry(Sigma(SigmaKind::Link), "sigmas.links", BOTH, true),
+        // The run length of the paper's robustness note.
+        Entry(Sigma(SigmaKind::RecentK(3)), "sigmas.recent", BOTH, true),
+        Entry(Sigma(SigmaKind::Network), "sigmas.nets", BOTH, true),
+        Entry(Curves(Bg), "curves.bg", BG, true),
+        Entry(Curves(Ht), "curves.ht", HT, true),
+        Entry(Strategy, "strategy_bg", BG, true),
+        Entry(Routing, "routing_bg", BG, false),
+        Entry(Asymmetry, "asymmetry_bg", BG, false),
+        Entry(Triples, "triples_bg", BG, false),
+        Entry(Ranges, "ranges_bg", BG, false),
+        Entry(Adapters, "adapters_ext", BG, true),
+        Entry(Sweep, "sweep_ext", BG, false),
+        Entry(Stability, "stability_bg", BG, true),
+        Entry(Diversity, "diversity_ext", BG, false),
+        Entry(Ett, "ett_bg", BG, false),
+        Entry(Cap, "cap_ext", BG, false),
+        Entry(Table(Global, Bg), "tables.global.bg", BG, true),
+        Entry(Table(Global, Ht), "tables.global.ht", HT, true),
+        Entry(Table(Network, Bg), "tables.network.bg", BG, true),
+        Entry(Table(Network, Ht), "tables.network.ht", HT, true),
+        Entry(Table(Ap, Bg), "tables.ap.bg", BG, true),
+        Entry(Table(Ap, Ht), "tables.ap.ht", HT, true),
+        Entry(Table(Link, Bg), "tables.link.bg", BG, true),
+        Entry(Table(Link, Ht), "tables.link.ht", HT, true),
+        Entry(Penalty(Global, Bg), "penalties.global.bg", BG, true),
+        Entry(Penalty(Global, Ht), "penalties.global.ht", HT, true),
+        Entry(Penalty(Network, Bg), "penalties.network.bg", BG, true),
+        Entry(Penalty(Network, Ht), "penalties.network.ht", HT, true),
+        Entry(Penalty(Ap, Bg), "penalties.ap.bg", BG, true),
+        Entry(Penalty(Ap, Ht), "penalties.ap.ht", HT, true),
+        Entry(Penalty(Link, Bg), "penalties.link.bg", BG, true),
+        Entry(Penalty(Link, Ht), "penalties.link.ht", HT, true),
+    ]
+};
+
+impl Kernel {
+    /// Every kernel, in registry order.
+    pub fn all() -> Vec<Kernel> {
+        REGISTRY.iter().map(|e| e.0).collect()
+    }
+
+    fn entry(self) -> &'static Entry {
+        REGISTRY
+            .iter()
+            .find(|e| e.0 == self)
+            .expect("every kernel is registered")
+    }
+
+    /// The kernel's name in traces and benchmarks (`sigmas.sets`, …,
+    /// `tables.link.ht`, `penalties.link.ht`).
+    pub fn name(self) -> &'static str {
+        self.entry().1
+    }
+
+    /// The PHYs whose probe sections the kernel reads.
+    pub fn phys(self) -> &'static [Phy] {
+        self.entry().2
+    }
+
+    /// A pass-A kernel, with its parameters, and a fresh partial; its
+    /// output fills the kernel's cell of [`FusedOutputs`].
+    fn start(self) -> Box<dyn ErasedFold> {
+        let (phy, rule, one_mbps) = (Phy::Bg, HearRule::Mean, one_mbps());
+        match self {
+            Kernel::Sigma(kind) => erase(SigmaKernel(kind)),
+            Kernel::Curves(phy) => erase(CurvesKernel { phy }),
+            Kernel::Strategy => erase(StrategyKernel {
+                phy,
+                kinds: StrategyKind::ALL.to_vec(),
+            }),
+            Kernel::Routing => erase(RoutingKernel {
+                phy,
+                min_aps: ROUTING_MIN_APS,
+            }),
+            Kernel::Asymmetry => erase(AsymmetryKernel { phy }),
+            Kernel::Triples => erase(TripleKernel {
+                phy,
+                threshold: TRIPLE_THRESHOLD,
+                rule,
+            }),
+            Kernel::Ranges => erase(RangeKernel {
+                phy,
+                threshold: TRIPLE_THRESHOLD,
+                rule,
+            }),
+            Kernel::Adapters => erase(AdaptationKernel {
+                phy,
+                kinds: vec![
+                    AdapterKind::Oracle,
+                    AdapterKind::SnrTable { top_k: 1 },
+                    AdapterKind::SnrTable { top_k: 2 },
+                    AdapterKind::EwmaProbing { alpha: 0.3 },
+                    AdapterKind::Fixed(BitRate::bg_mbps(11.0).expect("11 Mbit/s exists")),
+                ],
+                overhead: 0.10,
+            }),
+            Kernel::Sweep => erase(SweepKernel {
+                phy,
+                rate: one_mbps,
+                thresholds: vec![0.05, 0.10, 0.20, 0.30, 0.50],
+                rule,
+            }),
+            Kernel::Stability => erase(StabilityKernel { phy }),
+            Kernel::Diversity => erase(DiversityKernel {
+                phy,
+                rate: one_mbps,
+                min_aps: ROUTING_MIN_APS,
+                variant: EtxVariant::Etx1,
+            }),
+            Kernel::Ett => erase(EttKernel {
+                phy,
+                min_aps: ROUTING_MIN_APS,
+            }),
+            Kernel::Cap => erase(CapKernel),
+            Kernel::Table(scope, phy) => erase(TableBuildKernel { scope, phy }),
+            Kernel::Penalty(..) => unreachable!("a penalty is scored in pass B, not folded"),
+        }
+    }
+}
+
+/// A finished kernel output, type-erased so one list holds every kind.
+type Cell = Box<dyn Output>;
+
+/// What every kernel output is.
+trait Output: Any + Debug + Send + Sync {}
+
+impl<T: Any + Debug + Send + Sync> Output for T {}
+
+/// A running kernel whose output is type-erased, so one runner drives
+/// kernels of every output type.
+trait ErasedFold: WindowFold {
+    fn finish_erased(self: Box<Self>) -> Cell;
+}
+
+impl<K> ErasedFold for Running<K>
+where
+    K: FoldKernel + Send + 'static,
+    K::Output: Output,
+{
+    fn finish_erased(self: Box<Self>) -> Cell {
+        Box::new(self.finish())
+    }
+}
+
+fn erase<K>(kernel: K) -> Box<dyn ErasedFold>
+where
+    K: FoldKernel + Send + 'static,
+    K::Output: Output,
+{
+    Box::new(Running::new(kernel))
+}
+
+/// The finished outputs of one fused pass, one cell per folded kernel.
+#[derive(Default)]
+pub struct FusedOutputs {
+    cells: Vec<(Kernel, Cell)>,
+}
+
+impl FusedOutputs {
+    /// The output of `kernel`. Panics when the pass did not fold it, or
+    /// when `T` is not its output type: both are bugs in the caller.
+    pub fn get<T: Any>(&self, kernel: Kernel) -> &T {
+        (self.cell(kernel) as &dyn Any)
+            .downcast_ref()
+            .unwrap_or_else(|| panic!("kernel {} has another output type", kernel.name()))
+    }
+
+    fn cell(&self, kernel: Kernel) -> &dyn Output {
+        let (_, cell) = self
+            .cells
+            .iter()
+            .find(|(k, _)| *k == kernel)
+            .unwrap_or_else(|| {
+                panic!(
+                    "kernel {} not requested: `figures::kernels` declares it",
+                    kernel.name()
+                )
+            });
+        &**cell
+    }
+}
+
+/// The in-flight state of a fused pass: each requested pass-A kernel
+/// paired with its partial, ready to fold network-aligned views as they
+/// arrive, plus the penalties pass B will score.
 pub struct FusedRunner {
-    sig_sets: Running<SigmaKernel>,
-    sig_links: Running<SigmaKernel>,
-    sig_recent: Running<SigmaKernel>,
-    sig_nets: Running<SigmaKernel>,
-    tables: Vec<Running<TableBuildKernel>>,
-    curves_bg: Running<CurvesKernel>,
-    curves_ht: Running<CurvesKernel>,
-    strategy_bg: Running<StrategyKernel>,
-    routing_bg: Running<RoutingKernel>,
-    asymmetry_bg: Running<AsymmetryKernel>,
-    triples_bg: Running<TripleKernel>,
-    ranges_bg: Running<RangeKernel>,
-    adapters: Running<AdaptationKernel>,
-    sweep: Running<SweepKernel>,
-    stability_bg: Running<StabilityKernel>,
-    diversity: Running<DiversityKernel>,
-    ett_bg: Running<EttKernel>,
-    cap: Running<CapKernel>,
+    running: Vec<(Kernel, Box<dyn ErasedFold>)>,
+    penalties: Vec<(Scope, Phy)>,
 }
 
 impl Default for FusedRunner {
@@ -307,188 +368,146 @@ impl Default for FusedRunner {
 }
 
 impl FusedRunner {
-    /// Starts every pass-A kernel with a fresh partial.
+    /// Starts every kernel with a fresh partial.
     pub fn new() -> Self {
-        // Table slots in lookup_slot order: (Global..Link) × (Bg, Ht).
-        let mut tables = Vec::with_capacity(8);
-        for scope in Scope::ALL {
-            for phy in [Phy::Bg, Phy::Ht] {
-                debug_assert_eq!(tables.len(), lookup_slot(scope, phy));
-                tables.push(Running::new(table(scope, phy)));
+        Self::for_kernels(&Kernel::all())
+    }
+
+    /// Starts the requested kernels, in registry order whatever the
+    /// request's order; a penalty starts its table too.
+    pub fn for_kernels(requested: &[Kernel]) -> Self {
+        let wanted = |k: &Kernel| {
+            requested.contains(k)
+                || matches!(*k, Kernel::Table(s, p) if requested.contains(&Kernel::Penalty(s, p)))
+        };
+        let mut runner = Self {
+            running: Vec::new(),
+            penalties: Vec::new(),
+        };
+        for k in Kernel::all().into_iter().filter(wanted) {
+            match k {
+                Kernel::Penalty(s, p) => runner.penalties.push((s, p)),
+                k => runner.running.push((k, k.start())),
             }
         }
-        let [sig_sets, sig_links, sig_recent, sig_nets] = sigmas().map(Running::new);
-        Self {
-            sig_sets,
-            sig_links,
-            sig_recent,
-            sig_nets,
-            tables,
-            curves_bg: Running::new(curves(Phy::Bg)),
-            curves_ht: Running::new(curves(Phy::Ht)),
-            strategy_bg: Running::new(strategy()),
-            routing_bg: Running::new(routing()),
-            asymmetry_bg: Running::new(asymmetry()),
-            triples_bg: Running::new(triples()),
-            ranges_bg: Running::new(ranges()),
-            adapters: Running::new(adapters()),
-            sweep: Running::new(sweep()),
-            stability_bg: Running::new(stability()),
-            diversity: Running::new(diversity()),
-            ett_bg: Running::new(ett()),
-            cap: Running::new(cap()),
-        }
+        runner
     }
 
-    /// Every kernel as an object-safe running fold, in a fixed order that
-    /// callers may name by position; the eight table builds come last, in
-    /// `lookup_slot` order.
+    /// Every requested pass-A kernel as an object-safe running fold, in
+    /// registry order.
     pub fn kernels(&mut self) -> Vec<&mut dyn WindowFold> {
-        let mut ks: Vec<&mut dyn WindowFold> = vec![
-            &mut self.sig_sets,
-            &mut self.sig_links,
-            &mut self.sig_recent,
-            &mut self.sig_nets,
-            &mut self.curves_bg,
-            &mut self.curves_ht,
-            &mut self.strategy_bg,
-            &mut self.routing_bg,
-            &mut self.asymmetry_bg,
-            &mut self.triples_bg,
-            &mut self.ranges_bg,
-            &mut self.adapters,
-            &mut self.sweep,
-            &mut self.stability_bg,
-            &mut self.diversity,
-            &mut self.ett_bg,
-            &mut self.cap,
-        ];
-        ks.extend(self.tables.iter_mut().map(|t| t as &mut dyn WindowFold));
-        ks
+        self.running
+            .iter_mut()
+            .map(|(_, r)| &mut **r as &mut dyn WindowFold)
+            .collect()
     }
 
-    /// Folds one network-aligned view (one sealed streaming part) into
-    /// every kernel, fanning out across kernels. Views must arrive in
-    /// network-id order — that is the byte-identity contract.
+    /// Folds one network-aligned view into every requested kernel,
+    /// fanning out across kernels. Views must arrive in network-id order —
+    /// that is the byte-identity contract.
     pub fn fold_view(&mut self, view: DatasetView<'_>) {
         use rayon::prelude::*;
-        // Several kernels read the per-probe columns: build them at full
-        // width here, not inside whichever kernel's worker gets there
-        // first.
-        view.columns();
+        // Build the per-probe columns at full width here, not inside
+        // whichever kernel's worker reads them first.
+        if self.running.iter().any(|(k, _)| k.entry().3) {
+            view.columns();
+        }
         let mut kernels = self.kernels();
         kernels.par_iter_mut().for_each(|k| k.fold_window(view));
     }
 
     /// Finishes pass A and runs pass B (penalties) against `src`, which
-    /// must cover exactly the probes this runner folded.
+    /// must cover exactly the probes this runner folded. On a chunked
+    /// store the penalties share a single raw-chunk walk; on a resident
+    /// view each table scores the whole view, reading the SNR key and
+    /// optimum from the index's columns.
     pub fn finish(self, src: &ProbeSource<'_>) -> FusedOutputs {
-        let sigmas = SnrSigmas {
-            sets: self.sig_sets.finish(),
-            links: self.sig_links.finish(),
-            recent: self.sig_recent.finish(),
-            nets: self.sig_nets.finish(),
+        let mut out = FusedOutputs {
+            cells: self
+                .running
+                .into_iter()
+                .map(|(k, r)| (k, r.finish_erased()))
+                .collect(),
         };
-        let tables: [LookupTableSet; 8] = self
-            .tables
-            .into_iter()
-            .map(Running::finish)
-            .collect::<Vec<_>>()
-            .try_into()
-            .unwrap_or_else(|_| unreachable!("eight table slots"));
-        let penalties = evaluate_penalties(src, &tables);
-        FusedOutputs {
-            sigmas,
-            tables,
-            penalties,
-            curves: [self.curves_bg.finish(), self.curves_ht.finish()],
-            strategy_bg: self.strategy_bg.finish(),
-            routing_bg: self.routing_bg.finish(),
-            asymmetry_bg: self.asymmetry_bg.finish(),
-            triples_bg: self.triples_bg.finish(),
-            ranges_bg: self.ranges_bg.finish(),
-            adapters_ext: self.adapters.finish(),
-            sweep_ext: self.sweep.finish(),
-            stability_bg: self.stability_bg.finish(),
-            diversity_ext: self.diversity.finish(),
-            ett_bg: self.ett_bg.finish(),
-            cap_ext: self.cap.finish(),
+        let scored = {
+            let tables: Vec<&LookupTableSet> = self
+                .penalties
+                .iter()
+                .map(|&(s, p)| out.get(Kernel::Table(s, p)))
+                .collect();
+            match src {
+                _ if tables.is_empty() => Vec::new(),
+                ProbeSource::Chunked(c) => ThroughputPenalty::evaluate_batch_chunked(c, &tables),
+                ProbeSource::Whole(view) => tables
+                    .iter()
+                    .map(|t| ThroughputPenalty::evaluate(*view, t))
+                    .collect(),
+            }
+        };
+        for ((s, p), penalty) in self.penalties.into_iter().zip(scored) {
+            out.cells.push((Kernel::Penalty(s, p), Box::new(penalty)));
         }
+        out
     }
-}
-
-/// Pass B: one penalty per table, in `lookup_slot` order. On a chunked
-/// store all eight share a single raw-chunk walk (zero window builds) that
-/// derives each probe set's SNR key and optimum once; on a resident view
-/// each table scores the whole view directly, reading both from the
-/// index's columns.
-fn evaluate_penalties(
-    src: &ProbeSource<'_>,
-    tables: &[LookupTableSet; 8],
-) -> [ThroughputPenalty; 8] {
-    let out: Vec<ThroughputPenalty> = match src {
-        ProbeSource::Chunked(c) => {
-            let refs: Vec<&LookupTableSet> = tables.iter().collect();
-            ThroughputPenalty::evaluate_batch_chunked(c, &refs)
-        }
-        ProbeSource::Whole(view) => tables
-            .iter()
-            .map(|t| ThroughputPenalty::evaluate(*view, t))
-            .collect(),
-    };
-    out.try_into()
-        .unwrap_or_else(|_| unreachable!("eight penalty slots"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::setup::{ReproContext, Scale};
+    use crate::setup::Scale;
+    use mesh11_trace::DatasetIndex;
 
-    fn dbg(x: &dyn std::fmt::Debug) -> String {
-        format!("{x:?}")
-    }
-
-    /// The resident arm of `finish`: a runner folded over a quick
-    /// dataset's whole view yields, field for field, what the in-memory
-    /// context's lazy cells compute. Lookup tables hold hash maps, so they
-    /// are compared through their ordered accessors and their penalties.
+    /// The oracle of the fused pass: a runner folded over a quick
+    /// dataset's whole view yields, kernel for kernel, what that kernel
+    /// alone yields over the view (`init`, one `fold`, `finish`: its solo
+    /// `run_fold`), and each penalty is `ThroughputPenalty::evaluate` of
+    /// the solo table. Lookup tables hold hash maps, so they are compared
+    /// through their ordered accessors.
     #[test]
-    fn resident_finish_matches_lazy_cells() {
-        let ctx = ReproContext::build(Scale::Quick, 7);
-        let view = ctx.view();
+    fn fused_outputs_match_solo_folds() {
+        let scale = Scale::Quick;
+        let ds = scale
+            .config()
+            .run_campaign(&scale.campaign_spec(7).generate());
+        let ix = DatasetIndex::build(&ds);
+        let view = DatasetView::new(&ds, &ix);
         let mut runner = FusedRunner::new();
         assert_eq!(runner.kernels().len(), 25);
         runner.fold_view(view);
-        let out = runner.finish(&ProbeSource::Whole(view));
-
-        assert_eq!(dbg(&out.sigmas), dbg(ctx.snr_sigmas()));
-        for scope in Scope::ALL {
-            for phy in [Phy::Bg, Phy::Ht] {
-                let slot = lookup_slot(scope, phy);
-                let (got, want) = (&out.tables[slot], ctx.lookup_tables(scope, phy));
-                assert_eq!(got.n_keys(), want.n_keys(), "{scope:?} {phy:?}");
-                assert_eq!(got.optimal_rates_per_snr(), want.optimal_rates_per_snr());
-                assert_eq!(got.exact_accuracy(view), want.exact_accuracy(view));
-                assert_eq!(dbg(&out.penalties[slot]), dbg(ctx.penalty(scope, phy)));
+        let fused = runner.finish(&ProbeSource::Whole(view));
+        let solo = |k: Kernel| {
+            let mut fold = k.start();
+            fold.fold_window(view);
+            FusedOutputs {
+                cells: vec![(k, fold.finish_erased())],
             }
+        };
+        let ordered = |t: &LookupTableSet| {
+            let rates = t.optimal_rates_per_snr();
+            format!("{} {rates:?} {}", t.n_keys(), t.exact_accuracy(view))
+        };
+        for k in Kernel::all() {
+            let (got, want) = match k {
+                Kernel::Table(..) => (
+                    ordered(fused.get(k)),
+                    ordered(solo(k).get::<LookupTableSet>(k)),
+                ),
+                Kernel::Penalty(scope, phy) => {
+                    let table = Kernel::Table(scope, phy);
+                    let want = ThroughputPenalty::evaluate(view, solo(table).get(table));
+                    (
+                        format!("{:?}", fused.get::<ThroughputPenalty>(k)),
+                        format!("{want:?}"),
+                    )
+                }
+                _ => (
+                    format!("{:?}", fused.cell(k)),
+                    format!("{:?}", solo(k).cell(k)),
+                ),
+            };
+            assert_eq!(got, want, "{}", k.name());
         }
-        assert_eq!(dbg(&out.curves[0]), dbg(ctx.snr_curves(Phy::Bg)));
-        assert_eq!(dbg(&out.curves[1]), dbg(ctx.snr_curves(Phy::Ht)));
-        assert_eq!(dbg(&out.strategy_bg), dbg(&ctx.strategy_evals_bg()));
-        assert_eq!(dbg(&out.routing_bg), dbg(&ctx.routing_bg()));
-        assert_eq!(dbg(&out.asymmetry_bg), dbg(ctx.asymmetry_bg()));
-        assert_eq!(dbg(&out.triples_bg), dbg(ctx.triples_bg()));
-        assert_eq!(dbg(&out.ranges_bg), dbg(ctx.ranges_bg()));
-        assert_eq!(dbg(&out.adapters_ext), dbg(&ctx.adapters_ext()));
-        assert_eq!(dbg(&out.sweep_ext), dbg(&ctx.sweep_ext()));
-        assert_eq!(dbg(&out.stability_bg), dbg(ctx.stability_bg()));
-        assert_eq!(dbg(&out.diversity_ext), dbg(&ctx.diversity_ext()));
-        assert_eq!(dbg(&out.ett_bg), dbg(&ctx.ett_bg()));
-        assert!(
-            out.cap_ext.is_some(),
-            "quick campaign has a ≥5-AP b/g network"
-        );
-        assert_eq!(dbg(&out.cap_ext.as_ref()), dbg(&ctx.cap_ext()));
+        let cap: &Option<CapMatrix> = fused.get(Kernel::Cap);
+        assert!(cap.is_some(), "quick campaign has a ≥5-AP b/g network");
     }
 }

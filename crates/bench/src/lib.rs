@@ -8,10 +8,10 @@
 //!   [`mesh11_core::report::FigureData`] with the paper-expected values
 //!   recorded as notes. The `repro` binary prints them; `EXPERIMENTS.md`
 //!   records a full run.
-//! * [`fused`] — one constructor per shared heavy analysis, used by the
-//!   lazy in-memory cells and by the fused pass of a chunked run, where
-//!   every kernel folds each sealed part of the streaming simulation as it
-//!   arrives, so the figures never walk the chunk store per analysis.
+//! * [`fused`] — the kernel registry, which declares each shared heavy
+//!   analysis once, and the fused pass that folds the requested kernels
+//!   over a resident dataset's whole view or over each sealed part of a
+//!   chunked run's streaming simulation as it arrives.
 //! * [`ensemble`] — cross-seed aggregation for multi-seed runs
 //!   (`repro --seeds N`): mean ± 95% t-interval series under
 //!   `out/figures_ci/`.
@@ -30,7 +30,7 @@ pub mod setup;
 pub mod timing;
 
 pub use ensemble::{aggregate_ci, group_by_figure, max_relative_halfwidth};
-pub use fused::{CapMatrix, FusedOutputs, FusedRunner, SnrSigmas};
+pub use fused::{CapMatrix, FusedOutputs, FusedRunner, Kernel};
 pub use setup::{
     DataMode, DataStore, MultiBuildTimings, ReproContext, Scale, DEFAULT_METRO_FACTOR,
 };

@@ -14,12 +14,13 @@ use mesh11_core::triples::hidden::TripleAnalysis;
 use mesh11_phy::{shared_success_table, BitRate, PerModel, Phy, SuccessTable};
 use mesh11_sim::{ClientProbeTrace, SimConfig};
 use mesh11_topo::{Campaign, CampaignSpec, NetworkSpec};
+use mesh11_trace::snrstats::SigmaKind;
 use mesh11_trace::{
-    run_fold, ChunkConfig, ChunkStoreStats, ChunkedDataset, ChunkedDatasetBuilder, ClientSample,
-    Dataset, DatasetIndex, DatasetView, NetworkId, NetworkMeta, ProbeSource,
+    ChunkConfig, ChunkStoreStats, ChunkedDataset, ChunkedDatasetBuilder, ClientSample, Dataset,
+    DatasetIndex, DatasetView, NetworkId, NetworkMeta, ProbeSource,
 };
 
-use crate::fused::{self, CapMatrix, FusedOutputs, FusedRunner, SnrSigmas};
+use crate::fused::{CapMatrix, FusedOutputs, FusedRunner, Kernel};
 
 /// The §6 hearing threshold (10%) used by every cached triple analysis.
 pub const TRIPLE_THRESHOLD: f64 = 0.10;
@@ -32,8 +33,8 @@ pub const CLIENT_PROBE_MIN_APS: usize = 5;
 /// bounded.
 pub const CLIENT_PROBE_MAX_HORIZON_S: f64 = 14_400.0;
 
-/// Wall-clock seconds of the two pre-analysis phases of a reproduction
-/// run; see [`ReproContext::build_timed`].
+/// Wall-clock seconds of a context build: generation, simulation and the
+/// fused analysis pass; see [`ReproContext::build_timed_with_kernels`].
 #[derive(Debug, Clone, Copy)]
 pub struct BuildTimings {
     /// Campaign generation (topology, populations, specs).
@@ -49,12 +50,12 @@ pub struct BuildTimings {
     /// Clients the client-probe pass simulated — the unit of its work
     /// list, giving `client_probe_s` a denominator.
     pub clients_simulated: usize,
-    /// Analysis seconds the chunked build spends in its streaming
-    /// consumer: the index build and kernel fold of every sealed part,
-    /// plus the pass-B finish. Chunk encode and spill are store work and
-    /// stay out. `None` for in-memory builds, whose analyses run lazily
-    /// after the build.
-    pub stream_analyze_s: Option<f64>,
+    /// Seconds the build spent filling its analyses. An in-memory build
+    /// folds after simulating: the index build, the fused fold and pass
+    /// B. A chunked build folds in its streaming consumer: the index
+    /// build and fold of every sealed part, plus the pass-B finish; chunk
+    /// encode and spill are store work and stay out.
+    pub analyze_s: f64,
     /// Seconds the chunked build's simulator spent blocked handing parts
     /// to the fold: waiting for it to catch up to the allowed lead, or,
     /// when the two must share cores, for each part's fold. `None` for
@@ -92,6 +93,9 @@ pub struct MultiBuildTimings {
     pub clients_simulated: usize,
     /// Pairs simulated per seed, in seed order.
     pub per_seed_pairs: Vec<usize>,
+    /// Seconds each seed's context spent filling its analyses, in seed
+    /// order.
+    pub per_seed_analyze_s: Vec<f64>,
 }
 
 /// The cached downlink client-probe pass: one trace per covered network.
@@ -237,9 +241,9 @@ pub enum DataStore {
 }
 
 /// A materialized reproduction run: the dataset plus the heavy analyses
-/// shared across figures, one cache cell each. A chunked build fills every
-/// analysis cell from its streaming fused pass; an in-memory context
-/// computes each one on first touch, with one fold over the whole view.
+/// shared across figures, filled by one [`FusedRunner`] pass over the
+/// kernels the build was asked for. An accessor returns its kernel's
+/// value and panics when the build did not request that kernel.
 pub struct ReproContext {
     /// The simulated probe reports — resident or chunked.
     store: DataStore,
@@ -254,72 +258,43 @@ pub struct ReproContext {
     campaign: Option<Campaign>,
     client_probes: OnceLock<Option<ClientProbePass>>,
     index: OnceLock<DatasetIndex>,
-    routing_bg: OnceLock<Vec<OpportunisticAnalysis>>,
-    // One slot per (scope, phy): Figs 4.1–4.4 all key off the same tables.
-    lookup_tables: [OnceLock<LookupTableSet>; 8],
-    strategy_evals_bg: OnceLock<Vec<StrategyEval>>,
-    triples_bg: OnceLock<TripleAnalysis>,
-    ranges_bg: OnceLock<BTreeMap<(NetworkId, BitRate), usize>>,
     mobility: OnceLock<MobilityReport>,
-    snr_sigmas: OnceLock<SnrSigmas>,
-    curves: [OnceLock<SnrThroughputCurves>; 2],
-    penalties: [OnceLock<ThroughputPenalty>; 8],
-    asymmetry_bg: OnceLock<BTreeMap<BitRate, Vec<f64>>>,
-    adapters_ext: OnceLock<Vec<AdaptationOutcome>>,
-    sweep_ext: OnceLock<Vec<(f64, Option<f64>)>>,
-    stability_bg: OnceLock<LinkStability>,
-    diversity_ext: OnceLock<Vec<(usize, f64, f64, usize)>>,
-    ett_bg: OnceLock<Vec<EttAnalysis>>,
-    cap_ext: OnceLock<Option<CapMatrix>>,
-}
-
-pub(crate) fn lookup_slot(scope: Scope, phy: Phy) -> usize {
-    let s = match scope {
-        Scope::Global => 0,
-        Scope::Network => 1,
-        Scope::Ap => 2,
-        Scope::Link => 3,
-    };
-    let p = match phy {
-        Phy::Bg => 0,
-        Phy::Ht => 1,
-    };
-    s * 2 + p
+    /// The requested kernels' outputs.
+    analyses: FusedOutputs,
 }
 
 impl ReproContext {
-    /// Generates and simulates a campaign.
+    /// Generates and simulates a campaign in the scale's default data
+    /// mode, and folds every kernel.
     pub fn build(scale: Scale, seed: u64) -> Self {
-        Self::build_timed(scale, seed).0
+        let faults = mesh11_sim::FaultPlan::none();
+        Self::build_timed_with_mode(scale, seed, faults, scale.data_mode()).0
     }
 
-    /// As [`ReproContext::build`], also reporting how long the generate and
-    /// simulate phases took (wall-clock seconds).
-    pub fn build_timed(scale: Scale, seed: u64) -> (Self, BuildTimings) {
-        Self::build_timed_with_faults(scale, seed, mesh11_sim::FaultPlan::none())
-    }
-
-    /// As [`ReproContext::build_timed`], simulating under a fault plan
-    /// (`repro --faults` and the fault-injected CI invariance run). Uses
-    /// the scale's default data mode.
-    pub fn build_timed_with_faults(
-        scale: Scale,
-        seed: u64,
-        faults: mesh11_sim::FaultPlan,
-    ) -> (Self, BuildTimings) {
-        Self::build_timed_with_mode(scale, seed, faults, scale.data_mode())
-    }
-
-    /// The fully-general build: scale, faults, and an explicit data mode.
-    /// `DataMode::Chunked` streams the simulation into the chunk store and
-    /// folds every shared analysis over each sealed part on the way, so at
-    /// no point is the whole probe table resident and the figures never
-    /// walk the store again.
+    /// As [`ReproContext::build_timed_with_kernels`], folding every
+    /// kernel; also reports how long each phase took (wall-clock seconds).
     pub fn build_timed_with_mode(
         scale: Scale,
         seed: u64,
         faults: mesh11_sim::FaultPlan,
         mode: DataMode,
+    ) -> (Self, BuildTimings) {
+        Self::build_timed_with_kernels(scale, seed, faults, mode, &Kernel::all())
+    }
+
+    /// The fully-general build: scale, faults, an explicit data mode, and
+    /// the kernels to fold (`figures::kernels` of the figures to come).
+    /// `DataMode::Chunked` streams the simulation into the chunk store and
+    /// folds the kernels over each sealed part on the way, so at no point
+    /// is the whole probe table resident and the figures never walk the
+    /// store again. `DataMode::InMemory` folds them over the whole view
+    /// once the simulation is done.
+    pub fn build_timed_with_kernels(
+        scale: Scale,
+        seed: u64,
+        faults: mesh11_sim::FaultPlan,
+        mode: DataMode,
+        kernels: &[Kernel],
     ) -> (Self, BuildTimings) {
         let spec = scale.campaign_spec(seed);
         let mut config = scale.config();
@@ -327,7 +302,7 @@ impl ReproContext {
         let t0 = std::time::Instant::now();
         let campaign = spec.generate();
         let generate_s = t0.elapsed().as_secs_f64();
-        let (this, simulate_s, pairs_simulated, stream) = match mode {
+        let (mut this, simulate_s, pairs_simulated, stream) = match mode {
             DataMode::InMemory => {
                 let t1 = std::time::Instant::now();
                 // One success table serves the whole process: the shared
@@ -341,7 +316,7 @@ impl ReproContext {
                 let this = Self::assemble(store, config, seed, Some(campaign));
                 (this, simulate_s, stats.pairs_simulated, None)
             }
-            DataMode::Chunked(cfg) => Self::build_chunked(config, seed, campaign, cfg),
+            DataMode::Chunked(cfg) => Self::build_chunked(config, seed, campaign, cfg, kernels),
         };
         // Run the client-probe pass eagerly so its cost lands in the
         // simulate phase (it is simulation), not in whichever figure
@@ -349,6 +324,10 @@ impl ReproContext {
         let t2 = std::time::Instant::now();
         let clients_simulated = this.client_probes().map_or(0, |p| p.clients_simulated);
         let client_probe_s = t2.elapsed().as_secs_f64();
+        let analyze_s = match &stream {
+            Some(t) => t.analyze_s,
+            None => this.analyze(kernels),
+        };
         (
             this,
             BuildTimings {
@@ -357,7 +336,7 @@ impl ReproContext {
                 pairs_simulated,
                 client_probe_s,
                 clients_simulated,
-                stream_analyze_s: stream.as_ref().map(|t| t.analyze_s),
+                analyze_s,
                 stream_send_wait_s: stream.as_ref().map(|t| t.send_wait_s),
                 stream_recv_wait_s: stream.as_ref().map(|t| t.recv_wait_s),
             },
@@ -365,10 +344,10 @@ impl ReproContext {
     }
 
     /// The chunked build: the simulator streams sealed parts through a
-    /// channel into a consumer thread that folds every pass-A kernel over
-    /// each part, then adds the part to the chunk store. After the channel
-    /// drains, pass B scores the finished tables against the raw chunks,
-    /// and every analysis cell is filled from the result.
+    /// channel into a consumer thread that folds the requested pass-A
+    /// kernels over each part, then adds the part to the chunk store.
+    /// After the channel drains, pass B scores the finished tables against
+    /// the raw chunks, and the context holds the result.
     ///
     /// When the simulator's and the fold's pools fit the machine's cores
     /// side by side, the simulator runs up to [`STREAM_AHEAD_PARTS`] parts
@@ -389,6 +368,7 @@ impl ReproContext {
         seed: u64,
         campaign: Campaign,
         cfg: ChunkConfig,
+        kernels: &[Kernel],
     ) -> (Self, f64, usize, Option<StreamTimings>) {
         // The consumer runs on a plain thread: it must make progress while
         // the producer occupies this one (a shared work-stealing scope
@@ -420,7 +400,7 @@ impl ReproContext {
                         .expect("build analysis pool");
                     pool.install(move || {
                         let mut builder = ChunkedDatasetBuilder::new(cfg);
-                        let mut runner = FusedRunner::new();
+                        let mut runner = FusedRunner::for_kernels(kernels);
                         let mut fold_s = 0.0f64;
                         let mut recv_wait_s = 0.0f64;
                         let mut io_err: Option<std::io::Error> = None;
@@ -482,11 +462,11 @@ impl ReproContext {
         // the raw chunks). This is the only analysis left outside the
         // simulate wall.
         let t2 = std::time::Instant::now();
-        let fused = runner.finish(&ProbeSource::Chunked(&chunked));
+        let analyses = runner.finish(&ProbeSource::Chunked(&chunked));
         let finish_s = t2.elapsed().as_secs_f64();
         let store = DataStore::Chunked(Box::new(chunked));
         let mut this = Self::assemble(store, config, seed, Some(campaign));
-        this.fill(fused);
+        this.analyses = analyses;
         let timings = StreamTimings {
             analyze_s: fold_s + finish_s,
             send_wait_s,
@@ -500,14 +480,16 @@ impl ReproContext {
     /// [`mesh11_sim::SimConfig::run_campaigns_counted_with_table`], so the
     /// pair scheduler's tail and all per-run setup amortize across the
     /// ensemble. Each returned context is byte-identical to
-    /// [`ReproContext::build_timed_with_faults`] at its seed (the runner's
-    /// batching tests pin this). In-memory only: multi-seed campaigns are
-    /// run at quick/standard scales where the ensemble fits residently.
+    /// [`ReproContext::build_timed_with_mode`] at its seed (the runner's
+    /// batching tests pin this), and each folds `kernels` over its own
+    /// view. In-memory only: multi-seed campaigns are run at
+    /// quick/standard scales where the ensemble fits residently.
     pub fn build_many_timed(
         scale: Scale,
         base_seed: u64,
         n_seeds: usize,
         faults: mesh11_sim::FaultPlan,
+        kernels: &[Kernel],
     ) -> (Vec<Self>, MultiBuildTimings) {
         assert!(n_seeds >= 1, "need at least one seed");
         let mut config = scale.config();
@@ -524,21 +506,25 @@ impl ReproContext {
         let simulate_s = t1.elapsed().as_secs_f64();
         let per_seed_pairs: Vec<usize> = results.iter().map(|(_, s)| s.pairs_simulated).collect();
         // One eager client-probe pass per seed, as in the single-seed build
-        // (each pass's per-client scheduler is already parallel inside).
-        let t2 = std::time::Instant::now();
+        // (each pass's per-client scheduler is already parallel inside),
+        // then each seed's fused pass.
         let mut contexts = Vec::with_capacity(n_seeds);
         let mut clients_simulated = 0;
+        let mut client_probe_s = 0.0;
+        let mut per_seed_analyze_s = Vec::with_capacity(n_seeds);
         for (k, ((dataset, _), campaign)) in results.into_iter().zip(campaigns).enumerate() {
-            let ctx = Self::assemble(
+            let mut ctx = Self::assemble(
                 DataStore::InMemory(dataset),
                 config.clone(),
                 base_seed + k as u64,
                 Some(campaign),
             );
+            let t2 = std::time::Instant::now();
             clients_simulated += ctx.client_probes().map_or(0, |p| p.clients_simulated);
+            client_probe_s += t2.elapsed().as_secs_f64();
+            per_seed_analyze_s.push(ctx.analyze(kernels));
             contexts.push(ctx);
         }
-        let client_probe_s = t2.elapsed().as_secs_f64();
         let timings = MultiBuildTimings {
             generate_s,
             simulate_s,
@@ -546,13 +532,41 @@ impl ReproContext {
             pairs_simulated: per_seed_pairs.iter().sum(),
             clients_simulated,
             per_seed_pairs,
+            per_seed_analyze_s,
         };
         (contexts, timings)
     }
 
-    /// Wraps an existing dataset (e.g. loaded from disk).
+    /// Wraps an existing dataset (e.g. loaded from disk) and folds every
+    /// kernel over it.
     pub fn from_dataset(dataset: Dataset, config: SimConfig, seed: u64) -> Self {
-        Self::assemble(DataStore::InMemory(dataset), config, seed, None)
+        Self::from_dataset_with(dataset, config, seed, &Kernel::all())
+    }
+
+    /// Wraps an existing dataset and folds `kernels` over it.
+    pub fn from_dataset_with(
+        dataset: Dataset,
+        config: SimConfig,
+        seed: u64,
+        kernels: &[Kernel],
+    ) -> Self {
+        let mut this = Self::assemble(DataStore::InMemory(dataset), config, seed, None);
+        this.analyze(kernels);
+        this
+    }
+
+    /// Fills a resident context's analyses: one fused pass over its whole
+    /// view, which is one part. No kernel, no index. Returns the seconds
+    /// taken.
+    fn analyze(&mut self, kernels: &[Kernel]) -> f64 {
+        let t = std::time::Instant::now();
+        if !kernels.is_empty() {
+            let view = self.view();
+            let mut runner = FusedRunner::for_kernels(kernels);
+            runner.fold_view(view);
+            self.analyses = runner.finish(&ProbeSource::Whole(view));
+        }
+        t.elapsed().as_secs_f64()
     }
 
     fn assemble(
@@ -568,59 +582,9 @@ impl ReproContext {
             campaign,
             client_probes: OnceLock::new(),
             index: OnceLock::new(),
-            routing_bg: OnceLock::new(),
-            lookup_tables: Default::default(),
-            strategy_evals_bg: OnceLock::new(),
-            triples_bg: OnceLock::new(),
-            ranges_bg: OnceLock::new(),
             mobility: OnceLock::new(),
-            snr_sigmas: OnceLock::new(),
-            curves: Default::default(),
-            penalties: Default::default(),
-            asymmetry_bg: OnceLock::new(),
-            adapters_ext: OnceLock::new(),
-            sweep_ext: OnceLock::new(),
-            stability_bg: OnceLock::new(),
-            diversity_ext: OnceLock::new(),
-            ett_bg: OnceLock::new(),
-            cap_ext: OnceLock::new(),
+            analyses: FusedOutputs::default(),
         }
-    }
-
-    /// Fills every analysis cell from a finished fused pass.
-    fn fill(&mut self, fused: FusedOutputs) {
-        let FusedOutputs {
-            sigmas,
-            tables,
-            penalties,
-            curves,
-            strategy_bg,
-            routing_bg,
-            asymmetry_bg,
-            triples_bg,
-            ranges_bg,
-            adapters_ext,
-            sweep_ext,
-            stability_bg,
-            diversity_ext,
-            ett_bg,
-            cap_ext,
-        } = fused;
-        self.snr_sigmas = sigmas.into();
-        self.lookup_tables = tables.map(OnceLock::from);
-        self.penalties = penalties.map(OnceLock::from);
-        self.curves = curves.map(OnceLock::from);
-        self.strategy_evals_bg = strategy_bg.into();
-        self.routing_bg = routing_bg.into();
-        self.asymmetry_bg = asymmetry_bg.into();
-        self.triples_bg = triples_bg.into();
-        self.ranges_bg = ranges_bg.into();
-        self.adapters_ext = adapters_ext.into();
-        self.sweep_ext = sweep_ext.into();
-        self.stability_bg = stability_bg.into();
-        self.diversity_ext = diversity_ext.into();
-        self.ett_bg = ett_bg.into();
-        self.cap_ext = cap_ext.into();
     }
 
     /// The campaign this context simulated, when known.
@@ -699,7 +663,7 @@ impl ReproContext {
     }
 
     /// The downlink client-probe pass — computed once (eagerly by
-    /// [`ReproContext::build_timed_with_faults`], so simulation cost is
+    /// [`ReproContext::build_timed_with_kernels`], so simulation cost is
     /// attributed to the simulate phase) and shared by `ext-client` and
     /// anything else reading client traces. `None` for contexts wrapping a
     /// loaded dataset: client probing needs topology ground truth.
@@ -721,130 +685,105 @@ impl ReproContext {
         shared_success_table(PerModel::default())
     }
 
-    /// The dataset index — built once on first use and shared by every
-    /// analysis below (and by figures reading the columnar views directly).
-    /// Panics for chunked contexts: there is no monolithic probe table to
-    /// index (each streamed part is indexed on its own).
+    /// The dataset index — built once on first use, by the fused pass of a
+    /// build that folds any kernel, and shared by anything reading the
+    /// columnar views directly. Panics for chunked contexts: there is no
+    /// monolithic probe table to index (each streamed part is indexed on
+    /// its own).
     pub fn index(&self) -> &DatasetIndex {
         self.index
             .get_or_init(|| DatasetIndex::build(self.dataset()))
     }
 
     /// An indexed view of the dataset, pairing [`ReproContext::dataset`]
-    /// with [`ReproContext::index`]. Panics for chunked contexts. Each
-    /// shared analysis below is one `run_fold` of its [`fused`] kernel
-    /// over this view, computed on first touch.
+    /// with [`ReproContext::index`]. Panics for chunked contexts.
     pub fn view(&self) -> DatasetView<'_> {
         DatasetView::new(self.dataset(), self.index())
     }
 
     /// The §5 per-(network, rate) routing analyses over b/g networks with
-    /// ≥5 APs — computed once, shared by Figs 5.1 and 5.3–5.5.
+    /// ≥5 APs — shared by Figs 5.1 and 5.3–5.5.
     pub fn routing_bg(&self) -> &[OpportunisticAnalysis] {
-        self.routing_bg
-            .get_or_init(|| run_fold(self.view(), &fused::routing()))
+        self.analyses
+            .get::<Vec<OpportunisticAnalysis>>(Kernel::Routing)
     }
 
-    /// The §4 SNR→rate look-up tables for one (scope, phy) — built once
-    /// and shared by Figs 4.1–4.4 (and anything else keying off them).
+    /// The §4 SNR→rate look-up tables for one (scope, phy) — shared by
+    /// Figs 4.1–4.3 and scored by the Fig 4.4 penalties.
     pub fn lookup_tables(&self, scope: Scope, phy: Phy) -> &LookupTableSet {
-        self.lookup_tables[lookup_slot(scope, phy)]
-            .get_or_init(|| run_fold(self.view(), &fused::table(scope, phy)))
+        self.analyses.get(Kernel::Table(scope, phy))
     }
 
     /// The §4.5 online-strategy evaluations over b/g — shared by Fig 4.6
     /// and Table 4.1.
     pub fn strategy_evals_bg(&self) -> &[StrategyEval] {
-        self.strategy_evals_bg
-            .get_or_init(|| run_fold(self.view(), &fused::strategy()))
+        self.analyses.get::<Vec<StrategyEval>>(Kernel::Strategy)
     }
 
     /// The §6 hidden-triple analysis over b/g at the paper's 10%
     /// threshold — shared by Fig 6.1 and §6.3.
     pub fn triples_bg(&self) -> &TripleAnalysis {
-        self.triples_bg
-            .get_or_init(|| run_fold(self.view(), &fused::triples()))
+        self.analyses.get(Kernel::Triples)
     }
 
     /// The §6 per-(network, rate) interference ranges over b/g — shared by
     /// Fig 6.2 and §6.3.
     pub fn ranges_bg(&self) -> &BTreeMap<(NetworkId, BitRate), usize> {
-        self.ranges_bg
-            .get_or_init(|| run_fold(self.view(), &fused::ranges()))
+        self.analyses.get(Kernel::Ranges)
     }
 
-    /// The Fig 3.1 sigma populations (within-set, per-link, recent-k,
+    /// One Fig 3.1 sigma population (within-set, per-link, recent-3,
     /// per-network).
-    pub fn snr_sigmas(&self) -> &SnrSigmas {
-        self.snr_sigmas.get_or_init(|| {
-            let [sets, links, recent, nets] = fused::sigmas().map(|k| run_fold(self.view(), &k));
-            SnrSigmas {
-                sets,
-                links,
-                recent,
-                nets,
-            }
-        })
+    pub fn snr_sigmas(&self, kind: SigmaKind) -> &[f64] {
+        self.analyses.get::<Vec<f64>>(Kernel::Sigma(kind))
     }
 
     /// The Fig 4.5 SNR↔throughput curves for one PHY.
     pub fn snr_curves(&self, phy: Phy) -> &SnrThroughputCurves {
-        let slot = match phy {
-            Phy::Bg => 0,
-            Phy::Ht => 1,
-        };
-        self.curves[slot].get_or_init(|| run_fold(self.view(), &fused::curves(phy)))
+        self.analyses.get(Kernel::Curves(phy))
     }
 
     /// The Fig 4.4 penalty of one (scope, phy) table against the dataset.
     pub fn penalty(&self, scope: Scope, phy: Phy) -> &ThroughputPenalty {
-        self.penalties[lookup_slot(scope, phy)].get_or_init(|| {
-            ThroughputPenalty::evaluate(self.view(), self.lookup_tables(scope, phy))
-        })
+        self.analyses.get(Kernel::Penalty(scope, phy))
     }
 
     /// The Fig 5.2 asymmetry pools per rate (b/g).
     pub fn asymmetry_bg(&self) -> &BTreeMap<BitRate, Vec<f64>> {
-        self.asymmetry_bg
-            .get_or_init(|| run_fold(self.view(), &fused::asymmetry()))
+        self.analyses.get(Kernel::Asymmetry)
     }
 
     /// The `ext-adapt` replay outcomes.
     pub fn adapters_ext(&self) -> &[AdaptationOutcome] {
-        self.adapters_ext
-            .get_or_init(|| run_fold(self.view(), &fused::adapters()))
+        self.analyses
+            .get::<Vec<AdaptationOutcome>>(Kernel::Adapters)
     }
 
     /// The `ext-sweep` threshold-sweep rows.
     pub fn sweep_ext(&self) -> &[(f64, Option<f64>)] {
-        self.sweep_ext
-            .get_or_init(|| run_fold(self.view(), &fused::sweep()))
+        self.analyses.get::<Vec<(f64, Option<f64>)>>(Kernel::Sweep)
     }
 
     /// The `ext-stability` churn/drift report (b/g).
     pub fn stability_bg(&self) -> &LinkStability {
-        self.stability_bg
-            .get_or_init(|| run_fold(self.view(), &fused::stability()))
+        self.analyses.get(Kernel::Stability)
     }
 
     /// The `ext-diversity` rows.
     pub fn diversity_ext(&self) -> &[(usize, f64, f64, usize)] {
-        self.diversity_ext
-            .get_or_init(|| run_fold(self.view(), &fused::diversity()))
+        self.analyses
+            .get::<Vec<(usize, f64, f64, usize)>>(Kernel::Diversity)
     }
 
     /// The `ext-ett` analyses (b/g, ≥5 APs).
     pub fn ett_bg(&self) -> &[EttAnalysis] {
-        self.ett_bg
-            .get_or_init(|| run_fold(self.view(), &fused::ett()))
+        self.analyses.get::<Vec<EttAnalysis>>(Kernel::Ett)
     }
 
     /// The `ext-cap` delivery matrix: the largest ≥5-AP b/g network at
     /// 1 Mbit/s. `None` when no network qualifies.
     pub fn cap_ext(&self) -> Option<&CapMatrix> {
-        self.cap_ext
-            .get_or_init(|| run_fold(self.view(), &fused::cap()))
-            .as_ref()
+        self.analyses.get::<Option<CapMatrix>>(Kernel::Cap).as_ref()
     }
 
     /// The §7 client mobility report — shared by Figs 7.1–7.5. Client
@@ -885,7 +824,7 @@ mod tests {
 
     #[test]
     fn chunked_context_matches_in_memory_counts() {
-        let (mem, _) = ReproContext::build_timed(Scale::Quick, 11);
+        let mem = ReproContext::build(Scale::Quick, 11);
         let (chk, timings) = ReproContext::build_timed_with_mode(
             Scale::Quick,
             11,
@@ -908,19 +847,35 @@ mod tests {
         );
     }
 
+    /// Every build reports the seconds it spent filling its analyses: an
+    /// in-memory build folds after simulating, a chunked one while it
+    /// simulates, and only the latter reports its stream's waits. A build
+    /// asked for no kernel folds nothing and builds no index.
     #[test]
-    fn stream_timings_are_reported_for_chunked_builds_only() {
-        let (_, mem) = ReproContext::build_timed(Scale::Quick, 5);
-        assert_eq!(mem.stream_analyze_s, None);
-        assert_eq!(mem.stream_send_wait_s, None);
-        assert_eq!(mem.stream_recv_wait_s, None);
-        let (_, chk) = ReproContext::build_timed_with_mode(
-            Scale::Quick,
-            5,
-            mesh11_sim::FaultPlan::none(),
-            DataMode::Chunked(ChunkConfig::tiny()),
+    fn build_timings_carry_the_fold() {
+        let build = |kernels: &[Kernel], mode| {
+            ReproContext::build_timed_with_kernels(
+                Scale::Quick,
+                5,
+                mesh11_sim::FaultPlan::none(),
+                mode,
+                kernels,
+            )
+        };
+        let (mem, mem_t) = build(&Kernel::all(), DataMode::InMemory);
+        let (bare, bare_t) = build(&[], DataMode::InMemory);
+        assert_eq!(mem_t.stream_send_wait_s, None);
+        assert_eq!(mem_t.stream_recv_wait_s, None);
+        assert!(mem.index.get().is_some() && bare.index.get().is_none());
+        assert!(
+            bare_t.analyze_s < mem_t.analyze_s,
+            "no fold {} s vs every kernel {} s",
+            bare_t.analyze_s,
+            mem_t.analyze_s
         );
-        assert!(chk.stream_analyze_s.is_some_and(|s| s > 0.0));
+
+        let (_, chk) = build(&Kernel::all(), DataMode::Chunked(ChunkConfig::tiny()));
+        assert!(chk.analyze_s > 0.0);
         // Either side's wait happens inside the simulate wall.
         for wait in [chk.stream_send_wait_s, chk.stream_recv_wait_s] {
             assert!(
@@ -932,46 +887,39 @@ mod tests {
     }
 
     #[test]
-    fn caches_are_shared_under_concurrency() {
-        use rayon::prelude::*;
-        let ctx = ReproContext::build(Scale::Quick, 3);
-        // Hammer every cached accessor from parallel workers; each must
-        // resolve to one shared instance (computed exactly once).
-        let addrs: Vec<[usize; 4]> = (0..16u32)
-            .collect::<Vec<_>>()
-            .par_iter()
-            .map(|_| {
-                [
-                    ctx.lookup_tables(Scope::Global, Phy::Bg) as *const _ as usize,
-                    ctx.triples_bg() as *const _ as usize,
-                    ctx.ranges_bg() as *const _ as usize,
-                    ctx.mobility() as *const _ as usize,
-                ]
-            })
-            .collect();
-        for pair in addrs.windows(2) {
-            assert_eq!(pair[0], pair[1], "every caller must see the same cache");
-        }
-        assert_eq!(
-            ctx.strategy_evals_bg().as_ptr(),
-            ctx.strategy_evals_bg().as_ptr()
-        );
+    #[should_panic(expected = "not requested")]
+    fn an_unrequested_kernel_has_no_value() {
+        ReproContext::from_dataset_with(Dataset::default(), SimConfig::quick(), 0, &[])
+            .routing_bg();
     }
 
     #[test]
     fn multi_seed_build_matches_single_builds() {
-        let (ctxs, t) =
-            ReproContext::build_many_timed(Scale::Quick, 42, 2, mesh11_sim::FaultPlan::none());
+        let (ctxs, t) = ReproContext::build_many_timed(
+            Scale::Quick,
+            42,
+            2,
+            mesh11_sim::FaultPlan::none(),
+            &[Kernel::Routing],
+        );
         assert_eq!(ctxs.len(), 2);
         assert_eq!(t.per_seed_pairs.len(), 2);
+        assert_eq!(t.per_seed_analyze_s.len(), 2);
         assert_eq!(t.pairs_simulated, t.per_seed_pairs.iter().sum::<usize>());
         for (k, ctx) in ctxs.iter().enumerate() {
             let seed = 42 + k as u64;
-            let (solo, st) = ReproContext::build_timed(Scale::Quick, seed);
+            let none = mesh11_sim::FaultPlan::none();
+            let (solo, st) =
+                ReproContext::build_timed_with_mode(Scale::Quick, seed, none, DataMode::InMemory);
             assert_eq!(ctx.seed, seed);
             assert_eq!(ctx.dataset(), solo.dataset(), "seed {seed}");
             assert_eq!(t.per_seed_pairs[k], st.pairs_simulated);
             assert_eq!(ctx.client_probes(), solo.client_probes(), "seed {seed}");
+            assert_eq!(
+                format!("{:?}", ctx.routing_bg()),
+                format!("{:?}", solo.routing_bg()),
+                "seed {seed}"
+            );
         }
     }
 
@@ -981,10 +929,9 @@ mod tests {
         assert_eq!(ctx.networks().len(), 12);
         assert!(ctx.n_probes() > 0);
         assert!(!ctx.clients().is_empty());
-        // Routing bundle is lazy and cached.
-        let a = ctx.routing_bg().len();
-        let b = ctx.routing_bg().len();
-        assert_eq!(a, b);
-        assert!(a > 0, "quick campaign has ≥5-AP b/g networks");
+        assert!(
+            !ctx.routing_bg().is_empty(),
+            "quick campaign has ≥5-AP b/g networks"
+        );
     }
 }

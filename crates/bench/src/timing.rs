@@ -38,9 +38,9 @@ pub struct PhaseTimings {
     /// runs). Multi-seed batching fuses the simulate pass, so per-seed
     /// wall-clock is unobservable; per-seed work is.
     pub per_seed_pairs: Vec<usize>,
-    /// Per-seed figure-analysis wall-clock, in seed order (singleton for
-    /// single-seed runs; the analyze phase stays per-seed even when the
-    /// simulate phase is fused).
+    /// Per-seed analysis wall-clock (fused pass plus figures), in seed
+    /// order (singleton for single-seed runs; the analyze phase stays
+    /// per-seed even when the simulate phase is fused).
     pub per_seed_analyze_s: Vec<f64>,
     /// Mean per-seed analyze wall-clock — the analyze-phase counterpart of
     /// `simulate_s_per_seed` (equals `analyze_s` for single-seed runs).
@@ -65,11 +65,11 @@ pub struct PhaseTimings {
     /// Clients the client-probe pass simulated — the work-item count of
     /// its per-client scheduler, giving `client_probe_s` a denominator.
     pub clients_simulated: usize,
-    /// All figure building, wall-clock. Figures run concurrently, so this
-    /// is smaller than the sum of the per-figure entries. For chunked runs
-    /// this also carries the streaming consumer's analysis seconds
-    /// (`stream_analyze_s`), most of which ran inside the simulate wall;
-    /// how much of it overlapped is read off the two stream waits.
+    /// All analysis, wall-clock: the build's fused pass, then the figures
+    /// (which run concurrently, so less than the sum of `figures`). For
+    /// chunked runs the fused pass is `stream_analyze_s`, most of which
+    /// ran inside the simulate wall; how much of it overlapped is read off
+    /// the two stream waits.
     pub analyze_s: f64,
     /// Analysis throughput: `n_probes / analyze_s` — the analyze-phase
     /// counterpart of `reports_per_sec`.

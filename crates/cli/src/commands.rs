@@ -216,9 +216,10 @@ pub fn analyze(path: &Path, what: &str) -> Result<(), String> {
 }
 
 /// `mesh11 figures FILE <id>...` — runs the repro figure builders against a
-/// dataset file, reading only the sections the ids declare. Figures
-/// needing topology ground truth (`ext-client`) report themselves
-/// unavailable; everything else works on any dataset.
+/// dataset file, reading only the sections the ids declare and folding
+/// only the kernels they read. Figures needing topology ground truth
+/// (`ext-client`) report themselves unavailable; everything else works on
+/// any dataset.
 pub fn figures(path: &Path, ids: &[String]) -> Result<(), String> {
     let ids: Vec<String> = if ids.iter().any(|a| a == "--all") {
         mesh11_bench::figures::ALL_IDS
@@ -230,12 +231,16 @@ pub fn figures(path: &Path, ids: &[String]) -> Result<(), String> {
     } else {
         ids.to_vec()
     };
+    let mut kernels = Vec::new();
     let mut sections = Sections::default();
     for id in &ids {
-        let Some(s) = mesh11_bench::figures::sections(id) else {
+        let Some(k) = mesh11_bench::figures::kernels(id) else {
             return Err(format!("unknown experiment id '{id}'"));
         };
-        sections = sections.union(&s);
+        kernels.extend(k);
+        sections = sections.union(
+            &mesh11_bench::figures::sections(id).expect("an id with kernels declares its sections"),
+        );
     }
     let ds = load_dataset(path, sections)?;
     let cfg = SimConfig {
@@ -243,11 +248,9 @@ pub fn figures(path: &Path, ids: &[String]) -> Result<(), String> {
         client_horizon_s: ds.client_horizon_s,
         ..SimConfig::quick()
     };
-    let ctx = mesh11_bench::ReproContext::from_dataset(ds, cfg, 0);
+    let ctx = mesh11_bench::ReproContext::from_dataset_with(ds, cfg, 0, &kernels);
     for id in &ids {
-        let Some(figs) = mesh11_bench::figures::build(&ctx, id) else {
-            return Err(format!("unknown experiment id '{id}'"));
-        };
+        let figs = mesh11_bench::figures::build(&ctx, id).expect("an id with kernels builds");
         for fig in figs {
             println!("{}", fig.render_table(16));
         }

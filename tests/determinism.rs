@@ -118,59 +118,43 @@ fn figure_json_identical_across_thread_counts() {
     }
 }
 
-/// The analyst path: a dataset that went through the M11T codec and into
-/// `ReproContext::from_dataset` (what `mesh11 figures FILE` does) builds
-/// Fig 4.5 byte-identical to the in-memory context that simulated it. The
-/// figure notes print the correlation coefficients to 3 decimals only, so
-/// the full-precision check of the coefficients lives next to the kernel.
-#[test]
-fn file_context_builds_fig4_5_byte_identical() {
-    use mesh11_bench::figures::build;
-    use mesh11_bench::{ReproContext, Scale};
-
-    let ctx = ReproContext::build(Scale::Quick, 42);
-    let back =
-        mesh11::trace::codec::decode(mesh11::trace::codec::encode(ctx.dataset())).expect("decode");
-    let cfg = SimConfig {
-        probe_horizon_s: back.probe_horizon_s,
-        client_horizon_s: back.client_horizon_s,
-        ..SimConfig::quick()
-    };
-    let file_ctx = ReproContext::from_dataset(back, cfg, 0);
-    let json = |c: &ReproContext| -> Vec<(String, String)> {
-        build(c, "fig4-5")
-            .expect("known id")
-            .iter()
-            .map(|f| (f.id.clone(), f.to_json()))
-            .collect()
-    };
-    let (mem, file) = (json(&ctx), json(&file_ctx));
-    let ids: Vec<&str> = file.iter().map(|(id, _)| id.as_str()).collect();
-    assert_eq!(ids, ["fig4-5a", "fig4-5b"]);
-    assert_eq!(
-        mem, file,
-        "fig4-5 JSON must not depend on the dataset's path"
-    );
-}
-
 /// `mesh11 figures FILE <id>` reads only the file sections
-/// `figures::sections(id)` declares. Every figure built from that load is
-/// byte-identical, as JSON and as the printed table, to the figure built
-/// from the whole file; and a b/g-only load is the full dataset without
-/// its HT rows.
+/// `figures::sections(id)` declares and folds only the kernels
+/// `figures::kernels(id)` declares. Every figure built that way, from the
+/// file or from the resident dataset, is byte-identical, as JSON and as
+/// the printed table, to the figure built from the whole file with every
+/// kernel: the kernel registry is complete. The sections derived from the
+/// kernels' PHYs are the ones each id read before they were derived; and
+/// a b/g-only load is the full dataset without its HT rows.
 #[test]
 fn declared_sections_build_what_a_full_load_builds() {
     use mesh11::trace::codec::{self, Sections};
-    use mesh11_bench::figures::{build, sections, ALL_IDS};
-    use mesh11_bench::{ReproContext, Scale};
+    use mesh11_bench::figures::{build, kernels, sections, ALL_IDS};
+    use mesh11_bench::{Kernel, ReproContext, Scale};
 
-    let context = |ds: Dataset| {
+    let read = |clients, phys: &[Phy]| Sections {
+        clients,
+        phys: phys.to_vec(),
+    };
+    for &id in ALL_IDS {
+        let want = match id {
+            "fig1-1" | "ext-client" => read(false, &[]),
+            "fig3-1" | "fig4-1" | "fig4-4" | "fig4-5" => read(false, &[Phy::Bg, Phy::Ht]),
+            "fig4-3" => read(false, &[Phy::Ht]),
+            "fig7-1" | "fig7-2" | "fig7-3" | "fig7-4" | "fig7-5" => read(true, &[]),
+            _ => read(false, &[Phy::Bg]),
+        };
+        assert_eq!(sections(id), Some(want), "{id}");
+    }
+    assert_eq!(sections("fig9-9"), None);
+
+    let context = |ds: Dataset, kernels: &[Kernel]| {
         let cfg = SimConfig {
             probe_horizon_s: ds.probe_horizon_s,
             client_horizon_s: ds.client_horizon_s,
             ..SimConfig::quick()
         };
-        ReproContext::from_dataset(ds, cfg, 0)
+        ReproContext::from_dataset_with(ds, cfg, 0, kernels)
     };
     let render = |ctx: &ReproContext, id: &str| -> Vec<(String, String)> {
         build(ctx, id)
@@ -179,15 +163,6 @@ fn declared_sections_build_what_a_full_load_builds() {
             .map(|f| (f.to_json(), f.render_table(16)))
             .collect()
     };
-    // Ids declaring the same sections share one load of them.
-    let mut groups: Vec<(Sections, Vec<&str>)> = Vec::new();
-    for &id in ALL_IDS {
-        let sel = sections(id).expect("every id declares its sections");
-        match groups.iter_mut().find(|(s, _)| *s == sel) {
-            Some((_, ids)) => ids.push(id),
-            None => groups.push((sel, vec![id])),
-        }
-    }
     let dir = std::env::temp_dir().join("mesh11-integration");
     std::fs::create_dir_all(&dir).unwrap();
     for seed in [42, 7] {
@@ -197,15 +172,19 @@ fn declared_sections_build_what_a_full_load_builds() {
             .run_campaign(&scale.campaign_spec(seed).generate());
         let path = dir.join(format!("sections-{seed}-{}.m11t", std::process::id()));
         codec::save(&ds, &path).unwrap();
-        let full = context(codec::load(&path).unwrap());
-        for (sel, ids) in &groups {
-            let part = context(codec::load_sections(&path, sel.clone()).unwrap());
-            for &id in ids {
-                assert!(
-                    render(&part, id) == render(&full, id),
-                    "seed {seed}: {id} built from {sel:?} differs from a full load"
-                );
-            }
+        let full = context(codec::load(&path).unwrap(), &Kernel::all());
+        for &id in ALL_IDS {
+            let (sel, ks) = (sections(id).unwrap(), kernels(id).unwrap());
+            let loaded = context(codec::load_sections(&path, sel.clone()).unwrap(), &ks);
+            assert!(
+                render(&loaded, id) == render(&full, id),
+                "seed {seed}: {id} built from {sel:?} differs from a full load"
+            );
+            let resident = context(ds.clone(), &ks);
+            assert!(
+                render(&resident, id) == render(&full, id),
+                "seed {seed}: {id} built from its kernels differs from every kernel"
+            );
         }
         let bg = codec::load_sections(
             &path,

@@ -1,9 +1,10 @@
 //! The chunked-build contract: a chunked context, whose streaming build
 //! folds every shared analysis over each sealed part while later networks
 //! are still simulating, must produce figure JSON byte-identical to the
-//! in-memory context (each analysis one lazy fold over the whole view, the
-//! path the goldens pin) — wherever the chunk boundaries fall, at any
-//! thread count, clean or faulted — and must never build a chunk window.
+//! in-memory context (every analysis folded over the whole view as one
+//! part, the path the goldens pin) — wherever the chunk boundaries fall,
+//! at any thread count, clean or faulted — and must never build a chunk
+//! window.
 
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
