@@ -136,12 +136,15 @@ fn cdf_series(label: &str, values: &[f64]) -> Option<Series> {
 /// Fig 3.1 — CDFs of SNR standard deviation within probe sets, per link,
 /// and per network.
 pub fn fig3_1(ctx: &ReproContext) -> FigureData {
+    // Each population is sorted once; the notes and the curves read the
+    // same sorted sample.
+    let cdf = |kind| Cdf::from_samples(ctx.snr_sigmas(kind).iter().copied());
     let (sets, links, nets) = (
-        ctx.snr_sigmas(SigmaKind::ProbeSet),
-        ctx.snr_sigmas(SigmaKind::Link),
-        ctx.snr_sigmas(SigmaKind::Network),
+        cdf(SigmaKind::ProbeSet),
+        cdf(SigmaKind::Link),
+        cdf(SigmaKind::Network),
     );
-    let under5 = sets.iter().filter(|&&s| s < 5.0).count() as f64 / sets.len().max(1) as f64;
+    let under5 = sets.as_ref().map_or(0.0, |c| c.frac_below(5.0));
     let mut fig = FigureData::new(
         "fig3-1",
         "Standard deviation of SNR values",
@@ -155,17 +158,15 @@ pub fn fig3_1(ctx: &ReproContext) -> FigureData {
     ));
     // The paper's unpictured robustness note: σ of the k most recent SNRs
     // on a link is comparable to the within-set σ for small k.
-    let recent3 = ctx.snr_sigmas(SigmaKind::RecentK(3));
-    if let (Some(set_med), Some(recent_med)) =
-        (mesh11_stats::median(sets), mesh11_stats::median(recent3))
-    {
+    if let (Some(sets), Some(recent3)) = (&sets, cdf(SigmaKind::RecentK(3))) {
+        let (set_med, recent_med) = (sets.median(), recent3.median());
         fig.notes.push(format!(
             "measured: median sigma of 3 most recent link SNRs {recent_med:.2} dB vs within-set {set_med:.2} dB (paper: comparable)"
         ));
     }
-    for (label, vals) in [("Probe Sets", sets), ("Links", links), ("Networks", nets)] {
-        if let Some(s) = cdf_series(label, vals) {
-            fig = fig.with_series(s);
+    for (label, c) in [("Probe Sets", sets), ("Links", links), ("Networks", nets)] {
+        if let Some(c) = c {
+            fig = fig.with_series(Series::from_cdf(label, &c, CDF_POINTS));
         }
     }
     fig

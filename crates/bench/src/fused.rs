@@ -12,8 +12,10 @@
 //! **Pass A** folds the table-independent kernels and the eight
 //! lookup-table builds. **Pass B** then scores the finished tables:
 //! penalties need completed tables, so they cannot ride in pass A, and
-//! requesting one requests its table. On a chunked store they share one
-//! raw-chunk walk ([`ThroughputPenalty::evaluate_batch_chunked`]).
+//! requesting one requests its table. Pass B replays the parts pass A
+//! folded ([`PassB`]; a resident view is the one-part case), except on a
+//! chunked store, where the penalties share one raw-chunk walk
+//! ([`ThroughputPenalty::evaluate_batch_chunked`]).
 //!
 //! Byte identity follows from the fold contract
 //! (`crates/trace/src/fold.rs`): parts arrive in network order and each
@@ -28,6 +30,7 @@ use std::fmt::Debug;
 use mesh11_core::bitrate::adaptation::AdaptationKernel;
 use mesh11_core::bitrate::correlation::CurvesKernel;
 use mesh11_core::bitrate::lookup::TableBuildKernel;
+use mesh11_core::bitrate::penalty::PenaltyKernel;
 use mesh11_core::bitrate::stability::StabilityKernel;
 use mesh11_core::bitrate::strategy::StrategyKernel;
 use mesh11_core::bitrate::{AdapterKind, LookupTableSet, Scope, StrategyKind, ThroughputPenalty};
@@ -43,7 +46,8 @@ use mesh11_core::triples::HearRule;
 use mesh11_phy::{BitRate, Phy};
 use mesh11_trace::snrstats::{SigmaKernel, SigmaKind};
 use mesh11_trace::{
-    DatasetView, DeliveryMatrix, FoldKernel, NetworkId, ProbeSource, Running, WindowFold,
+    ChunkedDataset, DatasetView, DeliveryMatrix, FoldKernel, NetworkId, ProbeSource, Running,
+    WindowFold,
 };
 
 use crate::setup::TRIPLE_THRESHOLD;
@@ -418,33 +422,105 @@ impl FusedRunner {
 
     /// Finishes pass A and runs pass B (penalties) against `src`, which
     /// must cover exactly the probes this runner folded. On a chunked
-    /// store the penalties share a single raw-chunk walk; on a resident
-    /// view each table scores the whole view, reading the SNR key and
-    /// optimum from the index's columns.
+    /// store the penalties share a single raw-chunk walk; a resident view
+    /// is the one-part replay of [`PassB`].
     pub fn finish(self, src: &ProbeSource<'_>) -> FusedOutputs {
-        let mut out = FusedOutputs {
+        let mut pass_b = self.finish_pass_a();
+        match src {
+            ProbeSource::Chunked(c) => pass_b.finish_chunked(c),
+            ProbeSource::Whole(view) => {
+                if pass_b.needs_parts() {
+                    pass_b.fold_view(*view);
+                }
+                pass_b.finish()
+            }
+        }
+    }
+
+    /// Finishes pass A: every requested fold is done, and the penalties
+    /// wait in the returned [`PassB`] for the parts to be replayed.
+    pub fn finish_pass_a(self) -> PassB {
+        let out = FusedOutputs {
             cells: self
                 .running
                 .into_iter()
                 .map(|(k, r)| (k, r.finish_erased()))
                 .collect(),
         };
+        let penalties = self
+            .penalties
+            .into_iter()
+            .map(|key| (key, (Vec::new(), 0)))
+            .collect();
+        PassB { out, penalties }
+    }
+}
+
+/// Pass B in progress: pass A's finished outputs, and one
+/// [`PenaltyKernel`] partial per requested (scope, phy), scored against
+/// its finished table. The parts are replayed in network order, as pass A
+/// folded them, and each table's per-network diffs concatenate in that
+/// order, so any partition of the probes into network-aligned parts gives
+/// the bytes of one walk over the whole view.
+pub struct PassB {
+    out: FusedOutputs,
+    penalties: Vec<((Scope, Phy), PenaltyPartial)>,
+}
+
+/// A penalty's partial: its diffs so far and the sets it could not score.
+type PenaltyPartial = <PenaltyKernel<'static> as FoldKernel>::Partial;
+
+impl PassB {
+    /// Whether any penalty was requested, so the parts need a replay.
+    pub fn needs_parts(&self) -> bool {
+        !self.penalties.is_empty()
+    }
+
+    /// Scores one replayed network-aligned view against every requested
+    /// table, fanning out across the penalties as
+    /// [`FusedRunner::fold_view`] fans out across the pass-A kernels.
+    pub fn fold_view(&mut self, view: DatasetView<'_>) {
+        use rayon::prelude::*;
+        // As in pass A: the columns at full width, before the fan-out.
+        view.columns();
+        let out = &self.out;
+        self.penalties
+            .par_iter_mut()
+            .for_each(|&mut ((scope, phy), ref mut partial)| {
+                let table = out.get(Kernel::Table(scope, phy));
+                PenaltyKernel { table }.fold(view, partial);
+            });
+    }
+
+    /// The outputs of both passes.
+    pub fn finish(self) -> FusedOutputs {
+        let mut out = self.out;
+        for ((scope, phy), partial) in self.penalties {
+            let table = out.get(Kernel::Table(scope, phy));
+            let penalty = PenaltyKernel { table }.finish(partial);
+            out.cells
+                .push((Kernel::Penalty(scope, phy), Box::new(penalty)));
+        }
+        out
+    }
+
+    /// Pass B over a chunk store: every table scored in one raw-chunk
+    /// walk.
+    fn finish_chunked(self, chunked: &ChunkedDataset) -> FusedOutputs {
+        let mut out = self.out;
         let scored = {
             let tables: Vec<&LookupTableSet> = self
                 .penalties
                 .iter()
-                .map(|&(s, p)| out.get(Kernel::Table(s, p)))
+                .map(|&((s, p), _)| out.get(Kernel::Table(s, p)))
                 .collect();
-            match src {
-                _ if tables.is_empty() => Vec::new(),
-                ProbeSource::Chunked(c) => ThroughputPenalty::evaluate_batch_chunked(c, &tables),
-                ProbeSource::Whole(view) => tables
-                    .iter()
-                    .map(|t| ThroughputPenalty::evaluate(*view, t))
-                    .collect(),
+            if tables.is_empty() {
+                Vec::new()
+            } else {
+                ThroughputPenalty::evaluate_batch_chunked(chunked, &tables)
             }
         };
-        for ((s, p), penalty) in self.penalties.into_iter().zip(scored) {
+        for (((s, p), _), penalty) in self.penalties.into_iter().zip(scored) {
             out.cells.push((Kernel::Penalty(s, p), Box::new(penalty)));
         }
         out

@@ -1,5 +1,6 @@
 //! Reproduction-run setup: campaign, simulation, shared heavy analyses.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -14,10 +15,11 @@ use mesh11_core::triples::hidden::TripleAnalysis;
 use mesh11_phy::{shared_success_table, BitRate, PerModel, Phy, SuccessTable};
 use mesh11_sim::{ClientProbeTrace, SimConfig};
 use mesh11_topo::{Campaign, CampaignSpec, NetworkSpec};
+use mesh11_trace::codec::Part;
 use mesh11_trace::snrstats::SigmaKind;
 use mesh11_trace::{
     ChunkConfig, ChunkStoreStats, ChunkedDataset, ChunkedDatasetBuilder, ClientSample, Dataset,
-    DatasetIndex, DatasetView, NetworkId, NetworkMeta, ProbeSource,
+    DatasetIndex, DatasetView, LoadError, NetworkId, NetworkMeta, ProbeSource,
 };
 
 use crate::fused::{CapMatrix, FusedOutputs, FusedRunner, Kernel};
@@ -238,6 +240,14 @@ pub enum DataStore {
     /// Chunked, with cold chunks spilled to disk. Boxed: the chunk-store
     /// handle is much larger than the resident variant's `Dataset` header.
     Chunked(Box<ChunkedDataset>),
+    /// Streamed from parts that were folded and dropped: only the shell
+    /// (networks, horizons, clients) and the probe count stay.
+    Streamed {
+        /// The probe-free shell.
+        shell: Dataset,
+        /// Probe sets across the parts.
+        n_probes: usize,
+    },
 }
 
 /// A materialized reproduction run: the dataset plus the heavy analyses
@@ -555,6 +565,66 @@ impl ReproContext {
         this
     }
 
+    /// Folds `kernels` over a dataset delivered as parts, each dropped
+    /// once folded, so the context never holds the whole probe table; it
+    /// keeps only `shell`, as a chunked context does. `parts` yields the
+    /// parts in network order, each of whole consecutive networks (as a
+    /// [`PartReader`] does), and is walked again for pass B when a penalty
+    /// is requested. The shell and every part are checked with
+    /// [`Dataset::check_part`] before anything is folded, so an invalid
+    /// dataset is refused with its first violations, probe sets named by
+    /// their position in the whole. The figures are byte-identical to
+    /// [`ReproContext::from_dataset_with`] over the concatenated parts.
+    ///
+    /// [`PartReader`]: mesh11_trace::codec::PartReader
+    pub fn from_parts<I, P>(
+        shell: Dataset,
+        config: SimConfig,
+        seed: u64,
+        kernels: &[Kernel],
+        parts: impl Fn() -> I,
+    ) -> Result<Self, LoadError>
+    where
+        I: Iterator<Item = std::io::Result<P>>,
+        P: Borrow<Part>,
+    {
+        shell.check()?;
+        let fold = !kernels.is_empty();
+        let mut runner = FusedRunner::for_kernels(kernels);
+        let mut n_probes = 0;
+        for part in parts() {
+            let part = part?;
+            let Part {
+                dataset,
+                first_probe,
+            } = part.borrow();
+            // The index build is one sequential pass, so the check runs
+            // beside it; nothing is folded before both are done.
+            let ix = std::thread::scope(|s| {
+                let check = s.spawn(|| dataset.check_part(*first_probe));
+                let ix = fold.then(|| DatasetIndex::build(dataset));
+                check.join().expect("dataset check panicked").map(|()| ix)
+            })?;
+            n_probes += dataset.probes.len();
+            if let Some(ix) = ix {
+                runner.fold_view(DatasetView::new(dataset, &ix));
+            }
+        }
+        let mut pass_b = runner.finish_pass_a();
+        if pass_b.needs_parts() {
+            for part in parts() {
+                let part = part?;
+                let ds = &part.borrow().dataset;
+                let ix = DatasetIndex::build(ds);
+                pass_b.fold_view(DatasetView::new(ds, &ix));
+            }
+        }
+        let store = DataStore::Streamed { shell, n_probes };
+        let mut this = Self::assemble(store, config, seed, None);
+        this.analyses = pass_b.finish();
+        Ok(this)
+    }
+
     /// Fills a resident context's analyses: one fused pass over its whole
     /// view, which is one part. No kernel, no index. Returns the seconds
     /// taken.
@@ -598,18 +668,18 @@ impl ReproContext {
     pub fn dataset(&self) -> &Dataset {
         match &self.store {
             DataStore::InMemory(ds) => ds,
-            DataStore::Chunked(_) => {
-                panic!("chunked context has no resident dataset; use meta_dataset()")
+            DataStore::Chunked(_) | DataStore::Streamed { .. } => {
+                panic!("streamed context has no resident dataset; use meta_dataset()")
             }
         }
     }
 
     /// The dataset carrying network metadata, client traces, and horizons —
     /// the full dataset in memory mode, the probe-free shell in chunked
-    /// mode. Never touches the chunk store.
+    /// and streamed modes. Never touches the chunk store.
     pub fn meta_dataset(&self) -> &Dataset {
         match &self.store {
-            DataStore::InMemory(ds) => ds,
+            DataStore::InMemory(ds) | DataStore::Streamed { shell: ds, .. } => ds,
             DataStore::Chunked(c) => c.shell(),
         }
     }
@@ -617,8 +687,8 @@ impl ReproContext {
     /// The chunk store, when this context is chunked.
     pub fn chunked(&self) -> Option<&ChunkedDataset> {
         match &self.store {
-            DataStore::InMemory(_) => None,
             DataStore::Chunked(c) => Some(c),
+            _ => None,
         }
     }
 
@@ -644,6 +714,7 @@ impl ReproContext {
         match &self.store {
             DataStore::InMemory(ds) => ds.probes.len(),
             DataStore::Chunked(c) => c.n_probes() as usize,
+            DataStore::Streamed { n_probes, .. } => *n_probes,
         }
     }
 
@@ -687,16 +758,17 @@ impl ReproContext {
 
     /// The dataset index — built once on first use, by the fused pass of a
     /// build that folds any kernel, and shared by anything reading the
-    /// columnar views directly. Panics for chunked contexts: there is no
-    /// monolithic probe table to index (each streamed part is indexed on
-    /// its own).
+    /// columnar views directly. Panics for chunked and streamed contexts:
+    /// there is no monolithic probe table to index (each part is indexed
+    /// on its own).
     pub fn index(&self) -> &DatasetIndex {
         self.index
             .get_or_init(|| DatasetIndex::build(self.dataset()))
     }
 
     /// An indexed view of the dataset, pairing [`ReproContext::dataset`]
-    /// with [`ReproContext::index`]. Panics for chunked contexts.
+    /// with [`ReproContext::index`]. Panics for chunked and streamed
+    /// contexts.
     pub fn view(&self) -> DatasetView<'_> {
         DatasetView::new(self.dataset(), self.index())
     }

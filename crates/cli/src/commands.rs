@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
+use mesh11_bench::{Kernel, ReproContext};
 use mesh11_core::bitrate::{Scope, StrategyKind, ThroughputPenalty};
 use mesh11_core::mobility::MobilityReport;
 use mesh11_core::routing::improvement::analyze_dataset;
@@ -11,10 +12,10 @@ use mesh11_core::triples::{HearRule, TripleAnalysis};
 use mesh11_phy::Phy;
 use mesh11_sim::SimConfig;
 use mesh11_topo::CampaignSpec;
-use mesh11_trace::codec::{self, Sections};
-use mesh11_trace::{Dataset, DatasetIndex, DatasetView, EnvLabel};
+use mesh11_trace::codec::{self, Part, PartReader, Sections, PART_BUDGET};
+use mesh11_trace::{Dataset, DatasetIndex, DatasetView, EnvLabel, LoadError};
 
-use crate::{is_json, load_dataset, SimulateArgs};
+use crate::{at_path, is_json, load_dataset, read_dataset, SimulateArgs};
 
 /// `mesh11 simulate …`
 pub fn simulate(args: &[String]) -> Result<(), String> {
@@ -108,8 +109,9 @@ fn simulate_ensemble(base: &CampaignSpec, cfg: &SimConfig, n_seeds: usize) -> Da
 
 /// `mesh11 inspect FILE`
 pub fn inspect(path: &Path) -> Result<(), String> {
-    // A full load reads every section and checks every checksum.
-    let ds = load_dataset(path, Sections::all())?;
+    // A full load reads every section and checks every checksum; what the
+    // dataset holds is reported below, not refused.
+    let ds = read_dataset(path, Sections::all()).map_err(at_path(path))?;
     println!("dataset: {}", path.display());
     if !is_json(path) {
         let toc = codec::load_toc(path).map_err(|e| format!("{}: {e}", path.display()))?;
@@ -186,7 +188,7 @@ pub fn inspect(path: &Path) -> Result<(), String> {
 
 /// `mesh11 analyze FILE [section]`
 pub fn analyze(path: &Path, what: &str) -> Result<(), String> {
-    let ds = load_dataset(path, Sections::all())?;
+    let ds = load_dataset(path, Sections::all()).map_err(at_path(path))?;
     let ix = DatasetIndex::build(&ds);
     let view = DatasetView::new(&ds, &ix);
     let all = what == "all";
@@ -217,9 +219,11 @@ pub fn analyze(path: &Path, what: &str) -> Result<(), String> {
 
 /// `mesh11 figures FILE <id>...` — runs the repro figure builders against a
 /// dataset file, reading only the sections the ids declare and folding
-/// only the kernels they read. Figures needing topology ground truth
-/// (`ext-client`) report themselves unavailable; everything else works on
-/// any dataset.
+/// only the kernels they read. An M11T file streams one group of networks
+/// at a time ([`PartReader`]), so no request holds the whole probe table;
+/// a JSON file is one part. Either is validated as it is folded. Figures
+/// needing topology ground truth (`ext-client`) report themselves
+/// unavailable; everything else works on any dataset.
 pub fn figures(path: &Path, ids: &[String]) -> Result<(), String> {
     let ids: Vec<String> = if ids.iter().any(|a| a == "--all") {
         mesh11_bench::figures::ALL_IDS
@@ -242,13 +246,7 @@ pub fn figures(path: &Path, ids: &[String]) -> Result<(), String> {
             &mesh11_bench::figures::sections(id).expect("an id with kernels declares its sections"),
         );
     }
-    let ds = load_dataset(path, sections)?;
-    let cfg = SimConfig {
-        probe_horizon_s: ds.probe_horizon_s,
-        client_horizon_s: ds.client_horizon_s,
-        ..SimConfig::quick()
-    };
-    let ctx = mesh11_bench::ReproContext::from_dataset_with(ds, cfg, 0, &kernels);
+    let ctx = figures_context(path, sections, &kernels).map_err(at_path(path))?;
     for id in &ids {
         let figs = mesh11_bench::figures::build(&ctx, id).expect("an id with kernels builds");
         for fig in figs {
@@ -256,6 +254,38 @@ pub fn figures(path: &Path, ids: &[String]) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// The context a `figures` request builds: `kernels` folded over the
+/// file's parts.
+fn figures_context(
+    path: &Path,
+    sections: Sections,
+    kernels: &[Kernel],
+) -> Result<ReproContext, LoadError> {
+    let config = |shell: &Dataset| SimConfig {
+        probe_horizon_s: shell.probe_horizon_s,
+        client_horizon_s: shell.client_horizon_s,
+        ..SimConfig::quick()
+    };
+    if is_json(path) {
+        let mut shell = read_dataset(path, sections)?;
+        let whole = Part {
+            dataset: Dataset {
+                networks: shell.networks.clone(),
+                probes: std::mem::take(&mut shell.probes),
+                clients: Vec::new(),
+                ..shell
+            },
+            first_probe: 0,
+        };
+        let cfg = config(&shell);
+        ReproContext::from_parts(shell, cfg, 0, kernels, || std::iter::once(Ok(&whole)))
+    } else {
+        let (shell, reader) = PartReader::open(path, &sections, PART_BUDGET)?;
+        let cfg = config(&shell);
+        ReproContext::from_parts(shell, cfg, 0, kernels, || reader.parts())
+    }
 }
 
 fn bitrate(view: DatasetView<'_>) {

@@ -17,6 +17,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use mesh11_trace::codec::Sections;
+use mesh11_trace::{Dataset, LoadError};
 
 mod commands;
 
@@ -67,15 +68,29 @@ pub fn is_json(path: &Path) -> bool {
     path.extension().is_some_and(|e| e == "json")
 }
 
-/// Loads a dataset by extension: `.json` via serde (always whole),
-/// anything else via the binary codec, reading only `sections`.
-pub fn load_dataset(path: &Path, sections: Sections) -> Result<mesh11_trace::Dataset, String> {
-    if is_json(path) {
-        mesh11_trace::Dataset::load_json(path).map_err(|e| format!("{}: {e}", path.display()))
+/// Reads a dataset by extension: `.json` via serde (always whole),
+/// anything else via the binary codec, reading only `sections`. Nothing
+/// beyond the decoder's own checks: `inspect` reports what is wrong.
+pub fn read_dataset(path: &Path, sections: Sections) -> Result<Dataset, LoadError> {
+    let ds = if is_json(path) {
+        Dataset::load_json(path)?
     } else {
-        mesh11_trace::codec::load_sections(path, sections)
-            .map_err(|e| format!("{}: {e}", path.display()))
-    }
+        mesh11_trace::codec::load_sections(path, sections)?
+    };
+    Ok(ds)
+}
+
+/// [`read_dataset`], refusing a dataset that fails
+/// [`Dataset::validate`] with its first violations.
+pub fn load_dataset(path: &Path, sections: Sections) -> Result<Dataset, LoadError> {
+    let ds = read_dataset(path, sections)?;
+    ds.check()?;
+    Ok(ds)
+}
+
+/// A load error as the CLI prints it: prefixed with the file.
+pub fn at_path(path: &Path) -> impl Fn(LoadError) -> String + '_ {
+    move |e| format!("{}: {e}", path.display())
 }
 
 /// Parsed `simulate` flags.
@@ -204,7 +219,7 @@ mod tests {
     fn load_dataset_dispatches_on_extension() {
         let dir = std::env::temp_dir().join("mesh11-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let ds = mesh11_trace::Dataset::default();
+        let ds = Dataset::default();
 
         let json_path = dir.join("ds.json");
         ds.save_json(&json_path).unwrap();
@@ -305,6 +320,76 @@ mod tests {
         mesh11_trace::codec::save(&ds, &out).unwrap();
         let err = crate::commands::figures(&out, &args(&["fig3-1", "ext-adapt"])).unwrap_err();
         assert!(err.contains("non-finite report time"), "{err}");
+        std::fs::remove_file(&out).ok();
+    }
+
+    /// A checksum-valid file whose probe set names an AP past its
+    /// network's `n_aps` decodes, and `inspect` reports it; `analyze` and
+    /// `figures` refuse it, naming the set by its position in the file,
+    /// however the stream cuts it into parts.
+    #[test]
+    fn an_invalid_dataset_is_refused() {
+        let dir = std::env::temp_dir().join("mesh11-cli-invalid");
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = dir.join(format!("tiny-{}.m11t", std::process::id()));
+        let path = out.to_str().unwrap();
+        crate::commands::simulate(&args(&["--seed", "3", "--networks", "3", "--out", path]))
+            .unwrap();
+        let mut ds = load_dataset(&out, Sections::all()).unwrap();
+        // The first b/g set of the last network with b/g sets: past the
+        // first part.
+        let bg = |p: &mesh11_trace::Probe<'_>| p.phy == mesh11_phy::Phy::Bg;
+        let net = ds
+            .probes
+            .iter()
+            .filter(bg)
+            .map(|p| p.network)
+            .max()
+            .unwrap();
+        let last = ds.meta(net).unwrap().clone();
+        let k = ds
+            .probes
+            .iter()
+            .position(|p| p.network == net && bg(&p))
+            .unwrap();
+        assert!(k > 0);
+        let mut probes = mesh11_trace::ProbeTable::new();
+        for (i, p) in ds.probes.iter().enumerate() {
+            let sender = if i == k {
+                mesh11_trace::ApId(last.n_aps as u32)
+            } else {
+                p.sender
+            };
+            probes.push(mesh11_trace::Probe { sender, ..p });
+        }
+        ds.probes = probes;
+        mesh11_trace::codec::save(&ds, &out).unwrap();
+        let want = format!("probe[{k}]: AP ids");
+
+        assert!(read_dataset(&out, Sections::all()).is_ok());
+        crate::commands::inspect(&out).unwrap();
+        let err = crate::commands::analyze(&out, "all").unwrap_err();
+        assert!(
+            err.contains("invalid dataset") && err.contains(&want),
+            "{err}"
+        );
+        let err = crate::commands::figures(&out, &args(&["fig5-1"])).unwrap_err();
+        assert!(
+            err.contains("invalid dataset") && err.contains(&want),
+            "{err}"
+        );
+
+        let sel = mesh11_bench::figures::sections("fig5-1").unwrap();
+        let (shell, reader) = mesh11_trace::codec::PartReader::open(&out, &sel, 1).unwrap();
+        assert!(reader.len() > 1);
+        let kernels = mesh11_bench::figures::kernels("fig5-1").unwrap();
+        let cfg = mesh11_sim::SimConfig::quick();
+        let err =
+            mesh11_bench::ReproContext::from_parts(shell, cfg, 0, &kernels, || reader.parts())
+                .err()
+                .expect("refused");
+        assert!(matches!(err, LoadError::Invalid(_)), "{err}");
+        assert!(err.to_string().contains(&want), "{err}");
         std::fs::remove_file(&out).ok();
     }
 

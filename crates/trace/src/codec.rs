@@ -7,8 +7,9 @@
 //!
 //! A file is a run of checksummed sections and a trailing table of
 //! contents (TOC), so a reader decodes only the sections it needs
-//! ([`load_sections`]) and decodes probe sections in parallel, each into
-//! its own rows of one preallocated [`ProbeTable`]:
+//! ([`load_sections`]), probe sections in parallel, each into its own rows
+//! of one preallocated [`ProbeTable`]; or streams them in parts of whole
+//! networks ([`PartReader`]), so it never holds the whole table:
 //!
 //! ```text
 //! header   magic u32 "M11T" (0x4D313154), version u16 2
@@ -551,6 +552,17 @@ impl Source for [u8] {
     }
 }
 
+#[cfg(test)]
+impl Source for Bytes {
+    fn size(&self) -> u64 {
+        <[u8] as Source>::size(self)
+    }
+
+    fn read_at(&self, buf: &mut [u8], off: u64) -> io::Result<()> {
+        <[u8] as Source>::read_at(self, buf, off)
+    }
+}
+
 /// A file read by position, so decoding threads share it without a cursor.
 struct FileSource {
     #[cfg(unix)]
@@ -862,19 +874,22 @@ struct ProbeJob<'a> {
     result: io::Result<()>,
 }
 
-/// Decodes the selected probe sections into one table, allocated once
+/// The probe sections `sel` picks, with their indices in the TOC, in file
+/// order.
+fn picked_probes<'t>(toc: &'t [TocEntry], sel: &Sections) -> Vec<(usize, &'t TocEntry)> {
+    toc.iter()
+        .enumerate()
+        .filter(|(_, e)| e.phy.is_some_and(|p| sel.phys.contains(&p)))
+        .collect()
+}
+
+/// Decodes the `picked` probe sections into one table, allocated once
 /// from the TOC counts. Sections decode in parallel, each into its own
 /// disjoint rows and observations; the first failure in file order wins.
 fn read_probes(
     src: &(impl Source + ?Sized),
-    toc: &[TocEntry],
-    sel: &Sections,
+    picked: &[(usize, &TocEntry)],
 ) -> io::Result<ProbeTable> {
-    let picked: Vec<(usize, &TocEntry)> = toc
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| e.phy.is_some_and(|p| sel.phys.contains(&p)))
-        .collect();
     // The TOC tiles the file, so these sums are bounded by its size.
     let n_rows: u64 = picked.iter().map(|(_, e)| e.records).sum();
     let n_obs: u64 = picked.iter().map(|(_, e)| e.obs).sum();
@@ -915,7 +930,7 @@ fn read_probes(
     let mut jobs = Vec::with_capacity(picked.len());
     let (mut rows_left, mut obs_left) = (&mut rows[..], &mut obs[..]);
     let mut obs_base = 0u32;
-    for (index, entry) in picked {
+    for &(index, entry) in picked {
         let (r, rest) = std::mem::take(&mut rows_left).split_at_mut(entry.records as usize);
         rows_left = rest;
         let (o, rest) = std::mem::take(&mut obs_left).split_at_mut(entry.obs as usize);
@@ -952,7 +967,23 @@ fn read(src: &(impl Source + ?Sized), sel: &Sections) -> io::Result<Dataset> {
     let toc = read_toc(src)?;
     let (networks, probe_horizon_s, client_horizon_s) =
         with_section(src, 0, &toc[0], |b| parse_meta(b, &toc[0]))?;
-    let probes = read_probes(src, &toc, sel)?;
+    let probes = read_probes(src, &picked_probes(&toc, sel))?;
+    let clients = read_clients(src, &toc, sel)?;
+    Ok(Dataset {
+        networks,
+        probes,
+        clients,
+        probe_horizon_s,
+        client_horizon_s,
+    })
+}
+
+/// Decodes the client sections when `sel` picks them; empty otherwise.
+fn read_clients(
+    src: &(impl Source + ?Sized),
+    toc: &[TocEntry],
+    sel: &Sections,
+) -> io::Result<Vec<ClientSample>> {
     let mut clients = Vec::new();
     if sel.clients {
         let picked = toc
@@ -964,13 +995,7 @@ fn read(src: &(impl Source + ?Sized), sel: &Sections) -> io::Result<Dataset> {
             with_section(src, i, e, |b| parse_clients(b, e, &mut clients))?;
         }
     }
-    Ok(Dataset {
-        networks,
-        probes,
-        clients,
-        probe_horizon_s,
-        client_horizon_s,
-    })
+    Ok(clients)
 }
 
 /// Decodes a whole dataset from bytes.
@@ -1001,6 +1026,184 @@ pub fn load(path: &Path) -> io::Result<Dataset> {
 /// result.
 pub fn load_sections(path: &Path, sections: Sections) -> io::Result<Dataset> {
     read(&FileSource::open(path)?, &sections)
+}
+
+// ---------------------------------------------------------------------------
+// Part reader
+// ---------------------------------------------------------------------------
+
+/// The byte budget a [`PartReader`] cuts its parts at: four full sections.
+/// A part takes whole networks until the next one would take its probe
+/// sections past this many file bytes; only a network larger than the
+/// budget makes a larger part, on its own.
+pub const PART_BUDGET: usize = 4 * SECTION_CAP;
+
+/// One part of a streamed read: whole consecutive networks, with their
+/// metadata and their selected probe sets in file order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Part {
+    /// The part's networks and probe sets, with the file's horizons and no
+    /// client samples (those are in the shell).
+    pub dataset: Dataset,
+    /// Where the part's first probe set lies among the rows a whole
+    /// [`load_sections`] of the same selection returns.
+    pub first_probe: usize,
+}
+
+/// Which networks and probe sections one part holds.
+struct PartPlan {
+    /// Indices into the meta section's networks.
+    networks: std::ops::Range<usize>,
+    /// Indices into the picked probe sections.
+    sections: std::ops::Range<usize>,
+    first_probe: usize,
+}
+
+/// Cuts the networks, in meta-section order, into parts of whole
+/// consecutive networks with their `picked` sections, each part closed
+/// before a network would take its section bytes past `budget`. Always at
+/// least one part. Parts need the networks in id order and each network's
+/// sections together in that order, as the writer lays them out; a file
+/// laid out otherwise is one part, so it reads as a whole load reads it.
+fn plan_parts(networks: &[NetworkMeta], picked: &[&TocEntry], budget: usize) -> Vec<PartPlan> {
+    let whole = || {
+        vec![PartPlan {
+            networks: 0..networks.len(),
+            sections: 0..picked.len(),
+            first_probe: 0,
+        }]
+    };
+    if networks.windows(2).any(|w| w[0].id >= w[1].id) {
+        return whole();
+    }
+    let mut plans = Vec::new();
+    let mut part = PartPlan {
+        networks: 0..0,
+        sections: 0..0,
+        first_probe: 0,
+    };
+    let (mut bytes, mut rows, mut s) = (0u64, 0usize, 0usize);
+    for (n, m) in networks.iter().enumerate() {
+        let (first, mut net_bytes, mut net_rows) = (s, 0u64, 0usize);
+        while let Some(e) = picked.get(s).filter(|e| e.networks.0 == m.id) {
+            net_bytes += e.len;
+            net_rows += e.records as usize;
+            s += 1;
+        }
+        if bytes > 0 && bytes + net_bytes > budget as u64 {
+            let next = PartPlan {
+                networks: n..n,
+                sections: first..first,
+                first_probe: rows,
+            };
+            plans.push(std::mem::replace(&mut part, next));
+            bytes = 0;
+        }
+        part.networks.end = n + 1;
+        part.sections.end = s;
+        bytes += net_bytes;
+        rows += net_rows;
+    }
+    if s < picked.len() {
+        // A section out of network order, or of a network the meta
+        // section does not list.
+        return whole();
+    }
+    plans.push(part);
+    plans
+}
+
+/// A dataset file read one group of networks at a time, so a reader never
+/// holds the whole probe table. [`PartReader::open`] runs the same TOC
+/// checks as [`load_sections`] and returns the shell: the networks, the
+/// horizons, and the client samples when selected. [`PartReader::parts`]
+/// then decodes the selected probe sections part by part, with the same
+/// checksum and record checks, and its errors name sections by their index
+/// in the whole file. The parts' rows, concatenated, are the rows a whole
+/// load returns; the walk can be repeated.
+pub struct PartReader {
+    src: Box<dyn Source + Send>,
+    toc: Vec<TocEntry>,
+    /// TOC indices of the selected probe sections, in file order.
+    picked: Vec<usize>,
+    networks: Vec<NetworkMeta>,
+    probe_horizon_s: f64,
+    client_horizon_s: f64,
+    plans: Vec<PartPlan>,
+}
+
+impl PartReader {
+    /// Opens a dataset file for the sections `sections` picks, with parts
+    /// cut at `budget` bytes ([`PART_BUDGET`] in production); returns the
+    /// shell and the reader.
+    pub fn open(path: &Path, sections: &Sections, budget: usize) -> io::Result<(Dataset, Self)> {
+        Self::new(Box::new(FileSource::open(path)?), sections, budget)
+    }
+
+    fn new(
+        src: Box<dyn Source + Send>,
+        sel: &Sections,
+        budget: usize,
+    ) -> io::Result<(Dataset, Self)> {
+        let toc = read_toc(&*src)?;
+        let (networks, probe_horizon_s, client_horizon_s) =
+            with_section(&*src, 0, &toc[0], |b| parse_meta(b, &toc[0]))?;
+        let clients = read_clients(&*src, &toc, sel)?;
+        let (picked, entries): (Vec<usize>, Vec<&TocEntry>) =
+            picked_probes(&toc, sel).into_iter().unzip();
+        let plans = plan_parts(&networks, &entries, budget);
+        let shell = Dataset {
+            networks: networks.clone(),
+            probes: ProbeTable::new(),
+            clients,
+            probe_horizon_s,
+            client_horizon_s,
+        };
+        let reader = PartReader {
+            src,
+            toc,
+            picked,
+            networks,
+            probe_horizon_s,
+            client_horizon_s,
+            plans,
+        };
+        Ok((shell, reader))
+    }
+
+    /// How many parts the walk yields (at least one).
+    pub fn len(&self) -> usize {
+        self.plans.len()
+    }
+
+    /// Always false: a reader yields at least one part.
+    pub fn is_empty(&self) -> bool {
+        self.plans.is_empty()
+    }
+
+    /// Decodes part `k`.
+    pub fn part(&self, k: usize) -> io::Result<Part> {
+        let plan = &self.plans[k];
+        let picked: Vec<(usize, &TocEntry)> = self.picked[plan.sections.clone()]
+            .iter()
+            .map(|&i| (i, &self.toc[i]))
+            .collect();
+        Ok(Part {
+            dataset: Dataset {
+                networks: self.networks[plan.networks.clone()].to_vec(),
+                probes: read_probes(&*self.src, &picked)?,
+                clients: Vec::new(),
+                probe_horizon_s: self.probe_horizon_s,
+                client_horizon_s: self.client_horizon_s,
+            },
+            first_probe: plan.first_probe,
+        })
+    }
+
+    /// Decodes the parts in order, one per step.
+    pub fn parts(&self) -> impl Iterator<Item = io::Result<Part>> + '_ {
+        (0..self.len()).map(|k| self.part(k))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1876,6 +2079,86 @@ mod tests {
         reseal(&mut raw);
         let err = invalid(raw, Sections::all());
         assert!(err.contains("out of range"), "{err}");
+    }
+
+    /// Every selection, streamed at any budget, yields a shell and parts of
+    /// whole consecutive networks whose rows concatenate to a whole
+    /// load's; a damaged section fails the part holding it with the error
+    /// a whole load gives, naming the section by its index in the file.
+    #[test]
+    fn parts_concatenate_to_a_whole_load() {
+        let ds = mixed_dataset();
+        let raw = encode(&ds);
+        let phys = [vec![], vec![Phy::Bg], vec![Phy::Ht], vec![Phy::Bg, Phy::Ht]];
+        for (clients, phys) in [false, true]
+            .into_iter()
+            .flat_map(|c| phys.clone().map(|p| (c, p)))
+        {
+            let sel = Sections { clients, phys };
+            let whole = read(&raw[..], &sel).unwrap();
+            for budget in [1, 200, PART_BUDGET] {
+                let (shell, reader) = PartReader::new(Box::new(raw.clone()), &sel, budget).unwrap();
+                let want_shell = Dataset {
+                    probes: ProbeTable::new(),
+                    ..whole.clone()
+                };
+                assert_eq!(shell, want_shell, "{sel:?} at {budget}");
+                let parts: Vec<Part> = reader.parts().map(Result::unwrap).collect();
+                let (mut networks, mut rows) = (Vec::new(), ProbeTable::new());
+                for part in &parts {
+                    assert_eq!(part.first_probe, rows.len(), "{sel:?} at {budget}");
+                    assert!(part.dataset.clients.is_empty());
+                    for p in part.dataset.probes.iter() {
+                        assert!(part.dataset.meta(p.network).is_some(), "a whole network");
+                        rows.push(p);
+                    }
+                    networks.extend(part.dataset.networks.iter().cloned());
+                }
+                assert_eq!(networks, ds.networks, "{sel:?} at {budget}");
+                assert_eq!(rows, whole.probes, "{sel:?} at {budget}");
+                if budget == 1 && sel.phys.contains(&Phy::Bg) {
+                    assert_eq!(parts.len(), 2, "one network a part");
+                }
+            }
+        }
+        for damaged in [2, 3] {
+            let mut bad = raw.to_vec();
+            let e = toc(&bad).unwrap()[damaged].clone();
+            bad[(e.offset + e.len / 2) as usize] ^= 0x10;
+            let want = invalid(bad.clone(), Sections::all());
+            assert!(
+                want.starts_with(&format!(
+                    "section {damaged} ({}): checksum mismatch",
+                    e.label()
+                )),
+                "{want}"
+            );
+            let (_, reader) =
+                PartReader::new(Box::new(Bytes::from(bad)), &Sections::all(), 1).unwrap();
+            let got = reader.parts().find_map(Result::err).expect("a part fails");
+            assert_eq!(got.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(got.to_string(), want);
+        }
+    }
+
+    /// A file whose probe sections are not in network order streams as
+    /// one part, so it reads as a whole load reads it.
+    #[test]
+    fn out_of_order_networks_stream_as_one_part() {
+        let mut ds = mixed_dataset();
+        let probes: Vec<Probe<'_>> = ds.probes.iter().collect();
+        let mut swapped: Vec<Probe<'_>> = probes[5..].to_vec();
+        swapped.extend_from_slice(&probes[..5]);
+        ds.probes = swapped.into_iter().collect();
+        let raw = encode(&ds);
+        let (_, reader) = PartReader::new(Box::new(raw.clone()), &Sections::all(), 1).unwrap();
+        assert_eq!(reader.len(), 1);
+        let part = reader.part(0).unwrap();
+        assert_eq!(
+            part.dataset.probes,
+            read(&raw[..], &Sections::all()).unwrap().probes
+        );
+        assert_eq!(part.dataset.networks, ds.networks);
     }
 
     #[test]

@@ -59,3 +59,4 @@ pub use index::{
 };
 pub use matrix::DeliveryMatrix;
 pub use probe::{Probe, ProbeSet, ProbeTable, Probes, RateObs};
+pub use validate::{LoadError, Violation};

@@ -7,8 +7,10 @@
 //! should be checked first. `mesh11 inspect` runs this automatically.
 
 use mesh11_phy::Phy;
+use rayon::prelude::*;
 
-use crate::dataset::Dataset;
+use crate::dataset::{Dataset, NetworkMeta};
+use crate::probe::{Probe, RateObs};
 
 /// A single integrity violation, with enough context to locate it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,10 +25,59 @@ impl std::fmt::Display for Violation {
     }
 }
 
+/// How many violations a [`LoadError::Invalid`] names.
+const NAMED_VIOLATIONS: usize = 5;
+
+/// Probe sets per run of the parallel probe check.
+const VALIDATE_RUN: usize = 1 << 16;
+
+/// Why a dataset cannot be analyzed: it could not be read or decoded, or
+/// what it holds fails [`Dataset::validate`].
+#[derive(Debug)]
+pub enum LoadError {
+    /// Reading or decoding failed.
+    Io(std::io::Error),
+    /// The dataset decoded, and these are its first integrity violations.
+    Invalid(Vec<Violation>),
+}
+
+impl std::fmt::Display for LoadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LoadError::Io(e) => write!(f, "{e}"),
+            LoadError::Invalid(violations) => {
+                f.write_str("invalid dataset: ")?;
+                for (k, v) in violations.iter().enumerate() {
+                    if k > 0 {
+                        f.write_str("; ")?;
+                    }
+                    write!(f, "{v}")?;
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
+impl std::error::Error for LoadError {}
+
+impl From<std::io::Error> for LoadError {
+    fn from(e: std::io::Error) -> Self {
+        LoadError::Io(e)
+    }
+}
+
 impl Dataset {
     /// Checks structural integrity; returns every violation found (bounded
     /// at `limit` to keep reports readable on badly broken inputs).
     pub fn validate(&self, limit: usize) -> Vec<Violation> {
+        self.validate_part(0, limit)
+    }
+
+    /// [`Dataset::validate`] of a part of a larger dataset whose first
+    /// probe set is that dataset's probe `first_probe`: probe sets are
+    /// named by their position in the whole.
+    pub fn validate_part(&self, first_probe: usize, limit: usize) -> Vec<Violation> {
         let mut out = Vec::new();
         let push = |out: &mut Vec<Violation>, msg: String| {
             if out.len() < limit {
@@ -44,60 +95,26 @@ impl Dataset {
             }
         }
 
-        // Probe sets.
-        for (i, p) in self.probes.iter().enumerate() {
-            let Some(meta) = self.meta(p.network) else {
-                push(
-                    &mut out,
-                    format!("probe[{i}]: unknown network {}", p.network),
-                );
-                continue;
-            };
-            if !meta.radios.contains(&p.phy) {
-                push(
-                    &mut out,
-                    format!("probe[{i}]: {} has no {} radio", p.network, p.phy),
-                );
-            }
-            let n = meta.n_aps as u32;
-            if p.sender.0 >= n || p.receiver.0 >= n {
-                push(
-                    &mut out,
-                    format!(
-                        "probe[{i}]: AP ids {}→{} out of range (n_aps {})",
-                        p.sender, p.receiver, n
-                    ),
-                );
-            }
-            if p.sender == p.receiver {
-                push(&mut out, format!("probe[{i}]: self link {}", p.sender));
-            }
-            if !(0.0..=self.probe_horizon_s).contains(&p.time_s) {
-                push(
-                    &mut out,
-                    format!("probe[{i}]: time {} outside horizon", p.time_s),
-                );
-            }
-            if p.obs.is_empty() {
-                push(&mut out, format!("probe[{i}]: no observations"));
-            }
-            for o in p.obs {
-                if !(0.0..=1.0).contains(&o.loss) || !o.loss.is_finite() {
-                    push(
-                        &mut out,
-                        format!("probe[{i}]: loss {} not a probability", o.loss),
-                    );
+        // Probe sets, in runs checked in parallel; each run keeps its first
+        // violations, and the runs concatenate in row order.
+        let runs: Vec<usize> = (0..self.probes.len().div_ceil(VALIDATE_RUN)).collect();
+        let found: Vec<Vec<Violation>> = runs
+            .par_iter()
+            .map(|&r| {
+                let mut out = Vec::new();
+                let mut meta = None;
+                let rows = r * VALIDATE_RUN..self.probes.len().min((r + 1) * VALIDATE_RUN);
+                for k in rows {
+                    let p = self.probes.get(k);
+                    self.check_probe(first_probe + k, p, &mut meta, &mut |msg| {
+                        push(&mut out, msg)
+                    });
                 }
-                if !o.snr_db.is_finite() {
-                    push(&mut out, format!("probe[{i}]: non-finite SNR"));
-                }
-                if o.rate.phy() != p.phy {
-                    push(
-                        &mut out,
-                        format!("probe[{i}]: rate {} does not belong to {}", o.rate, p.phy),
-                    );
-                }
-            }
+                out
+            })
+            .collect();
+        for v in found.into_iter().flatten() {
+            push(&mut out, v.message);
         }
 
         // Client samples.
@@ -135,6 +152,80 @@ impl Dataset {
         }
 
         out
+    }
+
+    /// Reports every violation of probe set `i` (`p`) through `push`.
+    /// `meta` carries the previous set's network over, since sets come in
+    /// network runs.
+    fn check_probe<'d>(
+        &'d self,
+        i: usize,
+        p: Probe<'_>,
+        meta: &mut Option<&'d NetworkMeta>,
+        push: &mut impl FnMut(String),
+    ) {
+        if meta.is_none_or(|m| m.id != p.network) {
+            *meta = self.meta(p.network);
+        }
+        let Some(meta) = *meta else {
+            push(format!("probe[{i}]: unknown network {}", p.network));
+            return;
+        };
+        if !meta.radios.contains(&p.phy) {
+            push(format!("probe[{i}]: {} has no {} radio", p.network, p.phy));
+        }
+        let n = meta.n_aps as u32;
+        if p.sender.0 >= n || p.receiver.0 >= n {
+            push(format!(
+                "probe[{i}]: AP ids {}→{} out of range (n_aps {})",
+                p.sender, p.receiver, n
+            ));
+        }
+        if p.sender == p.receiver {
+            push(format!("probe[{i}]: self link {}", p.sender));
+        }
+        if !(0.0..=self.probe_horizon_s).contains(&p.time_s) {
+            push(format!("probe[{i}]: time {} outside horizon", p.time_s));
+        }
+        if p.obs.is_empty() {
+            push(format!("probe[{i}]: no observations"));
+        }
+        let sound = |o: &RateObs| {
+            (0.0..=1.0).contains(&o.loss) && o.snr_db.is_finite() && o.rate.phy() == p.phy
+        };
+        if p.obs.iter().all(sound) {
+            return;
+        }
+        for o in p.obs {
+            if !(0.0..=1.0).contains(&o.loss) || !o.loss.is_finite() {
+                push(format!("probe[{i}]: loss {} not a probability", o.loss));
+            }
+            if !o.snr_db.is_finite() {
+                push(format!("probe[{i}]: non-finite SNR"));
+            }
+            if o.rate.phy() != p.phy {
+                push(format!(
+                    "probe[{i}]: rate {} does not belong to {}",
+                    o.rate, p.phy
+                ));
+            }
+        }
+    }
+
+    /// `Ok` when [`Dataset::validate_part`] finds nothing, else the first
+    /// violations as a [`LoadError::Invalid`].
+    pub fn check_part(&self, first_probe: usize) -> Result<(), LoadError> {
+        let violations = self.validate_part(first_probe, NAMED_VIOLATIONS);
+        if violations.is_empty() {
+            Ok(())
+        } else {
+            Err(LoadError::Invalid(violations))
+        }
+    }
+
+    /// [`Dataset::check_part`] of a whole dataset.
+    pub fn check(&self) -> Result<(), LoadError> {
+        self.check_part(0)
     }
 
     /// True when [`Dataset::validate`] finds nothing.

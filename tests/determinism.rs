@@ -158,12 +158,15 @@ fn file_context_builds_fig4_5_byte_identical() {
 /// `figures::kernels(id)` declares. Every figure built that way, from the
 /// file or from the resident dataset, is byte-identical, as JSON and as
 /// the printed table, to the figure built from the whole file with every
-/// kernel: the kernel registry is complete. The sections derived from the
-/// kernels' PHYs are the ones each id read before they were derived; and
-/// a b/g-only load is the full dataset without its HT rows.
+/// kernel: the kernel registry is complete. So is every figure streamed
+/// from the file's parts (fig4-4's penalty replay included), both at the
+/// production part budget and at a 1-byte budget, which makes each
+/// network a part of its own. The sections derived from the kernels' PHYs
+/// are the ones each id read before they were derived; and a b/g-only
+/// load is the full dataset without its HT rows.
 #[test]
 fn declared_sections_build_what_a_full_load_builds() {
-    use mesh11::trace::codec::{self, Sections};
+    use mesh11::trace::codec::{self, PartReader, Sections, PART_BUDGET};
     use mesh11_bench::figures::{build, kernels, sections, ALL_IDS};
     use mesh11_bench::{Kernel, ReproContext, Scale};
 
@@ -208,6 +211,16 @@ fn declared_sections_build_what_a_full_load_builds() {
         let path = dir.join(format!("sections-{seed}-{}.m11t", std::process::id()));
         codec::save(&ds, &path).unwrap();
         let full = context(codec::load(&path).unwrap(), &Kernel::all());
+        let streamed = |sel: &Sections, ks: &[Kernel], budget| {
+            let (shell, reader) = PartReader::open(&path, sel, budget).unwrap();
+            let cfg = SimConfig {
+                probe_horizon_s: shell.probe_horizon_s,
+                client_horizon_s: shell.client_horizon_s,
+                ..SimConfig::quick()
+            };
+            let ctx = ReproContext::from_parts(shell, cfg, 0, ks, || reader.parts()).unwrap();
+            (ctx, reader.len())
+        };
         for &id in ALL_IDS {
             let (sel, ks) = (sections(id).unwrap(), kernels(id).unwrap());
             let loaded = context(codec::load_sections(&path, sel.clone()).unwrap(), &ks);
@@ -215,6 +228,27 @@ fn declared_sections_build_what_a_full_load_builds() {
                 render(&loaded, id) == render(&full, id),
                 "seed {seed}: {id} built from {sel:?} differs from a full load"
             );
+            // At a 1-byte budget every network with selected rows starts a
+            // part of its own.
+            let with_rows: std::collections::BTreeSet<_> = ds
+                .probes
+                .iter()
+                .filter(|p| sel.phys.contains(&p.phy))
+                .map(|p| p.network)
+                .collect();
+            for budget in [PART_BUDGET, 1] {
+                let (ctx, parts) = streamed(&sel, &ks, budget);
+                if budget == 1 {
+                    assert!(
+                        parts >= with_rows.len(),
+                        "seed {seed}: {id} in {parts} parts"
+                    );
+                }
+                assert!(
+                    render(&ctx, id) == render(&full, id),
+                    "seed {seed}: {id} streamed in {parts} parts differs from a full load"
+                );
+            }
             let resident = context(ds.clone(), &ks);
             assert!(
                 render(&resident, id) == render(&full, id),
