@@ -225,13 +225,9 @@ pub fn fig4_2_or_3(ctx: &ReproContext, phy: Phy) -> Vec<FigureData> {
                 "unique bit rates needed (mean over tables)",
             )
             .with_note("paper: needed rates shrink as scope specializes; n needs more than b/g");
-            for pct in [0.5, 0.8, 0.95] {
-                let curve = table.rates_needed_curve(pct);
-                let pts: Vec<(f64, f64)> = curve
-                    .rows()
-                    .into_iter()
-                    .map(|(snr, s)| (snr as f64, s.mean))
-                    .collect();
+            let pcts = [0.5, 0.8, 0.95];
+            for (pct, curve) in pcts.into_iter().zip(table.rates_needed_means(&pcts)) {
+                let pts = curve.into_iter().map(|(snr, mean)| (snr as f64, mean));
                 fig = fig.with_series(Series::new(format!("{:.0}%", pct * 100.0), pts));
             }
             fig
@@ -269,8 +265,9 @@ pub fn fig4_4(ctx: &ReproContext) -> Vec<FigureData> {
                     100.0 * p.frac_exact(),
                     p.mean_loss_mbps()
                 ));
-                if let Some(s) = cdf_series(scope.name(), &p.diffs_mbps) {
-                    fig = fig.with_series(s);
+                if !p.diffs_mbps.is_empty() {
+                    let points = p.diffs_mbps.points(CDF_POINTS);
+                    fig = fig.with_series(Series::new(scope.name(), points));
                 }
             }
             fig
@@ -356,11 +353,10 @@ pub fn fig4_6(ctx: &ReproContext) -> FigureData {
             e.predictions
         ));
         let pts: Vec<(f64, f64)> = e
-            .accuracy_by_history
-            .rows()
+            .accuracy_curve()
             .into_iter()
             .filter(|(x, _)| *x <= 40)
-            .map(|(x, s)| (x as f64, s.mean))
+            .map(|(x, accuracy)| (x as f64, accuracy))
             .collect();
         fig = fig.with_series(Series::new(e.kind.name(), pts));
     }

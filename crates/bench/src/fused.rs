@@ -450,7 +450,7 @@ impl FusedRunner {
         let penalties = self
             .penalties
             .into_iter()
-            .map(|key| (key, (Vec::new(), 0)))
+            .map(|key| (key, PenaltyPartial::default()))
             .collect();
         PassB { out, penalties }
     }
@@ -459,15 +459,16 @@ impl FusedRunner {
 /// Pass B in progress: pass A's finished outputs, and one
 /// [`PenaltyKernel`] partial per requested (scope, phy), scored against
 /// its finished table. The parts are replayed in network order, as pass A
-/// folded them, and each table's per-network diffs concatenate in that
-/// order, so any partition of the probes into network-aligned parts gives
-/// the bytes of one walk over the whole view.
+/// folded them, and each network's diffs are counted in that order, so
+/// any partition of the probes into network-aligned parts gives the bytes
+/// of one walk over the whole view.
 pub struct PassB {
     out: FusedOutputs,
     penalties: Vec<((Scope, Phy), PenaltyPartial)>,
 }
 
-/// A penalty's partial: its diffs so far and the sets it could not score.
+/// A penalty's partial: its counted diffs so far and the sets it could not
+/// score.
 type PenaltyPartial = <PenaltyKernel<'static> as FoldKernel>::Partial;
 
 impl PassB {
@@ -532,13 +533,52 @@ mod tests {
     use super::*;
     use crate::setup::Scale;
     use mesh11_trace::DatasetIndex;
+    use std::collections::BTreeMap;
+
+    /// A penalty's counted fields: each distinct diff's count (by bits),
+    /// the bits of the in-order sum, and the unscored sets.
+    type Counted = (BTreeMap<u64, u64>, u64, usize);
+
+    /// The pre-count penalty loop, kept as the oracle: every set of the
+    /// table's PHY, network by network in id order and in stream order
+    /// within each, its diff pushed to a vector; then the vector's counted
+    /// fields.
+    fn penalty_oracle(view: DatasetView<'_>, table: &LookupTableSet) -> Counted {
+        let (mut diffs, mut unpredicted) = (Vec::new(), 0);
+        for p in view
+            .network_views(table.phy())
+            .iter()
+            .flat_map(|nv| nv.probes_in_order())
+        {
+            match table.predict(p) {
+                None => unpredicted += 1,
+                Some(pick) => {
+                    let got = p.obs_for(pick).map_or(0.0, |o| o.throughput_mbps());
+                    diffs.push((p.optimal().throughput_mbps() - got).max(0.0));
+                }
+            }
+        }
+        let mut per_value = BTreeMap::new();
+        for d in &diffs {
+            *per_value.entry(d.to_bits()).or_insert(0) += 1;
+        }
+        (per_value, diffs.iter().sum::<f64>().to_bits(), unpredicted)
+    }
+
+    fn counted(p: &ThroughputPenalty) -> Counted {
+        let mut per_value = BTreeMap::new();
+        for (v, n) in p.diffs_mbps.cells() {
+            *per_value.entry(v.to_bits()).or_insert(0) += n;
+        }
+        (per_value, p.diffs_mbps.sum().to_bits(), p.unpredicted)
+    }
 
     /// The oracle of the fused pass: a runner folded over a quick
     /// dataset's whole view yields, kernel for kernel, what that kernel
     /// alone yields over the view (`init`, one `fold`, `finish`: its solo
-    /// `run_fold`), and each penalty is `ThroughputPenalty::evaluate` of
-    /// the solo table. Lookup tables hold hash maps, so they are compared
-    /// through their ordered accessors.
+    /// `run_fold`), and each penalty counts what the per-set loop over the
+    /// solo table yields. Lookup tables hold hash maps, so they are
+    /// compared through their ordered accessors.
     #[test]
     fn fused_outputs_match_solo_folds() {
         let scale = Scale::Quick;
@@ -570,10 +610,9 @@ mod tests {
                 ),
                 Kernel::Penalty(scope, phy) => {
                     let table = Kernel::Table(scope, phy);
-                    let want = ThroughputPenalty::evaluate(view, solo(table).get(table));
                     (
-                        format!("{:?}", fused.get::<ThroughputPenalty>(k)),
-                        format!("{want:?}"),
+                        format!("{:?}", counted(fused.get(k))),
+                        format!("{:?}", penalty_oracle(view, solo(table).get(table))),
                     )
                 }
                 _ => (

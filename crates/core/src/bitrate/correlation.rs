@@ -11,8 +11,8 @@
 //! throughputs (rate × delivery) per PHY — against millions of points. So
 //! each point is kept as a pair of codes into the two distinct-value
 //! tables, and each (rate, SNR) bin as counts over throughput codes: the
-//! coefficients are exact sums over the coded sequence, and the medians
-//! are read from the counts.
+//! coefficients are exact sums over the coded sequence, taken when the
+//! fold finishes, and the medians are read from the counts.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
@@ -26,7 +26,7 @@ use rayon::prelude::*;
 /// fans out per network; appending the per-network coded samples in
 /// network order rebuilds the sequential sample sequence exactly
 /// (datasets are network-major), which the order-sensitive correlation
-/// sums need.
+/// sums need. The coded sequence lives until `finish` takes the sums.
 #[derive(Debug, Clone, Copy)]
 pub struct CurvesKernel {
     /// PHY analyzed.
@@ -142,17 +142,18 @@ impl FoldKernel for CurvesKernel {
                 .or_default()
                 .push((bin[0].1, median));
         }
+        let snr: Vec<f64> = snr.iter().map(|&k| k as f64).collect();
+        let thr: Vec<f64> = partial
+            .thr
+            .values
+            .iter()
+            .map(|&b| f64::from_bits(b))
+            .collect();
         SnrThroughputCurves {
             phy: self.phy,
             per_rate,
-            snr: snr.iter().map(|&k| k as f64).collect(),
-            thr: partial
-                .thr
-                .values
-                .iter()
-                .map(|&b| f64::from_bits(b))
-                .collect(),
-            codes: partial.codes,
+            pearson: pearson_coded(&partial.codes, &snr, &thr),
+            spearman: spearman_coded(&partial.codes, &snr, &thr),
         }
     }
 }
@@ -215,13 +216,11 @@ pub struct SnrThroughputCurves {
     /// Per rate: `(SNR key, median throughput)` for each integer SNR bin
     /// the rate was observed in, ascending by SNR.
     pub per_rate: BTreeMap<BitRate, Vec<(i64, f64)>>,
-    /// Distinct SNR keys, by code.
-    snr: Vec<f64>,
-    /// Distinct throughputs, by code.
-    thr: Vec<f64>,
-    /// Every `(snr, throughput)` sample as codes, pooled across rates in
-    /// dataset order, for the correlation coefficients.
-    codes: Vec<(u32, u32)>,
+    /// Pearson correlation of SNR and throughput over every sample, pooled
+    /// across rates in dataset order.
+    pearson: Option<f64>,
+    /// Spearman rank correlation of the same samples.
+    spearman: Option<f64>,
 }
 
 impl SnrThroughputCurves {
@@ -247,12 +246,12 @@ impl SnrThroughputCurves {
 
     /// Pearson correlation of SNR and throughput over all samples.
     pub fn pearson(&self) -> Option<f64> {
-        pearson_coded(&self.codes, &self.snr, &self.thr)
+        self.pearson
     }
 
     /// Spearman rank correlation of SNR and throughput.
     pub fn spearman(&self) -> Option<f64> {
-        spearman_coded(&self.codes, &self.snr, &self.thr)
+        self.spearman
     }
 
     /// The SNR (dB) beyond which the envelope stops growing (within

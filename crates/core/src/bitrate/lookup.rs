@@ -4,7 +4,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use mesh11_phy::{BitRate, Phy};
 use mesh11_stats::BinnedStats;
-use mesh11_trace::{DatasetView, Probe};
+use mesh11_trace::{DatasetView, NetworkView, Probe};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -37,25 +37,29 @@ impl Scope {
     }
 }
 
-/// Table key: unused components are `u32::MAX`.
+/// Table key: unused components are `u32::MAX`. Every key but the
+/// global one begins with the network id.
 type Key = (u32, u32, u32);
 
-/// The table key a probe trains/consults under `scope`.
-fn key_of(scope: Scope, probe: Probe<'_>) -> Key {
+/// The table key of a link's probe sets under `scope`.
+fn key_of(scope: Scope, network: u32, sender: u32, receiver: u32) -> Key {
     match scope {
         Scope::Global => (u32::MAX, u32::MAX, u32::MAX),
-        Scope::Network => (probe.network.0, u32::MAX, u32::MAX),
-        Scope::Ap => (probe.network.0, probe.sender.0, u32::MAX),
-        Scope::Link => (probe.network.0, probe.sender.0, probe.receiver.0),
+        Scope::Network => (network, u32::MAX, u32::MAX),
+        Scope::Ap => (network, sender, u32::MAX),
+        Scope::Link => (network, sender, receiver),
     }
 }
 
-/// How often each rate was optimal at one (key, SNR) cell.
-type RateCounts = BTreeMap<BitRate, u32>;
+/// A count of optimal rates at one cell: `(SNR key, BitRate::index,
+/// count)`.
+type Tally = (i64, u8, u32);
 
-/// The fold-style form of [`LookupTableSet::build`]. The partial is a
-/// whole table set whose cells are commutative integer counts, so the
-/// per-network fan-out and its merge cannot change any cell.
+/// The fold-style form of [`LookupTableSet::build`]. Each network's
+/// cells are counted on their own, then appended in network order: a
+/// network's keys all begin with its id, so only the global key is ever
+/// shared, and its counts are added together. Counts are integers, so
+/// the fan-out and the merge cannot change any cell.
 #[derive(Debug, Clone, Copy)]
 pub struct TableBuildKernel {
     /// Training scope.
@@ -69,12 +73,7 @@ impl mesh11_trace::FoldKernel for TableBuildKernel {
     type Output = LookupTableSet;
 
     fn init(&self) -> LookupTableSet {
-        LookupTableSet {
-            scope: self.scope,
-            phy: self.phy,
-            tables: HashMap::new(),
-            winners: None,
-        }
+        LookupTableSet::new(self.scope, self.phy)
     }
 
     fn fold(&self, view: DatasetView<'_>, partial: &mut LookupTableSet) {
@@ -82,142 +81,218 @@ impl mesh11_trace::FoldKernel for TableBuildKernel {
         // the per-network fan-out reads them.
         view.columns();
         let nets = view.network_views(self.phy);
-        let scope = self.scope;
-        let partials: Vec<HashMap<Key, BTreeMap<i64, RateCounts>>> = nets
+        let per_net: Vec<LookupTableSet> = nets
             .par_iter()
-            .map(|nv| {
-                let mut t: HashMap<Key, BTreeMap<i64, RateCounts>> = HashMap::new();
-                for e in nv.entries_in_order() {
-                    *t.entry(key_of(scope, e.probe))
-                        .or_default()
-                        .entry(e.snr_key)
-                        .or_default()
-                        .entry(e.opt.rate)
-                        .or_insert(0) += 1;
-                }
-                t
-            })
+            .map(|nv| LookupTableSet::of_network(self.scope, self.phy, nv))
             .collect();
-        for t in partials {
-            for (key, snr_map) in t {
-                let dst = partial.tables.entry(key).or_default();
-                for (snr, counts) in snr_map {
-                    let cell = dst.entry(snr).or_default();
-                    for (rate, c) in counts {
-                        *cell.entry(rate).or_insert(0) += c;
-                    }
-                }
-            }
+        for t in per_net {
+            partial.append(&t);
         }
     }
 
-    fn finish(&self, mut partial: LookupTableSet) -> LookupTableSet {
-        partial.seal();
+    fn finish(&self, partial: LookupTableSet) -> LookupTableSet {
         partial
     }
 }
 
-/// A set of SNR → optimal-rate frequency tables at one scope, for one PHY.
+/// One (key, SNR key) cell of a table.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    snr: i64,
+    /// Where the cell's `(rate index, count)` pairs start in
+    /// [`LookupTableSet::rates`].
+    start: u32,
+    /// How many pairs it has: at least one.
+    len: u8,
+    /// The most frequently optimal rate's index; ties break toward the
+    /// lower rate.
+    winner: u8,
+}
+
+/// A set of SNR → optimal-rate frequency tables at one scope, for one PHY,
+/// held as one flat cell table: every (key, SNR key) cell with its rate
+/// counts and its winner, grouped by key in the order the keys were
+/// folded, ascending by SNR key within a key.
 #[derive(Debug, Clone)]
 pub struct LookupTableSet {
     scope: Scope,
     phy: Phy,
-    tables: HashMap<Key, BTreeMap<i64, RateCounts>>,
-    /// Sealed per-cell argmaxes: one flat hash probe per prediction instead
-    /// of two map walks plus a count scan. `None` while still training.
-    winners: Option<HashMap<(Key, i64), BitRate>>,
+    /// The table keys, in fold order, each with the end of its cells.
+    keys: Vec<(Key, u32)>,
+    /// Key → its position in `keys`.
+    lookup: HashMap<Key, u32>,
+    /// Every cell, grouped by key as `keys` orders them, ascending by SNR
+    /// key within a key.
+    cells: Vec<Cell>,
+    /// The cells' `(BitRate::index, count)` pairs, ascending by rate
+    /// within a cell.
+    rates: Vec<(u8, u32)>,
 }
 
 impl LookupTableSet {
     /// Trains tables from every probe set of `phy` in the dataset, using
-    /// the view's precomputed SNR keys and optima (dataset order, same
-    /// accumulation as calling [`LookupTableSet::train`] per probe).
+    /// the view's precomputed SNR keys and optima.
     pub fn build(view: DatasetView<'_>, scope: Scope, phy: Phy) -> Self {
         mesh11_trace::run_fold(view, &TableBuildKernel { scope, phy })
     }
 
-    /// Adds one probe set's `P_opt` observation.
-    pub fn train(&mut self, probe: Probe<'_>) {
-        debug_assert_eq!(probe.phy, self.phy);
-        self.winners = None; // counts change ⇒ cached argmaxes are stale
-        let key = self.key_for(probe);
-        *self
-            .tables
-            .entry(key)
-            .or_default()
-            .entry(probe.snr_key())
-            .or_default()
-            .entry(probe.optimal().rate)
-            .or_insert(0) += 1;
+    fn new(scope: Scope, phy: Phy) -> Self {
+        Self {
+            scope,
+            phy,
+            keys: Vec::new(),
+            lookup: HashMap::new(),
+            cells: Vec::new(),
+            rates: Vec::new(),
+        }
+    }
+
+    /// The cells of one network's probe sets. Links come in (sender,
+    /// receiver) order, so each key's links are consecutive.
+    fn of_network(scope: Scope, phy: Phy, nv: &NetworkView<'_>) -> Self {
+        let mut t = Self::new(scope, phy);
+        let mut group: Option<(Key, Vec<Tally>)> = None;
+        for link in nv.links() {
+            let key = key_of(scope, link.network().0, link.sender().0, link.receiver().0);
+            if let Some((k, tallies)) = group.take_if(|g| g.0 != key) {
+                t.push_key(k, tallies);
+            }
+            let (_, tallies) = group.get_or_insert_with(|| (key, Vec::new()));
+            tallies.extend(
+                link.entries()
+                    .map(|e| (e.snr_key, e.opt.rate.index() as u8, 1)),
+            );
+        }
+        if let Some((k, tallies)) = group {
+            t.push_key(k, tallies);
+        }
+        t
+    }
+
+    /// Appends `other`'s keys; a key equal to this set's last one is added
+    /// into it.
+    fn append(&mut self, other: &LookupTableSet) {
+        for k in 0..other.keys.len() {
+            self.push_key(other.keys[k].0, other.tallies(k).collect());
+        }
+    }
+
+    /// Appends one key's cells from its tallies, in any order. A key equal
+    /// to the last one is added into it; any other key must be new, which
+    /// network-aligned parts guarantee.
+    fn push_key(&mut self, key: Key, mut tallies: Vec<Tally>) {
+        if self.keys.last().is_some_and(|&(last, _)| last == key) {
+            tallies.extend(self.pop_key());
+        }
+        assert!(
+            !self.lookup.contains_key(&key),
+            "a table key recurs after other keys: a network was split across parts"
+        );
+        tallies.sort_unstable_by_key(|&(snr, rate, _)| (snr, rate));
+        for cell in tallies.chunk_by(|a, b| a.0 == b.0) {
+            let start = self.rates.len();
+            for rate in cell.chunk_by(|a, b| a.1 == b.1) {
+                self.rates
+                    .push((rate[0].1, rate.iter().map(|&(.., n)| n).sum()));
+            }
+            let pairs = &self.rates[start..];
+            // The first maximum: ties go to the lower rate.
+            let winner = pairs
+                .iter()
+                .fold(pairs[0], |best, &p| if p.1 > best.1 { p } else { best });
+            self.cells.push(Cell {
+                snr: cell[0].0,
+                start: u32::try_from(start).expect("fewer than 2^32 cell rates"),
+                len: pairs.len() as u8,
+                winner: winner.0,
+            });
+        }
+        self.lookup.insert(key, self.keys.len() as u32);
+        let end = u32::try_from(self.cells.len()).expect("fewer than 2^32 cells");
+        self.keys.push((key, end));
+    }
+
+    /// Removes the last key and returns its tallies.
+    fn pop_key(&mut self) -> Vec<Tally> {
+        let k = self.keys.len() - 1;
+        let tallies = self.tallies(k).collect();
+        let (key, _) = self.keys.pop().expect("a key to pop");
+        self.lookup.remove(&key);
+        let first = self.keys.last().map_or(0, |&(_, end)| end as usize);
+        let rates = self
+            .cells
+            .get(first)
+            .map_or(self.rates.len(), |c| c.start as usize);
+        self.rates.truncate(rates);
+        self.cells.truncate(first);
+        tallies
+    }
+
+    /// The cells of the `k`-th key.
+    fn key_cells(&self, k: usize) -> &[Cell] {
+        let start = if k == 0 { 0 } else { self.keys[k - 1].1 };
+        &self.cells[start as usize..self.keys[k].1 as usize]
+    }
+
+    /// The `k`-th key's cells as tallies.
+    fn tallies(&self, k: usize) -> impl Iterator<Item = Tally> + '_ {
+        self.key_cells(k)
+            .iter()
+            .flat_map(|c| self.pairs(c).iter().map(|&(r, n)| (c.snr, r, n)))
+    }
+
+    /// A cell's `(rate index, count)` pairs.
+    fn pairs(&self, c: &Cell) -> &[(u8, u32)] {
+        &self.rates[c.start as usize..][..usize::from(c.len)]
     }
 
     fn key_for(&self, probe: Probe<'_>) -> Key {
-        key_of(self.scope, probe)
+        key_of(
+            self.scope,
+            probe.network.0,
+            probe.sender.0,
+            probe.receiver.0,
+        )
     }
 
-    /// The rate-frequency cell a probe set would consult.
-    pub fn counts_for(&self, probe: Probe<'_>) -> Option<&RateCounts> {
-        self.tables.get(&self.key_for(probe))?.get(&probe.snr_key())
+    /// The cell at `(key, snr)`: one hash probe, then a search of the
+    /// key's few cells.
+    fn cell(&self, key: Key, snr: i64) -> Option<&Cell> {
+        let &k = self.lookup.get(&key)?;
+        let cells = self.key_cells(k as usize);
+        cells
+            .binary_search_by_key(&snr, |c| c.snr)
+            .ok()
+            .map(|i| &cells[i])
+    }
+
+    fn rate(&self, index: u8) -> BitRate {
+        self.phy.all_rates()[usize::from(index)]
     }
 
     /// The table's prediction for a probe set: the most frequently optimal
     /// rate at its (key, SNR); ties break toward the lower rate.
     pub fn predict(&self, probe: Probe<'_>) -> Option<BitRate> {
-        self.predict_keyed(self.key_for(probe), probe.snr_key())
+        self.predict_at(probe, probe.snr_key())
     }
 
     /// `predict` with the probe set's SNR key already derived (an index
     /// column, or a key computed once and shared by several tables):
     /// same lookup, no median re-derivation.
     pub(crate) fn predict_at(&self, probe: Probe<'_>, snr_key: i64) -> Option<BitRate> {
-        self.predict_keyed(self.key_for(probe), snr_key)
-    }
-
-    /// `predict` with the SNR key already known (the indexed scans pass the
-    /// precomputed column instead of re-deriving the median).
-    fn predict_keyed(&self, key: Key, snr: i64) -> Option<BitRate> {
-        if let Some(winners) = &self.winners {
-            return winners.get(&(key, snr)).copied();
-        }
-        Self::cell_winner(self.tables.get(&key)?.get(&snr)?)
-    }
-
-    /// The most frequently optimal rate of one cell; ties break toward the
-    /// lower rate. Cells are never empty, so `None` can't happen for a cell
-    /// that exists — which is why [`LookupTableSet::seal`]'s flat map misses
-    /// exactly when the nested lookups would have.
-    fn cell_winner(counts: &RateCounts) -> Option<BitRate> {
-        counts
-            .iter()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
-            .map(|(&rate, _)| rate)
-    }
-
-    /// Precomputes every cell's winning rate into one flat map, turning
-    /// each subsequent prediction into a single hash probe. Idempotent;
-    /// [`LookupTableSet::train`] invalidates the cache. Called by the
-    /// build kernel's `finish`, so every built table set arrives sealed.
-    pub fn seal(&mut self) {
-        let mut winners = HashMap::new();
-        for (&key, table) in &self.tables {
-            for (&snr, counts) in table {
-                if let Some(rate) = Self::cell_winner(counts) {
-                    winners.insert((key, snr), rate);
-                }
-            }
-        }
-        self.winners = Some(winners);
+        self.cell(self.key_for(probe), snr_key)
+            .map(|c| self.rate(c.winner))
     }
 
     /// The `k` most frequently optimal rates at a probe set's cell — the
     /// §4.5 "augmented table" that narrows probing.
     pub fn top_k(&self, probe: Probe<'_>, k: usize) -> Vec<BitRate> {
-        let Some(counts) = self.counts_for(probe) else {
+        let Some(c) = self.cell(self.key_for(probe), probe.snr_key()) else {
             return Vec::new();
         };
-        let mut v: Vec<(BitRate, u32)> = counts.iter().map(|(&r, &c)| (r, c)).collect();
+        let mut v = self.pairs(c).to_vec();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v.into_iter().take(k).map(|(r, _)| r).collect()
+        v.into_iter().take(k).map(|(r, _)| self.rate(r)).collect()
     }
 
     /// Fraction of the dataset's probe sets whose predicted rate equals the
@@ -237,9 +312,7 @@ impl LookupTableSet {
                 let (mut h, mut t) = (0u64, 0u64);
                 for e in nv.entries_in_order() {
                     t += 1;
-                    if self.predict_keyed(key_of(self.scope, e.probe), e.snr_key)
-                        == Some(e.opt.rate)
-                    {
+                    if self.predict_at(e.probe, e.snr_key) == Some(e.opt.rate) {
                         h += 1;
                     }
                 }
@@ -259,32 +332,45 @@ impl LookupTableSet {
     /// (pooled across all table keys of this scope).
     pub fn optimal_rates_per_snr(&self) -> BTreeMap<i64, BTreeSet<BitRate>> {
         let mut out: BTreeMap<i64, BTreeSet<BitRate>> = BTreeMap::new();
-        for table in self.tables.values() {
-            for (&snr, counts) in table {
-                out.entry(snr).or_default().extend(counts.keys().copied());
-            }
+        for c in &self.cells {
+            out.entry(c.snr)
+                .or_default()
+                .extend(self.pairs(c).iter().map(|&(r, _)| self.rate(r)));
         }
         out
     }
 
     /// Smallest number of distinct rates whose combined frequency covers at
-    /// least `pct` (0–1] of the observations in a cell.
-    pub fn rates_needed(counts: &RateCounts, pct: f64) -> usize {
-        let total: u32 = counts.values().sum();
+    /// least `pct` (0–1] of a cell's observations, given the cell's rate
+    /// counts in descending order.
+    fn rates_needed(desc: &[u32], pct: f64) -> usize {
+        let total: u32 = desc.iter().sum();
         if total == 0 {
             return 0;
         }
-        let mut freqs: Vec<u32> = counts.values().copied().collect();
-        freqs.sort_unstable_by(|a, b| b.cmp(a));
         let target = pct * total as f64;
         let mut acc = 0.0;
-        for (i, f) in freqs.iter().enumerate() {
+        for (i, f) in desc.iter().enumerate() {
             acc += *f as f64;
             if acc + 1e-9 >= target {
                 return i + 1;
             }
         }
-        freqs.len()
+        desc.len()
+    }
+
+    /// Calls `f(snr, needed)` for every cell, where `needed[i]` is the
+    /// number of rates the cell needs to reach `pcts[i]` accuracy.
+    fn for_each_needed(&self, pcts: &[f64], mut f: impl FnMut(i64, &[usize])) {
+        let (mut desc, mut needed) = (Vec::new(), Vec::new());
+        for c in &self.cells {
+            desc.clear();
+            desc.extend(self.pairs(c).iter().map(|&(_, n)| n));
+            desc.sort_unstable_by(|a, b| b.cmp(a));
+            needed.clear();
+            needed.extend(pcts.iter().map(|&pct| Self::rates_needed(&desc, pct)));
+            f(c.snr, &needed);
+        }
     }
 
     /// Figs 4.2/4.3: for each SNR, the distribution over table keys of the
@@ -293,18 +379,38 @@ impl LookupTableSet {
     /// figure plots.
     pub fn rates_needed_curve(&self, pct: f64) -> BinnedStats {
         let mut out = BinnedStats::new();
-        for table in self.tables.values() {
-            for (&snr, counts) in table {
-                out.push(snr, Self::rates_needed(counts, pct) as f64);
-            }
-        }
+        self.for_each_needed(&[pct], |snr, needed| out.push(snr, needed[0] as f64));
         out
+    }
+
+    /// Figs 4.2/4.3 in one walk over the cells: for each of `pcts`, the
+    /// `(SNR key, mean over table keys of the rates needed)` curve, in
+    /// ascending SNR — the bin means of [`LookupTableSet::rates_needed_curve`].
+    /// The counts are small integers, so their sums are exact and each
+    /// mean has the bits of a bin mean.
+    pub fn rates_needed_means(&self, pcts: &[f64]) -> Vec<Vec<(i64, f64)>> {
+        // Per SNR key, per percentile: (sum of rates needed, cells).
+        let mut bins: BTreeMap<i64, Vec<(u64, u64)>> = BTreeMap::new();
+        self.for_each_needed(pcts, |snr, needed| {
+            let bin = bins.entry(snr).or_insert_with(|| vec![(0, 0); pcts.len()]);
+            for (b, &n) in bin.iter_mut().zip(needed) {
+                b.0 += n as u64;
+                b.1 += 1;
+            }
+        });
+        (0..pcts.len())
+            .map(|i| {
+                bins.iter()
+                    .map(|(&snr, b)| (snr, b[i].0 as f64 / b[i].1 as f64))
+                    .collect()
+            })
+            .collect()
     }
 
     /// Number of distinct table keys (1 for global, #networks for network
     /// scope, …).
     pub fn n_keys(&self) -> usize {
-        self.tables.len()
+        self.keys.len()
     }
 
     /// The scope this set was trained at.
@@ -421,16 +527,9 @@ mod tests {
 
     #[test]
     fn predict_majority_wins() {
-        let mut t = LookupTableSet {
-            scope: Scope::Global,
-            phy: Phy::Bg,
-            tables: HashMap::new(),
-            winners: None,
-        };
-        for _ in 0..3 {
-            t.train(probe(0, 0, 1, 15.0, r(12.0)).get(0));
-        }
-        t.train(probe(0, 0, 1, 15.0, r(48.0)).get(0));
+        let mut sets = vec![probe(0, 0, 1, 15.0, r(12.0)); 3];
+        sets.push(probe(0, 0, 1, 15.0, r(48.0)));
+        let t = build_over(&dataset(sets), Scope::Global, Phy::Bg);
         assert_eq!(
             t.predict(probe(0, 0, 1, 15.0, r(6.0)).get(0)),
             Some(r(12.0))
@@ -446,16 +545,13 @@ mod tests {
 
     #[test]
     fn rates_needed_math() {
-        let mut c: RateCounts = BTreeMap::new();
-        c.insert(r(12.0), 67);
-        c.insert(r(24.0), 30);
-        c.insert(r(48.0), 3);
+        let c = [67, 30, 3];
         // The paper's own example: 67% + 30% ⇒ two rates reach 95%, one
         // reaches 50%.
         assert_eq!(LookupTableSet::rates_needed(&c, 0.5), 1);
         assert_eq!(LookupTableSet::rates_needed(&c, 0.95), 2);
         assert_eq!(LookupTableSet::rates_needed(&c, 1.0), 3);
-        assert_eq!(LookupTableSet::rates_needed(&BTreeMap::new(), 0.9), 0);
+        assert_eq!(LookupTableSet::rates_needed(&[], 0.9), 0);
     }
 
     #[test]
@@ -472,23 +568,16 @@ mod tests {
         let l_mean = l.rows()[0].1.mean;
         assert_eq!(g_mean, 2.0);
         assert_eq!(l_mean, 1.0);
+        let means = build_over(&ds, Scope::Global, Phy::Bg).rates_needed_means(&[0.5, 0.95]);
+        assert_eq!(means, vec![vec![(20, 1.0)], vec![(20, 2.0)]]);
     }
 
     #[test]
     fn top_k_orders_by_frequency() {
-        let mut t = LookupTableSet {
-            scope: Scope::Global,
-            phy: Phy::Bg,
-            tables: HashMap::new(),
-            winners: None,
-        };
-        for _ in 0..5 {
-            t.train(probe(0, 0, 1, 15.0, r(24.0)).get(0));
-        }
-        for _ in 0..2 {
-            t.train(probe(0, 0, 1, 15.0, r(12.0)).get(0));
-        }
-        t.train(probe(0, 0, 1, 15.0, r(48.0)).get(0));
+        let mut sets = vec![probe(0, 0, 1, 15.0, r(24.0)); 5];
+        sets.extend(vec![probe(0, 0, 1, 15.0, r(12.0)); 2]);
+        sets.push(probe(0, 0, 1, 15.0, r(48.0)));
+        let t = build_over(&dataset(sets), Scope::Global, Phy::Bg);
         let q = probe(0, 0, 1, 15.0, r(6.0));
         assert_eq!(t.top_k(q.get(0), 2), vec![r(24.0), r(12.0)]);
         assert_eq!(t.top_k(q.get(0), 99).len(), 3);

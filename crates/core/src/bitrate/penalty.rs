@@ -6,30 +6,34 @@
 //! zero throughput — exactly the punishment a real sender would take.
 
 use mesh11_phy::Phy;
-use mesh11_stats::Cdf;
-use mesh11_trace::{ChunkedDataset, DatasetView, FoldKernel};
+use mesh11_stats::Counts;
+use mesh11_trace::{ChunkedDataset, DatasetView, FoldKernel, Probe};
 use rayon::prelude::*;
 
 use crate::bitrate::lookup::{LookupTableSet, Scope};
 
 /// The fold-style form of [`ThroughputPenalty::evaluate`]: needs a
 /// **completed** table set, so in a fused pass it runs in a second phase
-/// after the table-building folds finish. The evaluation fans out over a
-/// flat per-network work list; concatenating per-network diff vectors in
-/// network order rebuilds the sequential vector element for element
-/// (datasets are network-major).
+/// after the table-building folds finish. The evaluation fans out over
+/// the networks; each network's diffs are then counted in network order,
+/// which adds up the sum in the order of one sequential walk (datasets
+/// are network-major).
 #[derive(Debug, Clone, Copy)]
 pub struct PenaltyKernel<'t> {
     /// The trained tables the kernel scores against.
     pub table: &'t LookupTableSet,
 }
 
+/// One network's scores against one table: its diffs in stream order,
+/// and the sets the table could not score.
+type NetScores = (Vec<f64>, usize);
+
 impl FoldKernel for PenaltyKernel<'_> {
-    type Partial = (Vec<f64>, usize);
+    type Partial = (Counts, usize);
     type Output = ThroughputPenalty;
 
     fn init(&self) -> Self::Partial {
-        (Vec::new(), 0)
+        (Counts::new(), 0)
     }
 
     fn fold(&self, view: DatasetView<'_>, partial: &mut Self::Partial) {
@@ -37,27 +41,20 @@ impl FoldKernel for PenaltyKernel<'_> {
         // the per-network fan-out reads them.
         view.columns();
         let nets = view.network_views(self.table.phy());
-        let partials: Vec<(Vec<f64>, usize)> = nets
-            .par_iter()
-            .map(|nv| {
-                let mut d = Vec::new();
-                let mut unp = 0usize;
-                for e in nv.entries_in_order() {
-                    let Some(pick) = self.table.predict_at(e.probe, e.snr_key) else {
-                        unp += 1;
-                        continue;
-                    };
-                    let best = e.opt.throughput_mbps();
-                    let got = e.probe.obs_for(pick).map_or(0.0, |o| o.throughput_mbps());
-                    d.push((best - got).max(0.0));
-                }
-                (d, unp)
-            })
-            .collect();
-        for (d, unp) in partials {
-            partial.0.extend(d);
-            partial.1 += unp;
-        }
+        let score = |nv: &mesh11_trace::NetworkView<'_>| {
+            let mut s: NetScores = (Vec::new(), 0);
+            for e in nv.entries_in_order() {
+                score_set(
+                    self.table,
+                    e.probe,
+                    e.snr_key,
+                    e.opt.throughput_mbps(),
+                    &mut s,
+                );
+            }
+            s
+        };
+        map_in_order(&nets, score, |s| count_into(partial, s));
     }
 
     fn finish(&self, partial: Self::Partial) -> ThroughputPenalty {
@@ -70,6 +67,38 @@ impl FoldKernel for PenaltyKernel<'_> {
     }
 }
 
+/// Scores one probe set, whose SNR key and optimal throughput are known,
+/// against `table`.
+fn score_set(table: &LookupTableSet, p: Probe<'_>, snr_key: i64, best: f64, s: &mut NetScores) {
+    let Some(pick) = table.predict_at(p, snr_key) else {
+        s.1 += 1;
+        return;
+    };
+    let got = p.obs_for(pick).map_or(0.0, |o| o.throughput_mbps());
+    s.0.push((best - got).max(0.0));
+}
+
+/// Counts one network's scores into a penalty's partial.
+fn count_into(partial: &mut (Counts, usize), (diffs, unpredicted): NetScores) {
+    partial.0.extend(diffs);
+    partial.1 += unpredicted;
+}
+
+/// Maps `items` in parallel and hands the results to `fold` in item
+/// order, a few items per worker at a time, so that only one window's
+/// results are alive at once.
+fn map_in_order<T: Sync, R: Send>(
+    items: &[T],
+    map: impl Fn(&T) -> R + Sync,
+    mut fold: impl FnMut(R),
+) {
+    let window = 4 * rayon::current_num_threads();
+    for w in items.chunks(window) {
+        let results: Vec<R> = w.par_iter().map(&map).collect();
+        results.into_iter().for_each(&mut fold);
+    }
+}
+
 /// Throughput-difference distribution for one scope.
 #[derive(Debug, Clone)]
 pub struct ThroughputPenalty {
@@ -77,16 +106,17 @@ pub struct ThroughputPenalty {
     pub scope: Scope,
     /// PHY analyzed.
     pub phy: Phy,
-    /// One difference (Mbit/s, ≥ 0) per predicted probe set.
-    pub diffs_mbps: Vec<f64>,
+    /// One difference (Mbit/s, ≥ 0) per predicted probe set, counted per
+    /// distinct value and added up in dataset order.
+    pub diffs_mbps: Counts,
     /// Probe sets for which the table had no entry (excluded from the CDF).
     pub unpredicted: usize,
 }
 
 impl ThroughputPenalty {
     /// Evaluates a trained table set against the dataset it describes
-    /// (dataset order per PHY, so the diff vector matches the pre-index
-    /// pipeline element for element).
+    /// (dataset order per PHY, so the diffs are added up in the order of
+    /// the pre-index pipeline).
     pub fn evaluate(view: DatasetView<'_>, table: &LookupTableSet) -> Self {
         mesh11_trace::run_fold(view, &PenaltyKernel { table })
     }
@@ -104,62 +134,41 @@ impl ThroughputPenalty {
     /// sorts over network-major, time-sorted data), which is exactly the
     /// order the raw chunk walk yields; and [`Probe::snr_key`] and
     /// [`Probe::optimal`] derive the same values the index precomputes.
-    ///
-    /// [`Probe::snr_key`]: mesh11_trace::Probe::snr_key
-    /// [`Probe::optimal`]: mesh11_trace::Probe::optimal
     pub fn evaluate_batch_chunked(
         chunked: &ChunkedDataset,
         tables: &[&LookupTableSet],
     ) -> Vec<Self> {
         let n_networks = chunked.shell().networks.len();
-        // One (diffs, unpredicted) partial per (network, table); the fan-out
-        // is per network, and concatenating per-network partials in network
-        // order rebuilds each table's sequential diff vector exactly.
+        // The fan-out is per network; each network's scores are counted
+        // into their table's partial in network order.
         let net_ids: Vec<usize> = (0..n_networks).collect();
-        let per_net: Vec<Vec<(Vec<f64>, usize)>> = net_ids
-            .par_iter()
-            .map(|&net| {
-                let mut partials: Vec<(Vec<f64>, usize)> =
-                    tables.iter().map(|_| (Vec::new(), 0)).collect();
-                chunked.for_each_network_probe(net, |p| {
-                    if tables.iter().all(|t| t.phy() != p.phy) {
-                        return;
+        let mut partials: Vec<(Counts, usize)> =
+            tables.iter().map(|_| (Counts::new(), 0)).collect();
+        let score = |&net: &usize| {
+            let mut scores: Vec<NetScores> = tables.iter().map(|_| (Vec::new(), 0)).collect();
+            chunked.for_each_network_probe(net, |p| {
+                if tables.iter().all(|t| t.phy() != p.phy) {
+                    return;
+                }
+                let snr_key = p.snr_key();
+                let best = p.optimal().throughput_mbps();
+                for (table, s) in tables.iter().zip(&mut scores) {
+                    if table.phy() == p.phy {
+                        score_set(table, p, snr_key, best, s);
                     }
-                    let snr_key = p.snr_key();
-                    let best = p.optimal().throughput_mbps();
-                    for (k, table) in tables.iter().enumerate() {
-                        if table.phy() != p.phy {
-                            continue;
-                        }
-                        let (d, unp) = &mut partials[k];
-                        let Some(pick) = table.predict_at(p, snr_key) else {
-                            *unp += 1;
-                            continue;
-                        };
-                        let got = p.obs_for(pick).map_or(0.0, |o| o.throughput_mbps());
-                        d.push((best - got).max(0.0));
-                    }
-                });
-                partials
-            })
-            .collect();
+                }
+            });
+            scores
+        };
+        map_in_order(&net_ids, score, |scores| {
+            for (partial, s) in partials.iter_mut().zip(scores) {
+                count_into(partial, s);
+            }
+        });
         tables
             .iter()
-            .enumerate()
-            .map(|(k, table)| {
-                let mut diffs = Vec::new();
-                let mut unpredicted = 0usize;
-                for net in &per_net {
-                    diffs.extend_from_slice(&net[k].0);
-                    unpredicted += net[k].1;
-                }
-                Self {
-                    scope: table.scope(),
-                    phy: table.phy(),
-                    diffs_mbps: diffs,
-                    unpredicted,
-                }
-            })
+            .zip(partials)
+            .map(|(table, partial)| PenaltyKernel { table }.finish(partial))
             .collect()
     }
 
@@ -168,24 +177,18 @@ impl ThroughputPenalty {
         Self::evaluate(view, &LookupTableSet::build(view, scope, phy))
     }
 
-    /// CDF of the differences (the Fig 4.4 curve). `None` when nothing was
-    /// predicted.
-    pub fn cdf(&self) -> Option<Cdf> {
-        Cdf::from_samples(self.diffs_mbps.iter().copied())
-    }
-
     /// Fraction of predictions with zero throughput loss — §4.3's "chooses
     /// the correct answer" number (≈90% b/g, ≈75% n for link scope).
     pub fn frac_exact(&self) -> f64 {
         if self.diffs_mbps.is_empty() {
             return 0.0;
         }
-        self.diffs_mbps.iter().filter(|&&d| d < 1e-9).count() as f64 / self.diffs_mbps.len() as f64
+        self.diffs_mbps.frac_below(1e-9)
     }
 
     /// Mean throughput loss (Mbit/s).
     pub fn mean_loss_mbps(&self) -> f64 {
-        mesh11_stats::mean(&self.diffs_mbps).unwrap_or(0.0)
+        self.diffs_mbps.mean().unwrap_or(0.0)
     }
 }
 
@@ -270,7 +273,7 @@ mod tests {
         ]);
         let g = penalty_over(&d, Scope::Global);
         // One of the two sets is mispredicted with an unheard rate.
-        let max = g.diffs_mbps.iter().copied().fold(0.0, f64::max);
+        let max = g.diffs_mbps.quantile(1.0).unwrap();
         assert!(max >= 12.0 - 1e-9, "diffs {:?}", g.diffs_mbps);
     }
 
@@ -278,10 +281,9 @@ mod tests {
     fn cdf_export() {
         let d = ds(vec![probe(0, 1, 20.0, vec![(12.0, 0.0)])]);
         let p = penalty_over(&d, Scope::Link);
-        let cdf = p.cdf().unwrap();
-        assert_eq!(cdf.len(), 1);
-        assert_eq!(cdf.eval(0.0), 1.0);
+        assert_eq!(p.diffs_mbps.len(), 1);
+        assert_eq!(p.diffs_mbps.points(2), vec![(0.0, 0.0), (0.0, 1.0)]);
         let empty = penalty_over(&ds(vec![]), Scope::Link);
-        assert!(empty.cdf().is_none());
+        assert!(empty.diffs_mbps.points(2).is_empty());
     }
 }

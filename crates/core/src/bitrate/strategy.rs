@@ -19,7 +19,6 @@
 use std::collections::{BTreeMap, HashMap};
 
 use mesh11_phy::{BitRate, Phy};
-use mesh11_stats::BinnedStats;
 use mesh11_trace::DatasetView;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -126,9 +125,10 @@ impl OnlineTable {
 pub struct StrategyEval {
     /// The strategy.
     pub kind: StrategyKind,
-    /// Accuracy keyed by how many probe sets the link had already seen
-    /// (Fig 4.6's x-axis): bin mean is the plotted accuracy.
-    pub accuracy_by_history: BinnedStats,
+    /// Per history depth, how many probe sets the link had already seen
+    /// (Fig 4.6's x-axis): `(predictions, hits)`. A depth with no
+    /// prediction holds `(0, 0)`.
+    pub accuracy_by_history: Vec<(u64, u64)>,
     /// Total table updates performed (Table 4.1 "frequency of updates").
     pub updates: u64,
     /// Total data points stored (Table 4.1 "memory consumed").
@@ -140,6 +140,17 @@ pub struct StrategyEval {
 }
 
 impl StrategyEval {
+    /// Accuracy (%) per history depth that saw a prediction, ascending by
+    /// depth: Fig 4.6's curve.
+    pub fn accuracy_curve(&self) -> Vec<(usize, f64)> {
+        self.accuracy_by_history
+            .iter()
+            .enumerate()
+            .filter(|(_, &(n, _))| n > 0)
+            .map(|(depth, &(n, hits))| (depth, 100.0 * hits as f64 / n as f64))
+            .collect()
+    }
+
     /// Overall accuracy across all history depths.
     pub fn overall_accuracy(&self) -> f64 {
         if self.predictions == 0 {
@@ -154,8 +165,7 @@ impl StrategyEval {
 ///
 /// Links come from the view's indexed link groups (sorted order); every
 /// per-link replay is independent and the pooled outcome is made of integer
-/// counters and exact 0/100 bin sums, so the link order does not affect the
-/// result.
+/// counters, so the link order does not affect the result.
 pub fn evaluate_strategies(
     view: DatasetView<'_>,
     phy: Phy,
@@ -174,7 +184,8 @@ pub fn evaluate_strategies(
 /// time.
 #[derive(Debug, Default)]
 pub struct StrategyAcc {
-    acc: BinnedStats,
+    /// `(predictions, hits)` per history depth.
+    acc: Vec<(u64, u64)>,
     updates: u64,
     stored: u64,
     predictions: u64,
@@ -182,12 +193,9 @@ pub struct StrategyAcc {
 }
 
 /// The fold-style form of [`evaluate_strategies`]. Each link lives
-/// entirely inside one view (views are whole networks) and views walk
-/// links in the same sorted order as the whole-dataset pass, so every per-kind
-/// accumulator sees an identical push sequence. The replay fans out over a
-/// flat per-network work list; per-network accumulators merge back in
-/// network order, which reproduces the sequential per-bin push order
-/// exactly (links are sorted network-major).
+/// entirely inside one view (views are whole networks), and every
+/// accumulator is an integer count, so any merge order gives the same
+/// output. The replay fans out over a flat per-network work list.
 #[derive(Debug, Clone)]
 pub struct StrategyKernel {
     /// PHY to replay.
@@ -223,10 +231,14 @@ impl mesh11_trace::FoldKernel for StrategyKernel {
                             let snr = e.snr_key;
                             let opt = e.opt.rate;
                             if let Some(pick) = table.predict(kind, snr) {
-                                let ok = pick == opt;
-                                a.acc.push(i as i64, if ok { 100.0 } else { 0.0 });
+                                let ok = u64::from(pick == opt);
+                                if a.acc.len() <= i {
+                                    a.acc.resize(i + 1, (0, 0));
+                                }
+                                a.acc[i].0 += 1;
+                                a.acc[i].1 += ok;
                                 a.predictions += 1;
-                                a.correct += u64::from(ok);
+                                a.correct += ok;
                             }
                             table.update(kind, snr, opt);
                         }
@@ -239,7 +251,13 @@ impl mesh11_trace::FoldKernel for StrategyKernel {
             .collect();
         for local in partials {
             for (a, l) in accs.iter_mut().zip(local) {
-                a.acc.merge(l.acc);
+                if a.acc.len() < l.acc.len() {
+                    a.acc.resize(l.acc.len(), (0, 0));
+                }
+                for (bin, (n, hits)) in a.acc.iter_mut().zip(l.acc) {
+                    bin.0 += n;
+                    bin.1 += hits;
+                }
                 a.updates += l.updates;
                 a.stored += l.stored;
                 a.predictions += l.predictions;
@@ -372,15 +390,11 @@ mod tests {
         let d = ds((0..5).map(|k| probe(k as f64, 20.0, 24.0)).collect());
         let eval = &evaluate_over(&d, &[StrategyKind::All])[0];
         // Predictions at history depths 1..4 (index of the set in stream).
-        let xs: Vec<i64> = eval
-            .accuracy_by_history
-            .rows()
-            .iter()
-            .map(|r| r.0)
-            .collect();
+        let curve = eval.accuracy_curve();
+        let xs: Vec<usize> = curve.iter().map(|r| r.0).collect();
         assert_eq!(xs, vec![1, 2, 3, 4]);
-        for (_, s) in eval.accuracy_by_history.rows() {
-            assert_eq!(s.mean, 100.0);
+        for (_, accuracy) in curve {
+            assert_eq!(accuracy, 100.0);
         }
     }
 }

@@ -13,6 +13,8 @@
 //!
 //! * [`cdf`] — empirical cumulative distribution functions with exact
 //!   inverse-quantile queries.
+//! * [`counts`] — a sample held as counts of its distinct values, with
+//!   the order statistics a [`Cdf`] over the same samples gives.
 //! * [`summary`] — streaming (Welford) and batch summary statistics.
 //! * [`histogram`] — fixed-width binned counts.
 //! * [`binned`] — binned statistics of `y` grouped by `x` bins (median /
@@ -38,6 +40,7 @@ pub mod binned;
 pub mod cdf;
 pub mod ci;
 pub mod correlation;
+pub mod counts;
 pub mod dist;
 pub mod histogram;
 pub mod summary;
@@ -46,6 +49,7 @@ pub use binned::BinnedStats;
 pub use cdf::Cdf;
 pub use ci::{mean_ci95, t_crit_975};
 pub use correlation::{pearson, pearson_coded, spearman, spearman_coded};
+pub use counts::Counts;
 pub use dist::{Dist, DrawExt};
 pub use histogram::Histogram;
 pub use summary::{OnlineSummary, Summary};

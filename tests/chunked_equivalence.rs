@@ -161,11 +161,49 @@ fn pooled_dataset(specs: &[ProbeSpec]) -> Dataset {
     }
 }
 
+/// Counted fields: each distinct diff's count (by bits), the bits of the
+/// in-order sum, and the unscored sets.
+type Counted = (BTreeMap<u64, u64>, u64, usize);
+
+/// The pre-count penalty loop, kept as the oracle: every set of the
+/// table's PHY, network by network in id order and in stream order
+/// within each, its diff pushed to a vector; then the vector's counted
+/// fields.
+fn penalty_oracle(view: DatasetView<'_>, table: &LookupTableSet) -> Counted {
+    let (mut diffs, mut unpredicted) = (Vec::new(), 0);
+    for p in view
+        .network_views(table.phy())
+        .iter()
+        .flat_map(|nv| nv.probes_in_order())
+    {
+        match table.predict(p) {
+            None => unpredicted += 1,
+            Some(pick) => {
+                let got = p.obs_for(pick).map_or(0.0, |o| o.throughput_mbps());
+                diffs.push((p.optimal().throughput_mbps() - got).max(0.0));
+            }
+        }
+    }
+    let mut per_value = BTreeMap::new();
+    for d in &diffs {
+        *per_value.entry(d.to_bits()).or_insert(0) += 1;
+    }
+    (per_value, diffs.iter().sum::<f64>().to_bits(), unpredicted)
+}
+
+fn counted(p: &ThroughputPenalty) -> Counted {
+    let mut per_value = BTreeMap::new();
+    for (v, n) in p.diffs_mbps.cells() {
+        *per_value.entry(v.to_bits()).or_insert(0) += n;
+    }
+    (per_value, p.diffs_mbps.sum().to_bits(), p.unpredicted)
+}
+
 /// Trains all eight (scope, phy) tables on `train`, then scores them
-/// against `eval` twice: per table over the indexed view
-/// (`ThroughputPenalty::evaluate`, the in-memory path), and in pass B's
-/// one batched walk over `eval` chunked at `capacity` probe sets per
-/// chunk. The two must agree bit for bit, diffs and unpredicted counts.
+/// against `eval` three ways: the per-set oracle loop, per table over the
+/// indexed view (`ThroughputPenalty::evaluate`, the in-memory path), and
+/// pass B's one batched walk over `eval` chunked at `capacity` probe sets
+/// per chunk. All three must agree bit for bit in every counted field.
 /// Returns the unpredicted counts, table by table.
 fn assert_pass_b_matches(train: &Dataset, eval: &Dataset, capacity: usize) -> Vec<usize> {
     let train_ix = DatasetIndex::build(train);
@@ -186,19 +224,33 @@ fn assert_pass_b_matches(train: &Dataset, eval: &Dataset, capacity: usize) -> Ve
     let eval_ix = DatasetIndex::build(eval);
     let eval_view = DatasetView::new(eval, &eval_ix);
     assert_eq!(batch.len(), tables.len());
-    let bits = |p: &ThroughputPenalty| p.diffs_mbps.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
     for (got, table) in batch.iter().zip(&tables) {
-        let want = ThroughputPenalty::evaluate(eval_view, table);
+        let want = penalty_oracle(eval_view, table);
+        let indexed = ThroughputPenalty::evaluate(eval_view, table);
         let label = format!(
             "{:?}/{:?} at capacity {capacity}",
             table.scope(),
             table.phy()
         );
-        assert_eq!((got.scope, got.phy), (want.scope, want.phy), "{label}");
-        assert_eq!(bits(got), bits(&want), "diffs differ: {label}");
         assert_eq!(
-            got.unpredicted, want.unpredicted,
-            "unpredicted differ: {label}"
+            (got.scope, got.phy),
+            (table.scope(), table.phy()),
+            "{label}"
+        );
+        assert_eq!(
+            (indexed.scope, indexed.phy),
+            (got.scope, got.phy),
+            "{label}"
+        );
+        assert_eq!(
+            counted(got),
+            want,
+            "pass B differs from the oracle: {label}"
+        );
+        assert_eq!(
+            counted(&indexed),
+            want,
+            "evaluate differs from the oracle: {label}"
         );
     }
     batch.iter().map(|p| p.unpredicted).collect()
