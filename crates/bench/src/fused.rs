@@ -15,14 +15,17 @@
 //! requesting one requests its table. Pass B replays the parts pass A
 //! folded ([`PassB`]; a resident view is the one-part case), except on a
 //! chunked store, where the penalties share one raw-chunk walk
-//! ([`ThroughputPenalty::evaluate_batch_chunked`]).
+//! ([`ThroughputPenalty::evaluate_batch_chunked`]). Either pass folds a
+//! part in one call to [`fold_all`]: every requested kernel's units in one
+//! network-major work list, the only parallel level.
 //!
 //! Byte identity follows from the fold contract
 //! (`crates/trace/src/fold.rs`): parts arrive in network order and each
-//! kernel's single partial is threaded through them sequentially, which is
-//! exactly the accumulation sequence of its solo `run_fold` walk over the
-//! whole view. Kernels own their partials, so which others are requested
-//! alongside one changes none of its bytes.
+//! kernel's single partial is threaded through them, and through each
+//! part's units, in order, which is exactly the accumulation sequence of
+//! its solo `run_fold` walk over the whole view. Kernels own their
+//! partials, so which others are requested alongside one changes none of
+//! its bytes.
 
 use std::any::Any;
 use std::fmt::Debug;
@@ -44,10 +47,11 @@ use mesh11_core::triples::range::RangeKernel;
 use mesh11_core::triples::sweep::SweepKernel;
 use mesh11_core::triples::HearRule;
 use mesh11_phy::{BitRate, Phy};
+use mesh11_trace::fold::{unit, Unit};
 use mesh11_trace::snrstats::{SigmaKernel, SigmaKind};
 use mesh11_trace::{
-    ChunkedDataset, DatasetView, DeliveryMatrix, FoldKernel, NetworkId, ProbeSource, Running,
-    WindowFold,
+    fold_all, plan, ChunkedDataset, DatasetView, DeliveryMatrix, FoldKernel, NetworkId,
+    NetworkMeta, ProbeSource, Running, WindowFold,
 };
 
 use crate::setup::TRIPLE_THRESHOLD;
@@ -81,35 +85,34 @@ pub(crate) struct CapKernel;
 
 impl FoldKernel for CapKernel {
     type Partial = Option<CapMatrix>;
+    type Piece = CapMatrix;
     type Output = Option<CapMatrix>;
 
     fn init(&self) -> Self::Partial {
         None
     }
 
-    fn fold(&self, view: DatasetView<'_>, partial: &mut Self::Partial) {
-        // `max_by_key` keeps the *last* maximum, so the view's winner is
-        // its last network with the maximal qualifying AP count; only that
-        // one needs a delivery matrix (the matrix depends only on the
-        // winner's own probes, so skipping the losers changes no bytes).
-        let mut winner: Option<&mesh11_trace::NetworkMeta> = None;
-        for m in &view.dataset().networks {
-            if m.n_aps < ROUTING_MIN_APS || !m.radios.contains(&Phy::Bg) {
-                continue;
-            }
-            if partial.as_ref().is_some_and(|best| m.n_aps < best.n_aps)
-                || winner.is_some_and(|w| m.n_aps < w.n_aps)
-            {
-                continue;
-            }
-            winner = Some(m);
-        }
-        if let Some(m) = winner {
-            *partial = Some(CapMatrix {
-                network: m.id,
-                n_aps: m.n_aps,
-                matrix: view.delivery_matrix(Phy::Bg, m.id, one_mbps(), m.n_aps),
-            });
+    /// The view's winner, its last network with the maximal qualifying AP
+    /// count: only that one needs a delivery matrix (the matrix depends
+    /// only on the winner's own probes, so skipping the losers changes no
+    /// bytes).
+    fn units<'a>(&'a self, view: DatasetView<'a>) -> Vec<Unit<'a, CapMatrix>> {
+        let keep = |m: &&NetworkMeta| m.n_aps >= ROUTING_MIN_APS && m.radios.contains(&Phy::Bg);
+        let winner = view.networks().iter().filter(keep).max_by_key(|m| m.n_aps);
+        let cap = move |m: &NetworkMeta| CapMatrix {
+            network: m.id,
+            n_aps: m.n_aps,
+            matrix: view.delivery_matrix(Phy::Bg, m.id, one_mbps(), m.n_aps),
+        };
+        winner
+            .map(|m| unit(m.id, move || cap(m)))
+            .into_iter()
+            .collect()
+    }
+
+    fn merge(&self, partial: &mut Self::Partial, cap: CapMatrix) {
+        if partial.as_ref().is_none_or(|best| cap.n_aps >= best.n_aps) {
+            *partial = Some(cap);
         }
     }
 
@@ -156,11 +159,9 @@ pub enum Kernel {
 }
 
 /// A registry row: a kernel, its name in traces and benchmarks
-/// (`core.fold.<name>`), the PHYs whose probe sections it reads, and
-/// whether it reads the index's per-probe columns (median SNR, SNR key,
-/// optimum), which a fused fold builds once, up front. Its fold, with its
-/// parameters, is [`Kernel::start`].
-struct Entry(Kernel, &'static str, &'static [Phy], bool);
+/// (`core.fold.<name>`), and the PHYs whose probe sections it reads. Its
+/// fold, with its parameters, is [`Kernel::start`].
+struct Entry(Kernel, &'static str, &'static [Phy]);
 
 /// The registry. The 25 pass-A folds come first, in the order
 /// [`FusedRunner::kernels`] yields them; the eight pass-B penalties
@@ -173,40 +174,40 @@ const REGISTRY: [Entry; 33] = {
     const HT: &[Phy] = &[Ht];
     const BOTH: &[Phy] = &[Bg, Ht];
     [
-        Entry(Sigma(SigmaKind::ProbeSet), "sigmas.sets", BOTH, true),
-        Entry(Sigma(SigmaKind::Link), "sigmas.links", BOTH, true),
+        Entry(Sigma(SigmaKind::ProbeSet), "sigmas.sets", BOTH),
+        Entry(Sigma(SigmaKind::Link), "sigmas.links", BOTH),
         // The run length of the paper's robustness note.
-        Entry(Sigma(SigmaKind::RecentK(3)), "sigmas.recent", BOTH, true),
-        Entry(Sigma(SigmaKind::Network), "sigmas.nets", BOTH, true),
-        Entry(Curves(Bg), "curves.bg", BG, true),
-        Entry(Curves(Ht), "curves.ht", HT, true),
-        Entry(Strategy, "strategy_bg", BG, true),
-        Entry(Routing, "routing_bg", BG, false),
-        Entry(Asymmetry, "asymmetry_bg", BG, false),
-        Entry(Triples, "triples_bg", BG, false),
-        Entry(Ranges, "ranges_bg", BG, false),
-        Entry(Adapters, "adapters_ext", BG, true),
-        Entry(Sweep, "sweep_ext", BG, false),
-        Entry(Stability, "stability_bg", BG, true),
-        Entry(Diversity, "diversity_ext", BG, false),
-        Entry(Ett, "ett_bg", BG, false),
-        Entry(Cap, "cap_ext", BG, false),
-        Entry(Table(Global, Bg), "tables.global.bg", BG, true),
-        Entry(Table(Global, Ht), "tables.global.ht", HT, true),
-        Entry(Table(Network, Bg), "tables.network.bg", BG, true),
-        Entry(Table(Network, Ht), "tables.network.ht", HT, true),
-        Entry(Table(Ap, Bg), "tables.ap.bg", BG, true),
-        Entry(Table(Ap, Ht), "tables.ap.ht", HT, true),
-        Entry(Table(Link, Bg), "tables.link.bg", BG, true),
-        Entry(Table(Link, Ht), "tables.link.ht", HT, true),
-        Entry(Penalty(Global, Bg), "penalties.global.bg", BG, true),
-        Entry(Penalty(Global, Ht), "penalties.global.ht", HT, true),
-        Entry(Penalty(Network, Bg), "penalties.network.bg", BG, true),
-        Entry(Penalty(Network, Ht), "penalties.network.ht", HT, true),
-        Entry(Penalty(Ap, Bg), "penalties.ap.bg", BG, true),
-        Entry(Penalty(Ap, Ht), "penalties.ap.ht", HT, true),
-        Entry(Penalty(Link, Bg), "penalties.link.bg", BG, true),
-        Entry(Penalty(Link, Ht), "penalties.link.ht", HT, true),
+        Entry(Sigma(SigmaKind::RecentK(3)), "sigmas.recent", BOTH),
+        Entry(Sigma(SigmaKind::Network), "sigmas.nets", BOTH),
+        Entry(Curves(Bg), "curves.bg", BG),
+        Entry(Curves(Ht), "curves.ht", HT),
+        Entry(Strategy, "strategy_bg", BG),
+        Entry(Routing, "routing_bg", BG),
+        Entry(Asymmetry, "asymmetry_bg", BG),
+        Entry(Triples, "triples_bg", BG),
+        Entry(Ranges, "ranges_bg", BG),
+        Entry(Adapters, "adapters_ext", BG),
+        Entry(Sweep, "sweep_ext", BG),
+        Entry(Stability, "stability_bg", BG),
+        Entry(Diversity, "diversity_ext", BG),
+        Entry(Ett, "ett_bg", BG),
+        Entry(Cap, "cap_ext", BG),
+        Entry(Table(Global, Bg), "tables.global.bg", BG),
+        Entry(Table(Global, Ht), "tables.global.ht", HT),
+        Entry(Table(Network, Bg), "tables.network.bg", BG),
+        Entry(Table(Network, Ht), "tables.network.ht", HT),
+        Entry(Table(Ap, Bg), "tables.ap.bg", BG),
+        Entry(Table(Ap, Ht), "tables.ap.ht", HT),
+        Entry(Table(Link, Bg), "tables.link.bg", BG),
+        Entry(Table(Link, Ht), "tables.link.ht", HT),
+        Entry(Penalty(Global, Bg), "penalties.global.bg", BG),
+        Entry(Penalty(Global, Ht), "penalties.global.ht", HT),
+        Entry(Penalty(Network, Bg), "penalties.network.bg", BG),
+        Entry(Penalty(Network, Ht), "penalties.network.ht", HT),
+        Entry(Penalty(Ap, Bg), "penalties.ap.bg", BG),
+        Entry(Penalty(Ap, Ht), "penalties.ap.ht", HT),
+        Entry(Penalty(Link, Bg), "penalties.link.bg", BG),
+        Entry(Penalty(Link, Ht), "penalties.link.ht", HT),
     ]
 };
 
@@ -235,10 +236,11 @@ impl Kernel {
     }
 
     /// A pass-A kernel, with its parameters, and a fresh partial; its
-    /// output fills the kernel's cell of [`FusedOutputs`].
-    fn start(self) -> Box<dyn ErasedFold> {
+    /// output fills the kernel's cell of [`FusedOutputs`]. `None` for a
+    /// penalty, which pass B scores against its finished table.
+    fn start(self) -> Option<Box<dyn ErasedFold>> {
         let (phy, rule, one_mbps) = (Phy::Bg, HearRule::Mean, one_mbps());
-        match self {
+        Some(match self {
             Kernel::Sigma(kind) => erase(SigmaKernel(kind)),
             Kernel::Curves(phy) => erase(CurvesKernel { phy }),
             Kernel::Strategy => erase(StrategyKernel {
@@ -290,8 +292,8 @@ impl Kernel {
             }),
             Kernel::Cap => erase(CapKernel),
             Kernel::Table(scope, phy) => erase(TableBuildKernel { scope, phy }),
-            Kernel::Penalty(..) => unreachable!("a penalty is scored in pass B, not folded"),
-        }
+            Kernel::Penalty(..) => return None,
+        })
     }
 }
 
@@ -389,9 +391,10 @@ impl FusedRunner {
             penalties: Vec::new(),
         };
         for k in Kernel::all().into_iter().filter(wanted) {
-            match k {
-                Kernel::Penalty(s, p) => runner.penalties.push((s, p)),
-                k => runner.running.push((k, k.start())),
+            if let Some(fold) = k.start() {
+                runner.running.push((k, fold));
+            } else if let Kernel::Penalty(s, p) = k {
+                runner.penalties.push((s, p));
             }
         }
         runner
@@ -406,18 +409,16 @@ impl FusedRunner {
             .collect()
     }
 
-    /// Folds one network-aligned view into every requested kernel,
-    /// fanning out across kernels. Views must arrive in network-id order —
+    /// Folds one network-aligned view into every requested kernel, as one
+    /// schedule of all their units. Views must arrive in network-id order —
     /// that is the byte-identity contract.
     pub fn fold_view(&mut self, view: DatasetView<'_>) {
-        use rayon::prelude::*;
-        // Build the per-probe columns at full width here, not inside
-        // whichever kernel's worker reads them first.
-        if self.running.iter().any(|(k, _)| k.entry().3) {
-            view.columns();
-        }
-        let mut kernels = self.kernels();
-        kernels.par_iter_mut().for_each(|k| k.fold_window(view));
+        fold_all(
+            self.running
+                .iter_mut()
+                .flat_map(|(_, r)| r.plan(view))
+                .collect(),
+        );
     }
 
     /// Finishes pass A and runs pass B (penalties) against `src`, which
@@ -478,19 +479,21 @@ impl PassB {
     }
 
     /// Scores one replayed network-aligned view against every requested
-    /// table, fanning out across the penalties as
-    /// [`FusedRunner::fold_view`] fans out across the pass-A kernels.
+    /// table, as one schedule of every penalty's units, as
+    /// [`FusedRunner::fold_view`] schedules the pass-A kernels'.
     pub fn fold_view(&mut self, view: DatasetView<'_>) {
-        use rayon::prelude::*;
-        // As in pass A: the columns at full width, before the fan-out.
-        view.columns();
         let out = &self.out;
-        self.penalties
-            .par_iter_mut()
-            .for_each(|&mut ((scope, phy), ref mut partial)| {
-                let table = out.get(Kernel::Table(scope, phy));
-                PenaltyKernel { table }.fold(view, partial);
-            });
+        let kernels: Vec<PenaltyKernel<'_>> = (self.penalties.iter())
+            .map(|&((s, p), _)| PenaltyKernel {
+                table: out.get(Kernel::Table(s, p)),
+            })
+            .collect();
+        let partials = self.penalties.iter_mut().map(|(_, partial)| partial);
+        let jobs = kernels
+            .iter()
+            .zip(partials)
+            .flat_map(|(k, p)| plan(k, p, view));
+        fold_all(jobs.collect());
     }
 
     /// The outputs of both passes.
@@ -592,7 +595,7 @@ mod tests {
         runner.fold_view(view);
         let fused = runner.finish(&ProbeSource::Whole(view));
         let solo = |k: Kernel| {
-            let mut fold = k.start();
+            let mut fold = k.start().expect("a pass-A kernel");
             fold.fold_window(view);
             FusedOutputs {
                 cells: vec![(k, fold.finish_erased())],

@@ -16,8 +16,8 @@
 use std::collections::{BTreeMap, HashMap};
 
 use mesh11_phy::{BitRate, Phy};
+use mesh11_trace::fold::{network_units, Unit};
 use mesh11_trace::{DatasetView, FoldKernel, ProbeEntry};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use super::LinkRuns;
@@ -181,10 +181,9 @@ pub fn simulate_adapters(
 /// threading one partial through the views in order accumulates each sum
 /// in exactly the whole-dataset sequence.
 ///
-/// Within a view, parallelism is per network: each network replays every
-/// kind and records its decisions' throughputs, which are then summed in
-/// network order, so every kind's accumulation stays one continuous
-/// sequential sum.
+/// Each network replays every kind on its own and records its decisions'
+/// throughputs, which are then summed in network order, so every kind's
+/// accumulation stays one continuous sequential sum.
 ///
 /// # Panics
 /// `init` panics unless `overhead` lies in `[0, 1)`.
@@ -200,7 +199,9 @@ pub struct AdaptationKernel {
 
 impl FoldKernel for AdaptationKernel {
     type Partial = Vec<(u64, f64, f64)>;
+    type Piece = (Vec<f64>, Vec<Vec<f64>>);
     type Output = Vec<AdaptationOutcome>;
+    const COLUMNS: bool = true;
 
     fn init(&self) -> Self::Partial {
         assert!(
@@ -210,61 +211,52 @@ impl FoldKernel for AdaptationKernel {
         self.kinds.iter().map(|_| (0u64, 0.0f64, 0.0f64)).collect()
     }
 
-    fn fold(&self, view: DatasetView<'_>, partial: &mut Self::Partial) {
-        let phy = self.phy;
-        // The per-probe columns, built once at full width before the
-        // per-network fan-out reads them.
-        view.columns();
-        // Each network gathers its links once and replays every kind over
-        // them, recording each decision's achieved throughput per kind and
-        // the oracle's (the same for every kind), in replay order.
-        let replays: Vec<(Vec<f64>, Vec<Vec<f64>>)> = view
-            .network_views(phy)
-            .par_iter()
-            .map(|nv| {
-                let runs = LinkRuns::gather(nv.links());
-                let oracle: Vec<f64> = runs
-                    .iter()
-                    .flat_map(|sets| sets.iter().skip(1).map(|s| s.opt.throughput_mbps()))
-                    .collect();
-                let achieved = self
-                    .kinds
-                    .iter()
-                    .map(|kind| {
-                        let mut got = Vec::with_capacity(oracle.len());
-                        for sets in runs.iter() {
-                            let mut state = AdapterState::default();
-                            for (i, set) in sets.iter().enumerate() {
-                                if i > 0 {
-                                    let pick = state.decide(kind, phy, set);
-                                    got.push(
-                                        set.probe
-                                            .obs_for(pick)
-                                            .map_or(0.0, |o| o.throughput_mbps()),
-                                    );
-                                }
-                                state.learn(kind, set);
+    /// Gathers the network's links once and replays every kind over them,
+    /// recording each decision's achieved throughput per kind and the
+    /// oracle's (the same for every kind), in replay order.
+    fn units<'a>(&'a self, view: DatasetView<'a>) -> Vec<Unit<'a, Self::Piece>> {
+        network_units(view, self.phy, move |nv| {
+            let runs = LinkRuns::gather(nv.links());
+            let oracle: Vec<f64> = runs
+                .iter()
+                .flat_map(|sets| sets.iter().skip(1).map(|s| s.opt.throughput_mbps()))
+                .collect();
+            let achieved = self
+                .kinds
+                .iter()
+                .map(|kind| {
+                    let mut got = Vec::with_capacity(oracle.len());
+                    for sets in runs.iter() {
+                        let mut state = AdapterState::default();
+                        for (i, set) in sets.iter().enumerate() {
+                            if i > 0 {
+                                let pick = state.decide(kind, self.phy, set);
+                                got.push(
+                                    set.probe.obs_for(pick).map_or(0.0, |o| o.throughput_mbps()),
+                                );
                             }
+                            state.learn(kind, set);
                         }
-                        got
-                    })
-                    .collect();
-                (oracle, achieved)
-            })
-            .collect();
-        // The scores are floating-point sums, so their order is fixed:
-        // networks in id order, links in (sender, receiver) order (the
-        // order the pre-index BTreeMap grouping produced), decisions in
-        // time order. Each kind's sums keep accumulating *in place* across
-        // networks and views; re-associating them through per-network
-        // subtotals would perturb the float results.
-        for (oracle, achieved) in replays {
-            for ((decisions, sum_thr, sum_oracle), got) in partial.iter_mut().zip(achieved) {
-                *decisions += got.len() as u64;
-                for (g, o) in got.iter().zip(&oracle) {
-                    *sum_thr += g;
-                    *sum_oracle += o;
-                }
+                    }
+                    got
+                })
+                .collect();
+            (oracle, achieved)
+        })
+    }
+
+    /// The scores are floating-point sums, so their order is fixed:
+    /// networks in id order, links in (sender, receiver) order (the order
+    /// the pre-index BTreeMap grouping produced), decisions in time order.
+    /// Each kind's sums keep accumulating *in place* across networks and
+    /// views; re-associating them through per-network subtotals would
+    /// perturb the float results.
+    fn merge(&self, partial: &mut Self::Partial, (oracle, achieved): (Vec<f64>, Vec<Vec<f64>>)) {
+        for ((decisions, sum_thr, sum_oracle), got) in partial.iter_mut().zip(achieved) {
+            *decisions += got.len() as u64;
+            for (g, o) in got.iter().zip(&oracle) {
+                *sum_thr += g;
+                *sum_oracle += o;
             }
         }
     }

@@ -19,11 +19,11 @@ use std::hash::Hash;
 
 use mesh11_phy::{BitRate, Phy};
 use mesh11_stats::{pearson_coded, quantile_counted, spearman_coded};
+use mesh11_trace::fold::{network_units, Unit};
 use mesh11_trace::{DatasetView, FoldKernel};
-use rayon::prelude::*;
 
-/// The fold-style form of [`SnrThroughputCurves::build`]. Sample coding
-/// fans out per network; appending the per-network coded samples in
+/// The fold-style form of [`SnrThroughputCurves::build`]. Samples are
+/// coded per network; appending the per-network coded samples in
 /// network order rebuilds the sequential sample sequence exactly
 /// (datasets are network-major), which the order-sensitive correlation
 /// sums need. The coded sequence lives until `finish` takes the sums.
@@ -85,38 +85,31 @@ impl CurvesPartial {
 
 impl FoldKernel for CurvesKernel {
     type Partial = CurvesPartial;
+    type Piece = CurvesPartial;
     type Output = SnrThroughputCurves;
+    const COLUMNS: bool = true;
 
     fn init(&self) -> CurvesPartial {
         CurvesPartial::default()
     }
 
-    fn fold(&self, view: DatasetView<'_>, partial: &mut CurvesPartial) {
-        // The per-probe SNR columns, built once at full width before
-        // the per-network fan-out reads them.
-        view.columns();
-        let nets = view.network_views(self.phy);
-        let per_net: Vec<CurvesPartial> = nets
-            .par_iter()
-            .map(|nv| {
-                let mut p = CurvesPartial::default();
-                for e in nv.entries_in_order() {
-                    let s = p.snr.code(e.snr_key);
-                    for o in e.probe.obs {
-                        let c = p.cell(o.rate.index(), s, o.throughput_mbps().to_bits());
-                        p.cell_n[c] += 1;
-                        p.codes.push((s, p.cell_thr[c]));
-                    }
+    fn units<'a>(&'a self, view: DatasetView<'a>) -> Vec<Unit<'a, Self::Piece>> {
+        network_units(view, self.phy, move |nv| {
+            let mut p = CurvesPartial::default();
+            for e in nv.entries_in_order() {
+                let s = p.snr.code(e.snr_key);
+                for o in e.probe.obs {
+                    let c = p.cell(o.rate.index(), s, o.throughput_mbps().to_bits());
+                    p.cell_n[c] += 1;
+                    p.codes.push((s, p.cell_thr[c]));
                 }
-                p
-            })
-            .collect();
-        partial
-            .codes
-            .reserve(per_net.iter().map(|p| p.codes.len()).sum());
-        for p in per_net {
-            partial.append(p);
-        }
+            }
+            p
+        })
+    }
+
+    fn merge(&self, partial: &mut CurvesPartial, p: CurvesPartial) {
+        partial.append(p);
     }
 
     fn finish(&self, partial: CurvesPartial) -> SnrThroughputCurves {

@@ -4,6 +4,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use mesh11_phy::{BitRate, Phy};
 use mesh11_stats::BinnedStats;
+use mesh11_trace::fold::{network_units, Unit};
 use mesh11_trace::{DatasetView, NetworkView, Probe};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -59,7 +60,7 @@ type Tally = (i64, u8, u32);
 /// cells are counted on their own, then appended in network order: a
 /// network's keys all begin with its id, so only the global key is ever
 /// shared, and its counts are added together. Counts are integers, so
-/// the fan-out and the merge cannot change any cell.
+/// the merge cannot change any cell.
 #[derive(Debug, Clone, Copy)]
 pub struct TableBuildKernel {
     /// Training scope.
@@ -70,24 +71,22 @@ pub struct TableBuildKernel {
 
 impl mesh11_trace::FoldKernel for TableBuildKernel {
     type Partial = LookupTableSet;
+    type Piece = LookupTableSet;
     type Output = LookupTableSet;
+    const COLUMNS: bool = true;
 
     fn init(&self) -> LookupTableSet {
         LookupTableSet::new(self.scope, self.phy)
     }
 
-    fn fold(&self, view: DatasetView<'_>, partial: &mut LookupTableSet) {
-        // The per-probe SNR columns, built once at full width before
-        // the per-network fan-out reads them.
-        view.columns();
-        let nets = view.network_views(self.phy);
-        let per_net: Vec<LookupTableSet> = nets
-            .par_iter()
-            .map(|nv| LookupTableSet::of_network(self.scope, self.phy, nv))
-            .collect();
-        for t in per_net {
-            partial.append(&t);
-        }
+    fn units<'a>(&'a self, view: DatasetView<'a>) -> Vec<Unit<'a, Self::Piece>> {
+        network_units(view, self.phy, move |nv| {
+            LookupTableSet::of_network(self.scope, self.phy, &nv)
+        })
+    }
+
+    fn merge(&self, partial: &mut LookupTableSet, t: LookupTableSet) {
+        partial.append(&t);
     }
 
     fn finish(&self, partial: LookupTableSet) -> LookupTableSet {

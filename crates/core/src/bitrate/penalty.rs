@@ -7,17 +7,16 @@
 
 use mesh11_phy::Phy;
 use mesh11_stats::Counts;
+use mesh11_trace::fold::{map_in_order, network_units, Unit};
 use mesh11_trace::{ChunkedDataset, DatasetView, FoldKernel, Probe};
-use rayon::prelude::*;
 
 use crate::bitrate::lookup::{LookupTableSet, Scope};
 
 /// The fold-style form of [`ThroughputPenalty::evaluate`]: needs a
 /// **completed** table set, so in a fused pass it runs in a second phase
-/// after the table-building folds finish. The evaluation fans out over
-/// the networks; each network's diffs are then counted in network order,
-/// which adds up the sum in the order of one sequential walk (datasets
-/// are network-major).
+/// after the table-building folds finish. Each network is scored on its
+/// own, and its diffs are counted in network order, which adds up the sum
+/// in the order of one sequential walk (datasets are network-major).
 #[derive(Debug, Clone, Copy)]
 pub struct PenaltyKernel<'t> {
     /// The trained tables the kernel scores against.
@@ -30,31 +29,27 @@ type NetScores = (Vec<f64>, usize);
 
 impl FoldKernel for PenaltyKernel<'_> {
     type Partial = (Counts, usize);
+    type Piece = NetScores;
     type Output = ThroughputPenalty;
+    const COLUMNS: bool = true;
 
     fn init(&self) -> Self::Partial {
         (Counts::new(), 0)
     }
 
-    fn fold(&self, view: DatasetView<'_>, partial: &mut Self::Partial) {
-        // The per-probe SNR columns, built once at full width before
-        // the per-network fan-out reads them.
-        view.columns();
-        let nets = view.network_views(self.table.phy());
-        let score = |nv: &mesh11_trace::NetworkView<'_>| {
+    fn units<'a>(&'a self, view: DatasetView<'a>) -> Vec<Unit<'a, Self::Piece>> {
+        network_units(view, self.table.phy(), move |nv| {
             let mut s: NetScores = (Vec::new(), 0);
             for e in nv.entries_in_order() {
-                score_set(
-                    self.table,
-                    e.probe,
-                    e.snr_key,
-                    e.opt.throughput_mbps(),
-                    &mut s,
-                );
+                let best = e.opt.throughput_mbps();
+                score_set(self.table, e.probe, e.snr_key, best, &mut s);
             }
             s
-        };
-        map_in_order(&nets, score, |s| count_into(partial, s));
+        })
+    }
+
+    fn merge(&self, partial: &mut Self::Partial, s: NetScores) {
+        count_into(partial, s);
     }
 
     fn finish(&self, partial: Self::Partial) -> ThroughputPenalty {
@@ -82,21 +77,6 @@ fn score_set(table: &LookupTableSet, p: Probe<'_>, snr_key: i64, best: f64, s: &
 fn count_into(partial: &mut (Counts, usize), (diffs, unpredicted): NetScores) {
     partial.0.extend(diffs);
     partial.1 += unpredicted;
-}
-
-/// Maps `items` in parallel and hands the results to `fold` in item
-/// order, a few items per worker at a time, so that only one window's
-/// results are alive at once.
-fn map_in_order<T: Sync, R: Send>(
-    items: &[T],
-    map: impl Fn(&T) -> R + Sync,
-    mut fold: impl FnMut(R),
-) {
-    let window = 4 * rayon::current_num_threads();
-    for w in items.chunks(window) {
-        let results: Vec<R> = w.par_iter().map(&map).collect();
-        results.into_iter().for_each(&mut fold);
-    }
 }
 
 /// Throughput-difference distribution for one scope.
@@ -139,8 +119,8 @@ impl ThroughputPenalty {
         tables: &[&LookupTableSet],
     ) -> Vec<Self> {
         let n_networks = chunked.shell().networks.len();
-        // The fan-out is per network; each network's scores are counted
-        // into their table's partial in network order.
+        // Each network is scored on its own, and its scores are counted
+        // into their tables' partials in network order.
         let net_ids: Vec<usize> = (0..n_networks).collect();
         let mut partials: Vec<(Counts, usize)> =
             tables.iter().map(|_| (Counts::new(), 0)).collect();

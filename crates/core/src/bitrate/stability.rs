@@ -14,8 +14,8 @@
 //!   report-to-report wander.
 
 use mesh11_phy::Phy;
+use mesh11_trace::fold::{network_units, Unit};
 use mesh11_trace::{DatasetView, FoldKernel};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Pooled stability statistics over every link of a PHY.
@@ -58,8 +58,8 @@ pub fn link_stability(view: DatasetView<'_>, phy: Phy) -> LinkStability {
 }
 
 /// The fold-style form of [`link_stability`]: the per-link vectors fill in
-/// the same sorted link order across the folded views. The link walk fans out
-/// per network; each link's drift sum stays a single sequential
+/// the same sorted link order across the folded views. Each network's links
+/// are walked on their own; each link's drift sum stays a single sequential
 /// accumulation, the pooled pair counts are integers, and concatenating
 /// per-network link vectors in network order rebuilds the sorted global
 /// link order (links sort by network first).
@@ -69,9 +69,9 @@ pub struct StabilityKernel {
     pub phy: Phy,
 }
 
-/// In-flight state of a [`StabilityKernel`] fold: per-link churn and drift
-/// vectors plus the pooled `(changed, total)` pair counters for the
-/// same-SNR and diff-SNR buckets.
+/// In-flight state of a [`StabilityKernel`] fold, and one network's piece
+/// of it: per-link churn and drift vectors plus the pooled `(changed,
+/// total)` pair counters for the same-SNR and diff-SNR buckets.
 #[derive(Debug, Default)]
 pub struct StabilityPartial {
     churn_per_link: Vec<f64>,
@@ -82,61 +82,53 @@ pub struct StabilityPartial {
 
 impl FoldKernel for StabilityKernel {
     type Partial = StabilityPartial;
+    type Piece = StabilityPartial;
     type Output = LinkStability;
+    const COLUMNS: bool = true;
 
     fn init(&self) -> StabilityPartial {
         StabilityPartial::default()
     }
 
-    fn fold(&self, view: DatasetView<'_>, partial: &mut StabilityPartial) {
-        // The per-probe SNR columns, built once at full width before
-        // the per-network fan-out reads them.
-        view.columns();
-        let nets = view.network_views(self.phy);
-        type Per = (Vec<f64>, Vec<f64>, (u64, u64), (u64, u64));
-        let partials: Vec<Per> = nets
-            .par_iter()
-            .map(|nv| {
-                let mut churn = Vec::new();
-                let mut drift_v = Vec::new();
-                let mut same = (0u64, 0u64);
-                let mut diff = (0u64, 0u64);
-                for link in nv.links() {
-                    if link.len() < 2 {
-                        continue;
-                    }
-                    let mut changed = 0usize;
-                    let mut drift = 0.0;
-                    let mut sets = link.entries_by_time();
-                    let mut prev = sets.next().expect("a link has reports");
-                    for next in sets {
-                        let flipped = prev.opt.rate != next.opt.rate;
-                        changed += usize::from(flipped);
-                        drift += (next.snr_db - prev.snr_db).abs();
-                        let bucket = if prev.snr_key == next.snr_key {
-                            &mut same
-                        } else {
-                            &mut diff
-                        };
-                        bucket.0 += u64::from(flipped);
-                        bucket.1 += 1;
-                        prev = next;
-                    }
-                    let n_pairs = (link.len() - 1) as f64;
-                    churn.push(changed as f64 / n_pairs);
-                    drift_v.push(drift / n_pairs);
+    fn units<'a>(&'a self, view: DatasetView<'a>) -> Vec<Unit<'a, Self::Piece>> {
+        network_units(view, self.phy, move |nv| {
+            let mut p = StabilityPartial::default();
+            for link in nv.links() {
+                if link.len() < 2 {
+                    continue;
                 }
-                (churn, drift_v, same, diff)
-            })
-            .collect();
-        for (churn, drift_v, s, d) in partials {
-            partial.churn_per_link.extend(churn);
-            partial.snr_drift_per_link.extend(drift_v);
-            partial.same.0 += s.0;
-            partial.same.1 += s.1;
-            partial.diff.0 += d.0;
-            partial.diff.1 += d.1;
-        }
+                let mut changed = 0usize;
+                let mut drift = 0.0;
+                let mut sets = link.entries_by_time();
+                let mut prev = sets.next().expect("a link has reports");
+                for next in sets {
+                    let flipped = prev.opt.rate != next.opt.rate;
+                    changed += usize::from(flipped);
+                    drift += (next.snr_db - prev.snr_db).abs();
+                    let bucket = if prev.snr_key == next.snr_key {
+                        &mut p.same
+                    } else {
+                        &mut p.diff
+                    };
+                    bucket.0 += u64::from(flipped);
+                    bucket.1 += 1;
+                    prev = next;
+                }
+                let n_pairs = (link.len() - 1) as f64;
+                p.churn_per_link.push(changed as f64 / n_pairs);
+                p.snr_drift_per_link.push(drift / n_pairs);
+            }
+            p
+        })
+    }
+
+    fn merge(&self, partial: &mut StabilityPartial, p: StabilityPartial) {
+        partial.churn_per_link.extend(p.churn_per_link);
+        partial.snr_drift_per_link.extend(p.snr_drift_per_link);
+        partial.same.0 += p.same.0;
+        partial.same.1 += p.same.1;
+        partial.diff.0 += p.diff.0;
+        partial.diff.1 += p.diff.1;
     }
 
     fn finish(&self, partial: StabilityPartial) -> LinkStability {

@@ -19,8 +19,8 @@
 use std::collections::{BTreeMap, HashMap};
 
 use mesh11_phy::{BitRate, Phy};
+use mesh11_trace::fold::{network_units, Unit};
 use mesh11_trace::DatasetView;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use super::LinkRuns;
@@ -195,7 +195,7 @@ pub struct StrategyAcc {
 /// The fold-style form of [`evaluate_strategies`]. Each link lives
 /// entirely inside one view (views are whole networks), and every
 /// accumulator is an integer count, so any merge order gives the same
-/// output. The replay fans out over a flat per-network work list.
+/// output. Each network is replayed on its own.
 #[derive(Debug, Clone)]
 pub struct StrategyKernel {
     /// PHY to replay.
@@ -206,63 +206,58 @@ pub struct StrategyKernel {
 
 impl mesh11_trace::FoldKernel for StrategyKernel {
     type Partial = Vec<StrategyAcc>;
+    type Piece = Vec<StrategyAcc>;
     type Output = Vec<StrategyEval>;
+    const COLUMNS: bool = true;
 
     fn init(&self) -> Self::Partial {
         self.kinds.iter().map(|_| StrategyAcc::default()).collect()
     }
 
-    fn fold(&self, view: DatasetView<'_>, accs: &mut Self::Partial) {
-        let kinds = &self.kinds;
-        // The per-probe SNR columns, built once at full width before
-        // the per-network fan-out reads them.
-        view.columns();
-        let nets = view.network_views(self.phy);
-        let partials: Vec<Vec<StrategyAcc>> = nets
-            .par_iter()
-            .map(|nv| {
-                let mut local: Vec<StrategyAcc> =
-                    kinds.iter().map(|_| StrategyAcc::default()).collect();
-                let runs = LinkRuns::gather(nv.links());
-                for (&kind, a) in kinds.iter().zip(local.iter_mut()) {
-                    for sets in runs.iter() {
-                        let mut table = OnlineTable::default();
-                        for (i, e) in sets.iter().enumerate() {
-                            let snr = e.snr_key;
-                            let opt = e.opt.rate;
-                            if let Some(pick) = table.predict(kind, snr) {
-                                let ok = u64::from(pick == opt);
-                                if a.acc.len() <= i {
-                                    a.acc.resize(i + 1, (0, 0));
-                                }
-                                a.acc[i].0 += 1;
-                                a.acc[i].1 += ok;
-                                a.predictions += 1;
-                                a.correct += ok;
+    fn units<'a>(&'a self, view: DatasetView<'a>) -> Vec<Unit<'a, Self::Piece>> {
+        network_units(view, self.phy, move |nv| {
+            let mut local: Vec<StrategyAcc> =
+                self.kinds.iter().map(|_| StrategyAcc::default()).collect();
+            let runs = LinkRuns::gather(nv.links());
+            for (&kind, a) in self.kinds.iter().zip(local.iter_mut()) {
+                for sets in runs.iter() {
+                    let mut table = OnlineTable::default();
+                    for (i, e) in sets.iter().enumerate() {
+                        let snr = e.snr_key;
+                        let opt = e.opt.rate;
+                        if let Some(pick) = table.predict(kind, snr) {
+                            let ok = u64::from(pick == opt);
+                            if a.acc.len() <= i {
+                                a.acc.resize(i + 1, (0, 0));
                             }
-                            table.update(kind, snr, opt);
+                            a.acc[i].0 += 1;
+                            a.acc[i].1 += ok;
+                            a.predictions += 1;
+                            a.correct += ok;
                         }
-                        a.updates += table.updates;
-                        a.stored += table.stored;
+                        table.update(kind, snr, opt);
                     }
+                    a.updates += table.updates;
+                    a.stored += table.stored;
                 }
-                local
-            })
-            .collect();
-        for local in partials {
-            for (a, l) in accs.iter_mut().zip(local) {
-                if a.acc.len() < l.acc.len() {
-                    a.acc.resize(l.acc.len(), (0, 0));
-                }
-                for (bin, (n, hits)) in a.acc.iter_mut().zip(l.acc) {
-                    bin.0 += n;
-                    bin.1 += hits;
-                }
-                a.updates += l.updates;
-                a.stored += l.stored;
-                a.predictions += l.predictions;
-                a.correct += l.correct;
             }
+            local
+        })
+    }
+
+    fn merge(&self, accs: &mut Self::Partial, local: Vec<StrategyAcc>) {
+        for (a, l) in accs.iter_mut().zip(local) {
+            if a.acc.len() < l.acc.len() {
+                a.acc.resize(l.acc.len(), (0, 0));
+            }
+            for (bin, (n, hits)) in a.acc.iter_mut().zip(l.acc) {
+                bin.0 += n;
+                bin.1 += hits;
+            }
+            a.updates += l.updates;
+            a.stored += l.stored;
+            a.predictions += l.predictions;
+            a.correct += l.correct;
         }
     }
 

@@ -8,8 +8,8 @@
 use std::collections::BTreeMap;
 
 use mesh11_phy::{BitRate, Phy};
+use mesh11_trace::fold::{meta_units, Unit};
 use mesh11_trace::{ApId, DatasetView, DeliveryMatrix, FoldKernel};
-use rayon::prelude::*;
 
 use crate::routing::etx::MIN_DELIVERY;
 
@@ -37,9 +37,9 @@ pub fn asymmetry_by_rate(view: DatasetView<'_>, phy: Phy) -> BTreeMap<BitRate, V
 }
 
 /// The fold-style form of [`asymmetry_by_rate`]: each rate's pool
-/// extends in network-id order across the folded views. Networks are analyzed in
-/// parallel; extending each rate's pool from the per-network partials in
-/// network order rebuilds the sequential pools exactly.
+/// extends in network-id order across the folded views: extending each
+/// rate's pool from the per-network pieces in network order rebuilds the
+/// sequential pools exactly.
 #[derive(Debug, Clone, Copy)]
 pub struct AsymmetryKernel {
     /// PHY analyzed.
@@ -48,32 +48,30 @@ pub struct AsymmetryKernel {
 
 impl FoldKernel for AsymmetryKernel {
     type Partial = BTreeMap<BitRate, Vec<f64>>;
+    type Piece = Vec<(BitRate, Vec<f64>)>;
     type Output = BTreeMap<BitRate, Vec<f64>>;
 
     fn init(&self) -> Self::Partial {
         BTreeMap::new()
     }
 
-    fn fold(&self, view: DatasetView<'_>, out: &mut Self::Partial) {
-        let phy = self.phy;
-        let metas: Vec<_> = view
-            .networks()
-            .iter()
-            .filter(|meta| meta.radios.contains(&phy))
-            .collect();
-        let partials: Vec<Vec<(BitRate, Vec<f64>)>> = metas
-            .par_iter()
-            .map(|meta| {
+    fn units<'a>(&'a self, view: DatasetView<'a>) -> Vec<Unit<'a, Self::Piece>> {
+        meta_units(
+            view,
+            |meta| meta.radios.contains(&self.phy),
+            move |meta| {
+                let phy = self.phy;
                 view.delivery_stack(phy, meta.id, phy.probed_rates(), meta.n_aps)
                     .iter()
                     .map(|m| (m.rate, asymmetry_ratios(m)))
                     .collect()
-            })
-            .collect();
-        for per_net in partials {
-            for (rate, ratios) in per_net {
-                out.entry(rate).or_default().extend(ratios);
-            }
+            },
+        )
+    }
+
+    fn merge(&self, out: &mut Self::Partial, per_net: Self::Piece) {
+        for (rate, ratios) in per_net {
+            out.entry(rate).or_default().extend(ratios);
         }
     }
 

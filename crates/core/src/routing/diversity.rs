@@ -10,8 +10,9 @@
 //! source's ExOR candidate-set size). A pair with one candidate is a
 //! corridor; a pair with five is a mesh.
 
-use mesh11_trace::{ApId, DeliveryMatrix};
-use rayon::prelude::*;
+use mesh11_stats::BinnedStats;
+use mesh11_trace::fold::{meta_units, Unit};
+use mesh11_trace::{ApId, DatasetView, DeliveryMatrix};
 
 use crate::routing::etx::{EtxVariant, MIN_DELIVERY};
 use crate::routing::improvement::OpportunisticAnalysis;
@@ -33,38 +34,41 @@ pub fn candidate_count(m: &DeliveryMatrix, paths: &PathTable, s: ApId, d: ApId) 
         .count()
 }
 
+/// One analysis's `(diversity, improvement)` pairs, binned by diversity.
+fn diversity_bins(
+    m: &DeliveryMatrix,
+    analysis: &OpportunisticAnalysis,
+    variant: EtxVariant,
+) -> BinnedStats {
+    let paths = PathTable::compute(m, EtxVariant::Etx1);
+    let mut by = BinnedStats::new();
+    for p in &analysis.pairs {
+        if let Some(imp) = p.improvement(variant) {
+            by.push(candidate_count(m, &paths, p.s, p.d) as i64, imp);
+        }
+    }
+    by
+}
+
+/// Reduces pooled bins to `(diversity, median, max, count)` rows.
+fn diversity_rows(by_div: BinnedStats) -> Vec<(usize, f64, f64, usize)> {
+    let rows = by_div.rows().into_iter();
+    rows.map(|(d, s)| (d as usize, s.median, s.max, s.count))
+        .collect()
+}
+
 /// Pools `(diversity, improvement)` pairs across analyses and reduces them
-/// to `(diversity, median, max, count)` rows — the §5.2.2 result.
+/// to `(diversity, median, max, count)` rows — the §5.2.2 result. Bins
+/// merge in matrix order, which keeps each bin's push order.
 pub fn improvement_by_diversity(
     matrices: &[(DeliveryMatrix, OpportunisticAnalysis)],
     variant: EtxVariant,
 ) -> Vec<(usize, f64, f64, usize)> {
-    // One partial per matrix in parallel; merging in matrix order rebuilds
-    // the sequential per-bin push order exactly.
-    let partials: Vec<mesh11_stats::BinnedStats> = matrices
-        .par_iter()
-        .map(|(m, analysis)| {
-            let paths = PathTable::compute(m, EtxVariant::Etx1);
-            let mut by = mesh11_stats::BinnedStats::new();
-            for p in &analysis.pairs {
-                let Some(imp) = p.improvement(variant) else {
-                    continue;
-                };
-                let div = candidate_count(m, &paths, p.s, p.d);
-                by.push(div as i64, imp);
-            }
-            by
-        })
-        .collect();
-    let mut by_div = mesh11_stats::BinnedStats::new();
-    for b in partials {
-        by_div.merge(b);
+    let mut by_div = BinnedStats::new();
+    for (m, analysis) in matrices {
+        by_div.merge(diversity_bins(m, analysis, variant));
     }
-    by_div
-        .rows()
-        .into_iter()
-        .map(|(d, s)| (d as usize, s.median, s.max, s.count))
-        .collect()
+    diversity_rows(by_div)
 }
 
 /// Convenience: builds matrices + analyses for one rate over a dataset and
@@ -87,9 +91,9 @@ pub fn analyze_diversity(
     )
 }
 
-/// The fold-style form of [`analyze_diversity`]: the pooled
-/// `(matrix, analysis)` list builds in network-id order across the folded
-/// views before the single reduction in `finish`.
+/// The fold-style form of [`analyze_diversity`]: each network's pairs are
+/// binned on their own and the bins merge in network-id order across the
+/// folded views, as [`improvement_by_diversity`] merges them.
 #[derive(Debug, Clone, Copy)]
 pub struct DiversityKernel {
     /// PHY analyzed.
@@ -103,31 +107,31 @@ pub struct DiversityKernel {
 }
 
 impl mesh11_trace::FoldKernel for DiversityKernel {
-    type Partial = Vec<(DeliveryMatrix, OpportunisticAnalysis)>;
+    type Partial = BinnedStats;
+    type Piece = BinnedStats;
     type Output = Vec<(usize, f64, f64, usize)>;
 
-    fn init(&self) -> Self::Partial {
-        Vec::new()
+    fn init(&self) -> BinnedStats {
+        BinnedStats::new()
     }
 
-    fn fold(&self, view: mesh11_trace::DatasetView<'_>, pairs: &mut Self::Partial) {
-        let metas: Vec<_> = view
-            .networks_with_at_least(self.min_aps)
-            .filter(|meta| meta.radios.contains(&self.phy))
-            .collect();
-        let built: Vec<(DeliveryMatrix, OpportunisticAnalysis)> = metas
-            .par_iter()
-            .map(|meta| {
+    fn units<'a>(&'a self, view: DatasetView<'a>) -> Vec<Unit<'a, Self::Piece>> {
+        meta_units(
+            view,
+            |m| m.n_aps >= self.min_aps && m.radios.contains(&self.phy),
+            move |meta| {
                 let m = view.delivery_matrix(self.phy, meta.id, self.rate, meta.n_aps);
-                let a = OpportunisticAnalysis::compute(&m);
-                (m, a)
-            })
-            .collect();
-        pairs.extend(built);
+                diversity_bins(&m, &OpportunisticAnalysis::compute(&m), self.variant)
+            },
+        )
     }
 
-    fn finish(&self, pairs: Self::Partial) -> Self::Output {
-        improvement_by_diversity(&pairs, self.variant)
+    fn merge(&self, by_div: &mut BinnedStats, by: BinnedStats) {
+        by_div.merge(by);
+    }
+
+    fn finish(&self, by_div: BinnedStats) -> Self::Output {
+        diversity_rows(by_div)
     }
 }
 

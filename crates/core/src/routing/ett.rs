@@ -17,8 +17,8 @@
 //! in time, per source–destination pair.
 
 use mesh11_phy::{airtime::frame_time_us, BitRate, Phy};
+use mesh11_trace::fold::{meta_units, Unit};
 use mesh11_trace::{ApId, DatasetView, DeliveryMatrix, FoldKernel, NetworkId};
-use rayon::prelude::*;
 
 use crate::routing::etx::MIN_DELIVERY;
 use crate::routing::shortest::PathTable;
@@ -141,8 +141,7 @@ pub fn analyze_ett(view: DatasetView<'_>, phy: Phy, min_aps: usize) -> Vec<EttAn
 }
 
 /// The fold-style form of [`analyze_ett`]: one entry per network in id
-/// order across the folded views. Networks are analyzed in parallel; the
-/// order-preserving collect keeps the id-ordered output.
+/// order across the folded views.
 #[derive(Debug, Clone, Copy)]
 pub struct EttKernel {
     /// PHY analyzed.
@@ -153,26 +152,27 @@ pub struct EttKernel {
 
 impl FoldKernel for EttKernel {
     type Partial = Vec<EttAnalysis>;
+    type Piece = EttAnalysis;
     type Output = Vec<EttAnalysis>;
 
     fn init(&self) -> Self::Partial {
         Vec::new()
     }
 
-    fn fold(&self, view: DatasetView<'_>, out: &mut Self::Partial) {
-        let metas: Vec<_> = view
-            .networks_with_at_least(self.min_aps)
-            .filter(|meta| meta.radios.contains(&self.phy))
-            .collect();
-        let analyses: Vec<EttAnalysis> = metas
-            .par_iter()
-            .map(|meta| {
+    fn units<'a>(&'a self, view: DatasetView<'a>) -> Vec<Unit<'a, Self::Piece>> {
+        meta_units(
+            view,
+            |m| m.n_aps >= self.min_aps && m.radios.contains(&self.phy),
+            move |meta| {
                 let matrices =
                     view.delivery_stack(self.phy, meta.id, self.phy.probed_rates(), meta.n_aps);
                 EttAnalysis::compute(&matrices)
-            })
-            .collect();
-        out.extend(analyses);
+            },
+        )
+    }
+
+    fn merge(&self, out: &mut Self::Partial, analysis: EttAnalysis) {
+        out.push(analysis);
     }
 
     fn finish(&self, out: Self::Partial) -> Self::Output {

@@ -7,8 +7,8 @@
 
 use mesh11_phy::{BitRate, Phy};
 use mesh11_stats::BinnedStats;
+use mesh11_trace::fold::{meta_units, Unit};
 use mesh11_trace::{ApId, DatasetView, DeliveryMatrix, FoldKernel, NetworkId};
-use rayon::prelude::*;
 
 use crate::routing::etx::EtxVariant;
 use crate::routing::exor::ExorTable;
@@ -122,9 +122,7 @@ pub fn analyze_dataset(
 }
 
 /// The fold-style form of [`analyze_dataset`]: one entry per
-/// (network, rate) in network-id order across the folded views. Networks
-/// are analyzed in parallel; the order-preserving collect plus in-order
-/// flatten keeps the (network, rate) output order.
+/// (network, rate) in network-id order across the folded views.
 #[derive(Debug, Clone, Copy)]
 pub struct RoutingKernel {
     /// PHY analyzed.
@@ -135,29 +133,29 @@ pub struct RoutingKernel {
 
 impl FoldKernel for RoutingKernel {
     type Partial = Vec<OpportunisticAnalysis>;
+    type Piece = Vec<OpportunisticAnalysis>;
     type Output = Vec<OpportunisticAnalysis>;
 
     fn init(&self) -> Self::Partial {
         Vec::new()
     }
 
-    fn fold(&self, view: DatasetView<'_>, out: &mut Self::Partial) {
-        let metas: Vec<_> = view
-            .networks_with_at_least(self.min_aps)
-            .filter(|meta| meta.radios.contains(&self.phy))
-            .collect();
-        let per_net: Vec<Vec<OpportunisticAnalysis>> = metas
-            .par_iter()
-            .map(|meta| {
-                // One pass over this network's indexed probes for all rates
-                // at once.
+    /// One pass over the network's indexed probes for all rates at once.
+    fn units<'a>(&'a self, view: DatasetView<'a>) -> Vec<Unit<'a, Self::Piece>> {
+        meta_units(
+            view,
+            |m| m.n_aps >= self.min_aps && m.radios.contains(&self.phy),
+            move |meta| {
                 view.delivery_stack(self.phy, meta.id, self.phy.probed_rates(), meta.n_aps)
                     .iter()
                     .map(OpportunisticAnalysis::compute)
                     .collect()
-            })
-            .collect();
-        out.extend(per_net.into_iter().flatten());
+            },
+        )
+    }
+
+    fn merge(&self, out: &mut Self::Partial, per_net: Self::Piece) {
+        out.extend(per_net);
     }
 
     fn finish(&self, out: Self::Partial) -> Self::Output {

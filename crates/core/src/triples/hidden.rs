@@ -5,8 +5,8 @@
 //! `N(B) ∧ ¬N(A) ∧ {C > A}` — one AND-NOT-MASK-POPCOUNT sweep per (B, A).
 
 use mesh11_phy::{BitRate, Phy};
-use mesh11_trace::{DatasetView, EnvLabel, FoldKernel, NetworkId};
-use rayon::prelude::*;
+use mesh11_trace::fold::{meta_units, Unit};
+use mesh11_trace::{DatasetView, EnvLabel, FoldKernel, NetworkId, NetworkMeta};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -107,9 +107,12 @@ impl TripleAnalysis {
     }
 }
 
+/// One network's triple counts, one row per rate.
+pub(crate) type TripleRows = Vec<((NetworkId, BitRate), (EnvLabel, TripleCounts))>;
+
 /// The fold-style form of [`TripleAnalysis::run`]: the per-network map
 /// keys are disjoint across the folded views, so the merged map does not
-/// depend on how the networks are split into views. Networks are counted in parallel; the keys are disjoint
+/// depend on how the networks are split into views. The keys are disjoint
 /// across networks too, and the `BTreeMap` orders itself, so the merged
 /// map is insertion-order independent.
 #[derive(Debug, Clone, Copy)]
@@ -124,33 +127,20 @@ pub struct TripleKernel {
 
 impl FoldKernel for TripleKernel {
     type Partial = BTreeMap<(NetworkId, BitRate), (EnvLabel, TripleCounts)>;
+    type Piece = TripleRows;
     type Output = TripleAnalysis;
 
     fn init(&self) -> Self::Partial {
         BTreeMap::new()
     }
 
-    fn fold(&self, view: DatasetView<'_>, per_network: &mut Self::Partial) {
-        let phy = self.phy;
-        let metas: Vec<_> = view
-            .networks()
-            .iter()
-            .filter(|meta| meta.radios.contains(&phy) && meta.n_aps >= 3)
-            .collect();
-        type Row = ((NetworkId, BitRate), (EnvLabel, TripleCounts));
-        let partials: Vec<Vec<Row>> = metas
-            .par_iter()
-            .map(|meta| {
-                view.delivery_stack(phy, meta.id, phy.probed_rates(), meta.n_aps)
-                    .iter()
-                    .map(|m| {
-                        let g = HearingGraph::build(m, self.threshold, self.rule);
-                        ((meta.id, m.rate), (meta.env, count_triples(&g)))
-                    })
-                    .collect()
-            })
-            .collect();
-        per_network.extend(partials.into_iter().flatten());
+    fn units<'a>(&'a self, view: DatasetView<'a>) -> Vec<Unit<'a, Self::Piece>> {
+        let keep = |m: &NetworkMeta| m.radios.contains(&self.phy) && m.n_aps >= 3;
+        meta_units(view, keep, move |meta| self.rows(view, meta))
+    }
+
+    fn merge(&self, per_network: &mut Self::Partial, rows: Self::Piece) {
+        per_network.extend(rows);
     }
 
     fn finish(&self, per_network: Self::Partial) -> TripleAnalysis {
@@ -159,6 +149,20 @@ impl FoldKernel for TripleKernel {
             rule: self.rule,
             per_network,
         }
+    }
+}
+
+impl TripleKernel {
+    /// One network's counts, one row per rate.
+    pub(crate) fn rows(&self, view: DatasetView<'_>, meta: &NetworkMeta) -> TripleRows {
+        let phy = self.phy;
+        view.delivery_stack(phy, meta.id, phy.probed_rates(), meta.n_aps)
+            .iter()
+            .map(|m| {
+                let g = HearingGraph::build(m, self.threshold, self.rule);
+                ((meta.id, m.rate), (meta.env, count_triples(&g)))
+            })
+            .collect()
     }
 }
 

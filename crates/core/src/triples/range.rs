@@ -8,8 +8,8 @@
 use std::collections::BTreeMap;
 
 use mesh11_phy::{BitRate, Phy};
+use mesh11_trace::fold::{meta_units, Unit};
 use mesh11_trace::{Dataset, DatasetView, EnvLabel, FoldKernel, NetworkId};
-use rayon::prelude::*;
 
 use crate::triples::hearing::{HearRule, HearingGraph};
 
@@ -31,9 +31,8 @@ pub fn range_by_rate(
 }
 
 /// The fold-style form of [`range_by_rate`]: per-(network, rate) keys are
-/// disjoint across the folded views. Networks are measured in parallel;
-/// the keys are disjoint across networks too, so the self-ordering map is
-/// insertion-order independent.
+/// disjoint across the folded views and across networks, so the
+/// self-ordering map is insertion-order independent.
 #[derive(Debug, Clone, Copy)]
 pub struct RangeKernel {
     /// PHY analyzed.
@@ -46,22 +45,19 @@ pub struct RangeKernel {
 
 impl FoldKernel for RangeKernel {
     type Partial = BTreeMap<(NetworkId, BitRate), usize>;
+    type Piece = Vec<((NetworkId, BitRate), usize)>;
     type Output = BTreeMap<(NetworkId, BitRate), usize>;
 
     fn init(&self) -> Self::Partial {
         BTreeMap::new()
     }
 
-    fn fold(&self, view: DatasetView<'_>, out: &mut Self::Partial) {
-        let phy = self.phy;
-        let metas: Vec<_> = view
-            .networks()
-            .iter()
-            .filter(|meta| meta.radios.contains(&phy) && meta.n_aps >= 2)
-            .collect();
-        let partials: Vec<Vec<((NetworkId, BitRate), usize)>> = metas
-            .par_iter()
-            .map(|meta| {
+    fn units<'a>(&'a self, view: DatasetView<'a>) -> Vec<Unit<'a, Self::Piece>> {
+        meta_units(
+            view,
+            |m| m.radios.contains(&self.phy) && m.n_aps >= 2,
+            move |meta| {
+                let phy = self.phy;
                 view.delivery_stack(phy, meta.id, phy.probed_rates(), meta.n_aps)
                     .iter()
                     .map(|m| {
@@ -69,9 +65,12 @@ impl FoldKernel for RangeKernel {
                         ((meta.id, m.rate), g.edge_count())
                     })
                     .collect()
-            })
-            .collect();
-        out.extend(partials.into_iter().flatten());
+            },
+        )
+    }
+
+    fn merge(&self, out: &mut Self::Partial, rows: Self::Piece) {
+        out.extend(rows);
     }
 
     fn finish(&self, out: Self::Partial) -> Self::Output {

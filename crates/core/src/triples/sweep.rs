@@ -7,11 +7,11 @@
 use std::collections::BTreeMap;
 
 use mesh11_phy::{BitRate, Phy};
-use mesh11_trace::{DatasetView, EnvLabel, FoldKernel, NetworkId};
-use rayon::prelude::*;
+use mesh11_trace::fold::{unit, Unit};
+use mesh11_trace::{DatasetView, EnvLabel, FoldKernel, NetworkId, NetworkMeta};
 
 use crate::triples::hearing::HearRule;
-use crate::triples::hidden::{TripleAnalysis, TripleCounts, TripleKernel};
+use crate::triples::hidden::{TripleAnalysis, TripleCounts, TripleKernel, TripleRows};
 
 /// One threshold's per-(network, rate) triple tallies — the per-view
 /// partial a [`TripleKernel`] folds into.
@@ -36,12 +36,11 @@ pub fn threshold_sweep(
     )
 }
 
-/// The fold-style form of [`threshold_sweep`]: **all** thresholds fold
-/// per view (the sweep is threshold-major only within a view), so each
-/// view is walked once instead of once per threshold. Per-threshold
-/// partials are per-(network, rate) maps with disjoint keys across views,
-/// so the merged maps are identical to the per-threshold independent
-/// walks.
+/// The fold-style form of [`threshold_sweep`]: one unit per (network,
+/// threshold), so each view is walked once instead of once per threshold.
+/// Per-threshold partials are per-(network, rate) maps with disjoint keys
+/// across networks, so the merged maps are identical to the per-threshold
+/// independent walks.
 #[derive(Debug, Clone)]
 pub struct SweepKernel {
     /// PHY analyzed.
@@ -56,43 +55,47 @@ pub struct SweepKernel {
 
 impl FoldKernel for SweepKernel {
     type Partial = Vec<TripleTallies>;
+    /// A threshold's position, and one network's rows at it.
+    type Piece = (usize, TripleRows);
     type Output = Vec<(f64, Option<f64>)>;
 
     fn init(&self) -> Self::Partial {
         self.thresholds.iter().map(|_| BTreeMap::new()).collect()
     }
 
-    fn fold(&self, view: DatasetView<'_>, partial: &mut Self::Partial) {
-        let mut work: Vec<(f64, &mut TripleTallies)> = self
-            .thresholds
-            .iter()
-            .copied()
-            .zip(partial.iter_mut())
-            .collect();
-        work.par_iter_mut().for_each(|(t, per_network)| {
-            let kernel = TripleKernel {
-                phy: self.phy,
-                threshold: *t,
-                rule: self.rule,
-            };
-            kernel.fold(view, per_network);
-        });
+    fn units<'a>(&'a self, view: DatasetView<'a>) -> Vec<Unit<'a, Self::Piece>> {
+        let metas = view.networks().iter();
+        let metas = metas.filter(|m| m.radios.contains(&self.phy) && m.n_aps >= 3);
+        let ts = move |m: &'a NetworkMeta| (0..self.thresholds.len()).map(move |t| (m, t));
+        let units = metas
+            .flat_map(ts)
+            .map(move |(m, t)| unit(m.id, move || (t, self.at(self.thresholds[t]).rows(view, m))));
+        units.collect()
+    }
+
+    fn merge(&self, partial: &mut Self::Partial, (t, rows): Self::Piece) {
+        partial[t].extend(rows);
     }
 
     fn finish(&self, partial: Self::Partial) -> Self::Output {
-        self.thresholds
-            .iter()
-            .zip(partial)
+        let per_t = self.thresholds.iter().zip(partial);
+        per_t
             .map(|(&t, per_network)| {
-                let kernel = TripleKernel {
-                    phy: self.phy,
-                    threshold: t,
-                    rule: self.rule,
-                };
-                let analysis = kernel.finish(per_network);
+                let analysis = self.at(t).finish(per_network);
                 (t, analysis.median_fraction(self.rate, None))
             })
             .collect()
+    }
+}
+
+impl SweepKernel {
+    /// The triple kernel of one threshold.
+    fn at(&self, threshold: f64) -> TripleKernel {
+        TripleKernel {
+            phy: self.phy,
+            threshold,
+            rule: self.rule,
+        }
     }
 }
 

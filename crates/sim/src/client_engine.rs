@@ -21,7 +21,6 @@ use mesh11_topo::NetworkSpec;
 use mesh11_trace::{ApId, ClientSample};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use rayon::prelude::*;
 
 use crate::config::SimConfig;
 use crate::mobility::{deployment_bbox, spawn_population, ClientSpec, MobilityState};
@@ -86,26 +85,19 @@ fn simulate_clients_by(
         .collect();
 
     // Clients never interact: each one walks, evaluates APs and generates
-    // traffic against static infrastructure. Give every client its own RNG
-    // stream keyed by its id so the timelines shard across threads with
-    // output independent of client count, visit order, and thread count.
+    // traffic against static infrastructure. Every client has its own RNG
+    // stream keyed by its id, so the output is independent of client count
+    // and visit order. The population runs in turn: the campaign runner
+    // already runs networks in parallel, one level above this.
     let engine_base = derive_seed_str(spec.seed, "client-engine");
-    let per_client: Vec<Vec<ClientSample>> = population
-        .par_iter()
-        .map(|client| {
-            client_fn(
-                spec,
-                cfg,
-                client,
-                &shadows[client.id.0 as usize],
-                bbox,
-                n_aps,
-                derive_seed(engine_base, u64::from(client.id.0)),
-            )
+    let mut out: Vec<ClientSample> = population
+        .iter()
+        .flat_map(|client| {
+            let seed = derive_seed(engine_base, u64::from(client.id.0));
+            let shadow = &shadows[client.id.0 as usize];
+            client_fn(spec, cfg, client, shadow, bbox, n_aps, seed)
         })
         .collect();
-
-    let mut out: Vec<ClientSample> = per_client.into_iter().flatten().collect();
     out.sort_by(|a, b| {
         (a.bin_start_s, a.client, a.ap)
             .partial_cmp(&(b.bin_start_s, b.client, b.ap))

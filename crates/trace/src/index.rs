@@ -528,9 +528,9 @@ impl<'a> DatasetView<'a> {
     }
 
     /// The per-probe side columns, built on the first call: once, in
-    /// parallel over the current thread budget. Kernels that read
-    /// [`ProbeEntry`]s call this before fanning out per network, so the
-    /// build runs at full width rather than inside one worker.
+    /// parallel over the current thread budget. The fold scheduler calls
+    /// this before any unit of a kernel that reads [`ProbeEntry`]s runs,
+    /// so the build never runs on a worker.
     pub fn columns(&self) -> &'a ProbeColumns {
         let probes = &self.ds.probes;
         self.ix.cols.get_or_init(|| ProbeColumns::build(probes))
@@ -602,7 +602,7 @@ impl<'a> DatasetView<'a> {
     }
 
     /// All (PHY, network) groups of one PHY, in network-id order — the
-    /// flat work list intra-kernel parallelism fans out over. For every
+    /// per-network units of the fold kernels. For every
     /// per-network traversal ([`NetworkView::links`], [`NetworkView::entries`],
     /// [`NetworkView::entries_in_order`], …) concatenating the networks'
     /// iterations in this order reproduces the corresponding global

@@ -18,9 +18,8 @@
 use std::cmp::Ordering;
 
 use mesh11_phy::Phy;
-use rayon::prelude::*;
 
-use crate::dataset::Dataset;
+use crate::fold::{unit, Unit};
 use crate::index::{DatasetView, NetworkView};
 
 /// Splits `0..n` into contiguous ranges for parallel walks whose outputs
@@ -61,7 +60,9 @@ pub struct SigmaKernel(pub SigmaKind);
 
 impl crate::fold::FoldKernel for SigmaKernel {
     type Partial = Vec<f64>;
+    type Piece = Vec<f64>;
     type Output = Vec<f64>;
+    const COLUMNS: bool = true;
 
     fn init(&self) -> Vec<f64> {
         if let SigmaKind::RecentK(k) = self.0 {
@@ -70,25 +71,55 @@ impl crate::fold::FoldKernel for SigmaKernel {
         Vec::new()
     }
 
-    fn fold(&self, view: DatasetView<'_>, partial: &mut Vec<f64>) {
+    /// Ranges of probe sets for the within-set spread, else one network's
+    /// b/g and HT groups each.
+    fn units<'a>(&'a self, view: DatasetView<'a>) -> Vec<Unit<'a, Vec<f64>>> {
+        let probes = &view.dataset().probes;
+        if self.0 == SigmaKind::ProbeSet {
+            let ranges = split_ranges(probes.len()).into_iter();
+            return ranges
+                .map(|r| {
+                    let net = probes.get(r.start).network;
+                    unit(net, move || {
+                        r.clone().map(|i| probes.get(i).snr_stddev()).collect()
+                    })
+                })
+                .collect();
+        }
+        let [bg, ht] = [Phy::Bg, Phy::Ht].map(|phy| view.network_views(phy));
+        let nets = pair_up(bg, ht, |nv| nv.network());
+        nets.map(|net| {
+            let nv = net.iter().flatten().next().expect("a pair has a side");
+            unit(nv.network(), move || self.spread(view, net))
+        })
+        .collect()
+    }
+
+    fn merge(&self, partial: &mut Vec<f64>, piece: Vec<f64>) {
+        partial.extend(piece);
+    }
+
+    fn finish(&self, partial: Vec<f64>) -> Vec<f64> {
+        partial
+    }
+}
+
+impl SigmaKernel {
+    /// One network's spreads, for every kind but the within-set one.
+    fn spread(&self, view: DatasetView<'_>, net: NetPair<'_>) -> Vec<f64> {
         let ds = view.dataset();
         let cols = view.columns();
         let snrs_at = |run: &[u32], out: &mut Vec<f64>| {
             out.clear();
             out.extend(run.iter().map(|&i| cols.snr_db(i as usize)));
         };
-        partial.extend(match self.0 {
-            SigmaKind::ProbeSet => probe_set_sigmas(ds),
-            SigmaKind::Link => per_network(view, |net| {
-                let (mut out, mut snrs) = (Vec::new(), Vec::new());
-                for_each_link(net, |run| {
-                    snrs_at(run, &mut snrs);
-                    out.extend(mesh11_stats::stddev(&snrs));
-                });
-                out
+        let (mut out, mut snrs) = (Vec::new(), Vec::new());
+        match self.0 {
+            SigmaKind::Link => for_each_link(net, |run| {
+                snrs_at(run, &mut snrs);
+                out.extend(mesh11_stats::stddev(&snrs));
             }),
-            SigmaKind::RecentK(k) => per_network(view, |net| {
-                let (mut out, mut snrs) = (Vec::new(), Vec::new());
+            SigmaKind::RecentK(k) => {
                 let mut series: Vec<(f64, f64)> = Vec::new();
                 for_each_link(net, |run| {
                     series.clear();
@@ -101,19 +132,15 @@ impl crate::fold::FoldKernel for SigmaKernel {
                     snrs.extend(series.iter().map(|p| p.1));
                     out.extend(snrs.windows(k).filter_map(mesh11_stats::stddev));
                 });
-                out
-            }),
-            SigmaKind::Network => per_network(view, |net| {
+            }
+            SigmaKind::Network | SigmaKind::ProbeSet => {
                 let runs = net.map(|nv| nv.map_or(&[][..], |nv| nv.phy_run()));
-                let (mut buf, mut snrs) = (Vec::new(), Vec::new());
+                let mut buf = Vec::new();
                 snrs_at(merged(runs, &mut buf), &mut snrs);
-                mesh11_stats::stddev(&snrs).into_iter().collect()
-            }),
-        });
-    }
-
-    fn finish(&self, partial: Vec<f64>) -> Vec<f64> {
-        partial
+                out.extend(mesh11_stats::stddev(&snrs));
+            }
+        }
+        out
     }
 }
 
@@ -122,30 +149,9 @@ pub fn sigmas(view: DatasetView<'_>, kind: SigmaKind) -> Vec<f64> {
     crate::fold::run_fold(view, &SigmaKernel(kind))
 }
 
-/// σ of SNR within each probe set (one value per probe set).
-fn probe_set_sigmas(ds: &Dataset) -> Vec<f64> {
-    let parts: Vec<Vec<f64>> = split_ranges(ds.probes.len())
-        .par_iter()
-        .map(|r| r.clone().map(|i| ds.probes.get(i).snr_stddev()).collect())
-        .collect();
-    parts.into_iter().flatten().collect()
-}
-
 /// One network's b/g and HT groups; either is `None` when the network has
 /// no probe sets of that PHY.
 type NetPair<'a> = [Option<NetworkView<'a>>; 2];
-
-/// Runs `f` on every network of the view, in parallel, and concatenates
-/// the outputs in network-id order.
-fn per_network<F>(view: DatasetView<'_>, f: F) -> Vec<f64>
-where
-    F: Fn(NetPair<'_>) -> Vec<f64> + Sync,
-{
-    let [bg, ht] = [Phy::Bg, Phy::Ht].map(|phy| view.network_views(phy));
-    let nets: Vec<NetPair<'_>> = pair_up(bg, ht, |nv| nv.network()).collect();
-    let parts: Vec<Vec<f64>> = nets.par_iter().map(|&net| f(net)).collect();
-    parts.into_iter().flatten().collect()
-}
 
 /// Calls `f` with each directed link of a network, in `(sender,
 /// receiver)` order, as its probe positions across both PHYs in dataset
@@ -208,6 +214,7 @@ fn merged<'a>(runs: [&'a [u32]; 2], buf: &'a mut Vec<u32>) -> &'a [u32] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::Dataset;
     use crate::ids::{ApId, EnvLabel, NetworkId};
     use crate::index::DatasetIndex;
     use crate::probe::{Probe, ProbeTable, RateObs};

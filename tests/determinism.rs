@@ -339,10 +339,11 @@ fn figure_json_matches_pre_index_golden_hashes() {
         ("tab4-1", 0xfd138f01427a215d),
     ];
 
-    // One worker and eight: the intra-kernel per-network fan-out must
-    // reproduce the historical bytes — not merely agree with itself —
-    // at any pool width.
-    for threads in [1usize, 8] {
+    // One worker, three and eight: the flat (kernel, network) schedule
+    // must reproduce the historical bytes — not merely agree with itself —
+    // at any pool width, including one whose merge window (4 × threads)
+    // is not a multiple of any kernel's unit count.
+    for threads in [1usize, 3, 8] {
         let mut got: Vec<(String, u64)> = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
