@@ -1,19 +1,14 @@
 //! Analyze-phase benchmarks: the fig4-2 family's kernels sequential (one
 //! worker) versus parallel (default pool) over the in-memory quick
-//! dataset, the dataset index build and the Fig 3.1 sigma kernels that
-//! walk it, plus a chunk-store contention micro-bench (N threads hammering
-//! random chunk gets through one store). Run with
-//! `cargo bench -p mesh11-bench analyze`.
+//! dataset, and the dataset index build and the Fig 3.1 sigma kernels
+//! that walk it. Run with `cargo bench -p mesh11-bench analyze`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mesh11_bench::{ReproContext, Scale};
 use mesh11_core::bitrate::{LookupTableSet, Scope};
-use mesh11_phy::{BitRate, Phy};
+use mesh11_phy::Phy;
 use mesh11_trace::snrstats::{self, SigmaKind};
-use mesh11_trace::{ApId, ChunkStore, DatasetIndex, NetworkId, Probe, ProbeChunk, RateObs};
-use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
-use rayon::prelude::*;
+use mesh11_trace::DatasetIndex;
 use std::hint::black_box;
 
 const SEED: u64 = 42;
@@ -74,65 +69,9 @@ fn index_quick(c: &mut Criterion) {
     });
 }
 
-/// A store with `n_chunks` synthetic spilled chunks and a small resident
-/// budget, so concurrent gets contend on decode, pinning, and eviction.
-fn contention_store(n_chunks: usize, budget: usize) -> ChunkStore {
-    let store = ChunkStore::new(budget, None);
-    for k in 0..n_chunks {
-        let mut chunk = ProbeChunk::default();
-        for i in 0..512u32 {
-            chunk.push(Probe {
-                network: NetworkId(k as u32),
-                phy: Phy::Bg,
-                time_s: f64::from(i),
-                sender: ApId(i % 7),
-                receiver: ApId(i % 5 + 7),
-                obs: &[RateObs {
-                    rate: BitRate::bg_mbps(1.0).unwrap(),
-                    loss: 0.25,
-                    snr_db: 12.0,
-                }],
-            });
-        }
-        store.insert(chunk).expect("insert");
-        store.evict_past_budget().expect("evict");
-    }
-    store
-}
-
-/// N workers × random chunk gets against one shared store.
-fn chunkstore_contention(c: &mut Criterion) {
-    const N_CHUNKS: usize = 32;
-    const GETS: usize = 256;
-    let store = contention_store(N_CHUNKS, 4);
-    for threads in [1usize, 4, 8] {
-        let name = format!("chunkstore/contention-{threads}t");
-        c.bench_function(&name, |b| {
-            b.iter(|| {
-                with_threads(threads, || {
-                    let mut rng = SmallRng::seed_from_u64(SEED);
-                    let ids: Vec<usize> =
-                        (0..GETS).map(|_| rng.random_range(0..N_CHUNKS)).collect();
-                    let lens: Vec<usize> = ids
-                        .par_iter()
-                        .map(|&id| {
-                            let h = store.chunk(id);
-                            let n = h.len();
-                            drop(h);
-                            let _ = store.evict_past_budget();
-                            n
-                        })
-                        .collect();
-                    black_box(lens.iter().sum::<usize>())
-                })
-            })
-        });
-    }
-}
-
 criterion_group! {
     name = analyze;
     config = Criterion::default().sample_size(10);
-    targets = fig4_2_quick, index_quick, chunkstore_contention
+    targets = fig4_2_quick, index_quick
 }
 criterion_main!(analyze);

@@ -176,8 +176,7 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
                      --scale metro streams probes through the spill-able chunk store; analysis\n\
                      folds each sealed part while later networks still simulate. Metro only:\n\
                      --metro-factor N  ensemble multiplier (default {})\n\
-                     --chunk-budget N  resident chunks before spilling, at least 2 and raised to\n\
-                     \x20                 threads + 1 (default {})\n\
+                     --chunk-budget N  resident chunks before spilling, at least 2 (default {})\n\
                      --spill-dir DIR   where cold chunks spill (default: system temp dir)\n\
                      --bench-json FILE  where to write the per-phase timing JSON\n\
                      (default: BENCH_repro.json in the working directory)\nids: {}",
@@ -287,14 +286,12 @@ fn analyze_and_emit(
     }
 }
 
-/// The `# chunked store:` stderr line. It reports the budget the store
-/// runs with, which is the configured one raised to threads + 1 (see
-/// `ChunkConfig::effective_resident_chunks`).
+/// The `# chunked store:` stderr line: the chunk size and the resident
+/// budget the store runs with.
 fn chunked_store_line(cfg: &ChunkConfig) -> String {
     format!(
         "# chunked store: {} probe sets/chunk, {} resident chunks",
-        cfg.chunk_capacity,
-        cfg.effective_resident_chunks()
+        cfg.chunk_capacity, cfg.resident_chunks
     )
 }
 
@@ -331,13 +328,6 @@ fn run(args: &Args) -> i32 {
         ctx.clients().len(),
         build_t.generate_s + build_t.simulate_s
     );
-    if let Some(c) = ctx.chunked() {
-        eprintln!(
-            "# chunk store: {} resident chunks, {} bytes spilled",
-            c.resident_chunks(),
-            c.spilled_bytes()
-        );
-    }
 
     let analysis = analyze_and_emit(&ctx, args, &args.out, true);
     let SeedAnalysis {
@@ -351,9 +341,10 @@ fn run(args: &Args) -> i32 {
     let analyze_s = figure_s + build_t.analyze_s;
 
     let n_probes = ctx.n_probes();
-    // Snapshot after analysis so the counters cover the kernels' traffic.
-    // In-memory runs have no chunk store; their counters are null, not 0.
-    let chunk = ctx.chunked().map(|_| ctx.chunk_stats());
+    // The store's final counters; in-memory runs had no chunk store, so
+    // their counters are null, not 0.
+    let store = ctx.store_summary();
+    let chunk = store.map(|c| c.stats);
     let timings = PhaseTimings {
         scale: args.scale.label(),
         seed: args.seed,
@@ -375,11 +366,11 @@ fn run(args: &Args) -> i32 {
             0.0
         },
         peak_rss_mb: peak_rss_mb(),
-        data_mode: match ctx.chunked() {
+        data_mode: match store {
             Some(_) => "chunked".to_string(),
             None => "in-memory".to_string(),
         },
-        spilled_bytes: ctx.chunked().map_or(0, |c| c.spilled_bytes()),
+        spilled_bytes: store.map_or(0, |c| c.spilled_bytes),
         client_probe_s: build_t.client_probe_s,
         clients_simulated: build_t.clients_simulated,
         analyze_s,
@@ -388,7 +379,7 @@ fn run(args: &Args) -> i32 {
         } else {
             0.0
         },
-        stream_analyze_s: ctx.chunked().map(|_| build_t.analyze_s),
+        stream_analyze_s: store.map(|_| build_t.analyze_s),
         stream_send_wait_s: build_t.stream_send_wait_s,
         stream_recv_wait_s: build_t.stream_recv_wait_s,
         chunk_hits: chunk.as_ref().map(|c| c.chunk_hits),
@@ -396,7 +387,7 @@ fn run(args: &Args) -> i32 {
         chunk_evictions: chunk.as_ref().map(|c| c.chunk_evictions),
         peak_pinned_bytes: chunk.as_ref().map(|c| c.peak_pinned_bytes),
         window_builds: chunk.as_ref().map(|c| c.window_builds),
-        n_windows: ctx.chunked().map(|c| c.n_windows() as u64),
+        n_windows: store.map(|c| c.n_windows as u64),
         over_budget_events: chunk.as_ref().map(|c| c.over_budget_events),
         decode_s: chunk.as_ref().map(|c| c.decode_ns as f64 / 1e9),
         spill_raw_bytes: chunk.as_ref().map(|c| c.spill_raw_bytes),
@@ -585,25 +576,21 @@ mod tests {
     }
 
     #[test]
-    fn chunked_store_line_reports_the_effective_budget() {
+    fn chunked_store_line_reports_the_budget_at_any_thread_count() {
         let args = parse("--scale metro --chunk-budget 4 --all").expect("parses");
         let DataMode::Chunked(cfg) = args.data_mode() else {
             panic!("metro is chunked");
         };
-        let line = |threads| {
-            rayon::ThreadPoolBuilder::new()
+        for threads in [2, 8] {
+            let line = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build()
                 .expect("pool")
-                .install(|| chunked_store_line(&cfg))
-        };
-        assert_eq!(
-            line(8),
-            "# chunked store: 65536 probe sets/chunk, 9 resident chunks"
-        );
-        assert_eq!(
-            line(2),
-            "# chunked store: 65536 probe sets/chunk, 4 resident chunks"
-        );
+                .install(|| chunked_store_line(&cfg));
+            assert_eq!(
+                line,
+                "# chunked store: 65536 probe sets/chunk, 4 resident chunks"
+            );
+        }
     }
 }

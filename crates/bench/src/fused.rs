@@ -12,12 +12,12 @@
 //! **Pass A** folds the table-independent kernels and the eight
 //! lookup-table builds. **Pass B** then scores the finished tables:
 //! penalties need completed tables, so they cannot ride in pass A, and
-//! requesting one requests its table. Pass B replays the parts pass A
-//! folded ([`PassB`]; a resident view is the one-part case), except on a
-//! chunked store, where the penalties share one raw-chunk walk
-//! ([`ThroughputPenalty::evaluate_batch_chunked`]). Either pass folds a
-//! part in one call to [`fold_all`]: every requested kernel's units in one
-//! network-major work list, the only parallel level.
+//! requesting one requests its table. Pass B replays the probes pass A
+//! folded through one scorer, [`PassB::fold_view`], whatever the source:
+//! a resident view is one part, a file its parts, and the chunk store is
+//! replayed one network at a time. Either pass folds a part in one call
+//! to [`fold_all`]: every requested kernel's units in one network-major
+//! work list, the only parallel level.
 //!
 //! Byte identity follows from the fold contract
 //! (`crates/trace/src/fold.rs`): parts arrive in network order and each
@@ -36,7 +36,7 @@ use mesh11_core::bitrate::lookup::TableBuildKernel;
 use mesh11_core::bitrate::penalty::PenaltyKernel;
 use mesh11_core::bitrate::stability::StabilityKernel;
 use mesh11_core::bitrate::strategy::StrategyKernel;
-use mesh11_core::bitrate::{AdapterKind, LookupTableSet, Scope, StrategyKind, ThroughputPenalty};
+use mesh11_core::bitrate::{AdapterKind, Scope, StrategyKind};
 use mesh11_core::routing::asymmetry::AsymmetryKernel;
 use mesh11_core::routing::diversity::DiversityKernel;
 use mesh11_core::routing::ett::EttKernel;
@@ -50,8 +50,8 @@ use mesh11_phy::{BitRate, Phy};
 use mesh11_trace::fold::{unit, Unit};
 use mesh11_trace::snrstats::{SigmaKernel, SigmaKind};
 use mesh11_trace::{
-    fold_all, plan, ChunkedDataset, DatasetView, DeliveryMatrix, FoldKernel, NetworkId,
-    NetworkMeta, ProbeSource, Running, WindowFold,
+    fold_all, plan, DatasetIndex, DatasetView, DeliveryMatrix, FoldKernel, NetworkId, NetworkMeta,
+    ProbeSource, Running, WindowFold,
 };
 
 use crate::setup::TRIPLE_THRESHOLD;
@@ -422,20 +422,25 @@ impl FusedRunner {
     }
 
     /// Finishes pass A and runs pass B (penalties) against `src`, which
-    /// must cover exactly the probes this runner folded. On a chunked
-    /// store the penalties share a single raw-chunk walk; a resident view
-    /// is the one-part replay of [`PassB`].
+    /// must cover exactly the probes this runner folded. A resident view
+    /// is replayed as one part; a chunk store one network at a time, each
+    /// network materialized and indexed on its own, so at most one
+    /// network's probe table is held at once.
     pub fn finish(self, src: &ProbeSource<'_>) -> FusedOutputs {
         let mut pass_b = self.finish_pass_a();
-        match src {
-            ProbeSource::Chunked(c) => pass_b.finish_chunked(c),
-            ProbeSource::Whole(view) => {
-                if pass_b.needs_parts() {
-                    pass_b.fold_view(*view);
+        if pass_b.needs_parts() {
+            match src {
+                ProbeSource::Whole(view) => pass_b.fold_view(*view),
+                ProbeSource::Chunked(c) => {
+                    for net in 0..c.networks().len() {
+                        let ds = c.window_dataset(net..net + 1);
+                        let ix = DatasetIndex::build(&ds);
+                        pass_b.fold_view(DatasetView::new(&ds, &ix));
+                    }
                 }
-                pass_b.finish()
             }
         }
+        pass_b.finish()
     }
 
     /// Finishes pass A: every requested fold is done, and the penalties
@@ -507,35 +512,13 @@ impl PassB {
         }
         out
     }
-
-    /// Pass B over a chunk store: every table scored in one raw-chunk
-    /// walk.
-    fn finish_chunked(self, chunked: &ChunkedDataset) -> FusedOutputs {
-        let mut out = self.out;
-        let scored = {
-            let tables: Vec<&LookupTableSet> = self
-                .penalties
-                .iter()
-                .map(|&((s, p), _)| out.get(Kernel::Table(s, p)))
-                .collect();
-            if tables.is_empty() {
-                Vec::new()
-            } else {
-                ThroughputPenalty::evaluate_batch_chunked(chunked, &tables)
-            }
-        };
-        for (((s, p), _), penalty) in self.penalties.into_iter().zip(scored) {
-            out.cells.push((Kernel::Penalty(s, p), Box::new(penalty)));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::setup::Scale;
-    use mesh11_trace::DatasetIndex;
+    use mesh11_core::bitrate::{LookupTableSet, ThroughputPenalty};
     use std::collections::BTreeMap;
 
     /// A penalty's counted fields: each distinct diff's count (by bits),

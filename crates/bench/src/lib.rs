@@ -32,6 +32,6 @@ pub mod timing;
 pub use ensemble::{aggregate_ci, group_by_figure, max_relative_halfwidth};
 pub use fused::{CapMatrix, FusedOutputs, FusedRunner, Kernel};
 pub use setup::{
-    DataMode, DataStore, MultiBuildTimings, ReproContext, Scale, DEFAULT_METRO_FACTOR,
+    DataMode, DataStore, MultiBuildTimings, ReproContext, Scale, StoreSummary, DEFAULT_METRO_FACTOR,
 };
 pub use timing::{peak_rss_mb, PhaseTimings};

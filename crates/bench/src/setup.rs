@@ -18,8 +18,8 @@ use mesh11_topo::{Campaign, CampaignSpec, NetworkSpec};
 use mesh11_trace::codec::Part;
 use mesh11_trace::snrstats::SigmaKind;
 use mesh11_trace::{
-    ChunkConfig, ChunkStoreStats, ChunkedDataset, ChunkedDatasetBuilder, ClientSample, Dataset,
-    DatasetIndex, DatasetView, LoadError, NetworkId, NetworkMeta, ProbeSource,
+    ChunkConfig, ChunkStoreStats, ChunkedDatasetBuilder, ClientSample, Dataset, DatasetIndex,
+    DatasetView, LoadError, NetworkId, NetworkMeta, ProbeSource,
 };
 
 use crate::fused::{CapMatrix, FusedOutputs, FusedRunner, Kernel};
@@ -237,17 +237,31 @@ pub enum DataMode {
 pub enum DataStore {
     /// Everything resident.
     InMemory(Dataset),
-    /// Chunked, with cold chunks spilled to disk. Boxed: the chunk-store
-    /// handle is much larger than the resident variant's `Dataset` header.
-    Chunked(Box<ChunkedDataset>),
-    /// Streamed from parts that were folded and dropped: only the shell
-    /// (networks, horizons, clients) and the probe count stay.
+    /// Streamed from parts that were folded and dropped (a chunked build,
+    /// or a file read in parts): only the shell (networks, horizons,
+    /// clients) and the probe count stay, plus the chunk store's summary
+    /// when there was one.
     Streamed {
         /// The probe-free shell.
         shell: Dataset,
         /// Probe sets across the parts.
         n_probes: usize,
+        /// What a chunked build kept of its store.
+        chunks: Option<StoreSummary>,
     },
+}
+
+/// What a chunked build keeps of its chunk store once pass B has read it.
+/// The store itself, and its spill file, are dropped before any figure is
+/// built.
+#[derive(Debug, Clone, Copy)]
+pub struct StoreSummary {
+    /// The store's final counters.
+    pub stats: ChunkStoreStats,
+    /// Bytes written to the spill file.
+    pub spilled_bytes: u64,
+    /// The analysis windows the store was cut into.
+    pub n_windows: usize,
 }
 
 /// A materialized reproduction run: the dataset plus the heavy analyses
@@ -356,8 +370,15 @@ impl ReproContext {
     /// The chunked build: the simulator streams sealed parts through a
     /// channel into a consumer thread that folds the requested pass-A
     /// kernels over each part, then adds the part to the chunk store.
-    /// After the channel drains, pass B scores the finished tables against
-    /// the raw chunks, and the context holds the result.
+    /// After the channel drains, the consumer runs pass B, replaying the
+    /// store one network at a time against the finished tables, and then
+    /// drops the store: the context keeps the shell, the probe count and
+    /// a [`StoreSummary`].
+    ///
+    /// Pass B runs in the consumer, inside its pool, because that holds
+    /// the peak down: on metro-2 at one thread, peak RSS was 164 MB this
+    /// way against 173 MB with pass B on the calling thread (medians of
+    /// 6 runs on a 2-core VM).
     ///
     /// When the simulator's and the fold's pools fit the machine's cores
     /// side by side, the simulator runs up to [`STREAM_AHEAD_PARTS`] parts
@@ -371,8 +392,8 @@ impl ReproContext {
     /// network-aligned partition the fold contract requires — so the
     /// figures are byte-identical to the in-memory context's. Returns the
     /// context, the simulate wall, the pairs simulated and the pipeline's
-    /// timings: analysis seconds in the consumer and in pass B, and the
-    /// seconds each side spent waiting for the other.
+    /// timings: analysis seconds in the consumer (pass A and pass B), and
+    /// the seconds each side spent waiting for the other.
     fn build_chunked(
         config: SimConfig,
         seed: u64,
@@ -397,7 +418,7 @@ impl ReproContext {
         // and the simulator blocks while more than `ahead` are unfolded.
         let (tx, rx) = std::sync::mpsc::channel::<Dataset>();
         let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
-        let ((chunked, runner, fold_s, recv_wait_s), stats, simulate_s, send_wait_s) =
+        let ((store, analyses, fold_s, recv_wait_s), stats, simulate_s, send_wait_s) =
             std::thread::scope(|s| {
                 // Owned by this closure, so a panicking simulator drops it
                 // while unwinding and the consumer's `recv` ends; otherwise
@@ -439,7 +460,19 @@ impl ReproContext {
                         let chunked = builder
                             .finish()
                             .unwrap_or_else(|e| panic!("chunk store finish failed: {e}"));
-                        (chunked, runner, fold_s, recv_wait_s)
+                        let tb = std::time::Instant::now();
+                        let analyses = runner.finish(&ProbeSource::Chunked(&chunked));
+                        fold_s += tb.elapsed().as_secs_f64();
+                        let store = DataStore::Streamed {
+                            n_probes: chunked.n_probes() as usize,
+                            chunks: Some(StoreSummary {
+                                stats: chunked.stats(),
+                                spilled_bytes: chunked.spilled_bytes(),
+                                n_windows: chunked.n_windows(),
+                            }),
+                            shell: chunked.into_shell(),
+                        };
+                        (store, analyses, fold_s, recv_wait_s)
                     })
                 });
                 let mut send_wait_s = 0.0f64;
@@ -468,17 +501,10 @@ impl ReproContext {
                     send_wait_s,
                 )
             });
-        // Finish the fused pass: pass-A finish plus pass B (penalties over
-        // the raw chunks). This is the only analysis left outside the
-        // simulate wall.
-        let t2 = std::time::Instant::now();
-        let analyses = runner.finish(&ProbeSource::Chunked(&chunked));
-        let finish_s = t2.elapsed().as_secs_f64();
-        let store = DataStore::Chunked(Box::new(chunked));
         let mut this = Self::assemble(store, config, seed, Some(campaign));
         this.analyses = analyses;
         let timings = StreamTimings {
-            analyze_s: fold_s + finish_s,
+            analyze_s: fold_s,
             send_wait_s,
             recv_wait_s,
         };
@@ -619,7 +645,11 @@ impl ReproContext {
                 pass_b.fold_view(DatasetView::new(ds, &ix));
             }
         }
-        let store = DataStore::Streamed { shell, n_probes };
+        let store = DataStore::Streamed {
+            shell,
+            n_probes,
+            chunks: None,
+        };
         let mut this = Self::assemble(store, config, seed, None);
         this.analyses = pass_b.finish();
         Ok(this)
@@ -668,7 +698,7 @@ impl ReproContext {
     pub fn dataset(&self) -> &Dataset {
         match &self.store {
             DataStore::InMemory(ds) => ds,
-            DataStore::Chunked(_) | DataStore::Streamed { .. } => {
+            DataStore::Streamed { .. } => {
                 panic!("streamed context has no resident dataset; use meta_dataset()")
             }
         }
@@ -676,27 +706,27 @@ impl ReproContext {
 
     /// The dataset carrying network metadata, client traces, and horizons —
     /// the full dataset in memory mode, the probe-free shell in chunked
-    /// and streamed modes. Never touches the chunk store.
+    /// and streamed modes.
     pub fn meta_dataset(&self) -> &Dataset {
         match &self.store {
             DataStore::InMemory(ds) | DataStore::Streamed { shell: ds, .. } => ds,
-            DataStore::Chunked(c) => c.shell(),
         }
     }
 
-    /// The chunk store, when this context is chunked.
-    pub fn chunked(&self) -> Option<&ChunkedDataset> {
+    /// What the chunked build kept of its store, when this context is
+    /// chunked.
+    pub fn store_summary(&self) -> Option<&StoreSummary> {
         match &self.store {
-            DataStore::Chunked(c) => Some(c),
-            _ => None,
+            DataStore::Streamed { chunks, .. } => chunks.as_ref(),
+            DataStore::InMemory(_) => None,
         }
     }
 
-    /// A snapshot of the chunk store's observability counters (decode,
-    /// hit, eviction, pinned high-water mark, window builds). All zeros
-    /// for fully resident contexts.
+    /// The chunk store's final observability counters (decode, hit,
+    /// eviction, pinned high-water mark, window builds). All zeros for
+    /// contexts that had no store.
     pub fn chunk_stats(&self) -> ChunkStoreStats {
-        self.chunked().map(|c| c.stats()).unwrap_or_default()
+        self.store_summary().map(|c| c.stats).unwrap_or_default()
     }
 
     /// Network metadata, id order.
@@ -713,7 +743,6 @@ impl ReproContext {
     pub fn n_probes(&self) -> usize {
         match &self.store {
             DataStore::InMemory(ds) => ds.probes.len(),
-            DataStore::Chunked(c) => c.n_probes() as usize,
             DataStore::Streamed { n_probes, .. } => *n_probes,
         }
     }
@@ -908,9 +937,9 @@ mod tests {
         assert_eq!(chk.networks(), mem.networks());
         assert_eq!(chk.clients(), mem.clients());
         assert_eq!(chk.total_aps(), mem.total_aps());
-        let c = chk.chunked().expect("chunked store");
-        assert!(c.spilled_bytes() > 0, "tiny budget must force spilling");
-        assert!(mem.chunked().is_none());
+        let c = chk.store_summary().expect("chunked store");
+        assert!(c.spilled_bytes > 0, "tiny budget must force spilling");
+        assert!(mem.store_summary().is_none());
         // The chunked kernels agree with the resident ones.
         assert_eq!(chk.routing_bg().len(), mem.routing_bg().len());
         assert_eq!(

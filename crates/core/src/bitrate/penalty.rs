@@ -4,11 +4,16 @@
 //! would have picked against the throughput of the set's actual optimum.
 //! A rate the table picks but the set never heard (no observation) scores
 //! zero throughput — exactly the punishment a real sender would take.
+//!
+//! [`PenaltyKernel`] is the one scorer. Every source reaches it through
+//! the fused runner's pass B, one network-aligned view at a time: a
+//! resident dataset as one view, a file as its parts, the chunk store as
+//! one view per network.
 
 use mesh11_phy::Phy;
 use mesh11_stats::Counts;
-use mesh11_trace::fold::{map_in_order, network_units, Unit};
-use mesh11_trace::{ChunkedDataset, DatasetView, FoldKernel, Probe};
+use mesh11_trace::fold::{network_units, Unit};
+use mesh11_trace::{DatasetView, FoldKernel};
 
 use crate::bitrate::lookup::{LookupTableSet, Scope};
 
@@ -39,17 +44,23 @@ impl FoldKernel for PenaltyKernel<'_> {
 
     fn units<'a>(&'a self, view: DatasetView<'a>) -> Vec<Unit<'a, Self::Piece>> {
         network_units(view, self.table.phy(), move |nv| {
-            let mut s: NetScores = (Vec::new(), 0);
+            let (mut diffs, mut unpredicted) = (Vec::new(), 0);
             for e in nv.entries_in_order() {
-                let best = e.opt.throughput_mbps();
-                score_set(self.table, e.probe, e.snr_key, best, &mut s);
+                match self.table.predict_at(e.probe, e.snr_key) {
+                    None => unpredicted += 1,
+                    Some(pick) => {
+                        let got = e.probe.obs_for(pick).map_or(0.0, |o| o.throughput_mbps());
+                        diffs.push((e.opt.throughput_mbps() - got).max(0.0));
+                    }
+                }
             }
-            s
+            (diffs, unpredicted)
         })
     }
 
-    fn merge(&self, partial: &mut Self::Partial, s: NetScores) {
-        count_into(partial, s);
+    fn merge(&self, partial: &mut Self::Partial, (diffs, unpredicted): NetScores) {
+        partial.0.extend(diffs);
+        partial.1 += unpredicted;
     }
 
     fn finish(&self, partial: Self::Partial) -> ThroughputPenalty {
@@ -60,23 +71,6 @@ impl FoldKernel for PenaltyKernel<'_> {
             unpredicted: partial.1,
         }
     }
-}
-
-/// Scores one probe set, whose SNR key and optimal throughput are known,
-/// against `table`.
-fn score_set(table: &LookupTableSet, p: Probe<'_>, snr_key: i64, best: f64, s: &mut NetScores) {
-    let Some(pick) = table.predict_at(p, snr_key) else {
-        s.1 += 1;
-        return;
-    };
-    let got = p.obs_for(pick).map_or(0.0, |o| o.throughput_mbps());
-    s.0.push((best - got).max(0.0));
-}
-
-/// Counts one network's scores into a penalty's partial.
-fn count_into(partial: &mut (Counts, usize), (diffs, unpredicted): NetScores) {
-    partial.0.extend(diffs);
-    partial.1 += unpredicted;
 }
 
 /// Throughput-difference distribution for one scope.
@@ -99,57 +93,6 @@ impl ThroughputPenalty {
     /// the pre-index pipeline).
     pub fn evaluate(view: DatasetView<'_>, table: &LookupTableSet) -> Self {
         mesh11_trace::run_fold(view, &PenaltyKernel { table })
-    }
-
-    /// Evaluates several trained table sets in **one** walk over the raw
-    /// chunk store, never materializing a window (no index build, no
-    /// `window_builds` traffic): per network, in id order, each probe set
-    /// is scored against every table whose PHY matches. The set's SNR key
-    /// (a median, so a sort) and its optimum are derived once per set and
-    /// shared by those tables.
-    ///
-    /// Byte-identical to per-table [`ThroughputPenalty::evaluate`] over the
-    /// whole view: an indexed walk visits each (phy, network)'s entries in
-    /// stream order filtered by PHY (the index permutations are stable
-    /// sorts over network-major, time-sorted data), which is exactly the
-    /// order the raw chunk walk yields; and [`Probe::snr_key`] and
-    /// [`Probe::optimal`] derive the same values the index precomputes.
-    pub fn evaluate_batch_chunked(
-        chunked: &ChunkedDataset,
-        tables: &[&LookupTableSet],
-    ) -> Vec<Self> {
-        let n_networks = chunked.shell().networks.len();
-        // Each network is scored on its own, and its scores are counted
-        // into their tables' partials in network order.
-        let net_ids: Vec<usize> = (0..n_networks).collect();
-        let mut partials: Vec<(Counts, usize)> =
-            tables.iter().map(|_| (Counts::new(), 0)).collect();
-        let score = |&net: &usize| {
-            let mut scores: Vec<NetScores> = tables.iter().map(|_| (Vec::new(), 0)).collect();
-            chunked.for_each_network_probe(net, |p| {
-                if tables.iter().all(|t| t.phy() != p.phy) {
-                    return;
-                }
-                let snr_key = p.snr_key();
-                let best = p.optimal().throughput_mbps();
-                for (table, s) in tables.iter().zip(&mut scores) {
-                    if table.phy() == p.phy {
-                        score_set(table, p, snr_key, best, s);
-                    }
-                }
-            });
-            scores
-        };
-        map_in_order(&net_ids, score, |scores| {
-            for (partial, s) in partials.iter_mut().zip(scores) {
-                count_into(partial, s);
-            }
-        });
-        tables
-            .iter()
-            .zip(partials)
-            .map(|(table, partial)| PenaltyKernel { table }.finish(partial))
-            .collect()
     }
 
     /// Convenience: build the table at `scope` then evaluate.

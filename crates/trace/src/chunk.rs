@@ -28,29 +28,24 @@
 //!
 //! ## Concurrency
 //!
-//! The store is built for many readers: each chunk sits in its own slot
-//! behind a per-slot mutex, so N threads decode N *distinct* chunks
-//! simultaneously; two threads racing for the *same* chunk serialize on
-//! that slot and the second one gets the first one's decode (a per-chunk
-//! decode memo). [`ChunkStore::chunk`] returns a pinned [`ChunkHandle`];
-//! eviction only ever considers chunks with no live handles, so a reader
-//! can never have its working set pulled out from under it — the store
-//! runs transiently over budget instead.
+//! The store has one reader: pass B replays it network by network through
+//! [`ChunkedDataset::window_dataset`], in order, on the thread that built
+//! it. So one mutex guards the slots, the LRU clock and the spill file,
+//! and a read holds it through the `pread` and the decode. The store stays
+//! `Sync`, so concurrent readers are still correct; they take turns.
 //!
-//! Lock order is strictly `slot table → chunk slot → spill file`; the
-//! table lock is held only to clone a slot's `Arc` or to push a new slot,
-//! and LRU victim scans use `try_lock` only, so the hierarchy is
-//! deadlock-free. Spill-file *reads* take the file mutex only long enough
-//! to clone the file handle, then `pread` outside it — concurrent faults
-//! on distinct chunks never serialize on each other's I/O.
+//! [`ChunkStore::chunk`] returns a [`ChunkHandle`] that shares the decoded
+//! columns through an `Arc`. Eviction drops only the store's reference, so
+//! it never waits on a reader and the store never runs over its budget: a
+//! handle keeps its chunk's bytes alive until it drops.
 
 use std::io;
 #[cfg(not(unix))]
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::ops::Deref;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use crate::client::ClientSample;
@@ -76,11 +71,6 @@ pub struct ChunkConfig {
     /// Target probes per analysis window (a window always holds at least
     /// one whole network, so a single huge network may exceed it).
     pub window_probes: usize,
-    /// Raise `resident_chunks` to `effective threads + 1` at store build
-    /// time, so parallel readers stop evicting each other's working set.
-    /// Off in [`ChunkConfig::tiny`] so spill-forcing tests keep spilling
-    /// at any thread count.
-    pub scale_budget_with_threads: bool,
 }
 
 impl Default for ChunkConfig {
@@ -90,7 +80,6 @@ impl Default for ChunkConfig {
             resident_chunks: 8,
             spill_dir: None,
             window_probes: 262_144,
-            scale_budget_with_threads: true,
         }
     }
 }
@@ -104,17 +93,6 @@ impl ChunkConfig {
             resident_chunks: 2,
             spill_dir: None,
             window_probes: 2_048,
-            scale_budget_with_threads: false,
-        }
-    }
-
-    /// The chunk budget this configuration yields at the current effective
-    /// thread count (see [`ChunkConfig::scale_budget_with_threads`]).
-    pub fn effective_resident_chunks(&self) -> usize {
-        if self.scale_budget_with_threads {
-            self.resident_chunks.max(rayon::current_num_threads() + 1)
-        } else {
-            self.resident_chunks
         }
     }
 }
@@ -314,32 +292,82 @@ impl ProbeChunk {
     }
 }
 
-/// The mutable part of one chunk slot, behind the slot's own mutex.
-#[derive(Debug, Default)]
-struct SlotState {
+/// One chunk slot: resident, on disk, or both.
+#[derive(Debug)]
+struct Slot {
     chunk: Option<Arc<ProbeChunk>>,
     /// `(offset, len)` of the encoded chunk in the spill file.
     disk: Option<(u64, u64)>,
+    /// LRU tick of the last access (the store's clock).
+    last_use: u64,
 }
 
-/// One chunk slot: resident, on disk, or both. Each slot has its own lock
-/// so readers of distinct chunks never serialize on each other.
-#[derive(Debug, Default)]
-struct Slot {
-    state: Mutex<SlotState>,
-    /// LRU tick of the last access (monotone store clock).
-    last_use: AtomicU64,
-}
-
-/// The single spill file, shared by all slots. The mutex is held while
-/// appending and while cloning the handle for a read; the read itself is
-/// a lock-free positioned `pread` on the cloned `Arc`.
+/// The spill file, created by the first eviction and removed when the
+/// store drops.
 #[derive(Debug, Default)]
 struct SpillFile {
-    file: Option<Arc<std::fs::File>>,
+    file: Option<std::fs::File>,
     path: Option<PathBuf>,
     end_offset: u64,
     scratch: Vec<u8>,
+}
+
+impl SpillFile {
+    /// Appends `chunk`'s encoded frame, opening the file in `dir` (the
+    /// system temp dir when `None`) on first use. Returns the frame's
+    /// `(offset, len)`.
+    fn append(&mut self, dir: Option<&PathBuf>, chunk: &ProbeChunk) -> io::Result<(u64, u64)> {
+        if self.file.is_none() {
+            let dir = dir.cloned().unwrap_or_else(std::env::temp_dir);
+            std::fs::create_dir_all(&dir)?;
+            let path = dir.join(format!(
+                "mesh11-chunks-{}-{}.spill",
+                std::process::id(),
+                SPILL_SERIAL.fetch_add(1, Ordering::Relaxed)
+            ));
+            self.file = Some(
+                std::fs::OpenOptions::new()
+                    .create_new(true)
+                    .read(true)
+                    .write(true)
+                    .open(&path)?,
+            );
+            self.path = Some(path);
+        }
+        let file = self.file.as_ref().expect("opened above");
+        self.scratch.clear();
+        chunk.encode(&mut self.scratch);
+        let off = self.end_offset;
+        #[cfg(unix)]
+        std::os::unix::fs::FileExt::write_all_at(file, &self.scratch, off)?;
+        #[cfg(not(unix))]
+        {
+            let mut file = file;
+            file.seek(SeekFrom::Start(off))?;
+            file.write_all(&self.scratch)?;
+        }
+        let len = self.scratch.len() as u64;
+        self.end_offset += len;
+        Ok((off, len))
+    }
+
+    /// Reads back the frame at `(off, len)`.
+    fn read(&self, off: u64, len: u64) -> io::Result<Vec<u8>> {
+        let file = self
+            .file
+            .as_ref()
+            .expect("spilled chunk without a spill file");
+        let mut raw = vec![0u8; len as usize];
+        #[cfg(unix)]
+        std::os::unix::fs::FileExt::read_exact_at(file, &mut raw, off)?;
+        #[cfg(not(unix))]
+        {
+            let mut file = file;
+            file.seek(SeekFrom::Start(off))?;
+            file.read_exact(&mut raw)?;
+        }
+        Ok(raw)
+    }
 }
 
 impl Drop for SpillFile {
@@ -351,27 +379,31 @@ impl Drop for SpillFile {
     }
 }
 
-/// Monotone observability counters (all `Relaxed`; they order nothing).
+/// Everything behind the store's one lock.
 #[derive(Debug, Default)]
-struct Counters {
-    hits: AtomicU64,
-    decodes: AtomicU64,
-    evictions: AtomicU64,
-    pinned_bytes: AtomicU64,
-    peak_pinned_bytes: AtomicU64,
-    window_builds: AtomicU64,
-    over_budget_events: AtomicU64,
-    decode_ns: AtomicU64,
-    spill_raw_bytes: AtomicU64,
-    spill_encoded_bytes: AtomicU64,
+struct StoreState {
+    slots: Vec<Slot>,
+    /// The LRU clock: one tick per insert or read.
+    clock: u64,
+    resident: usize,
+    file: SpillFile,
+    stats: ChunkStoreStats,
 }
 
-impl Counters {
-    /// Adds `bytes` to the live pinned total and folds it into the peak.
-    fn pin(&self, bytes: u64) {
-        let now = self.pinned_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.peak_pinned_bytes.fetch_max(now, Ordering::Relaxed);
+impl StoreState {
+    /// Next LRU tick.
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
     }
+}
+
+/// Bytes held live by [`ChunkHandle`]s, now and at peak. Atomic, because
+/// a handle drops without the store's lock.
+#[derive(Debug, Default)]
+struct Pins {
+    live: AtomicU64,
+    peak: AtomicU64,
 }
 
 /// A snapshot of the store's observability counters.
@@ -395,10 +427,11 @@ pub struct ChunkStoreStats {
     pub prefetch_hits: u64,
     /// Always 0, as [`ChunkStoreStats::prefetch_hits`].
     pub prefetch_wasted: u64,
-    /// Times eviction ran while over budget but found every resident chunk
-    /// pinned or contended — the store stayed transiently over budget.
+    /// Always 0: eviction ignores live handles, so the store never runs
+    /// over budget. `perfbench/layers` still reads it; it goes when the
+    /// chunk store does.
     pub over_budget_events: u64,
-    /// Nanoseconds spent decoding spill frames, summed across all threads.
+    /// Nanoseconds spent decoding spill frames.
     pub decode_ns: u64,
     /// Uncompressed column bytes ([`ProbeChunk::raw_len`]) of every chunk
     /// ever spilled.
@@ -408,14 +441,14 @@ pub struct ChunkStoreStats {
     pub spill_encoded_bytes: u64,
 }
 
-/// A pinned, decoded chunk. Dereferences to [`ProbeChunk`]; while any
-/// handle to a chunk is live the store will not evict it (it runs
-/// transiently over budget instead).
+/// A decoded chunk. Dereferences to [`ProbeChunk`]. Eviction may drop the
+/// store's copy while a handle is live; the handle keeps the columns alive
+/// (and counted in [`ChunkStoreStats::peak_pinned_bytes`]) until it drops.
 #[derive(Debug)]
 pub struct ChunkHandle {
     chunk: Arc<ProbeChunk>,
     bytes: u64,
-    counters: Arc<Counters>,
+    pins: Arc<Pins>,
 }
 
 impl Deref for ChunkHandle {
@@ -427,9 +460,7 @@ impl Deref for ChunkHandle {
 
 impl Drop for ChunkHandle {
     fn drop(&mut self) {
-        self.counters
-            .pinned_bytes
-            .fetch_sub(self.bytes, Ordering::Relaxed);
+        self.pins.live.fetch_sub(self.bytes, Ordering::Relaxed);
     }
 }
 
@@ -437,25 +468,14 @@ impl Drop for ChunkHandle {
 static SPILL_SERIAL: AtomicU64 = AtomicU64::new(0);
 
 /// A budget-bounded resident set of [`ProbeChunk`]s with LRU spill to a
-/// single on-disk file.
-///
-/// Writes happen at most once per chunk (eviction of a never-spilled
-/// chunk). The resident map is striped one lock per slot: N readers
-/// decode N distinct chunks concurrently, while two readers of the same
-/// chunk serialize on its slot and share one decode. Eviction scans with
-/// `try_lock` and only considers chunks with no live [`ChunkHandle`]s
-/// (`Arc` count 1 — new pins are only minted under the slot lock, so the
-/// check cannot race against a pin being created).
+/// single on-disk file. Each chunk is written at most once, when it is
+/// first evicted; a read re-caches it within the budget.
 #[derive(Debug)]
 pub struct ChunkStore {
     budget: usize,
     spill_dir: Option<PathBuf>,
-    slots: RwLock<Vec<Arc<Slot>>>,
-    file: Mutex<SpillFile>,
-    clock: AtomicU64,
-    resident: AtomicUsize,
-    spilled_bytes: AtomicU64,
-    counters: Arc<Counters>,
+    state: Mutex<StoreState>,
+    pins: Arc<Pins>,
 }
 
 impl ChunkStore {
@@ -465,44 +485,28 @@ impl ChunkStore {
         Self {
             budget: resident_chunks.max(2),
             spill_dir,
-            slots: RwLock::new(Vec::new()),
-            file: Mutex::new(SpillFile::default()),
-            clock: AtomicU64::new(0),
-            resident: AtomicUsize::new(0),
-            spilled_bytes: AtomicU64::new(0),
-            counters: Arc::new(Counters::default()),
+            state: Mutex::new(StoreState::default()),
+            pins: Arc::default(),
         }
     }
 
-    /// The slot at `id` (clone of the `Arc`, so no table lock is held
-    /// while the slot's own lock is taken).
-    fn slot(&self, id: usize) -> Arc<Slot> {
-        Arc::clone(&self.slots.read().expect("slot table poisoned")[id])
-    }
-
-    /// Next LRU tick.
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed) + 1
+    fn lock(&self) -> MutexGuard<'_, StoreState> {
+        self.state.lock().expect("chunk store poisoned")
     }
 
     /// Seals a finished chunk into the store, evicting older chunks past
     /// the resident budget. Returns the chunk's index.
     pub fn insert(&self, chunk: ProbeChunk) -> io::Result<usize> {
-        let slot = Arc::new(Slot {
-            state: Mutex::new(SlotState {
-                chunk: Some(Arc::new(chunk)),
-                disk: None,
-            }),
-            last_use: AtomicU64::new(self.tick()),
+        let mut st = self.lock();
+        let last_use = st.tick();
+        st.slots.push(Slot {
+            chunk: Some(Arc::new(chunk)),
+            disk: None,
+            last_use,
         });
-        let id = {
-            let mut table = self.slots.write().expect("slot table poisoned");
-            table.push(slot);
-            table.len() - 1
-        };
-        self.resident.fetch_add(1, Ordering::Relaxed);
-        self.evict_past_budget()?;
-        Ok(id)
+        st.resident += 1;
+        self.evict_past_budget(&mut st)?;
+        Ok(st.slots.len() - 1)
     }
 
     /// The chunk at `id`, loading it back from the spill file if evicted.
@@ -517,229 +521,83 @@ impl ChunkStore {
 
     /// As [`ChunkStore::chunk`], surfacing I/O errors.
     pub fn try_chunk(&self, id: usize) -> io::Result<ChunkHandle> {
-        let slot = self.slot(id);
-        slot.last_use.store(self.tick(), Ordering::Relaxed);
-        let mut st = slot.state.lock().expect("chunk slot poisoned");
-        if let Some(c) = &st.chunk {
-            let handle = self.pin(Arc::clone(c));
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(handle);
+        let mut st = self.lock();
+        let tick = st.tick();
+        let slot = &mut st.slots[id];
+        slot.last_use = tick;
+        if let Some(c) = slot.chunk.clone() {
+            st.stats.chunk_hits += 1;
+            return Ok(self.handle(c));
         }
-        // Miss: look up the frame's extent under the slot lock, clone the
-        // file handle under a brief file lock, then `pread` with no lock
-        // between distinct slots — concurrent faults never serialize on
-        // each other's I/O. Decode stays under the slot lock: a second
-        // reader of the *same* chunk blocks here and then takes the hit
-        // path above, so each spilled chunk decodes once per residency.
-        let (off, len) = st.disk.expect("chunk neither resident nor spilled");
-        let raw = self.read_spill(off, len)?;
+        let (off, len) = slot.disk.expect("chunk neither resident nor spilled");
+        let raw = st.file.read(off, len)?;
         let t = Instant::now();
         let chunk = Arc::new(ProbeChunk::decode(&raw)?);
-        self.counters
-            .decode_ns
-            .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        st.chunk = Some(Arc::clone(&chunk));
-        let handle = self.pin(chunk);
-        self.counters.decodes.fetch_add(1, Ordering::Relaxed);
-        self.resident.fetch_add(1, Ordering::Relaxed);
-        drop(st);
-        self.evict_past_budget()?;
-        Ok(handle)
+        st.stats.decode_ns += t.elapsed().as_nanos() as u64;
+        st.stats.chunk_decodes += 1;
+        st.slots[id].chunk = Some(Arc::clone(&chunk));
+        st.resident += 1;
+        // The chunk just read holds the newest tick, so it is never the
+        // victim.
+        self.evict_past_budget(&mut st)?;
+        Ok(self.handle(chunk))
     }
 
-    /// Reads one spilled frame's bytes. On Unix this is a positioned read
-    /// on a cloned handle — the file mutex is held only for the clone, so
-    /// reads of distinct chunks proceed fully in parallel.
-    fn read_spill(&self, off: u64, len: u64) -> io::Result<Vec<u8>> {
-        let mut raw = vec![0u8; len as usize];
-        #[cfg(unix)]
-        {
-            let file = {
-                let f = self.file.lock().expect("spill file poisoned");
-                Arc::clone(f.file.as_ref().expect("spilled chunk without a spill file"))
-            };
-            use std::os::unix::fs::FileExt;
-            file.read_exact_at(&mut raw, off)?;
-        }
-        #[cfg(not(unix))]
-        {
-            // No positioned read: the shared cursor forces the whole
-            // seek+read under the file lock.
-            let f = self.file.lock().expect("spill file poisoned");
-            let mut file: &std::fs::File =
-                f.file.as_ref().expect("spilled chunk without a spill file");
-            file.seek(SeekFrom::Start(off))?;
-            file.read_exact(&mut raw)?;
-        }
-        Ok(raw)
-    }
-
-    /// Wraps a resident chunk's `Arc` in a pinned handle. Must be called
-    /// with the chunk's slot lock held (all pin mints happen under it).
-    fn pin(&self, chunk: Arc<ProbeChunk>) -> ChunkHandle {
+    fn handle(&self, chunk: Arc<ProbeChunk>) -> ChunkHandle {
         let bytes = chunk.mem_bytes();
-        self.counters.pin(bytes);
+        let live = self.pins.live.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        self.pins.peak.fetch_max(live, Ordering::Relaxed);
         ChunkHandle {
             chunk,
             bytes,
-            counters: Arc::clone(&self.counters),
+            pins: Arc::clone(&self.pins),
         }
     }
 
-    /// Evicts least-recently-used *unpinned* resident chunks until within
-    /// budget, spilling any that have never been written. If every
-    /// resident chunk is pinned (or its slot is contended), the store
-    /// stays transiently over budget — correctness over strictness.
-    pub fn evict_past_budget(&self) -> io::Result<()> {
-        while self.resident.load(Ordering::Relaxed) > self.budget {
-            let slots: Vec<Arc<Slot>> = self.slots.read().expect("slot table poisoned").clone();
-            let mut victim: Option<(u64, usize)> = None;
-            for (i, slot) in slots.iter().enumerate() {
-                let Ok(st) = slot.state.try_lock() else {
-                    continue;
-                };
-                if let Some(c) = &st.chunk {
-                    // `Arc` count 1 = only the store's reference: no live
-                    // handles. Pins are minted under this lock, so the
-                    // observation holds until we release it.
-                    if Arc::strong_count(c) == 1 {
-                        let lu = slot.last_use.load(Ordering::Relaxed);
-                        if victim.is_none_or(|(best, _)| lu < best) {
-                            victim = Some((lu, i));
-                        }
-                    }
-                }
+    /// Evicts least-recently-used resident chunks until within budget,
+    /// spilling any that have never been written.
+    fn evict_past_budget(&self, st: &mut StoreState) -> io::Result<()> {
+        while st.resident > self.budget {
+            let victim = (st.slots.iter_mut())
+                .filter(|s| s.chunk.is_some())
+                .min_by_key(|s| s.last_use)
+                .expect("over budget, so a chunk is resident");
+            let chunk = victim.chunk.as_ref().expect("victim is resident");
+            if victim.disk.is_none() {
+                let (off, len) = st.file.append(self.spill_dir.as_ref(), chunk)?;
+                st.stats.spill_raw_bytes += chunk.raw_len();
+                st.stats.spill_encoded_bytes += len;
+                victim.disk = Some((off, len));
             }
-            let Some((lu, vi)) = victim else {
-                // Everything pinned or contended: tolerate the transient
-                // over-budget state (correctness over strictness), but
-                // observably — sustained growth of this counter means the
-                // budget is too small for the live working set.
-                self.counters
-                    .over_budget_events
-                    .fetch_add(1, Ordering::Relaxed);
-                #[cfg(debug_assertions)]
-                eprintln!(
-                    "mesh11-trace: chunk store over budget ({} resident > {}): \
-                     every chunk pinned or contended",
-                    self.resident.load(Ordering::Relaxed),
-                    self.budget
-                );
-                return Ok(());
-            };
-            let slot = &slots[vi];
-            let mut st = slot.state.lock().expect("chunk slot poisoned");
-            // Revalidate: the chunk may have been pinned or touched
-            // between the scan and this lock.
-            let still_evictable = st.chunk.as_ref().is_some_and(|c| Arc::strong_count(c) == 1)
-                && slot.last_use.load(Ordering::Relaxed) == lu;
-            if !still_evictable {
-                continue;
-            }
-            if st.disk.is_none() {
-                let victim_chunk = st.chunk.as_ref().expect("victim is resident");
-                let encoded = {
-                    let mut f = self.file.lock().expect("spill file poisoned");
-                    if f.file.is_none() {
-                        let dir = self.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
-                        std::fs::create_dir_all(&dir)?;
-                        let path = dir.join(format!(
-                            "mesh11-chunks-{}-{}.spill",
-                            std::process::id(),
-                            SPILL_SERIAL.fetch_add(1, Ordering::Relaxed)
-                        ));
-                        f.file = Some(Arc::new(
-                            std::fs::OpenOptions::new()
-                                .create_new(true)
-                                .read(true)
-                                .write(true)
-                                .open(&path)?,
-                        ));
-                        f.path = Some(path);
-                    }
-                    let mut scratch = std::mem::take(&mut f.scratch);
-                    scratch.clear();
-                    victim_chunk.encode(&mut scratch);
-                    let off = f.end_offset;
-                    write_spill(f.file.as_ref().expect("opened above"), &scratch, off)?;
-                    f.end_offset += scratch.len() as u64;
-                    let len = scratch.len() as u64;
-                    f.scratch = scratch;
-                    (off, len)
-                };
-                self.spilled_bytes.fetch_add(encoded.1, Ordering::Relaxed);
-                self.counters
-                    .spill_raw_bytes
-                    .fetch_add(victim_chunk.raw_len(), Ordering::Relaxed);
-                self.counters
-                    .spill_encoded_bytes
-                    .fetch_add(encoded.1, Ordering::Relaxed);
-                st.disk = Some(encoded);
-            }
-            st.chunk = None;
-            self.resident.fetch_sub(1, Ordering::Relaxed);
-            self.counters.evictions.fetch_add(1, Ordering::Relaxed);
+            victim.chunk = None;
+            st.resident -= 1;
+            st.stats.chunk_evictions += 1;
         }
         Ok(())
     }
 
     /// Number of chunks in the store (resident or spilled).
     pub fn n_chunks(&self) -> usize {
-        self.slots.read().expect("slot table poisoned").len()
+        self.lock().slots.len()
     }
 
     /// Number of chunks currently resident.
     pub fn resident_chunks(&self) -> usize {
-        self.resident.load(Ordering::Relaxed)
-    }
-
-    /// Whether the chunk at `id` is currently resident (tests).
-    pub fn is_resident(&self, id: usize) -> bool {
-        let slot = self.slot(id);
-        let st = slot.state.lock().expect("chunk slot poisoned");
-        st.chunk.is_some()
+        self.lock().resident
     }
 
     /// Total bytes ever written to the spill file (0 when everything fit
     /// in the resident budget — the in-memory fast path).
     pub fn spilled_bytes(&self) -> u64 {
-        self.spilled_bytes.load(Ordering::Relaxed)
+        self.lock().stats.spill_encoded_bytes
     }
 
     /// A snapshot of the observability counters.
     pub fn stats(&self) -> ChunkStoreStats {
-        let c = &self.counters;
         ChunkStoreStats {
-            chunk_hits: c.hits.load(Ordering::Relaxed),
-            chunk_decodes: c.decodes.load(Ordering::Relaxed),
-            chunk_evictions: c.evictions.load(Ordering::Relaxed),
-            peak_pinned_bytes: c.peak_pinned_bytes.load(Ordering::Relaxed),
-            window_hits: 0,
-            window_builds: c.window_builds.load(Ordering::Relaxed),
-            prefetch_hits: 0,
-            prefetch_wasted: 0,
-            over_budget_events: c.over_budget_events.load(Ordering::Relaxed),
-            decode_ns: c.decode_ns.load(Ordering::Relaxed),
-            spill_raw_bytes: c.spill_raw_bytes.load(Ordering::Relaxed),
-            spill_encoded_bytes: c.spill_encoded_bytes.load(Ordering::Relaxed),
+            peak_pinned_bytes: self.pins.peak.load(Ordering::Relaxed),
+            ..self.lock().stats
         }
-    }
-}
-
-/// Writes one encoded frame at `off`. On Unix this is a positioned write,
-/// so the shared cursor is never disturbed; either way the caller holds
-/// the spill-file mutex, serializing appends.
-fn write_spill(file: &std::fs::File, bytes: &[u8], off: u64) -> io::Result<()> {
-    #[cfg(unix)]
-    {
-        use std::os::unix::fs::FileExt;
-        file.write_all_at(bytes, off)
-    }
-    #[cfg(not(unix))]
-    {
-        let mut file = file;
-        file.seek(SeekFrom::Start(off))?;
-        file.write_all(bytes)
     }
 }
 
@@ -754,10 +612,9 @@ pub struct ChunkedDatasetBuilder {
 }
 
 impl ChunkedDatasetBuilder {
-    /// An empty builder. The store's resident budget is fixed here, from
-    /// the configuration and (when enabled) the effective thread count.
+    /// An empty builder, its store sized by `cfg`.
     pub fn new(cfg: ChunkConfig) -> Self {
-        let store = ChunkStore::new(cfg.effective_resident_chunks(), cfg.spill_dir.clone());
+        let store = ChunkStore::new(cfg.resident_chunks, cfg.spill_dir.clone());
         let current = ProbeChunk::with_capacity(cfg.chunk_capacity);
         Self {
             cfg,
@@ -977,10 +834,7 @@ impl ChunkedDataset {
     pub fn window(&self, w: usize) -> WindowData {
         let ds = self.window_dataset(self.windows[w].clone());
         let ix = DatasetIndex::build(&ds);
-        self.store
-            .counters
-            .window_builds
-            .fetch_add(1, Ordering::Relaxed);
+        self.store.lock().stats.window_builds += 1;
         WindowData { ds, ix }
     }
 
@@ -991,7 +845,9 @@ impl ChunkedDataset {
 
     /// Materializes one window of consecutive networks as a mini dataset:
     /// their metadata and their probes (reconstructed from the chunk
-    /// sequence, in stream order), with no clients.
+    /// sequence, in stream order), with no clients. Pass B replays the
+    /// store through it one network at a time; not counted in
+    /// `window_builds`.
     pub fn window_dataset(&self, nets: std::ops::Range<usize>) -> Dataset {
         let p0 = self.net_probe_off[nets.start] as usize;
         let p1 = self.net_probe_off[nets.end] as usize;
@@ -1014,27 +870,9 @@ impl ChunkedDataset {
         }
     }
 
-    /// Walks network `net`'s probe sets in stream order, straight off the
-    /// raw chunk sequence — no window materialization, no index build (the
-    /// handles count as chunk hits/decodes, never as `window_builds`).
-    /// Stream order within a network is `(time, phy, sender, receiver)`-
-    /// sorted, so filtering by PHY on the fly reproduces exactly the order
-    /// an indexed per-(phy, network) walk yields.
-    pub fn for_each_network_probe(&self, net: usize, mut f: impl FnMut(Probe<'_>)) {
-        let p0 = self.net_probe_off[net] as usize;
-        let p1 = self.net_probe_off[net + 1] as usize;
-        if p1 <= p0 {
-            return;
-        }
-        let cap = self.chunk_capacity;
-        for ci in (p0 / cap)..=((p1 - 1) / cap) {
-            let chunk = self.store.chunk(ci);
-            let lo = p0.saturating_sub(ci * cap);
-            let hi = (p1 - ci * cap).min(chunk.len());
-            let mut part = ProbeTable::new();
-            chunk.copy_into(lo..hi, &mut part);
-            part.iter().for_each(&mut f);
-        }
+    /// Drops the store, and with it the spill file, keeping the shell.
+    pub fn into_shell(self) -> Dataset {
+        self.shell
     }
 }
 
@@ -1052,7 +890,8 @@ impl std::fmt::Debug for ChunkedDataset {
 
 /// The probes a finished fused pass scores its penalties against (pass B
 /// of `FusedRunner::finish` in `mesh11-bench`): one whole indexed view, or
-/// a chunked dataset walked straight off its raw chunks.
+/// a chunked dataset replayed one network at a time, each network a view
+/// of its own.
 pub enum ProbeSource<'a> {
     /// Every probe resident, as one indexed view.
     Whole(DatasetView<'a>),
@@ -1331,10 +1170,11 @@ mod tests {
             chunked.n_probes() as usize,
             ds.probes.len() - rows(&[3]).len()
         );
-        // Network 3's empty run walks as nothing.
+        // Network 3's empty run replays as nothing.
         for net in 0..5u32 {
-            let mut walked = ProbeTable::new();
-            chunked.for_each_network_probe(net as usize, |p| walked.push(p));
+            let walked = chunked
+                .window_dataset(net as usize..net as usize + 1)
+                .probes;
             let want = if net == 3 {
                 ProbeTable::new()
             } else {
@@ -1388,28 +1228,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_chunks_are_never_evicted() {
-        let store = store_with_chunks(6, 2);
-        let pinned = store.chunk(0); // reload + pin chunk 0
-        assert!(store.is_resident(0));
-        // Fault in every other chunk; the budget (2) forces evictions,
-        // but never of the pinned chunk.
-        for id in 1..6 {
-            let h = store.chunk(id);
-            assert_eq!(all(&h)[0].network, NetworkId(id as u32));
-            assert!(store.is_resident(0), "pinned chunk evicted at id {id}");
-        }
-        assert!(store.resident_chunks() >= 2);
-        assert_eq!(all(&pinned)[0].network, NetworkId(0));
-        drop(pinned);
-        // Unpinned now: one more fault can evict it.
-        let _h = store.chunk(5);
-        let _h2 = store.chunk(4);
-        let _h3 = store.chunk(3);
-        assert!(!store.is_resident(0), "LRU victim once unpinned");
-    }
-
-    #[test]
     fn concurrent_readers_round_trip_distinct_chunks() {
         let store = store_with_chunks(8, 2);
         std::thread::scope(|scope| {
@@ -1427,7 +1245,7 @@ mod tests {
         let s = store.stats();
         assert!(s.chunk_decodes > 0, "budget 2 over 8 chunks must fault");
         assert!(s.peak_pinned_bytes > 0);
-        assert_eq!(store.counters.pinned_bytes.load(Ordering::Relaxed), 0);
+        assert_eq!(store.pins.live.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -1499,18 +1317,5 @@ mod tests {
             s.spill_encoded_bytes,
             s.spill_raw_bytes
         );
-    }
-
-    #[test]
-    fn over_budget_is_counted_when_everything_is_pinned() {
-        let store = store_with_chunks(3, 2);
-        assert_eq!(store.stats().over_budget_events, 0);
-        // Pin all three chunks: the last fault runs over budget with every
-        // resident chunk pinned, so eviction finds no victim and must
-        // record the event instead of staying silent.
-        let handles: Vec<_> = (0..3).map(|i| store.chunk(i)).collect();
-        assert!(store.resident_chunks() > 2);
-        assert!(store.stats().over_budget_events > 0);
-        drop(handles);
     }
 }

@@ -52,7 +52,7 @@ pub use chunk::{
 };
 pub use client::ClientSample;
 pub use dataset::{Dataset, NetworkMeta};
-pub use fold::{fold_all, map_in_order, plan, run_fold, FoldKernel, Job, Running, WindowFold};
+pub use fold::{fold_all, plan, run_fold, FoldKernel, Job, Running, WindowFold};
 pub use ids::{ApId, ClientId, EnvLabel, NetworkId};
 pub use index::{
     DatasetIndex, DatasetView, LinkRange, LinkView, NetRange, NetworkView, ProbeColumns, ProbeEntry,

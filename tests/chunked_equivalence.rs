@@ -1,18 +1,15 @@
 //! The out-of-core contract: a chunked, spill-to-disk context must produce
 //! figure JSON byte-identical to the fully resident path, at any thread
-//! count — and pass B's per-network walk of the raw chunks must yield each
+//! count — and pass B's per-network replay of the store must yield each
 //! network's probe sets in dataset order no matter where chunk boundaries
 //! fall, and score them exactly as the indexed penalty evaluation does.
 
 use std::collections::BTreeMap;
 
 use mesh11::prelude::*;
-use mesh11::trace::{
-    ApId, ChunkConfig, ChunkHandle, ChunkStore, ChunkedDataset, EnvLabel, NetworkId, NetworkMeta,
-    ProbeChunk, RateObs,
-};
+use mesh11::trace::{ChunkConfig, ChunkedDataset, EnvLabel, NetworkId, NetworkMeta, ProbeSource};
 use mesh11_bench::figures::{build, ALL_IDS};
-use mesh11_bench::{DataMode, ReproContext, Scale};
+use mesh11_bench::{DataMode, FusedRunner, Kernel, ReproContext, Scale};
 use proptest::prelude::*;
 
 mod common;
@@ -42,9 +39,9 @@ fn build_figures(mode: DataMode, threads: usize, faults: FaultPlan) -> BTreeMap<
             let (ctx, _) =
                 ReproContext::build_timed_with_mode(Scale::Quick, SEED, faults, mode.clone());
             if let DataMode::Chunked(_) = mode {
-                let c = ctx.chunked().expect("chunked context");
+                let c = ctx.store_summary().expect("chunked context");
                 assert!(
-                    c.spilled_bytes() > 0,
+                    c.spilled_bytes > 0,
                     "tiny chunk budget must force disk spill"
                 );
             }
@@ -114,35 +111,6 @@ fn simulate(seed: u64) -> Dataset {
     cfg.run_campaign(&campaign)
 }
 
-/// A chunk whose contents identify it: `k + 1` probe sets, all tagged
-/// with network id `k` — so a handle can prove it still sees chunk `k`
-/// after arbitrary eviction traffic.
-fn tagged_chunk(k: usize) -> ProbeChunk {
-    let mut chunk = ProbeChunk::default();
-    for i in 0..=(k as u32) {
-        chunk.push(Probe {
-            network: NetworkId(k as u32),
-            phy: Phy::Bg,
-            time_s: f64::from(i),
-            sender: ApId(i % 3),
-            receiver: ApId(3 + i % 3),
-            obs: &[RateObs {
-                rate: BitRate::bg_mbps(1.0).unwrap(),
-                loss: 0.5,
-                snr_db: 10.0,
-            }],
-        });
-    }
-    chunk
-}
-
-/// The network tag of a chunk's first probe set.
-fn first_network(chunk: &ProbeChunk) -> NetworkId {
-    let mut first = ProbeTable::new();
-    chunk.copy_into(0..1, &mut first);
-    first[0].network
-}
-
 /// The generator's dataset for `specs`, with one metadata row per id in
 /// its network pool (ascending, as a chunked store needs them).
 fn pooled_dataset(specs: &[ProbeSpec]) -> Dataset {
@@ -199,61 +167,53 @@ fn counted(p: &ThroughputPenalty) -> Counted {
     (per_value, p.diffs_mbps.sum().to_bits(), p.unpredicted)
 }
 
-/// Trains all eight (scope, phy) tables on `train`, then scores them
-/// against `eval` three ways: the per-set oracle loop, per table over the
-/// indexed view (`ThroughputPenalty::evaluate`, the in-memory path), and
-/// pass B's one batched walk over `eval` chunked at `capacity` probe sets
-/// per chunk. All three must agree bit for bit in every counted field.
-/// Returns the unpredicted counts, table by table.
+/// Trains all eight (scope, phy) tables on `train` in a fused runner's
+/// pass A, then scores them against `eval` three ways: the per-set oracle
+/// loop, per table over the indexed view (`ThroughputPenalty::evaluate`,
+/// the in-memory path), and the runner's pass B, which replays `eval`
+/// chunked at `capacity` probe sets per chunk one network at a time. All
+/// three must agree bit for bit in every counted field. Returns the
+/// unpredicted counts, table by table.
 fn assert_pass_b_matches(train: &Dataset, eval: &Dataset, capacity: usize) -> Vec<usize> {
-    let train_ix = DatasetIndex::build(train);
-    let train_view = DatasetView::new(train, &train_ix);
-    let tables: Vec<LookupTableSet> = [Scope::Global, Scope::Network, Scope::Ap, Scope::Link]
+    let keys: Vec<(Scope, Phy)> = [Scope::Global, Scope::Network, Scope::Ap, Scope::Link]
         .into_iter()
         .flat_map(|scope| [Phy::Bg, Phy::Ht].map(|phy| (scope, phy)))
-        .map(|(scope, phy)| LookupTableSet::build(train_view, scope, phy))
         .collect();
-    let refs: Vec<&LookupTableSet> = tables.iter().collect();
+    let penalties: Vec<Kernel> = keys.iter().map(|&(s, p)| Kernel::Penalty(s, p)).collect();
+    let mut runner = FusedRunner::for_kernels(&penalties);
+    let train_ix = DatasetIndex::build(train);
+    runner.fold_view(DatasetView::new(train, &train_ix));
     let cfg = ChunkConfig {
         chunk_capacity: capacity,
         resident_chunks: 2,
         ..ChunkConfig::tiny()
     };
     let chunked = ChunkedDataset::from_dataset(eval, cfg).expect("chunking succeeds");
-    let batch = ThroughputPenalty::evaluate_batch_chunked(&chunked, &refs);
+    let out = runner.finish(&ProbeSource::Chunked(&chunked));
     let eval_ix = DatasetIndex::build(eval);
     let eval_view = DatasetView::new(eval, &eval_ix);
-    assert_eq!(batch.len(), tables.len());
-    for (got, table) in batch.iter().zip(&tables) {
-        let want = penalty_oracle(eval_view, table);
-        let indexed = ThroughputPenalty::evaluate(eval_view, table);
-        let label = format!(
-            "{:?}/{:?} at capacity {capacity}",
-            table.scope(),
-            table.phy()
-        );
-        assert_eq!(
-            (got.scope, got.phy),
-            (table.scope(), table.phy()),
-            "{label}"
-        );
-        assert_eq!(
-            (indexed.scope, indexed.phy),
-            (got.scope, got.phy),
-            "{label}"
-        );
-        assert_eq!(
-            counted(got),
-            want,
-            "pass B differs from the oracle: {label}"
-        );
-        assert_eq!(
-            counted(&indexed),
-            want,
-            "evaluate differs from the oracle: {label}"
-        );
-    }
-    batch.iter().map(|p| p.unpredicted).collect()
+    keys.into_iter()
+        .map(|(scope, phy)| {
+            let table: &LookupTableSet = out.get(Kernel::Table(scope, phy));
+            let got: &ThroughputPenalty = out.get(Kernel::Penalty(scope, phy));
+            let want = penalty_oracle(eval_view, table);
+            let indexed = ThroughputPenalty::evaluate(eval_view, table);
+            let label = format!("{scope:?}/{phy:?} at capacity {capacity}");
+            assert_eq!((got.scope, got.phy), (scope, phy), "{label}");
+            assert_eq!((indexed.scope, indexed.phy), (scope, phy), "{label}");
+            assert_eq!(
+                counted(got),
+                want,
+                "pass B differs from the oracle: {label}"
+            );
+            assert_eq!(
+                counted(&indexed),
+                want,
+                "evaluate differs from the oracle: {label}"
+            );
+            got.unpredicted
+        })
+        .collect()
 }
 
 /// A median that is `±0.0`: sets whose SNRs are `0.0` and `-0.0` (alone,
@@ -313,10 +273,10 @@ fn pass_b_matches_indexed_on_missing_cells() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Pass B's batched raw-chunk walk scores every probe set exactly as
-    /// the per-table indexed evaluation does, on the hostile generator's
-    /// datasets (any network order, both PHYs, ties, `±0.0` SNRs),
-    /// wherever chunk boundaries fall and at one thread or four.
+    /// Pass B's per-network replay of the store scores every probe set
+    /// exactly as the per-table indexed evaluation does, on the hostile
+    /// generator's datasets (any network order, both PHYs, ties, `±0.0`
+    /// SNRs), wherever chunk boundaries fall and at one thread or four.
     #[test]
     fn pass_b_matches_indexed_evaluation(
         specs in specs(120),
@@ -328,54 +288,10 @@ proptest! {
         }
     }
 
-    /// Live handles pin their chunks: however hard the eviction pressure,
-    /// a pinned chunk stays resident with its contents intact; once the
-    /// pins drop, the store shrinks back within budget and spilled chunks
-    /// decode back correctly.
-    #[test]
-    fn pinned_handles_are_never_evicted(
-        n_chunks in 4usize..20,
-        budget in 2usize..4,
-        pin_stride in 1usize..5,
-        gets in proptest::collection::vec(0usize..64, 1..40),
-    ) {
-        let store = ChunkStore::new(budget, None);
-        for k in 0..n_chunks {
-            prop_assert_eq!(store.insert(tagged_chunk(k)).expect("insert"), k);
-        }
-        let pinned: Vec<(usize, ChunkHandle)> = (0..n_chunks)
-            .step_by(pin_stride)
-            .map(|k| (k, store.chunk(k)))
-            .collect();
-        for &g in &gets {
-            let id = g % n_chunks;
-            let h = store.chunk(id);
-            prop_assert_eq!(h.len(), id + 1);
-            prop_assert_eq!(first_network(&h), NetworkId(id as u32));
-            drop(h);
-            store.evict_past_budget().expect("evict");
-            for (k, h) in &pinned {
-                prop_assert!(store.is_resident(*k), "pinned chunk {} was evicted", k);
-                prop_assert_eq!(h.len(), *k + 1);
-                prop_assert_eq!(first_network(h), NetworkId(*k as u32));
-            }
-            // Only pinned chunks may hold the store over budget.
-            prop_assert!(store.resident_chunks() <= budget.max(pinned.len()));
-        }
-        drop(pinned);
-        store.evict_past_budget().expect("evict");
-        prop_assert!(store.resident_chunks() <= budget);
-        for k in 0..n_chunks {
-            let h = store.chunk(k);
-            prop_assert_eq!(h.len(), k + 1);
-            prop_assert_eq!(first_network(&h), NetworkId(k as u32));
-        }
-    }
-
     /// Wherever the chunk boundaries land — capacity 1 (every probe its own
     /// chunk) through capacities far larger than the dataset — pass B's
-    /// per-network walk of the raw chunks yields exactly that network's
-    /// rows of the probe table, in order.
+    /// per-network replay (`window_dataset(net..net + 1)`) yields exactly
+    /// that network's rows of the probe table, in order.
     #[test]
     fn network_walk_invariant_to_chunk_boundaries(
         seed in 0u64..200,
@@ -390,8 +306,7 @@ proptest! {
         let chunked = ChunkedDataset::from_dataset(&ds, cfg).expect("chunking succeeds");
         prop_assert_eq!(chunked.n_probes() as usize, ds.probes.len());
         for (net, m) in ds.networks.iter().enumerate() {
-            let mut walked = ProbeTable::new();
-            chunked.for_each_network_probe(net, |p| walked.push(p));
+            let walked = chunked.window_dataset(net..net + 1).probes;
             let want: ProbeTable = ds.probes_for_network(m.id).collect();
             prop_assert_eq!(walked, want, "network {:?}", m.id);
         }

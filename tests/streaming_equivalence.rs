@@ -75,7 +75,7 @@ fn chunked_figures_build_no_window() {
         DataMode::Chunked(ChunkConfig::tiny()),
     );
     assert!(
-        ctx.chunked().expect("chunked context").spilled_bytes() > 0,
+        ctx.store_summary().expect("chunked context").spilled_bytes > 0,
         "tiny chunk budget must force disk spill"
     );
     assert!(all_figure_json(&ctx).len() >= 39);
