@@ -2,7 +2,7 @@
 //! adapter replay, capped-ExOR, floor sweeps, and triple-definition sweeps.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mesh11_bench::{ReproContext, Scale};
+use mesh11_bench::ReproContext;
 use mesh11_core::bitrate::{simulate_adapters, AdapterKind};
 use mesh11_core::routing::ablation::{delivery_floor_sweep, improvement_vs_cap};
 use mesh11_core::triples::sweep::threshold_sweep;
@@ -12,9 +12,12 @@ use mesh11_trace::DeliveryMatrix;
 use std::hint::black_box;
 use std::sync::OnceLock;
 
+mod common;
+use common::resident;
+
 fn ctx() -> &'static ReproContext {
     static CTX: OnceLock<ReproContext> = OnceLock::new();
-    CTX.get_or_init(|| ReproContext::build(Scale::Quick, 42))
+    CTX.get_or_init(|| resident(42))
 }
 
 fn biggest_bg_matrix() -> DeliveryMatrix {

@@ -4,12 +4,15 @@
 //! that walk it. Run with `cargo bench -p mesh11-bench analyze`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mesh11_bench::{ReproContext, Scale};
+use mesh11_bench::ReproContext;
 use mesh11_core::bitrate::{LookupTableSet, Scope};
 use mesh11_phy::Phy;
 use mesh11_trace::snrstats::{self, SigmaKind};
 use mesh11_trace::DatasetIndex;
 use std::hint::black_box;
+
+mod common;
+use common::resident;
 
 const SEED: u64 = 42;
 
@@ -34,7 +37,7 @@ fn with_threads<R: Send>(n: usize, f: impl FnOnce() -> R + Send) -> R {
 
 /// Sequential vs parallel kernel, fully resident quick dataset.
 fn fig4_2_quick(c: &mut Criterion) {
-    let ctx = ReproContext::build(Scale::Quick, SEED);
+    let ctx = resident(SEED);
     c.bench_function("analyze/fig4-2-quick-seq-1t", |b| {
         b.iter(|| with_threads(1, || black_box(fig4_2_kernel(&ctx, &Scope::ALL))))
     });
@@ -47,7 +50,7 @@ fn fig4_2_quick(c: &mut Criterion) {
 /// that walk it (columns prebuilt, as a request's first reader leaves
 /// them).
 fn index_quick(c: &mut Criterion) {
-    let ctx = ReproContext::build(Scale::Quick, SEED);
+    let ctx = resident(SEED);
     let ds = ctx.view().dataset();
     c.bench_function("analyze/index-build-quick", |b| {
         b.iter(|| black_box(DatasetIndex::build(ds)))

@@ -10,13 +10,16 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mesh11_bench::figures;
-use mesh11_bench::{ReproContext, Scale};
+use mesh11_bench::ReproContext;
 use std::hint::black_box;
 use std::sync::OnceLock;
 
+mod common;
+use common::resident;
+
 fn ctx() -> &'static ReproContext {
     static CTX: OnceLock<ReproContext> = OnceLock::new();
-    CTX.get_or_init(|| ReproContext::build(Scale::Quick, 42))
+    CTX.get_or_init(|| resident(42))
 }
 
 macro_rules! figure_bench {

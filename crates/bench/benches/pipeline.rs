@@ -64,12 +64,14 @@ fn simulate(c: &mut Criterion) {
 /// The fused analysis pass over a fresh context, then all figure
 /// builders; the dataset clone is timed but cheap next to the analyses.
 fn analyze_cold(c: &mut Criterion) {
-    let base = ReproContext::build(Scale::Quick, SEED);
+    let scale = Scale::Quick;
+    let ds = scale
+        .config()
+        .run_campaign(&scale.campaign_spec(SEED).generate());
     let ids = cacheable_ids();
     c.bench_function("pipeline/quick-analyze-cold", |b| {
         b.iter(|| {
-            let ctx =
-                ReproContext::from_dataset(base.dataset().clone(), base.config.clone(), base.seed);
+            let ctx = ReproContext::from_dataset(ds.clone(), scale.config(), SEED);
             black_box(analyze(&ctx, &ids))
         })
     });

@@ -3,7 +3,7 @@
 //! `cargo bench -p mesh11-bench spill`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use mesh11_bench::{DataMode, ReproContext, Scale};
+use mesh11_bench::Scale;
 use mesh11_trace::ProbeChunk;
 use std::hint::black_box;
 
@@ -13,14 +13,10 @@ const SEED: u64 = 42;
 /// realistic column shapes (monotone times, quantized losses, Gaussian
 /// SNRs) the codec was designed against.
 fn quick_chunk() -> ProbeChunk {
-    let ctx = ReproContext::build_timed_with_mode(
-        Scale::Quick,
-        SEED,
-        mesh11_sim::FaultPlan::none(),
-        DataMode::InMemory,
-    )
-    .0;
-    let ds = ctx.dataset();
+    let scale = Scale::Quick;
+    let ds = scale
+        .config()
+        .run_campaign(&scale.campaign_spec(SEED).generate());
     let mut chunk = ProbeChunk::with_capacity(ds.probes.len());
     for p in &ds.probes {
         chunk.push(p);

@@ -13,15 +13,16 @@
 //! `out/figures_ci/`. Per-seed and amortized timings land in the timing
 //! JSONs. In-memory scales only.
 //!
-//! The scale decides where the probes live. `--scale metro` streams them
-//! through the chunk store and overlaps analysis with simulation: sealed
-//! dataset parts feed a bounded channel whose consumer folds every shared
-//! analysis over each part while later networks still simulate, then
-//! spills the part into the store. `--metro-factor`, `--chunk-budget` and
-//! `--spill-dir` tune a metro run and are errors at any other scale. The
-//! other scales fold over the whole in-memory dataset in one pass. Either
-//! way only the analyses the requested figures read are folded, and
-//! figures are byte-identical.
+//! Every single-seed run streams: the simulator seals dataset parts of
+//! whole networks into a bounded channel whose consumer indexes each part,
+//! folds every requested analysis over it (the Fig 4.4 penalties are
+//! scored on the way) and drops it, while later networks still simulate,
+//! so the whole probe table is never resident. `--scale metro` also writes
+//! every part to the spill-able chunk store; `--metro-factor`,
+//! `--chunk-budget` and `--spill-dir` tune a metro run and are errors at
+//! any other scale. Only the analyses the requested figures read are
+//! folded, and figures are byte-identical to a fold over the whole
+//! dataset.
 //!
 //! Prints each figure as an aligned text table (with the paper-expected
 //! values as `#` notes; add `--plot` for ASCII curve renderings) and writes
@@ -173,8 +174,8 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
                      figures under out/figures_ci/ (in-memory scales only)\n\
                      --faults     simulate under the built-in demo fault plan (overlapping\n\
                      AP outages + stacked interference bursts), still thread-invariant\n\
-                     --scale metro streams probes through the spill-able chunk store; analysis\n\
-                     folds each sealed part while later networks still simulate. Metro only:\n\
+                     --scale metro also writes the streamed probe sets to the spill-able chunk\n\
+                     store. Metro only:\n\
                      --metro-factor N  ensemble multiplier (default {})\n\
                      --chunk-budget N  resident chunks before spilling, at least 2 (default {})\n\
                      --spill-dir DIR   where cold chunks spill (default: system temp dir)\n\
@@ -204,6 +205,9 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
             }
         }
     }
+    if let Some(dir) = &args.spill_dir {
+        check_spill_dir(dir)?;
+    }
     if args.ids.is_empty() {
         return Err("no experiment ids given (try --all or --help)".into());
     }
@@ -213,6 +217,17 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
         );
     }
     Ok(args)
+}
+
+/// Creates the spill directory and writes a probe file into it, so a path
+/// the store could not spill into fails the parse instead of the run: the
+/// store opens its spill file only once it first spills.
+fn check_spill_dir(dir: &Path) -> Result<(), String> {
+    let probe = dir.join(format!(".mesh11-probe-{}", std::process::id()));
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&probe, b""))
+        .and_then(|()| std::fs::remove_file(&probe))
+        .map_err(|e| format!("--spill-dir {}: {e}", dir.display()))
 }
 
 /// One seed's figure pass: builds every requested figure in parallel,
@@ -379,9 +394,9 @@ fn run(args: &Args) -> i32 {
         } else {
             0.0
         },
-        stream_analyze_s: store.map(|_| build_t.analyze_s),
-        stream_send_wait_s: build_t.stream_send_wait_s,
-        stream_recv_wait_s: build_t.stream_recv_wait_s,
+        stream_analyze_s: Some(build_t.analyze_s),
+        stream_send_wait_s: Some(build_t.stream_send_wait_s),
+        stream_recv_wait_s: Some(build_t.stream_recv_wait_s),
         chunk_hits: chunk.as_ref().map(|c| c.chunk_hits),
         chunk_decodes: chunk.as_ref().map(|c| c.chunk_decodes),
         chunk_evictions: chunk.as_ref().map(|c| c.chunk_evictions),
@@ -573,6 +588,34 @@ mod tests {
         assert_eq!(args.chunk_budget, Some(2));
         assert!(parse("--scale metro --chunk-budget x --all").is_err());
         assert!(parse("--scale quick --chunk-budget 4 --all").is_err());
+    }
+
+    #[test]
+    fn unusable_spill_dir_is_rejected_while_parsing() {
+        let file = std::env::temp_dir().join(format!("repro-spill-file-{}", std::process::id()));
+        std::fs::write(&file, b"").expect("write a regular file");
+        for dir in [file.clone(), file.join("spill")] {
+            let err = parse(&format!(
+                "--scale metro --spill-dir {} --all",
+                dir.display()
+            ))
+            .err()
+            .expect("a spill dir under a regular file accepted");
+            assert!(
+                err.starts_with(&format!("--spill-dir {}: ", dir.display())),
+                "{err}"
+            );
+        }
+        std::fs::remove_file(&file).expect("remove the file");
+        let dir = std::env::temp_dir().join(format!("repro-spill-dir-{}", std::process::id()));
+        let args = parse(&format!(
+            "--scale metro --spill-dir {} --all",
+            dir.display()
+        ))
+        .expect("a creatable spill dir");
+        assert_eq!(args.spill_dir.as_deref(), Some(dir.as_path()));
+        assert_eq!(std::fs::read_dir(&dir).expect("created").count(), 0);
+        std::fs::remove_dir(&dir).expect("remove the dir");
     }
 
     #[test]

@@ -6,18 +6,15 @@
 //! analyses one way: a [`FusedRunner`] folds the kernels its figures read
 //! (`figures::kernels`) over the parts, and the context keeps the
 //! [`FusedOutputs`]. A resident dataset is one part, its whole indexed
-//! view; a chunked build folds every sealed part of the streaming
-//! simulation as it arrives, so the figures never walk the chunk store.
+//! view; a file is read in parts, and a simulated build folds every
+//! sealed part of the streaming simulation as it arrives.
 //!
-//! **Pass A** folds the table-independent kernels and the eight
-//! lookup-table builds. **Pass B** then scores the finished tables:
-//! penalties need completed tables, so they cannot ride in pass A, and
-//! requesting one requests its table. Pass B replays the probes pass A
-//! folded through one scorer, [`PassB::fold_view`], whatever the source:
-//! a resident view is one part, a file its parts, and the chunk store is
-//! replayed one network at a time. Either pass folds a part in one call
-//! to [`fold_all`]: every requested kernel's units in one network-major
-//! work list, the only parallel level.
+//! One pass folds everything, so no source is walked twice. The Fig 4.4
+//! penalties ride in their tables' builds: requesting a penalty requests
+//! its table, whose kernel then scores the probe sets it tallies (see
+//! `mesh11_core::bitrate::penalty`). A part folds in one call to
+//! [`fold_all`]: every requested kernel's units in one network-major work
+//! list, the only parallel level.
 //!
 //! Byte identity follows from the fold contract
 //! (`crates/trace/src/fold.rs`): parts arrive in network order and each
@@ -33,10 +30,9 @@ use std::fmt::Debug;
 use mesh11_core::bitrate::adaptation::AdaptationKernel;
 use mesh11_core::bitrate::correlation::CurvesKernel;
 use mesh11_core::bitrate::lookup::TableBuildKernel;
-use mesh11_core::bitrate::penalty::PenaltyKernel;
 use mesh11_core::bitrate::stability::StabilityKernel;
 use mesh11_core::bitrate::strategy::StrategyKernel;
-use mesh11_core::bitrate::{AdapterKind, Scope, StrategyKind};
+use mesh11_core::bitrate::{AdapterKind, LookupTableSet, Scope, StrategyKind, ThroughputPenalty};
 use mesh11_core::routing::asymmetry::AsymmetryKernel;
 use mesh11_core::routing::diversity::DiversityKernel;
 use mesh11_core::routing::ett::EttKernel;
@@ -50,8 +46,8 @@ use mesh11_phy::{BitRate, Phy};
 use mesh11_trace::fold::{unit, Unit};
 use mesh11_trace::snrstats::{SigmaKernel, SigmaKind};
 use mesh11_trace::{
-    fold_all, plan, DatasetIndex, DatasetView, DeliveryMatrix, FoldKernel, NetworkId, NetworkMeta,
-    ProbeSource, Running, WindowFold,
+    fold_all, DatasetView, DeliveryMatrix, FoldKernel, NetworkId, NetworkMeta, ProbeSource,
+    Running, WindowFold,
 };
 
 use crate::setup::TRIPLE_THRESHOLD;
@@ -121,8 +117,9 @@ impl FoldKernel for CapKernel {
     }
 }
 
-/// One shared analysis behind the figures: a pass-A fold kernel, or a
-/// pass-B penalty. The registry ([`Kernel::all`]) declares each one once.
+/// One shared analysis behind the figures: a fold kernel, or a penalty
+/// scored by its table's. The registry ([`Kernel::all`]) declares each one
+/// once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// A Fig 3.1 sigma population.
@@ -153,8 +150,9 @@ pub enum Kernel {
     Cap,
     /// The §4 look-up table build of one (scope, phy).
     Table(Scope, Phy),
-    /// The Fig 4.4 penalty of one (scope, phy) table: pass B, so it
-    /// implies [`Kernel::Table`] of the same (scope, phy).
+    /// The Fig 4.4 penalty of one (scope, phy) table: scored by that
+    /// table's build, so it implies [`Kernel::Table`] of the same (scope,
+    /// phy).
     Penalty(Scope, Phy),
 }
 
@@ -163,9 +161,9 @@ pub enum Kernel {
 /// fold, with its parameters, is [`Kernel::start`].
 struct Entry(Kernel, &'static str, &'static [Phy]);
 
-/// The registry. The 25 pass-A folds come first, in the order
-/// [`FusedRunner::kernels`] yields them; the eight pass-B penalties
-/// follow, in the tables' (scope, phy) order.
+/// The registry. The 25 folds come first, in the order
+/// [`FusedRunner::kernels`] yields them; the eight penalties their tables
+/// score follow, in the tables' (scope, phy) order.
 const REGISTRY: [Entry; 33] = {
     use Kernel::*;
     use Phy::{Bg, Ht};
@@ -235,10 +233,11 @@ impl Kernel {
         self.entry().2
     }
 
-    /// A pass-A kernel, with its parameters, and a fresh partial; its
-    /// output fills the kernel's cell of [`FusedOutputs`]. `None` for a
-    /// penalty, which pass B scores against its finished table.
-    fn start(self) -> Option<Box<dyn ErasedFold>> {
+    /// A fold kernel, with its parameters, and a fresh partial; its output
+    /// fills the kernel's cell of [`FusedOutputs`]. A table scores its
+    /// penalty too when `requested` holds it. `None` for a penalty, whose
+    /// table's fold fills its cell.
+    fn start(self, requested: &[Kernel]) -> Option<Box<dyn ErasedFold>> {
         let (phy, rule, one_mbps) = (Phy::Bg, HearRule::Mean, one_mbps());
         Some(match self {
             Kernel::Sigma(kind) => erase(SigmaKernel(kind)),
@@ -291,7 +290,11 @@ impl Kernel {
                 min_aps: ROUTING_MIN_APS,
             }),
             Kernel::Cap => erase(CapKernel),
-            Kernel::Table(scope, phy) => erase(TableBuildKernel { scope, phy }),
+            Kernel::Table(scope, phy) => erase(TableBuildKernel {
+                scope,
+                phy,
+                penalty: requested.contains(&Kernel::Penalty(scope, phy)),
+            }),
             Kernel::Penalty(..) => return None,
         })
     }
@@ -359,12 +362,10 @@ impl FusedOutputs {
     }
 }
 
-/// The in-flight state of a fused pass: each requested pass-A kernel
-/// paired with its partial, ready to fold network-aligned views as they
-/// arrive, plus the penalties pass B will score.
+/// The in-flight state of a fused pass: each requested fold kernel paired
+/// with its partial, ready to fold network-aligned views as they arrive.
 pub struct FusedRunner {
     running: Vec<(Kernel, Box<dyn ErasedFold>)>,
-    penalties: Vec<(Scope, Phy)>,
 }
 
 impl Default for FusedRunner {
@@ -380,27 +381,21 @@ impl FusedRunner {
     }
 
     /// Starts the requested kernels, in registry order whatever the
-    /// request's order; a penalty starts its table too.
+    /// request's order; a penalty starts its table, scoring.
     pub fn for_kernels(requested: &[Kernel]) -> Self {
         let wanted = |k: &Kernel| {
             requested.contains(k)
                 || matches!(*k, Kernel::Table(s, p) if requested.contains(&Kernel::Penalty(s, p)))
         };
-        let mut runner = Self {
-            running: Vec::new(),
-            penalties: Vec::new(),
-        };
-        for k in Kernel::all().into_iter().filter(wanted) {
-            if let Some(fold) = k.start() {
-                runner.running.push((k, fold));
-            } else if let Kernel::Penalty(s, p) = k {
-                runner.penalties.push((s, p));
-            }
-        }
-        runner
+        let running = Kernel::all()
+            .into_iter()
+            .filter(wanted)
+            .filter_map(|k| Some((k, k.start(requested)?)))
+            .collect();
+        Self { running }
     }
 
-    /// Every requested pass-A kernel as an object-safe running fold, in
+    /// Every requested fold kernel as an object-safe running fold, in
     /// registry order.
     pub fn kernels(&mut self) -> Vec<&mut dyn WindowFold> {
         self.running
@@ -421,96 +416,32 @@ impl FusedRunner {
         );
     }
 
-    /// Finishes pass A and runs pass B (penalties) against `src`, which
-    /// must cover exactly the probes this runner folded. A resident view
-    /// is replayed as one part; a chunk store one network at a time, each
-    /// network materialized and indexed on its own, so at most one
-    /// network's probe table is held at once.
-    pub fn finish(self, src: &ProbeSource<'_>) -> FusedOutputs {
-        let mut pass_b = self.finish_pass_a();
-        if pass_b.needs_parts() {
-            match src {
-                ProbeSource::Whole(view) => pass_b.fold_view(*view),
-                ProbeSource::Chunked(c) => {
-                    for net in 0..c.networks().len() {
-                        let ds = c.window_dataset(net..net + 1);
-                        let ix = DatasetIndex::build(&ds);
-                        pass_b.fold_view(DatasetView::new(&ds, &ix));
-                    }
-                }
+    /// Finishes every fold: each requested kernel's output, a scored
+    /// table's penalty included.
+    pub fn outputs(self) -> FusedOutputs {
+        let mut cells: Vec<(Kernel, Cell)> = Vec::new();
+        for (k, r) in self.running {
+            let cell = r.finish_erased();
+            let Kernel::Table(scope, phy) = k else {
+                cells.push((k, cell));
+                continue;
+            };
+            let (table, penalty) = *(cell as Box<dyn Any>)
+                .downcast::<(LookupTableSet, Option<ThroughputPenalty>)>()
+                .expect("a table kernel's output");
+            cells.push((k, Box::new(table)));
+            if let Some(penalty) = penalty {
+                cells.push((Kernel::Penalty(scope, phy), Box::new(penalty)));
             }
         }
-        pass_b.finish()
+        FusedOutputs { cells }
     }
 
-    /// Finishes pass A: every requested fold is done, and the penalties
-    /// wait in the returned [`PassB`] for the parts to be replayed.
-    pub fn finish_pass_a(self) -> PassB {
-        let out = FusedOutputs {
-            cells: self
-                .running
-                .into_iter()
-                .map(|(k, r)| (k, r.finish_erased()))
-                .collect(),
-        };
-        let penalties = self
-            .penalties
-            .into_iter()
-            .map(|key| (key, PenaltyPartial::default()))
-            .collect();
-        PassB { out, penalties }
-    }
-}
-
-/// Pass B in progress: pass A's finished outputs, and one
-/// [`PenaltyKernel`] partial per requested (scope, phy), scored against
-/// its finished table. The parts are replayed in network order, as pass A
-/// folded them, and each network's diffs are counted in that order, so
-/// any partition of the probes into network-aligned parts gives the bytes
-/// of one walk over the whole view.
-pub struct PassB {
-    out: FusedOutputs,
-    penalties: Vec<((Scope, Phy), PenaltyPartial)>,
-}
-
-/// A penalty's partial: its counted diffs so far and the sets it could not
-/// score.
-type PenaltyPartial = <PenaltyKernel<'static> as FoldKernel>::Partial;
-
-impl PassB {
-    /// Whether any penalty was requested, so the parts need a replay.
-    pub fn needs_parts(&self) -> bool {
-        !self.penalties.is_empty()
-    }
-
-    /// Scores one replayed network-aligned view against every requested
-    /// table, as one schedule of every penalty's units, as
-    /// [`FusedRunner::fold_view`] schedules the pass-A kernels'.
-    pub fn fold_view(&mut self, view: DatasetView<'_>) {
-        let out = &self.out;
-        let kernels: Vec<PenaltyKernel<'_>> = (self.penalties.iter())
-            .map(|&((s, p), _)| PenaltyKernel {
-                table: out.get(Kernel::Table(s, p)),
-            })
-            .collect();
-        let partials = self.penalties.iter_mut().map(|(_, partial)| partial);
-        let jobs = kernels
-            .iter()
-            .zip(partials)
-            .flat_map(|(k, p)| plan(k, p, view));
-        fold_all(jobs.collect());
-    }
-
-    /// The outputs of both passes.
-    pub fn finish(self) -> FusedOutputs {
-        let mut out = self.out;
-        for ((scope, phy), partial) in self.penalties {
-            let table = out.get(Kernel::Table(scope, phy));
-            let penalty = PenaltyKernel { table }.finish(partial);
-            out.cells
-                .push((Kernel::Penalty(scope, phy), Box::new(penalty)));
-        }
-        out
+    /// [`FusedRunner::outputs`], under the signature the benchmark's
+    /// traced run calls. The penalties were scored as the probes were
+    /// folded, so `probes` is not read.
+    pub fn finish(self, _probes: &ProbeSource<'_>) -> FusedOutputs {
+        self.outputs()
     }
 }
 
@@ -518,7 +449,7 @@ impl PassB {
 mod tests {
     use super::*;
     use crate::setup::Scale;
-    use mesh11_core::bitrate::{LookupTableSet, ThroughputPenalty};
+    use mesh11_trace::DatasetIndex;
     use std::collections::BTreeMap;
 
     /// A penalty's counted fields: each distinct diff's count (by bits),
@@ -560,11 +491,11 @@ mod tests {
     }
 
     /// The oracle of the fused pass: a runner folded over a quick
-    /// dataset's whole view yields, kernel for kernel, what that kernel
-    /// alone yields over the view (`init`, one `fold`, `finish`: its solo
-    /// `run_fold`), and each penalty counts what the per-set loop over the
-    /// solo table yields. Lookup tables hold hash maps, so they are
-    /// compared through their ordered accessors.
+    /// dataset's whole view yields, kernel for kernel, what a runner of
+    /// that kernel alone yields over the view (its solo fold), and each
+    /// penalty, scored by its table's fold, counts what the per-set loop
+    /// over the solo table yields. Lookup tables hold hash maps, so they
+    /// are compared through their ordered accessors.
     #[test]
     fn fused_outputs_match_solo_folds() {
         let scale = Scale::Quick;
@@ -576,13 +507,11 @@ mod tests {
         let mut runner = FusedRunner::new();
         assert_eq!(runner.kernels().len(), 25);
         runner.fold_view(view);
-        let fused = runner.finish(&ProbeSource::Whole(view));
+        let fused = runner.outputs();
         let solo = |k: Kernel| {
-            let mut fold = k.start().expect("a pass-A kernel");
-            fold.fold_window(view);
-            FusedOutputs {
-                cells: vec![(k, fold.finish_erased())],
-            }
+            let mut runner = FusedRunner::for_kernels(&[k]);
+            runner.fold_view(view);
+            runner.outputs()
         };
         let ordered = |t: &LookupTableSet| {
             let rates = t.optimal_rates_per_snr();

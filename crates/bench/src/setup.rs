@@ -19,7 +19,7 @@ use mesh11_trace::codec::Part;
 use mesh11_trace::snrstats::SigmaKind;
 use mesh11_trace::{
     ChunkConfig, ChunkStoreStats, ChunkedDatasetBuilder, ClientSample, Dataset, DatasetIndex,
-    DatasetView, LoadError, NetworkId, NetworkMeta, ProbeSource,
+    DatasetView, LoadError, NetworkId, NetworkMeta,
 };
 
 use crate::fused::{CapMatrix, FusedOutputs, FusedRunner, Kernel};
@@ -41,7 +41,8 @@ pub const CLIENT_PROBE_MAX_HORIZON_S: f64 = 14_400.0;
 pub struct BuildTimings {
     /// Campaign generation (topology, populations, specs).
     pub generate_s: f64,
-    /// Probe + client simulation across all networks.
+    /// The simulate wall: probe simulation across all networks, with the
+    /// waits for the fold it overlaps (see `stream_send_wait_s`).
     pub simulate_s: f64,
     /// Candidate AP pairs the simulate phase ran (across networks and
     /// radios) — the unit of the global pair scheduler's work list.
@@ -52,29 +53,18 @@ pub struct BuildTimings {
     /// Clients the client-probe pass simulated — the unit of its work
     /// list, giving `client_probe_s` a denominator.
     pub clients_simulated: usize,
-    /// Seconds the build spent filling its analyses. An in-memory build
-    /// folds after simulating: the index build, the fused fold and pass
-    /// B. A chunked build folds in its streaming consumer: the index
-    /// build and fold of every sealed part, plus the pass-B finish; chunk
-    /// encode and spill are store work and stay out.
+    /// Seconds the build's streaming consumer spent filling its analyses:
+    /// the index build, fold and penalty scoring of every sealed part,
+    /// plus the finish. Chunk encode and spill are store work and stay
+    /// out.
     pub analyze_s: f64,
-    /// Seconds the chunked build's simulator spent blocked handing parts
-    /// to the fold: waiting for it to catch up to the allowed lead, or,
-    /// when the two must share cores, for each part's fold. `None` for
-    /// in-memory builds.
-    pub stream_send_wait_s: Option<f64>,
-    /// Seconds the chunked build's fold consumer spent blocked in `recv`,
-    /// idle until the simulator sealed its next part. `None` for
-    /// in-memory builds.
-    pub stream_recv_wait_s: Option<f64>,
-}
-
-/// What a chunked build's streaming pipeline measured: its analysis
-/// seconds and how long each side of the channel waited on the other.
-struct StreamTimings {
-    analyze_s: f64,
-    send_wait_s: f64,
-    recv_wait_s: f64,
+    /// Seconds the simulator spent blocked handing parts to the fold:
+    /// waiting for it to catch up to the allowed lead, or, when the two
+    /// must share cores, for each part's fold.
+    pub stream_send_wait_s: f64,
+    /// Seconds the fold consumer spent blocked in `recv`, idle until the
+    /// simulator sealed its next part.
+    pub stream_recv_wait_s: f64,
 }
 
 /// Wall-clock phases of a batched multi-seed build; see
@@ -136,19 +126,19 @@ fn build_client_probe_pass(
 /// scales it up to the 10⁵-AP tier (factor 71) when wall clock allows.
 pub const DEFAULT_METRO_FACTOR: usize = 10;
 
-/// Networks simulated per streaming batch in chunked builds: large enough
-/// to keep the pair scheduler busy, small enough that at most a handful of
-/// network datasets are resident before they drain into the chunk store.
-const METRO_BATCH_NETWORKS: usize = 8;
+/// Networks simulated per streaming batch: large enough to keep the pair
+/// scheduler busy, small enough that at most a handful of network datasets
+/// are resident before they are folded and dropped.
+const STREAM_BATCH_NETWORKS: usize = 8;
 
-/// Parts the simulator of a chunked build may run ahead of the fold when
+/// Parts the simulator of a streamed build may run ahead of the fold when
 /// each side has cores of its own: sixteen batches. Network sizes are
 /// skewed (at metro-2 the largest network has ~118k probe sets, ~60× the
 /// mean), and while the fold works through one large network the
 /// simulator seals a dozen batches of small ones. Two batches blocked it
 /// there for 1.2–1.4 s of a 4.3 s simulate wall; sixteen leave it 0.00 s.
 /// At ~1.8k probe sets per mean part this is a few tens of MB.
-const STREAM_AHEAD_PARTS: usize = 16 * METRO_BATCH_NETWORKS;
+const STREAM_AHEAD_PARTS: usize = 16 * STREAM_BATCH_NETWORKS;
 
 /// How big a reproduction run to perform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,8 +150,8 @@ pub enum Scale {
     Standard,
     /// The paper's 24 h probes / 11 h clients over all 110 networks.
     Paper,
-    /// The paper ensemble tiled `factor` times at quick horizons, streamed
-    /// through the spill-able chunk store so memory stays bounded.
+    /// The paper ensemble tiled `factor` times at quick horizons; its
+    /// probe sets also go into the spill-able chunk store.
     Metro {
         /// Ensemble multiplier (110·factor networks, 1407·factor APs).
         factor: usize,
@@ -202,8 +192,8 @@ impl Scale {
         }
     }
 
-    /// The default data-store mode: metro streams through the chunk store,
-    /// everything else stays fully resident.
+    /// The default data-store mode: metro also writes the chunk store,
+    /// every other scale builds none. Either way the build streams.
     pub fn data_mode(self) -> DataMode {
         match self {
             Scale::Metro { .. } => DataMode::Chunked(ChunkConfig::default()),
@@ -224,21 +214,25 @@ impl Scale {
     }
 }
 
-/// How the simulated probe reports are stored.
+/// Whether a simulated build also writes its probe sets to a chunk store.
+/// Either way the build folds each sealed part as the simulator emits it
+/// and keeps only the shell.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DataMode {
-    /// One resident [`Dataset`] (the Quick/Standard/Paper default).
+    /// No store (the Quick/Standard/Paper default).
     InMemory,
-    /// Streamed into the spill-able columnar chunk store.
+    /// Every sealed part also goes into the spill-able columnar chunk
+    /// store, which the build drops once the stream drains, keeping its
+    /// counters.
     Chunked(ChunkConfig),
 }
 
 /// Where a context's probe reports actually live.
 pub enum DataStore {
-    /// Everything resident.
+    /// Everything resident (a wrapped dataset, or a `--seeds` ensemble).
     InMemory(Dataset),
-    /// Streamed from parts that were folded and dropped (a chunked build,
-    /// or a file read in parts): only the shell (networks, horizons,
+    /// Streamed from parts that were folded and dropped (a simulated
+    /// build, or a file read in parts): only the shell (networks, horizons,
     /// clients) and the probe count stay, plus the chunk store's summary
     /// when there was one.
     Streamed {
@@ -251,7 +245,7 @@ pub enum DataStore {
     },
 }
 
-/// What a chunked build keeps of its chunk store once pass B has read it.
+/// What a chunked build keeps of its chunk store once the stream drains.
 /// The store itself, and its spill file, are dropped before any figure is
 /// built.
 #[derive(Debug, Clone, Copy)]
@@ -269,7 +263,7 @@ pub struct StoreSummary {
 /// kernels the build was asked for. An accessor returns its kernel's
 /// value and panics when the build did not request that kernel.
 pub struct ReproContext {
-    /// The simulated probe reports — resident or chunked.
+    /// The probe reports — resident, or the shell of a stream.
     store: DataStore,
     /// The simulation configuration used.
     pub config: SimConfig,
@@ -308,11 +302,10 @@ impl ReproContext {
 
     /// The fully-general build: scale, faults, an explicit data mode, and
     /// the kernels to fold (`figures::kernels` of the figures to come).
-    /// `DataMode::Chunked` streams the simulation into the chunk store and
-    /// folds the kernels over each sealed part on the way, so at no point
-    /// is the whole probe table resident and the figures never walk the
-    /// store again. `DataMode::InMemory` folds them over the whole view
-    /// once the simulation is done.
+    /// The simulation streams its sealed parts into the fold, and each
+    /// part is indexed, folded, scored and dropped, so at no point is the
+    /// whole probe table resident and the context keeps only the shell.
+    /// `DataMode::Chunked` also writes every part to the chunk store.
     pub fn build_timed_with_kernels(
         scale: Scale,
         seed: u64,
@@ -326,59 +319,28 @@ impl ReproContext {
         let t0 = std::time::Instant::now();
         let campaign = spec.generate();
         let generate_s = t0.elapsed().as_secs_f64();
-        let (mut this, simulate_s, pairs_simulated, stream) = match mode {
-            DataMode::InMemory => {
-                let t1 = std::time::Instant::now();
-                // One success table serves the whole process: the shared
-                // registry builds it on first use (that first build lands
-                // in simulate-phase cost) and every later run — and every
-                // other seed of a multi-seed campaign — reuses it.
-                let table = shared_success_table(PerModel::default());
-                let (dataset, stats) = config.run_campaign_counted_with_table(&campaign, table);
-                let simulate_s = t1.elapsed().as_secs_f64();
-                let store = DataStore::InMemory(dataset);
-                let this = Self::assemble(store, config, seed, Some(campaign));
-                (this, simulate_s, stats.pairs_simulated, None)
-            }
-            DataMode::Chunked(cfg) => Self::build_chunked(config, seed, campaign, cfg, kernels),
+        let store = match mode {
+            DataMode::InMemory => None,
+            DataMode::Chunked(cfg) => Some(cfg),
         };
+        let (this, mut timings) = Self::build_streamed(config, seed, campaign, store, kernels);
+        timings.generate_s = generate_s;
         // Run the client-probe pass eagerly so its cost lands in the
         // simulate phase (it is simulation), not in whichever figure
         // happens to touch the cache first.
         let t2 = std::time::Instant::now();
-        let clients_simulated = this.client_probes().map_or(0, |p| p.clients_simulated);
-        let client_probe_s = t2.elapsed().as_secs_f64();
-        let analyze_s = match &stream {
-            Some(t) => t.analyze_s,
-            None => this.analyze(kernels),
-        };
-        (
-            this,
-            BuildTimings {
-                generate_s,
-                simulate_s,
-                pairs_simulated,
-                client_probe_s,
-                clients_simulated,
-                analyze_s,
-                stream_send_wait_s: stream.as_ref().map(|t| t.send_wait_s),
-                stream_recv_wait_s: stream.as_ref().map(|t| t.recv_wait_s),
-            },
-        )
+        timings.clients_simulated = this.client_probes().map_or(0, |p| p.clients_simulated);
+        timings.client_probe_s = t2.elapsed().as_secs_f64();
+        (this, timings)
     }
 
-    /// The chunked build: the simulator streams sealed parts through a
-    /// channel into a consumer thread that folds the requested pass-A
-    /// kernels over each part, then adds the part to the chunk store.
-    /// After the channel drains, the consumer runs pass B, replaying the
-    /// store one network at a time against the finished tables, and then
-    /// drops the store: the context keeps the shell, the probe count and
-    /// a [`StoreSummary`].
-    ///
-    /// Pass B runs in the consumer, inside its pool, because that holds
-    /// the peak down: on metro-2 at one thread, peak RSS was 164 MB this
-    /// way against 173 MB with pass B on the calling thread (medians of
-    /// 6 runs on a 2-core VM).
+    /// The streamed build: the simulator sends sealed parts through a
+    /// channel to a consumer thread that indexes each part, folds the
+    /// requested kernels over it (penalties scored on the way), adds it
+    /// to the chunk store when there is one, and drops it. After the
+    /// channel drains the consumer finishes the folds and drops the store:
+    /// the context keeps the shell, the probe count and a
+    /// [`StoreSummary`].
     ///
     /// When the simulator's and the fold's pools fit the machine's cores
     /// side by side, the simulator runs up to [`STREAM_AHEAD_PARTS`] parts
@@ -390,17 +352,15 @@ impl ReproContext {
     ///
     /// Parts arrive as consecutive network runs in id order — the
     /// network-aligned partition the fold contract requires — so the
-    /// figures are byte-identical to the in-memory context's. Returns the
-    /// context, the simulate wall, the pairs simulated and the pipeline's
-    /// timings: analysis seconds in the consumer (pass A and pass B), and
-    /// the seconds each side spent waiting for the other.
-    fn build_chunked(
+    /// figures are byte-identical to a fold over the whole view. Returns
+    /// the context and every timing but generation and the client pass.
+    fn build_streamed(
         config: SimConfig,
         seed: u64,
         campaign: Campaign,
-        cfg: ChunkConfig,
+        store: Option<ChunkConfig>,
         kernels: &[Kernel],
-    ) -> (Self, f64, usize, Option<StreamTimings>) {
+    ) -> (Self, BuildTimings) {
         // The consumer runs on a plain thread: it must make progress while
         // the producer occupies this one (a shared work-stealing scope
         // would deadlock at --threads 1). Thread-count overrides are
@@ -412,28 +372,34 @@ impl ReproContext {
         } else {
             0
         };
+        let fold = !kernels.is_empty();
+        let mut shell = Dataset {
+            probe_horizon_s: config.probe_horizon_s,
+            client_horizon_s: config.client_horizon_s,
+            ..Dataset::default()
+        };
         let t1 = std::time::Instant::now();
         let table = shared_success_table(PerModel::default());
         // Parts go one way; one acknowledgement per folded part comes back,
         // and the simulator blocks while more than `ahead` are unfolded.
         let (tx, rx) = std::sync::mpsc::channel::<Dataset>();
         let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
-        let ((store, analyses, fold_s, recv_wait_s), stats, simulate_s, send_wait_s) =
+        let ((n_probes, chunks, analyses, fold_s, recv_wait_s), stats, simulate_s, send_wait_s) =
             std::thread::scope(|s| {
                 // Owned by this closure, so a panicking simulator drops it
                 // while unwinding and the consumer's `recv` ends; otherwise
                 // the scope would wait on the consumer forever.
                 let tx = tx;
+                let shell = &mut shell;
                 let consumer = s.spawn(move || {
                     let pool = rayon::ThreadPoolBuilder::new()
                         .num_threads(threads)
                         .build()
                         .expect("build analysis pool");
                     pool.install(move || {
-                        let mut builder = ChunkedDatasetBuilder::new(cfg);
+                        let mut builder = store.map(ChunkedDatasetBuilder::new);
                         let mut runner = FusedRunner::for_kernels(kernels);
-                        let mut fold_s = 0.0f64;
-                        let mut recv_wait_s = 0.0f64;
+                        let (mut n_probes, mut fold_s, mut recv_wait_s) = (0, 0.0f64, 0.0f64);
                         let mut io_err: Option<std::io::Error> = None;
                         loop {
                             let tw = std::time::Instant::now();
@@ -441,15 +407,29 @@ impl ReproContext {
                             recv_wait_s += tw.elapsed().as_secs_f64();
                             let Ok(part) = next else { break };
                             let tb = std::time::Instant::now();
-                            let ix = DatasetIndex::build(&part);
-                            runner.fold_view(DatasetView::new(&part, &ix));
-                            drop(ix);
-                            fold_s += tb.elapsed().as_secs_f64();
-                            if io_err.is_none() {
-                                if let Err(e) = builder.add(part) {
-                                    io_err = Some(e);
-                                }
+                            if fold {
+                                let ix = DatasetIndex::build(&part);
+                                runner.fold_view(DatasetView::new(&part, &ix));
                             }
+                            fold_s += tb.elapsed().as_secs_f64();
+                            n_probes += part.probes.len();
+                            let Dataset {
+                                networks,
+                                probes,
+                                clients,
+                                ..
+                            } = part;
+                            if let (Some(b), None) = (&mut builder, &io_err) {
+                                let networks = networks.clone();
+                                let part = Dataset {
+                                    networks,
+                                    probes,
+                                    ..Dataset::default()
+                                };
+                                io_err = b.add(part).err();
+                            }
+                            shell.networks.extend(networks);
+                            shell.clients.extend(clients);
                             // Fails only once the producer is gone, and
                             // then nobody is waiting for the acknowledgement.
                             let _ = done_tx.send(());
@@ -457,22 +437,20 @@ impl ReproContext {
                         if let Some(e) = io_err {
                             panic!("chunk store add failed during simulation: {e}");
                         }
-                        let chunked = builder
-                            .finish()
-                            .unwrap_or_else(|e| panic!("chunk store finish failed: {e}"));
-                        let tb = std::time::Instant::now();
-                        let analyses = runner.finish(&ProbeSource::Chunked(&chunked));
-                        fold_s += tb.elapsed().as_secs_f64();
-                        let store = DataStore::Streamed {
-                            n_probes: chunked.n_probes() as usize,
-                            chunks: Some(StoreSummary {
+                        let chunks = builder.map(|b| {
+                            let chunked = b
+                                .finish()
+                                .unwrap_or_else(|e| panic!("chunk store finish failed: {e}"));
+                            StoreSummary {
                                 stats: chunked.stats(),
                                 spilled_bytes: chunked.spilled_bytes(),
                                 n_windows: chunked.n_windows(),
-                            }),
-                            shell: chunked.into_shell(),
-                        };
-                        (store, analyses, fold_s, recv_wait_s)
+                            }
+                        });
+                        let tb = std::time::Instant::now();
+                        let analyses = runner.outputs();
+                        fold_s += tb.elapsed().as_secs_f64();
+                        (n_probes, chunks, analyses, fold_s, recv_wait_s)
                     })
                 });
                 let mut send_wait_s = 0.0f64;
@@ -480,7 +458,7 @@ impl ReproContext {
                 let stats = config.stream_campaign_with_table(
                     &campaign,
                     table,
-                    METRO_BATCH_NETWORKS,
+                    STREAM_BATCH_NETWORKS,
                     |part| {
                         tx.send(part).expect("analysis consumer hung up");
                         unfolded += 1;
@@ -501,14 +479,24 @@ impl ReproContext {
                     send_wait_s,
                 )
             });
+        let store = DataStore::Streamed {
+            shell,
+            n_probes,
+            chunks,
+        };
         let mut this = Self::assemble(store, config, seed, Some(campaign));
         this.analyses = analyses;
-        let timings = StreamTimings {
+        let timings = BuildTimings {
+            generate_s: 0.0,
+            simulate_s,
+            pairs_simulated: stats.pairs_simulated,
+            client_probe_s: 0.0,
+            clients_simulated: 0,
             analyze_s: fold_s,
-            send_wait_s,
-            recv_wait_s,
+            stream_send_wait_s: send_wait_s,
+            stream_recv_wait_s: recv_wait_s,
         };
-        (this, simulate_s, stats.pairs_simulated, Some(timings))
+        (this, timings)
     }
 
     /// Builds one context per seed `base_seed .. base_seed + n_seeds` by
@@ -593,10 +581,10 @@ impl ReproContext {
 
     /// Folds `kernels` over a dataset delivered as parts, each dropped
     /// once folded, so the context never holds the whole probe table; it
-    /// keeps only `shell`, as a chunked context does. `parts` yields the
+    /// keeps only `shell`, as a simulated context does. `parts` yields the
     /// parts in network order, each of whole consecutive networks (as a
-    /// [`PartReader`] does), and is walked again for pass B when a penalty
-    /// is requested. The shell and every part are checked with
+    /// [`PartReader`] does), and is walked once: penalties are scored as
+    /// the parts are folded. The shell and every part are checked with
     /// [`Dataset::check_part`] before anything is folded, so an invalid
     /// dataset is refused with its first violations, probe sets named by
     /// their position in the whole. The figures are byte-identical to
@@ -608,7 +596,7 @@ impl ReproContext {
         config: SimConfig,
         seed: u64,
         kernels: &[Kernel],
-        parts: impl Fn() -> I,
+        parts: impl FnOnce() -> I,
     ) -> Result<Self, LoadError>
     where
         I: Iterator<Item = std::io::Result<P>>,
@@ -636,22 +624,13 @@ impl ReproContext {
                 runner.fold_view(DatasetView::new(dataset, &ix));
             }
         }
-        let mut pass_b = runner.finish_pass_a();
-        if pass_b.needs_parts() {
-            for part in parts() {
-                let part = part?;
-                let ds = &part.borrow().dataset;
-                let ix = DatasetIndex::build(ds);
-                pass_b.fold_view(DatasetView::new(ds, &ix));
-            }
-        }
         let store = DataStore::Streamed {
             shell,
             n_probes,
             chunks: None,
         };
         let mut this = Self::assemble(store, config, seed, None);
-        this.analyses = pass_b.finish();
+        this.analyses = runner.outputs();
         Ok(this)
     }
 
@@ -664,7 +643,7 @@ impl ReproContext {
             let view = self.view();
             let mut runner = FusedRunner::for_kernels(kernels);
             runner.fold_view(view);
-            self.analyses = runner.finish(&ProbeSource::Whole(view));
+            self.analyses = runner.outputs();
         }
         t.elapsed().as_secs_f64()
     }
@@ -948,10 +927,11 @@ mod tests {
         );
     }
 
-    /// Every build reports the seconds it spent filling its analyses: an
-    /// in-memory build folds after simulating, a chunked one while it
-    /// simulates, and only the latter reports its stream's waits. A build
-    /// asked for no kernel folds nothing and builds no index.
+    /// Every build reports the seconds its streaming consumer spent
+    /// filling its analyses, and both of the stream's waits, each inside
+    /// the simulate wall, whether or not it writes a store. A build asked
+    /// for no kernel folds nothing, and no simulated context keeps a
+    /// probe table.
     #[test]
     fn build_timings_carry_the_fold() {
         let build = |kernels: &[Kernel], mode| {
@@ -964,26 +944,24 @@ mod tests {
             )
         };
         let (mem, mem_t) = build(&Kernel::all(), DataMode::InMemory);
-        let (bare, bare_t) = build(&[], DataMode::InMemory);
-        assert_eq!(mem_t.stream_send_wait_s, None);
-        assert_eq!(mem_t.stream_recv_wait_s, None);
-        assert!(mem.index.get().is_some() && bare.index.get().is_none());
+        let (_, bare_t) = build(&[], DataMode::InMemory);
         assert!(
             bare_t.analyze_s < mem_t.analyze_s,
             "no fold {} s vs every kernel {} s",
             bare_t.analyze_s,
             mem_t.analyze_s
         );
-
-        let (_, chk) = build(&Kernel::all(), DataMode::Chunked(ChunkConfig::tiny()));
-        assert!(chk.analyze_s > 0.0);
-        // Either side's wait happens inside the simulate wall.
-        for wait in [chk.stream_send_wait_s, chk.stream_recv_wait_s] {
-            assert!(
-                wait.is_some_and(|w| (0.0..=chk.simulate_s).contains(&w)),
-                "wait {wait:?} outside 0..={}",
-                chk.simulate_s
-            );
+        assert!(mem.n_probes() > 0 && mem.meta_dataset().probes.is_empty());
+        let (_, chk_t) = build(&Kernel::all(), DataMode::Chunked(ChunkConfig::tiny()));
+        for t in [mem_t, chk_t] {
+            assert!(t.analyze_s > 0.0);
+            for wait in [t.stream_send_wait_s, t.stream_recv_wait_s] {
+                assert!(
+                    (0.0..=t.simulate_s).contains(&wait),
+                    "wait {wait} outside 0..={}",
+                    t.simulate_s
+                );
+            }
         }
     }
 
@@ -1012,8 +990,10 @@ mod tests {
             let none = mesh11_sim::FaultPlan::none();
             let (solo, st) =
                 ReproContext::build_timed_with_mode(Scale::Quick, seed, none, DataMode::InMemory);
+            let spec = Scale::Quick.campaign_spec(seed);
+            let dataset = Scale::Quick.config().run_campaign(&spec.generate());
             assert_eq!(ctx.seed, seed);
-            assert_eq!(ctx.dataset(), solo.dataset(), "seed {seed}");
+            assert_eq!(ctx.dataset(), &dataset, "seed {seed}");
             assert_eq!(t.per_seed_pairs[k], st.pairs_simulated);
             assert_eq!(ctx.client_probes(), solo.client_probes(), "seed {seed}");
             assert_eq!(

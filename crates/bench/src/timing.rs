@@ -66,27 +66,27 @@ pub struct PhaseTimings {
     /// its per-client scheduler, giving `client_probe_s` a denominator.
     pub clients_simulated: usize,
     /// All analysis, wall-clock: the build's fused pass, then the figures
-    /// (which run concurrently, so less than the sum of `figures`). For
-    /// chunked runs the fused pass is `stream_analyze_s`, most of which
+    /// (which run concurrently, so less than the sum of `figures`). For a
+    /// streamed run the fused pass is `stream_analyze_s`, most of which
     /// ran inside the simulate wall; how much of it overlapped is read off
     /// the two stream waits.
     pub analyze_s: f64,
     /// Analysis throughput: `n_probes / analyze_s` — the analyze-phase
     /// counterpart of `reports_per_sec`.
     pub analyze_probes_per_sec: f64,
-    /// Analysis seconds of a chunked run's streaming build: the index
-    /// build and kernel fold of every sealed part (inside the simulate
-    /// wall) plus the pass-B finish. Chunk encode and spill are not in
-    /// it. `None` for in-memory runs.
+    /// Analysis seconds of a single-seed run's streamed build: the index
+    /// build, kernel fold and penalty scoring of every sealed part (inside
+    /// the simulate wall) plus the finish. Chunk encode and spill are not
+    /// in it. `None` for `--seeds` runs, which fold resident datasets.
     pub stream_analyze_s: Option<f64>,
-    /// Seconds a chunked run's simulator spent blocked handing sealed
+    /// Seconds a streamed run's simulator spent blocked handing sealed
     /// parts to the fold. Near 0 when simulation and analysis overlap;
     /// the fold's whole share of `simulate_s` when they alternate (the
-    /// two pools do not fit the cores side by side). `None` for
-    /// in-memory runs.
+    /// two pools do not fit the cores side by side). `None` for `--seeds`
+    /// runs.
     pub stream_send_wait_s: Option<f64>,
-    /// Seconds a chunked run's fold consumer spent idle, waiting for the
-    /// simulator's next part. `None` for in-memory runs.
+    /// Seconds a streamed run's fold consumer spent idle, waiting for the
+    /// simulator's next part. `None` for `--seeds` runs.
     pub stream_recv_wait_s: Option<f64>,
     /// Chunk fetches served from a resident chunk. The chunk-store
     /// counters are `None` (JSON `null`) for in-memory runs, where a zero
@@ -175,7 +175,7 @@ impl PhaseTimings {
         }
         if let Some(fold) = self.stream_analyze_s {
             s.push_str(&format!(
-                "\n# streaming: analysis {fold:.2}s (part folds + pass B), simulator blocked on the fold {:.2}s, fold idle waiting for parts {:.2}s",
+                "\n# streaming: analysis {fold:.2}s (part folds and scoring), simulator blocked on the fold {:.2}s, fold idle waiting for parts {:.2}s",
                 self.stream_send_wait_s.unwrap_or(0.0),
                 self.stream_recv_wait_s.unwrap_or(0.0)
             ));
@@ -320,7 +320,7 @@ mod tests {
             assert!(!t.render().contains(gone), "{gone} still rendered");
         }
         assert!(t.render().contains(
-            "# streaming: analysis 0.90s (part folds + pass B), simulator blocked on the fold 0.05s, fold idle waiting for parts 0.61s"
+            "# streaming: analysis 0.90s (part folds and scoring), simulator blocked on the fold 0.05s, fold idle waiting for parts 0.61s"
         ));
     }
 

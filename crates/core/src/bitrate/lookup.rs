@@ -9,6 +9,9 @@ use mesh11_trace::{DatasetView, NetworkView, Probe};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
+use crate::bitrate::penalty::{score_network, NetScores, PenaltyTally, Residue};
+use crate::bitrate::ThroughputPenalty;
+
 /// Training scope of a lookup table — the paper's four cases, from cheapest
 /// to bootstrap to most specific.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -61,36 +64,56 @@ type Tally = (i64, u8, u32);
 /// network's keys all begin with its id, so only the global key is ever
 /// shared, and its counts are added together. Counts are integers, so
 /// the merge cannot change any cell.
+///
+/// With `penalty` set the kernel also scores the table's Fig 4.4 penalty
+/// on the probe sets it tallies (see [`crate::bitrate::penalty`]): a
+/// network's sets against its own cells, which are final at every scope
+/// but Global, and at Global against the finished table.
 #[derive(Debug, Clone, Copy)]
 pub struct TableBuildKernel {
     /// Training scope.
     pub scope: Scope,
     /// PHY to train on.
     pub phy: Phy,
+    /// Whether to score the table's penalty too.
+    pub penalty: bool,
 }
 
 impl mesh11_trace::FoldKernel for TableBuildKernel {
-    type Partial = LookupTableSet;
-    type Piece = LookupTableSet;
-    type Output = LookupTableSet;
+    type Partial = (LookupTableSet, Option<PenaltyTally>);
+    type Piece = (LookupTableSet, Option<NetScores>);
+    type Output = (LookupTableSet, Option<ThroughputPenalty>);
     const COLUMNS: bool = true;
 
-    fn init(&self) -> LookupTableSet {
-        LookupTableSet::new(self.scope, self.phy)
+    fn init(&self) -> Self::Partial {
+        let tally = self.penalty.then(PenaltyTally::default);
+        (LookupTableSet::new(self.scope, self.phy), tally)
     }
 
     fn units<'a>(&'a self, view: DatasetView<'a>) -> Vec<Unit<'a, Self::Piece>> {
         network_units(view, self.phy, move |nv| {
-            LookupTableSet::of_network(self.scope, self.phy, &nv)
+            let cells = LookupTableSet::of_network(self.scope, self.phy, &nv);
+            let scores = self.penalty.then(|| match self.scope {
+                Scope::Global => NetScores::Deferred(Residue::of_network(self.phy, &nv)),
+                _ => {
+                    let (diffs, unpredicted) = score_network(&cells, &nv);
+                    NetScores::Scored(diffs, unpredicted)
+                }
+            });
+            (cells, scores)
         })
     }
 
-    fn merge(&self, partial: &mut LookupTableSet, t: LookupTableSet) {
-        partial.append(&t);
+    fn merge(&self, (table, tally): &mut Self::Partial, (cells, scores): Self::Piece) {
+        table.append(&cells);
+        if let (Some(tally), Some(scores)) = (tally, scores) {
+            tally.merge(scores);
+        }
     }
 
-    fn finish(&self, partial: LookupTableSet) -> LookupTableSet {
-        partial
+    fn finish(&self, (table, tally): Self::Partial) -> Self::Output {
+        let penalty = tally.map(|t| t.finish(&table));
+        (table, penalty)
     }
 }
 
@@ -132,7 +155,12 @@ impl LookupTableSet {
     /// Trains tables from every probe set of `phy` in the dataset, using
     /// the view's precomputed SNR keys and optima.
     pub fn build(view: DatasetView<'_>, scope: Scope, phy: Phy) -> Self {
-        mesh11_trace::run_fold(view, &TableBuildKernel { scope, phy })
+        let kernel = TableBuildKernel {
+            scope,
+            phy,
+            penalty: false,
+        };
+        mesh11_trace::run_fold(view, &kernel).0
     }
 
     fn new(scope: Scope, phy: Phy) -> Self {
@@ -281,6 +309,13 @@ impl LookupTableSet {
     pub(crate) fn predict_at(&self, probe: Probe<'_>, snr_key: i64) -> Option<BitRate> {
         self.cell(self.key_for(probe), snr_key)
             .map(|c| self.rate(c.winner))
+    }
+
+    /// The winning rate's index at the global key's `snr` cell, for a
+    /// Global table.
+    pub(crate) fn global_winner(&self, snr: i64) -> Option<u8> {
+        let global = key_of(Scope::Global, 0, 0, 0);
+        self.cell(global, snr).map(|c| c.winner)
     }
 
     /// The `k` most frequently optimal rates at a probe set's cell — the

@@ -5,70 +5,268 @@
 //! A rate the table picks but the set never heard (no observation) scores
 //! zero throughput — exactly the punishment a real sender would take.
 //!
-//! [`PenaltyKernel`] is the one scorer. Every source reaches it through
-//! the fused runner's pass B, one network-aligned view at a time: a
-//! resident dataset as one view, a file as its parts, the chunk store as
-//! one view per network.
+//! A table scores the probe sets that trained it while it tallies them
+//! ([`TableBuildKernel`] with `penalty` set), one network-aligned part at
+//! a time. Network, AP and Link keys begin with the network id, so a
+//! network's own cells are final once that network is tallied, and its
+//! sets are scored against them on the spot. The Global table needs every
+//! network first: each network leaves a [`Residue`], and the finished
+//! table scores the residues in network order. Either way the diffs are
+//! counted in the order of one walk over the whole dataset.
+//!
+//! [`ThroughputPenalty::evaluate`] scores any table against any view, one
+//! network at a time; the per-part scorer is tested against it.
+//!
+//! [`TableBuildKernel`]: crate::bitrate::lookup::TableBuildKernel
+
+use std::collections::HashMap;
 
 use mesh11_phy::Phy;
 use mesh11_stats::Counts;
 use mesh11_trace::fold::{network_units, Unit};
-use mesh11_trace::{DatasetView, FoldKernel};
+use mesh11_trace::{DatasetView, FoldKernel, NetworkView, RateObs};
 
 use crate::bitrate::lookup::{LookupTableSet, Scope};
 
-/// The fold-style form of [`ThroughputPenalty::evaluate`]: needs a
-/// **completed** table set, so in a fused pass it runs in a second phase
-/// after the table-building folds finish. Each network is scored on its
-/// own, and its diffs are counted in network order, which adds up the sum
-/// in the order of one sequential walk (datasets are network-major).
-#[derive(Debug, Clone, Copy)]
-pub struct PenaltyKernel<'t> {
-    /// The trained tables the kernel scores against.
-    pub table: &'t LookupTableSet,
+/// Scores one network's probe sets, in stream order, against `table`:
+/// their diffs, and the sets whose cell the table lacks.
+pub(crate) fn score_network(table: &LookupTableSet, nv: &NetworkView<'_>) -> (Vec<f64>, usize) {
+    let (mut diffs, mut unpredicted) = (Vec::new(), 0);
+    for e in nv.entries_in_order() {
+        match table.predict_at(e.probe, e.snr_key) {
+            None => unpredicted += 1,
+            Some(pick) => {
+                let got = e.probe.obs_for(pick).map_or(0.0, |o| o.throughput_mbps());
+                diffs.push((e.opt.throughput_mbps() - got).max(0.0));
+            }
+        }
+    }
+    (diffs, unpredicted)
 }
 
-/// One network's scores against one table: its diffs in stream order,
-/// and the sets the table could not score.
-type NetScores = (Vec<f64>, usize);
+/// Scores any table against any view: each network on its own, its diffs
+/// counted in network order, which adds up the sum in the order of one
+/// sequential walk (datasets are network-major).
+#[derive(Debug, Clone, Copy)]
+struct PenaltyKernel<'t> {
+    table: &'t LookupTableSet,
+}
 
 impl FoldKernel for PenaltyKernel<'_> {
-    type Partial = (Counts, usize);
+    type Partial = PenaltyTally;
     type Piece = NetScores;
     type Output = ThroughputPenalty;
     const COLUMNS: bool = true;
 
-    fn init(&self) -> Self::Partial {
-        (Counts::new(), 0)
+    fn init(&self) -> PenaltyTally {
+        PenaltyTally::default()
     }
 
-    fn units<'a>(&'a self, view: DatasetView<'a>) -> Vec<Unit<'a, Self::Piece>> {
+    fn units<'a>(&'a self, view: DatasetView<'a>) -> Vec<Unit<'a, NetScores>> {
         network_units(view, self.table.phy(), move |nv| {
-            let (mut diffs, mut unpredicted) = (Vec::new(), 0);
-            for e in nv.entries_in_order() {
-                match self.table.predict_at(e.probe, e.snr_key) {
-                    None => unpredicted += 1,
-                    Some(pick) => {
-                        let got = e.probe.obs_for(pick).map_or(0.0, |o| o.throughput_mbps());
-                        diffs.push((e.opt.throughput_mbps() - got).max(0.0));
-                    }
-                }
-            }
-            (diffs, unpredicted)
+            let (diffs, unpredicted) = score_network(self.table, &nv);
+            NetScores::Scored(diffs, unpredicted)
         })
     }
 
-    fn merge(&self, partial: &mut Self::Partial, (diffs, unpredicted): NetScores) {
-        partial.0.extend(diffs);
-        partial.1 += unpredicted;
+    fn merge(&self, tally: &mut PenaltyTally, scores: NetScores) {
+        tally.merge(scores);
     }
 
-    fn finish(&self, partial: Self::Partial) -> ThroughputPenalty {
+    fn finish(&self, tally: PenaltyTally) -> ThroughputPenalty {
+        tally.finish(self.table)
+    }
+}
+
+/// One network's share of a penalty.
+#[derive(Debug)]
+pub enum NetScores {
+    /// Its diffs in stream order, and the sets its table could not score.
+    Scored(Vec<f64>, usize),
+    /// What the Global table needs to score its sets once it is finished.
+    Deferred(Residue),
+}
+
+/// A penalty in progress: the diffs counted so far, the sets no cell
+/// scored, and the Global residues waiting for their table, in network
+/// order.
+#[derive(Debug, Default)]
+pub struct PenaltyTally {
+    diffs: Counts,
+    unpredicted: usize,
+    residues: Vec<Residue>,
+}
+
+impl PenaltyTally {
+    /// Merges the next network's share.
+    pub(crate) fn merge(&mut self, scores: NetScores) {
+        match scores {
+            NetScores::Scored(diffs, unpredicted) => {
+                self.diffs.extend(diffs);
+                self.unpredicted += unpredicted;
+            }
+            NetScores::Deferred(residue) => self.residues.push(residue),
+        }
+    }
+
+    /// The penalty of the finished `table`: the residues are scored now,
+    /// in network order.
+    pub(crate) fn finish(mut self, table: &LookupTableSet) -> ThroughputPenalty {
+        for residue in &self.residues {
+            residue.score(table, &mut self.diffs, &mut self.unpredicted);
+        }
         ThroughputPenalty {
-            scope: self.table.scope(),
-            phy: self.table.phy(),
-            diffs_mbps: partial.0,
-            unpredicted: partial.1,
+            scope: table.scope(),
+            phy: table.phy(),
+            diffs_mbps: self.diffs,
+            unpredicted: self.unpredicted,
+        }
+    }
+}
+
+/// One network's probe sets as the Global table needs them to score them
+/// once it is finished: per set, its SNR key and its optimum, and per
+/// observation its rate and throughput. Both are coded through the
+/// network's dictionaries of distinct values: losses are quantized, so a
+/// network's observations hold a few hundred distinct (rate, throughput)
+/// pairs and its sets a few dozen SNR keys, and each code takes one or two
+/// bytes.
+#[derive(Debug)]
+pub struct Residue {
+    /// The distinct SNR keys of the sets.
+    snrs: Vec<i64>,
+    /// The distinct (rate, throughput) pairs of the observations, the rate
+    /// as its index among the table PHY's rates (`u8::MAX` for another
+    /// PHY's rate, which no cell picks).
+    pairs: Vec<(u8, f64)>,
+    /// Per set, in stream order: its SNR key's position.
+    snr: Codes,
+    /// Per set: its optimum's pair's position.
+    opt: Codes,
+    /// Per set: its observation count.
+    lens: Codes,
+    /// Per observation, set by set: its pair's position.
+    obs: Codes,
+}
+
+impl Residue {
+    /// The residue of one network's `phy` probe sets.
+    pub(crate) fn of_network(phy: Phy, nv: &NetworkView<'_>) -> Self {
+        let (mut snrs, mut pairs) = (Dictionary::default(), Dictionary::default());
+        let mut pair = |o: &RateObs| {
+            let rate = if o.rate.phy() == phy {
+                o.rate.index() as u8
+            } else {
+                u8::MAX
+            };
+            pairs.code((rate, o.throughput_mbps().to_bits()))
+        };
+        let (mut snr, mut opt, mut lens, mut obs) = <(Codes, Codes, Codes, Codes)>::default();
+        for e in nv.entries_in_order() {
+            snr.push(snrs.code(e.snr_key));
+            opt.push(pair(&e.opt));
+            lens.push(u32::try_from(e.probe.obs.len()).expect("fewer than 2^32 observations"));
+            for o in e.probe.obs {
+                obs.push(pair(o));
+            }
+        }
+        let pairs = pairs.values.into_iter();
+        Self {
+            snrs: snrs.values,
+            pairs: pairs
+                .map(|(rate, bits)| (rate, f64::from_bits(bits)))
+                .collect(),
+            snr,
+            opt,
+            lens,
+            obs,
+        }
+    }
+
+    /// Scores the sets against the finished Global `table`, in stream
+    /// order, as [`score_network`] scores them from the probes.
+    fn score(&self, table: &LookupTableSet, diffs: &mut Counts, unpredicted: &mut usize) {
+        let picks: Vec<Option<u8>> = (self.snrs.iter())
+            .map(|&snr| table.global_winner(snr))
+            .collect();
+        let mut start = 0;
+        for set in 0..self.lens.len() {
+            let obs = start..start + self.lens.get(set);
+            start = obs.end;
+            let Some(pick) = picks[self.snr.get(set)] else {
+                *unpredicted += 1;
+                continue;
+            };
+            let heard = obs
+                .map(|i| self.pairs[self.obs.get(i)])
+                .find(|p| p.0 == pick);
+            let got = heard.map_or(0.0, |(_, throughput)| throughput);
+            diffs.push((self.pairs[self.opt.get(set)].1 - got).max(0.0));
+        }
+    }
+}
+
+/// Distinct values in first-seen order; a value's code is its position.
+#[derive(Debug, Default)]
+struct Dictionary<K> {
+    values: Vec<K>,
+    codes: HashMap<K, u32>,
+}
+
+impl<K: Copy + Eq + std::hash::Hash> Dictionary<K> {
+    fn code(&mut self, value: K) -> u32 {
+        *self.codes.entry(value).or_insert_with(|| {
+            self.values.push(value);
+            u32::try_from(self.values.len() - 1).expect("fewer than 2^32 distinct values")
+        })
+    }
+}
+
+/// Unsigned codes, each held in the fewest bytes that hold the largest.
+#[derive(Debug)]
+enum Codes {
+    U8(Vec<u8>),
+    U16(Vec<u16>),
+    U32(Vec<u32>),
+}
+
+impl Default for Codes {
+    fn default() -> Self {
+        Codes::U8(Vec::new())
+    }
+}
+
+impl Codes {
+    /// Appends `code`, first widening every code when it does not fit.
+    fn push(&mut self, code: u32) {
+        let wider = match self {
+            Codes::U8(v) => match u8::try_from(code) {
+                Ok(c) => return v.push(c),
+                Err(_) => Codes::U16(v.iter().map(|&c| c.into()).collect()),
+            },
+            Codes::U16(v) => match u16::try_from(code) {
+                Ok(c) => return v.push(c),
+                Err(_) => Codes::U32(v.iter().map(|&c| c.into()).collect()),
+            },
+            Codes::U32(v) => return v.push(code),
+        };
+        *self = wider;
+        self.push(code);
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Codes::U8(v) => v.len(),
+            Codes::U16(v) => v.len(),
+            Codes::U32(v) => v.len(),
+        }
+    }
+
+    fn get(&self, i: usize) -> usize {
+        match self {
+            Codes::U8(v) => usize::from(v[i]),
+            Codes::U16(v) => usize::from(v[i]),
+            Codes::U32(v) => v[i] as usize,
         }
     }
 }
@@ -198,6 +396,18 @@ mod tests {
         // One of the two sets is mispredicted with an unheard rate.
         let max = g.diffs_mbps.quantile(1.0).unwrap();
         assert!(max >= 12.0 - 1e-9, "diffs {:?}", g.diffs_mbps);
+    }
+
+    #[test]
+    fn codes_widen_to_hold_every_code() {
+        let mut codes = Codes::default();
+        let want: Vec<u32> = (0..70_000).chain([u32::MAX, 7]).collect();
+        for &c in &want {
+            codes.push(c);
+        }
+        assert!(matches!(codes, Codes::U32(_)));
+        assert_eq!(codes.len(), want.len());
+        assert!((0..want.len()).all(|i| codes.get(i) == want[i] as usize));
     }
 
     #[test]

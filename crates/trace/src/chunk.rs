@@ -28,11 +28,12 @@
 //!
 //! ## Concurrency
 //!
-//! The store has one reader: pass B replays it network by network through
-//! [`ChunkedDataset::window_dataset`], in order, on the thread that built
-//! it. So one mutex guards the slots, the LRU clock and the spill file,
-//! and a read holds it through the `pread` and the decode. The store stays
-//! `Sync`, so concurrent readers are still correct; they take turns.
+//! The store has at most one reader, walking it in order through
+//! [`ChunkedDataset::window`]: `repro` writes the store but reads nothing
+//! back, since its fused pass scores every part as it arrives. So one
+//! mutex guards the slots, the LRU clock and the spill file, and a read
+//! holds it through the `pread` and the decode. The store stays `Sync`, so
+//! concurrent readers are still correct; they take turns.
 //!
 //! [`ChunkStore::chunk`] returns a [`ChunkHandle`] that shares the decoded
 //! columns through an `Arc`. Eviction drops only the store's reference, so
@@ -633,8 +634,8 @@ impl ChunkedDatasetBuilder {
     /// runs in `part.networks` order. A part that breaks this (interleaved
     /// networks, or a probe of a network the part does not list) is
     /// rejected with [`io::ErrorKind::InvalidInput`] before anything is
-    /// absorbed, because its per-network offsets would point pass B at the
-    /// wrong rows.
+    /// absorbed, because its per-network offsets would point a window at
+    /// the wrong rows.
     pub fn add(&mut self, part: Dataset) -> io::Result<()> {
         let counts = network_runs(&part).ok_or_else(|| {
             io::Error::new(
@@ -845,8 +846,7 @@ impl ChunkedDataset {
 
     /// Materializes one window of consecutive networks as a mini dataset:
     /// their metadata and their probes (reconstructed from the chunk
-    /// sequence, in stream order), with no clients. Pass B replays the
-    /// store through it one network at a time; not counted in
+    /// sequence, in stream order), with no clients. Not counted in
     /// `window_builds`.
     pub fn window_dataset(&self, nets: std::ops::Range<usize>) -> Dataset {
         let p0 = self.net_probe_off[nets.start] as usize;
@@ -869,11 +869,6 @@ impl ChunkedDataset {
             client_horizon_s: self.shell.client_horizon_s,
         }
     }
-
-    /// Drops the store, and with it the spill file, keeping the shell.
-    pub fn into_shell(self) -> Dataset {
-        self.shell
-    }
 }
 
 impl std::fmt::Debug for ChunkedDataset {
@@ -888,10 +883,10 @@ impl std::fmt::Debug for ChunkedDataset {
     }
 }
 
-/// The probes a finished fused pass scores its penalties against (pass B
-/// of `FusedRunner::finish` in `mesh11-bench`): one whole indexed view, or
-/// a chunked dataset replayed one network at a time, each network a view
-/// of its own.
+/// The probes a fused pass was folded over: one whole indexed view, or a
+/// chunked dataset. `FusedRunner::finish` in `mesh11-bench` takes one for
+/// the benchmark's traced run, and reads nothing from it: the penalties
+/// are scored as the parts are folded.
 pub enum ProbeSource<'a> {
     /// Every probe resident, as one indexed view.
     Whole(DatasetView<'a>),

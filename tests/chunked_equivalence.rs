@@ -1,15 +1,18 @@
-//! The out-of-core contract: a chunked, spill-to-disk context must produce
-//! figure JSON byte-identical to the fully resident path, at any thread
-//! count — and pass B's per-network replay of the store must yield each
-//! network's probe sets in dataset order no matter where chunk boundaries
-//! fall, and score them exactly as the indexed penalty evaluation does.
+//! The part contract: a context that also writes its parts to the
+//! spill-to-disk chunk store must produce figure JSON byte-identical to the
+//! store-less build, at any thread count; the store's per-network walk
+//! must yield each network's probe sets in dataset order no matter where
+//! chunk boundaries fall; and the Fig 4.4 penalties, scored part by part
+//! as their tables tally, must match the whole-view penalty evaluation
+//! wherever the network-aligned part boundaries fall.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use mesh11::prelude::*;
-use mesh11::trace::{ChunkConfig, ChunkedDataset, EnvLabel, NetworkId, NetworkMeta, ProbeSource};
+use mesh11::trace::{ChunkConfig, ChunkedDataset, EnvLabel, NetworkId, NetworkMeta};
 use mesh11_bench::figures::{build, ALL_IDS};
-use mesh11_bench::{DataMode, FusedRunner, Kernel, ReproContext, Scale};
+use mesh11_bench::{DataMode, FusedOutputs, FusedRunner, Kernel, ReproContext, Scale};
 use proptest::prelude::*;
 
 mod common;
@@ -66,11 +69,10 @@ fn assert_same_figures(
 }
 
 /// Every figure JSON — all experiments, all panels — is byte-identical
-/// between the in-memory and the forced-spill chunked path
-/// (`ChunkConfig::tiny()`: many chunks, budget 2, so pass B reads
-/// spilled frames back), on one
-/// thread, four, and eight (the parallelized kernels fan out per
-/// network, so this exercises every reduction order).
+/// between the store-less and the forced-spill chunked build
+/// (`ChunkConfig::tiny()`: many chunks, budget 2), on one thread, four,
+/// and eight (the parallelized kernels fan out per network, so this
+/// exercises every reduction order).
 #[test]
 fn chunked_figures_byte_identical_to_in_memory() {
     let reference = build_figures(DataMode::InMemory, 1, FaultPlan::none());
@@ -129,9 +131,10 @@ fn pooled_dataset(specs: &[ProbeSpec]) -> Dataset {
     }
 }
 
-/// Counted fields: each distinct diff's count (by bits), the bits of the
-/// in-order sum, and the unscored sets.
-type Counted = (BTreeMap<u64, u64>, u64, usize);
+/// Counted fields: each distinct diff's count (by bits), the zeros' runs
+/// in push order (by bits), the bits of the in-order sum, and the
+/// unscored sets.
+type Counted = (BTreeMap<u64, u64>, Vec<(u64, u64)>, u64, usize);
 
 /// The pre-count penalty loop, kept as the oracle: every set of the
 /// table's PHY, network by network in id order and in stream order
@@ -153,72 +156,130 @@ fn penalty_oracle(view: DatasetView<'_>, table: &LookupTableSet) -> Counted {
         }
     }
     let mut per_value = BTreeMap::new();
+    let mut zeros: Vec<(u64, u64)> = Vec::new();
     for d in &diffs {
         *per_value.entry(d.to_bits()).or_insert(0) += 1;
+        if *d == 0.0 {
+            match zeros.last_mut() {
+                Some((bits, run)) if *bits == d.to_bits() => *run += 1,
+                _ => zeros.push((d.to_bits(), 1)),
+            }
+        }
     }
-    (per_value, diffs.iter().sum::<f64>().to_bits(), unpredicted)
+    let sum = diffs.iter().sum::<f64>().to_bits();
+    (per_value, zeros, sum, unpredicted)
 }
 
 fn counted(p: &ThroughputPenalty) -> Counted {
-    let mut per_value = BTreeMap::new();
+    let (mut per_value, mut zeros) = (BTreeMap::new(), Vec::new());
     for (v, n) in p.diffs_mbps.cells() {
         *per_value.entry(v.to_bits()).or_insert(0) += n;
+        if v == 0.0 {
+            zeros.push((v.to_bits(), n));
+        }
     }
-    (per_value, p.diffs_mbps.sum().to_bits(), p.unpredicted)
+    (
+        per_value,
+        zeros,
+        p.diffs_mbps.sum().to_bits(),
+        p.unpredicted,
+    )
 }
 
-/// Trains all eight (scope, phy) tables on `train` in a fused runner's
-/// pass A, then scores them against `eval` three ways: the per-set oracle
-/// loop, per table over the indexed view (`ThroughputPenalty::evaluate`,
-/// the in-memory path), and the runner's pass B, which replays `eval`
-/// chunked at `capacity` probe sets per chunk one network at a time. All
-/// three must agree bit for bit in every counted field. Returns the
-/// unpredicted counts, table by table.
-fn assert_pass_b_matches(train: &Dataset, eval: &Dataset, capacity: usize) -> Vec<usize> {
-    let keys: Vec<(Scope, Phy)> = [Scope::Global, Scope::Network, Scope::Ap, Scope::Link]
+/// Every (scope, phy) a table is trained at.
+fn table_keys() -> Vec<(Scope, Phy)> {
+    [Scope::Global, Scope::Network, Scope::Ap, Scope::Link]
         .into_iter()
         .flat_map(|scope| [Phy::Bg, Phy::Ht].map(|phy| (scope, phy)))
+        .collect()
+}
+
+/// `ds` cut into parts of consecutive networks (id order), a new part
+/// starting at each network whose `cuts` entry is set: one network per
+/// part when every entry is, the whole view when none is. Each network's
+/// probe sets keep their stream order.
+fn parts_of(ds: &Dataset, cuts: &[bool]) -> Vec<Dataset> {
+    let mut parts: Vec<Dataset> = Vec::new();
+    for (i, m) in ds.networks.iter().enumerate() {
+        if parts.is_empty() || cuts.get(i).copied().unwrap_or(false) {
+            parts.push(Dataset::default());
+        }
+        let part = parts.last_mut().expect("pushed above");
+        part.networks.push(m.clone());
+        for p in ds.probes_for_network(m.id) {
+            part.probes.push(p);
+        }
+    }
+    parts
+}
+
+/// Trains all eight tables with their penalties in a fused runner folded
+/// over `ds` cut at `cuts`, each table scoring the sets it tallies.
+fn fold_in_parts(ds: &Dataset, cuts: &[bool]) -> FusedOutputs {
+    let penalties: Vec<Kernel> = (table_keys().into_iter())
+        .map(|(s, p)| Kernel::Penalty(s, p))
         .collect();
-    let penalties: Vec<Kernel> = keys.iter().map(|&(s, p)| Kernel::Penalty(s, p)).collect();
     let mut runner = FusedRunner::for_kernels(&penalties);
-    let train_ix = DatasetIndex::build(train);
-    runner.fold_view(DatasetView::new(train, &train_ix));
-    let cfg = ChunkConfig {
-        chunk_capacity: capacity,
-        resident_chunks: 2,
-        ..ChunkConfig::tiny()
-    };
-    let chunked = ChunkedDataset::from_dataset(eval, cfg).expect("chunking succeeds");
-    let out = runner.finish(&ProbeSource::Chunked(&chunked));
-    let eval_ix = DatasetIndex::build(eval);
-    let eval_view = DatasetView::new(eval, &eval_ix);
-    keys.into_iter()
+    for part in parts_of(ds, cuts) {
+        let ix = DatasetIndex::build(&part);
+        runner.fold_view(DatasetView::new(&part, &ix));
+    }
+    runner.outputs()
+}
+
+/// Scores `eval` against each of `out`'s eight finished tables two ways,
+/// the per-set oracle loop and `ThroughputPenalty::evaluate` over the
+/// whole view, and checks they agree bit for bit in every counted field.
+/// Returns the oracle's counts, table by table.
+fn whole_view_scores(out: &FusedOutputs, eval: &Dataset) -> Vec<Counted> {
+    let ix = DatasetIndex::build(eval);
+    let view = DatasetView::new(eval, &ix);
+    (table_keys().into_iter())
         .map(|(scope, phy)| {
             let table: &LookupTableSet = out.get(Kernel::Table(scope, phy));
-            let got: &ThroughputPenalty = out.get(Kernel::Penalty(scope, phy));
-            let want = penalty_oracle(eval_view, table);
-            let indexed = ThroughputPenalty::evaluate(eval_view, table);
-            let label = format!("{scope:?}/{phy:?} at capacity {capacity}");
-            assert_eq!((got.scope, got.phy), (scope, phy), "{label}");
-            assert_eq!((indexed.scope, indexed.phy), (scope, phy), "{label}");
-            assert_eq!(
-                counted(got),
-                want,
-                "pass B differs from the oracle: {label}"
-            );
+            let want = penalty_oracle(view, table);
+            let indexed = ThroughputPenalty::evaluate(view, table);
+            assert_eq!((indexed.scope, indexed.phy), (scope, phy));
             assert_eq!(
                 counted(&indexed),
                 want,
-                "evaluate differs from the oracle: {label}"
+                "evaluate differs from the oracle: {scope:?}/{phy:?}"
+            );
+            want
+        })
+        .collect()
+}
+
+/// Scores all eight penalties part by part over `ds` cut at `cuts`, and
+/// checks each against the whole-view evaluation of its finished table
+/// bit for bit in every counted field: cells, zero runs, the in-order
+/// sum and the unscored sets. Returns the unpredicted counts, table by
+/// table.
+fn assert_pass_b_matches(ds: &Dataset, cuts: &[bool]) -> Vec<usize> {
+    let out = fold_in_parts(ds, cuts);
+    let want = whole_view_scores(&out, ds);
+    (table_keys().into_iter().zip(want))
+        .map(|((scope, phy), want)| {
+            let got: &ThroughputPenalty = out.get(Kernel::Penalty(scope, phy));
+            assert_eq!((got.scope, got.phy), (scope, phy));
+            assert_eq!(
+                counted(got),
+                want,
+                "per-part scoring differs from the whole view: {scope:?}/{phy:?}, cuts {cuts:?}"
             );
             got.unpredicted
         })
         .collect()
 }
 
+/// Every way to cut the `NET_IDS` pool into parts of consecutive networks.
+fn every_cut() -> impl Iterator<Item = Vec<bool>> {
+    (0..1u32 << NET_IDS.len()).map(|mask| (0..NET_IDS.len()).map(|i| mask >> i & 1 == 1).collect())
+}
+
 /// A median that is `±0.0`: sets whose SNRs are `0.0` and `-0.0` (alone,
 /// and interpolated between the two) share SNR key 0 with the sets around
-/// them, and pass B must key them exactly as the index does.
+/// them, and the per-part scorer must key them exactly as the index does.
 #[test]
 fn pass_b_matches_indexed_on_signed_zero_medians() {
     let ds = pooled_dataset(&[
@@ -228,14 +289,14 @@ fn pass_b_matches_indexed_on_signed_zero_medians() {
         (0, false, (1, 0), 0, vec![(4, 0, 0)]),
         (3, true, (2, 3), 0, vec![(0, 0, 1), (5, 1, 0)]),
     ]);
-    for capacity in [1, 2, 64] {
-        assert_pass_b_matches(&ds, &ds, capacity);
+    for cuts in every_cut() {
+        assert_pass_b_matches(&ds, &cuts);
     }
 }
 
 /// Equal-throughput optima: full loss ties every rate at zero and the
-/// optimum breaks toward the lower rate, so pass B's once-per-set optimum
-/// must be the index's.
+/// optimum breaks toward the lower rate, so the once-per-set optimum the
+/// Global residue keeps must be the index's.
 #[test]
 fn pass_b_matches_indexed_on_equal_throughput_optima() {
     let ds = pooled_dataset(&[
@@ -245,14 +306,15 @@ fn pass_b_matches_indexed_on_equal_throughput_optima() {
         (2, true, (1, 0), 0, vec![(1, 4, 2), (9, 4, 2)]),
         (2, true, (1, 0), 1, vec![(9, 0, 2)]),
     ]);
-    for capacity in [1, 3, 64] {
-        assert_pass_b_matches(&ds, &ds, capacity);
+    for cuts in every_cut() {
+        assert_pass_b_matches(&ds, &cuts);
     }
 }
 
-/// A (key, SNR) cell the tables never saw: every scope's table, trained
-/// on one network at one SNR, must report the other network's sets as
-/// unpredicted, on both paths alike.
+/// A (key, SNR) cell a table never saw. The per-part scorer scores each
+/// table on the sets that trained it, so it never meets one. The oracle
+/// does: every scope's table, trained on one network at one SNR, reports
+/// the other network's sets as unpredicted, on both whole-view paths alike.
 #[test]
 fn pass_b_matches_indexed_on_missing_cells() {
     let train = pooled_dataset(&[
@@ -264,33 +326,66 @@ fn pass_b_matches_indexed_on_missing_cells() {
         (4, false, (0, 1), 0, vec![(3, 1, 6)]),
         (4, true, (1, 2), 0, vec![(3, 1, 6), (4, 0, 5)]),
     ]);
-    let unpredicted = assert_pass_b_matches(&train, &eval, 2);
+    for ds in [&train, &eval] {
+        assert_eq!(assert_pass_b_matches(ds, &[true; 5]), [0; 8]);
+    }
+    let unpredicted: Vec<usize> = whole_view_scores(&fold_in_parts(&train, &[]), &eval)
+        .into_iter()
+        .map(|c| c.3)
+        .collect();
     // Every table misses exactly network 4's set of its PHY; network 0's
     // b/g set finds its cell at every scope.
     assert_eq!(unpredicted, [1, 1, 1, 1, 1, 1, 1, 1]);
 }
 
+/// A quick campaign's dataset, clean or under the demo fault plan, built
+/// once per setting.
+fn quick_dataset(faulted: bool) -> &'static Dataset {
+    static DATASETS: [OnceLock<Dataset>; 2] = [OnceLock::new(), OnceLock::new()];
+    DATASETS[usize::from(faulted)].get_or_init(|| {
+        let mut cfg = Scale::Quick.config();
+        if faulted {
+            cfg.faults = FaultPlan::demo(cfg.probe_horizon_s);
+        }
+        cfg.run_campaign(&Scale::Quick.campaign_spec(SEED).generate())
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Pass B's per-network replay of the store scores every probe set
-    /// exactly as the per-table indexed evaluation does, on the hostile
+    /// Per-part scoring matches the whole-view evaluation on the hostile
     /// generator's datasets (any network order, both PHYs, ties, `±0.0`
-    /// SNRs), wherever chunk boundaries fall and at one thread or four.
+    /// SNRs), wherever the network-aligned part boundaries fall and at
+    /// one thread or four.
     #[test]
     fn pass_b_matches_indexed_evaluation(
         specs in specs(120),
-        capacity in 1usize..4_000,
+        cuts in proptest::collection::vec(proptest::bool::ANY, NET_IDS.len()..NET_IDS.len() + 1),
     ) {
         let ds = pooled_dataset(&specs);
         for threads in [1, 4] {
-            with_threads(threads, || assert_pass_b_matches(&ds, &ds, capacity));
+            with_threads(threads, || assert_pass_b_matches(&ds, &cuts));
         }
     }
 
+    /// The same on a quick campaign, clean and faulted: its twelve
+    /// networks cut anywhere, from one network per part to the whole view.
+    #[test]
+    fn per_part_scoring_matches_evaluate_on_quick_campaigns(
+        faulted in proptest::bool::ANY,
+        cuts in proptest::collection::vec(proptest::bool::ANY, 12..13),
+        four_threads in proptest::bool::ANY,
+    ) {
+        let ds = quick_dataset(faulted);
+        prop_assert_eq!(ds.networks.len(), 12);
+        let threads = if four_threads { 4 } else { 1 };
+        with_threads(threads, || assert_pass_b_matches(ds, &cuts));
+    }
+
     /// Wherever the chunk boundaries land — capacity 1 (every probe its own
-    /// chunk) through capacities far larger than the dataset — pass B's
-    /// per-network replay (`window_dataset(net..net + 1)`) yields exactly
+    /// chunk) through capacities far larger than the dataset — the store's
+    /// per-network walk (`window_dataset(net..net + 1)`) yields exactly
     /// that network's rows of the probe table, in order.
     #[test]
     fn network_walk_invariant_to_chunk_boundaries(

@@ -120,7 +120,7 @@ fn figure_json_identical_across_thread_counts() {
 
 /// The analyst path: a dataset that went through the M11T codec and into
 /// `ReproContext::from_dataset` (what `mesh11 figures FILE` does) builds
-/// Fig 4.5 byte-identical to the in-memory context that simulated it. The
+/// Fig 4.5 byte-identical to the streamed context that simulated it. The
 /// figure notes print the correlation coefficients to 3 decimals only, so
 /// the full-precision check of the coefficients lives next to the kernel.
 #[test]
@@ -129,8 +129,10 @@ fn file_context_builds_fig4_5_byte_identical() {
     use mesh11_bench::{ReproContext, Scale};
 
     let ctx = ReproContext::build(Scale::Quick, 42);
-    let back =
-        mesh11::trace::codec::decode(mesh11::trace::codec::encode(ctx.dataset())).expect("decode");
+    let ds = Scale::Quick
+        .config()
+        .run_campaign(&Scale::Quick.campaign_spec(42).generate());
+    let back = mesh11::trace::codec::decode(mesh11::trace::codec::encode(&ds)).expect("decode");
     let cfg = SimConfig {
         probe_horizon_s: back.probe_horizon_s,
         client_horizon_s: back.client_horizon_s,
@@ -159,9 +161,9 @@ fn file_context_builds_fig4_5_byte_identical() {
 /// file or from the resident dataset, is byte-identical, as JSON and as
 /// the printed table, to the figure built from the whole file with every
 /// kernel: the kernel registry is complete. So is every figure streamed
-/// from the file's parts (fig4-4's penalty replay included), both at the
-/// production part budget and at a 1-byte budget, which makes each
-/// network a part of its own. The sections derived from the kernels' PHYs
+/// from the file's parts, which are decoded once (fig4-4's penalties
+/// included), both at the production part budget and at a 1-byte budget,
+/// which makes each network a part of its own. The sections derived from the kernels' PHYs
 /// are the ones each id read before they were derived; and a b/g-only
 /// load is the full dataset without its HT rows.
 #[test]
@@ -218,7 +220,13 @@ fn declared_sections_build_what_a_full_load_builds() {
                 client_horizon_s: shell.client_horizon_s,
                 ..SimConfig::quick()
             };
-            let ctx = ReproContext::from_parts(shell, cfg, 0, ks, || reader.parts()).unwrap();
+            let walks = std::cell::Cell::new(0);
+            let parts = || {
+                walks.set(walks.get() + 1);
+                reader.parts()
+            };
+            let ctx = ReproContext::from_parts(shell, cfg, 0, ks, parts).unwrap();
+            assert_eq!(walks.get(), 1, "the file's parts were walked twice");
             (ctx, reader.len())
         };
         for &id in ALL_IDS {
