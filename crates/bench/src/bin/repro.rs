@@ -205,9 +205,6 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
             }
         }
     }
-    if let Some(dir) = &args.spill_dir {
-        check_spill_dir(dir)?;
-    }
     if args.ids.is_empty() {
         return Err("no experiment ids given (try --all or --help)".into());
     }
@@ -215,6 +212,10 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
         return Err(
             "--seeds runs the ensemble in memory; it does not combine with --scale metro".into(),
         );
+    }
+    // Last, so an invocation refused for anything else creates nothing.
+    if let Some(dir) = &args.spill_dir {
+        check_spill_dir(dir)?;
     }
     Ok(args)
 }
@@ -616,6 +617,20 @@ mod tests {
         assert_eq!(args.spill_dir.as_deref(), Some(dir.as_path()));
         assert_eq!(std::fs::read_dir(&dir).expect("created").count(), 0);
         std::fs::remove_dir(&dir).expect("remove the dir");
+        for refused in [
+            format!("--scale metro --spill-dir {}", dir.display()),
+            format!(
+                "--scale metro --seeds 2 --spill-dir {} --all",
+                dir.display()
+            ),
+        ] {
+            assert!(parse(&refused).is_err(), "{refused}");
+            assert!(
+                !dir.exists(),
+                "a refused invocation created {}",
+                dir.display()
+            );
+        }
     }
 
     #[test]

@@ -904,7 +904,12 @@ mod tests {
 
     #[test]
     fn chunked_context_matches_in_memory_counts() {
-        let mem = ReproContext::build(Scale::Quick, 11);
+        // The resident reference: simulated whole, folded over its whole view.
+        let none = mesh11_sim::FaultPlan::none();
+        let (mut mem, _) =
+            ReproContext::build_many_timed(Scale::Quick, 11, 1, none, &Kernel::all());
+        let mem = mem.pop().expect("one seed");
+        assert!(!mem.dataset().probes.is_empty());
         let (chk, timings) = ReproContext::build_timed_with_mode(
             Scale::Quick,
             11,
@@ -919,12 +924,23 @@ mod tests {
         let c = chk.store_summary().expect("chunked store");
         assert!(c.spilled_bytes > 0, "tiny budget must force spilling");
         assert!(mem.store_summary().is_none());
-        // The chunked kernels agree with the resident ones.
-        assert_eq!(chk.routing_bg().len(), mem.routing_bg().len());
-        assert_eq!(
-            chk.triples_bg().per_network.len(),
-            mem.triples_bg().per_network.len()
-        );
+        // The streamed folds agree with the whole-view ones.
+        let same = |a: &dyn std::fmt::Debug, b: &dyn std::fmt::Debug| {
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        };
+        same(&chk.routing_bg(), &mem.routing_bg());
+        same(&chk.triples_bg().per_network, &mem.triples_bg().per_network);
+        for phy in [Phy::Bg, Phy::Ht] {
+            let [c, m] = [&chk, &mem].map(|ctx| {
+                let p = ctx.penalty(Scope::Global, phy);
+                (
+                    p.diffs_mbps.cells(),
+                    p.diffs_mbps.sum().to_bits(),
+                    p.unpredicted,
+                )
+            });
+            assert_eq!(c, m, "{phy:?} Global penalty");
+        }
     }
 
     /// Every build reports the seconds its streaming consumer spent

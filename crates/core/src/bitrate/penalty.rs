@@ -129,8 +129,7 @@ impl PenaltyTally {
 /// observation its rate and throughput. Both are coded through the
 /// network's dictionaries of distinct values: losses are quantized, so a
 /// network's observations hold a few hundred distinct (rate, throughput)
-/// pairs and its sets a few dozen SNR keys, and each code takes one or two
-/// bytes.
+/// pairs and its sets a few dozen SNR keys.
 #[derive(Debug)]
 pub struct Residue {
     /// The distinct SNR keys of the sets.
@@ -140,13 +139,13 @@ pub struct Residue {
     /// PHY's rate, which no cell picks).
     pairs: Vec<(u8, f64)>,
     /// Per set, in stream order: its SNR key's position.
-    snr: Codes,
+    snr: Vec<u32>,
     /// Per set: its optimum's pair's position.
-    opt: Codes,
+    opt: Vec<u32>,
     /// Per set: its observation count.
-    lens: Codes,
+    lens: Vec<u32>,
     /// Per observation, set by set: its pair's position.
-    obs: Codes,
+    obs: Vec<u32>,
 }
 
 impl Residue {
@@ -161,7 +160,8 @@ impl Residue {
             };
             pairs.code((rate, o.throughput_mbps().to_bits()))
         };
-        let (mut snr, mut opt, mut lens, mut obs) = <(Codes, Codes, Codes, Codes)>::default();
+        let (mut snr, mut opt, mut lens, mut obs) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         for e in nv.entries_in_order() {
             snr.push(snrs.code(e.snr_key));
             opt.push(pair(&e.opt));
@@ -191,17 +191,18 @@ impl Residue {
             .collect();
         let mut start = 0;
         for set in 0..self.lens.len() {
-            let obs = start..start + self.lens.get(set);
-            start = obs.end;
-            let Some(pick) = picks[self.snr.get(set)] else {
+            let obs = &self.obs[start..start + self.lens[set] as usize];
+            start += obs.len();
+            let Some(pick) = picks[self.snr[set] as usize] else {
                 *unpredicted += 1;
                 continue;
             };
             let heard = obs
-                .map(|i| self.pairs[self.obs.get(i)])
+                .iter()
+                .map(|&code| self.pairs[code as usize])
                 .find(|p| p.0 == pick);
             let got = heard.map_or(0.0, |(_, throughput)| throughput);
-            diffs.push((self.pairs[self.opt.get(set)].1 - got).max(0.0));
+            diffs.push((self.pairs[self.opt[set] as usize].1 - got).max(0.0));
         }
     }
 }
@@ -219,55 +220,6 @@ impl<K: Copy + Eq + std::hash::Hash> Dictionary<K> {
             self.values.push(value);
             u32::try_from(self.values.len() - 1).expect("fewer than 2^32 distinct values")
         })
-    }
-}
-
-/// Unsigned codes, each held in the fewest bytes that hold the largest.
-#[derive(Debug)]
-enum Codes {
-    U8(Vec<u8>),
-    U16(Vec<u16>),
-    U32(Vec<u32>),
-}
-
-impl Default for Codes {
-    fn default() -> Self {
-        Codes::U8(Vec::new())
-    }
-}
-
-impl Codes {
-    /// Appends `code`, first widening every code when it does not fit.
-    fn push(&mut self, code: u32) {
-        let wider = match self {
-            Codes::U8(v) => match u8::try_from(code) {
-                Ok(c) => return v.push(c),
-                Err(_) => Codes::U16(v.iter().map(|&c| c.into()).collect()),
-            },
-            Codes::U16(v) => match u16::try_from(code) {
-                Ok(c) => return v.push(c),
-                Err(_) => Codes::U32(v.iter().map(|&c| c.into()).collect()),
-            },
-            Codes::U32(v) => return v.push(code),
-        };
-        *self = wider;
-        self.push(code);
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Codes::U8(v) => v.len(),
-            Codes::U16(v) => v.len(),
-            Codes::U32(v) => v.len(),
-        }
-    }
-
-    fn get(&self, i: usize) -> usize {
-        match self {
-            Codes::U8(v) => usize::from(v[i]),
-            Codes::U16(v) => usize::from(v[i]),
-            Codes::U32(v) => v[i] as usize,
-        }
     }
 }
 
@@ -396,18 +348,6 @@ mod tests {
         // One of the two sets is mispredicted with an unheard rate.
         let max = g.diffs_mbps.quantile(1.0).unwrap();
         assert!(max >= 12.0 - 1e-9, "diffs {:?}", g.diffs_mbps);
-    }
-
-    #[test]
-    fn codes_widen_to_hold_every_code() {
-        let mut codes = Codes::default();
-        let want: Vec<u32> = (0..70_000).chain([u32::MAX, 7]).collect();
-        for &c in &want {
-            codes.push(c);
-        }
-        assert!(matches!(codes, Codes::U32(_)));
-        assert_eq!(codes.len(), want.len());
-        assert!((0..want.len()).all(|i| codes.get(i) == want[i] as usize));
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! The part contract: a context that also writes its parts to the
-//! spill-to-disk chunk store must produce figure JSON byte-identical to the
-//! store-less build, at any thread count; the store's per-network walk
+//! The part contract: a simulated context, which folds each part as the
+//! simulator emits it, must produce figure JSON byte-identical to a
+//! resident context that simulated the whole campaign and folded its whole
+//! view as one part, at any thread count, whether or not it also writes
+//! its parts to the spill-to-disk chunk store; the store's per-network walk
 //! must yield each network's probe sets in dataset order no matter where
 //! chunk boundaries fall; and the Fig 4.4 penalties, scored part by part
 //! as their tables tally, must match the whole-view penalty evaluation
@@ -52,6 +54,17 @@ fn build_figures(mode: DataMode, threads: usize, faults: FaultPlan) -> BTreeMap<
         })
 }
 
+/// The resident reference: the whole campaign simulated first, then every
+/// kernel folded over its whole view as one part (the `--seeds` path,
+/// which keeps the campaign, so `ext-client` is built too).
+fn resident_figures(faults: FaultPlan) -> BTreeMap<String, String> {
+    let (mut ctxs, _) =
+        ReproContext::build_many_timed(Scale::Quick, SEED, 1, faults, &Kernel::all());
+    let ctx = ctxs.pop().expect("one seed");
+    assert!(ctx.store_summary().is_none() && !ctx.dataset().probes.is_empty());
+    all_figure_json(&ctx)
+}
+
 /// Asserts every figure of `got` matches `reference` byte for byte.
 fn assert_same_figures(
     reference: &BTreeMap<String, String>,
@@ -63,24 +76,27 @@ fn assert_same_figures(
         assert_eq!(
             got.get(id).map(String::as_str),
             Some(json.as_str()),
-            "figure {id} diverges from the in-memory reference ({label})"
+            "figure {id} diverges from the resident reference ({label})"
         );
     }
 }
 
-/// Every figure JSON — all experiments, all panels — is byte-identical
-/// between the store-less and the forced-spill chunked build
-/// (`ChunkConfig::tiny()`: many chunks, budget 2), on one thread, four,
+/// Every figure JSON — all experiments, all panels — of the streamed
+/// builds is byte-identical to the resident whole-view build: the
+/// store-less build, and the forced-spill chunked build
+/// (`ChunkConfig::tiny()`: many chunks, budget 2) on one thread, four,
 /// and eight (the parallelized kernels fan out per network, so this
 /// exercises every reduction order).
 #[test]
 fn chunked_figures_byte_identical_to_in_memory() {
-    let reference = build_figures(DataMode::InMemory, 1, FaultPlan::none());
+    let reference = resident_figures(FaultPlan::none());
     assert!(
         reference.len() >= 39,
         "expected the full figure set (29 experiments, 39 panels), got {}",
         reference.len()
     );
+    let storeless = build_figures(DataMode::InMemory, 4, FaultPlan::none());
+    assert_same_figures(&reference, &storeless, "store-less, 4 threads");
     for threads in [1, 4, 8] {
         let chunked = build_figures(
             DataMode::Chunked(ChunkConfig::tiny()),
@@ -97,7 +113,9 @@ fn chunked_figures_byte_identical_to_in_memory() {
 #[test]
 fn faulted_chunked_figures_byte_identical_to_in_memory() {
     let demo = || FaultPlan::demo(Scale::Quick.config().probe_horizon_s);
-    let reference = build_figures(DataMode::InMemory, 1, demo());
+    let reference = resident_figures(demo());
+    let storeless = build_figures(DataMode::InMemory, 8, demo());
+    assert_same_figures(&reference, &storeless, "faulted, store-less, 8 threads");
     for threads in [1, 8] {
         let chunked = build_figures(DataMode::Chunked(ChunkConfig::tiny()), threads, demo());
         assert_same_figures(&reference, &chunked, &format!("faulted, {threads} threads"));

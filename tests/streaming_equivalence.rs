@@ -1,10 +1,10 @@
 //! The chunked-build contract: a chunked context, whose streaming build
 //! folds every shared analysis over each sealed part while later networks
-//! are still simulating, must produce figure JSON byte-identical to the
-//! in-memory context (every analysis folded over the whole view as one
-//! part, the path the goldens pin) — wherever the chunk boundaries fall,
-//! at any thread count, clean or faulted — and must never build a chunk
-//! window.
+//! are still simulating, must produce figure JSON byte-identical to a
+//! resident context (the whole campaign simulated first, every analysis
+//! folded over its whole view as one part) — wherever the chunk boundaries
+//! fall, at any thread count, clean or faulted — and must never build a
+//! chunk window.
 
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -12,7 +12,7 @@ use std::sync::OnceLock;
 use mesh11::prelude::*;
 use mesh11::trace::{ChunkConfig, ChunkStoreStats};
 use mesh11_bench::figures::{build, ALL_IDS};
-use mesh11_bench::{DataMode, ReproContext, Scale};
+use mesh11_bench::{DataMode, Kernel, ReproContext, Scale};
 use proptest::prelude::*;
 
 const SEED: u64 = 13;
@@ -56,11 +56,22 @@ fn figures_under(mode: DataMode, threads: usize, faulted: bool) -> (Figures, Chu
         })
 }
 
-/// The in-memory figures, computed once per fault setting.
+/// The resident context's figures, computed once per fault setting: the
+/// `--seeds` path, which simulates the whole campaign, keeps it (so
+/// `ext-client` is built too) and folds its whole view as one part.
 fn reference(faulted: bool) -> &'static Figures {
     static REFERENCE: [OnceLock<Figures>; 2] = [OnceLock::new(), OnceLock::new()];
     REFERENCE[usize::from(faulted)].get_or_init(|| {
-        let (figs, _) = figures_under(DataMode::InMemory, 1, faulted);
+        let (mut ctxs, _) = ReproContext::build_many_timed(
+            Scale::Quick,
+            SEED,
+            1,
+            fault_plan(faulted),
+            &Kernel::all(),
+        );
+        let ctx = ctxs.pop().expect("one seed");
+        assert!(!ctx.dataset().probes.is_empty(), "a resident context");
+        let figs = all_figure_json(&ctx);
         assert!(figs.len() >= 39, "expected the full figure set");
         figs
     })
@@ -88,7 +99,7 @@ proptest! {
 
     /// Adversarial chunk boundaries: for chunk capacities from 64 to 1023
     /// probe sets under a two-chunk resident budget, the streamed chunked
-    /// context's figures are byte-for-byte the in-memory context's —
+    /// context's figures are byte-for-byte the resident context's —
     /// single-threaded and fanned out, with and without an active fault
     /// plan — and no figure builds a window.
     #[test]
