@@ -28,7 +28,7 @@ fn biggest_bg_matrix() -> DeliveryMatrix {
         .filter(|m| m.radios.contains(&Phy::Bg))
         .max_by_key(|m| m.n_aps)
         .expect("quick campaign has a big b/g network");
-    view.delivery_matrix(Phy::Bg, meta.id, one, meta.n_aps)
+    view.delivery_matrix(Phy::Bg, meta.id, one).clone()
 }
 
 fn bench_adapters(c: &mut Criterion) {

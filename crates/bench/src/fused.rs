@@ -98,7 +98,7 @@ impl FoldKernel for CapKernel {
         let cap = move |m: &NetworkMeta| CapMatrix {
             network: m.id,
             n_aps: m.n_aps,
-            matrix: view.delivery_matrix(Phy::Bg, m.id, one_mbps(), m.n_aps),
+            matrix: view.delivery_matrix(Phy::Bg, m.id, one_mbps()).clone(),
         };
         winner
             .map(|m| unit(m.id, move || cap(m)))
@@ -539,5 +539,29 @@ mod tests {
         }
         let cap: &Option<CapMatrix> = fused.get(Kernel::Cap);
         assert!(cap.is_some(), "quick campaign has a ≥5-AP b/g network");
+    }
+
+    /// Seven kernels read b/g delivery stacks, most of them for every
+    /// network; the index builds each (PHY, network) stack once, whichever
+    /// unit asks first, and lends it to the rest, also on a second fold.
+    #[test]
+    fn an_all_kernel_fold_builds_each_stack_once() {
+        let scale = Scale::Quick;
+        let ds = scale
+            .config()
+            .run_campaign(&scale.campaign_spec(7).generate());
+        let ix = DatasetIndex::build(&ds);
+        let view = DatasetView::new(&ds, &ix);
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(3)
+            .build()
+            .unwrap();
+        pool.install(|| FusedRunner::new().fold_view(view));
+        // The asymmetry pools read every b/g network; nothing reads HT.
+        let bg = ds.networks.iter().filter(|m| m.radios.contains(&Phy::Bg));
+        let bg = bg.count();
+        assert_eq!(ix.stack_builds(), bg);
+        pool.install(|| FusedRunner::new().fold_view(view));
+        assert_eq!(ix.stack_builds(), bg);
     }
 }

@@ -13,14 +13,12 @@
 //! throughput, making the §4.5 trade-off explicit (the win grows with
 //! 802.11n's 32-rate set, exactly as the paper argues).
 
-use std::collections::{BTreeMap, HashMap};
-
 use mesh11_phy::{BitRate, Phy};
 use mesh11_trace::fold::{network_units, Unit};
 use mesh11_trace::{DatasetView, FoldKernel, ProbeEntry};
 use serde::{Deserialize, Serialize};
 
-use super::LinkRuns;
+use super::{LinkRuns, OptimumCounts, RATE_COLUMNS};
 
 /// A rate-adaptation policy.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -65,76 +63,52 @@ impl AdapterKind {
             AdapterKind::Oracle => 0,
         }
     }
+
+    /// Whether `self` picks what `other` picks at every decision. The
+    /// `SnrTable` kinds all do: `top_k` only sets the probing charge.
+    fn decides_as(&self, other: &AdapterKind) -> bool {
+        matches!(
+            (self, other),
+            (AdapterKind::SnrTable { .. }, AdapterKind::SnrTable { .. })
+        ) || self == other
+    }
 }
 
-/// Per-link mutable state of one adapter.
-#[derive(Debug, Default)]
-struct AdapterState {
-    /// SnrTable: SNR → rate → count.
-    table: HashMap<i64, BTreeMap<BitRate, u32>>,
-    /// EwmaProbing: rate → smoothed throughput.
-    ewma: BTreeMap<BitRate, f64>,
-    /// Last probe set's SNR key (the "measured SNR" at decision time).
-    last_snr: Option<i64>,
-}
+/// `EwmaProbing`'s per-link state, flat: per rate column
+/// ([`RATE_COLUMNS`]), the rate and its smoothed throughput once the link
+/// has carried it.
+struct Ewma([Option<(BitRate, f64)>; RATE_COLUMNS]);
 
-impl AdapterState {
-    fn decide(&self, kind: &AdapterKind, phy: Phy, current: &ProbeEntry) -> BitRate {
-        let fallback = phy.probed_rates()[0];
-        match kind {
-            AdapterKind::Fixed(r) => *r,
-            AdapterKind::Oracle => current.opt.rate,
-            AdapterKind::EwmaProbing { .. } => self
-                .ewma
-                .iter()
-                .max_by(|a, b| {
-                    a.1.partial_cmp(b.1)
-                        .expect("finite ewma")
-                        .then(b.0.cmp(a.0))
-                })
-                .map(|(&r, _)| r)
-                .unwrap_or(fallback),
-            AdapterKind::SnrTable { .. } => {
-                let Some(snr) = self.last_snr else {
-                    return fallback;
-                };
-                let Some(counts) = self.table.get(&snr) else {
-                    return fallback;
-                };
-                counts
-                    .iter()
-                    .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
-                    .map(|(&r, _)| r)
-                    .unwrap_or(fallback)
+impl Ewma {
+    /// The rate with the highest average, the lower rate on a tie; `None`
+    /// before the link has carried any.
+    fn best(&self) -> Option<BitRate> {
+        let mut best: Option<(BitRate, f64)> = None;
+        for &(rate, v) in self.0.iter().flatten() {
+            if best.is_none_or(|(b, bv)| v > bv || (v == bv && rate < b)) {
+                best = Some((rate, v));
             }
         }
+        best.map(|(rate, _)| rate)
     }
 
-    fn learn(&mut self, kind: &AdapterKind, set: &ProbeEntry) {
-        match kind {
-            AdapterKind::SnrTable { .. } => {
-                *self
-                    .table
-                    .entry(set.snr_key)
-                    .or_default()
-                    .entry(set.opt.rate)
-                    .or_insert(0) += 1;
-            }
-            AdapterKind::EwmaProbing { alpha } => {
-                for o in set.probe.obs {
-                    let e = self.ewma.entry(o.rate).or_insert(0.0);
-                    *e = (1.0 - alpha) * *e + alpha * o.throughput_mbps();
-                }
-                // Rates that fell silent decay toward zero.
-                for (r, e) in self.ewma.iter_mut() {
-                    if set.probe.obs_for(*r).is_none() {
-                        *e *= 1.0 - alpha;
-                    }
-                }
-            }
-            AdapterKind::Fixed(_) | AdapterKind::Oracle => {}
+    /// Folds one probe set in: each observation updates its rate's
+    /// average, in observation order, and rates the set did not carry
+    /// decay toward zero.
+    fn learn(&mut self, alpha: f64, set: &ProbeEntry) {
+        let mut heard = 0u64;
+        for o in set.probe.obs {
+            let c = o.rate.index();
+            let (_, v) = self.0[c].get_or_insert((o.rate, 0.0));
+            *v = (1.0 - alpha) * *v + alpha * o.throughput_mbps();
+            heard |= 1 << c;
         }
-        self.last_snr = Some(set.snr_key);
+        for (c, cell) in self.0.iter_mut().enumerate() {
+            match cell {
+                Some((_, v)) if heard & (1 << c) == 0 => *v *= 1.0 - alpha,
+                _ => {}
+            }
+        }
     }
 }
 
@@ -183,7 +157,9 @@ pub fn simulate_adapters(
 ///
 /// Each network replays every kind on its own and records its decisions'
 /// throughputs, which are then summed in network order, so every kind's
-/// accumulation stays one continuous sequential sum.
+/// accumulation stays one continuous sequential sum. Kinds that decide
+/// alike ([`AdapterKind::SnrTable`] at any `top_k`) share the first one's
+/// replay.
 ///
 /// # Panics
 /// `init` panics unless `overhead` lies in `[0, 1)`.
@@ -213,30 +189,25 @@ impl FoldKernel for AdaptationKernel {
 
     /// Gathers the network's links once and replays every kind over them,
     /// recording each decision's achieved throughput per kind and the
-    /// oracle's (the same for every kind), in replay order.
+    /// oracle's (the same for every kind), in replay order. A kind that
+    /// shares an earlier kind's replay records nothing.
     fn units<'a>(&'a self, view: DatasetView<'a>) -> Vec<Unit<'a, Self::Piece>> {
         network_units(view, self.phy, move |nv| {
             let runs = LinkRuns::gather(nv.links());
             let oracle: Vec<f64> = runs
                 .iter()
-                .flat_map(|sets| sets.iter().skip(1).map(|s| s.opt.throughput_mbps()))
+                .flat_map(|run| run.sets.iter().skip(1).map(|s| s.opt.throughput_mbps()))
                 .collect();
             let achieved = self
-                .kinds
-                .iter()
-                .map(|kind| {
-                    let mut got = Vec::with_capacity(oracle.len());
-                    for sets in runs.iter() {
-                        let mut state = AdapterState::default();
-                        for (i, set) in sets.iter().enumerate() {
-                            if i > 0 {
-                                let pick = state.decide(kind, self.phy, set);
-                                got.push(
-                                    set.probe.obs_for(pick).map_or(0.0, |o| o.throughput_mbps()),
-                                );
-                            }
-                            state.learn(kind, set);
-                        }
+                .replays()
+                .into_iter()
+                .zip(&self.kinds)
+                .enumerate()
+                .map(|(k, (replay, kind))| {
+                    let mut got = Vec::new();
+                    if replay == k {
+                        got.reserve(oracle.len());
+                        self.replay(kind, &runs, &mut got);
                     }
                     got
                 })
@@ -252,7 +223,9 @@ impl FoldKernel for AdaptationKernel {
     /// views; re-associating them through per-network subtotals would
     /// perturb the float results.
     fn merge(&self, partial: &mut Self::Partial, (oracle, achieved): (Vec<f64>, Vec<Vec<f64>>)) {
-        for ((decisions, sum_thr, sum_oracle), got) in partial.iter_mut().zip(achieved) {
+        let replays = self.replays();
+        for ((decisions, sum_thr, sum_oracle), replay) in partial.iter_mut().zip(replays) {
+            let got = &achieved[replay];
             *decisions += got.len() as u64;
             for (g, o) in got.iter().zip(&oracle) {
                 *sum_thr += g;
@@ -286,6 +259,54 @@ impl FoldKernel for AdaptationKernel {
                 }
             })
             .collect()
+    }
+}
+
+impl AdaptationKernel {
+    /// Per kind, the first kind whose replay it shares.
+    fn replays(&self) -> Vec<usize> {
+        let kinds = &self.kinds;
+        (0..kinds.len())
+            .map(|k| {
+                (0..k)
+                    .find(|&j| kinds[j].decides_as(&kinds[k]))
+                    .unwrap_or(k)
+            })
+            .collect()
+    }
+
+    /// Replays `kind` over every link, pushing each decision's achieved
+    /// throughput: every set after a link's first is decided before it is
+    /// seen, from what the link's earlier sets taught, and scored by what
+    /// it offered at the chosen rate.
+    fn replay(&self, kind: &AdapterKind, runs: &LinkRuns<'_>, got: &mut Vec<f64>) {
+        let fallback = self.phy.probed_rates()[0];
+        let mut table = OptimumCounts::default();
+        for run in runs.iter() {
+            if let AdapterKind::SnrTable { .. } = kind {
+                table.reset(run.n_keys);
+            }
+            let mut ewma = Ewma([None; RATE_COLUMNS]);
+            for (i, (set, &key)) in run.sets.iter().zip(run.keys).enumerate() {
+                if i > 0 {
+                    let pick = match kind {
+                        AdapterKind::Fixed(r) => Some(*r),
+                        AdapterKind::Oracle => Some(set.opt.rate),
+                        // The table is keyed by the previous set's SNR,
+                        // the SNR measured at decision time.
+                        AdapterKind::SnrTable { .. } => table.best(run.keys[i - 1]),
+                        AdapterKind::EwmaProbing { .. } => ewma.best(),
+                    }
+                    .unwrap_or(fallback);
+                    got.push(set.probe.obs_for(pick).map_or(0.0, |o| o.throughput_mbps()));
+                }
+                match kind {
+                    AdapterKind::SnrTable { .. } => table.count(key, set.opt.rate),
+                    AdapterKind::EwmaProbing { alpha } => ewma.learn(*alpha, set),
+                    AdapterKind::Fixed(_) | AdapterKind::Oracle => {}
+                }
+            }
+        }
     }
 }
 

@@ -16,14 +16,12 @@
 //! few points of each other at 80–90% — falls out of the per-link optimum
 //! being stable.
 
-use std::collections::{BTreeMap, HashMap};
-
 use mesh11_phy::{BitRate, Phy};
 use mesh11_trace::fold::{network_units, Unit};
 use mesh11_trace::DatasetView;
 use serde::{Deserialize, Serialize};
 
-use super::LinkRuns;
+use super::{LinkRuns, OptimumCounts, Run};
 
 /// Table-maintenance policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -58,63 +56,72 @@ impl StrategyKind {
     }
 }
 
-/// One link's online table under a strategy.
-#[derive(Debug, Clone, Default)]
+/// One link's online table under every strategy, flat: a row per SNR-key
+/// rank of the link's run ([`Run`]).
+#[derive(Default)]
 struct OnlineTable {
-    /// `First`/`MostRecent`: the single stored rate per SNR.
-    single: HashMap<i64, BitRate>,
-    /// `Subsampled`/`All`: frequency counts per SNR.
-    counts: HashMap<i64, BTreeMap<BitRate, u32>>,
-    /// Observations seen per SNR (drives subsampling cadence).
-    seen: HashMap<i64, u32>,
-    updates: u64,
-    stored: u64,
+    /// `First`/`MostRecent`: the single stored rate per key.
+    single: Vec<Option<BitRate>>,
+    /// `Subsampled`/`All`: frequency counts per key.
+    counts: OptimumCounts,
+    /// Observations seen per key (drives subsampling cadence).
+    seen: Vec<u32>,
 }
 
 impl OnlineTable {
-    fn predict(&self, kind: StrategyKind, snr: i64) -> Option<BitRate> {
+    /// Replays one link's run under `kind` into `a`: each set is predicted
+    /// from the table before it updates the table, and a key never seen
+    /// before on the link is not predicted.
+    fn replay(&mut self, kind: StrategyKind, run: &Run<'_, '_>, a: &mut StrategyAcc) {
+        self.seen.clear();
+        self.seen.resize(run.n_keys, 0);
         match kind {
-            StrategyKind::First | StrategyKind::MostRecent => self.single.get(&snr).copied(),
-            StrategyKind::Subsampled | StrategyKind::All => {
-                let counts = self.counts.get(&snr)?;
-                counts
-                    .iter()
-                    .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
-                    .map(|(&r, _)| r)
+            StrategyKind::First | StrategyKind::MostRecent => {
+                self.single.clear();
+                self.single.resize(run.n_keys, None);
             }
+            StrategyKind::Subsampled | StrategyKind::All => self.counts.reset(run.n_keys),
         }
-    }
-
-    fn update(&mut self, kind: StrategyKind, snr: i64, opt: BitRate) {
-        let seen = self.seen.entry(snr).or_insert(0);
-        *seen += 1;
-        match kind {
-            StrategyKind::First => {
-                if let std::collections::hash_map::Entry::Vacant(e) = self.single.entry(snr) {
-                    e.insert(opt);
-                    self.updates += 1;
-                    self.stored += 1;
+        for (i, (e, &key)) in run.sets.iter().zip(run.keys).enumerate() {
+            let (k, opt) = (key as usize, e.opt.rate);
+            let pick = match kind {
+                StrategyKind::First | StrategyKind::MostRecent => self.single[k],
+                StrategyKind::Subsampled | StrategyKind::All => self.counts.best(key),
+            };
+            if let Some(pick) = pick {
+                let ok = u64::from(pick == opt);
+                if a.acc.len() <= i {
+                    a.acc.resize(i + 1, (0, 0));
                 }
+                a.acc[i].0 += 1;
+                a.acc[i].1 += ok;
+                a.predictions += 1;
+                a.correct += ok;
             }
-            StrategyKind::MostRecent => {
-                if self.single.insert(snr, opt).is_none() {
-                    self.stored += 1;
-                }
-                self.updates += 1;
-            }
-            StrategyKind::Subsampled => {
+            self.seen[k] += 1;
+            let stores = match kind {
+                StrategyKind::First => self.single[k].is_none(),
+                StrategyKind::MostRecent => true,
                 // First observation always counts (there must be something
                 // to predict from), then every 3rd.
-                if *seen == 1 || (*seen).is_multiple_of(3) {
-                    *self.counts.entry(snr).or_default().entry(opt).or_insert(0) += 1;
-                    self.updates += 1;
-                    self.stored += 1;
-                }
+                StrategyKind::Subsampled => self.seen[k] == 1 || self.seen[k].is_multiple_of(3),
+                StrategyKind::All => true,
+            };
+            if !stores {
+                continue;
             }
-            StrategyKind::All => {
-                *self.counts.entry(snr).or_default().entry(opt).or_insert(0) += 1;
-                self.updates += 1;
-                self.stored += 1;
+            a.updates += 1;
+            match kind {
+                StrategyKind::First | StrategyKind::MostRecent => {
+                    // One point per key: only a new key adds memory.
+                    if self.single[k].replace(opt).is_none() {
+                        a.stored += 1;
+                    }
+                }
+                StrategyKind::Subsampled | StrategyKind::All => {
+                    self.counts.count(key, opt);
+                    a.stored += 1;
+                }
             }
         }
     }
@@ -219,26 +226,10 @@ impl mesh11_trace::FoldKernel for StrategyKernel {
             let mut local: Vec<StrategyAcc> =
                 self.kinds.iter().map(|_| StrategyAcc::default()).collect();
             let runs = LinkRuns::gather(nv.links());
+            let mut table = OnlineTable::default();
             for (&kind, a) in self.kinds.iter().zip(local.iter_mut()) {
-                for sets in runs.iter() {
-                    let mut table = OnlineTable::default();
-                    for (i, e) in sets.iter().enumerate() {
-                        let snr = e.snr_key;
-                        let opt = e.opt.rate;
-                        if let Some(pick) = table.predict(kind, snr) {
-                            let ok = u64::from(pick == opt);
-                            if a.acc.len() <= i {
-                                a.acc.resize(i + 1, (0, 0));
-                            }
-                            a.acc[i].0 += 1;
-                            a.acc[i].1 += ok;
-                            a.predictions += 1;
-                            a.correct += ok;
-                        }
-                        table.update(kind, snr, opt);
-                    }
-                    a.updates += table.updates;
-                    a.stored += table.stored;
+                for run in runs.iter() {
+                    table.replay(kind, &run, a);
                 }
             }
             local

@@ -61,7 +61,7 @@ impl FoldKernel for AsymmetryKernel {
             |meta| meta.radios.contains(&self.phy),
             move |meta| {
                 let phy = self.phy;
-                view.delivery_stack(phy, meta.id, phy.probed_rates(), meta.n_aps)
+                view.delivery_stack(phy, meta.id)
                     .iter()
                     .map(|m| (m.rate, asymmetry_ratios(m)))
                     .collect()

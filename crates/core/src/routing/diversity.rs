@@ -120,8 +120,8 @@ impl mesh11_trace::FoldKernel for DiversityKernel {
             view,
             |m| m.n_aps >= self.min_aps && m.radios.contains(&self.phy),
             move |meta| {
-                let m = view.delivery_matrix(self.phy, meta.id, self.rate, meta.n_aps);
-                diversity_bins(&m, &OpportunisticAnalysis::compute(&m), self.variant)
+                let m = view.delivery_matrix(self.phy, meta.id, self.rate);
+                diversity_bins(m, &OpportunisticAnalysis::compute(m), self.variant)
             },
         )
     }

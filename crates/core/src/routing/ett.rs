@@ -163,11 +163,7 @@ impl FoldKernel for EttKernel {
         meta_units(
             view,
             |m| m.n_aps >= self.min_aps && m.radios.contains(&self.phy),
-            move |meta| {
-                let matrices =
-                    view.delivery_stack(self.phy, meta.id, self.phy.probed_rates(), meta.n_aps);
-                EttAnalysis::compute(&matrices)
-            },
+            move |meta| EttAnalysis::compute(view.delivery_stack(self.phy, meta.id)),
         )
     }
 

@@ -146,7 +146,7 @@ impl FoldKernel for RoutingKernel {
             view,
             |m| m.n_aps >= self.min_aps && m.radios.contains(&self.phy),
             move |meta| {
-                view.delivery_stack(self.phy, meta.id, self.phy.probed_rates(), meta.n_aps)
+                view.delivery_stack(self.phy, meta.id)
                     .iter()
                     .map(OpportunisticAnalysis::compute)
                     .collect()

@@ -156,7 +156,7 @@ impl TripleKernel {
     /// One network's counts, one row per rate.
     pub(crate) fn rows(&self, view: DatasetView<'_>, meta: &NetworkMeta) -> TripleRows {
         let phy = self.phy;
-        view.delivery_stack(phy, meta.id, phy.probed_rates(), meta.n_aps)
+        view.delivery_stack(phy, meta.id)
             .iter()
             .map(|m| {
                 let g = HearingGraph::build(m, self.threshold, self.rule);

@@ -58,7 +58,7 @@ impl FoldKernel for RangeKernel {
             |m| m.radios.contains(&self.phy) && m.n_aps >= 2,
             move |meta| {
                 let phy = self.phy;
-                view.delivery_stack(phy, meta.id, phy.probed_rates(), meta.n_aps)
+                view.delivery_stack(phy, meta.id)
                     .iter()
                     .map(|m| {
                         let g = HearingGraph::build(m, self.threshold, self.rule);

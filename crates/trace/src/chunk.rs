@@ -1197,8 +1197,8 @@ mod tests {
             windowed.extend(v.probes_for_phy(Phy::Bg).map(|p| (p.network.0, p.time_s)));
             for m in &ds.networks[nets] {
                 assert_eq!(
-                    v.delivery_matrix(Phy::Bg, m.id, rate, m.n_aps),
-                    whole.delivery_matrix(Phy::Bg, m.id, rate, m.n_aps),
+                    v.delivery_matrix(Phy::Bg, m.id, rate),
+                    whole.delivery_matrix(Phy::Bg, m.id, rate),
                 );
             }
         }

@@ -48,9 +48,15 @@ impl Dataset {
     /// id-indexed vector; falls back to a scan for filtered datasets (see
     /// [`Dataset::filter_networks`]) whose kept set has gaps.
     pub fn meta(&self, id: NetworkId) -> Option<&NetworkMeta> {
+        self.meta_position(id).map(|k| &self.networks[k])
+    }
+
+    /// Position of a network's metadata in `networks`, found as
+    /// [`Dataset::meta`] finds it.
+    pub(crate) fn meta_position(&self, id: NetworkId) -> Option<usize> {
         match self.networks.get(id.0 as usize) {
-            Some(m) if m.id == id => Some(m),
-            _ => self.networks.iter().find(|m| m.id == id),
+            Some(m) if m.id == id => Some(id.0 as usize),
+            _ => self.networks.iter().position(|m| m.id == id),
         }
     }
 

@@ -30,6 +30,12 @@
 //!   them. Everything else a kernel needs (report time, the per-rate
 //!   observations) it reads from the probe set itself: copying it into
 //!   columns would cost more per build than the walks it saves.
+//! * **delivery stacks** — per (PHY, network), the network's delivery
+//!   matrix at every probed rate of the PHY ([`DatasetView::delivery_stack`]).
+//!   §5 and §6 derive routing gain, asymmetry, hidden triples, range and
+//!   ETT from the same stack, so it is memoized: the first unit that asks
+//!   builds it, every later reader borrows it, and it lives as long as the
+//!   index, which for a streamed source is one part.
 //!
 //! The index is a pure function of the probe table; it holds **positions**,
 //! not copies, and must be rebuilt after any mutation of `Dataset::probes`
@@ -54,6 +60,9 @@ const N_PHYS: usize = 2;
 
 /// The longest per-PHY rate table (`Phy::Ht.all_rates()`).
 const MAX_PHY_RATES: usize = 32;
+
+/// One network's delivery matrices, one per probed rate of a PHY.
+type Stack = Box<[DeliveryMatrix]>;
 
 /// Dense slot of a PHY in the index's per-PHY range tables.
 fn phy_slot(phy: Phy) -> usize {
@@ -91,7 +100,8 @@ struct NetGroup {
 /// invalidated by any mutation of `Dataset::probes` and must then be
 /// rebuilt (building after mutation gives exactly the index of the mutated
 /// dataset — there is no incremental state). Two indexes are equal when
-/// their grouping is; the columns are a function of the dataset.
+/// their grouping is; the columns and the delivery stacks are functions of
+/// the dataset.
 #[derive(Debug, Clone, Default)]
 pub struct DatasetIndex {
     /// Probe count the index was built over (consistency check).
@@ -116,6 +126,9 @@ pub struct DatasetIndex {
     net_ranges: [Range<u32>; N_PHYS],
     /// The per-probe columns, built on first read.
     cols: OnceLock<ProbeColumns>,
+    /// One delivery stack per PHY and `Dataset::networks` position, at
+    /// `phy_slot · networks + position`, each built on first read.
+    stacks: OnceLock<Box<[OnceLock<Stack>]>>,
 }
 
 impl PartialEq for DatasetIndex {
@@ -399,6 +412,14 @@ impl DatasetIndex {
         map
     }
 
+    /// How many delivery stacks this index has built. Only the memo
+    /// builds them, once per (PHY, network), so this is the number of
+    /// (PHY, network) stacks that were read.
+    pub fn stack_builds(&self) -> usize {
+        let stacks = self.stacks.get().map_or(&[][..], |s| &s[..]);
+        stacks.iter().filter(|s| s.get().is_some()).count()
+    }
+
     fn net_group(&self, phy: Phy, network: NetworkId) -> Option<&NetGroup> {
         let r = self.net_ranges[phy_slot(phy)].clone();
         let slice = &self.nets[r.start as usize..r.end as usize];
@@ -625,79 +646,90 @@ impl<'a> DatasetView<'a> {
             .collect()
     }
 
-    /// The delivery matrix of one (network, rate) — identical to
-    /// `DeliveryMatrix::from_probes` over the network's probes, computed
-    /// from the indexed range.
+    /// The delivery matrix of one (network, rate): the `rate` layer of
+    /// [`DatasetView::delivery_stack`], borrowed from the memoized stack.
+    ///
+    /// # Panics
+    /// If `network` has no metadata or `rate` is not one of `phy`'s
+    /// probed rates.
     pub fn delivery_matrix(
         &self,
         phy: Phy,
         network: NetworkId,
         rate: BitRate,
-        n_aps: usize,
-    ) -> DeliveryMatrix {
-        self.delivery_stack(phy, network, std::slice::from_ref(&rate), n_aps)
-            .pop()
-            .expect("one rate in, one matrix out")
+    ) -> &'a DeliveryMatrix {
+        self.delivery_stack(phy, network)
+            .iter()
+            .find(|m| m.rate == rate)
+            .unwrap_or_else(|| panic!("no {rate} matrix for {phy} network {}", network.0))
     }
 
-    /// One delivery matrix per rate, from a **single pass** over the
-    /// network's probes. Byte-identical to calling
-    /// `DeliveryMatrix::from_probes` once per rate: every matrix cell is
-    /// fed by exactly one link, the within-link order is dataset order,
-    /// and only the first observation of a rate within a probe set counts
-    /// (the `obs_for` contract).
-    pub fn delivery_stack(
-        &self,
-        phy: Phy,
-        network: NetworkId,
-        rates: &[BitRate],
-        n_aps: usize,
-    ) -> Vec<DeliveryMatrix> {
-        assert!(rates.len() <= 128, "rate stack too deep");
+    /// One network's delivery matrix at each of `phy`'s probed rates, in
+    /// [`Phy::probed_rates`] order, sized by the network's metadata; empty
+    /// when the dataset has no metadata for `network`.
+    ///
+    /// Memoized in the index: the first call for a (PHY, network) builds
+    /// the stack in one pass over the network's probes, and every call
+    /// borrows it until the index is dropped. For a streamed source that
+    /// is one part, so a part holds the stacks of its own networks only.
+    ///
+    /// Byte-identical to calling `DeliveryMatrix::from_probes` once per
+    /// rate: every matrix cell is fed by exactly one link, the within-link
+    /// order is dataset order, and only the first observation of a rate
+    /// within a probe set counts (the `obs_for` contract).
+    pub fn delivery_stack(&self, phy: Phy, network: NetworkId) -> &'a [DeliveryMatrix] {
+        let (ds, ix) = (self.ds, self.ix);
+        let Some(k) = ds.meta_position(network) else {
+            return &[];
+        };
+        let stacks = ix.stacks.get_or_init(|| {
+            (0..N_PHYS * ds.networks.len())
+                .map(|_| OnceLock::new())
+                .collect()
+        });
+        stacks[phy_slot(phy) * ds.networks.len() + k]
+            .get_or_init(|| self.build_stack(phy, network, ds.networks[k].n_aps))
+    }
+
+    /// [`DatasetView::delivery_stack`]'s one pass, unmemoized.
+    fn build_stack(&self, phy: Phy, network: NetworkId, n_aps: usize) -> Stack {
+        let rates = phy.probed_rates();
         let n2 = n_aps * n_aps;
-        let mut sums = vec![0.0f64; rates.len() * n2];
+        // Each rate's sums become its matrix in place.
+        let mut sums = vec![vec![0.0f64; n2]; rates.len()];
         let mut cnts = vec![0u32; rates.len() * n2];
-        // First slot of each distinct rate, by (PHY, rate index); duplicate
-        // rates in `rates` share the first slot's accumulation (copied
-        // below). `NO_SLOT` marks rates that were not requested.
-        const NO_SLOT: u8 = u8::MAX;
-        let mut slot_of = [[NO_SLOT; MAX_PHY_RATES]; N_PHYS];
-        let slot_cell = |r: BitRate| (phy_slot(r.phy()), r.index());
-        for (j, &r) in rates.iter().enumerate().rev() {
-            let (ps, ri) = slot_cell(r);
-            slot_of[ps][ri] = j as u8;
+        // Layer of the stack by rate index; other rates are not tallied.
+        let mut layer_of = [usize::MAX; MAX_PHY_RATES];
+        for (j, r) in rates.iter().enumerate() {
+            layer_of[r.index()] = j;
         }
         if let Some(g) = self.ix.net_group(phy, network) {
             let positions = &self.ix.link_order[g.probes.start as usize..g.probes.end as usize];
             for p in self.probes_at(positions) {
                 let cell = p.sender.idx() * n_aps + p.receiver.idx();
-                let mut seen = 0u128;
+                let mut seen = 0u64;
                 for o in p.obs {
-                    let (ps, ri) = slot_cell(o.rate);
-                    let slot = slot_of[ps][ri];
-                    if slot == NO_SLOT {
+                    if o.rate.phy() != phy {
                         continue;
                     }
-                    let slot = usize::from(slot);
-                    if seen & (1 << slot) != 0 {
+                    let j = layer_of[o.rate.index()];
+                    if j == usize::MAX || seen & (1 << j) != 0 {
                         continue; // obs_for takes the first observation
                     }
-                    seen |= 1 << slot;
-                    sums[slot * n2 + cell] += o.delivery();
-                    cnts[slot * n2 + cell] += 1;
+                    seen |= 1 << j;
+                    sums[j][cell] += o.delivery();
+                    cnts[j * n2 + cell] += 1;
                 }
             }
         }
         rates
             .iter()
-            .map(|&rate| {
-                let (ps, ri) = slot_cell(rate);
-                let src = slot_of[ps][ri] as usize;
-                let p = sums[src * n2..(src + 1) * n2]
-                    .iter()
-                    .zip(&cnts[src * n2..(src + 1) * n2])
-                    .map(|(&s, &c)| if c == 0 { 0.0 } else { s / c as f64 })
-                    .collect();
+            .zip(sums)
+            .enumerate()
+            .map(|(j, (&rate, mut p))| {
+                for (s, &c) in p.iter_mut().zip(&cnts[j * n2..(j + 1) * n2]) {
+                    *s = if c == 0 { 0.0 } else { *s / c as f64 };
+                }
                 DeliveryMatrix::from_parts(network, rate, n_aps, p)
             })
             .collect()
@@ -1121,27 +1153,40 @@ mod tests {
         let ds = mixed_dataset();
         let ix = DatasetIndex::build(&ds);
         let v = DatasetView::new(&ds, &ix);
-        for m in &ds.networks {
-            let probes: Vec<Probe> = ds
-                .probes_for_network(m.id)
-                .filter(|p| p.phy == Phy::Bg)
-                .collect();
-            let stack = v.delivery_stack(Phy::Bg, m.id, BG_PROBED, m.n_aps);
-            for (k, &r) in BG_PROBED.iter().enumerate() {
-                let lin = DeliveryMatrix::from_probes(m.id, r, m.n_aps, probes.iter().copied());
-                assert_eq!(stack[k], lin, "net {} rate {r}", m.id.0);
+        // Twice: the second read borrows what the first built.
+        for read in 0..2 {
+            for m in &ds.networks {
+                let probes: Vec<Probe> = ds
+                    .probes_for_network(m.id)
+                    .filter(|p| p.phy == Phy::Bg)
+                    .collect();
+                let stack = v.delivery_stack(Phy::Bg, m.id);
+                assert_eq!(stack.len(), BG_PROBED.len());
+                for (k, &r) in BG_PROBED.iter().enumerate() {
+                    let lin = DeliveryMatrix::from_probes(m.id, r, m.n_aps, probes.iter().copied());
+                    assert_eq!(stack[k], lin, "read {read} net {} rate {r}", m.id.0);
+                }
+                let single = v.delivery_matrix(Phy::Bg, m.id, rate(11.0));
+                let lin = DeliveryMatrix::from_probes(m.id, rate(11.0), m.n_aps, probes);
+                assert_eq!(*single, lin);
+                assert!(
+                    std::ptr::eq(single, &stack[2]),
+                    "11 Mbit/s is the third layer"
+                );
             }
-            let single = v.delivery_matrix(Phy::Bg, m.id, rate(11.0), m.n_aps);
-            let lin = DeliveryMatrix::from_probes(m.id, rate(11.0), m.n_aps, probes);
-            assert_eq!(single, lin);
+            assert_eq!(ix.stack_builds(), ds.networks.len(), "read {read}");
         }
+        let first = v.delivery_stack(Phy::Bg, NetworkId(0));
+        assert!(std::ptr::eq(first, v.delivery_stack(Phy::Bg, NetworkId(0))));
+        // A network without metadata has no stack.
+        assert!(v.delivery_stack(Phy::Bg, NetworkId(9)).is_empty());
+        assert_eq!(ix.stack_builds(), ds.networks.len());
     }
 
     #[test]
-    fn delivery_stack_first_obs_wins_and_duplicates_share() {
+    fn delivery_stack_first_obs_wins() {
         // A probe set with a duplicate rate entry: obs_for takes the first,
-        // so the stack must too; a duplicated rate in the request list gets
-        // a copy of the same matrix.
+        // so the stack must too.
         let ds = mixed_dataset_with(&[RateObs {
             rate: rate(11.0),
             loss: 0.9,
@@ -1149,12 +1194,24 @@ mod tests {
         }]);
         let ix = DatasetIndex::build(&ds);
         let v = DatasetView::new(&ds, &ix);
-        let rates = [rate(11.0), rate(1.0), rate(11.0)];
-        let stack = v.delivery_stack(Phy::Bg, NetworkId(0), &rates, 3);
         let probes: Vec<Probe> = ds.probes_for_network(NetworkId(0)).collect();
         let lin = DeliveryMatrix::from_probes(NetworkId(0), rate(11.0), 3, probes);
-        assert_eq!(stack[0], lin);
-        assert_eq!(stack[0], stack[2]);
+        assert_eq!(*v.delivery_matrix(Phy::Bg, NetworkId(0), rate(11.0)), lin);
+    }
+
+    #[test]
+    fn index_equality_ignores_a_filled_memo() {
+        let ds = mixed_dataset();
+        let ix = DatasetIndex::build(&ds);
+        let v = DatasetView::new(&ds, &ix);
+        let _ = v.delivery_stack(Phy::Bg, NetworkId(0));
+        let _ = v.delivery_stack(Phy::Ht, NetworkId(1));
+        assert_eq!(ix.stack_builds(), 2);
+        assert_eq!(ix, DatasetIndex::build(&ds));
+        // A clone keeps the memo and its count.
+        let copy = ix.clone();
+        assert_eq!(copy.stack_builds(), 2);
+        assert_eq!(copy, ix);
     }
 
     #[test]
@@ -1183,7 +1240,7 @@ mod tests {
         let ix = DatasetIndex::build(&ds);
         let v = DatasetView::new(&ds, &ix);
         for m in &ds.networks {
-            let _ = v.delivery_stack(Phy::Bg, m.id, BG_PROBED, m.n_aps);
+            let _ = v.delivery_stack(Phy::Bg, m.id);
             let _ = v.network(Phy::Bg, m.id).map(|nv| nv.probes().count());
         }
         assert!(ix.cols.get().is_none());

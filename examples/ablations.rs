@@ -54,8 +54,8 @@ fn main() {
         .filter(|m| m.radios.contains(&Phy::Bg))
         .max_by_key(|m| m.n_aps)
         .expect("campaign has a big b/g network");
-    let m = view.delivery_matrix(Phy::Bg, meta.id, one, meta.n_aps);
-    for (cap, mean) in improvement_vs_cap(&m, &[1, 2, 3, 4, 8, usize::MAX]) {
+    let m = view.delivery_matrix(Phy::Bg, meta.id, one);
+    for (cap, mean) in improvement_vs_cap(m, &[1, 2, 3, 4, 8, usize::MAX]) {
         let label = if cap == usize::MAX {
             "∞".into()
         } else {
@@ -72,7 +72,7 @@ fn main() {
         "C. ETX delivery-floor sweep ({} APs, 1 Mbit/s):",
         meta.n_aps
     );
-    for (floor, mean_cost, reachable) in delivery_floor_sweep(&m, &[0.05, 0.10, 0.20, 0.40]) {
+    for (floor, mean_cost, reachable) in delivery_floor_sweep(m, &[0.05, 0.10, 0.20, 0.40]) {
         println!(
             "   floor {floor:4.2}: mean path cost {mean_cost:5.2} ETX, {reachable} reachable pairs"
         );
